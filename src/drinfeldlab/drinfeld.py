@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from .base import RPoly, fp_nullspace, fp_solve_many
 from .factor import factor_bipoly
-from .kfield import KElem, coordinates, height, kelem_sort_key, kelem_to_str
+from .kfield import (BiPoly, KElem, bi_divexact, common_denominator, coordinates,
+                     height, kelem_sort_key, kelem_to_str, monomial_rows)
 from .places import Place, valuation
 from .twisted import TwistedPoly, tp_add, tp_compose, tp_eval, tp_parse, tp_scale, tp_to_str
 
@@ -206,7 +207,9 @@ def _solution_denominator(f: TwistedPoly, ys, flags):
     for key in sorted(prims):
         v = Place(p, prims[key], _checked=True)
         vals = [(i, valuation(c, v)) for i, c in nz]
-        vy = min((valuation(y, v) for y in ys if not y.is_zero()), default=0)
+        # a polynomial y has v(y) >= 0 at every finite place: the clamp
+        # below discards it, so only genuine fractions need a valuation
+        vy = min((valuation(y, v) for y in ys if not y.den.is_one()), default=0)
         vy = min(vy, 0)
         e = 0
         for i, vi in vals:
@@ -217,6 +220,36 @@ def _solution_denominator(f: TwistedPoly, ys, flags):
         if e >= 1:
             den = den * v.monic_pi() ** e
     return den
+
+
+def _fraction_free_images(f: TwistedPoly, nums, d: BiPoly):
+    """Numerators N_k and one denominator E with f(nums[k] / d) = N_k / E.
+
+    Write f = sum_i c_i tau^i with c_i = a_i / b_i, L = lcm(b_i) and D the
+    tau-degree.  Then, with no gcd anywhere,
+
+        f(n / d) = sum_i a_i (L / b_i) n^{p^i} d^{p^D - p^i} / (L d^{p^D}),
+
+    so E = L d^{p^D}, each p^i-th power of n is an exponent stretch and the
+    d-powers are formed once per call.  The quotient n / d need not be
+    reduced, which lets the division solver keep a shared d: its basis
+    element t^a theta^b / den has numerator t^a theta^b den.den over
+    den.num, where den.den is a t-polynomial whenever a place's monic
+    uniformiser has t-denominators.
+    """
+    p = f.p
+    terms = [(i, c) for i, c in enumerate(f.coeffs) if not c.is_zero()]
+    lcm = common_denominator([c for _i, c in terms])
+    top = p ** f.tau_degree
+    weights = [(p ** i, bi_divexact(lcm, c.den) * c.num * d ** (top - p ** i))
+               for i, c in terms]
+    images = []
+    for n in nums:
+        acc = BiPoly.zero(p)
+        for q, w in weights:
+            acc = acc + n.stretch(q) * w
+        images.append(acc)
+    return images, lcm * d ** top
 
 
 def solve_additive_many(f: TwistedPoly, ys, bounds: HeightProfile | None = None):
@@ -256,38 +289,37 @@ def solve_additive_many(f: TwistedPoly, ys, bounds: HeightProfile | None = None)
     b_theta = pick(bounds.theta_deg, derived_theta, "theta")
     b_t = pick(bounds.t_deg, derived_t, "t")
 
-    inv_den = den.inverse()
-    basis_elems = []
-    images = []
-    theta = KElem.theta(p)
-    t = KElem.t(p)
-    for b in range(b_theta + 1):
-        for a in range(b_t + 1):
-            m = t ** a * theta ** b * inv_den
-            basis_elems.append(m)
-            images.append(tp_eval(f, m))
-
-    coords = coordinates(images + ys)
+    d = den.num
+    basis_nums = [BiPoly.monomial(p, b, a) * den.den
+                  for b in range(b_theta + 1) for a in range(b_t + 1)]
+    images, image_den = _fraction_free_images(f, basis_nums, d)
+    y_den = common_denominator(ys) if ys else BiPoly.one(p)
+    if not y_den.is_one():
+        images = [n * y_den for n in images]
+    rhs_polys = [y.num * image_den * bi_divexact(y_den, y.den) for y in ys]
+    matrix, _support = monomial_rows(images + rhs_polys)
     n_basis = len(images)
-    length = len(coords.basis)
-    rows = [[coords.matrix[k][l] for k in range(n_basis)] for l in range(length)]
-    rhss = [[coords.matrix[n_basis + idx][l] for l in range(length)]
-            for idx in range(len(ys))]
+    rows = [list(col) for col in zip(*matrix[:n_basis])]
+    rhss = [list(r) for r in matrix[n_basis:]]
     sols = fp_solve_many(rows, rhss, p) if rhss else []
     null = fp_nullspace(rows, p)
 
     if p ** len(null) > bounds.enum_cap:
         raise RuntimeError(
             f"solution space too large to enumerate (p^{len(null)})")
+
+    def combine(weights):
+        acc = BiPoly.zero(p)
+        for u, n in zip(weights, basis_nums):
+            if u:
+                acc = acc + n.scale(u)
+        return acc
+
     kernel_offsets = []
     for combo in itertools.product(range(p), repeat=len(null)):
-        x = KElem.zero(p)
-        for c, vec in zip(combo, null):
-            if c:
-                for u, m in zip(vec, basis_elems):
-                    if u:
-                        x = x + KElem.const(p, (c * u) % p) * m
-        kernel_offsets.append(x)
+        kernel_offsets.append(combine(
+            [sum(c * vec[k] for c, vec in zip(combo, null)) % p
+             for k in range(n_basis)]))
 
     info_base = SolveInfo(b_theta, b_t, kelem_to_str(den), len(null),
                           tuple(sorted(flags)))
@@ -296,18 +328,11 @@ def solve_additive_many(f: TwistedPoly, ys, bounds: HeightProfile | None = None)
         if sol is None:
             out.append(DivisionResult((), info_base))
             continue
-        x0 = KElem.zero(p)
-        for u, m in zip(sol, basis_elems):
-            if u:
-                x0 = x0 + KElem.const(p, u) * m
+        x0 = combine(sol)
+        # distinct numerators over the shared d are distinct points
         points = []
-        seen = set()
         for off in kernel_offsets:
-            x = x0 + off
-            key = kelem_to_str(x)
-            if key in seen:
-                continue
-            seen.add(key)
+            x = KElem(x0 + off, d)
             if tp_eval(f, x) == y:
                 points.append(x)
         points.sort(key=kelem_sort_key)

@@ -592,6 +592,8 @@ def common_denominator(xs) -> BiPoly:
     for x in xs:
         if x.p != p:
             raise ValueError("modulus mismatch")
+        if x.den.is_one():
+            continue
         g = bi_gcd(d, x.den)
         d = bi_divexact(d, g) * x.den
     return _canonical_scale(d)
@@ -608,19 +610,31 @@ def coordinates(xs) -> Coordinates:
         if not y.is_polynomial():
             raise AssertionError("denominator clearing failed")
         cleared.append(y.num)
+    rows, basis = monomial_rows(cleared)
+    return Coordinates(rows, basis, den)
+
+
+def monomial_rows(polys):
+    """(rows, basis): F_p coefficient rows of BiPolys on their joint support.
+
+    basis is the ascending (theta_exp, t_exp) list of every monomial that
+    occurs; rows[i] holds the coefficients of polys[i] on it.
+    """
     support = set()
-    for f in cleared:
-        for e, te, _ in f.monomials():
-            support.add((e, te))
+    for f in polys:
+        for e, g in f.c.items():
+            for te in g.c:
+                support.add((e, te))
     basis = tuple(sorted(support))
     index = {m: i for i, m in enumerate(basis)}
     rows = []
-    for f in cleared:
+    for f in polys:
         row = [0] * len(basis)
-        for e, te, c in f.monomials():
-            row[index[(e, te)]] = c
+        for e, g in f.c.items():
+            for te, c in g.c.items():
+                row[index[(e, te)]] = c
         rows.append(tuple(row))
-    return Coordinates(tuple(rows), basis, den)
+    return tuple(rows), basis
 
 
 # -- text --------------------------------------------------------------------

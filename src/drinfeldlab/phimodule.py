@@ -265,24 +265,41 @@ class MemberCertificate:
 
 def member(gamma: PhiModule, y, deg_bound: int = _DEFAULT_BOUND) -> MemberCertificate:
     """Bounded search for operators with sum Phi_{a_i}(x_i) = y."""
-    y = tuple(y)
-    if len(y) != gamma.g:
+    return member_many(gamma, [y], deg_bound)[0]
+
+
+def member_many(gamma: PhiModule, ys, deg_bound: int = _DEFAULT_BOUND):
+    """member for many points, sharing one linearisation of the iterates.
+
+    Returns the certificates in the order of ys; every found certificate is
+    re-verified by exact evaluation.
+    """
+    ys = [tuple(y) for y in ys]
+    if any(len(y) != gamma.g for y in ys):
         raise ValueError("point of the wrong ambient power")
     p = gamma.p
-    if point_is_zero(y):
-        zero = tuple(RPoly.zero(p) for _ in range(gamma.rank))
-        return MemberCertificate("certificate", zero, deg_bound)
-    if gamma.rank == 0:
-        return MemberCertificate("not_found_up_to", None, deg_bound)
-    family = _iterate_family(gamma, deg_bound)
-    rows, rhs = _linearize_points(p, gamma.g, family, [y])
-    sol = fp_solve_many(rows, rhs, p)[0]
-    if sol is None:
-        return MemberCertificate("not_found_up_to", None, deg_bound)
-    ops = _weights_to_operators(sol, gamma.rank, deg_bound, p)
-    if _apply_operators(gamma, ops) != y:
-        raise AssertionError("membership certificate fails its identity")
-    return MemberCertificate("certificate", ops, deg_bound)
+    zero = tuple(RPoly.zero(p) for _ in range(gamma.rank))
+    sols = [None] * len(ys)
+    pending = [m for m, y in enumerate(ys) if not point_is_zero(y)]
+    if pending and gamma.rank:
+        family = _iterate_family(gamma, deg_bound)
+        rows, rhs = _linearize_points(p, gamma.g, family,
+                                      [ys[m] for m in pending])
+        for m, sol in zip(pending, fp_solve_many(rows, rhs, p)):
+            sols[m] = sol
+    out = []
+    for y, sol in zip(ys, sols):
+        if point_is_zero(y):
+            cert = MemberCertificate("certificate", zero, deg_bound)
+        elif sol is None:
+            cert = MemberCertificate("not_found_up_to", None, deg_bound)
+        else:
+            ops = _weights_to_operators(sol, gamma.rank, deg_bound, p)
+            if _apply_operators(gamma, ops) != y:
+                raise AssertionError("membership certificate fails its identity")
+            cert = MemberCertificate("certificate", ops, deg_bound)
+        out.append(cert)
+    return out
 
 
 # -- quotients ----------------------------------------------------------------
@@ -436,12 +453,23 @@ def _primes_up_to(p: int, prime_bound: int):
 def _hull_scan(gamma: PhiModule, prime_bound: int,
                height_bounds: HeightProfile | None,
                member_bound: int, notes: set):
-    """First module point x not in gamma with Phi_q(x) in gamma, or None."""
+    """First module point x not in gamma with Phi_q(x) in gamma, or None.
+
+    Division targets are the points sum Phi_{rem_i}(x_i) with deg rem_i <
+    deg q, formed as F_p-combinations of the iterates Phi_{t^j}(x_i); the
+    division points of all targets of one prime are tested for membership
+    in one linearisation.
+    """
     p = gamma.p
     r = gamma.rank
+    zero = gamma.zero_point()
     for q in _primes_up_to(p, prime_bound):
         dq = q.degree
-        tuples = itertools.product(_iter_rpolys_below(p, dq), repeat=r)
+        family = _iterate_family(gamma, dq - 1)
+        # coefficient vectors (c_0, ..., c_{dq-1}) of the remainders, in
+        # the code order of _iter_rpolys_below
+        rems = [digits[::-1] for digits in itertools.product(range(p), repeat=dq)]
+        tuples = itertools.product(rems, repeat=r)
         count = p ** (r * dq)
         if count > _HULL_TARGET_CAP:
             notes.add("hull-targets-truncated")
@@ -449,7 +477,10 @@ def _hull_scan(gamma: PhiModule, prime_bound: int,
         targets = []
         seen = set()
         for rem in tuples:
-            y = _apply_operators(gamma, rem)
+            y = zero
+            for c, z in zip(itertools.chain.from_iterable(rem), family):
+                if c:
+                    y = point_add(y, tuple(KElem.const(p, c) * u for u in z))
             key = point_to_str(y)
             if key not in seen:
                 seen.add(key)
@@ -462,14 +493,16 @@ def _hull_scan(gamma: PhiModule, prime_bound: int,
             per_slot.append(results)
             for res in results:
                 notes.update(res.info.flags)
+        candidates = []
         for m in range(len(targets)):
             slot_points = [per_slot[s][m].points for s in range(gamma.g)]
             for combo in itertools.product(*slot_points):
-                x = tuple(combo)
-                if point_is_zero(x):
-                    continue
-                if not member(gamma, x, member_bound).found:
-                    return x, q
+                if not point_is_zero(combo):
+                    candidates.append(combo)
+        for x, cert in zip(candidates,
+                           member_many(gamma, candidates, member_bound)):
+            if not cert.found:
+                return x, q
     return None, None
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import warnings
 
@@ -20,7 +21,8 @@ from drinfeldlab.drinfeld import (
     torsion_annihilator,
 )
 from drinfeldlab.kfield import KElem, kelem_parse, kelem_to_str
-from drinfeldlab.twisted import TwistedPoly, tp_add, tp_compose, tp_eval, tp_to_str
+from drinfeldlab.twisted import (TwistedPoly, tp_add, tp_compose, tp_eval, tp_parse,
+                                 tp_to_str)
 
 
 P = 3
@@ -213,3 +215,50 @@ class TestTorsion:
     def test_torsion_level_needs_special(self):
         with pytest.raises(ValueError):
             estimate_torsion_level_m(carlitz(), 3)
+
+
+def brute_force_points(f, y, info):
+    """Every F_p-combination of the solver's basis t^a theta^b / den with f(x) = y."""
+    den = kelem_parse(P, info.denominator)
+    basis = [KElem.t(P) ** a * KElem.theta(P) ** b / den
+             for b in range(info.theta_bound + 1) for a in range(info.t_bound + 1)]
+    found = set()
+    for combo in itertools.product(range(P), repeat=len(basis)):
+        x = KElem.zero(P)
+        for c, m in zip(combo, basis):
+            if c:
+                x = x + KElem.const(P, c) * m
+        if tp_eval(f, x) == y:
+            found.add(kelem_to_str(x))
+    return found
+
+
+
+class TestBruteForceOracle:
+    """The solver's points equal an exhaustive search over its own basis."""
+
+    @pytest.mark.parametrize("f_text, x_texts, miss_texts, bounds", [
+        # torsion of phi_t = theta*tau + tau^2, and a kernel of dimension 1
+        ("[0, theta, 1]", ["0"], [], HeightProfile(theta_deg=2, t_deg=1)),
+        ("[t, (2*t)/(theta^2)]", ["theta", "t*theta"], [],
+         HeightProfile(theta_deg=2, t_deg=1)),
+        # rational targets
+        ("[0, theta, 1]", ["(theta+1)/theta", "1/theta"], ["1/theta"],
+         HeightProfile(theta_deg=4, t_deg=0)),
+        # den = ((t+2)*theta+2*t+2)/(t+2) carries a t-denominator, and the
+        # first point sits at the edge of the t-bound of that basis
+        ("[0, (t+2)*theta+2*t+2]", ["(t^2+2*t)/((t+2)*theta+2*t+2)", "0"],
+         ["1"], HeightProfile(theta_deg=1, t_deg=1)),
+    ])
+    def test_points_equal_enumeration(self, f_text, x_texts, miss_texts, bounds):
+        f = tp_parse(P, f_text)
+        xs = [kelem_parse(P, x) for x in x_texts]
+        ys = [tp_eval(f, x) for x in xs] + [kelem_parse(P, y) for y in miss_texts]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundTooSmallWarning)
+            results = solve_additive_many(f, ys, bounds)
+        for y, res in zip(ys, results):
+            assert set(kelem_to_str(x) for x in res.points) == \
+                brute_force_points(f, y, res.info)
+        for x, res in zip(xs, results):
+            assert x in res.points

@@ -49,6 +49,27 @@ class TestBiPoly:
                 assert bi_divexact(gg, bi_gcd(g, gg)) is not None
                 assert bi_divexact(a * b, b) == a
 
+    def test_gcd_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t, th = sympy.symbols("t theta")
+
+        def to_sympy(f, p):
+            expr = sum(c * th ** e * t ** te for e, te, c in f.monomials())
+            return sympy.Poly(expr, th, t, modulus=p)
+
+        rng = random.Random(33)
+        for p in (2, 3, 5):
+            for _ in range(12):
+                g = rnd_bipoly(rng, p, 1, 2, nonzero=True)
+                a = rnd_bipoly(rng, p, 2, 2, nonzero=True) * g
+                b = rnd_bipoly(rng, p, 2, 2, nonzero=True) * g
+                # sympy's lex order (theta, t) makes monic() the same
+                # normalisation as bi_gcd's: lead t-coefficient of the lead
+                # theta-coefficient equal to 1
+                expected = to_sympy(a, p).gcd(to_sympy(b, p)).monic()
+                got = {(e, te): c for e, te, c in bi_gcd(a, b).monomials()}
+                assert got == {m: c % p for m, c in expected.terms()}
+
     def test_divexact_rejects_nondivisor(self):
         p = 3
         th = BiPoly.theta(p)
