@@ -114,6 +114,11 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
+        origin = (0,) * self.g
+        if set(self.terms) <= {origin}:
+            # p-adic KElem power: p-th powers are exponent stretches
+            c = self.terms.get(origin, KElem.zero(self.p))
+            return MultiPoly.constant(self.p, self.g, c ** n)
         acc = MultiPoly.constant(self.p, self.g, KElem.one(self.p))
         for _ in range(n):
             acc = acc * self
@@ -122,14 +127,25 @@ class MultiPoly:
     def evaluate(self, point) -> KElem:
         if len(point) != self.g:
             raise ValueError("point width disagrees with the polynomial")
-        acc = KElem.zero(self.p)
+        # x_i, x_i^2, ... once per call, up to the largest exponent in use
+        tables = []
+        for i, x in enumerate(point):
+            row = [x]
+            for _ in range(1, max((e[i] for e in self.terms), default=0)):
+                row.append(row[-1] * x)
+            tables.append(row)
+        acc = None
         for exps, c in self.terms.items():
-            term = c
-            for x, e in zip(point, exps):
-                for _ in range(e):
-                    term = term * x
-            acc = acc + term
-        return acc
+            term = None
+            for row, e in zip(tables, exps):
+                if e:
+                    term = row[e - 1] if term is None else term * row[e - 1]
+            if term is None:
+                term = c
+            elif not c.is_one():
+                term = c * term
+            acc = term if acc is None else acc + term
+        return KElem.zero(self.p) if acc is None else acc
 
     def __str__(self) -> str:
         if not self.terms:
@@ -349,7 +365,15 @@ def _sorted_points(points):
 
 
 def _bounded_elements(gamma: PhiModule, enum_deg: int):
-    """All Phi_c(gens) combinations with operator degrees <= enum_deg."""
+    """All Phi_c(gens) combinations with operator degrees <= enum_deg.
+
+    Order contract: the points come in digit-counter order.  The digits of
+    c_i are the F_p coefficients of 1, t, ..., t^enum_deg; the last
+    generator's constant digit runs fastest and the first generator's
+    t^enum_deg digit slowest, each digit through 0, 1, ..., p - 1.  The
+    span is built one iterate vector at a time, slowest first, so each
+    point costs one addition.
+    """
     p = gamma.p
     width = enum_deg + 1
     if gamma.rank and p ** (gamma.rank * width) > _ENUM_CAP:
@@ -360,18 +384,13 @@ def _bounded_elements(gamma: PhiModule, enum_deg: int):
         for _ in range(enum_deg):
             row.append(tuple(tp_eval(gamma.phi.phi_t, c) for c in row[-1]))
         iterates.append(row)
-    zero = tuple(KElem.zero(p) for _ in range(gamma.g))
-    consts = [KElem.from_rpoly(RPoly.from_coeffs(p, [c])) for c in range(p)]
-    out = []
-    for codes in itertools.product(range(p ** width), repeat=gamma.rank):
-        acc = zero
-        for i, code in enumerate(codes):
-            for j in range(width):
-                digit = (code // p ** j) % p
-                if digit:
-                    scaled = tuple(consts[digit] * c for c in iterates[i][j])
-                    acc = point_add(acc, scaled)
-        out.append(acc)
+    consts = [KElem.from_rpoly(RPoly.from_coeffs(p, [c])) for c in range(2, p)]
+    out = [tuple(KElem.zero(p) for _ in range(gamma.g))]
+    for row in iterates:
+        for v in reversed(row):
+            multiples = [v] + [tuple(k * c for c in v) for k in consts]
+            out = [w for a in out
+                   for w in (a, *(point_add(a, kv) for kv in multiples))]
     return out
 
 
@@ -655,6 +674,9 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
     Membership in psi^m(K^g) is decided coordinate-wise by the bounded
     division solver; the image chain is verified to nest exactly, which
     certifies the non-increasing counts rather than merely observing them.
+    Each distinct shifted point x - a is tested against the variety once
+    per call, however many translates reach it; the solver still runs
+    once per translate and level, on that translate's hits only.
     """
     if psi.is_zero() or psi.tau_valuation < 1:
         raise ValueError("probe wants an inseparable additive map")
@@ -682,11 +704,21 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
     notes = []
     certified = True
     per_m_max = {m: 0 for m in ms}
+    # x - a revisits the same points across translates (a shifted box is
+    # mostly the box again); equal KElems hash alike, so each distinct
+    # shifted point is tested once per call
+    contains = {}
+
+    def on_variety(y):
+        if y not in contains:
+            contains[y] = variety_contains(variety, y)
+        return contains[y]
+
     for idx, a in enumerate(translates):
         neg_a = point_neg(a)
         hits = sorted(
             {point_to_str(x): x for x in box
-             if variety_contains(variety, point_add(x, neg_a))}.items())
+             if on_variety(point_add(x, neg_a))}.items())
         if idx == 0:
             _reject_parametrized_lines(variety, [x for _, x in hits], p)
         # each level is solved independently from the full hit list, so

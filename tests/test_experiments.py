@@ -1,11 +1,17 @@
+import itertools
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeldlab import experiments as ex
-from drinfeldlab.drinfeld import DrinfeldModule
-from drinfeldlab.kfield import KElem, kelem_parse
+from drinfeldlab.base import RPoly
+from drinfeldlab.drinfeld import DrinfeldModule, solve_additive_many
+from drinfeldlab.kfield import BiPoly, KElem, kelem_parse
 from drinfeldlab.phimodule import (PhiModule, divisible_hull, is_full, member,
                                    member_many, point_to_str)
-from drinfeldlab.twisted import tp_eval
+from drinfeldlab.twisted import tp_compose, tp_eval, tp_parse
 
 P = 3
 
@@ -49,3 +55,209 @@ class TestPaperInstance:
         assert [str(c) for c in batched] == [str(c) for c in single]
         assert any(c.found for c in single)
         assert any(not c.found for c in single)
+
+
+# -- the exact sweeps, against slow references ------------------------------
+
+
+def _carlitz_plane():
+    phi = DrinfeldModule.parse(P, "[t, 1]")
+    theta, zero = KElem.theta(P), KElem.zero(P)
+    return PhiModule(phi, 2, [(theta, zero), (zero, theta)])
+
+
+def _digit_counter_sweep(gamma, enum_deg):
+    """Every sum of digit * iterate, one digit counter per generator."""
+    width = enum_deg + 1
+    iterates = []
+    for x in gamma.gens:
+        row = [tuple(x)]
+        for _ in range(enum_deg):
+            row.append(tuple(tp_eval(gamma.phi.phi_t, c) for c in row[-1]))
+        iterates.append(row)
+    out = []
+    for codes in itertools.product(range(P ** width), repeat=gamma.rank):
+        acc = [KElem.zero(P)] * gamma.g
+        for i, code in enumerate(codes):
+            for j in range(width):
+                digit = (code // P ** j) % P
+                acc = [s + KElem.const(P, digit) * c
+                       for s, c in zip(acc, iterates[i][j])]
+        out.append(tuple(acc))
+    return out
+
+
+class TestBoundedElements:
+    @pytest.mark.parametrize("gens, enum_deg", [
+        (["theta"], 3),
+        (["1/theta"], 2),
+    ])
+    def test_rank_one_order(self, gens, enum_deg):
+        phi = DrinfeldModule.parse(P, "[0, theta, 1]")
+        gamma = PhiModule(phi, 1, [(kelem_parse(P, s),) for s in gens])
+        fast = ex._bounded_elements(gamma, enum_deg)
+        slow = _digit_counter_sweep(gamma, enum_deg)
+        assert [point_to_str(x) for x in fast] == \
+            [point_to_str(x) for x in slow]
+
+    def test_rank_two_order(self):
+        gamma = _carlitz_plane()
+        fast = ex._bounded_elements(gamma, 2)
+        assert len(fast) == P ** 6
+        assert fast == _digit_counter_sweep(gamma, 2)
+
+    def test_cap_unchanged(self):
+        with pytest.raises(ValueError):
+            ex._bounded_elements(_carlitz_plane(), 4)
+
+
+def _rpolys():
+    return st.lists(st.integers(0, P - 1), min_size=1, max_size=3).map(
+        lambda cs: RPoly.from_coeffs(P, cs))
+
+
+def _kelems(nonzero=False):
+    bipolys = st.lists(_rpolys(), min_size=1, max_size=3).map(
+        lambda rs: BiPoly.from_theta_coeffs(P, rs))
+    nums = bipolys.filter(lambda f: not f.is_zero()) if nonzero else bipolys
+    dens = st.one_of(st.just(BiPoly.one(P)),
+                     bipolys.filter(lambda f: not f.is_zero()))
+    return st.builds(KElem, nums, dens)
+
+
+@st.composite
+def _poly_and_point(draw):
+    g = draw(st.integers(1, 3))
+    coeffs = st.one_of(st.just(KElem.one(P)), st.just(KElem.const(P, 2)),
+                       _kelems(nonzero=True))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * g), coeffs,
+                                 max_size=4))
+    point = tuple(draw(_kelems()) for _ in range(g))
+    return ex.MultiPoly(P, g, terms), point
+
+
+def _naive_evaluate(f, point):
+    acc = KElem.zero(P)
+    for exps, c in f.terms.items():
+        term = c
+        for x, e in zip(point, exps):
+            for _ in range(e):
+                term = term * x
+        acc = acc + term
+    return acc
+
+
+class TestEvaluate:
+    @settings(max_examples=60, deadline=None)
+    @given(_poly_and_point())
+    def test_matches_term_by_term(self, case):
+        f, point = case
+        assert f.evaluate(point) == _naive_evaluate(f, point)
+
+    def test_absent_variable_and_rational_point(self):
+        f = ex.poly_parse(P, 3, "theta*x^2*z + 2*z^3 + t")
+        point = (kelem_parse(P, "1/theta"), kelem_parse(P, "theta^5"),
+                 kelem_parse(P, "(theta+t)/(theta^2+1)"))
+        assert f.evaluate(point) == _naive_evaluate(f, point)
+
+
+def _probe_reference(psi, poly, translates, ms, box):
+    """uniformity_probe rows with every translate's hits recomputed."""
+    powers, acc = {}, None
+    for level in range(1, max(ms) + 1):
+        acc = psi if acc is None else tp_compose(acc, psi)
+        powers[level] = acc
+    rows = []
+    for idx, a in enumerate(translates):
+        hits = {}
+        for x in box:
+            y = tuple(c - s for c, s in zip(x, a))
+            if _naive_evaluate(poly, y).is_zero():
+                hits[point_to_str(x)] = x
+        hits = [x for _, x in sorted(hits.items())]
+        for m in ms:
+            if m == 0:
+                rows.append((idx, 0, len(hits)))
+                continue
+            targets = [c for x in hits for c in x]
+            results = solve_additive_many(powers[m], targets) if targets \
+                else []
+            g = poly.g
+            rows.append((idx, m, sum(
+                1 for i in range(len(hits))
+                if all(r.points for r in results[i * g:(i + 1) * g]))))
+    return tuple(rows)
+
+
+class TestUniformityProbe:
+    def test_matches_per_translate_reference(self):
+        psi = tp_parse(P, "[0, theta, 1]")
+        poly = ex.poly_parse(P, 1, "x^3 - theta^2*x")
+        box = list(ex.theta_box(P, 1, 2))
+        # a repeated point, and points only the translate theta^3 reaches
+        box += [box[4], (kelem_parse(P, "theta^3+theta"),),
+                (kelem_parse(P, "theta^3"),)]
+        translates = [(kelem_parse(P, s),)
+                      for s in ["0", "theta", "2*theta+1", "theta^3",
+                                "1/theta"]]
+        ms = (0, 1, 2)
+        table = ex.uniformity_probe(psi, ex.Hypersurface(poly), translates,
+                                    ms, box)
+        expected = _probe_reference(psi, poly, translates, ms, box)
+        assert table.rows == expected
+        assert table.rows[9] == (3, 0, 2)      # theta^3 and theta^3+theta
+        assert table.rows[12] == (4, 0, 0)
+
+    def test_golden_cubic(self):
+        psi = tp_parse(P, "[0, theta, 1]")
+        variety = ex.Hypersurface(ex.poly_parse(P, 1, "x^3 - theta^2*x"))
+        translates = [(kelem_parse(P, s),)
+                      for s in ["0", "theta", "theta+1", "2*theta^2"]]
+        table = ex.uniformity_probe(psi, variety, translates, (0, 1, 2),
+                                    ex.theta_box(P, 1, 2))
+        assert table.rows == (
+            (0, 0, 3), (0, 1, 1), (0, 2, 1), (1, 0, 3), (1, 1, 1), (1, 2, 1),
+            (2, 0, 3), (2, 1, 1), (2, 2, 0), (3, 0, 3), (3, 1, 0), (3, 2, 0))
+        assert table.max_counts == ((0, 3), (1, 1), (2, 1))
+        assert table.certified is True
+
+
+class TestGenericSweepGolden:
+    @pytest.mark.parametrize("text, k_side", [
+        ("x*y - theta", []),
+        ("x^2 - theta*y", ["(0, 0)", "(theta, theta)", "(2*theta, theta)"]),
+    ])
+    def test_golden(self, text, k_side):
+        variety = ex.Hypersurface(ex.poly_parse(P, 2, text))
+        rep = ex.generic_char_experiment(_carlitz_plane(), variety,
+                                         enum_deg=2)
+        assert rep.verdict == ex.CONFIRMED
+        assert [point_to_str(x) for x in rep.k_side] == k_side
+        assert [point_to_str(x) for x in rep.adelic_side] == k_side
+        assert rep.notes == ("hypersurface-swept-to-operator-degree-2",)
+
+
+class TestConstantPowers:
+    @pytest.mark.parametrize("text, expected", [
+        ("2^800000", KElem.one(P)),
+        ("t^8524785", KElem.from_rpoly(RPoly.monomial(P, 8524785))),
+        # (theta+1)^3000 = prod over the base-3 digits of 3000 (3^7 + 3^6
+        # + 3^4 + 3) of the Frobenius powers theta^(3^i) + 1
+        ("(theta+1)^3000", (KElem.theta(P) + 1).frob(7)
+         * (KElem.theta(P) + 1).frob(6) * (KElem.theta(P) + 1).frob(4)
+         * (KElem.theta(P) + 1).frob(1)),
+    ])
+    def test_large_exponent_fast(self, text, expected):
+        start = time.perf_counter()
+        f = ex.poly_parse(P, 2, text)
+        assert time.perf_counter() - start < 1.0
+        assert f.terms == {(0, 0): expected}
+
+    @pytest.mark.parametrize("base", ["theta+1", "2", "0", "t/(theta+t)"])
+    def test_matches_repeated_product(self, base):
+        c = ex.MultiPoly.constant(P, 1, kelem_parse(P, base))
+        for n in range(8):
+            acc = ex.MultiPoly.constant(P, 1, KElem.one(P))
+            for _ in range(n):
+                acc = acc * c
+            assert (c ** n).terms == acc.terms
