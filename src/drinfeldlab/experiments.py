@@ -13,6 +13,7 @@ outside K is not representable and therefore out of scope).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .adelic import (
@@ -22,7 +23,7 @@ from .adelic import (
     quotient_iso_check,
     standard_tracked_places,
 )
-from .base import RPoly
+from .base import RPoly, inv_mod
 from .drinfeld import (
     GENERIC,
     SPECIAL,
@@ -114,14 +115,19 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        origin = (0,) * self.g
-        if set(self.terms) <= {origin}:
-            # p-adic KElem power: p-th powers are exponent stretches
-            c = self.terms.get(origin, KElem.zero(self.p))
-            return MultiPoly.constant(self.p, self.g, c ** n)
-        acc = MultiPoly.constant(self.p, self.g, KElem.one(self.p))
-        for _ in range(n):
-            acc = acc * self
+        # f^p = sum c_e^p x^(p e) in characteristic p, so f^n is the product
+        # over the base-p digits d_i of n of d_i copies of f^(p^i)
+        p = self.p
+        acc = MultiPoly.constant(p, self.g, KElem.one(p))
+        frob = self
+        while n:
+            n, d = divmod(n, p)
+            for _ in range(d):
+                acc = acc * frob
+            if n:
+                frob = MultiPoly(p, self.g, {
+                    tuple(p * e for e in exps): c.frob(1)
+                    for exps, c in frob.terms.items()})
         return acc
 
     def evaluate(self, point) -> KElem:
@@ -364,33 +370,89 @@ def _sorted_points(points):
                          for x in points}.values(), key=point_sort_key))
 
 
-def _bounded_elements(gamma: PhiModule, enum_deg: int):
-    """All Phi_c(gens) combinations with operator degrees <= enum_deg.
+def _fp_image(x: KElem, a: int, b: int):
+    """x under the ring map t -> a, theta -> b into F_p, or None where the
+    map is undefined on x (its canonical denominator vanishes there)."""
+    p = x.p
+    den = x.den.evaluate_theta_int(b).evaluate(a)
+    if not den:
+        return None
+    return x.num.evaluate_theta_int(b).evaluate(a) * inv_mod(den, p) % p
+
+
+def _swept_zeros(gamma: PhiModule, poly: MultiPoly, enum_deg: int):
+    """The Phi_c(gens) combinations with operator degrees <= enum_deg on
+    which poly vanishes.
 
     Order contract: the points come in digit-counter order.  The digits of
     c_i are the F_p coefficients of 1, t, ..., t^enum_deg; the last
     generator's constant digit runs fastest and the first generator's
-    t^enum_deg digit slowest, each digit through 0, 1, ..., p - 1.  The
-    span is built one iterate vector at a time, slowest first, so each
-    point costs one addition.
+    t^enum_deg digit slowest, each digit through 0, 1, ..., p - 1.
+
+    A ring map t -> a, theta -> b into F_p that is defined on every iterate
+    coordinate and every coefficient of poly sends a zero of poly to a zero
+    of the image polynomial, so vanishing images are a necessary condition.
+    The span is swept through these images, one iterate vector at a time,
+    slowest first; a point is built exactly only when all its images
+    vanish, and kept only when exact evaluation gives zero.  With no usable
+    map every point is evaluated exactly.
     """
-    p = gamma.p
+    p, g = gamma.p, gamma.g
     width = enum_deg + 1
     if gamma.rank and p ** (gamma.rank * width) > _ENUM_CAP:
         raise ValueError("enumeration bound too large for an exact sweep")
-    iterates = []
+    vectors = []                        # slowest digit first
     for x in gamma.gens:
         row = [tuple(x)]
         for _ in range(enum_deg):
             row.append(tuple(tp_eval(gamma.phi.phi_t, c) for c in row[-1]))
-        iterates.append(row)
-    consts = [KElem.from_rpoly(RPoly.from_coeffs(p, [c])) for c in range(2, p)]
-    out = [tuple(KElem.zero(p) for _ in range(gamma.g))]
-    for row in iterates:
-        for v in reversed(row):
-            multiples = [v] + [tuple(k * c for c in v) for k in consts]
-            out = [w for a in out
-                   for w in (a, *(point_add(a, kv) for kv in multiples))]
+        vectors.extend(reversed(row))
+
+    # per usable map: the image polynomial's terms and each vector's image
+    images = [[] for _ in vectors]
+    image_polys = []
+    for a, b in itertools.product(range(p), repeat=2):
+        terms = [(e, _fp_image(c, a, b)) for e, c in poly.terms.items()]
+        rows = [[_fp_image(c, a, b) for c in v] for v in vectors]
+        if None not in [c for _, c in terms] + [c for r in rows for c in r]:
+            image_polys.append(terms)
+            for img, row in zip(images, rows):
+                img.extend(row)
+
+    # the F_p span of the images, with each point's digits
+    span = [((), (0,) * (g * len(image_polys)))]
+    for img in images:
+        steps = [[k * c for c in img] for k in range(1, p)]
+        span = [(digits + (k,), w) for digits, v in span
+                for k, w in enumerate((v, *(
+                    tuple((s + c) % p for s, c in zip(v, step))
+                    for step in steps)))]
+
+    vanishes = [{} for _ in image_polys]    # image point -> image is zero
+
+    def images_vanish(flat):
+        for u, terms in enumerate(image_polys):
+            y = flat[u * g:(u + 1) * g]
+            zero = vanishes[u].get(y)
+            if zero is None:
+                zero = vanishes[u][y] = not sum(
+                    c * math.prod(pow(s, e, p) for s, e in zip(y, exps))
+                    for exps, c in terms) % p
+            if not zero:
+                return False
+        return True
+
+    multiples = [(None, v, *(tuple(KElem.const(p, k) * c for c in v)
+                             for k in range(2, p))) for v in vectors]
+    out = []
+    for digits, flat in span:
+        if images_vanish(flat):
+            x = tuple(KElem.zero(p) for _ in range(g))
+            for kv, k in zip(multiples, digits):
+                if k:
+                    x = point_add(x, kv[k])
+            if poly.evaluate(x).is_zero():
+                out.append(x)
     return out
 
 
@@ -423,7 +485,10 @@ def generic_char_experiment(gamma: PhiModule, variety,
     Discreteness certificates at the tracked places pin the closure to the
     module itself inside the bounded window, so the K-side intersection is
     the whole answer; zero-dimensional instances get closure-membership
-    spot checks on top.
+    spot checks on top.  A hypersurface's K-side is swept over the window
+    of operator degree <= enum_deg; vanishing images under the ring maps
+    into F_p are only a necessary condition that rules points out, and
+    every K-side point is still evaluated exactly.
     """
     if gamma.phi.characteristic != GENERIC:
         raise ValueError("generic-characteristic module required")
@@ -463,8 +528,7 @@ def generic_char_experiment(gamma: PhiModule, variety,
                                      for y in k_side):
                 trace.append(f"member {point_to_str(x)} rejected adelically")
     else:
-        k_side = [x for x in _bounded_elements(gamma, enum_deg)
-                  if variety_contains(variety, x)]
+        k_side = _swept_zeros(gamma, variety.poly, enum_deg)
         adelic = list(k_side) if discrete_ok else None
         notes.append(f"hypersurface-swept-to-operator-degree-{enum_deg}")
 
@@ -770,7 +834,10 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
     the variety meets each tile in the points enumerated here; W collects
     them and the zero-dimensional pipeline finishes the job.  Candidate
     windows are bounded, and a bounded module point on the variety that
-    escapes W downgrades the verdict instead of being absorbed.
+    escapes W downgrades the verdict instead of being absorbed.  Those
+    module points come from the same sweep as the generic pipeline's: the
+    ring maps into F_p only rule points out, and every point reported is
+    evaluated exactly.
     """
     if gamma.phi.characteristic != SPECIAL:
         raise ValueError("special-characteristic module required")
@@ -827,14 +894,13 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
         notes.append("empty-candidate-set")
 
     trace = []
-    for x in _bounded_elements(gamma, enum_deg):
-        if variety.poly.evaluate(x).is_zero():
-            key = point_to_str(x)
-            if not any(point_to_str(y) == key for y in w.points):
-                inconclusive = True
-                notes.append(f"module-point-outside-window:{key}")
-            elif not any(point_to_str(y) == key for y in k_side):
-                trace.append(f"swept point {key} missing from the K side")
+    for x in _swept_zeros(gamma, variety.poly, enum_deg):
+        key = point_to_str(x)
+        if not any(point_to_str(y) == key for y in w.points):
+            inconclusive = True
+            notes.append(f"module-point-outside-window:{key}")
+        elif not any(point_to_str(y) == key for y in k_side):
+            trace.append(f"swept point {key} missing from the K side")
 
     if sub is not None and sub.verdict == COUNTEREXAMPLE:
         trace.extend(sub.trace)

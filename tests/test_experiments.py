@@ -10,7 +10,7 @@ from drinfeldlab.base import RPoly
 from drinfeldlab.drinfeld import DrinfeldModule, solve_additive_many
 from drinfeldlab.kfield import BiPoly, KElem, kelem_parse
 from drinfeldlab.phimodule import (PhiModule, divisible_hull, is_full, member,
-                                   member_many, point_to_str)
+                                   member_many, point_add, point_to_str)
 from drinfeldlab.twisted import tp_compose, tp_eval, tp_parse
 
 P = 3
@@ -87,7 +87,31 @@ def _digit_counter_sweep(gamma, enum_deg):
     return out
 
 
+def _exact_span(gamma, enum_deg):
+    """The same window in the same order, built exactly one iterate
+    vector at a time, slowest digit first (one addition per point)."""
+    p = gamma.p
+    out = [tuple(KElem.zero(p) for _ in range(gamma.g))]
+    for x in gamma.gens:
+        row = [tuple(x)]
+        for _ in range(enum_deg):
+            row.append(tuple(tp_eval(gamma.phi.phi_t, c) for c in row[-1]))
+        for v in reversed(row):
+            multiples = [tuple(KElem.const(p, k) * c for c in v)
+                         for k in range(1, p)]
+            out = [w for a in out
+                   for w in (a, *(point_add(a, kv) for kv in multiples))]
+    return out
+
+
+def _zero_poly(gamma):
+    return ex.MultiPoly(gamma.p, gamma.g)
+
+
 class TestBoundedElements:
+    """The swept window itself: with the zero polynomial every image
+    vanishes, so _swept_zeros returns the whole window."""
+
     @pytest.mark.parametrize("gens, enum_deg", [
         (["theta"], 3),
         (["1/theta"], 2),
@@ -95,20 +119,21 @@ class TestBoundedElements:
     def test_rank_one_order(self, gens, enum_deg):
         phi = DrinfeldModule.parse(P, "[0, theta, 1]")
         gamma = PhiModule(phi, 1, [(kelem_parse(P, s),) for s in gens])
-        fast = ex._bounded_elements(gamma, enum_deg)
+        fast = ex._swept_zeros(gamma, _zero_poly(gamma), enum_deg)
         slow = _digit_counter_sweep(gamma, enum_deg)
         assert [point_to_str(x) for x in fast] == \
             [point_to_str(x) for x in slow]
 
     def test_rank_two_order(self):
         gamma = _carlitz_plane()
-        fast = ex._bounded_elements(gamma, 2)
+        fast = ex._swept_zeros(gamma, _zero_poly(gamma), 2)
         assert len(fast) == P ** 6
         assert fast == _digit_counter_sweep(gamma, 2)
+        assert fast == _exact_span(gamma, 2)
 
     def test_cap_unchanged(self):
         with pytest.raises(ValueError):
-            ex._bounded_elements(_carlitz_plane(), 4)
+            ex._swept_zeros(_carlitz_plane(), _zero_poly(_carlitz_plane()), 4)
 
 
 def _rpolys():
@@ -137,7 +162,7 @@ def _poly_and_point(draw):
 
 
 def _naive_evaluate(f, point):
-    acc = KElem.zero(P)
+    acc = KElem.zero(f.p)
     for exps, c in f.terms.items():
         term = c
         for x, e in zip(point, exps):
@@ -261,3 +286,196 @@ class TestConstantPowers:
             for _ in range(n):
                 acc = acc * c
             assert (c ** n).terms == acc.terms
+
+
+class TestPolynomialPowers:
+    @pytest.mark.parametrize("p, g, text", [
+        (2, 1, "x+theta"),
+        (3, 1, "x+theta"),
+        (2, 2, "x*y + t*x + theta^2"),
+        (3, 2, "x*y - t*x + theta^2"),
+        (3, 2, "x^2 + 2*y + t*theta + 1"),
+    ])
+    def test_matches_repeated_product(self, p, g, text):
+        f = ex.poly_parse(p, g, text)
+        acc = ex.MultiPoly.constant(p, g, KElem.one(p))
+        for n in range(12):
+            assert (f ** n).terms == acc.terms
+            acc = acc * f
+
+    def test_large_power_of_non_constant_base_fast(self):
+        start = time.perf_counter()
+        f = ex.poly_parse(P, 1, "(x+theta)^729")
+        assert time.perf_counter() - start < 0.1
+        assert f.terms == {(729,): KElem.one(P),
+                           (0,): KElem.theta(P).frob(6)}
+
+
+# -- the F_p-point filter of the sweep ---------------------------------------
+
+
+def _vanishing_on(p, points):
+    """The product of (x - s) over the given rank-one points (s,)."""
+    f = ex.MultiPoly.constant(p, 1, KElem.one(p))
+    for (s,) in points:
+        f = f * (ex.MultiPoly.variable(p, 1, 0)
+                 - ex.MultiPoly.constant(p, 1, s))
+    return f
+
+
+def _scaled(poly, text):
+    """poly with every coefficient multiplied by the K-element text."""
+    c = kelem_parse(poly.p, text)
+    return ex.MultiPoly(poly.p, poly.g,
+                        {e: c * d for e, d in poly.terms.items()})
+
+
+@pytest.fixture
+def exact_evaluations(monkeypatch):
+    """Counts the calls of MultiPoly.evaluate."""
+    calls = []
+    evaluate = ex.MultiPoly.evaluate
+
+    def counted(self, point):
+        calls.append(point)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(ex.MultiPoly, "evaluate", counted)
+    return calls
+
+
+def _rank_one_case(p, text, gen, enum_deg, picks):
+    """gamma = <gen>, and a polynomial vanishing on two window points whose
+    coefficients carry the generator's denominators."""
+    gamma = PhiModule(DrinfeldModule.parse(p, text), 1,
+                      [(kelem_parse(p, gen),)])
+    span = _exact_span(gamma, enum_deg)
+    return gamma, _vanishing_on(p, [span[i] for i in picks]), enum_deg
+
+
+def _p2_plane():
+    theta, zero, one = KElem.theta(2), KElem.zero(2), KElem.one(2)
+    return PhiModule(DrinfeldModule.parse(2, "[t, 1]"), 2,
+                     [(theta, zero), (one, theta)])
+
+
+def _seed0_parabola():
+    return ex.poly_parse(P, 2, "x^2 - theta*y")
+
+
+# name -> () -> (gamma, poly, enum_deg)
+_SWEEP_CASES = {
+    "p3-rank1-theta-den": lambda: _rank_one_case(
+        3, "[0, theta, 1]", "1/theta", 2, (5, 7)),
+    "p2-rank1-t-den": lambda: _rank_one_case(
+        2, "[t, 1]", "theta/(t+1)", 3, (3, 10)),
+    "p2-rank2": lambda: (
+        _p2_plane(), ex.poly_parse(2, 2, "x*y + x^2 + theta*x"), 2),
+    # 1/(theta+t) is undefined at the three points with a + b = 0
+    "p3-rank2-coefficient-den": lambda: (
+        _carlitz_plane(), _scaled(_seed0_parabola(), "1/(theta+t)"), 1),
+    # theta^3 - theta vanishes at every theta = b in F_3
+    "p3-rank2-all-points-undefined": lambda: (
+        _carlitz_plane(), _scaled(_seed0_parabola(), "1/(theta^3-theta)"),
+        1),
+    # the seed-0 benchmark instance
+    "p3-rank2-seed0": lambda: (_carlitz_plane(), _seed0_parabola(), 3),
+}
+
+
+class TestSweptZeros:
+    @pytest.mark.parametrize("name, zeros, survivors", [
+        ("p3-rank1-theta-den", 2, 12),
+        ("p2-rank1-t-den", 2, 8),
+        ("p2-rank2", 4, 16),
+        ("p3-rank2-coefficient-den", 3, 3),
+        ("p3-rank2-all-points-undefined", 3, 3 ** 4),
+        ("p3-rank2-seed0", 3, 243),
+    ])
+    def test_matches_exact_sweep(self, name, zeros, survivors,
+                                 exact_evaluations):
+        gamma, poly, deg = _SWEEP_CASES[name]()
+        fast = ex._swept_zeros(gamma, poly, deg)
+        # exactly the survivors of the filter were evaluated exactly
+        assert len(exact_evaluations) == survivors
+        exact_evaluations.clear()
+        reference = [x for x in _exact_span(gamma, deg)
+                     if _naive_evaluate(poly, x).is_zero()]
+        assert [point_to_str(x) for x in fast] == \
+            [point_to_str(x) for x in reference]
+        assert len(fast) == zeros
+
+    def test_reduction_notes_in_sweep_order(self, paper_hull):
+        # five zeros in the window of Gamma = <1>, three of them outside the
+        # theta-box of the candidate set W; the reduction notes those three
+        # in digit-counter order, which is not their sorted order
+        phi = paper_hull.phi
+        u = tp_eval(phi.phi_t, tp_eval(phi.phi_t, KElem.one(P)))
+        points = [(u + 1,), (u * 2,), (u,), (KElem.zero(P),),
+                  (KElem.theta(P),)]
+        variety = ex.Hypersurface(_vanishing_on(P, points))
+        _, rep = ex.uniform_dml_reduce(paper_hull, variety, 0, enum_deg=2)
+        outside = [n.split(":", 1)[1] for n in rep.notes
+                   if n.startswith("module-point-outside-window:")]
+        assert outside == ["(theta^9+theta^4+theta+1)",
+                           "(theta^9+theta^4+theta+2)",
+                           "(2*theta^9+2*theta^4+2*theta+2)"]
+        assert [point_to_str(x) for x in rep.k_side] == ["(0)", "(theta)"]
+        assert rep.verdict == ex.INCONCLUSIVE
+
+
+_HUGE = [BiPoly.monomial(P, 3 ** 40), BiPoly.monomial(P, 0, 3 ** 30),
+         BiPoly.monomial(P, 3 ** 40, 3 ** 30, 2)]
+
+
+def _huge_polys():
+    """Polynomials in K with stretched exponents such as theta^(3^40)."""
+    small = st.lists(_rpolys(), min_size=1, max_size=3).map(
+        lambda rs: BiPoly.from_theta_coeffs(P, rs))
+    return st.builds(
+        lambda f, picks, k: KElem.from_bipoly(
+            sum((h for h, on in zip(_HUGE, picks) if on), f.stretch(3 ** k))),
+        small, st.tuples(*[st.booleans()] * len(_HUGE)),
+        st.sampled_from([0, 1, 30]))
+
+
+def _value_at(f, a, b):
+    """f(t = a, theta = b) term by term."""
+    return sum(c * pow(a, te, P) * pow(b, e, P)
+               for e, te, c in f.monomials()) % P
+
+
+_F_P_POINTS = list(itertools.product(range(P), repeat=2))
+
+
+class TestFpImage:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.tuples(_kelems(), _kelems()),
+                     st.tuples(_huge_polys(), _huge_polys())))
+    def test_ring_map(self, pair):
+        x, y = pair
+        for a, b in _F_P_POINTS:
+            ix, iy = ex._fp_image(x, a, b), ex._fp_image(y, a, b)
+            if ix is None or iy is None:
+                continue
+            assert ex._fp_image(x + y, a, b) == (ix + iy) % P
+            assert ex._fp_image(x * y, a, b) == ix * iy % P
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_kelems(), _huge_polys()), st.sampled_from([1, 40]))
+    def test_undefined_exactly_where_the_denominator_vanishes(self, x, k):
+        for a, b in _F_P_POINTS:
+            image = ex._fp_image(x, a, b)
+            den = _value_at(x.den, a, b)
+            assert (image is None) == (den == 0)
+            if image is not None:
+                num = _value_at(x.num, a, b)
+                assert image * den % P == num
+            # Frobenius fixes F_p, so x^(p^k) has the same image
+            assert ex._fp_image(x.frob(k), a, b) == image
+
+    def test_generators(self):
+        for a, b in _F_P_POINTS:
+            assert ex._fp_image(KElem.t(P), a, b) == a
+            assert ex._fp_image(KElem.theta(P), a, b) == b
+            assert ex._fp_image(KElem.one(P), a, b) == 1
