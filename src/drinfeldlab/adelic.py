@@ -33,7 +33,7 @@ from .drinfeld import (
     phi_action,
     torsion_annihilator,
 )
-from .kfield import KElem, kelem_parse, kelem_to_str
+from .kfield import KElem, kelem_to_str
 from .localfield import (
     LocalElem,
     NoResidueRoot,
@@ -484,7 +484,7 @@ def discreteness_certificate(gamma: PhiModule, v: Place,
     else:
         notes.append("zero-ideal")
 
-    t_el = kelem_parse(p, "t")
+    t_el = KElem.t(p)
     checked = True
     for ops in gens:
         y = _apply_ops_exact(gamma, ops)

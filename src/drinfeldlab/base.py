@@ -10,7 +10,7 @@ and may be astronomically large -- Frobenius-heavy callers depend on that, so
 nothing here ever materialises a dense coefficient list.  The modulus p
 travels with every element and mixing moduli is a hard error.
 
-Text grammar (ASCII, whitespace ignored): ``t^2+2*t+1`` for R,
+Text is read in the grammar of `grammar`: ``t^2+2*t+1`` for R,
 ``(t^2+2*t+1)/(t^3+1)`` for F.  Printing is canonical: descending exponents,
 monic denominators, ``*`` between coefficient and power.
 """
@@ -18,6 +18,8 @@ monic denominators, ``*`` between coefficient and power.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .grammar import Ring, parse
 
 _PRIME_CAP = 251
 
@@ -332,7 +334,7 @@ class RPoly:
         return f"RPoly(p={self.p}, {rpoly_to_str(self)})"
 
 
-def rpoly_to_str(f: RPoly, var: str = "t") -> str:
+def rpoly_to_str(f: RPoly) -> str:
     if f.is_zero():
         return "0"
     parts = []
@@ -341,59 +343,15 @@ def rpoly_to_str(f: RPoly, var: str = "t") -> str:
         if e == 0:
             parts.append(str(c))
         else:
-            power = var if e == 1 else f"{var}^{e}"
+            power = "t" if e == 1 else f"t^{e}"
             parts.append(power if c == 1 else f"{c}*{power}")
     return "+".join(parts)
 
 
-def rpoly_parse(p: int, text: str, var: str = "t") -> RPoly:
-    """Parse the ASCII grammar for R = F_p[t]; accepts leading minus signs."""
-    check_modulus(p)
-    s = "".join(text.split())
-    if not s:
-        raise ValueError("empty polynomial text")
-    # split into signed terms
-    terms = []
-    buf = ""
-    sign = 1
-    i = 0
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    start_sign = sign
-    for ch in s[i:]:
-        if ch in "+-":
-            terms.append((start_sign, buf))
-            buf = ""
-            start_sign = -1 if ch == "-" else 1
-        else:
-            buf += ch
-    terms.append((start_sign, buf))
-    acc = RPoly.zero(p)
-    for sgn, term in terms:
-        if not term:
-            raise ValueError(f"malformed polynomial text: {text!r}")
-        coef = 1
-        exp = 0
-        for factor in term.split("*"):
-            if not factor:
-                raise ValueError(f"malformed term {term!r}")
-            if factor[0].isdigit():
-                if not factor.isdigit():
-                    raise ValueError(f"malformed term {term!r}")
-                coef *= int(factor)
-            elif factor.startswith(var):
-                rest = factor[len(var):]
-                if rest == "":
-                    exp += 1
-                elif rest.startswith("^") and rest[1:].isdigit():
-                    exp += int(rest[1:])
-                else:
-                    raise ValueError(f"malformed term {term!r}")
-            else:
-                raise ValueError(f"unknown factor {factor!r} in {text!r}")
-        acc = acc + RPoly.monomial(p, exp, sgn * coef)
-    return acc
+def rpoly_parse(p: int, text: str) -> RPoly:
+    """Parse an element of R = F_p[t] in the `grammar`; '/' is an error."""
+    return parse(text, Ring(p, {"t": RPoly.t(p)}.get, lambda c: RPoly.const(p, c),
+                            lambda f: len(f.c), divides=False))
 
 
 class FElem:
@@ -548,41 +506,9 @@ class FElem:
 
 
 def felem_parse(p: int, text: str) -> FElem:
-    s = "".join(text.split())
-    num, den = _split_fraction(s)
-    return FElem(rpoly_parse(p, num), rpoly_parse(p, den) if den is not None
-                 else RPoly.one(p))
-
-
-def _split_fraction(s: str):
-    """Split 'a/b' at the single top-level slash, tolerating parentheses."""
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            return _strip_parens(s[:i]), _strip_parens(s[i + 1:])
-    return _strip_parens(s), None
-
-
-def _strip_parens(s: str) -> str:
-    while s.startswith("(") and s.endswith(")"):
-        depth = 0
-        ok = True
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i != len(s) - 1:
-                    ok = False
-                    break
-        if not ok:
-            break
-        s = s[1:-1]
-    return s
+    return parse(text, Ring(p, {"t": FElem.from_rpoly(RPoly.t(p))}.get,
+                            lambda c: FElem.const(p, c),
+                            lambda x: max(len(x.num.c), len(x.den.c))))
 
 
 # -- matrices over R -------------------------------------------------------

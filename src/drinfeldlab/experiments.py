@@ -32,7 +32,8 @@ from .drinfeld import (
     solve_additive_many,
     torsion_annihilator,
 )
-from .kfield import KElem, kelem_parse, kelem_to_str
+from .grammar import Ring, parse
+from .kfield import KElem, kelem_ring, kelem_to_str
 from .phimodule import (
     PhiModule,
     is_full,
@@ -112,6 +113,13 @@ class MultiPoly:
                 out[e] = out[e] + c if e in out else c
         return MultiPoly(self.p, self.g, out)
 
+    def __truediv__(self, other: "MultiPoly") -> "MultiPoly":
+        c = other.terms.get((0,) * self.g)
+        if c is None or len(other.terms) > 1:
+            raise ValueError("a polynomial divides only by a nonzero constant")
+        inv = c.inverse()
+        return MultiPoly(self.p, self.g, {e: v * inv for e, v in self.terms.items()})
+
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
@@ -133,19 +141,21 @@ class MultiPoly:
     def evaluate(self, point) -> KElem:
         if len(point) != self.g:
             raise ValueError("point width disagrees with the polynomial")
-        # x_i, x_i^2, ... once per call, up to the largest exponent in use
+        # x_i^e for the exponents e in use only, each x_i^gap times the one below
         tables = []
         for i, x in enumerate(point):
-            row = [x]
-            for _ in range(1, max((e[i] for e in self.terms), default=0)):
-                row.append(row[-1] * x)
+            row, below = {}, 0
+            for e in sorted({exps[i] for exps in self.terms} - {0}):
+                step = x if e - below == 1 else x ** (e - below)
+                row[e] = step if not below else row[below] * step
+                below = e
             tables.append(row)
         acc = None
         for exps, c in self.terms.items():
             term = None
             for row, e in zip(tables, exps):
                 if e:
-                    term = row[e - 1] if term is None else term * row[e - 1]
+                    term = row[e] if term is None else term * row[e]
             if term is None:
                 term = c
             elif not c.is_one():
@@ -171,119 +181,20 @@ class MultiPoly:
         return " + ".join(parts)
 
 
-_VAR_NAMES = {"x": 0, "y": 1, "z": 2}
-
-
-def _poly_tokens(text: str):
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("theta", i):
-            yield ("elem", "theta")
-            i += 5
-        elif ch == "x" and i + 1 < n and text[i + 1].isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            yield ("var", int(text[i + 1:j]))
-            i = j
-        elif ch in _VAR_NAMES:
-            yield ("var", _VAR_NAMES[ch])
-            i += 1
-        elif ch == "t":
-            yield ("elem", "t")
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            yield ("int", text[i:j])
-            i = j
-        elif ch in "+-*^()":
-            yield ("op", ch)
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {ch!r} at position {i}")
-
-
-class _PolyParser:
-    def __init__(self, p: int, g: int, text: str):
-        self.p = p
-        self.g = g
-        self.tokens = list(_poly_tokens(text))
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of polynomial text")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> MultiPoly:
-        out = self.expr()
-        if self.peek() is not None:
-            raise ValueError(f"trailing tokens from position {self.pos}")
-        return out
-
-    def expr(self) -> MultiPoly:
-        negate = False
-        tok = self.peek()
-        if tok == ("op", "-"):
-            self.take()
-            negate = True
-        elif tok == ("op", "+"):
-            self.take()
-        acc = self.term()
-        if negate:
-            acc = -acc
-        while self.peek() in (("op", "+"), ("op", "-")):
-            _, op = self.take()
-            nxt = self.term()
-            acc = acc + nxt if op == "+" else acc - nxt
-        return acc
-
-    def term(self) -> MultiPoly:
-        acc = self.factor()
-        while self.peek() == ("op", "*"):
-            self.take()
-            acc = acc * self.factor()
-        return acc
-
-    def factor(self) -> MultiPoly:
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            kind, val = self.take()
-            if kind != "int":
-                raise ValueError("exponent must be a nonnegative integer")
-            base = base ** int(val)
-        return base
-
-    def atom(self) -> MultiPoly:
-        kind, val = self.take()
-        if kind == "var":
-            return MultiPoly.variable(self.p, self.g, val)
-        if kind in ("elem", "int"):
-            return MultiPoly.constant(self.p, self.g,
-                                      kelem_parse(self.p, val))
-        if (kind, val) == ("op", "("):
-            inner = self.expr()
-            if self.take() != ("op", ")"):
-                raise ValueError("unbalanced parenthesis")
-            return inner
-        raise ValueError(f"unexpected token {val!r}")
-
-
 def poly_parse(p: int, g: int, text: str) -> MultiPoly:
-    """Parse a polynomial in x0..x{g-1} (aliases x, y, z) over K."""
-    return _PolyParser(p, g, text).parse()
+    """Parse a polynomial over K in x0..x{g-1} (aliases x, y, z) in the
+    `grammar`; '/' divides by a nonzero constant only."""
+    k = kelem_ring(p)
+    indices = {f"x{i}": i for i in range(g)} | {"x": 0, "y": 1, "z": 2}
+
+    def name(s: str):
+        if s in indices:
+            return MultiPoly.variable(p, g, indices[s])
+        c = k.names(s)
+        return None if c is None else MultiPoly.constant(p, g, c)
+
+    return parse(text, Ring(p, name, lambda c: MultiPoly.constant(p, g, k.const(c)),
+                            lambda f: sum(map(k.size, f.terms.values()))))
 
 
 # -- variety specifications ----------------------------------------------------
@@ -715,8 +626,8 @@ def _reject_parametrized_lines(spec, hits, p: int):
     survives two transcendental direction probes is treated as a line."""
     if not isinstance(spec, Hypersurface) or len(hits) < p:
         return
-    probes = [kelem_parse(p, "theta"), kelem_parse(p, "t")]
-    consts = [KElem.from_rpoly(RPoly.from_coeffs(p, [c])) for c in range(p)]
+    probes = [KElem.theta(p), KElem.t(p)]
+    consts = [KElem.const(p, c) for c in range(p)]
     for base, other in itertools.combinations(hits[:12], 2):
         direction = point_add(other, point_neg(base))
         scalars = consts[1:] + probes

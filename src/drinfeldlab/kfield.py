@@ -9,8 +9,8 @@ Canonical form of a KElem: gcd(num, den) = 1 in F_p[t, theta] (content
 included), and den is scaled by the unique F_p unit making the leading
 t-coefficient of its leading theta-coefficient equal to 1.
 
-Text grammar (ASCII): ``((t+1)*theta^2+t)/(theta+t^2)``.  The parser also
-accepts a literal unicode theta.
+Text grammar: see `grammar`, for example ``((t+1)*theta^2+t)/(theta+t^2)``;
+a unicode ``θ`` reads as theta.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .base import RPoly, FElem, check_modulus, inv_mod, rpoly_to_str
+from .grammar import Ring, parse
 
 
 class BiPoly:
@@ -178,17 +179,18 @@ class BiPoly:
             raise ValueError("negative power of a polynomial")
         p = self.p
         small = [BiPoly.one(p), self]
-        result = BiPoly.one(p)
+        result = None
         i = 0
         while n:
             d = n % p
             if d:
                 while len(small) <= d:
                     small.append(small[-1] * self)
-                result = result * small[d].stretch(p ** i)
+                term = small[d].stretch(p ** i) if i else small[d]
+                result = term if result is None else result * term
             n //= p
             i += 1
-        return result
+        return BiPoly.one(p) if result is None else result
 
     def stretch(self, k: int) -> "BiPoly":
         """Dilate every exponent by k; equals the p^e-th power when k = p^e."""
@@ -640,13 +642,6 @@ def monomial_rows(polys):
 # -- text --------------------------------------------------------------------
 
 
-def _mono_text(te: int, c: int) -> str:
-    if te == 0:
-        return str(c)
-    tpart = "t" if te == 1 else f"t^{te}"
-    return tpart if c == 1 else f"{c}*{tpart}"
-
-
 def _bipoly_to_str(f: BiPoly) -> str:
     if f.is_zero():
         return "0"
@@ -660,8 +655,7 @@ def _bipoly_to_str(f: BiPoly) -> str:
         if coef.is_one():
             parts.append(tp)
         elif len(coef.c) == 1:
-            te, c = next(iter(coef.c.items()))
-            parts.append(f"{_mono_text(te, c)}*{tp}")
+            parts.append(f"{rpoly_to_str(coef)}*{tp}")
         else:
             parts.append(f"({rpoly_to_str(coef)})*{tp}")
     return "+".join(parts)
@@ -673,126 +667,13 @@ def kelem_to_str(x: KElem) -> str:
     return f"({_bipoly_to_str(x.num)})/({_bipoly_to_str(x.den)})"
 
 
+def kelem_ring(p: int) -> Ring:
+    """K as a target of the `grammar`: names t, theta and θ, field division."""
+    theta = KElem.theta(p)
+    return Ring(p, {"t": KElem.t(p), "theta": theta, "θ": theta}.get,
+                lambda c: KElem.const(p, c),
+                lambda x: max(x.num.term_count(), x.den.term_count()))
+
+
 def kelem_parse(p: int, text: str) -> KElem:
-    """Parse the ASCII K grammar; a literal unicode theta is tolerated."""
-    check_modulus(p)
-    s = "".join(text.replace("θ", "theta").split())
-    if not s:
-        raise ValueError("empty K-element text")
-    num_text, den_text = _split_top_fraction(s)
-    num = _parse_bisum(p, num_text)
-    if den_text is None:
-        return num
-    den = _parse_bisum(p, den_text)
-    return num / den
-
-
-def _split_top_fraction(s: str):
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {s!r}")
-        elif ch == "/" and depth == 0:
-            return s[:i], s[i + 1:]
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {s!r}")
-    return s, None
-
-
-def _strip_outer(s: str) -> str:
-    while len(s) >= 2 and s[0] == "(" and s[-1] == ")":
-        depth = 0
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i != len(s) - 1:
-                    return s
-        s = s[1:-1]
-    return s
-
-
-def _split_terms(s: str):
-    terms = []
-    depth = 0
-    buf = ""
-    sign = 1
-    i = 0
-    if s and s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    cur_sign = sign
-    for ch in s[i:]:
-        if ch == "(":
-            depth += 1
-            buf += ch
-        elif ch == ")":
-            depth -= 1
-            buf += ch
-        elif ch in "+-" and depth == 0:
-            terms.append((cur_sign, buf))
-            buf = ""
-            cur_sign = -1 if ch == "-" else 1
-        else:
-            buf += ch
-    terms.append((cur_sign, buf))
-    return terms
-
-
-def _split_factors(s: str):
-    factors = []
-    depth = 0
-    buf = ""
-    for ch in s:
-        if ch == "(":
-            depth += 1
-            buf += ch
-        elif ch == ")":
-            depth -= 1
-            buf += ch
-        elif ch == "*" and depth == 0:
-            factors.append(buf)
-            buf = ""
-        else:
-            buf += ch
-    factors.append(buf)
-    return factors
-
-
-def _parse_bisum(p: int, s: str) -> KElem:
-    s = _strip_outer(s)
-    acc = KElem.zero(p)
-    for sign, term in _split_terms(s):
-        if not term:
-            raise ValueError(f"malformed K-element term in {s!r}")
-        val = KElem.const(p, sign)
-        for factor in _split_factors(term):
-            if not factor:
-                raise ValueError(f"malformed factor in {term!r}")
-            val = val * _parse_factor(p, factor)
-        acc = acc + val
-    return acc
-
-
-def _parse_factor(p: int, s: str) -> KElem:
-    if s.startswith("("):
-        inner = _strip_outer(s)
-        if inner == s:
-            raise ValueError(f"malformed factor {s!r}")
-        return _parse_bisum(p, inner)
-    if s.isdigit():
-        return KElem.const(p, int(s))
-    for var, builder in (("theta", KElem.theta), ("t", KElem.t)):
-        if s == var:
-            return builder(p)
-        if s.startswith(var + "^"):
-            exp = s[len(var) + 1:]
-            if not exp.isdigit():
-                raise ValueError(f"malformed exponent in {s!r}")
-            return builder(p) ** int(exp)
-    raise ValueError(f"unknown factor {s!r}")
+    return parse(text, kelem_ring(p))

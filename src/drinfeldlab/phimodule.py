@@ -21,10 +21,11 @@ from .base import RMatrix, RPoly, fp_nullspace, fp_solve_many, smith_normal_form
 from .drinfeld import (DrinfeldModule, HeightProfile, phi_action,
                        solve_additive_many, torsion_annihilator)
 from .factor import iter_irreducible_rpolys, rpoly_code
-from .kfield import KElem, coordinates, kelem_parse, kelem_sort_key, kelem_to_str
+from .grammar import Parser
+from .kfield import KElem, coordinates, kelem_ring, kelem_sort_key, kelem_to_str
 from .localfield import _fv_linearize
 from .places import FvElem, Place, residue_reduce
-from .twisted import _split_top_level, tp_eval, tp_parse, tp_to_str
+from .twisted import tp_eval, tp_to_str
 
 _REP_ENUM_CAP = 6561
 _HULL_TARGET_CAP = 729
@@ -60,10 +61,8 @@ def point_to_str(x) -> str:
 
 
 def point_parse(p: int, text: str):
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"point must be parenthesized: {text!r}")
-    return tuple(kelem_parse(p, part) for part in _split_top_level(text[1:-1]))
+    parser = Parser(text)
+    return tuple(parser.done(parser.items("(", ")", kelem_ring(p))))
 
 
 def _rpoly_from_code(p: int, code: int) -> RPoly:
@@ -149,16 +148,18 @@ def module_to_str(gamma: PhiModule) -> str:
 
 
 def module_parse(p: int, text: str) -> PhiModule:
-    parts = text.split("::")
-    if len(parts) != 3:
-        raise ValueError("expected '<phi_t> :: <g> :: <points>'")
-    phi = DrinfeldModule.parse(p, parts[0].strip())
-    g = int(parts[1].strip())
-    body = parts[2].strip()
+    """Parse ``<phi_t> :: <g> :: <point>; <point>; ...`` in the `grammar`."""
+    parser = Parser(text)
+    ring = kelem_ring(p)
+    phi = DrinfeldModule.from_coeffs(p, parser.items("[", "]", ring))
+    parser.expect("::")
+    g = parser.integer()
+    parser.expect("::")
     gens = []
-    if body:
-        for chunk in body.split(";"):
-            gens.append(point_parse(p, chunk))
+    while parser.peek() is not None:
+        if gens:
+            parser.expect(";")
+        gens.append(tuple(parser.items("(", ")", ring)))
     return PhiModule(phi, g, gens)
 
 

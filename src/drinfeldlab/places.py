@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 from .base import FElem, RPoly, check_modulus
 from .factor import bipoly_is_irreducible, factor_bipoly, rpoly_code
-from .kfield import BiPoly, KElem, bipoly_pth_root, kelem_parse, kelem_to_str
+from .grammar import Parser
+from .kfield import (BiPoly, KElem, _bipoly_to_str, bipoly_pth_root, kelem_ring,
+                     kelem_to_str)
 
 _FACTOR_DEG_CAP = 8
 _RING_CAP = 600
@@ -69,12 +71,13 @@ class Place:
 
     @classmethod
     def parse(cls, p: int, text: str) -> "Place":
-        s = "".join(text.split())
-        if s == "infinite":
-            return cls.infinite(p)
-        if s.startswith("finite:"):
-            return cls.finite(kelem_parse(p, s[len("finite:"):]))
-        raise ValueError(f"malformed place text {text!r}")
+        """Parse ``infinite`` or ``finite:<pi>`` in the `grammar`."""
+        parser = Parser(text)
+        if parser.accept("infinite"):
+            return parser.done(cls.infinite(p))
+        parser.expect("finite")
+        parser.expect(":")
+        return cls.finite(parser.done(parser.expr(kelem_ring(p))))
 
     @property
     def is_infinite(self) -> bool:
@@ -128,7 +131,6 @@ class Place:
 def place_to_str(v: Place) -> str:
     if v.is_infinite:
         return "infinite"
-    from .kfield import _bipoly_to_str
     return "finite:" + _bipoly_to_str(v.prim)
 
 

@@ -11,7 +11,8 @@ polynomial is a pure index shift with the tag bumped by one.
 
 from __future__ import annotations
 
-from .kfield import KElem, kelem_parse, kelem_pth_root, kelem_to_str
+from .grammar import Parser
+from .kfield import KElem, kelem_pth_root, kelem_ring, kelem_to_str
 
 
 class PrecisionGridError(ValueError):
@@ -207,28 +208,6 @@ def tp_to_str(f: TwistedPoly) -> str:
     return "[" + ", ".join(kelem_to_str(c) for c in f.coeffs) + "]"
 
 
-def tp_parse(p: int, text: str, grid: int = 0) -> TwistedPoly:
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError("twisted polynomial text must be a [c0, ...] list")
-    inner = s[1:-1].strip()
-    if not inner:
-        return TwistedPoly.zero(p, grid)
-    parts = _split_top_level(inner)
-    return TwistedPoly(p, [kelem_parse(p, part) for part in parts], grid)
-
-
-def _split_top_level(s: str):
-    parts, depth, cur = [], 0, []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [part.strip() for part in parts]
+def tp_parse(p: int, text: str) -> TwistedPoly:
+    parser = Parser(text)
+    return TwistedPoly(p, parser.done(parser.items("[", "]", kelem_ring(p))))

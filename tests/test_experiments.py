@@ -185,6 +185,13 @@ class TestEvaluate:
                  kelem_parse(P, "(theta+t)/(theta^2+1)"))
         assert f.evaluate(point) == _naive_evaluate(f, point)
 
+    def test_large_exponent_fast(self):
+        f = ex.poly_parse(P, 1, "x^200000")
+        start = time.perf_counter()
+        value = f.evaluate((KElem.theta(P),))
+        assert time.perf_counter() - start < 0.1
+        assert value == KElem.theta(P) ** 200000
+
 
 def _probe_reference(psi, poly, translates, ms, box):
     """uniformity_probe rows with every translate's hits recomputed."""
