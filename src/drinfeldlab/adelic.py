@@ -23,7 +23,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .base import RMatrix, RPoly, fp_nullspace, fp_solve_many, smith_normal_form
+from .base import (RMatrix, RPoly, fp_nullspace, fp_solve_many, memo_put,
+                   smith_normal_form)
 from .drinfeld import (
     SPECIAL,
     DrinfeldModule,
@@ -188,9 +189,13 @@ def _embedded_family(gamma: PhiModule, v: Place, n: int, deg_bound: int):
     At residue-degree-one places the digit coefficients live in F_p(t),
     whose lift into K is a ring map, so evaluating phi_t directly on the
     previous embedding is exact and avoids re-reducing K-elements whose
-    degrees grow geometrically with j.  At larger places the lift is only
-    additive and each iterate is embedded from scratch.  Layout matches
-    the exact iterate family: generator-major, then increasing power of t.
+    degrees grow geometrically with j; tp_eval_local's memo embeds each
+    coefficient of phi_t once per precision.  At larger places the lift
+    is only additive and each iterate is embedded from scratch.  Layout
+    matches the exact iterate family: generator-major, then increasing
+    power of t.  Families are memoised in _EMBED_CACHE, keyed by (phi_t,
+    generators, g, v, n, deg_bound), which base.memo_put clears once it
+    holds more than 64 entries.
     """
     key = (gamma.phi.phi_t.coeffs, tuple(gamma.gens), gamma.g, v, n, deg_bound)
     hit = _EMBED_CACHE.get(key)
@@ -209,8 +214,7 @@ def _embedded_family(gamma: PhiModule, v: Place, n: int, deg_bound: int):
     else:
         for x in _point_family(gamma, deg_bound):
             out.append(_embed_point(x, v, n))
-    _EMBED_CACHE[key] = out
-    return out
+    return memo_put(_EMBED_CACHE, key, out)
 
 
 def _scale_local(z: LocalElem, c: int) -> LocalElem:

@@ -1,8 +1,9 @@
 """Exact base arithmetic for the workbench.
 
-Implements F_p scalar helpers, the polynomial ring R = F_p[t], its fraction
-field F = F_p(t), small matrices over R, Smith normal form, and the F_p
-linear algebra (row reduction, nullspaces) everything downstream leans on.
+Implements F_p scalar helpers, the bound of the package's module-level
+memos, the polynomial ring R = F_p[t], its fraction field F = F_p(t), small
+matrices over R, Smith normal form, and the F_p linear algebra (row
+reduction, nullspaces) everything downstream leans on.
 
 R-polynomials are sparse maps {exponent: coefficient} with coefficients in
 1..p-1; zero coefficients are never stored.  Exponents are plain Python ints
@@ -50,6 +51,18 @@ def inv_mod(c: int, p: int) -> int:
     if c == 0:
         raise ZeroDivisionError("inverse of 0 in F_p")
     return pow(c, p - 2, p)
+
+
+_MEMO_CAP = 64
+
+
+def memo_put(memo: dict, key, value):
+    """memo[key] = value, clearing a memo of more than _MEMO_CAP entries
+    first: the bound of the package's module-level value memos."""
+    if len(memo) > _MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def _require_same_p(a, b):
@@ -431,6 +444,8 @@ class FElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den.is_one() and other.den.is_one():
+            return FElem(self.num + other.num, self.den, _canonical=True)
         return FElem(self.num * other.den + other.num * self.den,
                      self.den * other.den)
 

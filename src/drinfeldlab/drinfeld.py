@@ -71,11 +71,6 @@ class DrinfeldModule:
     def p(self) -> int:
         return self.phi_t.p
 
-    @property
-    def rank_degree(self) -> int:
-        """tau-degree of phi_t (the D of the defining polynomial)."""
-        return self.phi_t.tau_degree
-
     def phi_t_power(self, j: int) -> TwistedPoly:
         """Phi_{t^j}, cached."""
         if j < 0:

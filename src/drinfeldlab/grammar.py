@@ -15,9 +15,11 @@ A `Ring` gives the text its meaning: the names it allows, its integer
 constants, whether ``/`` divides, and a value's size in F_p-monomials (for a
 fraction, the larger of numerator and denominator).  A base of size m > 1 is
 raised to n only if Lucas' bound prod_i C(m-1+d_i, d_i) over the base-p digits
-d_i of n, on the terms of the result, is at most `_POWER_TERM_CAP`; otherwise,
-and for parentheses nested deeper than `_NESTING_CAP`, parsing fails fast with
-ValueError.  This module imports nothing from the package.
+d_i of n, on the terms of the result, is at most `_POWER_TERM_CAP`; two
+factors of sizes m, k > 1 are multiplied or divided only if m * k is at most
+that cap too.  Otherwise, and for parentheses nested deeper than
+`_NESTING_CAP`, parsing fails fast with ValueError.  This module imports
+nothing from the package.
 """
 
 from __future__ import annotations
@@ -115,7 +117,12 @@ class Parser:
             op = self.take()
             if op == "/" and not ring.divides:
                 raise ValueError("'/' is not defined in this ring")
-            acc = _BINARY[op](acc, self.power(ring))
+            factor = self.power(ring)
+            m, k = ring.size(acc), ring.size(factor)
+            if m > 1 and k > 1 and m * k > _POWER_TERM_CAP:
+                raise ValueError(f"a product of {m}- and {k}-term factors may"
+                                 f" exceed {_POWER_TERM_CAP} terms")
+            acc = _BINARY[op](acc, factor)
         return acc
 
     def power(self, ring: Ring):

@@ -424,14 +424,6 @@ class KElem:
             self.num.is_zero()
             or (self.num.theta_degree == 0 and self.num.c[0].is_constant()))
 
-    def as_felem(self) -> FElem:
-        """Reinterpret a theta-free element in F = F_p(t); error otherwise."""
-        if self.num.theta_degree > 0 or self.den.theta_degree > 0:
-            raise ValueError("element is not theta-free")
-        num = self.num.c.get(0, RPoly.zero(self.p))
-        den = self.den.c.get(0, RPoly.one(self.p))
-        return FElem(num, den)
-
     def __hash__(self):
         return hash((self.num.key(), self.den.key()))
 

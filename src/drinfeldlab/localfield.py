@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .base import FElem, RPoly, fp_nullspace, fp_solve_many
+from .base import FElem, RPoly, fp_nullspace, fp_solve_many, memo_put
 from .drinfeld import DrinfeldModule, phi_action
 from .factor import factor_rpoly, rpoly_code
 from .kfield import KElem
@@ -183,13 +183,6 @@ class LocalElem:
                 terms[e] = c if s is None else s + c
         return LocalElem(a.place, terms, prec, a.grid)
 
-    def scale_digit(self, c: FvElem) -> "LocalElem":
-        if c.is_zero():
-            return LocalElem.zero_to(self.place, self.precision + self._eff_val(),
-                                     self.grid)
-        return LocalElem(self.place, {e: d * c for e, d in self.terms.items()},
-                         self.precision, self.grid)
-
     def shift(self, delta) -> "LocalElem":
         """Multiply by u^delta."""
         delta = _frac(delta)
@@ -270,7 +263,12 @@ def local_to_str(z: LocalElem) -> str:
 
 
 def embed(x: KElem, v: Place, n) -> LocalElem:
-    """u-adic expansion of x to precision n (exponents < n are exact)."""
+    """u-adic expansion of x to precision n (exponents < n are exact).
+
+    embed itself memoises nothing; tp_eval_local memoises the coefficients
+    it embeds.  A unit part of the denominator that is exactly 1 skips the
+    inversion modulo pi^count.
+    """
     n = _frac(n)
     if n.denominator != 1:
         raise ValueError("embedding precision must be an integer")
@@ -290,7 +288,9 @@ def embed(x: KElem, v: Place, n) -> LocalElem:
     ring = get_trunc_ring(v, count + kn + kd)
     _, un = ring.strip_pi(ring.reduce_bipoly(x.num))
     _, ud = ring.strip_pi(ring.reduce_bipoly(x.den))
-    digits = ring.digits(ring.mul(un, ring.invert(ud)), count)
+    if len(ud) != 1 or not ud[0].is_one():
+        un = ring.mul(un, ring.invert(ud))
+    digits = ring.digits(un, count)
     return LocalElem(v, {Fraction(val + i): d for i, d in enumerate(digits)}, n)
 
 
@@ -560,11 +560,26 @@ def _fv_sort_key(x: FvElem):
 # -- local evaluation and Hensel lifting -------------------------------------
 
 
+_COEFF_CACHE: dict = {}
+
+
+def _embed_coeff(c: KElem, v: Place, n: int) -> LocalElem:
+    """embed(c, v, n), memoised by value in _COEFF_CACHE, which
+    base.memo_put clears once it holds more than 64 entries."""
+    key = (c, v, n)
+    z = _COEFF_CACHE.get(key)
+    if z is None:
+        z = memo_put(_COEFF_CACHE, key, embed(c, v, n))
+    return z
+
+
 def tp_eval_local(f: TwistedPoly, z: LocalElem, margin: int = 2) -> LocalElem:
     """Evaluate a base-grid twisted polynomial at a local point.
 
-    Coefficients are embedded on demand with enough precision that the
-    propagated cutoff is driven by z, not by the embeddings.
+    Coefficients are embedded with enough precision that the propagated
+    cutoff is driven by z, not by the embeddings.  Each embedding goes
+    through _embed_coeff, so a (coefficient, place, precision) triple is
+    embedded once until that bounded memo is cleared.
     """
     if f.grid != 0:
         raise ValueError("local evaluation wants base-grid coefficients")
@@ -576,7 +591,7 @@ def tp_eval_local(f: TwistedPoly, z: LocalElem, margin: int = 2) -> LocalElem:
         zi = z.frobenius(i)
         need = zi.precision - min(0, zi._eff_val()) + margin
         n_embed = need.numerator // need.denominator + 1
-        ci = embed(c, v, max(n_embed, 1)).refine(z.grid)
+        ci = _embed_coeff(c, v, max(n_embed, 1)).refine(z.grid)
         term = ci * zi
         acc = term if acc is None else acc + term
     if acc is None:
@@ -596,7 +611,8 @@ def _check_good_place(coeffs, v: Place):
 def _newton_lift(g: TwistedPoly, x0: LocalElem, y: LocalElem, n: Fraction) -> LocalElem:
     """Lift a residue root of the separable g(X) = y to precision n."""
     v = y.place
-    c0_inv = embed(g.coeff(0), v, n.numerator // n.denominator + 2).invert()
+    c0_inv = _embed_coeff(g.coeff(0), v,
+                          n.numerator // n.denominator + 2).invert()
     x = x0.truncate(min(x0.precision, n))
     x = LocalElem(v, x.terms, n, x.grid)
     while True:

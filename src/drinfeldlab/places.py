@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base import FElem, RPoly, check_modulus
+from .base import FElem, RPoly, check_modulus, memo_put
 from .factor import bipoly_is_irreducible, factor_bipoly, rpoly_code
 from .grammar import Parser
 from .kfield import (BiPoly, KElem, _bipoly_to_str, bipoly_pth_root, kelem_ring,
@@ -496,14 +496,6 @@ class TruncRing:
             cur = q
         return out
 
-    def from_digits(self, digits):
-        acc = []
-        power = [FElem.one(self.p)]
-        for d in digits:
-            acc = _fpoly_add(acc, _fpoly_mul(power, _fpoly_trim(list(d.rep))))
-            power = _fpoly_mul(power, self.pi)
-        return _fpoly_rem_monic(acc, self.mod)
-
 
 _ring_cache = {}
 
@@ -512,10 +504,7 @@ def get_trunc_ring(place: Place, n: int) -> TruncRing:
     key = (place, n)
     ring = _ring_cache.get(key)
     if ring is None:
-        ring = TruncRing(place, n)
-        if len(_ring_cache) > 64:
-            _ring_cache.clear()
-        _ring_cache[key] = ring
+        ring = memo_put(_ring_cache, key, TruncRing(place, n))
     return ring
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from drinfeldlab import adelic
 from drinfeldlab.adelic import (
     AdelicPoint,
     ContradictionTrace,
@@ -67,6 +68,22 @@ def op_value(gamma, a):
             acc = acc + KElem.from_rpoly(RPoly.from_coeffs(gamma.p, [c])) * power
         power = tp_eval(gamma.phi.phi_t, power)
     return acc
+
+
+class TestEmbedCache:
+    def test_bounded_and_still_equal(self, monkeypatch):
+        monkeypatch.setattr(adelic, "_EMBED_CACHE", {})
+        gam = carlitz_theta()
+        v = place_parse(3, "finite:theta+1")
+        keys = [(n, d) for n in range(1, 11) for d in range(7)]
+        first = adelic._embedded_family(gam, v, *keys[0])
+        sizes = []
+        for n, d in keys:
+            adelic._embedded_family(gam, v, n, d)
+            sizes.append(len(adelic._EMBED_CACHE))
+        assert max(sizes) == 65
+        assert sizes[-1] == 5                 # cleared once, at the 66th key
+        assert adelic._embedded_family(gam, v, *keys[0]) == first
 
 
 class TestDiscreteness:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeldlab.base import (
     FElem,
@@ -189,6 +191,25 @@ class TestFElem:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             FElem(RPoly.one(3), RPoly.zero(3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_add_matches_general_formula(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        digits = st.lists(st.integers(0, p - 1), max_size=5)
+
+        def felem():
+            num = RPoly.from_coeffs(p, data.draw(digits))
+            den = RPoly.from_coeffs(p, data.draw(digits))
+            if den.is_zero() or data.draw(st.booleans()):
+                den = RPoly.one(p)
+            return FElem(num, den)
+
+        a, b = felem(), felem()
+        s = a + b
+        want = FElem(a.num * b.den + b.num * a.den, a.den * b.den)
+        assert (s.num, s.den) == (want.num, want.den)
+        assert s.den.lead == 1 and s.num.gcd(s.den).is_one()
 
 
 class TestSmith:

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import time
 
 import pytest
@@ -267,6 +269,26 @@ class TestGenericSweepGolden:
         assert [point_to_str(x) for x in rep.k_side] == k_side
         assert [point_to_str(x) for x in rep.adelic_side] == k_side
         assert rep.notes == ("hypersurface-swept-to-operator-degree-2",)
+
+
+GOLDEN_SEED0 = pathlib.Path(__file__).parent / "data" / "generic_char_seed0.json"
+
+
+class TestGenericCertificatesGolden:
+    def test_reports_byte_for_byte(self):
+        """The seed-0 generic-sweep reports, certificates included, as the
+        JSON that the recorded file holds."""
+        theta, zero = KElem.theta(P), KElem.zero(P)
+        points = [(theta, zero), (zero, theta), (theta, theta),
+                  (theta + 1, zero)]
+        varieties = {
+            "x*y - theta": ex.Hypersurface(ex.poly_parse(P, 2, "x*y - theta")),
+            "4-points": ex.ZeroDim(2, points),
+        }
+        reports = {label: ex.generic_char_experiment(_carlitz_plane(), v)
+                   .to_json_dict() for label, v in varieties.items()}
+        text = json.dumps(reports, sort_keys=True, indent=1) + "\n"
+        assert text == GOLDEN_SEED0.read_text()
 
 
 class TestConstantPowers:

@@ -154,6 +154,40 @@ class TestHostileText:
         assert time.perf_counter() - start < 0.1
         ENTRY_POINTS[entry](3, f"(t+1)^{3 ** 8 - 1}")
 
+    def test_product_budget_refuses_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="product"):
+            kelem_parse(3, "(t+theta+1)^242*(t+2*theta+1)^242")
+        with pytest.raises(ValueError, match="product"):
+            kelem_parse(3, "(t+theta+1)^242/(t+2*theta+1)^242")
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("entry", ["rpoly", "felem", "kelem", "poly"])
+    def test_product_budget_boundary(self, entry):
+        def poly(m):
+            return "(" + "+".join(f"t^{i}" for i in range(m)) + ")"
+        # sizes 100 and 100 meet the cap of 10^4; 101 and 100 exceed it
+        ENTRY_POINTS[entry](3, f"{poly(100)}*{poly(100)}")
+        with pytest.raises(ValueError, match="product"):
+            ENTRY_POINTS[entry](3, f"{poly(101)}*{poly(100)}")
+        with pytest.raises(ValueError, match="product"):
+            ENTRY_POINTS[entry](3, f"2*{poly(101)}*t*{poly(100)}")
+
+    @pytest.mark.parametrize("entry", ["felem", "kelem"])
+    def test_product_budget_applies_to_division(self, entry):
+        big = "(" + "+".join(f"t^{i}" for i in range(101)) + ")"
+        small = "(" + "+".join(f"t^{i}" for i in range(100)) + ")"
+        with pytest.raises(ValueError, match="product"):
+            ENTRY_POINTS[entry](3, f"{big}/{small}")
+        ENTRY_POINTS[entry](3, f"{big}/(t+1)")
+
+    def test_monomial_factors_exempt(self):
+        ts = "+".join(f"t^{i}" for i in range(100))
+        thetas = "+".join(f"theta^{i}" for i in range(100))
+        big = f"(({ts})*({thetas})+t^999)"          # 10^4 + 1 terms
+        x = kelem_parse(3, f"2*t^7*{big}*theta/t^3*theta^{3 ** 40}")
+        assert x.num.term_count() == 10 ** 4 + 1
+
     def test_monomial_bases_exempt(self):
         n = 3 ** 40 + 5
         start = time.perf_counter()

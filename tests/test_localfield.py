@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from drinfeldlab import localfield
 from drinfeldlab.base import RPoly
-from drinfeldlab.drinfeld import DrinfeldModule
-from drinfeldlab.kfield import KElem, kelem_parse
+from drinfeldlab.drinfeld import DrinfeldModule, phi_action
+from drinfeldlab.kfield import BiPoly, KElem, kelem_parse
 from drinfeldlab.localfield import (
     DivisionByZeroToPrecision,
     LocalElem,
@@ -18,7 +20,8 @@ from drinfeldlab.localfield import (
     residue_solve,
     tp_eval_local,
 )
-from drinfeldlab.places import FvElem, Place, residue_reduce, valuation
+from drinfeldlab.places import (FvElem, Place, _bipoly_multiplicity,
+                                get_trunc_ring, residue_reduce, valuation)
 from drinfeldlab.twisted import tp_eval
 
 P = 3
@@ -111,6 +114,143 @@ class TestEmbed:
         # theta^(3^9) reduces to (-t)^(3^9) at this place, plus u from the tail
         assert z.val() == 0
         assert z.terms[Fraction(0)].lift() == (-k("t")) ** (3 ** 9)
+
+
+def _embed_inverting(x, v, n):
+    """embed's finite-place formula with the denominator's unit part always
+    inverted modulo pi^count, the slow path that the unit skip replaces."""
+    if x.is_zero():
+        return LocalElem.zero_to(v, n)
+    kn = _bipoly_multiplicity(x.num, v)
+    kd = _bipoly_multiplicity(x.den, v)
+    count = n - (kn - kd)
+    if count <= 0:
+        return LocalElem.zero_to(v, n)
+    ring = get_trunc_ring(v, count + kn + kd)
+    _, un = ring.strip_pi(ring.reduce_bipoly(x.num))
+    _, ud = ring.strip_pi(ring.reduce_bipoly(x.den))
+    digits = ring.digits(ring.mul(un, ring.invert(ud)), count)
+    return LocalElem(v, {Fraction(kn - kd + i): d for i, d in enumerate(digits)},
+                     n)
+
+
+def _embed_quotient(x, v, n):
+    """x = num/den as embed(num) * embed(den)^-1, inverted by Newton
+    iteration in LocalElem arithmetic, then cut to precision n.  Digit-wise
+    products carry nothing, so this holds at degree-one places and at
+    infinity only."""
+    num, den = KElem.from_bipoly(x.num), KElem.from_bipoly(x.den)
+    kn = valuation(num, v) if not num.is_zero() else 0
+    kd = valuation(den, v)
+    big = n + 2 * abs(kd) + abs(kn) + 2
+    return (embed(num, v, big) * embed(den, v, big).invert()).truncate(n)
+
+
+def _rnd_bipoly(rng, theta_deg=2, t_deg=2):
+    return BiPoly.from_theta_coeffs(P, [
+        RPoly.from_coeffs(P, [rng.randrange(P) for _ in range(t_deg + 1)])
+        for _ in range(theta_deg + 1)])
+
+
+def _unit_at(x, v):
+    """x times the power of the uniformizer that makes it a unit at v."""
+    u = v.uniformizer()
+    m = valuation(x, v)
+    return x * (u.inverse() ** m if m >= 0 else u ** -m)
+
+
+def _denominator(rng, kind, v):
+    if kind == "one":
+        return KElem.one(P)
+    if kind == "theta-free":
+        while True:
+            d = RPoly.from_coeffs(P, [rng.randrange(P) for _ in range(3)])
+            if d.degree >= 1:
+                return KElem.from_rpoly(d)
+    while True:
+        d = KElem.from_bipoly(_rnd_bipoly(rng))
+        if not d.is_zero():
+            break
+    d = _unit_at(d, v)
+    if kind == "pi-divisible":
+        d = d * v.uniformizer() ** rng.randint(1, 2)
+    return d
+
+
+# monic and non-monic degree-one places
+DEGREE_ONE_PLACES = ["finite:theta", "finite:theta+t", "finite:t*theta+1"]
+DENOMINATOR_KINDS = ["one", "theta-free", "unit", "pi-divisible"]
+
+
+class TestEmbedAgainstInversion:
+    """embed skips the inversion of a unit part equal to 1; both oracles
+    always invert."""
+
+    @staticmethod
+    def samples(place_text, kind):
+        v = Place.parse(P, place_text)
+        rng = random.Random(f"{place_text}/{kind}")
+        for _ in range(8):
+            x = KElem.from_bipoly(_rnd_bipoly(rng)) / _denominator(rng, kind, v)
+            yield v, x, rng.randint(1, 6 if v.theta_degree == 1 else 3)
+
+    @pytest.mark.parametrize("kind", DENOMINATOR_KINDS)
+    @pytest.mark.parametrize("place_text",
+                             DEGREE_ONE_PLACES + ["finite:theta^2+t"])
+    def test_matches_always_inverting_formula(self, place_text, kind):
+        for v, x, n in self.samples(place_text, kind):
+            assert embed(x, v, n) == _embed_inverting(x, v, n), (x, n)
+
+    @pytest.mark.parametrize("kind", DENOMINATOR_KINDS)
+    @pytest.mark.parametrize("place_text", DEGREE_ONE_PLACES + ["infinite"])
+    def test_matches_quotient_of_embeddings(self, place_text, kind):
+        for v, x, n in self.samples(place_text, kind):
+            assert embed(x, v, n) == _embed_quotient(x, v, n), (x, n)
+
+
+def _tp_eval_unmemoised(f, z, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(localfield, "_embed_coeff", embed)
+        return tp_eval_local(f, z)
+
+
+class TestCoefficientMemo:
+    @pytest.mark.parametrize("place_text", ["finite:theta+t", "finite:theta^2+t"])
+    def test_repeated_calls_equal_unmemoised(self, place_text, monkeypatch):
+        monkeypatch.setattr(localfield, "_COEFF_CACHE", {})
+        v = Place.parse(P, place_text)
+        ops = [phi_action(carlitz(), RPoly.monomial(P, 2)), phi3().phi_t]
+        points = []
+        for text, n in [("theta", 4), ("theta^2+t*theta+1", 8)]:
+            z = embed(k(text), v, n)
+            points += [z, z.pth_root()]           # grids 0 and 1
+        schedule = [(f, z) for f in ops for z in points] * 2
+        got = [tp_eval_local(f, z) for f, z in schedule]
+        want = [_tp_eval_unmemoised(f, z, monkeypatch) for f, z in schedule]
+        assert got == want
+
+    def test_each_coefficient_embedded_once(self, monkeypatch):
+        monkeypatch.setattr(localfield, "_COEFF_CACHE", {})
+        z = embed(k("theta"), vft(), 5)
+        calls = []
+
+        def counting_embed(x, v, n):
+            calls.append((x, n))
+            return embed(x, v, n)
+
+        monkeypatch.setattr(localfield, "embed", counting_embed)
+        for _ in range(4):
+            tp_eval_local(carlitz().phi_t, z)   # t + tau: two coefficients
+        assert len(calls) == 2
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(localfield, "_COEFF_CACHE", {})
+        v = vft()
+        x = k("theta^2+1")
+        for n in range(1, 71):
+            localfield._embed_coeff(x, v, n)
+            assert len(localfield._COEFF_CACHE) <= 65
+        assert localfield._embed_coeff(x, v, 3) == embed(x, v, 3)
 
 
 class TestLocalArithmetic:
