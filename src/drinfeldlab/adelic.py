@@ -48,8 +48,11 @@ from .localfield import (
 from .phimodule import (
     MemberCertificate,
     PhiModule,
+    _apply_operators,
     _iter_rpolys_below,
+    _iterate_family,
     _linearize_points,
+    _op_on_point,
     _weights_to_operators,
     decompose,
     member,
@@ -62,12 +65,12 @@ from .phimodule import (
     syzygies,
     torsion_submodule,
 )
-from .twisted import tp_eval
 from .places import (
     FvElem,
     Place,
     check_product_formula,
     classify_places,
+    fv_tp_eval,
     place_to_str,
     residue_reduce,
     valuation,
@@ -95,44 +98,6 @@ def _point_valuation(x, v: Place):
         if best is None or w < best:
             best = w
     return best
-
-
-def _op_on_point(phi: DrinfeldModule, c: RPoly, x):
-    """Phi_c at a point through iterates of the point.
-
-    Composing the twisted polynomial Phi_c first can blow up badly when
-    phi_t has denominators (coefficient degrees square per factor), while
-    the point iterates only grow with the orbit actually traversed.
-    """
-    acc = tuple(KElem.zero(phi.p) for _ in x)
-    cur = x
-    for j in range(c.degree + 1):
-        e = c.coeff(j)
-        for _ in range(e):
-            acc = point_add(acc, cur)
-        if j < c.degree:
-            cur = tuple(tp_eval(phi.phi_t, z) for z in cur)
-    return acc
-
-
-def _apply_ops_exact(gamma: PhiModule, ops):
-    acc = gamma.zero_point()
-    for c, x in zip(ops, gamma.gens):
-        if not c.is_zero():
-            acc = point_add(acc, _op_on_point(gamma.phi, c, x))
-    return acc
-
-
-def _point_family(gamma: PhiModule, deg_bound: int):
-    """Points Phi_{t^j}(x_i), j = 0..deg_bound, by iterating on values."""
-    out = []
-    for x in gamma.gens:
-        cur = x
-        out.append(cur)
-        for _ in range(deg_bound):
-            cur = tuple(tp_eval(gamma.phi.phi_t, z) for z in cur)
-            out.append(cur)
-    return out
 
 
 def _module_place_sets(gamma: PhiModule, extra_points=()):
@@ -184,7 +149,7 @@ _EMBED_CACHE: dict = {}
 
 
 def _embedded_family(gamma: PhiModule, v: Place, n: int, deg_bound: int):
-    """The iterate family Phi_{t^j}(x_i) embedded at v, cached by value.
+    """phimodule._iterate_family embedded at v, cached by value.
 
     At residue-degree-one places the digit coefficients live in F_p(t),
     whose lift into K is a ring map, so evaluating phi_t directly on the
@@ -201,9 +166,8 @@ def _embedded_family(gamma: PhiModule, v: Place, n: int, deg_bound: int):
     hit = _EMBED_CACHE.get(key)
     if hit is not None:
         return hit
-    incremental = v.is_infinite or v.theta_degree == 1
-    out = []
-    if incremental:
+    if v.is_infinite or v.theta_degree == 1:
+        out = []
         for x in gamma.gens:
             z = _embed_point(x, v, n)
             out.append(z)
@@ -212,8 +176,7 @@ def _embedded_family(gamma: PhiModule, v: Place, n: int, deg_bound: int):
                           for c in z)
                 out.append(z)
     else:
-        for x in _point_family(gamma, deg_bound):
-            out.append(_embed_point(x, v, n))
+        out = [_embed_point(x, v, n) for x in _iterate_family(gamma, deg_bound)]
     return memo_put(_EMBED_CACHE, key, out)
 
 
@@ -259,14 +222,6 @@ def _digit_rows(elems, g: int, level: int, target=None):
     return rows_all, rhs_all
 
 
-def _residue_tp_eval(coeffs_bar, x: FvElem) -> FvElem:
-    acc = FvElem.zero(x.place)
-    for i, c in enumerate(coeffs_bar):
-        if not c.is_zero():
-            acc = acc + c * x.frobenius(i)
-    return acc
-
-
 def _family_residues(gamma: PhiModule, v: Place, deg_bound: int):
     """Residues of the iterate family, computed by reduced dynamics.
 
@@ -281,7 +236,7 @@ def _family_residues(gamma: PhiModule, v: Place, deg_bound: int):
         w = tuple(residue_reduce(c, v) for c in x)
         out.append(w)
         for _ in range(deg_bound):
-            w = tuple(_residue_tp_eval(fbar, c) for c in w)
+            w = tuple(fv_tp_eval(fbar, c) for c in w)
             out.append(w)
     return out
 
@@ -318,7 +273,8 @@ def _strata_levels(embedded, g: int, p: int, v: Place, cutoff: int):
     return out
 
 
-def _syzygy_space_dim(gamma: PhiModule, family) -> int:
+def _syzygy_space_dim(gamma: PhiModule, deg_bound: int) -> int:
+    family = _iterate_family(gamma, deg_bound)
     rows, _ = _linearize_points(gamma.p, gamma.g, family, [])
     if not rows:
         return len(family)
@@ -450,7 +406,6 @@ def discreteness_certificate(gamma: PhiModule, v: Place,
     if gamma.rank == 0:
         return DiscretenessCertificate(v, deg_bound, cutoff, (), True, None,
                                        None, (), ("empty-module",))
-    family = _point_family(gamma, deg_bound)
     embedded = _embedded_family(gamma, v, cutoff, deg_bound)
     strata = _strata_levels(embedded, gamma.g, p, v, cutoff)
 
@@ -491,7 +446,7 @@ def discreteness_certificate(gamma: PhiModule, v: Place,
     t_el = KElem.t(p)
     checked = True
     for ops in gens:
-        y = _apply_ops_exact(gamma, ops)
+        y = _apply_operators(gamma, ops)
         if point_is_zero(y):
             continue
         vy = _point_valuation(y, v)
@@ -509,7 +464,7 @@ def discreteness_certificate(gamma: PhiModule, v: Place,
 
     final_m, final_basis = strata[-1]
     if final_m == cutoff and final_basis:
-        if len(final_basis) > _syzygy_space_dim(gamma, family):
+        if len(final_basis) > _syzygy_space_dim(gamma, deg_bound):
             notes.append("cutoff-reached")
 
     return DiscretenessCertificate(v, deg_bound, cutoff, tuple(gens), checked,
@@ -581,7 +536,7 @@ def tn_neighborhood(gamma: PhiModule, v: Place, n: int,
                               tuple(notes) + ("empty-module",))
 
     image = PhiModule(gamma.phi, gamma.g,
-                      [point_apply(gamma.phi.phi_t_power(n), x)
+                      [_op_on_point(gamma.phi, RPoly.monomial(p, n), x)
                        for x in gamma.gens])
     embedded = _embedded_family(gamma, v, cutoff, deg_bound)
     strata = _strata_levels(embedded, gamma.g, p, v, cutoff)
@@ -591,7 +546,7 @@ def tn_neighborhood(gamma: PhiModule, v: Place, n: int,
         ok = True
         for b in basis:
             ops = _weights_to_operators(b, gamma.rank, deg_bound, p)
-            pt = _apply_ops_exact(gamma, ops)
+            pt = _apply_operators(gamma, ops)
             checked += 1
             if not member(image, pt, deg_bound).found:
                 ok = False
@@ -683,7 +638,7 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
         return ClosureMembership("in_gamma", cert, (), True, deg_bound,
                                  precision)
 
-    family = _point_family(gamma, deg_bound)
+    n_weights = gamma.rank * (deg_bound + 1)
     reports = []
     joint_rows, joint_rhs = [], []
     any_blocking = False
@@ -704,8 +659,8 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
         close_dim = None
         sample = None
         if reached:
-            sol = fp_solve_many(rows, [rhs], p)[0] if rows else [0] * len(family)
-            close_dim = len(fp_nullspace(rows, p)) if rows else len(family)
+            sol = fp_solve_many(rows, [rhs], p)[0] if rows else [0] * n_weights
+            close_dim = len(fp_nullspace(rows, p)) if rows else n_weights
             sample = _weights_to_operators(sol, gamma.rank, deg_bound, p)
             joint_rows.extend(rows)
             joint_rhs.extend(rhs)
@@ -719,7 +674,7 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
         notes.append("blocked-at-place")
     else:
         joint = fp_solve_many(joint_rows, [joint_rhs], p)[0] if joint_rows \
-            else [0] * len(family)
+            else [0] * n_weights
         joint_ok = joint is not None
         if joint_ok:
             conclusive = False
@@ -893,24 +848,24 @@ def closure_torsion_check(gamma: PhiModule, witness_places=None,
                                     tuple(witness_places), 0, None,
                                     ("empty-module",))
 
-    family = _point_family(gamma, deg_bound)
+    n_weights = gamma.rank * (deg_bound + 1)
     stacked = []
     for v in witness_places:
         res = _family_residues(gamma, v, deg_bound)
         ann = _residue_torsion_annihilator_bound(gamma, res, v, deg_bound)
         fbar = [residue_reduce(c, v) for c in phi_action(gamma.phi, ann).coeffs]
         for s in range(gamma.g):
-            col = [_residue_tp_eval(fbar, r[s]) for r in res]
+            col = [fv_tp_eval(fbar, r[s]) for r in res]
             rows, _ = _fv_linearize(col, [])
             stacked.extend(rows)
     kernel = fp_nullspace(stacked, p) if stacked else \
-        [[1 if i == j else 0 for j in range(len(family))]
-         for i in range(len(family))]
+        [[1 if i == j else 0 for j in range(n_weights)]
+         for i in range(n_weights)]
 
     leak = None
     for b in kernel:
         ops = _weights_to_operators(b, gamma.rank, deg_bound, p)
-        pt = _apply_ops_exact(gamma, ops)
+        pt = _apply_operators(gamma, ops)
         for c in pt:
             if not torsion_annihilator(gamma.phi, c, max_deg=deg_bound).is_torsion:
                 leak = pt
@@ -929,7 +884,7 @@ def closure_torsion_check(gamma: PhiModule, witness_places=None,
             vec = _vec_combine(kernel, coeffs, p) if kernel else []
             ops = _weights_to_operators(vec, gamma.rank, deg_bound, p) \
                 if kernel else tuple(RPoly.zero(p) for _ in range(gamma.rank))
-            pt = _apply_ops_exact(gamma, ops)
+            pt = _apply_operators(gamma, ops)
             seen[point_to_str(pt)] = pt
         pseudo_points = tuple(sorted(seen.values(), key=point_to_str))
         if {point_to_str(x) for x in pseudo_points} != tor_keys:
@@ -1064,12 +1019,10 @@ def quotient_iso_check(gamma: PhiModule, a: RPoly, witness_places=None,
                                                  detail))
 
     image = PhiModule(gamma.phi, gamma.g,
-                      [point_apply(phi_action(gamma.phi, a), x)
-                       for x in gamma.gens])
-    family = _point_family(gamma, deg_bound)
+                      [_op_on_point(gamma.phi, a, x) for x in gamma.gens])
     classified = 0
     unclassified = 0
-    for z in family:
+    for z in _iterate_family(gamma, deg_bound):
         matches = [r for r in q.reps
                    if member(image, point_add(z, point_neg(r)),
                              deg_bound).found]

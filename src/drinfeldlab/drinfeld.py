@@ -399,10 +399,7 @@ def torsion_annihilator(phi: DrinfeldModule, x: KElem,
         rhs = [coords.matrix[j][l] for l in range(length)]
         sol = fp_solve_many(rows, [rhs], p)[0]
         if sol is not None:
-            a = RPoly(p, {j: 1})
-            for i, e in enumerate(sol):
-                if e:
-                    a = a + RPoly.monomial(p, i, (-e) % p)
+            a = RPoly.monomial(p, j) - RPoly.from_coeffs(p, sol)
             return TorsionCertificate.torsion(phi, x, a, max_deg)
     return TorsionCertificate.not_torsion(max_deg, (height(z) for z in iterates))
 

@@ -36,6 +36,8 @@ from .grammar import Ring, parse
 from .kfield import KElem, kelem_ring, kelem_to_str
 from .phimodule import (
     PhiModule,
+    _iterate_family,
+    _op_on_point,
     is_full,
     member,
     point_add,
@@ -45,7 +47,7 @@ from .phimodule import (
     quotient,
 )
 from .places import place_to_str, residue_reduce
-from .twisted import TwistedPoly, tp_compose, tp_eval
+from .twisted import TwistedPoly, tp_compose
 
 SCHEMA = "drinfeldlab.experiments/1"
 
@@ -211,6 +213,10 @@ class ZeroDim:
         for x in pts:
             if len(x) != self.g:
                 raise ValueError("point width disagrees with g")
+        coords = [c for x in pts for c in x]
+        if not all(isinstance(c, KElem) for c in coords) \
+                or len({c.p for c in coords}) > 1:
+            raise ValueError("point coordinates must live in one field K")
         keys = [point_to_str(x) for x in pts]
         if len(set(keys)) != len(keys):
             raise ValueError("zero-dimensional points must be distinct")
@@ -226,6 +232,8 @@ class Hypersurface:
     poly: MultiPoly
 
     def __post_init__(self):
+        if not isinstance(self.poly, MultiPoly):
+            raise ValueError("hypersurface wants a MultiPoly")
         if self.poly.is_zero():
             raise ValueError("hypersurface polynomial must be nonzero")
 
@@ -235,6 +243,15 @@ class Hypersurface:
 
     def to_json_dict(self):
         return {"kind": "hypersurface", "g": self.g, "poly": str(self.poly)}
+
+
+def _require_variety(variety, p: int):
+    if not isinstance(variety, (ZeroDim, Hypersurface)):
+        raise ValueError("variety must be a ZeroDim or a Hypersurface")
+    fields = {variety.poly.p} if isinstance(variety, Hypersurface) \
+        else {c.p for x in variety.points for c in x}
+    if fields - {p}:
+        raise ValueError(f"variety lives over another field than F_{p}")
 
 
 def variety_contains(spec, x) -> bool:
@@ -276,6 +293,14 @@ class ExperimentReport:
         }
 
 
+def _verdict(trace, inconclusive: bool) -> str:
+    """A traced contradiction outranks an open bound, which outranks
+    confirmation."""
+    if trace:
+        return COUNTEREXAMPLE
+    return INCONCLUSIVE if inconclusive else CONFIRMED
+
+
 def _sorted_points(points):
     return tuple(sorted({point_to_str(x): tuple(x)
                          for x in points}.values(), key=point_sort_key))
@@ -312,12 +337,9 @@ def _swept_zeros(gamma: PhiModule, poly: MultiPoly, enum_deg: int):
     width = enum_deg + 1
     if gamma.rank and p ** (gamma.rank * width) > _ENUM_CAP:
         raise ValueError("enumeration bound too large for an exact sweep")
-    vectors = []                        # slowest digit first
-    for x in gamma.gens:
-        row = [tuple(x)]
-        for _ in range(enum_deg):
-            row.append(tuple(tp_eval(gamma.phi.phi_t, c) for c in row[-1]))
-        vectors.extend(reversed(row))
+    family = _iterate_family(gamma, enum_deg)
+    vectors = [z for i in range(0, len(family), width)    # slowest digit first
+               for z in reversed(family[i:i + width])]
 
     # per usable map: the image polynomial's terms and each vector's image
     images = [[] for _ in vectors]
@@ -403,6 +425,9 @@ def generic_char_experiment(gamma: PhiModule, variety,
     """
     if gamma.phi.characteristic != GENERIC:
         raise ValueError("generic-characteristic module required")
+    _require_variety(variety, gamma.p)
+    if enum_deg < 0:
+        raise ValueError("negative enumeration degree")
     if variety.g != gamma.g:
         raise ValueError("variety width disagrees with the module")
     if tracked_places is None:
@@ -450,12 +475,7 @@ def generic_char_experiment(gamma: PhiModule, variety,
         if not k_keys <= {point_to_str(x) for x in adelic_side}:
             raise AssertionError("K-side escaped the adelic side")
 
-    if trace:
-        verdict = COUNTEREXAMPLE
-    elif inconclusive:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = CONFIRMED
+    verdict = _verdict(trace, inconclusive)
     bounds = (("deg_bound", deg_bound), ("cutoff", cutoff),
               ("precision", precision), ("enum_deg", enum_deg))
     return ExperimentReport("generic-characteristic", verdict, k_side,
@@ -489,6 +509,7 @@ def zero_dim_intersection(gamma: PhiModule, variety: ZeroDim,
         raise ValueError("special-characteristic module required")
     if not isinstance(variety, ZeroDim):
         raise ValueError("zero-dimensional variety required")
+    _require_variety(variety, gamma.p)
     if variety.g != gamma.g:
         raise ValueError("variety width disagrees with the module")
     full = is_full(gamma, member_bound=deg_bound)
@@ -563,12 +584,7 @@ def zero_dim_intersection(gamma: PhiModule, variety: ZeroDim,
             {point_to_str(x) for x in adelic_side}:
         raise AssertionError("K-side escaped the adelic side")
 
-    if trace:
-        verdict = COUNTEREXAMPLE
-    elif inconclusive:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = CONFIRMED
+    verdict = _verdict(trace, inconclusive)
     bounds = (("deg_bound", deg_bound), ("precision", precision),
               ("prime_bound", full.prime_bound))
     return ExperimentReport("zero-dimensional", verdict, k_side, adelic_side,
@@ -607,6 +623,8 @@ class UniformityTable:
 
 def theta_box(p: int, g: int, theta_degree: int):
     """All points whose coordinates are theta-polynomials with F_p digits."""
+    if theta_degree < 0:
+        raise ValueError("negative theta degree")
     theta = KElem.theta(p)
     consts = [KElem.from_rpoly(RPoly.from_coeffs(p, [c])) for c in range(p)]
     pool = []
@@ -658,6 +676,7 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
     if psi.grid != 0:
         raise ValueError("the probe works on the base grid")
     p = psi.p
+    _require_variety(variety, p)
     g = variety.g
     translates = [tuple(a) for a in translates]
     for a in translates:
@@ -754,10 +773,14 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
         raise ValueError("special-characteristic module required")
     if not isinstance(variety, Hypersurface):
         raise ValueError("hypersurface instance required")
+    _require_variety(variety, gamma.p)
     if variety.g != gamma.g:
         raise ValueError("variety width disagrees with the module")
     if m < 0:
         raise ValueError("negative power of t")
+    if enum_deg < 0:
+        raise ValueError("negative enumeration degree")
+    box = theta_box(gamma.p, gamma.g, box_degree)
     full = is_full(gamma, member_bound=deg_bound)
     if full.kind != "full_up_to_bounds":
         raise ValueError("module not full up to the stated bounds")
@@ -778,13 +801,10 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
         inconclusive = True
         notes.append("quotient-separation-open")
 
-    box = theta_box(p, gamma.g, box_degree)
-    power_map = gamma.phi.phi_t_power(m)
     w_points = {}
     for rep in q.reps:
         for z in box:
-            candidate = point_add(rep, tuple(tp_eval(power_map, c)
-                                             for c in z))
+            candidate = point_add(rep, _op_on_point(gamma.phi, a, z))
             if variety.poly.evaluate(candidate).is_zero():
                 w_points[point_to_str(candidate)] = candidate
     w = ZeroDim(gamma.g, _sorted_points(w_points.values()))
@@ -818,12 +838,7 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
     if sub is not None and sub.verdict == INCONCLUSIVE:
         inconclusive = True
 
-    if trace:
-        verdict = COUNTEREXAMPLE
-    elif inconclusive:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = CONFIRMED
+    verdict = _verdict(trace, inconclusive)
     bounds = (("deg_bound", deg_bound), ("precision", precision),
               ("box_degree", box_degree), ("enum_deg", enum_deg),
               ("m", m), ("quotient_order", q.order))

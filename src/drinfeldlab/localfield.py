@@ -24,8 +24,8 @@ from .base import FElem, RPoly, fp_nullspace, fp_solve_many, memo_put
 from .drinfeld import DrinfeldModule, phi_action
 from .factor import factor_rpoly, rpoly_code
 from .kfield import KElem
-from .places import (FvElem, Place, _bipoly_multiplicity, get_trunc_ring,
-                     residue_reduce, valuation)
+from .places import (FvElem, Place, _bipoly_multiplicity, fv_tp_eval,
+                     get_trunc_ring, residue_reduce, valuation)
 from .twisted import TwistedPoly
 
 
@@ -516,12 +516,7 @@ def residue_solve(coeffs, ybar: FvElem, v: Place):
                 x = x * theta_bar ** slot
             candidates.append(x)
 
-    images = []
-    for x in candidates:
-        acc = FvElem.zero(v)
-        for i, c in nz:
-            acc = acc + c * x ** (p ** i)
-        images.append(acc)
+    images = [fv_tp_eval(coeffs, x) for x in candidates]
     rows, rhs = _fv_linearize(images, [ybar])
     sol = fp_solve_many(rows, rhs, p)[0]
     null = fp_nullspace(rows, p)
@@ -544,10 +539,7 @@ def residue_solve(coeffs, ybar: FvElem, v: Place):
         if key in seen:
             continue
         seen.add(key)
-        acc = FvElem.zero(v)
-        for i, c in nz:
-            acc = acc + c * x ** (p ** i)
-        if acc == ybar:
+        if fv_tp_eval(coeffs, x) == ybar:
             roots.append(x)
     roots.sort(key=_fv_sort_key)
     return tuple(roots), certified

@@ -6,6 +6,11 @@ down to F_p linear algebra on coordinate vectors of the bounded iterate
 family {Phi_{t^j}(x_i)}, so syzygies, membership, quotients, and torsion all
 ride on fp_nullspace / fp_solve_many plus Smith reduction over F_p[t].
 
+_iterate_family is the one exact family: generator-major, then j = 0..bound,
+so the weight of Phi_{t^j}(x_i) sits at index i * (bound + 1) + j.  It and
+_op_on_point, the one application of Phi_a to a point, both iterate phi_t
+on values and never compose Phi_{t^j} or Phi_a.
+
 No operation here is complete in an absolute sense: the ring is infinite
 and the underlying search spaces are degree-bounded, so every negative
 verdict is tagged with the bound it holds up to.  Positive answers are
@@ -24,7 +29,7 @@ from .factor import iter_irreducible_rpolys, rpoly_code
 from .grammar import Parser
 from .kfield import KElem, coordinates, kelem_ring, kelem_sort_key, kelem_to_str
 from .localfield import _fv_linearize
-from .places import FvElem, Place, residue_reduce
+from .places import FvElem, Place, fv_tp_eval, residue_reduce
 from .twisted import tp_eval, tp_to_str
 
 _REP_ENUM_CAP = 6561
@@ -65,21 +70,10 @@ def point_parse(p: int, text: str):
     return tuple(parser.done(parser.items("(", ")", kelem_ring(p))))
 
 
-def _rpoly_from_code(p: int, code: int) -> RPoly:
-    f = RPoly.zero(p)
-    i = 0
-    while code:
-        code, digit = divmod(code, p)
-        if digit:
-            f = f + RPoly.monomial(p, i, digit)
-        i += 1
-    return f
-
-
 def _iter_rpolys_below(p: int, deg: int):
     """All operator polynomials of degree < deg, in code order."""
-    for code in range(p ** max(deg, 0)):
-        yield _rpoly_from_code(p, code)
+    for digits in itertools.product(range(p), repeat=max(deg, 0)):
+        yield RPoly.from_coeffs(p, digits[::-1])
 
 
 # -- the module type ----------------------------------------------------------
@@ -166,13 +160,17 @@ def module_parse(p: int, text: str) -> PhiModule:
 # -- linearization ------------------------------------------------------------
 
 
+def _orbit(phi: DrinfeldModule, x, n: int):
+    """x, Phi_t(x), ..., Phi_{t^n}(x), by iterating phi_t on values."""
+    out = [tuple(x)]
+    for _ in range(n):
+        out.append(point_apply(phi.phi_t, out[-1]))
+    return out
+
+
 def _iterate_family(gamma: PhiModule, deg_bound: int):
-    """Points Phi_{t^j}(x_i) for all generators, j = 0..deg_bound."""
-    family = []
-    for x in gamma.gens:
-        for j in range(deg_bound + 1):
-            family.append(point_apply(gamma.phi.phi_t_power(j), x))
-    return family
+    """Points Phi_{t^j}(x_i): generator-major, then j = 0..deg_bound."""
+    return [z for x in gamma.gens for z in _orbit(gamma.phi, x, deg_bound)]
 
 
 def _linearize_points(p: int, g: int, family, targets):
@@ -196,23 +194,32 @@ def _linearize_points(p: int, g: int, family, targets):
 
 
 def _weights_to_operators(weights, rank: int, deg_bound: int, p: int):
-    ops = []
+    """a_i = sum_j w_(i, j) t^j for weights laid out as _iterate_family."""
     width = deg_bound + 1
-    for i in range(rank):
-        a = RPoly.zero(p)
-        for j in range(width):
-            e = weights[i * width + j]
-            if e:
-                a = a + RPoly.monomial(p, j, e)
-        ops.append(a)
-    return tuple(ops)
+    return tuple(RPoly.from_coeffs(p, weights[i * width:(i + 1) * width])
+                 for i in range(rank))
+
+
+def _op_on_point(phi: DrinfeldModule, a: RPoly, x):
+    """Phi_a at a point, as sum a_j Phi_{t^j}(x) over the orbit of x.
+
+    Composing the twisted polynomial Phi_a first can blow up badly when
+    phi_t has denominators (coefficient degrees square per factor), while
+    the point iterates only grow with the orbit actually traversed.
+    """
+    acc = tuple(KElem.zero(phi.p) for _ in x)
+    for j, z in enumerate(_orbit(phi, x, a.degree)):
+        for _ in range(a.coeff(j)):
+            acc = point_add(acc, z)
+    return acc
 
 
 def _apply_operators(gamma: PhiModule, ops):
+    """sum Phi_{a_i}(x_i) over the generators."""
     acc = gamma.zero_point()
     for a, x in zip(ops, gamma.gens):
         if not a.is_zero():
-            acc = point_add(acc, point_apply(phi_action(gamma.phi, a), x))
+            acc = point_add(acc, _op_on_point(gamma.phi, a, x))
     return acc
 
 
@@ -428,8 +435,8 @@ def torsion_submodule(gamma: PhiModule,
         acc = zero
         for c, i in zip(rho, torsion_idx):
             if not c.is_zero():
-                acc = point_add(acc, point_apply(
-                    phi_action(gamma.phi, c), base_points[i]))
+                acc = point_add(acc, _op_on_point(gamma.phi, c,
+                                                  base_points[i]))
         points[point_to_str(acc)] = acc
     out = sorted(points.values(), key=point_sort_key)
     for x in out:
@@ -554,7 +561,7 @@ def is_full(gamma: PhiModule, prime_bound: int = 2,
     if x is None:
         return FullnessReport("full_up_to_bounds", None, None,
                               prime_bound, member_bound, tuple(sorted(notes)))
-    image = point_apply(phi_action(gamma.phi, q), x)
+    image = _op_on_point(gamma.phi, q, x)
     if not member(gamma, image, member_bound).found:
         raise AssertionError("fullness witness image left the module")
     return FullnessReport("not_full", x, q, prime_bound, member_bound,
@@ -571,26 +578,14 @@ def fv_torsion_annihilator(phi: DrinfeldModule, v: Place, xbar: FvElem,
     if xbar.is_zero():
         return RPoly.one(p)
     cbar = [residue_reduce(c, v) for c in phi.phi_t.coeffs]
-
-    def step(z):
-        acc = FvElem.zero(v)
-        for i, c in enumerate(cbar):
-            if not c.is_zero():
-                acc = acc + c * z ** (p ** i)
-        return acc
-
     iterates = [xbar]
     for _ in range(max_deg):
-        iterates.append(step(iterates[-1]))
+        iterates.append(fv_tp_eval(cbar, iterates[-1]))
     for j in range(1, max_deg + 1):
         rows, rhs = _fv_linearize(iterates[:j], [iterates[j]])
         sol = fp_solve_many(rows, rhs, p)[0]
         if sol is not None:
-            a = RPoly(p, {j: 1})
-            for i, e in enumerate(sol):
-                if e:
-                    a = a + RPoly.monomial(p, i, (-e) % p)
-            return a
+            return RPoly.monomial(p, j) - RPoly.from_coeffs(p, sol)
     return None
 
 

@@ -308,6 +308,19 @@ class FvElem:
         return f"FvElem({self.place}, {self})"
 
 
+def fv_tp_eval(coeffs_bar, x: FvElem) -> FvElem:
+    """sum c_i x^{p^i} for residue coefficients c_i, lowest tau-power first.
+
+    The one evaluation of a reduced additive polynomial on F_v; x^{p^i} is
+    taken as i Frobenius steps.
+    """
+    acc = FvElem.zero(x.place)
+    for i, c in enumerate(coeffs_bar):
+        if not c.is_zero():
+            acc = acc + c * x.frobenius(i)
+    return acc
+
+
 # dense polynomial helpers over F (ascending FElem lists, no trailing zeros)
 
 

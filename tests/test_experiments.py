@@ -291,6 +291,96 @@ class TestGenericCertificatesGolden:
         assert text == GOLDEN_SEED0.read_text()
 
 
+GOLDEN_ZERO_DIM = pathlib.Path(__file__).parent / "data" / "zero_dim_seed0.json"
+
+
+class TestZeroDimGolden:
+    def test_report_byte_for_byte(self, paper_hull):
+        """zero_dim_intersection on the seed-0 special-zero-dim instance,
+        certificates included, as the JSON that the recorded file holds."""
+        theta = KElem.theta(P)
+        variety = ex.ZeroDim(1, [(theta,), (theta + 1,)])
+        rep = ex.zero_dim_intersection(paper_hull, variety)
+        text = json.dumps(rep.to_json_dict(), sort_keys=True, indent=1) + "\n"
+        assert text == GOLDEN_ZERO_DIM.read_text()
+
+
+class TestVerdictLadder:
+    @pytest.mark.parametrize("trace, inconclusive, verdict", [
+        ((), False, ex.CONFIRMED),
+        ((), True, ex.INCONCLUSIVE),
+        (("contradiction",), False, ex.COUNTEREXAMPLE),
+        (("contradiction",), True, ex.COUNTEREXAMPLE),
+    ])
+    def test_trace_outranks_open_bounds(self, trace, inconclusive, verdict):
+        assert ex._verdict(trace, inconclusive) == verdict
+
+
+class TestRejectedInput:
+    def test_negative_window_generic(self):
+        variety = ex.Hypersurface(ex.poly_parse(P, 2, "x*y - theta"))
+        with pytest.raises(ValueError, match="negative enumeration degree"):
+            ex.generic_char_experiment(_carlitz_plane(), variety, enum_deg=-1)
+
+    def test_negative_theta_box(self):
+        with pytest.raises(ValueError, match="negative theta degree"):
+            ex.theta_box(P, 1, -1)
+
+    @pytest.mark.parametrize("window", [{"box_degree": -1}, {"enum_deg": -1}])
+    def test_negative_windows_reduction(self, paper_hull, window):
+        variety = ex.Hypersurface(ex.poly_parse(P, 1, "x^3 - theta^2*x"))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="negative"):
+            ex.uniform_dml_reduce(paper_hull, variety, 1, **window)
+        # refused before the fullness scan
+        assert time.perf_counter() - start < 1.0
+
+    def test_bare_polynomial_generic(self):
+        with pytest.raises(ValueError, match="ZeroDim or a Hypersurface"):
+            ex.generic_char_experiment(_carlitz_plane(),
+                                       ex.poly_parse(P, 2, "x*y - theta"))
+
+    def test_bare_polynomial_probe(self):
+        psi = tp_parse(P, "[0, theta, 1]")
+        with pytest.raises(ValueError, match="ZeroDim or a Hypersurface"):
+            ex.uniformity_probe(psi, ex.poly_parse(P, 1, "x^3 - theta^2*x"),
+                                [(KElem.zero(P),)], (0, 1),
+                                ex.theta_box(P, 1, 1))
+
+    def test_hypersurface_wants_a_polynomial(self):
+        with pytest.raises(ValueError, match="wants a MultiPoly"):
+            ex.Hypersurface("x*y - theta")
+
+    def test_variety_over_another_field(self, paper_hull):
+        # x - theta over F_2 against a module over F_3 was swept and
+        # reported TheoremConfirmed
+        line = ex.Hypersurface(ex.poly_parse(2, 2, "x - theta"))
+        point = ex.ZeroDim(2, [(KElem.theta(2), KElem.zero(2))])
+        for variety in (line, point):
+            with pytest.raises(ValueError, match="another field"):
+                ex.generic_char_experiment(_carlitz_plane(), variety)
+        psi = tp_parse(P, "[0, theta, 1]")
+        with pytest.raises(ValueError, match="another field"):
+            ex.uniformity_probe(psi, ex.Hypersurface(
+                ex.poly_parse(2, 1, "x - theta")), [(KElem.zero(P),)], (0,),
+                ex.theta_box(P, 1, 0))
+        with pytest.raises(ValueError, match="another field"):
+            ex.zero_dim_intersection(paper_hull,
+                                     ex.ZeroDim(1, [(KElem.theta(2),)]))
+        with pytest.raises(ValueError, match="another field"):
+            ex.uniform_dml_reduce(paper_hull, ex.Hypersurface(
+                ex.poly_parse(2, 1, "x - theta")), 1)
+
+    @pytest.mark.parametrize("points", [
+        [(1,)],
+        [(KElem.theta(P),), ("theta",)],
+        [(KElem.theta(P),), (KElem.theta(2),)],
+    ])
+    def test_zero_dim_coordinates_in_one_field(self, points):
+        with pytest.raises(ValueError, match="one field K"):
+            ex.ZeroDim(1, points)
+
+
 class TestConstantPowers:
     @pytest.mark.parametrize("text, expected", [
         ("2^800000", KElem.one(P)),

@@ -1,12 +1,18 @@
+import random
+
 import pytest
 
 from drinfeldlab.base import RPoly
-from drinfeldlab.drinfeld import DrinfeldModule
+from drinfeldlab.drinfeld import DrinfeldModule, phi_action
 from drinfeldlab.kfield import KElem, kelem_parse
 from drinfeldlab.phimodule import (
     Decomposition,
     MemberCertificate,
     PhiModule,
+    _apply_operators,
+    _iterate_family,
+    _op_on_point,
+    _weights_to_operators,
     decompose,
     divisible_hull,
     fv_torsion_annihilator,
@@ -14,6 +20,8 @@ from drinfeldlab.phimodule import (
     member,
     module_parse,
     module_to_str,
+    point_add,
+    point_apply,
     point_parse,
     point_to_str,
     quotient,
@@ -273,3 +281,76 @@ class TestFvTorsionAnnihilator:
         v = Place.parse(P, "finite:theta+t")
         from drinfeldlab.places import FvElem
         assert fv_torsion_annihilator(psi(), v, FvElem.zero(v), 3).is_one()
+
+
+# -- the one iterate family and operator application, against composed oracles
+
+
+_ACTIONS = [(2, "[t, 1]"), (2, "[t, theta, 1]"), (3, "[0, theta, 1]"),
+            (3, "[t, (2*t)/(theta^2)]")]
+
+
+def _seeded_module(p, text, seed, rank=2, g=2):
+    """Generators with random coordinates c(t) * theta^j + d, small degrees."""
+    rng = random.Random(seed)
+    theta = KElem.theta(p)
+
+    def coord():
+        c = KElem.from_rpoly(RPoly.from_coeffs(
+            p, [rng.randrange(p) for _ in range(2)]))
+        return c * theta ** rng.randrange(3) + KElem.const(p, rng.randrange(p))
+
+    gens = [tuple(coord() for _ in range(g)) for _ in range(rank)]
+    return PhiModule(DrinfeldModule.parse(p, text), g, gens)
+
+
+def _seeded_ops(p, rank, seed, deg=3):
+    rng = random.Random(seed)
+    return tuple(RPoly.from_coeffs(p, [rng.randrange(p) for _ in range(deg + 1)])
+                 for _ in range(rank))
+
+
+class TestIterateFamily:
+    @pytest.mark.parametrize("p, text", _ACTIONS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_composed_powers(self, p, text, seed):
+        gamma = _seeded_module(p, text, seed)
+        bound = 3
+        composed = [point_apply(gamma.phi.phi_t_power(j), x)
+                    for x in gamma.gens for j in range(bound + 1)]
+        assert _iterate_family(gamma, bound) == composed
+
+    @pytest.mark.parametrize("p, text", _ACTIONS)
+    def test_weights_read_in_family_layout(self, p, text):
+        # a weight vector on the family and the operators it encodes name
+        # the same point
+        gamma = _seeded_module(p, text, 2)
+        bound = 2
+        rng = random.Random(3)
+        weights = [rng.randrange(p) for _ in range(gamma.rank * (bound + 1))]
+        acc = gamma.zero_point()
+        for w, z in zip(weights, _iterate_family(gamma, bound)):
+            for _ in range(w):
+                acc = point_add(acc, z)
+        ops = _weights_to_operators(weights, gamma.rank, bound, p)
+        assert _apply_operators(gamma, ops) == acc
+
+
+class TestApplyOperators:
+    @pytest.mark.parametrize("p, text", _ACTIONS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_composed_action(self, p, text, seed):
+        gamma = _seeded_module(p, text, seed)
+        ops = _seeded_ops(p, gamma.rank, seed)
+        want = gamma.zero_point()
+        for a, x in zip(ops, gamma.gens):
+            want = point_add(want, point_apply(phi_action(gamma.phi, a), x))
+        assert _apply_operators(gamma, ops) == want
+
+    @pytest.mark.parametrize("p, text", _ACTIONS)
+    def test_one_point(self, p, text):
+        gamma = _seeded_module(p, text, 4)
+        x = gamma.gens[0]
+        for a in _seeded_ops(p, 3, 5) + (RPoly.zero(p), RPoly.one(p)):
+            assert _op_on_point(gamma.phi, a, x) == \
+                point_apply(phi_action(gamma.phi, a), x)

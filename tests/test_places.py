@@ -10,6 +10,7 @@ from drinfeldlab.places import (
     PlaceSets,
     check_product_formula,
     classify_places,
+    fv_tp_eval,
     iter_finite_places,
     place_parse,
     place_to_str,
@@ -189,6 +190,31 @@ class TestFvElem:
         v = place_parse(3, "finite:theta+t")
         with pytest.raises(ZeroDivisionError):
             FvElem.zero(v).inverse()
+
+
+class TestFvTpEval:
+    @pytest.mark.parametrize("place", ["finite:theta+1", "finite:theta^2+t"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_term_by_term(self, place, seed):
+        p = 3
+        v = place_parse(p, place)
+        rng = random.Random(seed)
+
+        def residue():
+            c = KElem.zero(p)
+            for i in range(3):
+                c = c + KElem.const(p, rng.randrange(p)) \
+                    * KElem.t(p) ** rng.randrange(3) * KElem.theta(p) ** i
+            return residue_reduce(c, v)
+
+        coeffs = [residue() for _ in range(4)]
+        coeffs[1] = FvElem.zero(v)
+        for _ in range(3):
+            x = residue()
+            want = FvElem.zero(v)
+            for i, c in enumerate(coeffs):
+                want = want + c * x ** (p ** i)
+            assert fv_tp_eval(coeffs, x) == want
 
 
 class TestProductFormula:
