@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .adelic import (
     closure_member,
@@ -207,6 +207,8 @@ class ZeroDim:
     """Finitely many K-rational points, pairwise distinct."""
     g: int
     points: tuple
+    # point_to_str of every point, for membership by lookup
+    keys: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(tuple(x) for x in self.points)
@@ -217,14 +219,14 @@ class ZeroDim:
         if not all(isinstance(c, KElem) for c in coords) \
                 or len({c.p for c in coords}) > 1:
             raise ValueError("point coordinates must live in one field K")
-        keys = [point_to_str(x) for x in pts]
-        if len(set(keys)) != len(keys):
+        keys = frozenset(point_to_str(x) for x in pts)
+        if len(keys) != len(pts):
             raise ValueError("zero-dimensional points must be distinct")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "keys", keys)
 
     def to_json_dict(self):
-        return {"kind": "zero-dim", "g": self.g,
-                "points": sorted(point_to_str(x) for x in self.points)}
+        return {"kind": "zero-dim", "g": self.g, "points": sorted(self.keys)}
 
 
 @dataclass(frozen=True)
@@ -256,8 +258,7 @@ def _require_variety(variety, p: int):
 
 def variety_contains(spec, x) -> bool:
     if isinstance(spec, ZeroDim):
-        key = point_to_str(tuple(x))
-        return any(point_to_str(q) == key for q in spec.points)
+        return point_to_str(tuple(x)) in spec.keys
     return spec.poly.evaluate(x).is_zero()
 
 
@@ -668,8 +669,13 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
     division solver; the image chain is verified to nest exactly, which
     certifies the non-increasing counts rather than merely observing them.
     Each distinct shifted point x - a is tested against the variety once
-    per call, however many translates reach it; the solver still runs
-    once per translate and level, on that translate's hits only.
+    per call, however many translates reach it.  The solver runs once per
+    level, on the distinct hits of all translates together, and each
+    translate reads its survivors off that one solve.  Every target is
+    therefore solved under the bounds derived from the level's whole
+    target set, which are never below the bounds its own translate's hits
+    would derive; since every solution is re-verified, a survivor set can
+    only grow against a per-translate solve, never lose a point.
     """
     if psi.is_zero() or psi.tau_valuation < 1:
         raise ValueError("probe wants an inseparable additive map")
@@ -686,6 +692,9 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
     if ms and ms[0] < 0:
         raise ValueError("negative iterate")
     box = [tuple(x) for x in box]
+    for x in box:
+        if len(x) != g:
+            raise ValueError("box point width disagrees with the variety")
 
     powers = {}
     acc = None
@@ -693,11 +702,6 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
         acc = psi if acc is None else tp_compose(acc, psi)
         powers[level] = acc
 
-    rows = []
-    flags = set()
-    notes = []
-    certified = True
-    per_m_max = {m: 0 for m in ms}
     # x - a revisits the same points across translates (a shifted box is
     # mostly the box again); equal KElems hash alike, so each distinct
     # shifted point is tested once per call
@@ -708,34 +712,42 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
             contains[y] = variety_contains(variety, y)
         return contains[y]
 
+    hit_keys = []
+    distinct = {}
     for idx, a in enumerate(translates):
         neg_a = point_neg(a)
-        hits = sorted(
-            {point_to_str(x): x for x in box
-             if on_variety(point_add(x, neg_a))}.items())
+        hits = {point_to_str(x): x for x in box
+                if on_variety(point_add(x, neg_a))}
         if idx == 0:
-            _reject_parametrized_lines(variety, [x for _, x in hits], p)
-        # each level is solved independently from the full hit list, so
-        # the nesting check below cross-examines the solver rather than
-        # restating the construction
-        level_sets = {}
+            _reject_parametrized_lines(
+                variety, [x for _, x in sorted(hits.items())], p)
+        hit_keys.append(set(hits))
+        distinct.update(hits)
+
+    # each level is solved independently from the hits, so the nesting
+    # check below cross-examines the solver rather than restating the
+    # construction
+    distinct = sorted(distinct.items())
+    targets = [c for _, x in distinct for c in x]
+    flags = set()
+    survivors = {}
+    for m in ms:
+        if m == 0:
+            continue
+        results = solve_additive_many(powers[m], targets) if targets else []
+        for r in results:
+            flags.update(r.info.flags)
+        survivors[m] = {key for which, (key, _) in enumerate(distinct)
+                        if all(r.points
+                               for r in results[which * g:(which + 1) * g])}
+
+    rows = []
+    notes = []
+    certified = True
+    per_m_max = {m: 0 for m in ms}
+    for idx, keys in enumerate(hit_keys):
+        level_sets = {m: keys if m == 0 else keys & survivors[m] for m in ms}
         for m in ms:
-            if m == 0:
-                level_sets[0] = {key for key, _ in hits}
-            else:
-                targets = []
-                for _, x in hits:
-                    targets.extend(x)
-                results = solve_additive_many(powers[m], targets) \
-                    if targets else []
-                survivors = set()
-                for which, (key, _) in enumerate(hits):
-                    coords = results[which * g:(which + 1) * g]
-                    for r in coords:
-                        flags.update(r.info.flags)
-                    if all(r.points for r in coords):
-                        survivors.add(key)
-                level_sets[m] = survivors
             rows.append((idx, m, len(level_sets[m])))
             per_m_max[m] = max(per_m_max[m], len(level_sets[m]))
         for lo, hi in zip(ms, ms[1:]):
@@ -825,12 +837,13 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
         notes.append("empty-candidate-set")
 
     trace = []
+    k_keys = {point_to_str(y) for y in k_side}
     for x in _swept_zeros(gamma, variety.poly, enum_deg):
         key = point_to_str(x)
-        if not any(point_to_str(y) == key for y in w.points):
+        if key not in w.keys:
             inconclusive = True
             notes.append(f"module-point-outside-window:{key}")
-        elif not any(point_to_str(y) == key for y in k_side):
+        elif key not in k_keys:
             trace.append(f"swept point {key} missing from the K side")
 
     if sub is not None and sub.verdict == COUNTEREXAMPLE:

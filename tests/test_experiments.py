@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import pathlib
@@ -195,32 +196,92 @@ class TestEvaluate:
         assert value == KElem.theta(P) ** 200000
 
 
-def _probe_reference(psi, poly, translates, ms, box):
-    """uniformity_probe rows with every translate's hits recomputed."""
+def _probe_reference(psi, on_variety, translates, ms, box):
+    """uniformity_probe computed translate by translate: every translate's
+    hits recomputed under the predicate on_variety(x - a) and solved on
+    their own at every level.  Returns the table's rows, max_counts,
+    certified and flags, and the surviving point keys of every
+    (translate, level)."""
+    g = len(translates[0])
     powers, acc = {}, None
     for level in range(1, max(ms) + 1):
         acc = psi if acc is None else tp_compose(acc, psi)
         powers[level] = acc
-    rows = []
+    rows, levels, flags = [], {}, set()
     for idx, a in enumerate(translates):
         hits = {}
         for x in box:
-            y = tuple(c - s for c, s in zip(x, a))
-            if _naive_evaluate(poly, y).is_zero():
+            if on_variety(tuple(c - s for c, s in zip(x, a))):
                 hits[point_to_str(x)] = x
-        hits = [x for _, x in sorted(hits.items())]
+        keys = sorted(hits)
         for m in ms:
             if m == 0:
-                rows.append((idx, 0, len(hits)))
-                continue
-            targets = [c for x in hits for c in x]
-            results = solve_additive_many(powers[m], targets) if targets \
-                else []
-            g = poly.g
-            rows.append((idx, m, sum(
-                1 for i in range(len(hits))
-                if all(r.points for r in results[i * g:(i + 1) * g]))))
-    return tuple(rows)
+                levels[idx, 0] = set(keys)
+            else:
+                targets = [c for k in keys for c in hits[k]]
+                results = solve_additive_many(powers[m], targets) \
+                    if targets else []
+                for r in results:
+                    flags.update(r.info.flags)
+                levels[idx, m] = {
+                    k for i, k in enumerate(keys)
+                    if all(r.points for r in results[i * g:(i + 1) * g])}
+            rows.append((idx, m, len(levels[idx, m])))
+    indices = range(len(translates))
+    return {
+        "rows": tuple(rows),
+        "max_counts": tuple((m, max(len(levels[i, m]) for i in indices))
+                            for m in ms),
+        "certified": all(levels[i, hi] <= levels[i, lo] for i in indices
+                         for lo, hi in zip(ms, ms[1:])),
+        "flags": tuple(sorted(flags)),
+        "levels": levels,
+    }
+
+
+def _on_hypersurface(poly):
+    return lambda y: _naive_evaluate(poly, y).is_zero()
+
+
+def _assert_matches_reference(table, expected):
+    assert table.rows == expected["rows"]
+    assert table.max_counts == expected["max_counts"]
+    assert table.certified is expected["certified"]
+    assert table.flags == expected["flags"]
+
+
+@contextlib.contextmanager
+def _solver_calls():
+    """Record (operator, targets, results) of every division solve the
+    probe makes."""
+    calls = []
+
+    def spy(f, ys, *args, **kwargs):
+        ys = list(ys)
+        results = solve_additive_many(f, ys, *args, **kwargs)
+        calls.append((f, ys, results))
+        return results
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ex, "solve_additive_many", spy)
+        yield calls
+
+
+def _solved_keys(call, g):
+    """Keys of the points whose every coordinate the recorded solve hit."""
+    _f, ys, results = call
+    return {point_to_str(tuple(ys[i:i + g])) for i in range(0, len(ys), g)
+            if all(r.points for r in results[i:i + g])}
+
+
+_CUBIC = "x^3 - theta^2*x"
+# roots of the varieties the property test draws
+_PROBE_ROOTS = {_CUBIC: ["0", "theta", "2*theta"],
+                "x*(x-theta-1)*(x-theta^2)": ["0", "theta+1", "theta^2"]}
+# theta-polynomials of degree <= 2, a few fractions and psi(1/theta)
+_PROBE_POOL = [x for (x,) in ex.theta_box(P, 1, 2)] + [
+    kelem_parse(P, s) for s in ["1/theta", "1/theta+theta", "2/theta",
+                                "1/theta^2+1/theta^9"]]
 
 
 class TestUniformityProbe:
@@ -237,8 +298,9 @@ class TestUniformityProbe:
         ms = (0, 1, 2)
         table = ex.uniformity_probe(psi, ex.Hypersurface(poly), translates,
                                     ms, box)
-        expected = _probe_reference(psi, poly, translates, ms, box)
-        assert table.rows == expected
+        expected = _probe_reference(psi, _on_hypersurface(poly), translates,
+                                    ms, box)
+        _assert_matches_reference(table, expected)
         assert table.rows[9] == (3, 0, 2)      # theta^3 and theta^3+theta
         assert table.rows[12] == (4, 0, 0)
 
@@ -254,6 +316,92 @@ class TestUniformityProbe:
             (2, 0, 3), (2, 1, 1), (2, 2, 0), (3, 0, 3), (3, 1, 0), (3, 2, 0))
         assert table.max_counts == ((0, 3), (1, 1), (2, 1))
         assert table.certified is True
+
+    def test_one_solve_per_positive_level(self):
+        psi = tp_parse(P, "[0, theta, 1]")
+        variety = ex.Hypersurface(ex.poly_parse(P, 1, _CUBIC))
+        translates = [(x,) for x in _PROBE_POOL[:9]]
+        with _solver_calls() as calls:
+            ex.uniformity_probe(psi, variety, translates, (0, 1, 2, 3),
+                                ex.theta_box(P, 1, 2))
+        assert len(calls) == 3
+        assert [f.tau_degree for f, _ys, _r in calls] == [2, 4, 6]
+
+    def test_batched_bound_above_a_translates_own(self):
+        """At m = 1 the translate 0 alone derives theta-bound 2, the level's
+        whole target set 3; the counts still match the per-translate
+        solve, rational translate and rational box point included."""
+        psi = tp_parse(P, "[0, theta, 1]")
+        poly = ex.poly_parse(P, 1, _CUBIC)
+        translates = [(kelem_parse(P, s),)
+                      for s in ["0", "theta^2+1", "1/theta"]]
+        box = list(ex.theta_box(P, 1, 2)) + [
+            (kelem_parse(P, s),) for s in ["1/theta", "1/theta+theta"]]
+        ms = (0, 1, 2)
+        with _solver_calls() as calls:
+            table = ex.uniformity_probe(psi, ex.Hypersurface(poly),
+                                        translates, ms, box)
+        expected = _probe_reference(psi, _on_hypersurface(poly), translates,
+                                    ms, box)
+        own = solve_additive_many(psi, [KElem.zero(P), KElem.theta(P),
+                                        -KElem.theta(P)])
+        assert own[0].info.theta_bound == 2
+        assert calls[0][2][0].info.theta_bound == 3
+        _assert_matches_reference(table, expected)
+        assert table.rows[6] == (2, 0, 2)      # 1/theta and 1/theta+theta
+
+    def test_zero_dim_variety(self):
+        psi = tp_parse(P, "[0, theta, 1]")
+        theta, zero, one = KElem.theta(P), KElem.zero(P), KElem.one(P)
+        points = [(zero, zero), (theta, zero), (zero, theta),
+                  (theta, theta * theta), (one / theta, one)]
+        variety = ex.ZeroDim(2, points)
+        translates = [(zero, zero), (one, theta), (theta, one / theta)]
+        # the last box point is (1/theta, 1) shifted by the last translate
+        box = list(ex.theta_box(P, 2, 1)) + [
+            (one / theta, one), (theta + one / theta, one + one / theta)]
+        ms = (0, 1, 2)
+        table = ex.uniformity_probe(psi, variety, translates, ms, box)
+        keys = {point_to_str(x) for x in points}
+        expected = _probe_reference(
+            psi, lambda y: point_to_str(y) in keys, translates, ms, box)
+        _assert_matches_reference(table, expected)
+        assert [r[2] for r in table.rows if r[1] == 0] == [4, 3, 1]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(_PROBE_ROOTS)),
+           st.lists(st.sampled_from(_PROBE_POOL), min_size=1, max_size=4),
+           st.data())
+    def test_batched_survivors_contain_per_translate(self, text, translates,
+                                                     data):
+        # box points drawn from the translates' hits and the pool
+        roots = [kelem_parse(P, r) for r in _PROBE_ROOTS[text]]
+        shifted = {point_to_str((a + r,)): (a + r,)
+                   for a in translates for r in roots}
+        candidates = [x for _, x in sorted(shifted.items())] + \
+            [(x,) for x in _PROBE_POOL]
+        box = data.draw(st.lists(st.sampled_from(candidates), max_size=12))
+        translates = [(a,) for a in translates]
+        psi = tp_parse(P, "[0, theta, 1]")
+        poly = ex.poly_parse(P, 1, text)
+        ms = (0, 1, 2)
+        with _solver_calls() as calls:
+            table = ex.uniformity_probe(psi, ex.Hypersurface(poly),
+                                        translates, ms, box)
+        expected = _probe_reference(psi, _on_hypersurface(poly), translates,
+                                    ms, box)
+        levels = expected["levels"]
+        assert [r for r in table.rows if r[1] == 0] == \
+            [r for r in expected["rows"] if r[1] == 0]
+        hit = any(levels[i, 0] for i in range(len(translates)))
+        assert len(calls) == (2 if hit else 0)
+        solved = {m: _solved_keys(call, 1) for m, call in zip((1, 2), calls)}
+        for idx, m, count in table.rows:
+            if m == 0:
+                continue
+            batched = levels[idx, 0] & solved.get(m, set())
+            assert count == len(batched)
+            assert levels[idx, m] <= batched
 
 
 class TestGenericSweepGolden:
@@ -346,6 +494,15 @@ class TestRejectedInput:
             ex.uniformity_probe(psi, ex.poly_parse(P, 1, "x^3 - theta^2*x"),
                                 [(KElem.zero(P),)], (0, 1),
                                 ex.theta_box(P, 1, 1))
+
+    def test_box_width_probe(self):
+        # a two-wide box point was truncated against a one-wide translate
+        psi = tp_parse(P, "[0, theta, 1]")
+        variety = ex.Hypersurface(ex.poly_parse(P, 1, "x^3 - theta^2*x"))
+        theta, zero, one = KElem.theta(P), KElem.zero(P), KElem.one(P)
+        with pytest.raises(ValueError, match="box point width"):
+            ex.uniformity_probe(psi, variety, [(zero,)], (0, 1),
+                                [(theta, zero), (zero, one)])
 
     def test_hypersurface_wants_a_polynomial(self):
         with pytest.raises(ValueError, match="wants a MultiPoly"):
