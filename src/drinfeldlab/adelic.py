@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
 from .base import (RMatrix, RPoly, fp_nullspace, fp_solve_many, memo_put,
@@ -281,12 +281,46 @@ def _syzygy_space_dim(gamma: PhiModule, deg_bound: int) -> int:
     return len(fp_nullspace(rows, gamma.p))
 
 
-def _json_val(x):
-    if x is None:
-        return None
-    if isinstance(x, Fraction):
-        return str(x)
-    return x
+def to_json(value):
+    """The JSON form of a report value, chosen by its type.
+
+    Field elements, places and polynomials print as text; a non-empty tuple
+    of field elements is a point; other tuples and lists become lists, and
+    dicts and dataclasses become objects, encoded item by item.
+    """
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, KElem):
+        return kelem_to_str(value)
+    if isinstance(value, Place):
+        return place_to_str(value)
+    if isinstance(value, (Fraction, RPoly, MemberCertificate)):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    if isinstance(value, tuple) and value \
+            and all(isinstance(c, KElem) for c in value):
+        return point_to_str(value)
+    if isinstance(value, (tuple, list)):
+        return [to_json(item) for item in value]
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name))
+                for f in fields(value)}
+    raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+class Report:
+    """A report whose JSON is its schema, its KIND if the class sets one,
+    and its fields through to_json."""
+
+    SCHEMA = SCHEMA
+    KIND = None
+
+    def to_json_dict(self):
+        head = {"schema": self.SCHEMA}
+        if self.KIND is not None:
+            head["kind"] = self.KIND
+        return head | to_json(self)
 
 
 def certificate_json(cert, indent=None) -> str:
@@ -353,7 +387,7 @@ class AdelicPoint:
 
 
 @dataclass(frozen=True)
-class DiscretenessCertificate:
+class DiscretenessCertificate(Report):
     """Exact small-ball data for a bounded piece of a module at one place.
 
     i_generators is an R-basis of the bounded operator tuples whose value
@@ -371,21 +405,7 @@ class DiscretenessCertificate:
     attained_valuations: tuple
     notes: tuple = ()
 
-    def to_json_dict(self):
-        return {
-            "schema": SCHEMA,
-            "kind": "discreteness-certificate",
-            "place": place_to_str(self.place),
-            "deg_bound": self.deg_bound,
-            "cutoff": self.cutoff,
-            "i_generators": [[str(a) for a in row] for row in self.i_generators],
-            "ideal_checked": self.ideal_checked,
-            "min_positive_valuation": _json_val(self.min_positive_valuation),
-            "witness": None if self.witness is None
-            else [str(a) for a in self.witness],
-            "attained_valuations": [_json_val(m) for m in self.attained_valuations],
-            "notes": list(self.notes),
-        }
+    KIND = "discreteness-certificate"
 
 
 def discreteness_certificate(gamma: PhiModule, v: Place,
@@ -477,7 +497,7 @@ def discreteness_certificate(gamma: PhiModule, v: Place,
 
 
 @dataclass(frozen=True)
-class TnNeighborhood:
+class TnNeighborhood(Report):
     place: Place
     n: int
     deg_bound: int
@@ -487,23 +507,12 @@ class TnNeighborhood:
     checked: int
     notes: tuple = ()
 
+    KIND = "tn-neighborhood"
+
     def to_json_dict(self):
-        return {
-            "schema": SCHEMA,
-            "kind": "tn-neighborhood",
-            "place": place_to_str(self.place),
-            "n": self.n,
-            "deg_bound": self.deg_bound,
-            "cutoff": self.cutoff,
-            "epsilon": self.epsilon,
-            "torsion_level_m": None if self.m_level is None else {
-                "m": self.m_level.m,
-                "inconclusive": self.m_level.inconclusive,
-                "kernel_sizes": list(self.m_level.kernel_sizes),
-            },
-            "checked": self.checked,
-            "notes": list(self.notes),
-        }
+        out = super().to_json_dict()
+        out["torsion_level_m"] = out.pop("m_level")
+        return out
 
 
 def tn_neighborhood(gamma: PhiModule, v: Place, n: int,
@@ -571,19 +580,9 @@ class PlaceCloseness:
     close_dim: int | None
     sample_operators: tuple | None
 
-    def to_json_dict(self):
-        return {
-            "place": place_to_str(self.place),
-            "best_valuation": self.best_valuation,
-            "reached_cutoff": self.reached_cutoff,
-            "close_dim": self.close_dim,
-            "sample_operators": None if self.sample_operators is None
-            else [str(a) for a in self.sample_operators],
-        }
-
 
 @dataclass(frozen=True)
-class ClosureMembership:
+class ClosureMembership(Report):
     kind: str                      # "in_gamma" | "rejected_up_to_bounds"
     certificate: MemberCertificate | None
     place_reports: tuple
@@ -595,19 +594,6 @@ class ClosureMembership:
     @property
     def in_gamma(self) -> bool:
         return self.kind == "in_gamma"
-
-    def to_json_dict(self):
-        return {
-            "schema": SCHEMA,
-            "kind": self.kind,
-            "certificate": None if self.certificate is None
-            else str(self.certificate),
-            "place_reports": [r.to_json_dict() for r in self.place_reports],
-            "conclusive": self.conclusive,
-            "deg_bound": self.deg_bound,
-            "precision": self.precision,
-            "notes": list(self.notes),
-        }
 
 
 def closure_member(gamma: PhiModule, y, tracked_places=None,
@@ -690,7 +676,7 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
 
 
 @dataclass(frozen=True)
-class PrimeToTReport:
+class PrimeToTReport(Report):
     kind: str                     # "obstruction" | "pass_sampled"
     a: RPoly
     sampled: tuple
@@ -699,21 +685,6 @@ class PrimeToTReport:
     division_point: tuple | None
     division_found: bool | None
     notes: tuple = ()
-
-    def to_json_dict(self):
-        return {
-            "schema": SCHEMA,
-            "kind": self.kind,
-            "a": str(self.a),
-            "sampled": [place_to_str(v) for v in self.sampled],
-            "obstruction_place": None if self.obstruction_place is None
-            else place_to_str(self.obstruction_place),
-            "obstruction_coordinate": self.obstruction_coordinate,
-            "division_point": None if self.division_point is None
-            else point_to_str(self.division_point),
-            "division_found": self.division_found,
-            "notes": list(self.notes),
-        }
 
 
 def prime_to_t_test(gamma: PhiModule, a: RPoly, y,
@@ -770,7 +741,7 @@ def prime_to_t_test(gamma: PhiModule, a: RPoly, y,
 
 
 @dataclass(frozen=True)
-class ClosureTorsionReport:
+class ClosureTorsionReport(Report):
     kind: str                      # "confirmed" | "mismatch"
     torsion_points: tuple
     pseudo_torsion_points: tuple | None
@@ -779,20 +750,6 @@ class ClosureTorsionReport:
     free_rank: int
     leak: tuple | None
     notes: tuple = ()
-
-    def to_json_dict(self):
-        return {
-            "schema": SCHEMA,
-            "kind": self.kind,
-            "torsion_points": [point_to_str(x) for x in self.torsion_points],
-            "pseudo_torsion_points": None if self.pseudo_torsion_points is None
-            else [point_to_str(x) for x in self.pseudo_torsion_points],
-            "pseudo_torsion_dim": self.pseudo_torsion_dim,
-            "witness_places": [place_to_str(v) for v in self.witness_places],
-            "free_rank": self.free_rank,
-            "leak": None if self.leak is None else point_to_str(self.leak),
-            "notes": list(self.notes),
-        }
 
 
 def _residue_torsion_annihilator_bound(gamma: PhiModule, family_res, v: Place,
@@ -910,19 +867,9 @@ class PairSeparation:
     delta_valuation: int | None
     detail: str
 
-    def to_json_dict(self):
-        return {
-            "i": self.i,
-            "j": self.j,
-            "place": None if self.place is None else place_to_str(self.place),
-            "coordinate": self.coordinate,
-            "delta_valuation": self.delta_valuation,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
-class QuotientIsoReport:
+class QuotientIsoReport(Report):
     kind: str                     # "confirmed" | "not_separated"
     a: RPoly
     order: int
@@ -933,21 +880,6 @@ class QuotientIsoReport:
     witness_places: tuple
     precision: int
     notes: tuple = ()
-
-    def to_json_dict(self):
-        return {
-            "schema": SCHEMA,
-            "kind": self.kind,
-            "a": str(self.a),
-            "order": self.order,
-            "separations": [s.to_json_dict() for s in self.separations],
-            "unresolved": [s.to_json_dict() for s in self.unresolved],
-            "classified_samples": self.classified_samples,
-            "unclassified_samples": self.unclassified_samples,
-            "witness_places": [place_to_str(v) for v in self.witness_places],
-            "precision": self.precision,
-            "notes": list(self.notes),
-        }
 
 
 def _locally_divisible(phi: DrinfeldModule, a: RPoly, x, v: Place,
@@ -1050,18 +982,9 @@ class SnapRow:
     untracked_sum: int
     support: tuple                 # ((place, valuation, weight), ...)
 
-    def to_json_dict(self):
-        return {
-            "index": self.index,
-            "is_zero": self.is_zero,
-            "tracked_sum": self.tracked_sum,
-            "untracked_sum": self.untracked_sum,
-            "support": [[place_to_str(v), val, w] for v, val, w in self.support],
-        }
-
 
 @dataclass(frozen=True)
-class SnapCertificate:
+class SnapCertificate(Report):
     kind: str                     # "snap" | "no-snap-within-sequence"
     y0: KElem
     tracked: tuple
@@ -1070,21 +993,9 @@ class SnapCertificate:
     c0_log: int | None
     notes: tuple = ()
 
-    def to_json_dict(self):
-        return {
-            "schema": SCHEMA,
-            "kind": self.kind,
-            "y0": kelem_to_str(self.y0),
-            "tracked": [place_to_str(v) for v in self.tracked],
-            "rows": [r.to_json_dict() for r in self.rows],
-            "snap_index": self.snap_index,
-            "c0_log": self.c0_log,
-            "notes": list(self.notes),
-        }
-
 
 @dataclass(frozen=True)
-class ContradictionTrace:
+class ContradictionTrace(Report):
     index: int
     tracked_sum: int
     untracked_sum: int
@@ -1092,17 +1003,7 @@ class ContradictionTrace:
     untracked_product: Fraction
     statement: str
 
-    def to_json_dict(self):
-        return {
-            "schema": SCHEMA,
-            "kind": "contradiction-trace",
-            "index": self.index,
-            "tracked_sum": self.tracked_sum,
-            "untracked_sum": self.untracked_sum,
-            "tracked_product": str(self.tracked_product),
-            "untracked_product": str(self.untracked_product),
-            "statement": self.statement,
-        }
+    KIND = "contradiction-trace"
 
 
 def _power(p: int, exponent: int) -> Fraction:

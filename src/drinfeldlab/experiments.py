@@ -17,11 +17,13 @@ import math
 from dataclasses import dataclass, field
 
 from .adelic import (
+    Report,
     closure_member,
     closure_torsion_check,
     discreteness_certificate,
     quotient_iso_check,
     standard_tracked_places,
+    to_json,
 )
 from .base import RPoly, inv_mod
 from .drinfeld import (
@@ -56,6 +58,12 @@ INCONCLUSIVE = "BoundInconclusive"
 COUNTEREXAMPLE = "CounterexampleCandidate"
 
 _ENUM_CAP = 3 ** 9
+
+
+def _over_enum_cap(p: int, exponent: int) -> bool:
+    """Whether p^exponent points exceed _ENUM_CAP; a huge exponent is
+    clipped where the power already passes the cap, so it costs nothing."""
+    return p ** min(exponent, _ENUM_CAP.bit_length()) > _ENUM_CAP
 
 
 # -- multivariate polynomials over K ------------------------------------------
@@ -266,7 +274,7 @@ def variety_contains(spec, x) -> bool:
 
 
 @dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(Report):
     kind: str
     verdict: str
     k_side: tuple
@@ -277,21 +285,11 @@ class ExperimentReport:
     trace: tuple
     notes: tuple = ()
 
+    SCHEMA = SCHEMA
+
     def to_json_dict(self):
-        return {
-            "schema": SCHEMA,
-            "kind": self.kind,
-            "verdict": self.verdict,
-            "k_side": [point_to_str(x) for x in self.k_side],
-            "adelic_side": None if self.adelic_side is None
-            else [point_to_str(x) for x in self.adelic_side],
-            "certificates": [[label, payload]
-                             for label, payload in self.certificates],
-            "bounds": {name: value for name, value in self.bounds},
-            "assumptions": list(self.assumptions),
-            "trace": list(self.trace),
-            "notes": list(self.notes),
-        }
+        return super().to_json_dict() | {
+            "bounds": {name: to_json(value) for name, value in self.bounds}}
 
 
 def _verdict(trace, inconclusive: bool) -> str:
@@ -336,7 +334,7 @@ def _swept_zeros(gamma: PhiModule, poly: MultiPoly, enum_deg: int):
     """
     p, g = gamma.p, gamma.g
     width = enum_deg + 1
-    if gamma.rank and p ** (gamma.rank * width) > _ENUM_CAP:
+    if gamma.rank and _over_enum_cap(p, gamma.rank * width):
         raise ValueError("enumeration bound too large for an exact sweep")
     family = _iterate_family(gamma, enum_deg)
     vectors = [z for i in range(0, len(family), width)    # slowest digit first
@@ -597,7 +595,15 @@ def zero_dim_intersection(gamma: PhiModule, variety: ZeroDim,
 
 
 @dataclass(frozen=True)
-class UniformityTable:
+class UniformityTable(Report):
+    """Counts of (a + X) inside psi^m(K^g) per translate and level.
+
+    certified covers only the nesting check: each level's survivors lie
+    inside the level below's.  It says nothing about the solver's bounds;
+    a capped division solve shows up in flags (theta-bound-capped,
+    denominator-profile-truncated), and the counts at such a level are
+    relative to the capped bound.
+    """
     psi: str
     variety: dict
     translates: tuple
@@ -607,25 +613,17 @@ class UniformityTable:
     flags: tuple
     notes: tuple = ()
 
-    def to_json_dict(self):
-        return {
-            "schema": SCHEMA,
-            "kind": "uniformity-table",
-            "psi": self.psi,
-            "variety": self.variety,
-            "translates": list(self.translates),
-            "rows": [list(r) for r in self.rows],
-            "max_counts": [list(r) for r in self.max_counts],
-            "certified": self.certified,
-            "flags": list(self.flags),
-            "notes": list(self.notes),
-        }
+    SCHEMA = SCHEMA
+    KIND = "uniformity-table"
 
 
 def theta_box(p: int, g: int, theta_degree: int):
-    """All points whose coordinates are theta-polynomials with F_p digits."""
+    """All points whose coordinates are theta-polynomials with F_p digits;
+    a box of more than _ENUM_CAP points is refused before it is built."""
     if theta_degree < 0:
         raise ValueError("negative theta degree")
+    if _over_enum_cap(p, g * (theta_degree + 1)):
+        raise ValueError("theta box too large to enumerate")
     theta = KElem.theta(p)
     consts = [KElem.from_rpoly(RPoly.from_coeffs(p, [c])) for c in range(p)]
     pool = []
@@ -813,10 +811,11 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
         inconclusive = True
         notes.append("quotient-separation-open")
 
+    images = [_op_on_point(gamma.phi, a, z) for z in box]
     w_points = {}
     for rep in q.reps:
-        for z in box:
-            candidate = point_add(rep, _op_on_point(gamma.phi, a, z))
+        for image in images:
+            candidate = point_add(rep, image)
             if variety.poly.evaluate(candidate).is_zero():
                 w_points[point_to_str(candidate)] = candidate
     w = ZeroDim(gamma.g, _sorted_points(w_points.values()))

@@ -134,9 +134,15 @@ class TestBoundedElements:
         assert fast == _digit_counter_sweep(gamma, 2)
         assert fast == _exact_span(gamma, 2)
 
-    def test_cap_unchanged(self):
+    @pytest.mark.parametrize("enum_deg", [4, 10 ** 9])
+    def test_cap_unchanged(self, enum_deg):
+        # 3^10 and 3^(2*(10^9+1)) points; the second is refused without
+        # computing the power
+        start = time.perf_counter()
         with pytest.raises(ValueError):
-            ex._swept_zeros(_carlitz_plane(), _zero_poly(_carlitz_plane()), 4)
+            ex._swept_zeros(_carlitz_plane(), _zero_poly(_carlitz_plane()),
+                            enum_deg)
+        assert time.perf_counter() - start < 1.0
 
 
 def _rpolys():
@@ -453,6 +459,27 @@ class TestZeroDimGolden:
         assert text == GOLDEN_ZERO_DIM.read_text()
 
 
+class TestUniformReduction:
+    def test_one_image_per_box_point(self, paper_hull, monkeypatch):
+        # the three coset representatives of the t-quotient share each box
+        # point's image Phi_t(z), so it is computed once per box point
+        calls = []
+        op_on_point = ex._op_on_point
+
+        def counting(phi, a, x):
+            calls.append(x)
+            return op_on_point(phi, a, x)
+
+        monkeypatch.setattr(ex, "_op_on_point", counting)
+        variety = ex.Hypersurface(ex.poly_parse(P, 1, "x^3 - theta^2*x"))
+        w, rep = ex.uniform_dml_reduce(paper_hull, variety, 1, box_degree=1)
+        assert dict(rep.bounds)["quotient_order"] == 3
+        assert len(calls) == len(ex.theta_box(P, 1, 1))
+        assert [point_to_str(x) for x in w.points] == \
+            ["(0)", "(theta)", "(2*theta)"]
+        assert rep.verdict == ex.CONFIRMED
+
+
 class TestVerdictLadder:
     @pytest.mark.parametrize("trace, inconclusive, verdict", [
         ((), False, ex.CONFIRMED),
@@ -473,6 +500,28 @@ class TestRejectedInput:
     def test_negative_theta_box(self):
         with pytest.raises(ValueError, match="negative theta degree"):
             ex.theta_box(P, 1, -1)
+
+    @pytest.mark.parametrize("g, degree", [(1, 9), (3, 5), (1, 10 ** 9)])
+    def test_oversized_theta_box(self, g, degree):
+        # 3^10, 3^18 and 3^(10^9) points against a cap of 3^9
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="theta box too large"):
+            ex.theta_box(P, g, degree)
+        assert time.perf_counter() - start < 1.0
+
+    def test_enum_cap_boundary(self):
+        assert not ex._over_enum_cap(3, 9)
+        assert ex._over_enum_cap(3, 10)
+        assert not ex._over_enum_cap(2, 14)
+        assert ex._over_enum_cap(2, 15)
+
+    def test_oversized_box_reduction(self, paper_hull):
+        variety = ex.Hypersurface(ex.poly_parse(P, 1, "x^3 - theta^2*x"))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="theta box too large"):
+            ex.uniform_dml_reduce(paper_hull, variety, 1, box_degree=9)
+        # refused before the fullness scan
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("window", [{"box_degree": -1}, {"enum_deg": -1}])
     def test_negative_windows_reduction(self, paper_hull, window):
