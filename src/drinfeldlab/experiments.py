@@ -38,10 +38,12 @@ from .grammar import Ring, parse
 from .kfield import KElem, kelem_ring, kelem_to_str
 from .phimodule import (
     PhiModule,
+    _fp_span,
     _iterate_family,
     _op_on_point,
     is_full,
     member,
+    member_many,
     point_add,
     point_neg,
     point_sort_key,
@@ -446,8 +448,8 @@ def generic_char_experiment(gamma: PhiModule, variety,
     trace = []
     inconclusive = not discrete_ok
     if isinstance(variety, ZeroDim):
-        k_side = [x for x in variety.points
-                  if member(gamma, x, deg_bound).found]
+        certs = member_many(gamma, variety.points, deg_bound)
+        k_side = [x for x, cert in zip(variety.points, certs) if cert.found]
         adelic = []
         for x in variety.points:
             rep = closure_member(gamma, x, tracked_places, precision,
@@ -559,8 +561,8 @@ def zero_dim_intersection(gamma: PhiModule, variety: ZeroDim,
 
     k_side = []
     adelic = []
-    for x in pts:
-        found = member(gamma, x, deg_bound).found
+    for x, cert in zip(pts, member_many(gamma, pts, deg_bound)):
+        found = cert.found
         if found:
             k_side.append(x)
         rep = closure_member(gamma, x, tracked_places, precision, deg_bound)
@@ -619,23 +621,20 @@ class UniformityTable(Report):
 
 def theta_box(p: int, g: int, theta_degree: int):
     """All points whose coordinates are theta-polynomials with F_p digits;
-    a box of more than _ENUM_CAP points is refused before it is built."""
+    a box of more than _ENUM_CAP points is refused before it is built.
+
+    The box is the F_p-span of theta^j e_k in _fp_span's order, the first
+    coordinate slowest and, within a coordinate, the constant digit slowest.
+    """
     if theta_degree < 0:
         raise ValueError("negative theta degree")
     if _over_enum_cap(p, g * (theta_degree + 1)):
         raise ValueError("theta box too large to enumerate")
-    theta = KElem.theta(p)
-    consts = [KElem.from_rpoly(RPoly.from_coeffs(p, [c])) for c in range(p)]
-    pool = []
-    for codes in itertools.product(range(p), repeat=theta_degree + 1):
-        acc = KElem.zero(p)
-        power = KElem.one(p)
-        for c in codes:
-            if c:
-                acc = acc + consts[c] * power
-            power = power * theta
-        pool.append(acc)
-    return tuple(itertools.product(pool, repeat=g))
+    zero = tuple(KElem.zero(p) for _ in range(g))
+    powers = [KElem.theta(p) ** j for j in range(theta_degree + 1)]
+    vectors = [zero[:k] + (power,) + zero[k + 1:]
+               for k in range(g) for power in powers]
+    return tuple(_fp_span(p, vectors, zero))
 
 
 def _reject_parametrized_lines(spec, hits, p: int):

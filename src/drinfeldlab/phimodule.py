@@ -76,6 +76,34 @@ def _iter_rpolys_below(p: int, deg: int):
         yield RPoly.from_coeffs(p, digits[::-1])
 
 
+def _fp_span(p: int, vectors, zero):
+    """The F_p-span of the points in vectors, lazily: sum_k d_k vectors[k].
+
+    Order contract: digit-counter order.  The first vector's digit runs
+    slowest and the last vector's fastest, each digit through 0, 1, ...,
+    p - 1, so the span starts at zero.  Each point is one point_add from
+    the point of its digit prefix, and the multiples 2v, ..., (p - 1)v of
+    each vector are formed once.
+    """
+    n = len(vectors)
+    multiples = [(None, tuple(v), *(tuple(KElem.const(p, k) * c for c in v)
+                                    for k in range(2, p))) for v in vectors]
+    digits = [0] * n
+    prefix = [zero] * (n + 1)    # prefix[k]: the point of digits[:k]
+    yield zero
+    while True:
+        k = n - 1
+        while k >= 0 and digits[k] == p - 1:
+            digits[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        digits[k] += 1
+        x = point_add(prefix[k], multiples[k][digits[k]])
+        prefix[k + 1:] = [x] * (n - k)
+        yield x
+
+
 # -- the module type ----------------------------------------------------------
 
 
@@ -285,12 +313,19 @@ def member_many(gamma: PhiModule, ys, deg_bound: int = _DEFAULT_BOUND):
     ys = [tuple(y) for y in ys]
     if any(len(y) != gamma.g for y in ys):
         raise ValueError("point of the wrong ambient power")
+    needed = gamma.rank and not all(point_is_zero(y) for y in ys)
+    family = _iterate_family(gamma, deg_bound) if needed else []
+    return _member_many(gamma, family, ys, deg_bound)
+
+
+def _member_many(gamma: PhiModule, family, ys, deg_bound: int):
+    """member_many over family = _iterate_family(gamma, deg_bound), which
+    the caller computes once for any number of batches."""
     p = gamma.p
     zero = tuple(RPoly.zero(p) for _ in range(gamma.rank))
     sols = [None] * len(ys)
     pending = [m for m, y in enumerate(ys) if not point_is_zero(y)]
     if pending and gamma.rank:
-        family = _iterate_family(gamma, deg_bound)
         rows, rhs = _linearize_points(p, gamma.g, family,
                                       [ys[m] for m in pending])
         for m, sol in zip(pending, fp_solve_many(rows, rhs, p)):
@@ -458,41 +493,46 @@ def _primes_up_to(p: int, prime_bound: int):
     return out
 
 
+def _hull_targets(gamma: PhiModule, dq: int, notes: set):
+    """The distinct division targets sum Phi_{rem_i}(x_i), deg rem_i < dq.
+
+    They are the F_p-span of the iterates Phi_{t^j}(x_i), generator-major
+    with j = dq - 1, ..., 0, so the remainders run in the code order of
+    _iter_rpolys_below, the first generator's slowest.  Only the first
+    _HULL_TARGET_CAP span points are taken, before duplicates are dropped.
+    """
+    family = _iterate_family(gamma, dq - 1)
+    vectors = [z for i in range(0, len(family), dq)
+               for z in reversed(family[i:i + dq])]
+    span = _fp_span(gamma.p, vectors, gamma.zero_point())
+    if gamma.p ** len(vectors) > _HULL_TARGET_CAP:
+        notes.add("hull-targets-truncated")
+        span = itertools.islice(span, _HULL_TARGET_CAP)
+    targets = {}
+    for y in span:
+        targets.setdefault(point_to_str(y), y)
+    return list(targets.values())
+
+
 def _hull_scan(gamma: PhiModule, prime_bound: int,
                height_bounds: HeightProfile | None,
                member_bound: int, notes: set):
     """First module point x not in gamma with Phi_q(x) in gamma, or None.
 
     Division targets are the points sum Phi_{rem_i}(x_i) with deg rem_i <
-    deg q, formed as F_p-combinations of the iterates Phi_{t^j}(x_i); the
-    division points of all targets of one prime are tested for membership
-    in one linearisation.
+    deg q.  They depend only on deg q, so they are built once per degree,
+    as one F_p-span (_hull_targets).  The membership family
+    _iterate_family(gamma, member_bound) is built once per scan, when the
+    first division points arrive; the division points of all targets of
+    one prime are tested for membership in one linearisation over it.
     """
-    p = gamma.p
-    r = gamma.rank
-    zero = gamma.zero_point()
-    for q in _primes_up_to(p, prime_bound):
+    targets_by_degree = {}
+    member_family = None
+    for q in _primes_up_to(gamma.p, prime_bound):
         dq = q.degree
-        family = _iterate_family(gamma, dq - 1)
-        # coefficient vectors (c_0, ..., c_{dq-1}) of the remainders, in
-        # the code order of _iter_rpolys_below
-        rems = [digits[::-1] for digits in itertools.product(range(p), repeat=dq)]
-        tuples = itertools.product(rems, repeat=r)
-        count = p ** (r * dq)
-        if count > _HULL_TARGET_CAP:
-            notes.add("hull-targets-truncated")
-            tuples = itertools.islice(tuples, _HULL_TARGET_CAP)
-        targets = []
-        seen = set()
-        for rem in tuples:
-            y = zero
-            for c, z in zip(itertools.chain.from_iterable(rem), family):
-                if c:
-                    y = point_add(y, tuple(KElem.const(p, c) * u for u in z))
-            key = point_to_str(y)
-            if key not in seen:
-                seen.add(key)
-                targets.append(y)
+        if dq not in targets_by_degree:
+            targets_by_degree[dq] = _hull_targets(gamma, dq, notes)
+        targets = targets_by_degree[dq]
         f = phi_action(gamma.phi, q)
         per_slot = []
         for s in range(gamma.g):
@@ -507,8 +547,10 @@ def _hull_scan(gamma: PhiModule, prime_bound: int,
             for combo in itertools.product(*slot_points):
                 if not point_is_zero(combo):
                     candidates.append(combo)
-        for x, cert in zip(candidates,
-                           member_many(gamma, candidates, member_bound)):
+        if candidates and member_family is None:
+            member_family = _iterate_family(gamma, member_bound)
+        for x, cert in zip(candidates, _member_many(
+                gamma, member_family, candidates, member_bound)):
             if not cert.found:
                 return x, q
     return None, None

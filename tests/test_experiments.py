@@ -4,11 +4,14 @@ import json
 import pathlib
 import time
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeldlab import experiments as ex
+from drinfeldlab import phimodule as pm
 from drinfeldlab.base import RPoly
 from drinfeldlab.drinfeld import DrinfeldModule, solve_additive_many
 from drinfeldlab.kfield import BiPoly, KElem, kelem_parse
@@ -58,6 +61,44 @@ class TestPaperInstance:
         assert [str(c) for c in batched] == [str(c) for c in single]
         assert any(c.found for c in single)
         assert any(not c.found for c in single)
+
+    def test_scan_builds_each_family_once(self, paper_hull, monkeypatch):
+        # the degree-1 and degree-2 targets are one span each, shared by the
+        # three primes of each degree, and the deg-8 membership family is
+        # built once for all six primes
+        spans, families = [], []
+        fp_span, iterate_family = pm._fp_span, pm._iterate_family
+
+        def counting_span(p, vectors, zero):
+            spans.append(len(vectors))
+            return fp_span(p, vectors, zero)
+
+        def counting_family(gamma, deg_bound):
+            families.append(deg_bound)
+            return iterate_family(gamma, deg_bound)
+
+        monkeypatch.setattr(pm, "_fp_span", counting_span)
+        monkeypatch.setattr(pm, "_iterate_family", counting_family)
+        assert is_full(paper_hull).kind == "full_up_to_bounds"
+        assert spans == [3, 6]
+        assert sorted(families) == [0, 1, 8]
+
+    def test_zero_dim_k_side_is_per_point_member(self, paper_hull):
+        # one batched membership solve gives the K-side that per-point
+        # member calls give, on seeded theta-polynomials of degree <= 2
+        rng = random.Random(5)
+        theta = KElem.theta(P)
+        pts = {}
+        while len(pts) < 4:
+            x = (sum((KElem.const(P, rng.randrange(P)) * theta ** j
+                      for j in range(3)), KElem.zero(P)),)
+            pts[point_to_str(x)] = x
+        pts = list(pts.values())
+        rep = ex.zero_dim_intersection(paper_hull, ex.ZeroDim(1, pts))
+        want = sorted(point_to_str(x) for x in pts
+                      if member(paper_hull, x, 8).found)
+        assert sorted(point_to_str(x) for x in rep.k_side) == want
+        assert 0 < len(want) < len(pts)
 
 
 # -- the exact sweeps, against slow references ------------------------------
@@ -423,6 +464,28 @@ class TestGenericSweepGolden:
         assert [point_to_str(x) for x in rep.k_side] == k_side
         assert [point_to_str(x) for x in rep.adelic_side] == k_side
         assert rep.notes == ("hypersurface-swept-to-operator-degree-2",)
+
+
+class TestGenericZeroDimKSide:
+    @pytest.mark.parametrize("seed", [7, 9])
+    def test_is_per_point_member(self, seed):
+        # one batched membership solve gives the K-side that per-point
+        # member calls give; both seeds draw members and non-members
+        rng = random.Random(seed)
+        gamma = _carlitz_plane()
+        theta = KElem.theta(P)
+
+        def coord():
+            return KElem.const(P, rng.randrange(P)) * theta + \
+                KElem.const(P, rng.randrange(P))
+
+        pts = list({point_to_str(x): x for x in
+                    ((coord(), coord()) for _ in range(5))}.values())
+        rep = ex.generic_char_experiment(gamma, ex.ZeroDim(2, pts))
+        want = sorted(point_to_str(x) for x in pts
+                      if member(gamma, x, 8).found)
+        assert sorted(point_to_str(x) for x in rep.k_side) == want
+        assert 0 < len(want) < len(pts)
 
 
 GOLDEN_SEED0 = pathlib.Path(__file__).parent / "data" / "generic_char_seed0.json"

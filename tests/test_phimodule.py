@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,10 @@ from drinfeldlab.phimodule import (
     Decomposition,
     MemberCertificate,
     PhiModule,
+    _HULL_TARGET_CAP,
     _apply_operators,
+    _fp_span,
+    _hull_targets,
     _iterate_family,
     _op_on_point,
     _weights_to_operators,
@@ -354,3 +358,142 @@ class TestApplyOperators:
         for a in _seeded_ops(p, 3, 5) + (RPoly.zero(p), RPoly.one(p)):
             assert _op_on_point(gamma.phi, a, x) == \
                 point_apply(phi_action(gamma.phi, a), x)
+
+
+# -- the F_p-span enumerator and the hull scan's division targets --------------
+
+
+def _naive_span(p, vectors, zero):
+    """sum d_k v_k over itertools.product digits, first vector slowest."""
+    out = []
+    for digits in itertools.product(range(p), repeat=len(vectors)):
+        y = zero
+        for d, v in zip(digits, vectors):
+            y = point_add(y, tuple(KElem.const(p, d) * c for c in v))
+        out.append(y)
+    return out
+
+
+def _product_hull_targets(gamma, dq, notes):
+    """The hull scan's targets as the scan built them per prime before the
+    one-span construction: nested itertools.product over the remainders'
+    coefficient vectors, truncated to _HULL_TARGET_CAP tuples, then
+    deduplicated."""
+    p, r = gamma.p, gamma.rank
+    zero = gamma.zero_point()
+    family = _iterate_family(gamma, dq - 1)
+    rems = [digits[::-1] for digits in itertools.product(range(p), repeat=dq)]
+    tuples = itertools.product(rems, repeat=r)
+    if p ** (r * dq) > _HULL_TARGET_CAP:
+        notes.add("hull-targets-truncated")
+        tuples = itertools.islice(tuples, _HULL_TARGET_CAP)
+    targets = []
+    seen = set()
+    for rem in tuples:
+        y = zero
+        for c, z in zip(itertools.chain.from_iterable(rem), family):
+            if c:
+                y = point_add(y, tuple(KElem.const(p, c) * u for u in z))
+        key = point_to_str(y)
+        if key not in seen:
+            seen.add(key)
+            targets.append(y)
+    return targets
+
+
+_SPAN_ACTIONS = {2: "[t, theta, 1]", 3: "[0, theta, 1]"}
+
+
+class TestFpSpan:
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_digit_counter_order(self, p, n):
+        gamma = _seeded_module(p, _SPAN_ACTIONS[p], n, rank=max(n, 1))
+        vectors = list(gamma.gens[:n])
+        zero = gamma.zero_point()
+        assert list(_fp_span(p, vectors, zero)) == \
+            _naive_span(p, vectors, zero)
+
+    def test_lazy(self):
+        # 3^12 points; taking the first few builds only those
+        vectors = [(k(f"theta^{j}"),) for j in range(12)]
+        head = list(itertools.islice(_fp_span(P, vectors, (KElem.zero(P),)), 4))
+        assert [point_to_str(x) for x in head] == \
+            ["(0)", "(theta^11)", "(2*theta^11)", "(theta^10)"]
+
+
+class TestHullTargets:
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dq", [1, 2])
+    def test_matches_product_construction(self, p, rank, dq):
+        gamma = _seeded_module(p, _SPAN_ACTIONS[p], rank, rank=rank, g=1)
+        notes, want_notes = set(), set()
+        got = _hull_targets(gamma, dq, notes)
+        assert got == _product_hull_targets(gamma, dq, want_notes)
+        assert notes == want_notes
+
+    def test_truncated_before_dedup(self):
+        # rank 4, dq = 2, p = 3: 6,561 tuples, of which the first 729 are
+        # kept; the repeated generator makes most of those 729 coincide,
+        # while the whole span would still have 729 distinct points
+        gens = [(k("theta"),), (k("1"),), (k("theta^2"),), (k("theta^2"),)]
+        gamma = PhiModule(psi(), 1, gens)
+        notes, want_notes = set(), set()
+        got = _hull_targets(gamma, 2, notes)
+        want = _product_hull_targets(gamma, 2, want_notes)
+        assert got == want
+        assert len(want) == 81
+        assert notes == want_notes == {"hull-targets-truncated"}
+
+    def test_rank_zero(self):
+        gamma = PhiModule(psi(), 2, [])
+        assert _hull_targets(gamma, 2, set()) == [gamma.zero_point()]
+
+
+def _psi_start():
+    phi = psi()
+    return PhiModule(phi, 1, [(tp_eval(phi.phi_t, k("theta")),)])
+
+
+_CAPPED = ("denominator-profile-truncated", "theta-bound-capped")
+
+
+class TestFullnessRecorded:
+    """is_full and divisible_hull against values recorded before the hull
+    scan shared its division targets and membership family."""
+
+    @pytest.mark.parametrize("build, prime_bound, kind, witness, prime, notes", [
+        (_psi_start, 1, "not_full", "(theta)", "t", ()),
+        (_psi_start, 2, "not_full", "(theta)", "t", ()),
+        (lambda: PhiModule(carlitz(), 1, [(k("theta^2"),)]), 2,
+         "full_up_to_bounds", None, None, ()),
+        (lambda: PhiModule(phi3(), 1, [(k("theta"),)]), 1,
+         "full_up_to_bounds", None, None, ()),
+        (lambda: PhiModule(psi(), 1, []), 2, "full_up_to_bounds", None, None,
+         ("denominator-profile-truncated",)),
+        (lambda: module_parse(2, "[t, 1] :: 1 :: (theta)"), 2,
+         "not_full", "(t)", "t", ()),
+        (lambda: module_parse(2, "[t, theta, 1] :: 2 :: (theta, 0); (1, theta)"),
+         1, "full_up_to_bounds", None, None, ()),
+    ])
+    def test_is_full(self, build, prime_bound, kind, witness, prime, notes):
+        rep = is_full(build(), prime_bound=prime_bound)
+        assert rep.kind == kind
+        assert (None if rep.witness is None else point_to_str(rep.witness)) \
+            == witness
+        assert (None if rep.prime is None else str(rep.prime)) == prime
+        assert rep.notes == notes
+
+    @pytest.mark.parametrize("build, prime_bound, gens, notes", [
+        (_psi_start, 1, ["(theta^9+theta^4)", "(theta)", "(1)"], ()),
+        (_psi_start, 2, ["(theta^9+theta^4)", "(theta)", "(1)"], _CAPPED),
+        (lambda: PhiModule(psi(), 1, []), 2, [],
+         ("denominator-profile-truncated",)),
+        (lambda: module_parse(2, "[t, 1] :: 1 :: (theta)"), 2,
+         ["(theta)", "(t)", "(t+1)"], ()),
+    ])
+    def test_divisible_hull(self, build, prime_bound, gens, notes):
+        hull = divisible_hull(build(), prime_bound=prime_bound)
+        assert [point_to_str(x) for x in hull.gens] == gens
+        assert hull.notes == notes
