@@ -5,8 +5,7 @@ infinite-precision object; everything here replaces it by an explicit
 policy (a finite tracked place set, a valuation cutoff per place, and a
 degree bound on module operators) and emits certificates that carry their
 bounds.  Verdicts never overstate: a rejection lists the exact local data
-that blocks membership, and the product-formula snap demonstrates its
-contradiction numerically instead of asserting the conclusion.
+that blocks membership.
 
 The engine behind the discreteness and closeness certificates is the digit
 filtration: at a good place the completion is a Laurent series field over
@@ -25,15 +24,7 @@ from fractions import Fraction
 
 from .base import (RMatrix, RPoly, fp_nullspace, fp_solve_many, memo_put,
                    smith_normal_form)
-from .drinfeld import (
-    SPECIAL,
-    DrinfeldModule,
-    TorsionLevelReport,
-    division_points,
-    estimate_torsion_level_m,
-    phi_action,
-    torsion_annihilator,
-)
+from .drinfeld import DrinfeldModule, phi_action, torsion_annihilator
 from .kfield import KElem, kelem_to_str
 from .localfield import (
     LocalElem,
@@ -41,8 +32,6 @@ from .localfield import (
     _fv_linearize,
     embed,
     hensel_solve,
-    local_to_str,
-    residue_solve,
     tp_eval_local,
 )
 from .phimodule import (
@@ -68,7 +57,6 @@ from .phimodule import (
 from .places import (
     FvElem,
     Place,
-    check_product_formula,
     classify_places,
     fv_tp_eval,
     place_to_str,
@@ -105,12 +93,6 @@ def _module_place_sets(gamma: PhiModule, extra_points=()):
     for x in tuple(gamma.gens) + tuple(extra_points):
         coords.extend(x)
     return classify_places(gamma.phi.phi_t.coeffs, coords)
-
-
-def _require_good(gamma: PhiModule, v: Place, extra_points=()):
-    sets = _module_place_sets(gamma, extra_points)
-    if not sets.good_for_module(v):
-        raise ValueError(f"place {place_to_str(v)} is excluded for this module")
 
 
 def hilbertian_places(p: int):
@@ -328,61 +310,6 @@ def certificate_json(cert, indent=None) -> str:
     return json.dumps(cert.to_json_dict(), sort_keys=True, indent=indent)
 
 
-# -- adelic points ------------------------------------------------------------
-
-
-class AdelicPoint:
-    """A point of K_v^g at finitely many tracked places, integral elsewhere."""
-
-    __slots__ = ("g", "components", "elsewhere_integral")
-
-    def __init__(self, g: int, components, elsewhere_integral: bool = True):
-        comps = []
-        for v, coords in components:
-            coords = tuple(coords)
-            if len(coords) != g:
-                raise ValueError("component width disagrees with g")
-            for z in coords:
-                if z.place != v:
-                    raise ValueError("component attached to the wrong place")
-            comps.append((v, coords))
-        comps.sort(key=lambda it: it[0].sort_key())
-        self.g = g
-        self.components = tuple(comps)
-        self.elsewhere_integral = bool(elsewhere_integral)
-
-    @classmethod
-    def from_rational(cls, x, places, precision: int = STANDARD_CUTOFF) -> "AdelicPoint":
-        comps = []
-        for v in places:
-            coords = _embed_point(x, v, precision)
-            for z in coords:
-                w = z.val()
-                if w is not None and w < 0:
-                    raise ValueError(
-                        f"coordinate not integral at {place_to_str(v)}")
-            comps.append((v, coords))
-        return cls(len(x), comps)
-
-    def component(self, v: Place):
-        for place, coords in self.components:
-            if place == v:
-                return coords
-        raise KeyError(f"untracked place {place_to_str(v)}")
-
-    def to_json_dict(self):
-        return {
-            "schema": SCHEMA,
-            "kind": "adelic-point",
-            "g": self.g,
-            "elsewhere_integral": self.elsewhere_integral,
-            "components": {
-                place_to_str(v): [local_to_str(z) for z in coords]
-                for v, coords in self.components
-            },
-        }
-
-
 # -- discreteness -------------------------------------------------------------
 
 
@@ -421,7 +348,8 @@ def discreteness_certificate(gamma: PhiModule, v: Place,
     the zero witness under the v(0) = infinity convention.
     """
     p = gamma.p
-    _require_good(gamma, v)
+    if not _module_place_sets(gamma).good_for_module(v):
+        raise ValueError(f"place {place_to_str(v)} is excluded for this module")
     notes = []
     if gamma.rank == 0:
         return DiscretenessCertificate(v, deg_bound, cutoff, (), True, None,
@@ -491,81 +419,6 @@ def discreteness_certificate(gamma: PhiModule, v: Place,
                                    min_pos, witness_ops,
                                    tuple(Fraction(m) for m in attained),
                                    tuple(notes))
-
-
-# -- t-power neighborhoods -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TnNeighborhood(Report):
-    place: Place
-    n: int
-    deg_bound: int
-    cutoff: int
-    epsilon: int | None
-    m_level: TorsionLevelReport | None
-    checked: int
-    notes: tuple = ()
-
-    KIND = "tn-neighborhood"
-
-    def to_json_dict(self):
-        out = super().to_json_dict()
-        out["torsion_level_m"] = out.pop("m_level")
-        return out
-
-
-def tn_neighborhood(gamma: PhiModule, v: Place, n: int,
-                    deg_bound: int = STANDARD_DEG_BOUND,
-                    cutoff: int = STANDARD_CUTOFF,
-                    m_max: int = 4) -> TnNeighborhood:
-    """Smallest valuation radius whose bounded elements divide by t^n.
-
-    Certifies that every bounded module element with v-valuation >= epsilon
-    lies in Phi_{t^n} of the module (membership re-verified exactly); the
-    stabilisation level m only has a K-rational proxy, so it is always
-    flagged in the report.
-    """
-    p = gamma.p
-    if n < 0:
-        raise ValueError("negative power of t")
-    if gamma.phi.characteristic != SPECIAL:
-        raise ValueError("t-power neighborhoods want a special-characteristic"
-                         " module")
-    _require_good(gamma, v)
-    if n == 0:
-        return TnNeighborhood(v, 0, deg_bound, cutoff, 0, None, 0,
-                              ("whole-module",))
-    m_rep = estimate_torsion_level_m(gamma.phi, m_max)
-    notes = ["torsion-level-m-proxy"]
-    if m_rep.inconclusive:
-        notes.append("m-estimate-inconclusive")
-    if gamma.rank == 0:
-        return TnNeighborhood(v, n, deg_bound, cutoff, 0, m_rep, 0,
-                              tuple(notes) + ("empty-module",))
-
-    image = PhiModule(gamma.phi, gamma.g,
-                      [_op_on_point(gamma.phi, RPoly.monomial(p, n), x)
-                       for x in gamma.gens])
-    embedded = _embedded_family(gamma, v, cutoff, deg_bound)
-    strata = _strata_levels(embedded, gamma.g, p, v, cutoff)
-
-    checked = 0
-    for m, basis in strata:
-        ok = True
-        for b in basis:
-            ops = _weights_to_operators(b, gamma.rank, deg_bound, p)
-            pt = _apply_operators(gamma, ops)
-            checked += 1
-            if not member(image, pt, deg_bound).found:
-                ok = False
-                break
-        if ok:
-            return TnNeighborhood(v, n, deg_bound, cutoff, m, m_rep, checked,
-                                  tuple(notes))
-    notes.append("no-threshold-within-cutoff")
-    return TnNeighborhood(v, n, deg_bound, cutoff, None, m_rep, checked,
-                          tuple(notes))
 
 
 # -- closure membership --------------------------------------------------------
@@ -670,71 +523,6 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
             notes.append("no-joint-approximant")
     return ClosureMembership("rejected_up_to_bounds", None, tuple(reports),
                              conclusive, deg_bound, precision, tuple(notes))
-
-
-# -- prime-to-t divisibility ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PrimeToTReport(Report):
-    kind: str                     # "obstruction" | "pass_sampled"
-    a: RPoly
-    sampled: tuple
-    obstruction_place: Place | None
-    obstruction_coordinate: int | None
-    division_point: tuple | None
-    division_found: bool | None
-    notes: tuple = ()
-
-
-def prime_to_t_test(gamma: PhiModule, a: RPoly, y,
-                    place_sample: int = 25) -> PrimeToTReport:
-    """Local divisibility of y by Phi_a across a deterministic place scan.
-
-    For a prime to t the operator is separable with unit differential at
-    every good place, so y is locally divisible exactly when the residue
-    equation has a root; the scan stays on theta-degree-one places where
-    the residue solver is exhaustive, making every obstruction a proof.
-    An all-pass verdict is sample-qualified and cross-checked against the
-    bounded global division search.
-    """
-    if a.is_zero():
-        raise ValueError("division by the zero operator")
-    if a.constant_coeff() == 0:
-        raise ValueError("operator must be prime to t")
-    phi = gamma.phi
-    if len(y) != gamma.g:
-        raise ValueError("point width disagrees with the module")
-    f = phi_action(phi, a)
-    sets = _module_place_sets(gamma, (y,))
-    sampled = []
-    for v in hilbertian_places(gamma.p):
-        if not sets.good_for_module(v):
-            continue
-        sampled.append(v)
-        fbar = [residue_reduce(c, v) for c in f.coeffs]
-        for s in range(gamma.g):
-            roots, certified = residue_solve(fbar, residue_reduce(y[s], v), v)
-            if not roots:
-                if not certified:
-                    raise AssertionError(
-                        "degree-one residue verdict lost certification")
-                return PrimeToTReport("obstruction", a, tuple(sampled), v, s,
-                                      None, None,
-                                      ("certified-residue-obstruction",))
-        if len(sampled) == place_sample:
-            break
-
-    coords = []
-    for s in range(gamma.g):
-        res = division_points(phi, a, y[s])
-        if not res.points:
-            return PrimeToTReport("pass_sampled", a, tuple(sampled), None,
-                                  None, None, False,
-                                  ("no-bounded-division-point",))
-        coords.append(res.points[0])
-    return PrimeToTReport("pass_sampled", a, tuple(sampled), None, None,
-                          tuple(coords), True)
 
 
 # -- closure torsion -------------------------------------------------------------
@@ -969,121 +757,3 @@ def quotient_iso_check(gamma: PhiModule, a: RPoly, witness_places=None,
     return QuotientIsoReport(kind, a, q.order, tuple(separations),
                              tuple(unresolved), classified, unclassified,
                              tuple(witness_places), precision, tuple(notes))
-
-
-# -- product-formula snap ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SnapRow:
-    index: int
-    is_zero: bool
-    tracked_sum: int
-    untracked_sum: int
-    support: tuple                 # ((place, valuation, weight), ...)
-
-
-@dataclass(frozen=True)
-class SnapCertificate(Report):
-    kind: str                     # "snap" | "no-snap-within-sequence"
-    y0: KElem
-    tracked: tuple
-    rows: tuple
-    snap_index: int | None
-    c0_log: int | None
-    notes: tuple = ()
-
-
-@dataclass(frozen=True)
-class ContradictionTrace(Report):
-    index: int
-    tracked_sum: int
-    untracked_sum: int
-    tracked_product: Fraction
-    untracked_product: Fraction
-    statement: str
-
-    KIND = "contradiction-trace"
-
-
-def _power(p: int, exponent: int) -> Fraction:
-    if exponent >= 0:
-        return Fraction(p ** exponent)
-    return Fraction(1, p ** (-exponent))
-
-
-def product_formula_snap(seq, y0: KElem, tracked) -> SnapCertificate:
-    """Exact two-sided products for a sequence against its claimed limit.
-
-    For each term the weighted valuation sum splits into the tracked part
-    and the rest of the support; their total is asserted to vanish term by
-    term, which is the exact product formula.  The certificate records the
-    largest untracked sum C0: any nonzero term whose tracked sum exceeds C0
-    would force the untracked product above the recorded bound, so a
-    sequence with stabilising untracked components and shrinking tracked
-    products is eventually exactly y0.
-    """
-    tracked = tuple(tracked)
-    tracked_set = set(tracked)
-    for x in tuple(seq) + (y0,):
-        for v in tracked:
-            if not x.is_zero() and valuation(x, v) < 0:
-                raise ValueError(
-                    f"sequence not integral at {place_to_str(v)}")
-    rows = []
-    c0 = None
-    for idx, x in enumerate(seq):
-        d = x - y0
-        if d.is_zero():
-            rows.append(SnapRow(idx, True, 0, 0, ()))
-            continue
-        support = check_product_formula(d)
-        s_tracked = sum(val * w for v, val, w in support if v in tracked_set)
-        s_rest = sum(val * w for v, val, w in support if v not in tracked_set)
-        if s_tracked + s_rest != 0:
-            raise AssertionError("weighted valuation sums fail to cancel")
-        rows.append(SnapRow(idx, False, s_tracked, s_rest, support))
-        if c0 is None or s_rest > c0:
-            c0 = s_rest
-    snap_index = None
-    for idx in range(len(rows), 0, -1):
-        if not rows[idx - 1].is_zero:
-            break
-        snap_index = idx - 1
-    kind = "snap" if snap_index is not None or not rows else \
-        "no-snap-within-sequence"
-    if not rows:
-        snap_index = 0
-    return SnapCertificate(kind, y0, tracked, tuple(rows), snap_index, c0)
-
-
-def snap_from_table(table, p: int, c0_log: int | None = None):
-    """Product-formula audit of claimed valuation tables.
-
-    Each row claims (nonzero, tracked weighted sum, untracked weighted sum)
-    for a hypothetical sequence term.  Real elements always cancel exactly,
-    so a fabricated row whose sums do not cancel, or whose tracked product
-    dips below the claimed untracked bound, yields the quantitative
-    contradiction.
-    """
-    rows = []
-    for idx, (nonzero, s_tracked, s_rest) in enumerate(table):
-        rows.append(SnapRow(idx, not nonzero, s_tracked, s_rest, ()))
-        if not nonzero:
-            continue
-        if s_tracked + s_rest != 0:
-            return ContradictionTrace(
-                idx, s_tracked, s_rest,
-                _power(p, -s_tracked), _power(p, -s_rest),
-                "the product over the full support is "
-                f"{_power(p, -(s_tracked + s_rest))}, not 1")
-        if c0_log is not None and s_tracked > c0_log:
-            return ContradictionTrace(
-                idx, s_tracked, s_rest,
-                _power(p, -s_tracked), _power(p, -s_rest),
-                "a nonzero term with tracked product below the claimed "
-                "untracked bound would need an untracked product of "
-                f"{_power(p, -s_rest)}, past the bound {_power(p, c0_log)}")
-    zero = KElem.zero(p)
-    return SnapCertificate("table-consistent", zero, (), tuple(rows), None,
-                           c0_log)

@@ -17,7 +17,6 @@ honest cutoff and raise rather than silently losing digits.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .base import FElem, RPoly, fp_nullspace, fp_solve_many, memo_put
@@ -670,55 +669,3 @@ def _assert_residual(phi, a, x_hat, y, n):
     w = diff.val()
     if w is not None and w < n:
         raise AssertionError("Hensel residual fell short of the target")
-
-
-@dataclass(frozen=True)
-class NearestTorsion:
-    """Closest local a-torsion approximant to z.
-
-    distance None means the difference is zero to z's precision (the point
-    is torsion as far as this computation can see).  regime records whether
-    the separable distance identity applied or the query sat outside the
-    positive-valuation regime.
-    """
-    approximant: LocalElem | None
-    distance: Fraction | None
-    regime: str
-
-
-def nearest_torsion_distance(phi: DrinfeldModule, a: RPoly,
-                             z: LocalElem) -> NearestTorsion:
-    if a.is_zero():
-        raise ValueError("torsion of the zero operator")
-    v = z.place
-    w = tp_eval_local(phi_action(phi, a), z)
-    if not w.is_zero_to_precision() and w.val() <= 0:
-        return NearestTorsion(None, Fraction(0), "unit-image")
-    f = phi_action(phi, a)
-    kappa = f.tau_valuation
-    g = TwistedPoly(phi.p, f.coeffs[kappa:]) if kappa else f
-    _check_good_place(g.coeffs, v)
-    gbar = [residue_reduce(c, v) for c in g.coeffs]
-    roots, _certified = residue_solve(gbar, FvElem.zero(v), v)
-    if len(roots) > phi.p ** _KERNEL_DIM_CAP:
-        raise RuntimeError("local torsion beyond the desk cap")
-    n = z.precision * phi.p ** kappa
-    best = None
-    best_dist = None
-    target = LocalElem.zero_to(v, n)
-    for root in roots:
-        x0 = (LocalElem.from_digit(v, 0, root, 1) if not root.is_zero()
-              else LocalElem.zero_to(v, 1))
-        u_star = _newton_lift(g, x0, target, n)
-        if kappa:
-            u_star = LocalElem(
-                v, {e / phi.p ** kappa: c for e, c in u_star.terms.items()},
-                u_star.precision / phi.p ** kappa, kappa)
-        diff = z - u_star
-        dist = diff.val()
-        if dist is None:
-            return NearestTorsion(u_star, None, "torsion-to-precision")
-        if best_dist is None or dist > best_dist:
-            best, best_dist = u_star, dist
-    regime = "separable-equality" if kappa == 0 else "inseparable"
-    return NearestTorsion(best, best_dist, regime)

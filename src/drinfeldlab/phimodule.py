@@ -519,6 +519,9 @@ def _hull_scan(gamma: PhiModule, prime_bound: int,
                member_bound: int, notes: set):
     """First module point x not in gamma with Phi_q(x) in gamma, or None.
 
+    Returns (x, q, family), where family is the membership family if the
+    scan built it (always, when x is found) and None otherwise.
+
     Division targets are the points sum Phi_{rem_i}(x_i) with deg rem_i <
     deg q.  They depend only on deg q, so they are built once per degree,
     as one F_p-span (_hull_targets).  The membership family
@@ -552,8 +555,8 @@ def _hull_scan(gamma: PhiModule, prime_bound: int,
         for x, cert in zip(candidates, _member_many(
                 gamma, member_family, candidates, member_bound)):
             if not cert.found:
-                return x, q
-    return None, None
+                return x, q, member_family
+    return None, None, member_family
 
 
 def divisible_hull(gamma: PhiModule, prime_bound: int = 2,
@@ -571,8 +574,8 @@ def divisible_hull(gamma: PhiModule, prime_bound: int = 2,
     notes = set(gamma.notes)
     current = gamma
     for _ in range(max_rounds):
-        x, q = _hull_scan(current, prime_bound, height_bounds,
-                          member_bound, notes)
+        x, q, _ = _hull_scan(current, prime_bound, height_bounds,
+                             member_bound, notes)
         if x is None:
             return PhiModule(current.phi, current.g, current.gens,
                              tuple(sorted(notes)))
@@ -599,12 +602,13 @@ def is_full(gamma: PhiModule, prime_bound: int = 2,
             member_bound: int = _DEFAULT_BOUND) -> FullnessReport:
     """Does gamma already contain every bounded division point?"""
     notes = set()
-    x, q = _hull_scan(gamma, prime_bound, height_bounds, member_bound, notes)
+    x, q, family = _hull_scan(gamma, prime_bound, height_bounds,
+                              member_bound, notes)
     if x is None:
         return FullnessReport("full_up_to_bounds", None, None,
                               prime_bound, member_bound, tuple(sorted(notes)))
     image = _op_on_point(gamma.phi, q, x)
-    if not member(gamma, image, member_bound).found:
+    if not _member_many(gamma, family, [image], member_bound)[0].found:
         raise AssertionError("fullness witness image left the module")
     return FullnessReport("not_full", x, q, prime_bound, member_bound,
                           tuple(sorted(notes)))

@@ -6,25 +6,17 @@ import pytest
 
 from drinfeldlab import adelic
 from drinfeldlab.adelic import (
-    AdelicPoint,
-    ContradictionTrace,
-    SnapCertificate,
     certificate_json,
     closure_member,
     closure_torsion_check,
     discreteness_certificate,
     hilbertian_places,
-    prime_to_t_test,
-    product_formula_snap,
     quotient_iso_check,
-    snap_from_table,
     standard_tracked_places,
-    tn_neighborhood,
 )
 from drinfeldlab.base import RPoly, rpoly_parse
 from drinfeldlab.drinfeld import DrinfeldModule
 from drinfeldlab.kfield import KElem, kelem_parse
-from drinfeldlab.localfield import local_to_str
 from drinfeldlab.phimodule import PhiModule, point_to_str
 from drinfeldlab.places import Place, place_parse, place_to_str, valuation
 from drinfeldlab.twisted import TwistedPoly, tp_eval
@@ -185,52 +177,6 @@ class TestDiscreteness:
         assert d["attained_valuations"] == ["0", "1"]
 
 
-class TestTnNeighborhood:
-    def test_zero_power_is_whole_module(self):
-        gam = special_theta()
-        rep = tn_neighborhood(gam, place_parse(3, "finite:theta+t"), 0)
-        assert rep.epsilon == 0
-        assert rep.checked == 0
-        assert rep.m_level is None
-        assert rep.notes == ("whole-module",)
-
-    def test_torsion_free_unit_ball_divides(self):
-        # reductions at theta+t are torsion-free, so the valuation >= 1
-        # stratum is empty and one failed check at level zero settles it
-        gam = special_theta()
-        rep = tn_neighborhood(gam, place_parse(3, "finite:theta+t"), 1)
-        assert rep.epsilon == 1
-        assert rep.checked == 1
-        assert rep.notes == ("torsion-level-m-proxy",)
-        assert rep.m_level.m == 0
-        assert not rep.m_level.inconclusive
-        assert rep.m_level.kernel_sizes == (1, 1)
-        deeper = tn_neighborhood(gam, place_parse(3, "finite:theta+t"), 2)
-        assert deeper.epsilon == 1
-
-    def test_torsion_only_module(self):
-        gam = torsion_only_theta()
-        rep = tn_neighborhood(gam, place_parse(3, "finite:theta+1"), 1, m_max=2)
-        assert rep.epsilon == 1
-        assert rep.checked == 9
-        assert rep.m_level.m == 1
-        assert rep.m_level.kernel_sizes == (1, 3, 3)
-        cert = discreteness_certificate(gam, place_parse(3, "finite:theta+1"))
-        assert [[str(a) for a in row] for row in cert.i_generators] == [["t"]]
-        assert cert.min_positive_valuation is None
-        assert cert.ideal_checked
-
-    def test_generic_characteristic_rejected(self):
-        gam = carlitz_theta()
-        with pytest.raises(ValueError):
-            tn_neighborhood(gam, place_parse(3, "finite:theta+1"), 1)
-
-    def test_negative_power_rejected(self):
-        gam = special_theta()
-        with pytest.raises(ValueError):
-            tn_neighborhood(gam, place_parse(3, "finite:theta+1"), -1)
-
-
 class TestClosureMember:
     def test_default_tracked_places(self):
         gam = special_theta()
@@ -276,44 +222,13 @@ class TestClosureMember:
             closure_member(gam, y, standard_tracked_places(gam))
 
 
-class TestPrimeToT:
+class TestHilbertianPlaces:
     def test_hilbertian_scan_order(self):
         it = hilbertian_places(3)
         got = [place_to_str(next(it)) for _ in range(6)]
         assert got == ["finite:theta", "finite:theta+1", "finite:theta+2",
                        "finite:theta+t", "finite:theta+t+1",
                        "finite:theta+t+2"]
-
-    def test_division_pass(self):
-        gam = carlitz_theta()
-        y = (op_value(gam, "t+2"),)
-        rep = prime_to_t_test(gam, rpoly_parse(3, "t+2"), y, place_sample=8)
-        assert rep.kind == "pass_sampled"
-        assert rep.division_found
-        assert point_to_str(rep.division_point) == "(theta)"
-        assert len(rep.sampled) == 8
-        assert [place_to_str(v) for v in rep.sampled[:3]] == \
-            ["finite:theta", "finite:theta+1", "finite:theta+2"]
-        assert rep.notes == ()
-
-    def test_certified_obstruction(self):
-        gam = carlitz_theta()
-        rep = prime_to_t_test(gam, rpoly_parse(3, "t+2"), (KElem.theta(3),),
-                              place_sample=8)
-        assert rep.kind == "obstruction"
-        assert place_to_str(rep.obstruction_place) == "finite:theta+1"
-        assert rep.obstruction_coordinate == 0
-        assert rep.notes == ("certified-residue-obstruction",)
-        # the scan stops at the first certified failure
-        assert len(rep.sampled) == 2
-
-    def test_operator_guards(self):
-        gam = carlitz_theta()
-        with pytest.raises(ValueError):
-            prime_to_t_test(gam, rpoly_parse(3, "0"), (KElem.theta(3),))
-        with pytest.raises(ValueError):
-            prime_to_t_test(gam, rpoly_parse(3, "t"), (KElem.theta(3),))
-
 
 class TestClosureTorsion:
     def test_torsion_free_module(self):
@@ -371,143 +286,3 @@ class TestQuotientIso:
         gam = special_theta()
         with pytest.raises(ValueError):
             quotient_iso_check(gam, rpoly_parse(3, "0"))
-
-
-class TestSnap:
-    def tracked(self):
-        return (place_parse(3, "finite:theta+1"),
-                place_parse(3, "finite:theta+2"))
-
-    def test_constant_sequence(self):
-        theta = KElem.theta(3)
-        cert = product_formula_snap([theta, theta, theta], theta,
-                                    self.tracked())
-        assert cert.kind == "snap"
-        assert cert.snap_index == 0
-        assert cert.c0_log is None
-        assert all(r.is_zero for r in cert.rows)
-
-    def test_moving_then_snapped(self):
-        p = 3
-        theta = KElem.theta(p)
-        far = theta + k(p, "(theta+1)*(theta+2)")
-        cert = product_formula_snap([far, theta, theta], theta, self.tracked())
-        assert cert.kind == "snap"
-        assert cert.snap_index == 1
-        assert cert.c0_log == -2
-        first = cert.rows[0]
-        assert (first.is_zero, first.tracked_sum, first.untracked_sum) == \
-            (False, 2, -2)
-        assert [(place_to_str(v), val, w) for v, val, w in first.support] == \
-            [("finite:theta+1", 1, 1), ("finite:theta+2", 1, 1),
-             ("infinite", -2, 1)]
-
-    def test_no_snap_within_sequence(self):
-        p = 3
-        theta = KElem.theta(p)
-        cert = product_formula_snap([theta + k(p, "(theta+1)*(theta+2)")],
-                                    theta, self.tracked())
-        assert cert.kind == "no-snap-within-sequence"
-        assert cert.snap_index is None
-
-    def test_rows_always_cancel(self):
-        rng = random.Random(62)
-        p = 3
-        theta = KElem.theta(p)
-        pool = [k(p, "theta"), k(p, "theta+t"), k(p, "theta^2+t+1"),
-                k(p, "t"), k(p, "t*theta+2")]
-        for _ in range(8):
-            d = KElem.one(p)
-            for _ in range(rng.randrange(1, 3)):
-                d = d * pool[rng.randrange(len(pool))]
-            cert = product_formula_snap([theta + d, theta], theta,
-                                        self.tracked())
-            row = cert.rows[0]
-            assert row.tracked_sum + row.untracked_sum == 0
-
-    def test_non_integral_sequence_rejected(self):
-        p = 3
-        theta = KElem.theta(p)
-        bad = KElem.one(p) / k(p, "theta+1")
-        with pytest.raises(ValueError):
-            product_formula_snap([bad], theta, self.tracked())
-
-    def test_table_cancellation_violation(self):
-        trace = snap_from_table([(True, 3, -2)], 3)
-        assert isinstance(trace, ContradictionTrace)
-        assert (trace.index, trace.tracked_sum, trace.untracked_sum) == (0, 3, -2)
-        assert trace.tracked_product == Fraction(1, 27)
-        assert trace.untracked_product == Fraction(9)
-        assert trace.statement == \
-            "the product over the full support is 1/3, not 1"
-
-    def test_table_bound_violation(self):
-        trace = snap_from_table([(True, 1, -1), (True, 3, -3)], 3, c0_log=2)
-        assert isinstance(trace, ContradictionTrace)
-        assert trace.index == 1
-        assert trace.tracked_product == Fraction(1, 27)
-        assert trace.untracked_product == Fraction(27)
-        assert "past the bound 9" in trace.statement
-
-    def test_table_consistent(self):
-        cert = snap_from_table([(True, 2, -2), (False, 0, 0)], 3)
-        assert isinstance(cert, SnapCertificate)
-        assert cert.kind == "table-consistent"
-        assert [(r.is_zero, r.tracked_sum, r.untracked_sum)
-                for r in cert.rows] == [(False, 2, -2), (True, 0, 0)]
-        within = snap_from_table([(True, 2, -2)], 3, c0_log=2)
-        assert within.kind == "table-consistent"
-
-
-class TestAdelicPoint:
-    def test_digit_expansions(self):
-        p = 3
-        v1 = place_parse(p, "finite:theta+1")
-        v2 = place_parse(p, "finite:theta+2")
-        pt = AdelicPoint.from_rational((KElem.theta(p),), (v1, v2), 6)
-        assert [local_to_str(z) for z in pt.component(v1)] == \
-            ["[2] + u*[1] + O(u^6)"]
-        assert [local_to_str(z) for z in pt.component(v2)] == \
-            ["[1] + u*[1] + O(u^6)"]
-        assert pt.g == 1
-        assert pt.elsewhere_integral
-
-    def test_infinite_component(self):
-        p = 3
-        vin = Place.infinite(p)
-        pt = AdelicPoint.from_rational((KElem.one(p) / KElem.theta(p),),
-                                       (vin,), 5)
-        assert [local_to_str(z) for z in pt.component(vin)] == \
-            ["u*[1] + O(u^5)"]
-
-    def test_untracked_place_lookup(self):
-        p = 3
-        v1 = place_parse(p, "finite:theta+1")
-        pt = AdelicPoint.from_rational((KElem.theta(p),), (v1,), 4)
-        with pytest.raises(KeyError):
-            pt.component(place_parse(p, "finite:theta+2"))
-
-    def test_json_independent_of_input_order(self):
-        p = 3
-        v1 = place_parse(p, "finite:theta+1")
-        v2 = place_parse(p, "finite:theta+2")
-        a = AdelicPoint.from_rational((KElem.theta(p),), (v1, v2), 6)
-        b = AdelicPoint.from_rational((KElem.theta(p),), (v2, v1), 6)
-        assert certificate_json(a) == certificate_json(b)
-        d = json.loads(certificate_json(a))
-        assert d["kind"] == "adelic-point"
-        assert sorted(d["components"]) == ["finite:theta+1", "finite:theta+2"]
-
-    def test_non_integral_rejected(self):
-        p = 3
-        v1 = place_parse(p, "finite:theta+1")
-        with pytest.raises(ValueError):
-            AdelicPoint.from_rational((KElem.one(p) / k(p, "theta+1"),),
-                                      (v1,), 4)
-
-    def test_width_mismatch_rejected(self):
-        p = 3
-        v1 = place_parse(p, "finite:theta+1")
-        pt = AdelicPoint.from_rational((KElem.theta(p),), (v1,), 4)
-        with pytest.raises(ValueError):
-            AdelicPoint(2, pt.components)

@@ -52,6 +52,25 @@ class TestPaperInstance:
         assert k_side == {point_to_str(x) for x in points}
         assert k_side <= {point_to_str(x) for x in rep.adelic_side}
 
+    def test_zero_dim_one_membership_family_per_point(self, paper_hull,
+                                                      family_bounds):
+        # each of the four closure reports builds the deg-8 family for its
+        # exact membership solve, and no separate K-side solve adds a
+        # twelfth; the other seven come from the fullness scan,
+        # closure_torsion_check and _minimize_generators (ROADMAP item 4)
+        rng = random.Random(5)
+        theta = KElem.theta(P)
+        pts = {}
+        while len(pts) < 4:
+            x = (sum((KElem.const(P, rng.randrange(P)) * theta ** j
+                      for j in range(3)), KElem.zero(P)),)
+            pts[point_to_str(x)] = x
+        rep = ex.zero_dim_intersection(paper_hull,
+                                       ex.ZeroDim(1, list(pts.values())))
+        assert family_bounds.count(8) == 11
+        assert [point_to_str(x) for x in rep.k_side] == ["(2*theta+2)"]
+        assert rep.trace == ()
+
     def test_batched_membership_matches_single(self, paper_hull):
         texts = ["theta", "theta+1", "theta^9+theta^4", "theta^2", "1/theta",
                  "0", "theta^3+2*theta", "t*theta"]
@@ -62,29 +81,25 @@ class TestPaperInstance:
         assert any(c.found for c in single)
         assert any(not c.found for c in single)
 
-    def test_scan_builds_each_family_once(self, paper_hull, monkeypatch):
+    def test_scan_builds_each_family_once(self, paper_hull, monkeypatch,
+                                          family_bounds):
         # the degree-1 and degree-2 targets are one span each, shared by the
         # three primes of each degree, and the deg-8 membership family is
         # built once for all six primes
-        spans, families = [], []
-        fp_span, iterate_family = pm._fp_span, pm._iterate_family
+        spans = []
+        fp_span = pm._fp_span
 
         def counting_span(p, vectors, zero):
             spans.append(len(vectors))
             return fp_span(p, vectors, zero)
 
-        def counting_family(gamma, deg_bound):
-            families.append(deg_bound)
-            return iterate_family(gamma, deg_bound)
-
         monkeypatch.setattr(pm, "_fp_span", counting_span)
-        monkeypatch.setattr(pm, "_iterate_family", counting_family)
         assert is_full(paper_hull).kind == "full_up_to_bounds"
         assert spans == [3, 6]
-        assert sorted(families) == [0, 1, 8]
+        assert sorted(family_bounds) == [0, 1, 8]
 
     def test_zero_dim_k_side_is_per_point_member(self, paper_hull):
-        # one batched membership solve gives the K-side that per-point
+        # the K-side read off the closure reports is the one per-point
         # member calls give, on seeded theta-polynomials of degree <= 2
         rng = random.Random(5)
         theta = KElem.theta(P)
@@ -469,7 +484,7 @@ class TestGenericSweepGolden:
 class TestGenericZeroDimKSide:
     @pytest.mark.parametrize("seed", [7, 9])
     def test_is_per_point_member(self, seed):
-        # one batched membership solve gives the K-side that per-point
+        # the K-side read off the closure reports is the one per-point
         # member calls give; both seeds draw members and non-members
         rng = random.Random(seed)
         gamma = _carlitz_plane()
@@ -486,6 +501,19 @@ class TestGenericZeroDimKSide:
                       if member(gamma, x, 8).found)
         assert sorted(point_to_str(x) for x in rep.k_side) == want
         assert 0 < len(want) < len(pts)
+
+    def test_one_membership_family_per_point(self, family_bounds):
+        # each point's closure report builds the deg_bound family for its
+        # exact membership solve; no separate K-side solve builds a fifth
+        theta, zero = KElem.theta(P), KElem.zero(P)
+        pts = [(theta, zero), (zero, theta), (theta, theta),
+               (theta + KElem.one(P), zero)]
+        rep = ex.generic_char_experiment(_carlitz_plane(), ex.ZeroDim(2, pts),
+                                         deg_bound=4, cutoff=4, precision=4)
+        assert family_bounds.count(4) == 4
+        assert [point_to_str(x) for x in rep.k_side] == \
+            [point_to_str(x) for x in ex._sorted_points(pts[:3])]
+        assert rep.trace == ()
 
 
 GOLDEN_SEED0 = pathlib.Path(__file__).parent / "data" / "generic_char_seed0.json"

@@ -6,7 +6,6 @@ from drinfeldlab.base import RPoly
 from drinfeldlab.kfield import (
     BiPoly,
     KElem,
-    Coordinates,
     bi_divexact,
     bi_gcd,
     common_denominator,

@@ -16,7 +16,6 @@ from drinfeldlab.localfield import (
     fv_pth_root,
     hensel_solve,
     local_to_str,
-    nearest_torsion_distance,
     residue_solve,
     tp_eval_local,
 )
@@ -441,36 +440,3 @@ class TestHensel:
         x = hensel_solve(phi, T_OP, y, 4)
         residual = tp_eval_local(phi.phi_t_power(1), x) - y
         assert residual.is_zero_to_precision()
-
-
-class TestNearestTorsion:
-    def test_separable_distance_equality(self):
-        phi = phi3()
-        v = vft()
-        z = embed(k("theta") + k("theta") * k("theta+t") ** 2, v, 6)
-        image_val = tp_eval_local(phi.phi_t_power(1), z).val()
-        res = nearest_torsion_distance(phi, T_OP, z)
-        assert res.regime == "separable-equality"
-        assert res.distance == 2 == image_val
-        assert res.approximant.agrees(embed(k("theta"), v, 6), 4)
-
-    def test_torsion_point_is_at_infinite_distance(self):
-        res = nearest_torsion_distance(phi3(), T_OP, embed(k("theta"), vft(), 5))
-        assert res.distance is None
-        assert res.regime == "torsion-to-precision"
-
-    def test_unit_image_means_distance_zero(self):
-        res = nearest_torsion_distance(phi3(), T_OP, embed(k("1"), vft(), 5))
-        assert res.distance == Fraction(0)
-        assert res.approximant is None
-        assert res.regime == "unit-image"
-
-    def test_inseparable_module(self):
-        phi = psi()
-        v = vft()
-        z = embed(k("theta+t") ** 2, v, 6)
-        res = nearest_torsion_distance(phi, T_OP, z)
-        # only local t-torsion near z is 0, so the distance is v(z) itself
-        assert res.regime == "inseparable"
-        assert res.distance == 2
-        assert res.approximant.is_zero_to_precision()

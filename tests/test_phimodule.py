@@ -7,8 +7,6 @@ from drinfeldlab.base import RPoly
 from drinfeldlab.drinfeld import DrinfeldModule, phi_action
 from drinfeldlab.kfield import KElem, kelem_parse
 from drinfeldlab.phimodule import (
-    Decomposition,
-    MemberCertificate,
     PhiModule,
     _HULL_TARGET_CAP,
     _apply_operators,
@@ -231,6 +229,33 @@ class TestIsFull:
         assert rep.kind == "not_full"
         assert point_to_str(rep.witness) == "(theta)"
         assert str(rep.prime) == "t"
+
+    def test_witness_check_reuses_the_scan_family(self, family_bounds):
+        # the witness image is checked against the deg-8 membership family
+        # that the scan built, so the family is built once, after the
+        # degree-0 family of the division targets
+        phi = psi()
+        gamma = PhiModule(phi, 1, [(tp_eval(phi.phi_t, k("theta")),)])
+        assert is_full(gamma, prime_bound=1).kind == "not_full"
+        assert family_bounds == [0, 8]
+
+    @pytest.mark.parametrize("spec, gen", [
+        ("[0, theta, 1]", "theta"),
+        ("[0, theta, 1]", "theta+1"),
+        ("[t, 1]", "theta^2"),
+        ("[t, theta, 1]", "theta"),
+    ])
+    def test_witness_agrees_with_member(self, spec, gen):
+        # the witness check over the scan's family gives what an
+        # independent member solve gives: the witness is outside gamma and
+        # its Phi_q-image inside
+        phi = DrinfeldModule.parse(P, spec)
+        gamma = PhiModule(phi, 1, [(tp_eval(phi.phi_t, k(gen)),)])
+        rep = is_full(gamma, prime_bound=1)
+        assert rep.kind == "not_full"
+        image = _op_on_point(phi, rep.prime, rep.witness)
+        assert member(gamma, image, rep.member_bound).found
+        assert not member(gamma, rep.witness, rep.member_bound).found
 
     def test_hull_is_full(self):
         phi = psi()

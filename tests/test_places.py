@@ -7,7 +7,6 @@ from drinfeldlab.kfield import KElem, kelem_parse
 from drinfeldlab.places import (
     FvElem,
     Place,
-    PlaceSets,
     check_product_formula,
     classify_places,
     fv_tp_eval,

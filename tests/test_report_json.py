@@ -6,8 +6,7 @@ dumped again with sort_keys and indent=1 it is the text that
 certificate_json(report, indent=1) gave before the encoder was shared
 (the nested classes, which carry no schema of their own, go through
 to_json).  Together the instances reach a Fraction, an RPoly,
-a None, a MemberCertificate, a nested TorsionLevelReport and every nested
-class.
+a None, a MemberCertificate and every nested class.
 """
 
 import json
@@ -23,20 +22,16 @@ from drinfeldlab.adelic import (
     closure_member,
     closure_torsion_check,
     discreteness_certificate,
-    prime_to_t_test,
-    product_formula_snap,
     quotient_iso_check,
-    snap_from_table,
     standard_tracked_places,
-    tn_neighborhood,
     to_json,
 )
 from drinfeldlab.base import rpoly_parse
-from drinfeldlab.kfield import KElem, kelem_parse
+from drinfeldlab.kfield import KElem
 from drinfeldlab.places import place_parse
 from drinfeldlab.twisted import tp_eval, tp_parse
 
-from test_adelic import carlitz_theta, op_value, special_theta
+from test_adelic import carlitz_theta, special_theta
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "report_json.json"
 P = 3
@@ -50,9 +45,6 @@ def _instances():
     in_gamma = closure_member(special, (tp_eval(special.phi.phi_t, theta),),
                               places)
     iso = quotient_iso_check(special, rpoly_parse(P, "t"))
-    snap = product_formula_snap(
-        [theta + kelem_parse(P, "(theta+1)*(theta+2)"), theta, theta], theta,
-        (place_parse(P, "finite:theta+1"), place_parse(P, "finite:theta+2")))
     cubic = ex.Hypersurface(ex.poly_parse(P, 1, "x^3 - theta^2*x"))
     table = ex.uniformity_probe(tp_parse(P, "[0, theta, 1]"), cubic,
                                 [(KElem.zero(P),), (theta,)], (0, 1),
@@ -65,22 +57,12 @@ def _instances():
             carlitz, place_parse(P, "finite:theta^2+t")),
         "discreteness-zero-ideal": discreteness_certificate(
             carlitz, place_parse(P, "finite:theta+t")),
-        "tn-neighborhood": tn_neighborhood(
-            special, place_parse(P, "finite:theta+t"), 1),
         "closure-blocked": blocked,
         "place-closeness": blocked.place_reports[0],
         "closure-in-gamma": in_gamma,
-        "prime-to-t-pass": prime_to_t_test(
-            carlitz, rpoly_parse(P, "t+2"), (op_value(carlitz, "t+2"),),
-            place_sample=3),
-        "prime-to-t-obstruction": prime_to_t_test(
-            carlitz, rpoly_parse(P, "t+2"), (theta,), place_sample=3),
         "closure-torsion": closure_torsion_check(special, places),
         "quotient-iso": iso,
         "pair-separation": iso.separations[0],
-        "snap": snap,
-        "snap-row": snap.rows[0],
-        "contradiction-trace": snap_from_table([(True, 3, -2)], P),
         "experiment": experiment,
         "uniformity-table": table,
     }
