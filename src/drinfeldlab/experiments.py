@@ -25,7 +25,7 @@ from .adelic import (
     standard_tracked_places,
     to_json,
 )
-from .base import RPoly, inv_mod
+from .base import RPoly, fp_span, inv_mod
 from .drinfeld import (
     GENERIC,
     SPECIAL,
@@ -38,9 +38,8 @@ from .grammar import Ring, parse
 from .kfield import KElem, kelem_ring, kelem_to_str
 from .phimodule import (
     PhiModule,
-    _fp_span,
-    _iterate_family,
     _op_on_point,
+    _window_vectors,
     is_full,
     member,
     point_add,
@@ -316,52 +315,31 @@ def _fp_image(x: KElem, a: int, b: int):
     return x.num.evaluate_theta_int(b).evaluate(a) * inv_mod(den, p) % p
 
 
-def _swept_zeros(gamma: PhiModule, poly: MultiPoly, enum_deg: int):
-    """The Phi_c(gens) combinations with operator degrees <= enum_deg on
-    which poly vanishes.
+def _swept_zeros(offset, vectors, poly: MultiPoly):
+    """The points offset + sum d_k vectors[k], d_k in F_p, on which poly
+    vanishes, in fp_span's order.
 
-    Order contract: the points come in digit-counter order.  The digits of
-    c_i are the F_p coefficients of 1, t, ..., t^enum_deg; the last
-    generator's constant digit runs fastest and the first generator's
-    t^enum_deg digit slowest, each digit through 0, 1, ..., p - 1.
-
-    A ring map t -> a, theta -> b into F_p that is defined on every iterate
-    coordinate and every coefficient of poly sends a zero of poly to a zero
-    of the image polynomial, so vanishing images are a necessary condition.
-    The span is swept through these images, one iterate vector at a time,
-    slowest first; a point is built exactly only when all its images
-    vanish, and kept only when exact evaluation gives zero.  With no usable
-    map every point is evaluated exactly.
+    A ring map t -> a, theta -> b into F_p that is defined on the offset,
+    on every vector coordinate and on every coefficient of poly sends a
+    zero of poly to a zero of the image polynomial, so vanishing images are
+    a necessary condition.  The span is swept through these images, as
+    plain ints; a point is built exactly, from its index in the span, only
+    when all its images vanish, and kept only when exact evaluation gives
+    zero.  With no usable map every point is evaluated exactly.
     """
-    p, g = gamma.p, gamma.g
-    width = enum_deg + 1
-    if gamma.rank and _over_enum_cap(p, gamma.rank * width):
-        raise ValueError("enumeration bound too large for an exact sweep")
-    family = _iterate_family(gamma, enum_deg)
-    vectors = [z for i in range(0, len(family), width)    # slowest digit first
-               for z in reversed(family[i:i + width])]
-
-    # per usable map: the image polynomial's terms and each vector's image
-    images = [[] for _ in vectors]
+    p, g = poly.p, poly.g
+    # per usable map: the image polynomial's terms and each point's image
+    images = [[] for _ in range(len(vectors) + 1)]    # the offset's first
     image_polys = []
     for a, b in itertools.product(range(p), repeat=2):
         terms = [(e, _fp_image(c, a, b)) for e, c in poly.terms.items()]
-        rows = [[_fp_image(c, a, b) for c in v] for v in vectors]
+        rows = [[_fp_image(c, a, b) for c in v] for v in (offset, *vectors)]
         if None not in [c for _, c in terms] + [c for r in rows for c in r]:
             image_polys.append(terms)
             for img, row in zip(images, rows):
                 img.extend(row)
 
-    # the F_p span of the images, with each point's digits
-    span = [((), (0,) * (g * len(image_polys)))]
-    for img in images:
-        steps = [[k * c for c in img] for k in range(1, p)]
-        span = [(digits + (k,), w) for digits, v in span
-                for k, w in enumerate((v, *(
-                    tuple((s + c) % p for s, c in zip(v, step))
-                    for step in steps)))]
-
-    vanishes = [{} for _ in image_polys]    # image point -> image is zero
+    vanishes = [{} for _ in image_polys]    # raw image point -> image is zero
 
     def images_vanish(flat):
         for u, terms in enumerate(image_polys):
@@ -375,18 +353,27 @@ def _swept_zeros(gamma: PhiModule, poly: MultiPoly, enum_deg: int):
                 return False
         return True
 
-    multiples = [(None, v, *(tuple(KElem.const(p, k) * c for c in v)
-                             for k in range(2, p))) for v in vectors]
     out = []
-    for digits, flat in span:
+    for index, flat in enumerate(fp_span(p, images[1:], images[0])):
         if images_vanish(flat):
-            x = tuple(KElem.zero(p) for _ in range(g))
-            for kv, k in zip(multiples, digits):
-                if k:
-                    x = point_add(x, kv[k])
+            x = offset
+            for v in reversed(vectors):    # the last digit is the lowest
+                index, d = divmod(index, p)
+                for _ in range(d):
+                    x = point_add(x, v)
             if poly.evaluate(x).is_zero():
                 out.append(x)
     return out
+
+
+def _swept_window(gamma: PhiModule, poly: MultiPoly, enum_deg: int):
+    """_swept_zeros over the window Phi_c(gens), deg c_i <= enum_deg, in
+    _window_vectors' order; a window of more than _ENUM_CAP points is
+    refused before any iterate is built."""
+    if gamma.rank and _over_enum_cap(gamma.p, gamma.rank * (enum_deg + 1)):
+        raise ValueError("enumeration bound too large for an exact sweep")
+    return _swept_zeros(gamma.zero_point(), _window_vectors(gamma, enum_deg),
+                        poly)
 
 
 def _minimize_generators(gamma: PhiModule, deg_bound: int) -> PhiModule:
@@ -462,7 +449,7 @@ def generic_char_experiment(gamma: PhiModule, variety,
                 notes.append(f"closure-open-at-{point_to_str(x)}")
         adelic = k_side
     else:
-        k_side = _swept_zeros(gamma, variety.poly, enum_deg)
+        k_side = _swept_window(gamma, variety.poly, enum_deg)
         adelic = list(k_side) if discrete_ok else None
         notes.append(f"hypersurface-swept-to-operator-degree-{enum_deg}")
 
@@ -516,7 +503,14 @@ def zero_dim_intersection(gamma: PhiModule, variety: ZeroDim,
     gamma = _minimize_generators(gamma, deg_bound)
     if tracked_places is None:
         tracked_places = standard_tracked_places(gamma)
+    return _zero_dim_report(gamma, variety, tracked_places, precision,
+                            deg_bound, full.prime_bound)
 
+
+def _zero_dim_report(gamma: PhiModule, variety: ZeroDim, tracked_places,
+                     precision: int, deg_bound: int, prime_bound: int):
+    """zero_dim_intersection on a module already scanned full up to
+    prime_bound and minimised."""
     notes = []
     assumptions = ["full-up-to-bounds"]
     m_rep = estimate_torsion_level_m(gamma.phi, 4)
@@ -577,7 +571,7 @@ def zero_dim_intersection(gamma: PhiModule, variety: ZeroDim,
 
     verdict = _verdict(trace, inconclusive)
     bounds = (("deg_bound", deg_bound), ("precision", precision),
-              ("prime_bound", full.prime_bound))
+              ("prime_bound", prime_bound))
     return ExperimentReport("zero-dimensional", verdict, k_side, adelic_side,
                             tuple(certificates), bounds, tuple(assumptions),
                             tuple(trace), tuple(notes))
@@ -613,18 +607,23 @@ def theta_box(p: int, g: int, theta_degree: int):
     """All points whose coordinates are theta-polynomials with F_p digits;
     a box of more than _ENUM_CAP points is refused before it is built.
 
-    The box is the F_p-span of theta^j e_k in _fp_span's order, the first
-    coordinate slowest and, within a coordinate, the constant digit slowest.
+    The box is the fp_span of _theta_box_vectors, the first coordinate
+    slowest and, within a coordinate, the constant digit slowest.
     """
+    zero = tuple(KElem.zero(p) for _ in range(g))
+    return tuple(fp_span(p, _theta_box_vectors(p, g, theta_degree), zero))
+
+
+def _theta_box_vectors(p: int, g: int, theta_degree: int):
+    """The points theta^j e_k spanning theta_box, after its refusals."""
     if theta_degree < 0:
         raise ValueError("negative theta degree")
     if _over_enum_cap(p, g * (theta_degree + 1)):
         raise ValueError("theta box too large to enumerate")
     zero = tuple(KElem.zero(p) for _ in range(g))
     powers = [KElem.theta(p) ** j for j in range(theta_degree + 1)]
-    vectors = [zero[:k] + (power,) + zero[k + 1:]
-               for k in range(g) for power in powers]
-    return tuple(_fp_span(p, vectors, zero))
+    return [zero[:k] + (power,) + zero[k + 1:]
+            for k in range(g) for power in powers]
 
 
 def _reject_parametrized_lines(spec, hits, p: int):
@@ -779,7 +778,7 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
         raise ValueError("negative power of t")
     if enum_deg < 0:
         raise ValueError("negative enumeration degree")
-    box = theta_box(gamma.p, gamma.g, box_degree)
+    box_vectors = _theta_box_vectors(gamma.p, gamma.g, box_degree)
     full = is_full(gamma, member_bound=deg_bound)
     if full.kind != "full_up_to_bounds":
         raise ValueError("module not full up to the stated bounds")
@@ -800,21 +799,18 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
         inconclusive = True
         notes.append("quotient-separation-open")
 
-    images = [_op_on_point(gamma.phi, a, z) for z in box]
-    w_points = {}
-    for rep in q.reps:
-        for image in images:
-            candidate = point_add(rep, image)
-            if variety.poly.evaluate(candidate).is_zero():
-                w_points[point_to_str(candidate)] = candidate
-    w = ZeroDim(gamma.g, _sorted_points(w_points.values()))
+    # Phi_a is F_p-linear, so each tile rep + Phi_a(box) is the span of the
+    # images of the box's spanning vectors, offset by rep
+    images = [_op_on_point(gamma.phi, a, z) for z in box_vectors]
+    w = ZeroDim(gamma.g, _sorted_points(
+        x for rep in q.reps for x in _swept_zeros(rep, images, variety.poly)))
     for x in w.points:
         if not variety.poly.evaluate(x).is_zero():
             raise AssertionError("W left the variety")
     _reject_parametrized_lines(variety, list(w.points), p)
 
-    sub = zero_dim_intersection(gamma, w, tracked_places, precision,
-                                deg_bound) if w.points else None
+    sub = _zero_dim_report(gamma, w, tracked_places, precision, deg_bound,
+                           full.prime_bound) if w.points else None
     if sub is not None:
         certificates.append(("zero-dim", sub.to_json_dict()))
         k_side = sub.k_side
@@ -826,7 +822,7 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
 
     trace = []
     k_keys = {point_to_str(y) for y in k_side}
-    for x in _swept_zeros(gamma, variety.poly, enum_deg):
+    for x in _swept_window(gamma, variety.poly, enum_deg):
         key = point_to_str(x)
         if key not in w.keys:
             inconclusive = True

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .base import FElem, RPoly, fp_nullspace, fp_solve_many, memo_put
+from .base import FElem, RPoly, fp_nullspace, fp_solve_many, fp_span, memo_put
 from .drinfeld import DrinfeldModule, phi_action
 from .factor import factor_rpoly, rpoly_code
 from .kfield import KElem
@@ -523,21 +523,20 @@ def residue_solve(coeffs, ybar: FvElem, v: Place):
         return (), certified
     if len(null) > _KERNEL_DIM_CAP:
         raise RuntimeError("residue kernel beyond the desk cap")
-    roots = []
-    seen = set()
-    for combo in itertools.product(range(p), repeat=len(null)):
-        weights = list(sol)
-        for cmb, vec in zip(combo, null):
-            if cmb:
-                weights = [(w + cmb * u) % p for w, u in zip(weights, vec)]
+
+    def combine(weights):
         x = FvElem.zero(v)
         for w, cand in zip(weights, candidates):
             if w:
                 x = x + FvElem.from_felem(v, FElem.const(p, w)) * cand
-        key = x.rep
-        if key in seen:
+        return x
+
+    roots = []
+    seen = set()
+    for (x,) in fp_span(p, [(combine(vec),) for vec in null], (combine(sol),)):
+        if x.rep in seen:
             continue
-        seen.add(key)
+        seen.add(x.rep)
         if fv_tp_eval(coeffs, x) == ybar:
             roots.append(x)
     roots.sort(key=_fv_sort_key)

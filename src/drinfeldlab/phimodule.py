@@ -22,7 +22,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .base import RMatrix, RPoly, fp_nullspace, fp_solve_many, smith_normal_form
+from .base import (RMatrix, RPoly, fp_nullspace, fp_solve_many, fp_span,
+                   smith_normal_form)
 from .drinfeld import (DrinfeldModule, HeightProfile, phi_action,
                        solve_additive_many, torsion_annihilator)
 from .factor import iter_irreducible_rpolys, rpoly_code
@@ -72,36 +73,8 @@ def point_parse(p: int, text: str):
 
 def _iter_rpolys_below(p: int, deg: int):
     """All operator polynomials of degree < deg, in code order."""
-    for digits in itertools.product(range(p), repeat=max(deg, 0)):
-        yield RPoly.from_coeffs(p, digits[::-1])
-
-
-def _fp_span(p: int, vectors, zero):
-    """The F_p-span of the points in vectors, lazily: sum_k d_k vectors[k].
-
-    Order contract: digit-counter order.  The first vector's digit runs
-    slowest and the last vector's fastest, each digit through 0, 1, ...,
-    p - 1, so the span starts at zero.  Each point is one point_add from
-    the point of its digit prefix, and the multiples 2v, ..., (p - 1)v of
-    each vector are formed once.
-    """
-    n = len(vectors)
-    multiples = [(None, tuple(v), *(tuple(KElem.const(p, k) * c for c in v)
-                                    for k in range(2, p))) for v in vectors]
-    digits = [0] * n
-    prefix = [zero] * (n + 1)    # prefix[k]: the point of digits[:k]
-    yield zero
-    while True:
-        k = n - 1
-        while k >= 0 and digits[k] == p - 1:
-            digits[k] = 0
-            k -= 1
-        if k < 0:
-            return
-        digits[k] += 1
-        x = point_add(prefix[k], multiples[k][digits[k]])
-        prefix[k + 1:] = [x] * (n - k)
-        yield x
+    vectors = [(RPoly.monomial(p, j),) for j in reversed(range(deg))]
+    return (c for (c,) in fp_span(p, vectors, (RPoly.zero(p),)))
 
 
 # -- the module type ----------------------------------------------------------
@@ -460,19 +433,11 @@ def torsion_submodule(gamma: PhiModule,
     total = p ** sum(diag[i].degree for i in torsion_idx)
     if total > _REP_ENUM_CAP:
         raise RuntimeError("torsion enumeration beyond the desk cap")
-    base_points = {}
+    vectors = []
     for i in torsion_idx:
-        ops = tuple(snf.vinv.rows[i])
-        base_points[i] = _apply_operators(gamma, ops)
-    points = {}
-    residues = [list(_iter_rpolys_below(p, diag[i].degree)) for i in torsion_idx]
-    for rho in itertools.product(*residues):
-        acc = zero
-        for c, i in zip(rho, torsion_idx):
-            if not c.is_zero():
-                acc = point_add(acc, _op_on_point(gamma.phi, c,
-                                                  base_points[i]))
-        points[point_to_str(acc)] = acc
+        x = _apply_operators(gamma, tuple(snf.vinv.rows[i]))
+        vectors.extend(_orbit(gamma.phi, x, diag[i].degree - 1))
+    points = {point_to_str(x): x for x in fp_span(p, vectors, zero)}
     out = sorted(points.values(), key=point_sort_key)
     for x in out:
         for c in x:
@@ -493,18 +458,26 @@ def _primes_up_to(p: int, prime_bound: int):
     return out
 
 
-def _hull_targets(gamma: PhiModule, dq: int, notes: set):
-    """The distinct division targets sum Phi_{rem_i}(x_i), deg rem_i < dq.
+def _window_vectors(gamma: PhiModule, deg: int):
+    """The iterates Phi_{t^j}(x_i), generator-major with j = deg, ..., 0.
 
-    They are the F_p-span of the iterates Phi_{t^j}(x_i), generator-major
-    with j = dq - 1, ..., 0, so the remainders run in the code order of
-    _iter_rpolys_below, the first generator's slowest.  Only the first
-    _HULL_TARGET_CAP span points are taken, before duplicates are dropped.
+    Their fp_span is the window sum Phi_{c_i}(x_i), deg c_i <= deg, with
+    the operators c_i in the code order of _iter_rpolys_below, the first
+    generator's slowest.
     """
-    family = _iterate_family(gamma, dq - 1)
-    vectors = [z for i in range(0, len(family), dq)
-               for z in reversed(family[i:i + dq])]
-    span = _fp_span(gamma.p, vectors, gamma.zero_point())
+    family = _iterate_family(gamma, deg)
+    width = deg + 1
+    return [z for i in range(0, len(family), width)
+            for z in reversed(family[i:i + width])]
+
+
+def _hull_targets(gamma: PhiModule, dq: int, notes: set):
+    """The distinct division targets sum Phi_{rem_i}(x_i), deg rem_i < dq,
+    as the window of degree dq - 1.  Only the first _HULL_TARGET_CAP span
+    points are taken, before duplicates are dropped.
+    """
+    vectors = _window_vectors(gamma, dq - 1)
+    span = fp_span(gamma.p, vectors, gamma.zero_point())
     if gamma.p ** len(vectors) > _HULL_TARGET_CAP:
         notes.add("hull-targets-truncated")
         span = itertools.islice(span, _HULL_TARGET_CAP)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base import FElem, RPoly, check_modulus, memo_put
+from .base import FElem, check_modulus, memo_put
 from .factor import bipoly_is_irreducible, factor_bipoly, rpoly_code
 from .grammar import Parser
 from .kfield import (BiPoly, KElem, _bipoly_to_str, bipoly_pth_root, kelem_ring,
@@ -706,27 +706,3 @@ def classify_places(coefficients, generators=()) -> PlaceSets:
     key = lambda v: v.sort_key()
     return PlaceSets(p, tuple(sorted(omega0, key=key)), tuple(sorted(omega1, key=key)))
 
-
-def iter_finite_places(p: int, skip=()):
-    """Degree-1 finite places theta + f(t) in code order, skipping `skip`.
-
-    The sampling order for adelic scans: increasing (theta-degree, code);
-    since there are infinitely many degree-1 places, scans never leave
-    degree 1.
-    """
-    check_modulus(p)
-    skip = set(skip)
-    code = 0
-    while True:
-        coeffs = []
-        x = code
-        while x:
-            coeffs.append(x % p)
-            x //= p
-        f = RPoly.from_coeffs(p, coeffs)
-        prim = BiPoly(p, {1: RPoly.one(p), 0: f} if not f.is_zero()
-                      else {1: RPoly.one(p)})
-        v = Place(p, prim, _checked=True)
-        if v not in skip:
-            yield v
-        code += 1

@@ -1,10 +1,11 @@
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from drinfeldlab import adelic
+from drinfeldlab import adelic, phimodule
 from drinfeldlab.adelic import (
     certificate_json,
     closure_member,
@@ -14,10 +15,11 @@ from drinfeldlab.adelic import (
     quotient_iso_check,
     standard_tracked_places,
 )
-from drinfeldlab.base import RPoly, rpoly_parse
+from drinfeldlab.base import RPoly, rpoly_parse, smith_normal_form
 from drinfeldlab.drinfeld import DrinfeldModule
 from drinfeldlab.kfield import KElem, kelem_parse
-from drinfeldlab.phimodule import PhiModule, point_to_str
+from drinfeldlab.phimodule import (PhiModule, _apply_operators, _op_on_point,
+                                   point_add, point_to_str, torsion_submodule)
 from drinfeldlab.places import Place, place_parse, place_to_str, valuation
 from drinfeldlab.twisted import TwistedPoly, tp_eval
 
@@ -223,12 +225,15 @@ class TestClosureMember:
 
 
 class TestHilbertianPlaces:
-    def test_hilbertian_scan_order(self):
-        it = hilbertian_places(3)
-        got = [place_to_str(next(it)) for _ in range(6)]
-        assert got == ["finite:theta", "finite:theta+1", "finite:theta+2",
-                       "finite:theta+t", "finite:theta+t+1",
-                       "finite:theta+t+2"]
+    @pytest.mark.parametrize("p, want", [
+        (3, ["finite:theta", "finite:theta+1", "finite:theta+2",
+             "finite:theta+t", "finite:theta+t+1", "finite:theta+t+2"]),
+        (2, ["finite:theta", "finite:theta+1", "finite:theta+t",
+             "finite:theta+t+1"]),
+    ], ids=["p3", "p2"])
+    def test_hilbertian_scan_order(self, p, want):
+        it = hilbertian_places(p)
+        assert [place_to_str(next(it)) for _ in want] == want
 
 class TestClosureTorsion:
     def test_torsion_free_module(self):
@@ -259,7 +264,79 @@ class TestClosureTorsion:
         assert rep.leak is None
 
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("p, deg_bound", [(2, 4), (3, 2)])
+    def test_points_match_operator_enumeration(self, p, deg_bound, seed):
+        gamma = _torsion_and_free(p, seed)
+        want = _operator_torsion(gamma, deg_bound)
+        assert len(want) == p ** 2
+        assert sorted(point_to_str(x)
+                      for x in torsion_submodule(gamma, deg_bound)) == want
+        rep = closure_torsion_check(gamma, standard_tracked_places(gamma, 3),
+                                    deg_bound=deg_bound)
+        assert rep.kind == "confirmed"
+        assert sorted(point_to_str(x)
+                      for x in rep.pseudo_torsion_points) == want
+
+
+# p -> (phi_t, torsion generators); (t + 1) theta / t is (t + 1)-torsion at
+# p = 2, so there the torsion is cyclic with annihilator t(t + 1)
+_TORSION = {2: ("[t, t/theta]", [("theta", "(t+1)*theta/t")]),
+            3: ("[t, (2*t)/(theta^2)]", [("theta", "0"), ("0", "theta")])}
+
+
+def _torsion_and_free(p, seed):
+    """The torsion generators of _TORSION[p] and a seeded theta-polynomial
+    point."""
+    rng = random.Random(seed)
+    text, torsion = _TORSION[p]
+    free = tuple(sum((KElem.const(p, rng.randrange(p)) * KElem.theta(p) ** j
+                      for j in range(3)), KElem.one(p)) for _ in range(2))
+    return PhiModule(DrinfeldModule.parse(p, text), 2,
+                     [tuple(k(p, s) for s in x) for x in torsion] + [free])
+
+
+def _operator_torsion(gamma, deg_bound):
+    """sum Phi_{c_i}(x_i) over the torsion invariant factors d_i of the
+    presentation, for every tuple of residues c_i mod d_i, one operator at
+    a time."""
+    p = gamma.p
+    snf = smith_normal_form(gamma.presentation(deg_bound))
+    torsion = [(d, _apply_operators(gamma, tuple(snf.vinv.rows[i])))
+               for i, d in enumerate(snf.invariant_factors)
+               if not d.is_zero() and d.degree >= 1]
+    residues = [[RPoly.from_coeffs(p, digits)
+                 for digits in itertools.product(range(p), repeat=d.degree)]
+                for d, _ in torsion]
+    points = set()
+    for rho in itertools.product(*residues):
+        acc = gamma.zero_point()
+        for c, (_, x) in zip(rho, torsion):
+            acc = point_add(acc, _op_on_point(gamma.phi, c, x))
+        points.add(point_to_str(acc))
+    return sorted(points)
+
+
 class TestQuotientIso:
+    def test_image_family_built_once(self, monkeypatch):
+        # one membership solve classifies the whole sample against every
+        # representative
+        gam = special_theta()
+        a = rpoly_parse(3, "t")
+        image_gens = tuple(_op_on_point(gam.phi, a, x) for x in gam.gens)
+        built = []
+        build = phimodule._iterate_family
+
+        def counting(gamma, deg_bound):
+            built.append(gamma.gens)
+            return build(gamma, deg_bound)
+
+        monkeypatch.setattr(phimodule, "_iterate_family", counting)
+        monkeypatch.setattr(adelic, "_iterate_family", counting)
+        rep = quotient_iso_check(gam, a)
+        assert (rep.classified_samples, rep.unclassified_samples) == (9, 0)
+        assert built.count(image_gens) == 1
+
     def test_t_quotient_separated(self):
         gam = special_theta()
         rep = quotient_iso_check(gam, rpoly_parse(3, "t"))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,11 +14,14 @@ from drinfeldlab.base import (
     fp_nullspace,
     fp_solve,
     fp_solve_many,
+    fp_span,
     inv_mod,
     rpoly_parse,
     rpoly_to_str,
     smith_normal_form,
 )
+from drinfeldlab.kfield import BiPoly, KElem
+from drinfeldlab.places import FvElem, place_parse, residue_reduce
 
 
 def rnd_rpoly(rng, p, max_deg, nonzero=False):
@@ -325,3 +329,84 @@ class TestFpLinear:
                     sum(r * v for r, v in zip(row, got)) % p == b
                     for row, b in zip(a, rhs)
                 )
+
+
+# -- the affine F_p-span enumerator -----------------------------------------
+
+
+def _rnd_bipoly(rng, p):
+    return BiPoly.from_theta_coeffs(p, [rnd_rpoly(rng, p, 1) for _ in range(2)])
+
+
+def _rnd_residue(rng, p):
+    """A residue at a place of theta-degree 2, from a K-element whose
+    denominator is a unit there."""
+    den = rng.choice([KElem.one(p), KElem.t(p) + KElem.one(p)])
+    return residue_reduce(KElem.from_bipoly(_rnd_bipoly(rng, p)) / den,
+                          _fv_place(p))
+
+
+def _fv_place(p):
+    return place_parse(p, "finite:theta^2+theta+t")
+
+
+# kind -> (p -> (rng -> entry, (d, entry) -> d * entry by scaling, not
+# by addition), key), where key maps a span point to what must agree
+_SPAN_KINDS = {
+    "int": lambda p: (lambda rng: rng.randrange(3 * p), lambda d, c: d * c,
+                      lambda x: tuple(c % p for c in x)),
+    "BiPoly": lambda p: (lambda rng: _rnd_bipoly(rng, p),
+                         lambda d, c: c.scale(d), tuple),
+    "FvElem": lambda p: (
+        lambda rng: _rnd_residue(rng, p),
+        lambda d, c: FvElem.from_felem(_fv_place(p), FElem.const(p, d)) * c,
+        tuple),
+    # polynomial entries: a sum of fractions canonicalises through bi_gcd,
+    # which takes seconds on such spans
+    "KElem": lambda p: (lambda rng: KElem.from_bipoly(_rnd_bipoly(rng, p)),
+                        lambda d, c: KElem.const(p, d) * c, tuple),
+}
+
+
+def _product_span(p, vectors, start, scale):
+    """start + sum d_k v_k over itertools.product digits, first vector
+    slowest, each multiple formed by scaling."""
+    out = []
+    for digits in itertools.product(range(p), repeat=len(vectors)):
+        y = tuple(start)
+        for d, v in zip(digits, vectors):
+            y = tuple(a + scale(d, c) for a, c in zip(y, v))
+        out.append(y)
+    return out
+
+
+def _check_span(kind, p, n):
+    """fp_span of n seeded vectors of width 2, from a seeded start, equals
+    _product_span."""
+    entry, scale, key = _SPAN_KINDS[kind](p)
+    rng = random.Random(100 * p + n)
+    start = (entry(rng), entry(rng))
+    vectors = [(entry(rng), entry(rng)) for _ in range(n)]
+    got = [key(x) for x in fp_span(p, vectors, start)]
+    assert got == [key(x) for x in _product_span(p, vectors, start, scale)]
+    assert got[0] == key(start)
+
+
+class TestFpSpan:
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_digit_counter_order(self, p, n):
+        _check_span("KElem", p, n)
+
+    @pytest.mark.parametrize("kind", ["int", "BiPoly", "FvElem"])
+    @pytest.mark.parametrize("p, n", [(2, 0), (2, 3), (3, 1), (3, 3),
+                                      (5, 2)])
+    def test_matches_product(self, kind, p, n):
+        _check_span(kind, p, n)
+
+    def test_lazy(self):
+        # 3^12 points; taking the first few builds only those
+        vectors = [(KElem.theta(3) ** j,) for j in range(12)]
+        head = itertools.islice(fp_span(3, vectors, (KElem.one(3),)), 4)
+        assert [str(x) for (x,) in head] == \
+            ["1", "theta^11+1", "2*theta^11+1", "theta^10+1"]

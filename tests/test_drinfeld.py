@@ -20,7 +20,7 @@ from drinfeldlab.drinfeld import (
     solve_additive_many,
     torsion_annihilator,
 )
-from drinfeldlab.kfield import KElem, kelem_parse, kelem_to_str
+from drinfeldlab.kfield import KElem, kelem_parse, kelem_sort_key, kelem_to_str
 from drinfeldlab.twisted import (TwistedPoly, tp_add, tp_compose, tp_eval, tp_parse,
                                  tp_to_str)
 
@@ -262,3 +262,30 @@ class TestBruteForceOracle:
                 brute_force_points(f, y, res.info)
         for x, res in zip(xs, results):
             assert x in res.points
+
+
+# The Moore polynomials prod_{c in span(1, theta)} (X - c): additive, with
+# kernel F_p + F_p theta of dimension 2
+MOORE = {2: "[theta^2+theta, theta^2+theta+1, 1]",
+         3: "[theta^6+theta^4+theta^2, 2*theta^6+2*theta^4+2*theta^2+2, 1]"}
+
+
+def kernel_coset(p, x, kernel):
+    """x + sum c_k kernel[k] over itertools.product digits, by scaling."""
+    return {kelem_to_str(sum((KElem.const(p, c) * z
+                              for c, z in zip(digits, kernel)), x))
+            for digits in itertools.product(range(p), repeat=len(kernel))}
+
+
+class TestKernelCosets:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_points_are_the_kernel_coset(self, p):
+        f = tp_parse(p, MOORE[p])
+        xs = [kelem_parse(p, s) for s in ("0", "t*theta^2+1", "theta^3+t")]
+        results = solve_additive_many(f, [tp_eval(f, x) for x in xs])
+        kernel = [KElem.one(p), KElem.theta(p)]
+        for x, res in zip(xs, results):
+            assert res.info.kernel_dim == 2
+            assert [kelem_to_str(z) for z in res.points] == sorted(
+                kernel_coset(p, x, kernel),
+                key=lambda text: kelem_sort_key(kelem_parse(p, text)))

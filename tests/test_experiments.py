@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drinfeldlab import adelic
 from drinfeldlab import experiments as ex
 from drinfeldlab import phimodule as pm
 from drinfeldlab.base import RPoly
@@ -55,8 +56,8 @@ class TestPaperInstance:
     def test_zero_dim_one_membership_family_per_point(self, paper_hull,
                                                       family_bounds):
         # each of the four closure reports builds the deg-8 family for its
-        # exact membership solve, and no separate K-side solve adds a
-        # twelfth; the other seven come from the fullness scan,
+        # exact membership solve, and no separate K-side solve adds an
+        # eleventh; the other six come from the fullness scan,
         # closure_torsion_check and _minimize_generators (ROADMAP item 4)
         rng = random.Random(5)
         theta = KElem.theta(P)
@@ -67,7 +68,7 @@ class TestPaperInstance:
             pts[point_to_str(x)] = x
         rep = ex.zero_dim_intersection(paper_hull,
                                        ex.ZeroDim(1, list(pts.values())))
-        assert family_bounds.count(8) == 11
+        assert family_bounds.count(8) == 10
         assert [point_to_str(x) for x in rep.k_side] == ["(2*theta+2)"]
         assert rep.trace == ()
 
@@ -87,13 +88,13 @@ class TestPaperInstance:
         # three primes of each degree, and the deg-8 membership family is
         # built once for all six primes
         spans = []
-        fp_span = pm._fp_span
+        fp_span = pm.fp_span
 
-        def counting_span(p, vectors, zero):
+        def counting_span(p, vectors, start):
             spans.append(len(vectors))
-            return fp_span(p, vectors, zero)
+            return fp_span(p, vectors, start)
 
-        monkeypatch.setattr(pm, "_fp_span", counting_span)
+        monkeypatch.setattr(pm, "fp_span", counting_span)
         assert is_full(paper_hull).kind == "full_up_to_bounds"
         assert spans == [3, 6]
         assert sorted(family_bounds) == [0, 1, 8]
@@ -169,7 +170,7 @@ def _zero_poly(gamma):
 
 class TestBoundedElements:
     """The swept window itself: with the zero polynomial every image
-    vanishes, so _swept_zeros returns the whole window."""
+    vanishes, so _swept_window returns the whole window."""
 
     @pytest.mark.parametrize("gens, enum_deg", [
         (["theta"], 3),
@@ -178,14 +179,14 @@ class TestBoundedElements:
     def test_rank_one_order(self, gens, enum_deg):
         phi = DrinfeldModule.parse(P, "[0, theta, 1]")
         gamma = PhiModule(phi, 1, [(kelem_parse(P, s),) for s in gens])
-        fast = ex._swept_zeros(gamma, _zero_poly(gamma), enum_deg)
+        fast = ex._swept_window(gamma, _zero_poly(gamma), enum_deg)
         slow = _digit_counter_sweep(gamma, enum_deg)
         assert [point_to_str(x) for x in fast] == \
             [point_to_str(x) for x in slow]
 
     def test_rank_two_order(self):
         gamma = _carlitz_plane()
-        fast = ex._swept_zeros(gamma, _zero_poly(gamma), 2)
+        fast = ex._swept_window(gamma, _zero_poly(gamma), 2)
         assert len(fast) == P ** 6
         assert fast == _digit_counter_sweep(gamma, 2)
         assert fast == _exact_span(gamma, 2)
@@ -196,8 +197,8 @@ class TestBoundedElements:
         # computing the power
         start = time.perf_counter()
         with pytest.raises(ValueError):
-            ex._swept_zeros(_carlitz_plane(), _zero_poly(_carlitz_plane()),
-                            enum_deg)
+            ex._swept_window(_carlitz_plane(), _zero_poly(_carlitz_plane()),
+                             enum_deg)
         assert time.perf_counter() - start < 1.0
 
 
@@ -540,6 +541,25 @@ GOLDEN_ZERO_DIM = pathlib.Path(__file__).parent / "data" / "zero_dim_seed0.json"
 
 
 class TestZeroDimGolden:
+    def test_two_syzygy_solves(self, paper_hull, monkeypatch):
+        # the presentation and decompose's check on the free part; the
+        # closure-torsion check does not repeat the latter
+        calls = []
+        solve = pm.syzygies
+
+        def counting(gamma, *args):
+            calls.append(gamma)
+            return solve(gamma, *args)
+
+        monkeypatch.setattr(pm, "syzygies", counting)
+        monkeypatch.setattr(adelic, "syzygies", counting, raising=False)
+        # a copy, so that no presentation is cached on it yet
+        gamma = PhiModule(paper_hull.phi, paper_hull.g, paper_hull.gens)
+        theta = KElem.theta(P)
+        ex.zero_dim_intersection(gamma,
+                                 ex.ZeroDim(1, [(theta,), (theta + 1,)]))
+        assert len(calls) == 2
+
     def test_report_byte_for_byte(self, paper_hull):
         """zero_dim_intersection on the seed-0 special-zero-dim instance,
         certificates included, as the JSON that the recorded file holds."""
@@ -550,10 +570,77 @@ class TestZeroDimGolden:
         assert text == GOLDEN_ZERO_DIM.read_text()
 
 
+GOLDEN_UNIFORM = pathlib.Path(__file__).parent / "data" / \
+    "uniform_reduction_seed0.json"
+
+
 class TestUniformReduction:
+    def test_w_and_reports_byte_for_byte(self, paper_hull):
+        """W and the report of two reductions on the paper's hull, as the
+        JSON that the recorded file holds."""
+        phi = paper_hull.phi
+        u = tp_eval(phi.phi_t, tp_eval(phi.phi_t, KElem.one(P)))
+        five = [(u + 1,), (u * 2,), (u,), (KElem.zero(P),), (KElem.theta(P),)]
+        cases = {
+            "x^3-theta^2*x:m=1:box_degree=1": (
+                ex.poly_parse(P, 1, "x^3 - theta^2*x"), 1, {"box_degree": 1}),
+            "five-window-zeros:m=0:enum_deg=2": (
+                _vanishing_on(P, five), 0, {"enum_deg": 2}),
+        }
+        out = {}
+        for label, (poly, m, window) in cases.items():
+            w, rep = ex.uniform_dml_reduce(paper_hull, ex.Hypersurface(poly),
+                                           m, **window)
+            out[label] = {"w": [point_to_str(x) for x in w.points],
+                          "report": rep.to_json_dict()}
+        text = json.dumps(out, sort_keys=True, indent=1) + "\n"
+        assert text == GOLDEN_UNIFORM.read_text()
+
+    def test_one_fullness_scan(self, paper_hull, monkeypatch):
+        # the zero-dimensional step reuses the reduction's fullness scan
+        # and minimised module
+        scans = []
+        scan = ex.is_full
+
+        def counting(gamma, *args, **kwargs):
+            scans.append(gamma)
+            return scan(gamma, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "is_full", counting)
+        variety = ex.Hypersurface(ex.poly_parse(P, 1, "x^3 - theta^2*x"))
+        w, _ = ex.uniform_dml_reduce(paper_hull, variety, 1, box_degree=1)
+        assert w.points
+        assert scans == [paper_hull]
+
+    @pytest.mark.parametrize("m, box_degree, text, scale", [
+        (1, 1, "x^3 - theta^2*x", "1"),
+        (1, 2, None, "1"),
+        (2, 1, None, "1"),
+        # 1/(theta+t) is undefined at the ring maps with a + b = 0
+        (1, 2, None, "1/(theta+t)"),
+    ])
+    def test_tiles_match_pointwise(self, paper_hull, m, box_degree, text,
+                                   scale):
+        """Each tile's zeros from the image span equal the zeros among
+        rep + Phi_a(z), z in theta_box, built point by point, in order."""
+        phi = paper_hull.phi
+        a = RPoly.monomial(P, m)
+        reps = pm.quotient(paper_hull, a).reps
+        tiles = [point_add(rep, pm._op_on_point(phi, a, z)) for rep in reps
+                 for z in ex.theta_box(P, 1, box_degree)]
+        poly = ex.poly_parse(P, 1, text) if text else \
+            _vanishing_on(P, [tiles[i] for i in (1, 7, len(tiles) - 2)])
+        poly = _scaled(poly, scale)
+        images = [pm._op_on_point(phi, a, z)
+                  for z in ex._theta_box_vectors(P, 1, box_degree)]
+        got = [x for rep in reps for x in ex._swept_zeros(rep, images, poly)]
+        want = [x for x in tiles if poly.evaluate(x).is_zero()]
+        assert [point_to_str(x) for x in got] == \
+            [point_to_str(x) for x in want]
+        assert len(want) >= 3
     def test_one_image_per_box_point(self, paper_hull, monkeypatch):
-        # the three coset representatives of the t-quotient share each box
-        # point's image Phi_t(z), so it is computed once per box point
+        # Phi_t is F_p-linear, so the three coset tiles rep + Phi_t(box)
+        # share the images of the box's two spanning vectors 1 and theta
         calls = []
         op_on_point = ex._op_on_point
 
@@ -565,7 +652,7 @@ class TestUniformReduction:
         variety = ex.Hypersurface(ex.poly_parse(P, 1, "x^3 - theta^2*x"))
         w, rep = ex.uniform_dml_reduce(paper_hull, variety, 1, box_degree=1)
         assert dict(rep.bounds)["quotient_order"] == 3
-        assert len(calls) == len(ex.theta_box(P, 1, 1))
+        assert calls == [(KElem.one(P),), (KElem.theta(P),)]
         assert [point_to_str(x) for x in w.points] == \
             ["(0)", "(theta)", "(2*theta)"]
         assert rep.verdict == ex.CONFIRMED
@@ -811,7 +898,7 @@ class TestSweptZeros:
     def test_matches_exact_sweep(self, name, zeros, survivors,
                                  exact_evaluations):
         gamma, poly, deg = _SWEEP_CASES[name]()
-        fast = ex._swept_zeros(gamma, poly, deg)
+        fast = ex._swept_window(gamma, poly, deg)
         # exactly the survivors of the filter were evaluated exactly
         assert len(exact_evaluations) == survivors
         exact_evaluations.clear()

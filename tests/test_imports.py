@@ -1,4 +1,5 @@
-"""No module of the package or of its tests imports a name it never uses.
+"""No module of the package or of its tests imports a name it never uses,
+and no private top-level def or class of the package goes unreferenced.
 
 A name counts as used when it appears anywhere in the module as a bare
 name: a call, an annotation, a base class, a decorator or the head of an
@@ -58,3 +59,40 @@ def test_detector_attribute_tail_is_not_a_use():
                          ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+PACKAGE = sorted((ROOT / "src" / "drinfeldlab").glob("*.py"))
+
+
+def unreferenced_private_defs(sources):
+    """(module, name) of each top-level def or class named _x in sources
+    (module -> source text) that no other top-level statement of any of
+    them names; a def that only calls itself is unreferenced."""
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = {node.id for node in ast.walk(stmt)
+                     if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(stmt)
+                      if isinstance(node, ast.Attribute)}
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
+                    and stmt.name.startswith("_") \
+                    and not stmt.name.startswith("__"):
+                defined.append((module, stmt.name))
+                names.discard(stmt.name)
+            used |= names
+    return sorted((module, name) for module, name in defined
+                  if name not in used)
+
+
+def test_private_detector():
+    sources = {"a": "def _used():\n    pass\n\ndef _dead():\n    _dead()\n",
+               "b": "from a import _used\nclass _Gone:\n    pass\n"
+                    "def f():\n    return _used()\n"}
+    assert unreferenced_private_defs(sources) == [("a", "_dead"), ("b", "_Gone")]
+
+
+def test_every_private_def_is_referenced():
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    assert unreferenced_private_defs(sources) == []

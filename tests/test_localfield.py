@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from drinfeldlab import localfield
-from drinfeldlab.base import RPoly
+from drinfeldlab.base import FElem, RPoly
 from drinfeldlab.drinfeld import DrinfeldModule, phi_action
 from drinfeldlab.kfield import BiPoly, KElem, kelem_parse
 from drinfeldlab.localfield import (
@@ -19,9 +20,11 @@ from drinfeldlab.localfield import (
     residue_solve,
     tp_eval_local,
 )
-from drinfeldlab.places import (FvElem, Place, _bipoly_multiplicity,
+from drinfeldlab.places import (FvElem, Place, _bipoly_multiplicity, fv_tp_eval,
                                 get_trunc_ring, residue_reduce, valuation)
-from drinfeldlab.twisted import tp_eval
+from drinfeldlab.twisted import tp_eval, tp_parse
+
+from test_drinfeld import MOORE
 
 P = 3
 
@@ -376,6 +379,27 @@ class TestResidueSolve:
         assert len(roots) == 3
         gbar_elem = residue_reduce(k("theta"), v)
         assert gbar_elem in roots
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("place", ["finite:theta+t",
+                                       "finite:theta^2+theta+t"])
+    def test_roots_are_the_kernel_coset(self, p, place):
+        # the Moore polynomial of span(1, theta) reduces to an additive map
+        # whose kernel is F_p + F_p theta-bar
+        v = Place.parse(p, place)
+        f = tp_parse(p, MOORE[p])
+        gbar = [residue_reduce(c, v) for c in f.coeffs]
+        kernel = [FvElem.one(v), residue_reduce(KElem.theta(p), v)]
+        for text in ("t*theta^2+1", "theta^3+t"):
+            xbar = residue_reduce(kelem_parse(p, text), v)
+            roots, _ = residue_solve(gbar, fv_tp_eval(gbar, xbar), v)
+            want = set()
+            for digits in itertools.product(range(p), repeat=2):
+                z = xbar
+                for c, w in zip(digits, kernel):
+                    z = z + w.scale(FElem.const(p, c))
+                want.add(str(z))
+            assert sorted(str(r) for r in roots) == sorted(want)
 
 
 class TestHensel:

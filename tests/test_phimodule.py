@@ -10,7 +10,6 @@ from drinfeldlab.phimodule import (
     PhiModule,
     _HULL_TARGET_CAP,
     _apply_operators,
-    _fp_span,
     _hull_targets,
     _iterate_family,
     _op_on_point,
@@ -385,18 +384,7 @@ class TestApplyOperators:
                 point_apply(phi_action(gamma.phi, a), x)
 
 
-# -- the F_p-span enumerator and the hull scan's division targets --------------
-
-
-def _naive_span(p, vectors, zero):
-    """sum d_k v_k over itertools.product digits, first vector slowest."""
-    out = []
-    for digits in itertools.product(range(p), repeat=len(vectors)):
-        y = zero
-        for d, v in zip(digits, vectors):
-            y = point_add(y, tuple(KElem.const(p, d) * c for c in v))
-        out.append(y)
-    return out
+# -- the hull scan's division targets ------------------------------------------
 
 
 def _product_hull_targets(gamma, dq, notes):
@@ -427,24 +415,6 @@ def _product_hull_targets(gamma, dq, notes):
 
 
 _SPAN_ACTIONS = {2: "[t, theta, 1]", 3: "[0, theta, 1]"}
-
-
-class TestFpSpan:
-    @pytest.mark.parametrize("p", [2, 3])
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
-    def test_digit_counter_order(self, p, n):
-        gamma = _seeded_module(p, _SPAN_ACTIONS[p], n, rank=max(n, 1))
-        vectors = list(gamma.gens[:n])
-        zero = gamma.zero_point()
-        assert list(_fp_span(p, vectors, zero)) == \
-            _naive_span(p, vectors, zero)
-
-    def test_lazy(self):
-        # 3^12 points; taking the first few builds only those
-        vectors = [(k(f"theta^{j}"),) for j in range(12)]
-        head = list(itertools.islice(_fp_span(P, vectors, (KElem.zero(P),)), 4))
-        assert [point_to_str(x) for x in head] == \
-            ["(0)", "(theta^11)", "(2*theta^11)", "(theta^10)"]
 
 
 class TestHullTargets:

@@ -10,7 +10,6 @@ from drinfeldlab.places import (
     check_product_formula,
     classify_places,
     fv_tp_eval,
-    iter_finite_places,
     place_parse,
     place_to_str,
     residue_reduce,
@@ -295,22 +294,3 @@ class TestClassification:
         p = 3
         sets = classify_places([k(p, "t"), k(p, "1")], [k(p, "theta^2")])
         assert [place_to_str(v) for v in sets.omega1_excluded] == ["infinite"]
-
-
-class TestEnumeration:
-    def test_order_and_skip(self):
-        p = 3
-        it = iter_finite_places(p)
-        got = [place_to_str(next(it)) for _ in range(5)]
-        assert got == ["finite:theta", "finite:theta+1", "finite:theta+2",
-                       "finite:theta+t", "finite:theta+t+1"]
-        skip = (place_parse(p, "finite:theta"), place_parse(p, "finite:theta+2"))
-        it = iter_finite_places(p, skip=skip)
-        got = [place_to_str(next(it)) for _ in range(3)]
-        assert got == ["finite:theta+1", "finite:theta+t", "finite:theta+t+1"]
-
-    def test_p2_order(self):
-        it = iter_finite_places(2)
-        got = [place_to_str(next(it)) for _ in range(4)]
-        assert got == ["finite:theta", "finite:theta+1", "finite:theta+t",
-                       "finite:theta+t+1"]
