@@ -248,8 +248,7 @@ def _strata_levels(embedded, g: int, p: int, v: Place, cutoff: int):
             break
         elems = [_combine_embedded(embedded, b, v, cutoff, g) for b in basis]
         rows, _ = _digit_rows(elems, g, m)
-        ker = fp_nullspace(rows, p) if rows else \
-            [[1 if i == j else 0 for j in range(len(basis))] for i in range(len(basis))]
+        ker = fp_nullspace(rows, p, len(basis))
         basis = [_vec_combine(basis, lam, p) for lam in ker]
         out.append((m + 1, basis))
     return out
@@ -258,9 +257,7 @@ def _strata_levels(embedded, g: int, p: int, v: Place, cutoff: int):
 def _syzygy_space_dim(gamma: PhiModule, deg_bound: int) -> int:
     family = _iterate_family(gamma, deg_bound)
     rows, _ = _linearize_points(gamma.p, gamma.g, family, [])
-    if not rows:
-        return len(family)
-    return len(fp_nullspace(rows, gamma.p))
+    return len(fp_nullspace(rows, gamma.p, len(family)))
 
 
 def to_json(value):
@@ -499,7 +496,7 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
         sample = None
         if reached:
             sol = fp_solve_many(rows, [rhs], p)[0] if rows else [0] * n_weights
-            close_dim = len(fp_nullspace(rows, p)) if rows else n_weights
+            close_dim = len(fp_nullspace(rows, p, n_weights))
             sample = _weights_to_operators(sol, gamma.rank, deg_bound, p)
             joint_rows.extend(rows)
             joint_rhs.extend(rhs)
@@ -549,9 +546,7 @@ def _residue_torsion_annihilator_bound(gamma: PhiModule, family_res, v: Place,
         col = [res[s] for res in family_res]
         r, _rhs = _fv_linearize(col, [])
         images.extend(r)
-    kernel = fp_nullspace(images, p) if images else \
-        [[1 if i == j else 0 for j in range(len(family_res))]
-         for i in range(len(family_res))]
+    kernel = fp_nullspace(images, p, len(family_res))
     if not kernel:
         return RPoly.one(p)
     op_rows = [_weights_to_operators(b, gamma.rank, deg_bound, p)
@@ -601,9 +596,7 @@ def closure_torsion_check(gamma: PhiModule, witness_places=None,
             col = [fv_tp_eval(fbar, r[s]) for r in res]
             rows, _ = _fv_linearize(col, [])
             stacked.extend(rows)
-    kernel = fp_nullspace(stacked, p) if stacked else \
-        [[1 if i == j else 0 for j in range(n_weights)]
-         for i in range(n_weights)]
+    kernel = fp_nullspace(stacked, p, n_weights)
 
     leak = None
     kernel_points = []

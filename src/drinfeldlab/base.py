@@ -762,22 +762,23 @@ def fp_rref(rows, p):
     return mat, pivots
 
 
-def fp_nullspace(rows, p):
-    """Deterministic kernel basis of a matrix over F_p.
+def fp_nullspace(rows, p, ncols):
+    """Deterministic kernel basis of a matrix over F_p with ncols columns.
 
     Basis vectors correspond to free columns in ascending order; each has a 1
-    in its free coordinate.  Returns a list of int lists.
+    in its free coordinate.  A matrix with no rows constrains nothing, so its
+    kernel basis is the identity on ncols unknowns.  Returns a list of int
+    lists.
     """
     check_modulus(p)
-    if not rows:
-        return []
-    m = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("row length differs from the number of unknowns")
     rref, pivots = fp_rref(rows, p)
     pivot_set = set(pivots)
-    free_cols = [j for j in range(m) if j not in pivot_set]
+    free_cols = [j for j in range(ncols) if j not in pivot_set]
     basis = []
     for fc in free_cols:
-        vec = [0] * m
+        vec = [0] * ncols
         vec[fc] = 1
         for r, pc in enumerate(pivots):
             vec[pc] = (-rref[r][fc]) % p

@@ -5,11 +5,15 @@ differential t (generic characteristic) or 0 (special characteristic, where
 the lowest surviving tau-index is the inseparability depth d).  The action
 of any operator a(t) follows by composition, so solving Phi_a(X) = y is an
 F_p-linear problem once a search space is fixed.  The search space is where
-honesty lives: the denominator profile of a solution is pinned down exactly
-by Newton-polygon balancing at the finitely many relevant places, while the
-numerator degrees get a derived bound plus a hard cap.  Every returned point
-is re-verified, so false positives are impossible and completeness claims
-are always relative to the reported bounds.
+honesty lives.  Newton-polygon balancing of the additive polynomial (Goss,
+Basic Structures of Function Field Arithmetic, 1996; see _pole_bound) bounds
+the pole order of a solution at every place: at the finitely many finite
+places that can carry a pole it gives the denominator profile, and at the
+infinite place it gives the theta-degree.  Both are proven, so only the
+t-degree bound is a heuristic, and a hard cap on either derived bound is
+reported as a flag when it fires.  Every returned point is re-verified, so
+false positives are impossible and completeness claims are always relative
+to the reported bounds.
 """
 
 from __future__ import annotations
@@ -143,8 +147,19 @@ def modular_transcendence_probe(phi: DrinfeldModule, max_exponent: int = 2) -> P
 class HeightProfile:
     """Search bounds for division solving.
 
-    None fields are derived from the data (degrees of y and of the
-    coefficients, plus the denominator profile), then clipped at hard_cap.
+    The search space is t^a theta^b / den with b <= theta_deg, a <= t_deg,
+    den the denominator profile of _solution_denominator.  None fields are
+    derived from the data, then clipped at hard_cap:
+
+    - theta_deg is E + deg_theta(den), E the pole bound of _pole_bound at
+      the infinite place, where v(x) = deg_theta(den x) - deg_theta(num x).
+      Every solution X has deg_theta X <= E, and den X has no pole at a
+      finite place, so it is a polynomial in theta over F_p(t) of degree
+      at most E + deg_theta(den).  The bound is proven: a solution outside
+      it exists only when the cap fired.
+    - t_deg is the largest t-degree of the data plus that of den, a
+      heuristic.
+
     Supplying an explicit bound below the derived one trips
     BoundTooSmallWarning: returned points stay sound, completeness shrinks.
     """
@@ -169,16 +184,47 @@ class DivisionResult:
     info: SolveInfo
 
 
+def _pole_bound(p: int, vals, vy) -> int:
+    """The largest pole order e >= 0 that X with f(X) = y can have at a place.
+
+    vals lists (i, v(c_i)) for the nonzero coefficients of f = sum c_i tau^i
+    in ascending i; vy is a lower bound for v(y) over the nonzero targets, or
+    None when every target is zero.  If X has a pole of order e >= 1, the
+    term c_i X^{p^i} has valuation v(c_i) - e p^i, and one of two cases holds:
+
+    - two terms i < j tie at the minimum, so e = (v(c_j) - v(c_i)) /
+      (p^j - p^i), which needs v(c_j) > v(c_i);
+    - one term is the unique minimum, so v(y) = min_k (v(c_k) - e p^k) is at
+      most v(c_i) - e p^i for every i, and e <= (v(c_i) - vy) / p^i for
+      every i.  A zero target rules this case out.
+
+    This is the Newton polygon of an additive polynomial (Goss, Basic
+    Structures of Function Field Arithmetic, 1996).
+    """
+    e = 0
+    for (i, vi), (j, vj) in itertools.combinations(vals, 2):
+        if vj > vi:
+            e = max(e, (vj - vi) // (p ** j - p ** i))
+    if vy is not None:
+        e = max(e, min((vi - vy) // p ** i for i, vi in vals))
+    return e
+
+
 def _solution_denominator(f: TwistedPoly, ys, flags):
     """Exact pole profile for X with f(X) = y, from valuation balancing.
 
-    At a place where X has a pole of order e, either a unique term
-    c_i X^{p^i} realises the minimum valuation (then e is pinned by v(y))
-    or two terms tie (then e is pinned by a coefficient-valuation ratio).
-    Both bounds are enumerable over the places in the data's support.
+    At each finite place in the support below, _pole_bound caps the pole
+    order of X.  No other place can carry a pole: there every c_i is
+    integral, the leading coefficient c_D is a unit and y is integral, and a
+    pole of order e >= 1 would make c_D X^{p^D}, of valuation -e p^D, the
+    unique term of least valuation, since -e p^i > -e p^D for i < D; then
+    v(y) = -e p^D < 0.  So the support is the places dividing a coefficient
+    denominator, the leading coefficient's numerator or a target
+    denominator; the numerators of the lower coefficients are not factored.
     """
     p = f.p
     nz = [(i, c) for i, c in enumerate(f.coeffs) if not c.is_zero()]
+    nonzero = [y for y in ys if not y.is_zero()]
     prims = {}
 
     def collect(part):
@@ -193,25 +239,19 @@ def _solution_denominator(f: TwistedPoly, ys, flags):
 
     for _i, c in nz:
         collect(c.den)
-        collect(c.num)
-    for y in ys:
-        if not y.is_zero():
-            collect(y.den)
+    collect(nz[-1][1].num)
+    for y in nonzero:
+        collect(y.den)
 
     den = KElem.one(p)
     for key in sorted(prims):
         v = Place(p, prims[key], _checked=True)
         vals = [(i, valuation(c, v)) for i, c in nz]
-        # a polynomial y has v(y) >= 0 at every finite place: the clamp
-        # below discards it, so only genuine fractions need a valuation
-        vy = min((valuation(y, v) for y in ys if not y.den.is_one()), default=0)
-        vy = min(vy, 0)
-        e = 0
-        for i, vi in vals:
-            e = max(e, -(-(vi - vy) // p ** i))   # ceil
-        for (i, vi), (j, vj) in itertools.combinations(vals, 2):
-            if vj - vi > 0:
-                e = max(e, (vj - vi) // (p ** j - p ** i))
+        # a polynomial y has v(y) >= 0 at every finite place, so 0 bounds
+        # it from below and only genuine fractions need a valuation
+        vy = min([0] + [valuation(y, v) for y in nonzero
+                        if not y.den.is_one()]) if nonzero else None
+        e = _pole_bound(p, vals, vy)
         if e >= 1:
             den = den * v.monic_pi() ** e
     return den
@@ -264,10 +304,14 @@ def solve_additive_many(f: TwistedPoly, ys, bounds: HeightProfile | None = None)
     flags = set()
 
     den = _solution_denominator(f, ys, flags)
-    data = [c for c in f.coeffs if not c.is_zero()] + [y for y in ys if not y.is_zero()]
-    d_theta = max(max(x.num.theta_degree, x.den.theta_degree) for x in data)
+    nz = [(i, c) for i, c in enumerate(f.coeffs) if not c.is_zero()]
+    nonzero = [y for y in ys if not y.is_zero()]
+    inf = Place.infinite(p)
+    e_inf = _pole_bound(p, [(i, valuation(c, inf)) for i, c in nz],
+                        min((valuation(y, inf) for y in nonzero), default=None))
+    data = [c for _i, c in nz] + nonzero
     d_t = max(max(x.num.t_degree, x.den.t_degree) for x in data)
-    derived_theta = d_theta + den.num.theta_degree
+    derived_theta = e_inf + den.num.theta_degree
     derived_t = d_t + den.num.t_degree
 
     def pick(user, derived, name):
@@ -297,7 +341,7 @@ def solve_additive_many(f: TwistedPoly, ys, bounds: HeightProfile | None = None)
     rows = [list(col) for col in zip(*matrix[:n_basis])]
     rhss = [list(r) for r in matrix[n_basis:]]
     sols = fp_solve_many(rows, rhss, p) if rhss else []
-    null = fp_nullspace(rows, p)
+    null = fp_nullspace(rows, p, n_basis)
 
     if p ** len(null) > bounds.enum_cap:
         raise RuntimeError(

@@ -300,6 +300,13 @@ def _verdict(trace, inconclusive: bool) -> str:
     return INCONCLUSIVE if inconclusive else CONFIRMED
 
 
+def _fullness_notes(full) -> list:
+    """One fullness-capped note per note of the fullness scan: a scan cut
+    short by a cap or a bound leaves fullness open, so the verdict on top of
+    it is inconclusive."""
+    return [f"fullness-capped:{note}" for note in full.notes]
+
+
 def _sorted_points(points):
     return tuple(sorted({point_to_str(x): tuple(x)
                          for x in points}.values(), key=point_sort_key))
@@ -504,14 +511,14 @@ def zero_dim_intersection(gamma: PhiModule, variety: ZeroDim,
     if tracked_places is None:
         tracked_places = standard_tracked_places(gamma)
     return _zero_dim_report(gamma, variety, tracked_places, precision,
-                            deg_bound, full.prime_bound)
+                            deg_bound, full)
 
 
 def _zero_dim_report(gamma: PhiModule, variety: ZeroDim, tracked_places,
-                     precision: int, deg_bound: int, prime_bound: int):
-    """zero_dim_intersection on a module already scanned full up to
-    prime_bound and minimised."""
-    notes = []
+                     precision: int, deg_bound: int, full):
+    """zero_dim_intersection on a module already minimised, whose fullness
+    scan gave the report full."""
+    notes = _fullness_notes(full)
     assumptions = ["full-up-to-bounds"]
     m_rep = estimate_torsion_level_m(gamma.phi, 4)
     assumptions.append(f"t-power-torsion-level-m<={m_rep.m}")
@@ -521,7 +528,7 @@ def _zero_dim_report(gamma: PhiModule, variety: ZeroDim, tracked_places,
     assumptions.append(f"modular-transcendence:{probe.verdict}")
 
     certificates = []
-    inconclusive = m_rep.inconclusive
+    inconclusive = bool(notes)      # a capped fullness scan or an open m
     trace = []
 
     ctc = closure_torsion_check(gamma, tracked_places, deg_bound)
@@ -571,7 +578,7 @@ def _zero_dim_report(gamma: PhiModule, variety: ZeroDim, tracked_places,
 
     verdict = _verdict(trace, inconclusive)
     bounds = (("deg_bound", deg_bound), ("precision", precision),
-              ("prime_bound", prime_bound))
+              ("prime_bound", full.prime_bound))
     return ExperimentReport("zero-dimensional", verdict, k_side, adelic_side,
                             tuple(certificates), bounds, tuple(assumptions),
                             tuple(trace), tuple(notes))
@@ -584,11 +591,11 @@ def _zero_dim_report(gamma: PhiModule, variety: ZeroDim, tracked_places,
 class UniformityTable(Report):
     """Counts of (a + X) inside psi^m(K^g) per translate and level.
 
-    certified covers only the nesting check: each level's survivors lie
-    inside the level below's.  It says nothing about the solver's bounds;
-    a capped division solve shows up in flags (theta-bound-capped,
-    denominator-profile-truncated), and the counts at such a level are
-    relative to the capped bound.
+    certified means that no division solve raised a flag and that the
+    image chain nests: each level's survivors lie inside the level below's.
+    A flagged solve (theta-bound-capped, denominator-profile-truncated, ...)
+    is listed in flags, and the counts at its level are relative to the
+    capped bound.
     """
     psi: str
     variety: dict
@@ -729,7 +736,7 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
 
     rows = []
     notes = []
-    certified = True
+    certified = not flags
     per_m_max = {m: 0 for m in ms}
     for idx, keys in enumerate(hit_keys):
         level_sets = {m: keys if m == 0 else keys & survivors[m] for m in ms}
@@ -788,8 +795,8 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
     p = gamma.p
 
     certificates = []
-    notes = []
-    inconclusive = False
+    notes = _fullness_notes(full)
+    inconclusive = bool(notes)
 
     a = RPoly.from_coeffs(p, [0] * m + [1])
     q = quotient(gamma, a, deg_bound)
@@ -810,7 +817,7 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
     _reject_parametrized_lines(variety, list(w.points), p)
 
     sub = _zero_dim_report(gamma, w, tracked_places, precision, deg_bound,
-                           full.prime_bound) if w.points else None
+                           full) if w.points else None
     if sub is not None:
         certificates.append(("zero-dim", sub.to_json_dict()))
         k_side = sub.k_side

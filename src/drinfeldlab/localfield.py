@@ -518,7 +518,7 @@ def residue_solve(coeffs, ybar: FvElem, v: Place):
     images = [fv_tp_eval(coeffs, x) for x in candidates]
     rows, rhs = _fv_linearize(images, [ybar])
     sol = fp_solve_many(rows, rhs, p)[0]
-    null = fp_nullspace(rows, p)
+    null = fp_nullspace(rows, p, len(candidates))
     if sol is None:
         return (), certified
     if len(null) > _KERNEL_DIM_CAP:

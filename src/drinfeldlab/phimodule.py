@@ -242,7 +242,7 @@ def syzygies(gamma: PhiModule, deg_bound: int = _DEFAULT_BOUND) -> RMatrix:
     family = _iterate_family(gamma, deg_bound)
     rows, _ = _linearize_points(p, gamma.g, family, [])
     relations = []
-    for vec in fp_nullspace(rows, p):
+    for vec in fp_nullspace(rows, p, len(family)):
         ops = _weights_to_operators(vec, gamma.rank, deg_bound, p)
         lead = next(a for a in ops if not a.is_zero())
         scale = pow(lead.lead, p - 2, p)

@@ -270,8 +270,17 @@ class TestSmith:
 class TestFpLinear:
     def test_frozen_nullspace_example(self):
         # over F_5 the kernel of [[1,2],[2,4]] is spanned by (3, 1)
-        basis = fp_nullspace([[1, 2], [2, 4]], 5)
+        basis = fp_nullspace([[1, 2], [2, 4]], 5, 2)
         assert basis == [[3, 1]]
+
+    def test_nullspace_without_rows_is_the_identity(self):
+        # no equation constrains any of the three unknowns
+        assert fp_nullspace([], 3, 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert fp_nullspace([], 3, 0) == []
+
+    def test_nullspace_rejects_a_row_of_the_wrong_width(self):
+        with pytest.raises(ValueError):
+            fp_nullspace([[1, 2]], 3, 3)
 
     def test_nullspace_against_bruteforce(self):
         rng = random.Random(909)
@@ -280,7 +289,7 @@ class TestFpLinear:
                 n = rng.choice((1, 2, 3))
                 m = rng.choice((1, 2, 3, 4))
                 a = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
-                basis = fp_nullspace(a, p)
+                basis = fp_nullspace(a, p, m)
                 for vec in basis:
                     assert all(
                         sum(r * x for r, x in zip(row, vec)) % p == 0

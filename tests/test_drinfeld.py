@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from drinfeldlab import drinfeld
 from drinfeldlab.base import RPoly, rpoly_to_str
 from drinfeldlab.drinfeld import (
     BoundTooSmallWarning,
@@ -20,7 +21,9 @@ from drinfeldlab.drinfeld import (
     solve_additive_many,
     torsion_annihilator,
 )
+from drinfeldlab.factor import factor_bipoly
 from drinfeldlab.kfield import KElem, kelem_parse, kelem_sort_key, kelem_to_str
+from drinfeldlab.places import Place, valuation
 from drinfeldlab.twisted import (TwistedPoly, tp_add, tp_compose, tp_eval, tp_parse,
                                  tp_to_str)
 
@@ -289,3 +292,208 @@ class TestKernelCosets:
             assert [kelem_to_str(z) for z in res.points] == sorted(
                 kernel_coset(p, x, kernel),
                 key=lambda text: kelem_sort_key(kelem_parse(p, text)))
+
+
+class TestSharpBounds:
+    """The Newton-polygon theta-bound and the denominator profile that
+    factors only coefficient denominators, the leading numerator and the
+    target denominators."""
+
+    def test_zero_target_kernel_with_no_equations(self):
+        # the sharp theta-bound 1 puts the whole basis {1, theta} inside the
+        # kernel, so the system has no equations and all of span(1, theta)
+        # solves f(X) = 0
+        f = tp_parse(P, MOORE[P])
+        res = solve_additive_many(f, [KElem.zero(P)])[0]
+        assert res.info.theta_bound == 1
+        assert res.info.kernel_dim == 2
+        assert [kelem_to_str(x) for x in res.points] == sorted(
+            kernel_coset(P, KElem.zero(P), [KElem.one(P), KElem.theta(P)]),
+            key=lambda text: kelem_sort_key(kelem_parse(P, text)))
+
+    @pytest.mark.parametrize("f_text, y_text, theta_bound, denominator", [
+        # deg X = e >= 1 gives deg(theta X^3) = 3e + 1 < deg(X^9) = 9e
+        ("[0, theta, 1]", "theta^9", 1, "1"),
+        ("[0, theta, 1]", "theta^8", 0, "1"),
+        ("[0, theta, 1]", "0", 0, "1"),
+        # the lower coefficient theta vanishes at theta = 0, but a pole of
+        # X there would need v(y) <= -9
+        ("[0, theta, 1]", "1/theta", 0, "1"),
+        # here a pole of order 1 at theta = 0 gives v(y) = -3
+        ("[theta, 1]", "1/theta^3", 1, "theta"),
+        # the leading coefficient vanishes at theta = 0: v(y) = 1 - 9e
+        ("[0, 1, theta]", "1/theta^8", 1, "theta"),
+        ("[0, 1, theta]", "1/theta^7", 0, "1"),
+    ])
+    def test_bounds(self, f_text, y_text, theta_bound, denominator):
+        res = solve_additive_many(tp_parse(P, f_text),
+                                  [kelem_parse(P, y_text)])[0]
+        assert (res.info.theta_bound, res.info.denominator) == \
+            (theta_bound, denominator)
+        assert res.info.flags == ()
+
+    def test_solution_on_the_bound(self):
+        # 1/theta solves X^3 + theta X^9 = theta^-3 + theta^-8 with a pole
+        # at the zero of the leading coefficient
+        f = tp_parse(P, "[0, 1, theta]")
+        x = kelem_parse(P, "1/theta")
+        res = solve_additive_many(f, [tp_eval(f, x)])[0]
+        assert res.info.denominator == "theta"
+        assert res.points == (x,)
+
+    def test_pole_at_a_zero_of_the_leading_coefficient(self):
+        # at p = 2, X^2 + theta^4 X^4 = X^2 (1 + theta^2 X)^2: the root
+        # 1/theta^2 balances the two terms at theta = 0, where only the
+        # leading coefficient vanishes and the target has no pole
+        f = tp_parse(2, "[0, 1, theta^4]")
+        res = solve_additive_many(f, [KElem.zero(2)])[0]
+        assert res.info.denominator == "theta^2"
+        assert [kelem_to_str(x) for x in res.points] == ["0", "(1)/(theta^2)"]
+
+    def test_capped_sharp_bound_still_flagged(self):
+        # deg X = 27 balances X^9 against theta^250, above hard_cap = 24
+        res = solve_additive_many(psi().phi_t, [KElem.theta(P) ** 250])[0]
+        assert res.info.theta_bound == HeightProfile().hard_cap
+        assert "theta-bound-capped" in res.info.flags
+
+
+def _random_bipoly_kelem(rng, p, theta_deg, t_deg):
+    acc = KElem.zero(p)
+    for b in range(theta_deg + 1):
+        for a in range(t_deg + 1):
+            c = rng.randrange(p)
+            if c:
+                acc = acc + KElem.const(p, c) * KElem.t(p) ** a * KElem.theta(p) ** b
+    return acc
+
+
+_DENOMINATORS = {2: ["1", "theta", "theta+1", "theta+t"],
+                 3: ["1", "theta", "theta+t"]}
+# factor_bipoly refuses theta * (theta + t)^4 at p = 2 (its recombination
+# pool overflows), so at tau-degree 2 the box denominators are t-free
+_BOX_DENOMINATORS = {2: ["1", "theta", "theta+1"], 3: _DENOMINATORS[3]}
+
+
+def _random_additive(rng, p):
+    """f = sum c_i tau^i, tau-degree 1 or 2 at p = 2 and 1 at p = 3, each
+    c_i a random polynomial of theta- and t-degree <= 1 over one of
+    _DENOMINATORS (c_0 may vanish).  The images of _box then keep their
+    denominators inside the factoring cap of the denominator profile."""
+    coeffs = []
+    for i in range(rng.choice((2, 3)) if p == 2 else 2):
+        num = _random_bipoly_kelem(rng, p, 1, 1)
+        while num.is_zero() and i > 0:
+            num = _random_bipoly_kelem(rng, p, 1, 1)
+        coeffs.append(num / kelem_parse(p, rng.choice(_DENOMINATORS[p])))
+    return TwistedPoly(p, coeffs)
+
+
+def _box(p):
+    """An enumeration independent of the solver: P / Q with P any
+    F_p-combination of 1, theta, t, t*theta and Q from _BOX_DENOMINATORS."""
+    monomials = [KElem.one(p), KElem.theta(p), KElem.t(p),
+                 KElem.t(p) * KElem.theta(p)]
+    out = {}
+    for q in _BOX_DENOMINATORS[p]:
+        den = kelem_parse(p, q)
+        for digits in itertools.product(range(p), repeat=len(monomials)):
+            x = sum((KElem.const(p, c) * m for c, m in zip(digits, monomials)),
+                    KElem.zero(p)) / den
+            out[kelem_to_str(x)] = x
+    return list(out.values())
+
+
+class TestBruteForceBox:
+    """No solution is lost: every point of an enumerated box of rational X
+    is among the solver's points for f(X), under the default bounds."""
+
+    @pytest.mark.parametrize("p, seed", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
+    def test_box_points_are_found(self, p, seed):
+        rng = random.Random(1000 * p + seed)
+        f = _random_additive(rng, p)
+        by_target = {}
+        for x in _box(p):
+            y = tp_eval(f, x)
+            by_target.setdefault(kelem_to_str(y), (y, set()))[1].add(
+                kelem_to_str(x))
+        targets = [y for y, _xs in by_target.values()]
+        # one batched solve of every image, and a sample solved alone
+        misses = [_random_bipoly_kelem(rng, p, 2, 1)
+                  / kelem_parse(p, rng.choice(_BOX_DENOMINATORS[p]))
+                  for _ in range(3)]
+        batched = solve_additive_many(f, targets + misses)
+        alone = rng.sample(targets, min(8, len(targets))) + misses
+        for y, res in list(zip(targets + misses, batched)) + [
+                (y, solve_additive_many(f, [y])[0]) for y in alone]:
+            found = {kelem_to_str(x) for x in res.points}
+            _y, want = by_target.get(kelem_to_str(y), (y, set()))
+            assert want <= found
+            assert res.info.flags == ()
+            for x in res.points:
+                assert tp_eval(f, x) == y
+
+
+def _loose_solution_denominator(f, ys, flags):
+    """The denominator profile before the sharp bounds: the numerator of
+    every coefficient was factored too, and the unique-minimum case took
+    the largest ceil((v(c_i) - v(y)) / p^i) over i instead of the least."""
+    p = f.p
+    nz = [(i, c) for i, c in enumerate(f.coeffs) if not c.is_zero()]
+    prims = {}
+    for part in [c.den for _i, c in nz] + [c.num for _i, c in nz] + [
+            y.den for y in ys if not y.is_zero()]:
+        if part.theta_degree < 1 and part.term_count() <= 1:
+            continue
+        if part.theta_degree > drinfeld._FACTOR_DEG_CAP:
+            flags.add("denominator-profile-truncated")
+            continue
+        for prim, _m in factor_bipoly(part)[2]:
+            prims[prim.key()] = prim
+    den = KElem.one(p)
+    for key in sorted(prims):
+        v = Place(p, prims[key], _checked=True)
+        vals = [(i, valuation(c, v)) for i, c in nz]
+        vy = min(0, min((valuation(y, v) for y in ys if not y.den.is_one()),
+                        default=0))
+        e = max(-(-(vi - vy) // p ** i) for i, vi in vals)
+        for (i, vi), (j, vj) in itertools.combinations(vals, 2):
+            if vj > vi:
+                e = max(e, (vj - vi) // (p ** j - p ** i))
+        if e >= 1:
+            den = den * v.monic_pi() ** e
+    return den
+
+
+class TestAgainstLooseBounds:
+    """Seeded differential test against the solver with the loose
+    denominator profile and a generous explicit theta-bound of 20: every
+    point it finds, the sharp solver finds with its derived theta-bound
+    and the same t-bound."""
+
+    @pytest.mark.parametrize("p, seed", [(2, s) for s in range(6)]
+                             + [(3, s) for s in range(6)])
+    def test_loose_points_are_found(self, p, seed, monkeypatch):
+        rng = random.Random(2000 * p + seed)
+        f = _random_additive(rng, p)
+        xs = [_random_bipoly_kelem(rng, p, rng.choice((1, 2)), 1)
+              / kelem_parse(p, rng.choice(_BOX_DENOMINATORS[p]))
+              for _ in range(3)]
+        ys = [tp_eval(f, x) for x in xs] + [KElem.zero(p)] + [
+            _random_bipoly_kelem(rng, p, 2, 1)]
+        t_deg = 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundTooSmallWarning)
+            sharp = solve_additive_many(f, ys, HeightProfile(t_deg=t_deg))
+            with monkeypatch.context() as m:
+                m.setattr(drinfeld, "_solution_denominator",
+                          _loose_solution_denominator)
+                loose = solve_additive_many(
+                    f, ys, HeightProfile(theta_deg=20, t_deg=t_deg))
+        for x, res in zip(xs, sharp):
+            assert x in res.points
+        for y, s, lo in zip(ys, sharp, loose):
+            found = {kelem_to_str(x) for x in s.points}
+            assert {kelem_to_str(x) for x in lo.points} <= found
+            for x in s.points:
+                assert tp_eval(f, x) == y
+            assert "theta-bound-capped" not in s.info.flags

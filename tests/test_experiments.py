@@ -3,6 +3,7 @@ import itertools
 import json
 import pathlib
 import time
+from dataclasses import dataclass
 
 import random
 
@@ -10,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeldlab import adelic
+from drinfeldlab import adelic, drinfeld
 from drinfeldlab import experiments as ex
 from drinfeldlab import phimodule as pm
 from drinfeldlab.base import RPoly
-from drinfeldlab.drinfeld import DrinfeldModule, solve_additive_many
+from drinfeldlab.drinfeld import (DrinfeldModule, HeightProfile,
+                                  solve_additive_many)
 from drinfeldlab.kfield import BiPoly, KElem, kelem_parse
 from drinfeldlab.phimodule import (PhiModule, divisible_hull, is_full, member,
                                    member_many, point_add, point_to_str)
@@ -36,22 +38,21 @@ class TestPaperInstance:
         assert [point_to_str(x) for x in paper_hull.gens] == [
             "(theta^9+theta^4)", "(theta)", "(1)"]
 
-    def test_full_up_to_capped_bounds(self, paper_hull):
+    def test_full_with_no_capped_bound(self, paper_hull):
         rep = is_full(paper_hull)
         assert rep.kind == "full_up_to_bounds"
         assert rep.witness is None
-        assert "theta-bound-capped" in rep.notes
-        assert "denominator-profile-truncated" in rep.notes
+        assert rep.notes == ()
 
     def test_zero_dim_sides(self, paper_hull):
-        # the verdict itself is left open: a capped fullness scan should
-        # weaken it, which zero_dim_intersection does not do yet
         theta = KElem.theta(P)
         points = [(theta,), (theta + KElem.one(P),)]
         rep = ex.zero_dim_intersection(paper_hull, ex.ZeroDim(1, points))
         k_side = {point_to_str(x) for x in rep.k_side}
         assert k_side == {point_to_str(x) for x in points}
         assert k_side <= {point_to_str(x) for x in rep.adelic_side}
+        assert rep.verdict == ex.CONFIRMED
+        assert not [n for n in rep.notes if n.startswith("fullness-capped")]
 
     def test_zero_dim_one_membership_family_per_point(self, paper_hull,
                                                       family_bounds):
@@ -295,8 +296,9 @@ def _probe_reference(psi, on_variety, translates, ms, box):
         "rows": tuple(rows),
         "max_counts": tuple((m, max(len(levels[i, m]) for i in indices))
                             for m in ms),
-        "certified": all(levels[i, hi] <= levels[i, lo] for i in indices
-                         for lo, hi in zip(ms, ms[1:])),
+        "certified": not flags and all(
+            levels[i, hi] <= levels[i, lo] for i in indices
+            for lo, hi in zip(ms, ms[1:])),
         "flags": tuple(sorted(flags)),
         "levels": levels,
     }
@@ -390,10 +392,11 @@ class TestUniformityProbe:
         assert len(calls) == 3
         assert [f.tau_degree for f, _ys, _r in calls] == [2, 4, 6]
 
-    def test_batched_bound_above_a_translates_own(self):
-        """At m = 1 the translate 0 alone derives theta-bound 2, the level's
-        whole target set 3; the counts still match the per-translate
-        solve, rational translate and rational box point included."""
+    def test_batched_level_matches_a_translates_own(self):
+        """At m = 1 the sharp theta-bound is 0 for the translate 0 alone
+        and for the level's whole target set; the counts match the
+        per-translate solve, rational translate and rational box point
+        included."""
         psi = tp_parse(P, "[0, theta, 1]")
         poly = ex.poly_parse(P, 1, _CUBIC)
         translates = [(kelem_parse(P, s),)
@@ -408,8 +411,8 @@ class TestUniformityProbe:
                                     ms, box)
         own = solve_additive_many(psi, [KElem.zero(P), KElem.theta(P),
                                         -KElem.theta(P)])
-        assert own[0].info.theta_bound == 2
-        assert calls[0][2][0].info.theta_bound == 3
+        assert own[0].info.theta_bound == 0
+        assert calls[0][2][0].info.theta_bound == 0
         _assert_matches_reference(table, expected)
         assert table.rows[6] == (2, 0, 2)      # 1/theta and 1/theta+theta
 
@@ -667,6 +670,48 @@ class TestVerdictLadder:
     ])
     def test_trace_outranks_open_bounds(self, trace, inconclusive, verdict):
         assert ex._verdict(trace, inconclusive) == verdict
+
+
+@dataclass(frozen=True)
+class _NoHeadroom(HeightProfile):
+    """The solver's default bounds with hard_cap 0, so that any derived
+    bound above 0 is capped and flagged."""
+    hard_cap: int = 0
+
+
+class TestCapsWeakenVerdicts:
+    """A cap that fires below a pipeline rules out TheoremConfirmed and
+    certified: true.  No cap fires at the defaults on these instances, so
+    the cap is lowered inside the test only."""
+
+    @pytest.fixture
+    def no_headroom(self, monkeypatch):
+        monkeypatch.setattr(drinfeld, "HeightProfile", _NoHeadroom)
+
+    def test_zero_dim_intersection(self, paper_hull, no_headroom):
+        theta = KElem.theta(P)
+        points = [(theta,), (theta + KElem.one(P),)]
+        rep = ex.zero_dim_intersection(paper_hull, ex.ZeroDim(1, points))
+        assert rep.verdict == ex.INCONCLUSIVE
+        assert "fullness-capped:theta-bound-capped" in rep.notes
+        assert {point_to_str(x) for x in rep.k_side} == \
+            {point_to_str(x) for x in points}
+
+    def test_uniform_dml_reduce(self, paper_hull, no_headroom):
+        variety = ex.Hypersurface(ex.poly_parse(P, 1, "x^3 - theta^2*x"))
+        w, rep = ex.uniform_dml_reduce(paper_hull, variety, 1, box_degree=1)
+        assert w.points
+        assert rep.verdict == ex.INCONCLUSIVE
+        assert "fullness-capped:theta-bound-capped" in rep.notes
+
+    def test_uniformity_probe(self, no_headroom):
+        # theta^9 + theta^4 = psi(theta) needs theta-bound 1 at m = 1
+        psi = tp_parse(P, "[0, theta, 1]")
+        point = (kelem_parse(P, "theta^9+theta^4"),)
+        table = ex.uniformity_probe(psi, ex.ZeroDim(1, [point]),
+                                    [(KElem.zero(P),)], (0, 1), [point])
+        assert "theta-bound-capped" in table.flags
+        assert table.certified is False
 
 
 class TestRejectedInput:

@@ -380,6 +380,19 @@ class TestResidueSolve:
         gbar_elem = residue_reduce(k("theta"), v)
         assert gbar_elem in roots
 
+    def test_kernel_of_an_all_zero_system(self):
+        # both basis elements 1 and t of the Moore polynomial's reduction
+        # at theta = -t are roots, so the linear system has no equations;
+        # the kernel is all of span(1, t), nine roots a + bt
+        v = vft()
+        gbar = [residue_reduce(c, v) for c in tp_parse(P, MOORE[P]).coeffs]
+        roots, certified = residue_solve(gbar, FvElem.zero(v), v)
+        assert certified
+        want = {str(FvElem.from_felem(v, FElem.from_rpoly(
+            RPoly.from_coeffs(P, [a, b])))) for a in range(P) for b in range(P)}
+        assert sorted(str(r) for r in roots) == sorted(want)
+        assert all(fv_tp_eval(gbar, r).is_zero() for r in roots)
+
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("place", ["finite:theta+t",
                                        "finite:theta^2+theta+t"])
