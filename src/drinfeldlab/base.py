@@ -143,9 +143,6 @@ class RPoly:
     def is_constant(self) -> bool:
         return self.degree <= 0
 
-    def constant_coeff(self) -> int:
-        return self.c.get(0, 0)
-
     def coeff(self, e: int) -> int:
         return self.c.get(e, 0)
 
@@ -784,11 +781,6 @@ def fp_nullspace(rows, p, ncols):
             vec[pc] = (-rref[r][fc]) % p
         basis.append(vec)
     return basis
-
-
-def fp_solve(rows, rhs, p):
-    """One solution of A x = b over F_p, or None if inconsistent."""
-    return fp_solve_many(rows, [list(rhs)], p)[0]
 
 
 def fp_solve_many(rows, rhs_list, p):

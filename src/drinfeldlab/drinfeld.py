@@ -26,13 +26,11 @@ from .base import RPoly, fp_nullspace, fp_solve_many, fp_span
 from .factor import factor_bipoly
 from .kfield import (BiPoly, KElem, bi_divexact, common_denominator, coordinates,
                      height, kelem_sort_key, kelem_to_str, monomial_rows)
-from .places import Place, valuation
+from .places import _FACTOR_DEG_CAP, Place, valuation
 from .twisted import TwistedPoly, tp_add, tp_compose, tp_eval, tp_parse, tp_scale, tp_to_str
 
 GENERIC = "generic"
 SPECIAL = "special"
-
-_FACTOR_DEG_CAP = 8
 
 
 class BoundTooSmallWarning(UserWarning):
@@ -45,8 +43,6 @@ class DrinfeldModule:
     __slots__ = ("phi_t", "characteristic", "_t_powers")
 
     def __init__(self, phi_t: TwistedPoly):
-        if phi_t.grid != 0:
-            raise ValueError("phi_t must live on the base grid")
         if phi_t.tau_degree < 1:
             raise ValueError("phi_t must have positive tau-degree")
         c0 = phi_t.coeff(0)
@@ -228,7 +224,12 @@ def _solution_denominator(f: TwistedPoly, ys, flags):
     prims = {}
 
     def collect(part):
-        if part.theta_degree < 1 and part.term_count() <= 1:
+        if part.theta_degree < 1:
+            return  # a t-polynomial is a unit at every finite place
+        if len(part.c) == 1:
+            # c(t) theta^k vanishes at the place theta alone
+            theta = BiPoly.theta(p)
+            prims[theta.key()] = theta
             return
         if part.theta_degree > _FACTOR_DEG_CAP:
             flags.add("denominator-profile-truncated")
@@ -294,8 +295,6 @@ def solve_additive_many(f: TwistedPoly, ys, bounds: HeightProfile | None = None)
     absolute (every point re-verified); completeness is relative to the
     reported bounds and denominator profile.
     """
-    if f.grid != 0:
-        raise ValueError("the division solver works on the base grid")
     if f.is_zero():
         raise ValueError("cannot divide by the zero map")
     bounds = bounds or HeightProfile()

@@ -23,7 +23,6 @@ from .adelic import (
     discreteness_certificate,
     quotient_iso_check,
     standard_tracked_places,
-    to_json,
 )
 from .base import RPoly, fp_span, inv_mod
 from .drinfeld import (
@@ -280,16 +279,12 @@ class ExperimentReport(Report):
     k_side: tuple
     adelic_side: tuple | None
     certificates: tuple           # ((label, json-able dict), ...)
-    bounds: tuple                 # ((name, value), ...)
+    bounds: dict                  # {name: value}
     assumptions: tuple
     trace: tuple
     notes: tuple = ()
 
     SCHEMA = SCHEMA
-
-    def to_json_dict(self):
-        return super().to_json_dict() | {
-            "bounds": {name: to_json(value) for name, value in self.bounds}}
 
 
 def _verdict(trace, inconclusive: bool) -> str:
@@ -468,8 +463,8 @@ def generic_char_experiment(gamma: PhiModule, variety,
             raise AssertionError("K-side escaped the adelic side")
 
     verdict = _verdict(trace, inconclusive)
-    bounds = (("deg_bound", deg_bound), ("cutoff", cutoff),
-              ("precision", precision), ("enum_deg", enum_deg))
+    bounds = {"deg_bound": deg_bound, "cutoff": cutoff,
+              "precision": precision, "enum_deg": enum_deg}
     return ExperimentReport("generic-characteristic", verdict, k_side,
                             adelic_side, tuple(certificates), bounds,
                             ("module-discrete-at-tracked-places",),
@@ -577,8 +572,8 @@ def _zero_dim_report(gamma: PhiModule, variety: ZeroDim, tracked_places,
         raise AssertionError("K-side escaped the adelic side")
 
     verdict = _verdict(trace, inconclusive)
-    bounds = (("deg_bound", deg_bound), ("precision", precision),
-              ("prime_bound", full.prime_bound))
+    bounds = {"deg_bound": deg_bound, "precision": precision,
+              "prime_bound": full.prime_bound}
     return ExperimentReport("zero-dimensional", verdict, k_side, adelic_side,
                             tuple(certificates), bounds, tuple(assumptions),
                             tuple(trace), tuple(notes))
@@ -672,8 +667,6 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
     """
     if psi.is_zero() or psi.tau_valuation < 1:
         raise ValueError("probe wants an inseparable additive map")
-    if psi.grid != 0:
-        raise ValueError("the probe works on the base grid")
     p = psi.p
     _require_variety(variety, p)
     g = variety.g
@@ -843,9 +836,9 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
         inconclusive = True
 
     verdict = _verdict(trace, inconclusive)
-    bounds = (("deg_bound", deg_bound), ("precision", precision),
-              ("box_degree", box_degree), ("enum_deg", enum_deg),
-              ("m", m), ("quotient_order", q.order))
+    bounds = {"deg_bound": deg_bound, "precision": precision,
+              "box_degree": box_degree, "enum_deg": enum_deg,
+              "m": m, "quotient_order": q.order}
     report = ExperimentReport("uniform-reduction", verdict, k_side,
                               adelic_side, tuple(certificates), bounds,
                               ("full-up-to-bounds",

@@ -526,11 +526,6 @@ class KElem:
         return f"KElem(p={self.p}, {self})"
 
 
-def frobenius_power(x: KElem, e: int) -> KElem:
-    """x ** (p**e), computed termwise."""
-    return x.frob(e)
-
-
 def kelem_sort_key(x: KElem):
     """Deterministic structural order: by height, then monomial data."""
     return (height(x), x.den.key(), x.num.key())
@@ -544,17 +539,6 @@ def bipoly_pth_root(f: BiPoly):
     if any(a % p for g in f.c.values() for a in g.c):
         return None
     return BiPoly(p, {e // p: g.compress(p) for e, g in f.c.items()})
-
-
-def kelem_pth_root(x: KElem):
-    """y with y**p == x, or None.  Canonical form survives the root."""
-    rn = bipoly_pth_root(x.num)
-    if rn is None:
-        return None
-    rd = bipoly_pth_root(x.den)
-    if rd is None:
-        return None
-    return KElem(rn, rd, _canonical=True)
 
 
 def height(x: KElem) -> int:

@@ -2,13 +2,13 @@
 
 A local element is a truncated expansion sum_e c_e u^e with u the declared
 uniformizer, exponents on the lattice (1/p^grid) * Z, and digits in the
-residue field.  The grid tag mirrors the twisted-polynomial one: a digit at
-level k stores the residue rep that stands for itself with t and theta-bar
-replaced by p^k-th roots.  Three consequences keep the arithmetic exact and
-cheap: refining a level is a digit-wise Frobenius, a p-th root is a pure
+residue field.  The grid tag exists only to carry the p^kappa-th root that
+hensel_solve's inseparable branch returns: a digit at level k stores the
+residue rep that stands for itself with t and theta-bar replaced by p^k-th
+roots.  So refining a level is a digit-wise Frobenius, a p-th root is a pure
 relabeling (exponents divide by p, digits unchanged, grid up one), and the
-inseparable Hensel branch collapses to a separable solve of the index-shifted
-operator against the original target, relabeled at the end.
+inseparable branch is a separable solve of the index-shifted operator against
+the original target, relabeled at the end by kappa such roots.
 
 Precision is tracked per value, never globally; operations propagate the
 honest cutoff and raise rather than silently losing digits.
@@ -127,24 +127,6 @@ class LocalElem:
         return LocalElem(self.place,
                          {ex * q: c ** q for ex, c in self.terms.items()},
                          self.precision * q, self.grid)
-
-    def reduce_grid(self) -> "LocalElem":
-        """Drop the tag as far as exponents and digit reps allow."""
-        cur = self
-        while cur.grid > 0:
-            step = Fraction(1, cur.p ** (cur.grid - 1))
-            if any((e / step).denominator != 1 for e in cur.terms):
-                return cur
-            if (cur.precision / step).denominator != 1:
-                # keep a conservative cutoff on the coarser lattice
-                new_prec = (cur.precision / step).numerator // (cur.precision / step).denominator * step
-            else:
-                new_prec = cur.precision
-            roots = {e: fv_pth_root(c) for e, c in cur.terms.items()}
-            if any(r is None for r in roots.values()):
-                return cur
-            cur = LocalElem(cur.place, roots, new_prec, cur.grid - 1)
-        return cur
 
     def _common(self, other: "LocalElem"):
         if not isinstance(other, LocalElem) or self.place != other.place:
@@ -312,58 +294,6 @@ def _embed_infinite(x: KElem, v: Place, n: int) -> LocalElem:
     terms = {Fraction(val + j): FvElem.from_felem(v, c)
              for j, c in enumerate(series)}
     return LocalElem(v, terms, n)
-
-
-# -- p-th roots of residue digits --------------------------------------------
-
-
-def fv_pth_root(c: FvElem):
-    """x with x^p == c inside F_v, or None (the residue field is imperfect)."""
-    place = c.place
-    p = c.p
-    if c.is_zero():
-        return FvElem.zero(place)
-    if place.theta_degree == 1:
-        # F_v is (a copy of) F_p(t): a termwise exponent test on the rep
-        x = c.rep[0]
-        if any(e % p for e in x.num.c) or any(e % p for e in x.den.c):
-            return None
-        return FvElem(place, (FElem(x.num.compress(p), x.den.compress(p),
-                                    _canonical=True),))
-    # bounded F_p-linear search: x = sum b_{ij} g^i t^j / e with x^p reduced
-    # through the g^{ip} table
-    dens = [f.den for f in c.rep]
-    den = RPoly.one(p)
-    for d in dens:
-        g = den.gcd(d)
-        den = (den // g) * d
-    e_parts = factor_rpoly(den)[1]
-    e_root = RPoly.one(p)
-    for q, m in e_parts:
-        e_root = e_root * q ** (-(-m // p))
-    t_deg = max(max(f.num.degree, f.den.degree, 0) for f in c.rep)
-    bound = t_deg // p + e_root.degree + 1
-    d = place.theta_degree
-    basis = [(i, j) for i in range(d) for j in range(bound + 1)]
-    e_inv_p = FElem(RPoly.one(p), e_root, _canonical=False) ** p
-    images = []
-    for i, j in basis:
-        g_pow = residue_reduce(KElem.theta(p), place) ** (p * i)
-        scalar = FElem.from_rpoly(RPoly.monomial(p, j * p)) * e_inv_p
-        images.append(g_pow.scale(scalar))
-    rows, rhs = _fv_linearize(images, [c])
-    sol = fp_solve_many(rows, rhs, p)[0]
-    if sol is None:
-        return None
-    x = FvElem.zero(place)
-    e_inv = FElem(RPoly.one(p), e_root, _canonical=False)
-    theta_bar = residue_reduce(KElem.theta(p), place)
-    for u, (i, j) in zip(sol, basis):
-        if u:
-            term = (theta_bar ** i).scale(
-                FElem.from_rpoly(RPoly.monomial(p, j, u)) * e_inv)
-            x = x + term
-    return x if x ** p == c else None
 
 
 def _fv_linearize(images, targets):
@@ -564,15 +494,13 @@ def _embed_coeff(c: KElem, v: Place, n: int) -> LocalElem:
 
 
 def tp_eval_local(f: TwistedPoly, z: LocalElem, margin: int = 2) -> LocalElem:
-    """Evaluate a base-grid twisted polynomial at a local point.
+    """Evaluate a twisted polynomial at a local point.
 
     Coefficients are embedded with enough precision that the propagated
     cutoff is driven by z, not by the embeddings.  Each embedding goes
     through _embed_coeff, so a (coefficient, place, precision) triple is
     embedded once until that bounded memo is cleared.
     """
-    if f.grid != 0:
-        raise ValueError("local evaluation wants base-grid coefficients")
     v = z.place
     acc = None
     for i, c in enumerate(f.coeffs):
@@ -581,8 +509,7 @@ def tp_eval_local(f: TwistedPoly, z: LocalElem, margin: int = 2) -> LocalElem:
         zi = z.frobenius(i)
         need = zi.precision - min(0, zi._eff_val()) + margin
         n_embed = need.numerator // need.denominator + 1
-        ci = _embed_coeff(c, v, max(n_embed, 1)).refine(z.grid)
-        term = ci * zi
+        term = _embed_coeff(c, v, max(n_embed, 1)) * zi
         acc = term if acc is None else acc + term
     if acc is None:
         return LocalElem.zero_to(v, z.precision, z.grid)
@@ -609,8 +536,7 @@ def _newton_lift(g: TwistedPoly, x0: LocalElem, y: LocalElem, n: Fraction) -> Lo
         residual = y.truncate(n) - tp_eval_local(g, x).truncate(n)
         if residual.is_zero_to_precision():
             return x
-        delta = c0_inv.refine(x.grid - c0_inv.grid) * residual
-        x = (x + delta).truncate(n)
+        x = (x + c0_inv * residual).truncate(n)
 
 
 def hensel_solve(phi: DrinfeldModule, a: RPoly, y: LocalElem, n) -> LocalElem:
@@ -650,19 +576,16 @@ def hensel_solve(phi: DrinfeldModule, a: RPoly, y: LocalElem, n) -> LocalElem:
             "the residue equation has no root at this place", certified)
     x0 = LocalElem.from_digit(v, 0, roots[0], 1) if not roots[0].is_zero() \
         else LocalElem.zero_to(v, 1)
-    z = _newton_lift(g, x0, y, n)
-    if kappa == 0:
-        _assert_residual(phi, a, z, y, n)
-        return z
-    x_hat = LocalElem(v, {e / phi.p ** kappa: c for e, c in z.terms.items()},
-                      z.precision / phi.p ** kappa, kappa)
+    x_hat = _newton_lift(g, x0, y, n)
+    for _ in range(kappa):
+        x_hat = x_hat.pth_root()
     _assert_residual(phi, a, x_hat, y, n)
     return x_hat
 
 
 def _assert_residual(phi, a, x_hat, y, n):
     lhs = tp_eval_local(phi_action(phi, a), x_hat)
-    diff = lhs - y.refine(x_hat.grid)
+    diff = lhs - y
     if diff.precision < n:
         raise PrecisionUnderflow("residual cannot be verified to the target")
     w = diff.val()

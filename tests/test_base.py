@@ -12,7 +12,6 @@ from drinfeldlab.base import (
     check_modulus,
     felem_parse,
     fp_nullspace,
-    fp_solve,
     fp_solve_many,
     fp_span,
     inv_mod,
@@ -316,13 +315,13 @@ class TestFpLinear:
                 a = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
                 x = [rng.randrange(p) for _ in range(m)]
                 b = [sum(r * v for r, v in zip(row, x)) % p for row in a]
-                sol = fp_solve(a, b, p)
+                sol = fp_solve_many(a, [b], p)[0]
                 assert sol is not None
                 assert all(sum(r * v for r, v in zip(row, sol)) % p == bb
                            for row, bb in zip(a, b))
 
     def test_solve_inconsistent(self):
-        assert fp_solve([[1, 1], [1, 1]], [0, 1], 3) is None
+        assert fp_solve_many([[1, 1], [1, 1]], [[0, 1]], 3)[0] is None
 
     def test_solve_many_matches_single(self):
         rng = random.Random(222)
@@ -331,7 +330,7 @@ class TestFpLinear:
         rhss = [[rng.randrange(p) for _ in range(4)] for _ in range(6)]
         batch = fp_solve_many(a, rhss, p)
         for rhs, got in zip(rhss, batch):
-            single = fp_solve(a, rhs, p)
+            single = fp_solve_many(a, [rhs], p)[0]
             assert (single is None) == (got is None)
             if got is not None:
                 assert all(

@@ -341,6 +341,32 @@ class TestSharpBounds:
         assert res.info.denominator == "theta"
         assert res.points == (x,)
 
+    def test_monomial_denominator_needs_no_factoring(self):
+        # theta^9 lies above the factoring cap, but a denominator
+        # c(t) theta^k has the single place theta, so the profile stays
+        # complete: 1/theta solves theta X^3 + X^9 = (theta^7 + 1)/theta^9
+        y = kelem_parse(P, "(theta^7+1)/theta^9")
+        res = solve_additive_many(psi().phi_t, [y])[0]
+        assert res.points == (kelem_parse(P, "1/theta"),)
+        assert res.info.flags == ()
+
+    @pytest.mark.parametrize("f_text, x_text, denominator", [
+        # the coefficient denominator t is a unit at every finite place and
+        # the target denominator t theta^9 is a monomial with c(t) = t
+        ("[0, theta/t, 1]", "1/theta", "theta"),
+        ("[0, theta/t, 1]", "(theta+t)/theta^2", "theta^2"),
+        # the target denominator theta^18 is twice the factoring cap
+        ("[0, theta, 1]", "1/theta^2", "theta^2"),
+    ])
+    def test_monomial_denominators_past_the_cap(self, f_text, x_text,
+                                                denominator):
+        f = tp_parse(P, f_text)
+        x = kelem_parse(P, x_text)
+        res = solve_additive_many(f, [tp_eval(f, x)])[0]
+        assert res.info.denominator == denominator
+        assert res.points == (x,)
+        assert res.info.flags == ()
+
     def test_pole_at_a_zero_of_the_leading_coefficient(self):
         # at p = 2, X^2 + theta^4 X^4 = X^2 (1 + theta^2 X)^2: the root
         # 1/theta^2 balances the two terms at theta = 0, where only the

@@ -1,5 +1,6 @@
 """No module of the package or of its tests imports a name it never uses,
-and no private top-level def or class of the package goes unreferenced.
+no private top-level def or class of the package goes unreferenced, and
+every public one that the package never names is a declared entry point.
 
 A name counts as used when it appears anywhere in the module as a bare
 name: a call, an annotation, a base class, a decorator or the head of an
@@ -64,10 +65,11 @@ def test_no_unused_imports(path):
 PACKAGE = sorted((ROOT / "src" / "drinfeldlab").glob("*.py"))
 
 
-def unreferenced_private_defs(sources):
-    """(module, name) of each top-level def or class named _x in sources
-    (module -> source text) that no other top-level statement of any of
-    them names; a def that only calls itself is unreferenced."""
+def _unreferenced_defs(sources, counts):
+    """(module, name) of each top-level def or class in sources (module ->
+    source text) whose name passes counts and that no other top-level
+    statement of any of them names; a def that only calls itself is
+    unreferenced."""
     defined = []
     used = set()
     for module, source in sources.items():
@@ -77,13 +79,23 @@ def unreferenced_private_defs(sources):
             names |= {node.attr for node in ast.walk(stmt)
                       if isinstance(node, ast.Attribute)}
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
-                    and stmt.name.startswith("_") \
-                    and not stmt.name.startswith("__"):
+                    and counts(stmt.name):
                 defined.append((module, stmt.name))
                 names.discard(stmt.name)
             used |= names
     return sorted((module, name) for module, name in defined
                   if name not in used)
+
+
+def unreferenced_private_defs(sources):
+    """The unreferenced top-level defs and classes named _x."""
+    return _unreferenced_defs(
+        sources, lambda name: name.startswith("_") and not name.startswith("__"))
+
+
+def unreferenced_public_defs(sources):
+    """The unreferenced top-level defs and classes with a public name."""
+    return _unreferenced_defs(sources, lambda name: not name.startswith("_"))
 
 
 def test_private_detector():
@@ -93,6 +105,49 @@ def test_private_detector():
     assert unreferenced_private_defs(sources) == [("a", "_dead"), ("b", "_Gone")]
 
 
+def test_public_detector():
+    sources = {"a": "def used():\n    pass\n\ndef dead():\n    dead()\n"
+                    "def _helper():\n    pass\n",
+               "b": "from a import used\nclass Gone:\n    pass\n"
+                    "def f():\n    return used()\n"}
+    assert unreferenced_public_defs(sources) == [
+        ("a", "dead"), ("b", "Gone"), ("b", "f")]
+
+
 def test_every_private_def_is_referenced():
     sources = {path.name: path.read_text() for path in PACKAGE}
     assert unreferenced_private_defs(sources) == []
+
+
+# The public names that nothing in the package calls because callers outside
+# it do: the text parsers, the four pipelines and the report and
+# certificate tools.
+ENTRY_POINTS = (
+    ("adelic.py", "certificate_json"),
+    ("base.py", "felem_parse"),
+    ("base.py", "rpoly_parse"),
+    ("experiments.py", "generic_char_experiment"),
+    ("experiments.py", "poly_parse"),
+    ("experiments.py", "theta_box"),
+    ("experiments.py", "uniform_dml_reduce"),
+    ("experiments.py", "uniformity_probe"),
+    ("experiments.py", "zero_dim_intersection"),
+    ("kfield.py", "kelem_parse"),
+    ("phimodule.py", "divisible_hull"),
+    ("phimodule.py", "module_parse"),
+    ("phimodule.py", "point_parse"),
+    ("places.py", "check_product_formula"),
+    ("places.py", "place_parse"),
+)
+
+
+def test_every_public_def_is_referenced_or_an_entry_point():
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    assert set(unreferenced_public_defs(sources)) <= set(ENTRY_POINTS)
+
+
+def test_entry_points_exist():
+    defined = {(path.name, stmt.name) for path in PACKAGE
+               for stmt in ast.parse(path.read_text()).body
+               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    assert set(ENTRY_POINTS) <= defined

@@ -14,7 +14,6 @@ from drinfeldlab.localfield import (
     NoResidueRoot,
     PrecisionUnderflow,
     embed,
-    fv_pth_root,
     hensel_solve,
     local_to_str,
     residue_solve,
@@ -314,35 +313,12 @@ class TestLocalArithmetic:
         z = embed(k("theta") + k("t") ** 2, vft(), 4)
         w = z.refine(2)
         assert w.grid == 2
-        assert w.pth_root().pth_root().reduce_grid().grid >= 0
         assert (w - z).is_zero_to_precision()
-
-    def test_reduce_grid_drops_stale_tag(self):
-        z = embed(k("theta"), vft(), 3)
-        lifted = z.refine(1)
-        assert lifted.grid == 1
-        assert lifted.reduce_grid() == z
 
     def test_off_lattice_exponent_rejected(self):
         v = vft()
         with pytest.raises(ValueError):
             LocalElem(v, {Fraction(1, 3): FvElem.one(v)}, 2, grid=0)
-
-
-class TestFvPthRoot:
-    def test_linear_place_roundtrip(self):
-        c = residue_reduce(k("t^2+1"), vft())
-        assert fv_pth_root(c ** 3) == c
-
-    def test_t_has_no_root(self):
-        assert fv_pth_root(residue_reduce(k("t"), vft())) is None
-
-    def test_quadratic_place(self):
-        v = Place.parse(P, "finite:theta^2+t")
-        c = residue_reduce(k("theta+1"), v)
-        assert fv_pth_root(c ** 3) == c
-        # theta-bar is a cube root of -t here, so -t must have a root
-        assert fv_pth_root(residue_reduce(k("2*t^3"), v)) is not None
 
 
 class TestResidueSolve:

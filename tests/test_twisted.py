@@ -4,18 +4,13 @@ import pytest
 
 from drinfeldlab.kfield import KElem, kelem_parse, kelem_to_str
 from drinfeldlab.twisted import (
-    PrecisionGridError,
     TwistedPoly,
     ZeroMapError,
     tp_add,
     tp_compose,
     tp_eval,
-    tp_eval_rep,
-    tp_inseparability,
     tp_parse,
-    tp_pth_root,
     tp_scale,
-    tp_sub,
     tp_to_str,
 )
 
@@ -95,67 +90,54 @@ class TestEval:
             y = pool[rng.randrange(len(pool))]
             assert tp_eval(C, x + y) == tp_eval(C, x) + tp_eval(C, y)
 
-
-class TestRoots:
-    def test_pure_frobenius(self):
+    def test_plain_frobenius_sum(self):
+        # f(x) = sum c_i x^{p^i}, checked against field powers
         p = 3
-        h = tp_pth_root(TwistedPoly.tau_power(p, 2), 2)
-        assert h.grid == 2
-        assert tp_to_str(h) == "[1]"
-
-    def test_special_root(self):
-        Psi = special_psi()
-        h = tp_pth_root(Psi, 1)
-        assert h.grid == 1
-        assert tp_to_str(h) == "[theta, 1]"
-
-    def test_separable_rejected(self):
-        with pytest.raises(PrecisionGridError):
-            tp_pth_root(carlitz(), 1)
-
-    def test_root_value_identity(self):
-        # h(x)^p = f(x), checked on stored data
-        p = 3
-        Psi = special_psi()
-        h = tp_pth_root(Psi, 1)
-        for x in (KElem.theta(p), kelem_parse(p, "theta+t"), KElem.t(p)):
-            assert tp_eval_rep(h, x.frob(1)) == tp_eval(Psi, x)
-
-    def test_reduce_grid(self):
-        p = 3
-        h = tp_pth_root(TwistedPoly.tau_power(p, 1), 1)
-        assert h.grid == 1
-        assert h.reduce_grid().grid == 0
-        hp = tp_pth_root(special_psi(), 1)
-        assert hp.reduce_grid().grid == 1  # theta^{1/3} really needs the tag
-
-    def test_grid_mixing(self):
-        p = 3
-        hp = tp_pth_root(special_psi(), 1)
-        s = tp_add(hp, TwistedPoly.identity(p))
-        assert s.grid == 1
-        x = kelem_parse(p, "theta+t")
-        assert tp_eval_rep(s, x.frob(1)) == tp_eval_rep(hp, x.frob(1)) + x.frob(1)
-
-    def test_tagged_eval_descends(self):
-        p = 3
-        g = TwistedPoly(p, [KElem.zero(p), KElem.one(p)]).refine(1)
-        x = kelem_parse(p, "theta+t")
-        assert tp_eval(g, x) == x ** p
+        f = tp_parse(p, "[t, 0, theta+1, 1/theta]")
+        for x in (KElem.theta(p), kelem_parse(p, "theta+t"),
+                  kelem_parse(p, "1/(theta^2+t)")):
+            expected = sum((c * x ** (p ** i) for i, c in enumerate(f.coeffs)),
+                           KElem.zero(p))
+            assert tp_eval(f, x) == expected
 
 
-class TestInseparability:
+class TestEquality:
+    def test_trailing_zeros_dropped(self):
+        C = TwistedPoly(3, [KElem.t(3), KElem.one(3), KElem.zero(3)])
+        assert C == carlitz()
+        assert C.tau_degree == 1
+
+    def test_equal_polys_share_a_hash(self):
+        assert len({carlitz(), tp_parse(3, "[t, 1]"), special_psi(),
+                    tp_parse(3, "[0, theta, 1]")}) == 2
+
+    def test_modulus_distinguishes(self):
+        assert TwistedPoly.identity(2) != TwistedPoly.identity(3)
+
+    def test_repr_lists_the_coefficients(self):
+        assert repr(special_psi()) == "TwistedPoly([0, theta, 1])"
+
+
+@pytest.mark.parametrize("op", [
+    lambda f, g: tp_add(f, g),
+    lambda f, g: tp_compose(f, g),
+    lambda f, g: tp_scale(f, g.coeff(0)),
+    lambda f, g: tp_eval(f, g.coeff(0)),
+], ids=["add", "compose", "scale", "eval"])
+def test_modulus_mismatch_rejected(op):
+    with pytest.raises(ValueError):
+        op(carlitz(3), carlitz(2))
+
+
+class TestValuation:
     def test_cases(self):
-        p = 3
-        tv, diff = tp_inseparability(carlitz())
-        assert tv == 0 and kelem_to_str(diff) == "t"
-        tv, diff = tp_inseparability(special_psi())
-        assert tv == 1 and diff.is_zero()
-        assert tp_inseparability(TwistedPoly.tau_power(p, 2))[0] == 2
+        assert carlitz().tau_valuation == 0
+        assert special_psi().tau_valuation == 1
+        assert tp_parse(3, "[0, 0, 1]").tau_valuation == 2
 
     def test_zero_map(self):
         with pytest.raises(ZeroMapError):
-            tp_inseparability(TwistedPoly.zero(3))
+            TwistedPoly.zero(3).tau_valuation
 
 
 class TestSerialization:
@@ -166,12 +148,11 @@ class TestSerialization:
             f = tp_parse(p, text)
             assert tp_parse(p, tp_to_str(f)) == f
 
-    def test_scale_and_sub(self):
+    def test_scale(self):
         p = 3
         C = carlitz(p)
         s = tp_scale(C, KElem.const(p, 2))
         assert tp_add(C, s).is_zero()  # 1 + 2 = 0 mod 3
-        assert tp_sub(tp_add(C, s), s) == C
 
     def test_malformed(self):
         with pytest.raises(ValueError):
