@@ -25,11 +25,10 @@ from fractions import Fraction
 from .base import (RMatrix, RPoly, fp_nullspace, fp_solve_many, fp_span,
                    memo_put, smith_normal_form)
 from .drinfeld import DrinfeldModule, phi_action, torsion_annihilator
-from .kfield import KElem, kelem_to_str
+from .kfield import KElem, coordinates, kelem_to_str
 from .localfield import (
     LocalElem,
     NoResidueRoot,
-    _fv_linearize,
     embed,
     hensel_solve,
     tp_eval_local,
@@ -40,8 +39,8 @@ from .phimodule import (
     _apply_operators,
     _iter_rpolys_below,
     _iterate_family,
-    _linearize_points,
     _op_on_point,
+    _point_system,
     _weights_to_operators,
     decompose,
     member,
@@ -58,6 +57,7 @@ from .places import (
     FvElem,
     Place,
     classify_places,
+    fv_coordinates,
     fv_tp_eval,
     place_to_str,
     residue_reduce,
@@ -185,23 +185,20 @@ def _digit(z: LocalElem, m) -> FvElem:
     return c if c is not None else FvElem.zero(z.place)
 
 
-def _digit_rows(elems, g: int, level: int, target=None):
+def _digit_rows(elems, level: int, target=None):
     """F_p equations forcing the level-m digit of a combination to match.
 
     `elems` are point tuples of LocalElem, one per unknown; `target` is a
-    point tuple of LocalElem or None for the homogeneous system.
+    point tuple of LocalElem or None for the homogeneous system.  Returns
+    (rows, rhs), rhs the one right-hand side or [] without a target.
     """
-    rows_all, rhs_all = [], []
-    for s in range(g):
-        images = [_digit(pt[s], level) for pt in elems]
-        targets = [_digit(target[s], level)] if target is not None else []
-        if not images and not targets:
-            continue
-        rows, rhs = _fv_linearize(images, targets)
-        rows_all.extend(rows)
-        if target is not None:
-            rhs_all.extend(rhs[0])
-    return rows_all, rhs_all
+    def digits(pt):
+        return tuple(_digit(z, level) for z in pt)
+
+    targets = [digits(target)] if target is not None else []
+    rows, rhs = _point_system([digits(pt) for pt in elems], targets,
+                              fv_coordinates)
+    return rows, rhs[0] if rhs else []
 
 
 def _family_residues(gamma: PhiModule, v: Place, deg_bound: int):
@@ -247,7 +244,7 @@ def _strata_levels(embedded, g: int, p: int, v: Place, cutoff: int):
         if not basis:
             break
         elems = [_combine_embedded(embedded, b, v, cutoff, g) for b in basis]
-        rows, _ = _digit_rows(elems, g, m)
+        rows, _ = _digit_rows(elems, m)
         ker = fp_nullspace(rows, p, len(basis))
         basis = [_vec_combine(basis, lam, p) for lam in ker]
         out.append((m + 1, basis))
@@ -256,7 +253,7 @@ def _strata_levels(embedded, g: int, p: int, v: Place, cutoff: int):
 
 def _syzygy_space_dim(gamma: PhiModule, deg_bound: int) -> int:
     family = _iterate_family(gamma, deg_bound)
-    rows, _ = _linearize_points(gamma.p, gamma.g, family, [])
+    rows, _ = _point_system(family, [], coordinates)
     return len(fp_nullspace(rows, gamma.p, len(family)))
 
 
@@ -485,7 +482,7 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
         rows, rhs = [], []
         best = 0
         for m in range(precision):
-            r_m, b_m = _digit_rows(embedded, gamma.g, m, target)
+            r_m, b_m = _digit_rows(embedded, m, target)
             rows.extend(r_m)
             rhs.extend(b_m)
             if rows and fp_solve_many(rows, [rhs], p)[0] is None:
@@ -541,12 +538,8 @@ def _residue_torsion_annihilator_bound(gamma: PhiModule, family_res, v: Place,
                                        deg_bound: int) -> RPoly:
     """Annihilator of the torsion part of the reduced bounded module at v."""
     p = gamma.p
-    images = []
-    for s in range(gamma.g):
-        col = [res[s] for res in family_res]
-        r, _rhs = _fv_linearize(col, [])
-        images.extend(r)
-    kernel = fp_nullspace(images, p, len(family_res))
+    rows, _ = _point_system(family_res, [], fv_coordinates)
+    kernel = fp_nullspace(rows, p, len(family_res))
     if not kernel:
         return RPoly.one(p)
     op_rows = [_weights_to_operators(b, gamma.rank, deg_bound, p)
@@ -592,10 +585,9 @@ def closure_torsion_check(gamma: PhiModule, witness_places=None,
         res = _family_residues(gamma, v, deg_bound)
         ann = _residue_torsion_annihilator_bound(gamma, res, v, deg_bound)
         fbar = [residue_reduce(c, v) for c in phi_action(gamma.phi, ann).coeffs]
-        for s in range(gamma.g):
-            col = [fv_tp_eval(fbar, r[s]) for r in res]
-            rows, _ = _fv_linearize(col, [])
-            stacked.extend(rows)
+        images = [tuple(fv_tp_eval(fbar, c) for c in r) for r in res]
+        rows, _ = _point_system(images, [], fv_coordinates)
+        stacked.extend(rows)
     kernel = fp_nullspace(stacked, p, n_weights)
 
     leak = None

@@ -726,18 +726,43 @@ def smith_normal_form(a: RMatrix) -> SmithForm:
 # -- F_p linear algebra ----------------------------------------------------
 
 
-def fp_rref(rows, p):
-    """Reduced row echelon form over F_p.
+def fp_system(columns, targets=()):
+    """F_p rows of sum_k u_k columns[k] = target, for each target.
+
+    columns and targets are sparse vectors {key: coefficient} with sortable
+    keys.  Returns (rows, rhs): one row per key of the joint support, in
+    ascending key order, with rows[l][k] the coefficient of columns[k] at
+    that key, and rhs[m] the coefficients of targets[m] on the same keys.
+    """
+    support = set().union(*columns, *targets)
+    index = {key: l for l, key in enumerate(sorted(support))}
+    rows = [[0] * len(columns) for _ in index]
+    for k, vec in enumerate(columns):
+        for key, c in vec.items():
+            rows[index[key]][k] = c
+    rhs = []
+    for vec in targets:
+        col = [0] * len(index)
+        for key, c in vec.items():
+            col[index[key]] = c
+        rhs.append(col)
+    return rows, rhs
+
+
+def fp_rref(rows, p, ncols):
+    """Reduced row echelon form over F_p, pivoting in the first ncols columns.
 
     Returns (rref, pivot_cols).  `rows` is a list of equal-length int lists;
-    the input is not modified.
+    the input is not modified.  Columns past ncols (an augmented block) are
+    carried along but never pivoted on.
     """
     mat = [[x % p for x in row] for row in rows]
     n = len(mat)
-    m = len(mat[0]) if n else 0
     pivots = []
     r = 0
-    for col in range(m):
+    for col in range(ncols):
+        if r == n:
+            break
         sel = None
         for i in range(r, n):
             if mat[i][col]:
@@ -754,8 +779,6 @@ def fp_rref(rows, p):
                 mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
         pivots.append(col)
         r += 1
-        if r == n:
-            break
     return mat, pivots
 
 
@@ -770,7 +793,7 @@ def fp_nullspace(rows, p, ncols):
     check_modulus(p)
     if any(len(row) != ncols for row in rows):
         raise ValueError("row length differs from the number of unknowns")
-    rref, pivots = fp_rref(rows, p)
+    rref, pivots = fp_rref(rows, p, ncols)
     pivot_set = set(pivots)
     free_cols = [j for j in range(ncols) if j not in pivot_set]
     basis = []
@@ -792,42 +815,41 @@ def fp_solve_many(rows, rhs_list, p):
     if not rows:
         return [([] if not any(x % p for x in rhs) else None) for rhs in rhs_list]
     m = len(rows[0])
-    n = len(rows)
-    mat = [[x % p for x in rows[i]] + [rhs[i] % p for rhs in rhs_list]
-           for i in range(n)]
-    pivots = []
-    r = 0
-    for col in range(m):
-        sel = None
-        for i in range(r, n):
-            if mat[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = inv_mod(mat[r][col], p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(n):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    zero_rows = [i for i in range(len(pivots), n)]
+    mat = [list(row) + [rhs[i] for rhs in rhs_list]
+           for i, row in enumerate(rows)]
+    rref, pivots = fp_rref(mat, p, m)
+    zero_rows = rref[len(pivots):]
     out = []
-    for s, _rhs in enumerate(rhs_list):
-        col = m + s
-        if any(mat[i][col] for i in zero_rows):
+    for col in range(m, m + len(rhs_list)):
+        if any(row[col] for row in zero_rows):
             out.append(None)
             continue
         sol = [0] * m
-        for rr, pc in enumerate(pivots):
-            sol[pc] = mat[rr][col]
+        for row, pc in zip(rref, pivots):
+            sol[pc] = row[col]
         out.append(sol)
     return out
+
+
+def fp_first_relation(vectors, p):
+    """(j, weights) for the first j >= 1 with vectors[j] in the span of
+    vectors[:j], and vectors[j] = sum_k weights[k] vectors[k]; or None.
+
+    The vectors are sparse {key: coefficient}; one elimination decides
+    every j, since that j is the first free column >= 1 of their matrix.
+    """
+    n = len(vectors)
+    rows, _ = fp_system(vectors)
+    rref, pivots = fp_rref(rows, p, n)
+    pivot_set = set(pivots)
+    j = next((j for j in range(1, n) if j not in pivot_set), None)
+    if j is None:
+        return None
+    weights = [0] * j
+    for row, pc in zip(rref, pivots):
+        if pc < j:
+            weights[pc] = row[j]
+    return j, weights
 
 
 def fp_span(p: int, vectors, start):

@@ -22,10 +22,11 @@ import itertools
 import warnings
 from dataclasses import dataclass
 
-from .base import RPoly, fp_nullspace, fp_solve_many, fp_span
+from .base import (RPoly, fp_first_relation, fp_nullspace, fp_solve_many, fp_span,
+                   fp_system)
 from .factor import factor_bipoly
-from .kfield import (BiPoly, KElem, bi_divexact, common_denominator, coordinates,
-                     height, kelem_sort_key, kelem_to_str, monomial_rows)
+from .kfield import (BiPoly, KElem, bi_divexact, bipoly_vector, common_denominator,
+                     coordinates, height, kelem_sort_key, kelem_to_str)
 from .places import _FACTOR_DEG_CAP, Place, valuation
 from .twisted import TwistedPoly, tp_add, tp_compose, tp_eval, tp_parse, tp_scale, tp_to_str
 
@@ -335,10 +336,9 @@ def solve_additive_many(f: TwistedPoly, ys, bounds: HeightProfile | None = None)
     if not y_den.is_one():
         images = [n * y_den for n in images]
     rhs_polys = [y.num * image_den * bi_divexact(y_den, y.den) for y in ys]
-    matrix, _support = monomial_rows(images + rhs_polys)
     n_basis = len(images)
-    rows = [list(col) for col in zip(*matrix[:n_basis])]
-    rhss = [list(r) for r in matrix[n_basis:]]
+    rows, rhss = fp_system([bipoly_vector(f) for f in images],
+                           [bipoly_vector(f) for f in rhs_polys])
     sols = fp_solve_many(rows, rhss, p) if rhss else []
     null = fp_nullspace(rows, p, n_basis)
 
@@ -419,8 +419,9 @@ def torsion_annihilator(phi: DrinfeldModule, x: KElem,
                         max_deg: int = 8) -> TorsionCertificate:
     """Search an F_p[t]-annihilator of x of degree <= max_deg.
 
-    Iterates x_j = Phi_{t^j}(x) are tested for F_p-linear dependence; the
-    first dependence gives the monic minimal annihilator directly.
+    Iterates x_j = Phi_{t^j}(x) are coordinatised once and tested for
+    F_p-linear dependence; the first dependence gives the monic minimal
+    annihilator directly.
     """
     if max_deg < 1:
         raise ValueError("max_deg must be >= 1")
@@ -432,15 +433,11 @@ def torsion_annihilator(phi: DrinfeldModule, x: KElem,
     iterates = [x]
     for j in range(1, max_deg + 1):
         iterates.append(tp_eval(phi.phi_t, iterates[-1]))
-    for j in range(1, max_deg + 1):
-        coords = coordinates(iterates[: j + 1])
-        length = len(coords.basis)
-        rows = [[coords.matrix[k][l] for k in range(j)] for l in range(length)]
-        rhs = [coords.matrix[j][l] for l in range(length)]
-        sol = fp_solve_many(rows, [rhs], p)[0]
-        if sol is not None:
-            a = RPoly.monomial(p, j) - RPoly.from_coeffs(p, sol)
-            return TorsionCertificate.torsion(phi, x, a, max_deg)
+    relation = fp_first_relation(coordinates(iterates), p)
+    if relation is not None:
+        j, weights = relation
+        a = RPoly.monomial(p, j) - RPoly.from_coeffs(p, weights)
+        return TorsionCertificate.torsion(phi, x, a, max_deg)
     return TorsionCertificate.not_torsion(max_deg, (height(z) for z in iterates))
 
 

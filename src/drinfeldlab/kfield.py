@@ -15,8 +15,6 @@ a unicode ``θ`` reads as theta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .base import RPoly, FElem, check_modulus, inv_mod, rpoly_to_str
 from .grammar import Ring, parse
 
@@ -549,18 +547,6 @@ def height(x: KElem) -> int:
 # -- coordinates -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Coordinates:
-    """F_p-coordinates of a family of K-elements on a shared monomial basis.
-
-    matrix[i] is the coordinate row of xs[i] (after clearing the common
-    denominator `den`); basis is the ascending (theta_exp, t_exp) list.
-    """
-    matrix: tuple
-    basis: tuple
-    den: BiPoly
-
-
 def common_denominator(xs) -> BiPoly:
     """Least common denominator of a family of K-elements."""
     if not xs:
@@ -577,42 +563,23 @@ def common_denominator(xs) -> BiPoly:
     return _canonical_scale(d)
 
 
-def coordinates(xs) -> Coordinates:
-    """Exact common-denominator F_p-coordinates of a list of K-elements."""
+def coordinates(xs):
+    """Exact F_p-coordinates of a list of K-elements: one sparse vector
+    {(theta_exp, t_exp): c} of x * common_denominator(xs) per x."""
     xs = list(xs)
-    den = common_denominator(xs)
-    den_k = KElem.from_bipoly(den)
-    cleared = []
+    den_k = KElem.from_bipoly(common_denominator(xs))
+    out = []
     for x in xs:
         y = x * den_k
         if not y.is_polynomial():
             raise AssertionError("denominator clearing failed")
-        cleared.append(y.num)
-    rows, basis = monomial_rows(cleared)
-    return Coordinates(rows, basis, den)
+        out.append(bipoly_vector(y.num))
+    return out
 
 
-def monomial_rows(polys):
-    """(rows, basis): F_p coefficient rows of BiPolys on their joint support.
-
-    basis is the ascending (theta_exp, t_exp) list of every monomial that
-    occurs; rows[i] holds the coefficients of polys[i] on it.
-    """
-    support = set()
-    for f in polys:
-        for e, g in f.c.items():
-            for te in g.c:
-                support.add((e, te))
-    basis = tuple(sorted(support))
-    index = {m: i for i, m in enumerate(basis)}
-    rows = []
-    for f in polys:
-        row = [0] * len(basis)
-        for e, g in f.c.items():
-            for te, c in g.c.items():
-                row[index[(e, te)]] = c
-        rows.append(tuple(row))
-    return tuple(rows), basis
+def bipoly_vector(f: BiPoly) -> dict:
+    """The F_p-coefficients {(theta_exp, t_exp): c} of f."""
+    return {(e, te): c for e, g in f.c.items() for te, c in g.c.items()}
 
 
 # -- text --------------------------------------------------------------------

@@ -16,15 +16,16 @@ honest cutoff and raise rather than silently losing digits.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .base import FElem, RPoly, fp_nullspace, fp_solve_many, fp_span, memo_put
-from .drinfeld import DrinfeldModule, phi_action
+from .base import (FElem, RPoly, fp_nullspace, fp_solve_many, fp_span, fp_system,
+                   memo_put)
+from .drinfeld import DrinfeldModule, _pole_bound, phi_action
 from .factor import factor_rpoly, rpoly_code
 from .kfield import KElem
-from .places import (FvElem, Place, _bipoly_multiplicity, fv_tp_eval,
-                     get_trunc_ring, residue_reduce, valuation)
+from .places import (FvElem, Place, _bipoly_multiplicity, fv_coordinates,
+                     fv_denominator, fv_tp_eval, get_trunc_ring, residue_reduce,
+                     valuation)
 from .twisted import TwistedPoly
 
 
@@ -296,53 +297,6 @@ def _embed_infinite(x: KElem, v: Place, n: int) -> LocalElem:
     return LocalElem(v, terms, n)
 
 
-def _fv_linearize(images, targets):
-    """F_p rows for sum u_k images[k] = target, shared across targets.
-
-    Coordinates run over the joint monomial support, not a dense degree
-    range, so iterate families with huge sparse exponents stay cheap.
-    """
-    place = images[0].place if images else targets[0].place
-    p = place.p
-    den = RPoly.one(p)
-    for fv in list(images) + list(targets):
-        for f in fv.rep:
-            g = den.gcd(f.den)
-            den = (den // g) * f.den
-
-    def flatten(fv):
-        out = []
-        for f in fv.rep:
-            cleared = f * FElem.from_rpoly(den)
-            if not cleared.den.is_one():
-                raise AssertionError("denominator clearing failed")
-            out.append(cleared.num)
-        return out
-
-    flat_images = [flatten(fv) for fv in images]
-    flat_targets = [flatten(fv) for fv in targets]
-    support = set()
-    for group in flat_images + flat_targets:
-        for slot, f in enumerate(group):
-            for e in f.c:
-                support.add((slot, e))
-    basis = sorted(support)
-    index = {m: i for i, m in enumerate(basis)}
-
-    def vector(group):
-        vec = [0] * len(basis)
-        for slot, f in enumerate(group):
-            for e, coef in f.c.items():
-                vec[index[(slot, e)]] = coef
-        return vec
-
-    img_vecs = [vector(g) for g in flat_images]
-    rows = [[img_vecs[k][l] for k in range(len(img_vecs))]
-            for l in range(len(basis))]
-    rhs = [vector(g) for g in flat_targets]
-    return rows, rhs
-
-
 # -- residue-root solving for additive polynomials over F_v ------------------
 
 _KERNEL_DIM_CAP = 6
@@ -397,41 +351,21 @@ def residue_solve(coeffs, ybar: FvElem, v: Place):
         e_den = RPoly.one(p)
         for code in sorted(primes):
             q = primes[code]
-            vals = [(i, _felem_val(c, q)) for i, c in cs]
-            vy = min(0, _felem_val(y, q)) if not y.is_zero() else 0
-            e = 0
-            if not y.is_zero():
-                for i, vi in vals:
-                    e = max(e, -(-(vi - vy) // p ** i))
-            for (i, vi), (j, vj) in itertools.combinations(vals, 2):
-                if vj - vi > 0:
-                    e = max(e, (vj - vi) // (p ** j - p ** i))
+            vy = None if y.is_zero() else min(0, _felem_val(y, q))
+            e = _pole_bound(p, [(i, _felem_val(c, q)) for i, c in cs], vy)
             if e >= 1:
                 e_den = e_den * q ** e
-        degs = [(i, _felem_deg(c)) for i, c in cs]
-        b = 0
-        if not y.is_zero():
-            dy = _felem_deg(y)
-            for i, di in degs:
-                b = max(b, -(-(dy - di) // p ** i))
-        for (i, di), (j, dj) in itertools.combinations(degs, 2):
-            if di - dj > 0:
-                b = max(b, (di - dj) // (p ** j - p ** i))
+        b = _pole_bound(p, [(i, -_felem_deg(c)) for i, c in cs],
+                        None if y.is_zero() else -_felem_deg(y))
         bound = b + e_den.degree
         basis = [FElem(RPoly.monomial(p, j), e_den) for j in range(bound + 1)]
         certified = True
     else:
         # heuristic bounded space over the theta-bar power basis
-        den = RPoly.one(p)
-        for _i, c in nz:
-            for f in c.rep:
-                g = den.gcd(f.den)
-                den = (den // g) * f.den
-        for f in ybar.rep:
-            g = den.gcd(f.den)
-            den = (den // g) * f.den
+        data = [c for _i, c in nz] + [ybar]
+        den = fv_denominator(data)
         t_deg = max(max((f.num.degree for f in fv.rep), default=0)
-                    for fv in [c for _i, c in nz] + [ybar])
+                    for fv in data)
         bound = max(4, t_deg) + den.degree
         basis = [FElem(RPoly.monomial(p, j), den) for j in range(bound + 1)]
         certified = False
@@ -446,7 +380,8 @@ def residue_solve(coeffs, ybar: FvElem, v: Place):
             candidates.append(x)
 
     images = [fv_tp_eval(coeffs, x) for x in candidates]
-    rows, rhs = _fv_linearize(images, [ybar])
+    vecs = fv_coordinates(images + [ybar])
+    rows, rhs = fp_system(vecs[:-1], vecs[-1:])
     sol = fp_solve_many(rows, rhs, p)[0]
     null = fp_nullspace(rows, p, len(candidates))
     if sol is None:

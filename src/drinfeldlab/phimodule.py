@@ -6,6 +6,12 @@ down to F_p linear algebra on coordinate vectors of the bounded iterate
 family {Phi_{t^j}(x_i)}, so syzygies, membership, quotients, and torsion all
 ride on fp_nullspace / fp_solve_many plus Smith reduction over F_p[t].
 
+base.fp_system is the one linearisation: it turns sparse F_p-coordinates
+(kfield.coordinates over K, places.fv_coordinates over a residue field) into
+rows, and _point_system stacks one such block per coordinate of a point.
+It serves syzygies and membership here, and the syzygy count, valuation
+digit strata and residue torsion of `adelic`.
+
 _iterate_family is the one exact family: generator-major, then j = 0..bound,
 so the weight of Phi_{t^j}(x_i) sits at index i * (bound + 1) + j.  It and
 _op_on_point, the one application of Phi_a to a point, both iterate phi_t
@@ -22,15 +28,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .base import (RMatrix, RPoly, fp_nullspace, fp_solve_many, fp_span,
-                   smith_normal_form)
+from .base import (RMatrix, RPoly, fp_first_relation, fp_nullspace, fp_solve_many,
+                   fp_span, fp_system, smith_normal_form)
 from .drinfeld import (DrinfeldModule, HeightProfile, phi_action,
                        solve_additive_many, torsion_annihilator)
 from .factor import iter_irreducible_rpolys, rpoly_code
 from .grammar import Parser
 from .kfield import KElem, coordinates, kelem_ring, kelem_sort_key, kelem_to_str
-from .localfield import _fv_linearize
-from .places import FvElem, Place, fv_tp_eval, residue_reduce
+from .places import FvElem, Place, fv_coordinates, fv_tp_eval, residue_reduce
 from .twisted import tp_eval, tp_to_str
 
 _REP_ENUM_CAP = 6561
@@ -174,23 +179,25 @@ def _iterate_family(gamma: PhiModule, deg_bound: int):
     return [z for x in gamma.gens for z in _orbit(gamma.phi, x, deg_bound)]
 
 
-def _linearize_points(p: int, g: int, family, targets):
-    """Stacked F_p rows for sum_k u_k family[k] = target, per target."""
+def _point_system(columns, targets, coords):
+    """F_p rows and right-hand sides of sum_k u_k columns[k] = target.
+
+    columns and targets are points, not both empty; coords maps a list of
+    field elements to their sparse F_p-coordinates over one common
+    denominator (kfield.coordinates, places.fv_coordinates).  Each
+    coordinate of the points gets its own fp_system block, with its own
+    denominator.
+    """
+    points = list(columns) + list(targets)
+    n = len(columns)
     rows = []
     rhs = [[] for _ in targets]
-    for s in range(g):
-        col = [x[s] for x in family] + [y[s] for y in targets]
-        coords = coordinates(col) if col else None
-        if coords is None:
-            continue
-        width = len(coords.basis)
-        n = len(family)
-        for l in range(width):
-            rows.append([coords.matrix[k][l] for k in range(n)])
-        for m in range(len(targets)):
-            row = coords.matrix[n + m]
-            for l in range(width):
-                rhs[m].append(row[l])
+    for s in range(len(points[0])):
+        vecs = coords([x[s] for x in points])
+        block, block_rhs = fp_system(vecs[:n], vecs[n:])
+        rows.extend(block)
+        for acc, part in zip(rhs, block_rhs):
+            acc.extend(part)
     return rows, rhs
 
 
@@ -240,7 +247,7 @@ def syzygies(gamma: PhiModule, deg_bound: int = _DEFAULT_BOUND) -> RMatrix:
     if gamma.rank == 0:
         return RMatrix(p, [])
     family = _iterate_family(gamma, deg_bound)
-    rows, _ = _linearize_points(p, gamma.g, family, [])
+    rows, _ = _point_system(family, [], coordinates)
     relations = []
     for vec in fp_nullspace(rows, p, len(family)):
         ops = _weights_to_operators(vec, gamma.rank, deg_bound, p)
@@ -299,8 +306,8 @@ def _member_many(gamma: PhiModule, family, ys, deg_bound: int):
     sols = [None] * len(ys)
     pending = [m for m, y in enumerate(ys) if not point_is_zero(y)]
     if pending and gamma.rank:
-        rows, rhs = _linearize_points(p, gamma.g, family,
-                                      [ys[m] for m in pending])
+        rows, rhs = _point_system(family, [ys[m] for m in pending],
+                                  coordinates)
         for m, sol in zip(pending, fp_solve_many(rows, rhs, p)):
             sols[m] = sol
     out = []
@@ -600,12 +607,11 @@ def fv_torsion_annihilator(phi: DrinfeldModule, v: Place, xbar: FvElem,
     iterates = [xbar]
     for _ in range(max_deg):
         iterates.append(fv_tp_eval(cbar, iterates[-1]))
-    for j in range(1, max_deg + 1):
-        rows, rhs = _fv_linearize(iterates[:j], [iterates[j]])
-        sol = fp_solve_many(rows, rhs, p)[0]
-        if sol is not None:
-            return RPoly.monomial(p, j) - RPoly.from_coeffs(p, sol)
-    return None
+    relation = fp_first_relation(fv_coordinates(iterates), p)
+    if relation is None:
+        return None
+    j, weights = relation
+    return RPoly.monomial(p, j) - RPoly.from_coeffs(p, weights)
 
 
 def _point_reduction_is_torsion(phi, v, x, max_deg):

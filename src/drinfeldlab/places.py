@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base import FElem, check_modulus, memo_put
+from .base import FElem, RPoly, check_modulus, memo_put
 from .factor import bipoly_is_irreducible, factor_bipoly, rpoly_code
 from .grammar import Parser
 from .kfield import (BiPoly, KElem, _bipoly_to_str, bipoly_pth_root, kelem_ring,
@@ -308,6 +308,33 @@ class FvElem:
         return f"FvElem({self.place}, {self})"
 
 
+def fv_denominator(xs) -> RPoly:
+    """The least common denominator of the F-coefficients of residue
+    elements."""
+    den = RPoly.one(xs[0].p)
+    for x in xs:
+        for f in x.rep:
+            den = den // den.gcd(f.den) * f.den
+    return den
+
+
+def fv_coordinates(xs):
+    """Exact F_p-coordinates of a list of residue elements: one sparse
+    vector {(slot, t_exp): c} of x * fv_denominator(xs) per x, so iterate
+    families with huge sparse exponents stay cheap."""
+    den = FElem.from_rpoly(fv_denominator(xs))
+    out = []
+    for x in xs:
+        vec = {}
+        for slot, f in enumerate(x.rep):
+            cleared = f * den
+            if not cleared.den.is_one():
+                raise AssertionError("denominator clearing failed")
+            vec.update(((slot, e), c) for e, c in cleared.num.c.items())
+        out.append(vec)
+    return out
+
+
 def fv_tp_eval(coeffs_bar, x: FvElem) -> FvElem:
     """sum c_i x^{p^i} for residue coefficients c_i, lowest tau-power first.
 
@@ -386,16 +413,14 @@ _gp_cache: dict = {}
 
 
 def _gen_pth_power(place: Place):
-    """Reduction of g^p mod pi, for the residue generator g (cached)."""
+    """Reduction of g^p mod pi, for the residue generator g, memoised in
+    _gp_cache by base.memo_put."""
     out = _gp_cache.get(place)
     if out is None:
         p = place.p
         raw = [FElem.zero(p)] * p + [FElem.one(p)]
         pi = list(place.monic_coeffs) + [FElem.one(p)]
-        out = _fpoly_rem_monic(raw, pi)
-        if len(_gp_cache) > 64:
-            _gp_cache.clear()
-        _gp_cache[place] = out
+        out = memo_put(_gp_cache, place, _fpoly_rem_monic(raw, pi))
     return out
 
 
@@ -649,9 +674,6 @@ class PlaceSets:
 
     def good_for_module(self, v: Place) -> bool:
         return v not in self.omega1_excluded
-
-    def good_for_phi(self, v: Place) -> bool:
-        return v not in self.omega0_excluded
 
 
 def _support_places(x: KElem):

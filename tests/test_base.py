@@ -11,9 +11,11 @@ from drinfeldlab.base import (
     RPoly,
     check_modulus,
     felem_parse,
+    fp_first_relation,
     fp_nullspace,
     fp_solve_many,
     fp_span,
+    fp_system,
     inv_mod,
     rpoly_parse,
     rpoly_to_str,
@@ -264,6 +266,106 @@ class TestSmith:
         s1 = smith_normal_form(a)
         s2 = smith_normal_form(a)
         assert s1.u == s2.u and s1.v == s2.v and s1.d == s2.d
+
+
+def _rnd_sparse(rng, p, keys):
+    """A sparse vector over F_p on a random subset of keys."""
+    return {key: rng.randrange(1, p) for key in keys if rng.random() < 0.5}
+
+
+def _dense(vec, keys):
+    return [vec.get(key, 0) for key in keys]
+
+
+def _fp_vectors(p, m):
+    return itertools.product(range(p), repeat=m)
+
+
+class TestFpSystem:
+    def test_nothing(self):
+        assert fp_system([]) == ([], [])
+
+    def test_no_columns(self):
+        rows, rhs = fp_system([], [{(0, 2): 1}, {}])
+        assert rows == [[]]
+        assert rhs == [[1], [0]]
+
+    def test_no_targets(self):
+        rows, rhs = fp_system([{(2, 0): 1}, {(1, 0): 2, (2, 0): 1}])
+        assert rows == [[0, 2], [1, 1]]
+        assert rhs == []
+
+    def test_rows_follow_ascending_key_order(self):
+        rows, rhs = fp_system([{(1, 0): 1}, {(0, 5): 2}], [{(0, 0): 1}])
+        # (0, 0) < (0, 5) < (1, 0)
+        assert rows == [[0, 0], [0, 2], [1, 0]]
+        assert rhs == [[1, 0, 0]]
+
+    def test_rows_times_weights_is_the_combination(self):
+        rng = random.Random(515)
+        for p in (2, 3, 5):
+            for _ in range(20):
+                keys = [(a, b) for a in range(3) for b in range(3)]
+                cols = [_rnd_sparse(rng, p, keys) for _ in range(rng.randrange(1, 5))]
+                u = [rng.randrange(p) for _ in cols]
+                rows, _ = fp_system(cols)
+                support = sorted({key for vec in cols for key in vec})
+                want = [sum(w * vec.get(key, 0) for w, vec in zip(u, cols)) % p
+                        for key in support]
+                got = [sum(r * w for r, w in zip(row, u)) % p for row in rows]
+                assert got == want
+
+
+class TestFpAgainstEnumeration:
+    """fp_first_relation and fp_solve_many on small seeded systems, against
+    enumeration of every vector of F_p^m."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_first_relation(self, p):
+        rng = random.Random(40 + p)
+        keys = [(0,), (1,), (2,)]
+        for _ in range(40):
+            vectors = [_rnd_sparse(rng, p, keys) for _ in range(rng.randrange(1, 5))]
+            dense = [_dense(vec, keys) for vec in vectors]
+
+            def relation(j):
+                for w in _fp_vectors(p, j):
+                    comb = [sum(c * x[i] for c, x in zip(w, dense[:j])) % p
+                            for i in range(len(keys))]
+                    if comb == dense[j]:
+                        return list(w)
+                return None
+
+            want_j = next((j for j in range(1, len(vectors))
+                           if relation(j) is not None), None)
+            got = fp_first_relation(vectors, p)
+            if want_j is None:
+                assert got is None
+                continue
+            j, weights = got
+            assert j == want_j
+            comb = [sum(c * x[i] for c, x in zip(weights, dense[:j])) % p
+                    for i in range(len(keys))]
+            assert comb == dense[j]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_solve_many(self, p):
+        rng = random.Random(70 + p)
+        inconsistent = 0
+        for _ in range(40):
+            n, m = rng.randrange(1, 4), rng.randrange(1, 4)
+            a = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+            rhss = [[rng.randrange(p) for _ in range(n)] for _ in range(3)]
+            for b, sol in zip(rhss, fp_solve_many(a, rhss, p)):
+                solutions = [list(x) for x in _fp_vectors(p, m)
+                             if all(sum(r * v for r, v in zip(row, x)) % p == bb
+                                    for row, bb in zip(a, b))]
+                if not solutions:
+                    inconsistent += 1
+                    assert sol is None
+                else:
+                    assert sol in solutions
+        assert inconsistent  # the seeds reach the inconsistent branch
 
 
 class TestFpLinear:

@@ -204,6 +204,23 @@ class TestTorsion:
         # theta-degrees of the iterates strictly grow
         assert cert.height_trace == (1, 3, 9, 27, 81, 243, 729, 2187, 6561)
 
+    def test_one_coordinates_call_per_search(self, monkeypatch):
+        # the orbit is coordinatised once, not once per candidate degree
+        calls = []
+
+        def counted(xs):
+            calls.append(len(xs))
+            return coordinate(xs)
+
+        coordinate = drinfeld.coordinates
+        monkeypatch.setattr(drinfeld, "coordinates", counted)
+        cases = [(theta_kernel_module(), KElem.theta(P), 5, True),
+                 (carlitz(), KElem.theta(P), 4, False),
+                 (psi(), kelem_parse(P, "theta+1"), 3, False)]
+        for phi, x, bound, torsion in cases:
+            assert torsion_annihilator(phi, x, bound).is_torsion == torsion
+        assert calls == [6, 5, 4]
+
     def test_k_rational_torsion_closures(self):
         res = k_rational_torsion(theta_kernel_module(), RPoly.t(P))
         assert len(res.points) == 3

@@ -1,6 +1,7 @@
 """No module of the package or of its tests imports a name it never uses,
-no private top-level def or class of the package goes unreferenced, and
-every public one that the package never names is a declared entry point.
+no private top-level def or class of the package goes unreferenced, every
+public one that the package never names is a declared entry point, and
+every method that the package never names is a declared test oracle.
 
 A name counts as used when it appears anywhere in the module as a bare
 name: a call, an annotation, a base class, a decorator or the head of an
@@ -65,6 +66,12 @@ def test_no_unused_imports(path):
 PACKAGE = sorted((ROOT / "src" / "drinfeldlab").glob("*.py"))
 
 
+def _names(node):
+    """Every bare name and attribute name under node."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
 def _unreferenced_defs(sources, counts):
     """(module, name) of each top-level def or class in sources (module ->
     source text) whose name passes counts and that no other top-level
@@ -74,10 +81,7 @@ def _unreferenced_defs(sources, counts):
     used = set()
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
-            names = {node.id for node in ast.walk(stmt)
-                     if isinstance(node, ast.Name)}
-            names |= {node.attr for node in ast.walk(stmt)
-                      if isinstance(node, ast.Attribute)}
+            names = _names(stmt)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
                     and counts(stmt.name):
                 defined.append((module, stmt.name))
@@ -151,3 +155,62 @@ def test_entry_points_exist():
                for stmt in ast.parse(path.read_text()).body
                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
     assert set(ENTRY_POINTS) <= defined
+
+
+
+def unreferenced_methods(sources):
+    """(module, "Class.method") of each non-dunder method of a top-level
+    class in sources (module -> source text) whose name nothing else in
+    them names as an attribute or a bare name; a method that only calls
+    itself is unreferenced."""
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if not isinstance(stmt, ast.ClassDef):
+                used |= _names(stmt)
+                continue
+            for item in stmt.body:
+                names = _names(item)
+                if isinstance(item, ast.FunctionDef) \
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__")):
+                    defined.append((module, stmt.name, item.name))
+                    names.discard(item.name)
+                used |= names
+    return sorted((module, f"{cls}.{name}") for module, cls, name in defined
+                  if name not in used)
+
+
+def test_method_detector():
+    sources = {"a": "class A:\n    def __init__(self):\n        self.used()\n"
+                    "    def used(self):\n        pass\n"
+                    "    def dead(self):\n        return self.dead()\n"
+                    "    @property\n    def prop(self):\n        pass\n",
+               "b": "from a import A\nclass B(A):\n    def gone(self):\n"
+                    "        pass\n"
+                    "def f(a):\n    return a.prop\n"}
+    assert unreferenced_methods(sources) == [("a", "A.dead"), ("b", "B.gone")]
+
+
+# The methods that nothing in the package calls because the tests use them,
+# as oracles or as builders of test data.
+TEST_ORACLES = (
+    ("base.py", "RMatrix.is_unimodular"),
+    ("kfield.py", "BiPoly.from_theta_coeffs"),
+    ("localfield.py", "LocalElem.agrees"),
+    ("places.py", "Place.uniformizer"),
+)
+
+
+def test_every_method_is_referenced_or_a_test_oracle():
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    assert set(unreferenced_methods(sources)) <= set(TEST_ORACLES)
+
+
+def test_oracles_exist():
+    defined = {(path.name, f"{stmt.name}.{item.name}") for path in PACKAGE
+               for stmt in ast.parse(path.read_text()).body
+               if isinstance(stmt, ast.ClassDef)
+               for item in stmt.body if isinstance(item, ast.FunctionDef)}
+    assert set(TEST_ORACLES) <= defined

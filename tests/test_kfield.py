@@ -157,31 +157,26 @@ class TestCoordinates:
     def test_polynomial_family(self):
         p = 3
         xs = [kelem_parse(p, "theta+t"), kelem_parse(p, "theta+2*t")]
-        co = coordinates(xs)
-        assert co.den.is_one()
-        assert co.basis == ((0, 1), (1, 0))  # t, theta
-        assert co.matrix == ((1, 1), (2, 1))
+        assert common_denominator(xs).is_one()
+        # keys (theta_exp, t_exp): t is (0, 1), theta is (1, 0)
+        assert coordinates(xs) == [{(0, 1): 1, (1, 0): 1},
+                                   {(0, 1): 2, (1, 0): 1}]
 
     def test_denominator_family(self):
         p = 3
         xs = [kelem_parse(p, "theta/t"), kelem_parse(p, "1/t")]
-        co = coordinates(xs)
-        assert co.den == kelem_parse(p, "t").num
-        assert co.basis == ((0, 0), (1, 0))  # 1, theta
-        assert co.matrix == ((0, 1), (1, 0))
+        assert common_denominator(xs) == kelem_parse(p, "t").num
+        assert coordinates(xs) == [{(1, 0): 1}, {(0, 0): 1}]  # theta, 1
 
     def test_reconstruction_random(self):
         rng = random.Random(36)
         p = 3
         xs = [rnd_kelem(rng, p, deg=2) for _ in range(4)]
-        co = coordinates(xs)
-        den = KElem.from_bipoly(co.den)
-        for row, x in zip(co.matrix, xs):
+        den = KElem.from_bipoly(common_denominator(xs))
+        for vec, x in zip(coordinates(xs), xs):
             acc = KElem.zero(p)
-            for c, (the, te) in zip(row, co.basis):
-                if c:
-                    acc = acc + KElem.from_bipoly(
-                        BiPoly.monomial(p, the, te, c))
+            for (the, te), c in vec.items():
+                acc = acc + KElem.from_bipoly(BiPoly.monomial(p, the, te, c))
             assert acc / den == x
 
     def test_common_denominator_lcm(self):

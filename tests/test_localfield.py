@@ -391,6 +391,37 @@ class TestResidueSolve:
             assert sorted(str(r) for r in roots) == sorted(want)
 
 
+class TestResidueSolveBruteForce:
+    """At a degree-one place the residue field is F_p(t), so every X = n/d
+    with deg n, deg d <= 2 can be tried, and residue_solve must return each
+    root of f(X) = f(X0) among them."""
+
+    def test_finds_every_small_root(self):
+        p = 2
+        v = Place.parse(p, "finite:theta+t")
+        rng = random.Random(2024)
+        polys = [RPoly.from_coeffs(p, c)
+                 for c in itertools.product(range(p), repeat=3)]
+        small = [FElem(n, d) for n in polys for d in polys if d]
+
+        def fv(x):
+            return FvElem.from_felem(v, x)
+
+        checked = 0
+        for _ in range(12):
+            coeffs = [fv(rng.choice(small)) for _ in range(rng.randrange(2, 4))]
+            if coeffs[-1].is_zero():
+                coeffs[-1] = FvElem.one(v)
+            y = fv_tp_eval(coeffs, fv(rng.choice(small)))
+            roots, certified = residue_solve(coeffs, y, v)
+            assert certified
+            for x in small:
+                if fv_tp_eval(coeffs, fv(x)) == y:
+                    assert fv(x) in roots
+                    checked += 1
+        assert checked >= 12
+
+
 class TestHensel:
     def test_separable_recovers_known_root(self):
         phi = carlitz()

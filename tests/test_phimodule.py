@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from drinfeldlab import phimodule
 from drinfeldlab.base import RPoly
 from drinfeldlab.drinfeld import DrinfeldModule, phi_action
 from drinfeldlab.kfield import KElem, kelem_parse
@@ -314,6 +315,22 @@ class TestFvTorsionAnnihilator:
         v = Place.parse(P, "finite:theta+t")
         a = fv_torsion_annihilator(psi(), v, residue_reduce(k("theta"), v), 8)
         assert a is None
+
+    def test_one_coordinates_call_per_search(self, monkeypatch):
+        # the residue orbit is coordinatised once, not once per degree
+        calls = []
+
+        def counted(xs):
+            calls.append(len(xs))
+            return coordinate(xs)
+
+        coordinate = phimodule.fv_coordinates
+        monkeypatch.setattr(phimodule, "fv_coordinates", counted)
+        v = Place.parse(P, "finite:theta+t")
+        xbar = residue_reduce(k("theta"), v)
+        assert str(fv_torsion_annihilator(phi3(), v, xbar, 4)) == "t"
+        assert fv_torsion_annihilator(psi(), v, xbar, 8) is None
+        assert calls == [5, 9]
 
     def test_zero_is_torsion(self):
         v = Place.parse(P, "finite:theta+t")

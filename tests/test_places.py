@@ -9,6 +9,8 @@ from drinfeldlab.places import (
     Place,
     check_product_formula,
     classify_places,
+    fv_coordinates,
+    fv_denominator,
     fv_tp_eval,
     place_parse,
     place_to_str,
@@ -190,6 +192,29 @@ class TestFvElem:
             FvElem.zero(v).inverse()
 
 
+class TestFvCoordinates:
+    @pytest.mark.parametrize("place", ["finite:theta+t", "finite:theta^2+t",
+                                       "infinite"])
+    def test_reconstruction_random(self, place):
+        rng = random.Random(37)
+        p = 3
+        v = place_parse(p, place)
+
+        def rnd_rpoly(nonzero):
+            while True:
+                f = RPoly.from_coeffs(p, [rng.randrange(p) for _ in range(3)])
+                if f or not nonzero:
+                    return f
+
+        xs = [FvElem(v, [FElem(rnd_rpoly(False), rnd_rpoly(True))
+                         for _ in range(v.theta_degree)]) for _ in range(4)]
+        den = fv_denominator(xs)
+        for vec, x in zip(fv_coordinates(xs), xs):
+            for slot, f in enumerate(x.rep):
+                num = RPoly(p, {e: c for (s, e), c in vec.items() if s == slot})
+                assert FElem(num, den) == f
+
+
 class TestFvTpEval:
     @pytest.mark.parametrize("place", ["finite:theta+1", "finite:theta^2+t"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -282,7 +307,6 @@ class TestClassification:
                                [k(p, "theta/(theta^2+t)")])
         assert sets.omega0_excluded == ()
         assert [place_to_str(v) for v in sets.omega1_excluded] == ["finite:theta^2+t"]
-        assert sets.good_for_phi(place_parse(p, "finite:theta^2+t"))
         assert not sets.good_for_module(place_parse(p, "finite:theta^2+t"))
 
     def test_non_integral_middle_coefficient(self):
