@@ -485,14 +485,14 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
             r_m, b_m = _digit_rows(embedded, m, target)
             rows.extend(r_m)
             rhs.extend(b_m)
-            if rows and fp_solve_many(rows, [rhs], p)[0] is None:
+            if fp_solve_many(rows, [rhs], p, n_weights)[0] is None:
                 break
             best = m + 1
         reached = best == precision
         close_dim = None
         sample = None
         if reached:
-            sol = fp_solve_many(rows, [rhs], p)[0] if rows else [0] * n_weights
+            sol = fp_solve_many(rows, [rhs], p, n_weights)[0]
             close_dim = len(fp_nullspace(rows, p, n_weights))
             sample = _weights_to_operators(sol, gamma.rank, deg_bound, p)
             joint_rows.extend(rows)
@@ -506,8 +506,7 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
         conclusive = True
         notes.append("blocked-at-place")
     else:
-        joint = fp_solve_many(joint_rows, [joint_rhs], p)[0] if joint_rows \
-            else [0] * n_weights
+        joint = fp_solve_many(joint_rows, [joint_rhs], p, n_weights)[0]
         joint_ok = joint is not None
         if joint_ok:
             conclusive = False

@@ -806,25 +806,24 @@ def fp_nullspace(rows, p, ncols):
     return basis
 
 
-def fp_solve_many(rows, rhs_list, p):
-    """Solve A x = b for many right-hand sides with one elimination.
-
-    Pivots are restricted to the coefficient block.  Returns a list whose
-    entries are a solution vector or None (inconsistent system).
+def fp_solve_many(rows, rhs_list, p, ncols):
+    """Solve A x = b over ncols unknowns for many right-hand sides with one
+    elimination, pivoting in the coefficient block only.  Returns a list
+    whose entries are a solution vector of width ncols or None (inconsistent
+    system); with no rows, every right-hand side gets the zero vector.
     """
-    if not rows:
-        return [([] if not any(x % p for x in rhs) else None) for rhs in rhs_list]
-    m = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("row length differs from the number of unknowns")
     mat = [list(row) + [rhs[i] for rhs in rhs_list]
            for i, row in enumerate(rows)]
-    rref, pivots = fp_rref(mat, p, m)
+    rref, pivots = fp_rref(mat, p, ncols)
     zero_rows = rref[len(pivots):]
     out = []
-    for col in range(m, m + len(rhs_list)):
+    for col in range(ncols, ncols + len(rhs_list)):
         if any(row[col] for row in zero_rows):
             out.append(None)
             continue
-        sol = [0] * m
+        sol = [0] * ncols
         for row, pc in zip(rref, pivots):
             sol[pc] = row[col]
         out.append(sol)

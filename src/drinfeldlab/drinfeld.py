@@ -339,7 +339,7 @@ def solve_additive_many(f: TwistedPoly, ys, bounds: HeightProfile | None = None)
     n_basis = len(images)
     rows, rhss = fp_system([bipoly_vector(f) for f in images],
                            [bipoly_vector(f) for f in rhs_polys])
-    sols = fp_solve_many(rows, rhss, p) if rhss else []
+    sols = fp_solve_many(rows, rhss, p, n_basis)
     null = fp_nullspace(rows, p, n_basis)
 
     if p ** len(null) > bounds.enum_cap:

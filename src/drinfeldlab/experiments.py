@@ -307,60 +307,77 @@ def _sorted_points(points):
                          for x in points}.values(), key=point_sort_key))
 
 
-def _fp_image(x: KElem, a: int, b: int):
-    """x under the ring map t -> a, theta -> b into F_p, or None where the
-    map is undefined on x (its canonical denominator vanishes there)."""
+def _fp_images(x: KElem):
+    """x under every ring map t -> a, theta -> b into F_p, indexed b*p + a,
+    with None where the map is undefined on x (its canonical denominator
+    vanishes there).  theta = b is substituted once per b."""
     p = x.p
-    den = x.den.evaluate_theta_int(b).evaluate(a)
-    if not den:
-        return None
-    return x.num.evaluate_theta_int(b).evaluate(a) * inv_mod(den, p) % p
+    out = []
+    for b in range(p):
+        num, den = x.num.evaluate_theta_int(b), x.den.evaluate_theta_int(b)
+        for a in range(p):
+            d = den.evaluate(a)
+            out.append(num.evaluate(a) * inv_mod(d, p) % p if d else None)
+    return out
+
+
+def _fp_filter(poly: MultiPoly, points):
+    """(rows, vanish): rows[i] is points[i]'s images under the usable ring
+    maps t -> a, theta -> b into F_p, g ints per map; vanish(flat) is the
+    memoised test that every image polynomial vanishes on flat.
+
+    A map is usable when it is defined on every coefficient of poly and
+    coordinate of a point; it sends zeros of poly to zeros of the image, and
+    F_p-combinations of points to those of their rows, so failing vanish
+    only ever rules a point out.  A map whose images all equal an earlier
+    map's tests nothing new and is dropped.
+    """
+    p, g = poly.p, poly.g
+    terms = list(poly.terms.items())
+    table = [_fp_images(c) for _, c in terms] + \
+        [_fp_images(c) for x in points for c in x]
+    columns = {}
+    for k in range(p * p):
+        column = tuple(images[k] for images in table)
+        if None not in column:
+            columns.setdefault(column, k)
+    maps = list(columns.values())
+    image_polys = [[(e, images[k]) for (e, _), images in zip(terms, table)]
+                   for k in maps]
+    rows = [tuple(table[len(terms) + i * g + j][k] for k in maps
+                  for j in range(g)) for i in range(len(points))]
+    vanishes = [{} for _ in maps]    # raw image point -> image is zero
+
+    def vanish(flat):
+        for u, image_terms in enumerate(image_polys):
+            y = flat[u * g:(u + 1) * g]
+            zero = vanishes[u].get(y)
+            if zero is None:
+                zero = vanishes[u][y] = not sum(
+                    c * math.prod(pow(s, e, p) for s, e in zip(y, exps))
+                    for exps, c in image_terms) % p
+            if not zero:
+                return False
+        return True
+
+    return rows, vanish
 
 
 def _swept_zeros(offset, vectors, poly: MultiPoly):
     """The points offset + sum d_k vectors[k], d_k in F_p, on which poly
     vanishes, in fp_span's order.
 
-    A ring map t -> a, theta -> b into F_p that is defined on the offset,
-    on every vector coordinate and on every coefficient of poly sends a
-    zero of poly to a zero of the image polynomial, so vanishing images are
-    a necessary condition.  The span is swept through these images, as
-    plain ints; a point is built exactly, from its index in the span, only
-    when all its images vanish, and kept only when exact evaluation gives
-    zero.  With no usable map every point is evaluated exactly.
+    The span is swept through its rows under _fp_filter, which only ever
+    rules a point out; a point is built exactly, from its index in the span,
+    only when vanish passes, and kept when exact evaluation gives zero.
     """
-    p, g = poly.p, poly.g
-    # per usable map: the image polynomial's terms and each point's image
-    images = [[] for _ in range(len(vectors) + 1)]    # the offset's first
-    image_polys = []
-    for a, b in itertools.product(range(p), repeat=2):
-        terms = [(e, _fp_image(c, a, b)) for e, c in poly.terms.items()]
-        rows = [[_fp_image(c, a, b) for c in v] for v in (offset, *vectors)]
-        if None not in [c for _, c in terms] + [c for r in rows for c in r]:
-            image_polys.append(terms)
-            for img, row in zip(images, rows):
-                img.extend(row)
-
-    vanishes = [{} for _ in image_polys]    # raw image point -> image is zero
-
-    def images_vanish(flat):
-        for u, terms in enumerate(image_polys):
-            y = flat[u * g:(u + 1) * g]
-            zero = vanishes[u].get(y)
-            if zero is None:
-                zero = vanishes[u][y] = not sum(
-                    c * math.prod(pow(s, e, p) for s, e in zip(y, exps))
-                    for exps, c in terms) % p
-            if not zero:
-                return False
-        return True
-
+    rows, vanish = _fp_filter(poly, [offset, *vectors])
     out = []
-    for index, flat in enumerate(fp_span(p, images[1:], images[0])):
-        if images_vanish(flat):
+    for index, flat in enumerate(fp_span(poly.p, rows[1:], rows[0])):
+        if vanish(flat):
             x = offset
             for v in reversed(vectors):    # the last digit is the lowest
-                index, d = divmod(index, p)
+                index, d = divmod(index, poly.p)
                 for _ in range(d):
                     x = point_add(x, v)
             if poly.evaluate(x).is_zero():
@@ -656,7 +673,10 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
     Membership in psi^m(K^g) is decided coordinate-wise by the bounded
     division solver; the image chain is verified to nest exactly, which
     certifies the non-increasing counts rather than merely observing them.
-    Each distinct shifted point x - a is tested against the variety once
+    On a Hypersurface, box points are grouped by their rows under the
+    sweeps' _fp_filter, which only ever rules a point out, and x - a is
+    tested exactly only when the row of x minus that of a passes.  Each
+    distinct shifted point x - a is tested against the variety once
     per call, however many translates reach it.  The solver runs once per
     level, on the distinct hits of all translates together, and each
     translate reads its survivors off that one solve.  Every target is
@@ -670,17 +690,16 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
     p = psi.p
     _require_variety(variety, p)
     g = variety.g
-    translates = [tuple(a) for a in translates]
-    for a in translates:
-        if len(a) != g:
-            raise ValueError("translate width disagrees with the variety")
+    translates, box = [tuple(a) for a in translates], [tuple(x) for x in box]
+    for what, points in (("translate", translates), ("box point", box)):
+        for x in points:
+            if len(x) != g:
+                raise ValueError(f"{what} width disagrees with the variety")
+            if not all(isinstance(c, KElem) and c.p == p for c in x):
+                raise ValueError(f"{what} coordinates outside K over F_{p}")
     ms = sorted(set(int(m) for m in m_range))
     if ms and ms[0] < 0:
         raise ValueError("negative iterate")
-    box = [tuple(x) for x in box]
-    for x in box:
-        if len(x) != g:
-            raise ValueError("box point width disagrees with the variety")
 
     powers = {}
     acc = None
@@ -698,12 +717,22 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
             contains[y] = variety_contains(variety, y)
         return contains[y]
 
+    if isinstance(variety, Hypersurface):
+        rows, vanish = _fp_filter(variety.poly, box + translates)
+    else:
+        rows, vanish = [()] * (len(box) + len(translates)), lambda flat: True
+    classes = {}
+    for x, row in zip(box, rows):
+        classes.setdefault(row, []).append(x)
+
     hit_keys = []
     distinct = {}
     for idx, a in enumerate(translates):
         neg_a = point_neg(a)
-        hits = {point_to_str(x): x for x in box
-                if on_variety(point_add(x, neg_a))}
+        shift = rows[len(box) + idx]
+        hits = {point_to_str(x): x for row, xs in classes.items()
+                if vanish(tuple((r - s) % p for r, s in zip(row, shift)))
+                for x in xs if on_variety(point_add(x, neg_a))}
         if idx == 0:
             _reject_parametrized_lines(
                 variety, [x for _, x in sorted(hits.items())], p)

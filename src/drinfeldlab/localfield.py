@@ -382,7 +382,7 @@ def residue_solve(coeffs, ybar: FvElem, v: Place):
     images = [fv_tp_eval(coeffs, x) for x in candidates]
     vecs = fv_coordinates(images + [ybar])
     rows, rhs = fp_system(vecs[:-1], vecs[-1:])
-    sol = fp_solve_many(rows, rhs, p)[0]
+    sol = fp_solve_many(rows, rhs, p, len(candidates))[0]
     null = fp_nullspace(rows, p, len(candidates))
     if sol is None:
         return (), certified

@@ -308,7 +308,8 @@ def _member_many(gamma: PhiModule, family, ys, deg_bound: int):
     if pending and gamma.rank:
         rows, rhs = _point_system(family, [ys[m] for m in pending],
                                   coordinates)
-        for m, sol in zip(pending, fp_solve_many(rows, rhs, p)):
+        solved = fp_solve_many(rows, rhs, p, len(family))
+        for m, sol in zip(pending, solved):
             sols[m] = sol
     out = []
     for y, sol in zip(ys, sols):

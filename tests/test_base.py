@@ -356,7 +356,7 @@ class TestFpAgainstEnumeration:
             n, m = rng.randrange(1, 4), rng.randrange(1, 4)
             a = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
             rhss = [[rng.randrange(p) for _ in range(n)] for _ in range(3)]
-            for b, sol in zip(rhss, fp_solve_many(a, rhss, p)):
+            for b, sol in zip(rhss, fp_solve_many(a, rhss, p, m)):
                 solutions = [list(x) for x in _fp_vectors(p, m)
                              if all(sum(r * v for r, v in zip(row, x)) % p == bb
                                     for row, bb in zip(a, b))]
@@ -417,22 +417,29 @@ class TestFpLinear:
                 a = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
                 x = [rng.randrange(p) for _ in range(m)]
                 b = [sum(r * v for r, v in zip(row, x)) % p for row in a]
-                sol = fp_solve_many(a, [b], p)[0]
+                sol = fp_solve_many(a, [b], p, m)[0]
                 assert sol is not None
                 assert all(sum(r * v for r, v in zip(row, sol)) % p == bb
                            for row, bb in zip(a, b))
 
     def test_solve_inconsistent(self):
-        assert fp_solve_many([[1, 1], [1, 1]], [[0, 1]], 3)[0] is None
+        assert fp_solve_many([[1, 1], [1, 1]], [[0, 1]], 3, 2)[0] is None
+
+    def test_solve_without_rows_is_full_width(self):
+        # no equation constrains any of the four unknowns
+        assert fp_solve_many([], [[], []], 3, 4) == [[0] * 4, [0] * 4]
+        assert fp_solve_many([], [], 3, 4) == []
+        with pytest.raises(ValueError):
+            fp_solve_many([[1, 2]], [[0]], 3, 3)
 
     def test_solve_many_matches_single(self):
         rng = random.Random(222)
         p = 3
         a = [[rng.randrange(p) for _ in range(3)] for _ in range(4)]
         rhss = [[rng.randrange(p) for _ in range(4)] for _ in range(6)]
-        batch = fp_solve_many(a, rhss, p)
+        batch = fp_solve_many(a, rhss, p, 3)
         for rhs, got in zip(rhss, batch):
-            single = fp_solve_many(a, [rhs], p)[0]
+            single = fp_solve_many(a, [rhs], p, 3)[0]
             assert (single is None) == (got is None)
             if got is not None:
                 assert all(

@@ -1,6 +1,8 @@
 import contextlib
+import functools
 import itertools
 import json
+import math
 import pathlib
 import time
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from drinfeldlab import adelic, drinfeld
 from drinfeldlab import experiments as ex
 from drinfeldlab import phimodule as pm
-from drinfeldlab.base import RPoly
+from drinfeldlab.base import RPoly, fp_span
 from drinfeldlab.drinfeld import (DrinfeldModule, HeightProfile,
                                   solve_additive_many)
 from drinfeldlab.kfield import BiPoly, KElem, kelem_parse
@@ -470,6 +472,164 @@ class TestUniformityProbe:
             assert levels[idx, m] <= batched
 
 
+def _hyperbola_points(p, c, us):
+    """Points (u, c/u) of x*y = c."""
+    c = kelem_parse(p, c)
+    return [(u, c / u) for u in (kelem_parse(p, s) for s in us)]
+
+
+def _roots(p, texts):
+    return [(kelem_parse(p, s),) for s in texts]
+
+
+# name -> (p, variety text or None for zero-dim, points of X, translates);
+# the denominators theta+1 and t+theta make some ring maps undefined
+_FILTER_CASES = {
+    "p2-g1-rational-roots": (
+        2, "x*(x-1/(theta+1))*(x-t-theta)",
+        _roots(2, ["0", "1/(theta+1)", "t+theta"]),
+        ["0", "theta", "1/(t+theta)", "theta+1"]),
+    "p3-g1-t-coefficients": (
+        3, "x^3 - t^2*x", _roots(3, ["0", "t", "2*t"]),
+        ["0", "t", "1/(theta+1)", "theta^2+t"]),
+    "p5-g1-cubic": (
+        5, "x^3 - theta^2*x", _roots(5, ["0", "theta", "4*theta"]),
+        ["0", "theta", "1/(t+theta)"]),
+    # x^3 - x vanishes on all of F_3, so no image rules a point out
+    "p3-g1-nothing-filtered": (
+        3, "(x^3 - x)*(x - theta)", _roots(3, ["0", "1", "2", "theta"]),
+        ["0", "theta", "1/(theta+1)"]),
+    "p2-g2-hyperbola": (
+        2, "x*y - theta - 1",
+        _hyperbola_points(2, "theta+1", ["1", "theta", "1/(t+theta)"]),
+        ["0 1", "theta 1/(theta+1)", "1 theta"]),
+    "p3-g2-hyperbola-t": (
+        3, "x*y - t*theta",
+        _hyperbola_points(3, "t*theta", ["1", "theta", "t", "1/(theta+1)"]),
+        ["0 0", "theta 1", "1/(t+theta) 0"]),
+    "p5-g2-hyperbola": (
+        5, "x*y - theta", _hyperbola_points(5, "theta", ["1", "2", "theta"]),
+        ["0 0", "1 2"]),
+    "p2-g2-zero-dim": (
+        2, None, [(KElem.zero(2), KElem.zero(2))] +
+        _hyperbola_points(2, "t", ["theta", "1/(theta+1)"]),
+        ["0 0", "1 theta", "theta 1/(t+theta)"]),
+    "p5-g1-zero-dim": (
+        5, None, _roots(5, ["0", "theta", "1/(t+theta)"]), ["0", "2*theta"]),
+}
+
+
+def _filter_case(name):
+    """(psi, variety, translates, box) of a _FILTER_CASES entry.  The box
+    holds a + x for every translate a and point x of X, a seeded sample of
+    the theta-box and of rational points, and a repeated point."""
+    p, text, points, translate_texts = _FILTER_CASES[name]
+    g = len(points[0])
+    rng = random.Random(name)
+    variety = ex.ZeroDim(g, points) if text is None else \
+        ex.Hypersurface(ex.poly_parse(p, g, text))
+    translates = [tuple(kelem_parse(p, c) for c in a.split())
+                  for a in translate_texts]
+    pool = [kelem_parse(p, s) for s in ["1/(theta+1)", "1/(t+theta)", "t",
+                                        "theta/(t+1)"]]
+    box = [tuple(c + s for c, s in zip(x, a)) for a in translates
+           for x in points]
+    theta_box = ex.theta_box(p, g, 2 // g)
+    box += rng.sample(theta_box, min(12, len(theta_box)))
+    box += [tuple(rng.choice(pool) for _ in range(g)) for _ in range(4)]
+    box.append(box[rng.randrange(len(box))])
+    rng.shuffle(box)
+    return tp_parse(p, "[0, theta, 1]"), variety, translates, box
+
+
+def _filtered_shifts(variety, translates, box):
+    """Keys of the distinct shifted points x - a that pass every usable
+    ring map (all of them for a ZeroDim)."""
+    if isinstance(variety, ex.Hypersurface):
+        rows, vanish = _all_maps_filter(variety.poly, box + translates)
+    else:
+        rows, vanish = [()] * (len(box) + len(translates)), lambda flat: True
+    shifts = rows[len(box):]
+    return {point_to_str(tuple(c - s for c, s in zip(x, a)))
+            for a, shift in zip(translates, shifts)
+            for x, row in zip(box, rows)
+            if vanish(tuple(r - s for r, s in zip(row, shift)))}
+
+
+class TestProbeHitSets:
+    """The probe's hit sets, built from F_p-image classes, against exact
+    evaluation of every (translate, box point) pair."""
+
+    @pytest.mark.parametrize("name", sorted(_FILTER_CASES))
+    def test_matches_exact_evaluation(self, name, monkeypatch):
+        psi, variety, translates, box = _filter_case(name)
+        tested = []
+        contains = ex.variety_contains
+
+        def counting(spec, y):
+            tested.append(point_to_str(y))
+            return contains(spec, y)
+
+        monkeypatch.setattr(ex, "variety_contains", counting)
+        with _solver_calls() as calls:
+            table = ex.uniformity_probe(psi, variety, translates, (0, 1), box)
+        if isinstance(variety, ex.Hypersurface):
+            on_variety = _on_hypersurface(variety.poly)
+        else:
+            keys = variety.keys
+            on_variety = lambda y: point_to_str(y) in keys    # noqa: E731
+        expected = _probe_reference(psi, on_variety, translates, (0,), box)
+        levels = expected["levels"]
+        assert [r for r in table.rows if r[1] == 0] == list(expected["rows"])
+        assert all(levels[i, 0] for i in range(len(translates)))
+        # the level-1 solve's targets are the hits of every translate
+        (call,) = calls
+        g = variety.g
+        hits = set().union(*(levels[i, 0] for i in range(len(translates))))
+        assert {point_to_str(tuple(call[1][i:i + g]))
+                for i in range(0, len(call[1]), g)} == hits
+        solved = _solved_keys(call, g)
+        assert [r[2] for r in table.rows if r[1] == 1] == \
+            [len(levels[i, 0] & solved) for i in range(len(translates))]
+        # each shifted point that every usable map lets through is tested
+        # exactly once, and no other
+        assert sorted(tested) == sorted(_filtered_shifts(variety, translates,
+                                                         box))
+
+    def test_nothing_filtered(self):
+        _psi, variety, translates, box = _filter_case(
+            "p3-g1-nothing-filtered")
+        assert _filtered_shifts(variety, translates, box) == {
+            point_to_str(tuple(c - s for c, s in zip(x, a)))
+            for a in translates for x in box}
+
+    @pytest.mark.parametrize("text, bound", [
+        ("x^3 - theta^2*x", 81),
+        ("x*(x-theta-1)*(x-theta^3-theta)*(x-theta^2)", 108)])
+    def test_seed0_benchmark_exact_tests(self, text, bound, monkeypatch):
+        """The uniformity-sweep instances at seed 0: 27 translates over the
+        243-point theta-box."""
+        tested = []
+        contains = ex.variety_contains
+
+        def counting(spec, y):
+            tested.append(y)
+            return contains(spec, y)
+
+        monkeypatch.setattr(ex, "variety_contains", counting)
+        psi = tp_parse(P, "[0, theta, 1]")
+        poly = ex.poly_parse(P, 1, text)
+        box = ex.theta_box(P, 1, 4)
+        translates = ex.theta_box(P, 1, 2)
+        table = ex.uniformity_probe(psi, ex.Hypersurface(poly), translates,
+                                    (0,), box)
+        assert len(tested) <= bound
+        # the reference's 6,561 shifted points are 243 distinct ones
+        on_x = functools.cache(_on_hypersurface(poly))
+        assert table.rows == _probe_reference(psi, on_x, translates, (0,),
+                                              box)["rows"]
+
+
 class TestGenericSweepGolden:
     @pytest.mark.parametrize("text, k_side", [
         ("x*y - theta", []),
@@ -776,6 +936,21 @@ class TestRejectedInput:
             ex.uniformity_probe(psi, variety, [(zero,)], (0, 1),
                                 [(theta, zero), (zero, one)])
 
+    @pytest.mark.parametrize("translates, box, what", [
+        # a bare-int translate raised AttributeError; a bare-int box point
+        # was accepted and counted 0
+        ([(1,)], [(KElem.zero(P),)], "translate"),
+        ([(KElem.zero(P),)], [(5,)], "box point"),
+        ([(KElem.theta(2),)], [(KElem.zero(P),)], "translate"),
+        ([(KElem.zero(P),)], [(KElem.zero(P),), (KElem.one(2),)], "box point"),
+    ])
+    def test_probe_points_outside_k(self, translates, box, what):
+        psi = tp_parse(P, "[0, theta, 1]")
+        for variety in (ex.Hypersurface(ex.poly_parse(P, 1, _CUBIC)),
+                        ex.ZeroDim(1, [(KElem.zero(P),)])):
+            with pytest.raises(ValueError, match=f"{what} coordinates"):
+                ex.uniformity_probe(psi, variety, translates, (0, 1), box)
+
     def test_hypersurface_wants_a_polynomial(self):
         with pytest.raises(ValueError, match="wants a MultiPoly"):
             ex.Hypersurface("x*y - theta")
@@ -989,41 +1164,137 @@ def _huge_polys():
 
 def _value_at(f, a, b):
     """f(t = a, theta = b) term by term."""
-    return sum(c * pow(a, te, P) * pow(b, e, P)
-               for e, te, c in f.monomials()) % P
+    return sum(c * pow(a, te, f.p) * pow(b, e, f.p)
+               for e, te, c in f.monomials()) % f.p
 
 
-_F_P_POINTS = list(itertools.product(range(P), repeat=2))
+def _fp_value(x, a, b):
+    """x at t = a, theta = b in F_p term by term, or None where its
+    denominator vanishes."""
+    den = _value_at(x.den, a, b)
+    return _value_at(x.num, a, b) * pow(den, -1, x.p) % x.p if den else None
+
+
+# (a, b) in the order of _fp_images
+_F_P_POINTS = [(a, b) for b in range(P) for a in range(P)]
 
 
 class TestFpImage:
+    """_fp_images(x)[b*p + a] is x under the ring map t -> a, theta -> b."""
+
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(st.tuples(_kelems(), _kelems()),
                      st.tuples(_huge_polys(), _huge_polys())))
     def test_ring_map(self, pair):
         x, y = pair
-        for a, b in _F_P_POINTS:
-            ix, iy = ex._fp_image(x, a, b), ex._fp_image(y, a, b)
+        images = [ex._fp_images(z) for z in (x, y, x + y, x * y)]
+        for ix, iy, isum, iprod in zip(*images):
             if ix is None or iy is None:
                 continue
-            assert ex._fp_image(x + y, a, b) == (ix + iy) % P
-            assert ex._fp_image(x * y, a, b) == ix * iy % P
+            assert isum == (ix + iy) % P
+            assert iprod == ix * iy % P
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(_kelems(), _huge_polys()), st.sampled_from([1, 40]))
     def test_undefined_exactly_where_the_denominator_vanishes(self, x, k):
-        for a, b in _F_P_POINTS:
-            image = ex._fp_image(x, a, b)
+        images = ex._fp_images(x)
+        # Frobenius fixes F_p, so x^(p^k) has the same images
+        assert ex._fp_images(x.frob(k)) == images
+        for (a, b), image in zip(_F_P_POINTS, images):
             den = _value_at(x.den, a, b)
             assert (image is None) == (den == 0)
             if image is not None:
                 num = _value_at(x.num, a, b)
                 assert image * den % P == num
-            # Frobenius fixes F_p, so x^(p^k) has the same image
-            assert ex._fp_image(x.frob(k), a, b) == image
 
     def test_generators(self):
-        for a, b in _F_P_POINTS:
-            assert ex._fp_image(KElem.t(P), a, b) == a
-            assert ex._fp_image(KElem.theta(P), a, b) == b
-            assert ex._fp_image(KElem.one(P), a, b) == 1
+        assert ex._fp_images(KElem.t(P)) == [a for a, _ in _F_P_POINTS]
+        assert ex._fp_images(KElem.theta(P)) == [b for _, b in _F_P_POINTS]
+        assert ex._fp_images(KElem.one(P)) == [1] * P * P
+
+
+def _all_maps_filter(poly, points):
+    """_fp_filter's contract with every map t -> a, theta -> b defined on
+    the coefficients and coordinates kept, none dropped for an equal
+    column, images taken term by term and nothing memoised."""
+    p, g = poly.p, poly.g
+    coords = list(poly.terms.values()) + [c for x in points for c in x]
+    maps = [(a, b) for a, b in itertools.product(range(p), repeat=2)
+            if None not in [_fp_value(c, a, b) for c in coords]]
+    rows = [tuple(_fp_value(c, a, b) for a, b in maps for c in x)
+            for x in points]
+
+    def vanish(flat):
+        return all(not sum(
+            _fp_value(c, a, b) * math.prod(
+                pow(s, e, p) for s, e in zip(flat[u * g:(u + 1) * g], exps))
+            for exps, c in poly.terms.items()) % p
+            for u, (a, b) in enumerate(maps))
+
+    return rows, vanish
+
+
+def _random_span_case(seed):
+    """A seeded span offset + sum d_k vectors[k] over F_2 or F_3, of width
+    1 or 2, with coordinates from a pool holding t and denominators that
+    vanish at some ring maps, and a polynomial vanishing on two points of
+    the span whose coefficients carry those coordinates."""
+    rng = random.Random(seed)
+    p, g = rng.choice([2, 3]), rng.choice([1, 2])
+    pool = ["0", "1", "theta", "theta^2+1", "t", "t*theta+1", "1/(theta+1)",
+            "1/(t+theta)", "theta/(t+1)"]
+
+    def point():
+        return tuple(kelem_parse(p, rng.choice(pool)) for _ in range(g))
+
+    offset, vectors = point(), [point() for _ in range(rng.randrange(1, 4))]
+    span = list(fp_span(p, vectors, offset))
+    u, v = rng.sample(span, 2)
+    x = [ex.MultiPoly.variable(p, g, i) for i in range(g)]
+
+    def c(z):
+        return ex.MultiPoly.constant(p, g, z)
+
+    if g == 1:
+        poly = (x[0] - c(u[0])) * (x[0] - c(v[0]))
+    else:
+        # a conic through u and v
+        poly = (x[0] - c(u[0])) * (x[0] - c(v[0])) + \
+            (x[1] - c(u[1])) * (x[0] - c(v[0]))
+    return p, g, offset, vectors, poly
+
+
+class TestFpFilter:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_dropped_maps_change_no_sweep(self, seed, exact_evaluations,
+                                          monkeypatch):
+        """The filter without its equal-column maps sweeps the same zeros
+        in the same order, after as many exact evaluations, as the filter
+        of every usable map."""
+        _p, _g, offset, vectors, poly = _random_span_case(seed)
+        fast = ex._swept_zeros(offset, vectors, poly)
+        evaluated = len(exact_evaluations)
+        exact_evaluations.clear()
+        monkeypatch.setattr(ex, "_fp_filter", _all_maps_filter)
+        full = ex._swept_zeros(offset, vectors, poly)
+        assert [point_to_str(x) for x in fast] == \
+            [point_to_str(x) for x in full]
+        assert evaluated == len(exact_evaluations)
+        assert len(fast) >= 2
+
+    def test_maps_of_equal_columns_are_dropped(self):
+        # theta-only data: the 9 maps collapse to one per theta = b
+        poly = ex.poly_parse(P, 1, "x - theta")
+        rows, _ = ex._fp_filter(poly, ex.theta_box(P, 1, 2))
+        assert {len(row) for row in rows} == {P}
+        # the cubic's images see b only through b^2, so the point t keeps
+        # the maps (a, 0) and (a, 1), a in F_3
+        rows, _ = ex._fp_filter(ex.poly_parse(P, 1, _CUBIC), [(KElem.t(P),)])
+        assert rows == [(0, 1, 2, 0, 1, 2)]
+
+    def test_no_usable_map_passes_everything(self):
+        poly = ex.poly_parse(P, 1, "x - 1")
+        rows, vanish = ex._fp_filter(
+            poly, [(kelem_parse(P, "1/(theta^3-theta)"),), (KElem.one(P),)])
+        assert rows == [(), ()]
+        assert vanish(())
