@@ -165,7 +165,7 @@ def _embedded_family(gamma: PhiModule, v: Place, n: int, deg_bound: int):
 def _scale_local(z: LocalElem, c: int) -> LocalElem:
     c %= z.p
     if c == 0:
-        return LocalElem.zero_to(z.place, z.precision, z.grid)
+        return LocalElem.zero_to(z.place, z.precision)
     acc = z
     for _ in range(c - 1):
         acc = acc + z
@@ -180,8 +180,8 @@ def _combine_embedded(embedded, vec, v: Place, n: int, g: int):
     return acc
 
 
-def _digit(z: LocalElem, m) -> FvElem:
-    c = z.terms.get(Fraction(m))
+def _digit(z: LocalElem, m: int) -> FvElem:
+    c = z.terms.get(m)
     return c if c is not None else FvElem.zero(z.place)
 
 
@@ -647,9 +647,8 @@ class QuotientIsoReport(Report):
     notes: tuple = ()
 
 
-def _locally_divisible(phi: DrinfeldModule, a: RPoly, x, v: Place,
-                       precision: int):
-    """Whether x is in Phi_a(O_v^g), when the local solver can certify it.
+def _locally_divisible(phi: DrinfeldModule, a: RPoly, x, v: Place):
+    """Whether x is in Phi_a(O_v^g), when the residue verdict can certify it.
 
     Returns True (divisible), False (certified residue obstruction), or
     None when the place leaves the residue verdict uncertified.
@@ -658,7 +657,7 @@ def _locally_divisible(phi: DrinfeldModule, a: RPoly, x, v: Place,
         if c.is_zero():
             continue
         try:
-            hensel_solve(phi, a, embed(c, v, precision), precision)
+            hensel_solve(phi, a, residue_reduce(c, v))
         except NoResidueRoot as err:
             if err.certified:
                 return False
@@ -673,9 +672,10 @@ def quotient_iso_check(gamma: PhiModule, a: RPoly, witness_places=None,
 
     Injectivity: for each pair of representatives some witness place
     refuses to divide their difference by Phi_a inside the integers there,
-    certified by the residue solver.  Surjectivity at precision: bounded
-    module elements all classify onto exactly one representative through
-    the exact quotient membership.
+    certified by the residue verdict of localfield.hensel_solve.
+    Surjectivity: bounded module elements all classify onto exactly one
+    representative through the exact quotient membership.  Neither half
+    reads `precision`; it is only carried into the report and its JSON.
     """
     if a.is_zero():
         raise ValueError("quotient by the zero operator")
@@ -697,7 +697,7 @@ def quotient_iso_check(gamma: PhiModule, a: RPoly, witness_places=None,
             hit = None
             saw_uncertified = False
             for v in witness_places:
-                verdict = _locally_divisible(gamma.phi, a, delta, v, precision)
+                verdict = _locally_divisible(gamma.phi, a, delta, v)
                 if verdict is False:
                     coord = next(s for s, c in enumerate(delta)
                                  if not c.is_zero())

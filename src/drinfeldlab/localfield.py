@@ -1,22 +1,22 @@
-"""Finite-precision completions K_v on a ramified exponent grid.
+"""Finite-precision completions K_v and the local divisibility verdict.
 
 A local element is a truncated expansion sum_e c_e u^e with u the declared
-uniformizer, exponents on the lattice (1/p^grid) * Z, and digits in the
-residue field.  The grid tag exists only to carry the p^kappa-th root that
-hensel_solve's inseparable branch returns: a digit at level k stores the
-residue rep that stands for itself with t and theta-bar replaced by p^k-th
-roots.  So refining a level is a digit-wise Frobenius, a p-th root is a pure
-relabeling (exponents divide by p, digits unchanged, grid up one), and the
-inseparable branch is a separable solve of the index-shifted operator against
-the original target, relabeled at the end by kappa such roots.
+uniformizer, integer exponents e below the element's precision, and digits
+in the residue field F_v.  Sums are digit-wise at every place.  Products
+and Frobenius powers are digit-wise too, which is exact only where lifting
+the digits into K_v is a ring map: at infinity and at the places of
+theta-degree 1, whose residue field F_p(t) lies in K.  At a finite place of
+higher theta-degree both refuse with ValueError; embed reaches those places
+through places.TruncRing.
+
+Whether y lies in Phi_a(O_v) at a good place is decided by the residue
+field alone (hensel_solve): every residue root lifts, so no lift is built.
 
 Precision is tracked per value, never globally; operations propagate the
 honest cutoff and raise rather than silently losing digits.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .base import (FElem, RPoly, fp_nullspace, fp_solve_many, fp_span, fp_system,
                    memo_put)
@@ -27,14 +27,6 @@ from .places import (FvElem, Place, _bipoly_multiplicity, fv_coordinates,
                      fv_denominator, fv_tp_eval, get_trunc_ring, residue_reduce,
                      valuation)
 from .twisted import TwistedPoly
-
-
-class PrecisionUnderflow(ArithmeticError):
-    """An operation left no reliable digits."""
-
-
-class DivisionByZeroToPrecision(ZeroDivisionError):
-    """Inverting something indistinguishable from zero at this precision."""
 
 
 class NoResidueRoot(ValueError):
@@ -49,25 +41,19 @@ class NoResidueRoot(ValueError):
         self.certified = certified
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _check_digitwise_products(v: Place):
+    if not v.is_infinite and v.theta_degree > 1:
+        raise ValueError(f"digit-wise products are not K_v products at {v}")
 
 
 class LocalElem:
     """Truncated u-adic expansion at a place, with per-value precision."""
 
-    __slots__ = ("place", "grid", "terms", "precision")
+    __slots__ = ("place", "terms", "precision")
 
-    def __init__(self, place: Place, terms, precision, grid: int = 0):
-        precision = _frac(precision)
-        if grid < 0:
-            raise ValueError("grid tag must be nonnegative")
-        step = place.p ** grid
+    def __init__(self, place: Place, terms, precision: int):
         clean = {}
         for e, c in terms.items():
-            e = _frac(e)
-            if (e * step).denominator != 1:
-                raise ValueError(f"exponent {e} is off the 1/p^{grid} lattice")
             if e >= precision:
                 continue
             if not c.is_zero():
@@ -75,18 +61,12 @@ class LocalElem:
                     raise ValueError("digit from the wrong residue field")
                 clean[e] = c
         self.place = place
-        self.grid = grid
         self.terms = clean
         self.precision = precision
 
     @classmethod
-    def zero_to(cls, place: Place, precision, grid: int = 0) -> "LocalElem":
-        return cls(place, {}, precision, grid)
-
-    @classmethod
-    def from_digit(cls, place: Place, exp, coeff: FvElem, precision,
-                   grid: int = 0) -> "LocalElem":
-        return cls(place, {_frac(exp): coeff}, precision, grid)
+    def zero_to(cls, place: Place, precision: int) -> "LocalElem":
+        return cls(place, {}, precision)
 
     @property
     def p(self) -> int:
@@ -96,120 +76,63 @@ class LocalElem:
         """Least exponent, or None for zero-to-precision."""
         return min(self.terms) if self.terms else None
 
-    def is_zero_to_precision(self) -> bool:
-        return not self.terms
-
-    def _eff_val(self) -> Fraction:
+    def _eff_val(self) -> int:
         v = self.val()
         return self.precision if v is None else v
-
-    def refine(self, delta: int) -> "LocalElem":
-        """Same value, grid `delta` finer: digit-wise Frobenius."""
-        if delta < 0:
-            raise ValueError("grids only refine")
-        if delta == 0:
-            return self
-        return LocalElem(self.place,
-                         {e: c.frobenius(delta) for e, c in self.terms.items()},
-                         self.precision, self.grid + delta)
-
-    def pth_root(self) -> "LocalElem":
-        """Exponents divide by p, digits unchanged, grid up one."""
-        p = self.p
-        return LocalElem(self.place,
-                         {e / p: c for e, c in self.terms.items()},
-                         self.precision / p, self.grid + 1)
 
     def frobenius(self, e: int = 1) -> "LocalElem":
         """The p^e-th power; precision scales with the exponents."""
         if e < 0:
             raise ValueError("negative Frobenius power")
+        _check_digitwise_products(self.place)
         q = self.p ** e
         return LocalElem(self.place,
                          {ex * q: c ** q for ex, c in self.terms.items()},
-                         self.precision * q, self.grid)
+                         self.precision * q)
 
-    def _common(self, other: "LocalElem"):
+    def _check_place(self, other: "LocalElem"):
         if not isinstance(other, LocalElem) or self.place != other.place:
             raise ValueError("local elements live at different places")
-        g = max(self.grid, other.grid)
-        return self.refine(g - self.grid), other.refine(g - other.grid)
 
     def __add__(self, other: "LocalElem") -> "LocalElem":
-        a, b = self._common(other)
-        prec = min(a.precision, b.precision)
-        terms = dict(a.terms)
-        for e, c in b.terms.items():
+        self._check_place(other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
             s = terms.get(e)
             terms[e] = c if s is None else s + c
-        return LocalElem(a.place, terms, prec, a.grid)
+        return LocalElem(self.place, terms, min(self.precision, other.precision))
 
     def __neg__(self) -> "LocalElem":
         return LocalElem(self.place, {e: -c for e, c in self.terms.items()},
-                         self.precision, self.grid)
+                         self.precision)
 
     def __sub__(self, other: "LocalElem") -> "LocalElem":
         return self + (-other)
 
     def __mul__(self, other: "LocalElem") -> "LocalElem":
-        a, b = self._common(other)
-        prec = min(a.precision + b._eff_val(), b.precision + a._eff_val())
+        self._check_place(other)
+        _check_digitwise_products(self.place)
+        prec = min(self.precision + other._eff_val(),
+                   other.precision + self._eff_val())
         terms = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 e = e1 + e2
                 if e >= prec:
                     continue
                 c = c1 * c2
                 s = terms.get(e)
                 terms[e] = c if s is None else s + c
-        return LocalElem(a.place, terms, prec, a.grid)
+        return LocalElem(self.place, terms, prec)
 
-    def shift(self, delta) -> "LocalElem":
-        """Multiply by u^delta."""
-        delta = _frac(delta)
-        return LocalElem(self.place,
-                         {e + delta: c for e, c in self.terms.items()},
-                         self.precision + delta, self.grid)
-
-    def invert(self) -> "LocalElem":
-        if self.is_zero_to_precision():
-            raise DivisionByZeroToPrecision(
-                f"inverting zero-to-precision O(u^{self.precision})")
-        v = self.val()
-        rel = self.precision - v
-        if rel <= 0:
-            raise PrecisionUnderflow("no reliable digits to invert")
-        w = self.shift(-v)               # unit, valuation 0, precision rel
-        lead = w.terms[Fraction(0)]
-        inv = LocalElem.from_digit(self.place, 0, lead.inverse(), rel, self.grid)
-        one = LocalElem.from_digit(self.place, 0, FvElem.one(self.place), rel,
-                                   self.grid)
-        while True:
-            err = one - w * inv
-            if err.is_zero_to_precision():
-                break
-            inv = inv + inv * err
-        return inv.shift(-v)
-
-    def truncate(self, n) -> "LocalElem":
-        n = _frac(n)
+    def truncate(self, n: int) -> "LocalElem":
         if n > self.precision:
-            raise PrecisionUnderflow(
-                f"cannot raise precision {self.precision} to {n}")
-        return LocalElem(self.place, self.terms, n, self.grid)
-
-    def agrees(self, other: "LocalElem", upto) -> bool:
-        """v(self - other) >= upto, both known at least that far."""
-        d = self - other
-        if d.precision < _frac(upto):
-            raise PrecisionUnderflow("difference is not known that far")
-        v = d.val()
-        return v is None or v >= _frac(upto)
+            raise ValueError(f"cannot raise precision {self.precision} to {n}")
+        return LocalElem(self.place, self.terms, n)
 
     def __eq__(self, other):
         return (isinstance(other, LocalElem) and self.place == other.place
-                and self.grid == other.grid and self.terms == other.terms
+                and self.terms == other.terms
                 and self.precision == other.precision)
 
     def __str__(self):
@@ -219,12 +142,8 @@ class LocalElem:
         return f"LocalElem({self.place}, {local_to_str(self)})"
 
 
-def _exp_str(e: Fraction) -> str:
-    if e.denominator == 1 and e >= 0:
-        return str(e.numerator)
-    if e.denominator == 1:
-        return f"({e.numerator})"
-    return f"({e.numerator}/{e.denominator})"
+def _exp_str(e: int) -> str:
+    return str(e) if e >= 0 else f"({e})"
 
 
 def local_to_str(z: LocalElem) -> str:
@@ -244,36 +163,32 @@ def local_to_str(z: LocalElem) -> str:
 # -- embedding K into its completions ----------------------------------------
 
 
-def embed(x: KElem, v: Place, n) -> LocalElem:
+def embed(x: KElem, v: Place, n: int) -> LocalElem:
     """u-adic expansion of x to precision n (exponents < n are exact).
 
     embed itself memoises nothing; tp_eval_local memoises the coefficients
     it embeds.  A unit part of the denominator that is exactly 1 skips the
     inversion modulo pi^count.
     """
-    n = _frac(n)
-    if n.denominator != 1:
-        raise ValueError("embedding precision must be an integer")
-    n_int = n.numerator
     if x.p != v.p:
         raise ValueError("modulus mismatch")
     if x.is_zero():
         return LocalElem.zero_to(v, n)
     if v.is_infinite:
-        return _embed_infinite(x, v, n_int)
+        return _embed_infinite(x, v, n)
     kn = _bipoly_multiplicity(x.num, v)
     kd = _bipoly_multiplicity(x.den, v)
     val = kn - kd
-    count = n_int - val
+    count = n - val
     if count <= 0:
         return LocalElem.zero_to(v, n)
     ring = get_trunc_ring(v, count + kn + kd)
     _, un = ring.strip_pi(ring.reduce_bipoly(x.num))
     _, ud = ring.strip_pi(ring.reduce_bipoly(x.den))
     if len(ud) != 1 or not ud[0].is_one():
-        un = ring.mul(un, ring.invert(ud))
+        un = ring.mul(un, ring.inverse(ud))
     digits = ring.digits(un, count)
-    return LocalElem(v, {Fraction(val + i): d for i, d in enumerate(digits)}, n)
+    return LocalElem(v, {val + i: d for i, d in enumerate(digits)}, n)
 
 
 def _embed_infinite(x: KElem, v: Place, n: int) -> LocalElem:
@@ -292,7 +207,7 @@ def _embed_infinite(x: KElem, v: Place, n: int) -> LocalElem:
             if j - i < len(den_rev):
                 acc = acc - series[i] * den_rev[j - i]
         series.append(acc * inv_lead)
-    terms = {Fraction(val + j): FvElem.from_felem(v, c)
+    terms = {val + j: FvElem.from_felem(v, c)
              for j, c in enumerate(series)}
     return LocalElem(v, terms, n)
 
@@ -412,10 +327,13 @@ def _fv_sort_key(x: FvElem):
     return tuple((rpoly_code(f.num), rpoly_code(f.den)) for f in x.rep)
 
 
-# -- local evaluation and Hensel lifting -------------------------------------
+# -- local evaluation and the divisibility verdict ---------------------------
 
 
 _COEFF_CACHE: dict = {}
+
+# digits of each embedded coefficient beyond the cutoff that z drives
+_EMBED_MARGIN = 2
 
 
 def _embed_coeff(c: KElem, v: Place, n: int) -> LocalElem:
@@ -428,13 +346,14 @@ def _embed_coeff(c: KElem, v: Place, n: int) -> LocalElem:
     return z
 
 
-def tp_eval_local(f: TwistedPoly, z: LocalElem, margin: int = 2) -> LocalElem:
+def tp_eval_local(f: TwistedPoly, z: LocalElem) -> LocalElem:
     """Evaluate a twisted polynomial at a local point.
 
     Coefficients are embedded with enough precision that the propagated
     cutoff is driven by z, not by the embeddings.  Each embedding goes
     through _embed_coeff, so a (coefficient, place, precision) triple is
-    embedded once until that bounded memo is cleared.
+    embedded once until that bounded memo is cleared.  The products make
+    this a ValueError at finite places of theta-degree > 1.
     """
     v = z.place
     acc = None
@@ -442,12 +361,11 @@ def tp_eval_local(f: TwistedPoly, z: LocalElem, margin: int = 2) -> LocalElem:
         if c.is_zero():
             continue
         zi = z.frobenius(i)
-        need = zi.precision - min(0, zi._eff_val()) + margin
-        n_embed = need.numerator // need.denominator + 1
+        n_embed = zi.precision - min(0, zi._eff_val()) + _EMBED_MARGIN + 1
         term = _embed_coeff(c, v, max(n_embed, 1)) * zi
         acc = term if acc is None else acc + term
     if acc is None:
-        return LocalElem.zero_to(v, z.precision, z.grid)
+        return LocalElem.zero_to(v, z.precision)
     return acc
 
 
@@ -460,69 +378,28 @@ def _check_good_place(coeffs, v: Place):
         raise ValueError("the differential is not a unit at this place")
 
 
-def _newton_lift(g: TwistedPoly, x0: LocalElem, y: LocalElem, n: Fraction) -> LocalElem:
-    """Lift a residue root of the separable g(X) = y to precision n."""
-    v = y.place
-    c0_inv = _embed_coeff(g.coeff(0), v,
-                          n.numerator // n.denominator + 2).invert()
-    x = x0.truncate(min(x0.precision, n))
-    x = LocalElem(v, x.terms, n, x.grid)
-    while True:
-        residual = y.truncate(n) - tp_eval_local(g, x).truncate(n)
-        if residual.is_zero_to_precision():
-            return x
-        x = (x + c0_inv * residual).truncate(n)
+def hensel_solve(phi: DrinfeldModule, a: RPoly, ybar: FvElem) -> FvElem:
+    """A root of the residue equation of Phi_a(X) = y, or NoResidueRoot.
 
-
-def hensel_solve(phi: DrinfeldModule, a: RPoly, y: LocalElem, n) -> LocalElem:
-    """X with valuation(Phi_a(X) - y) >= n, or NoResidueRoot.
-
-    Separable operators lift a residue root by Newton iteration.  For
-    t-divisible operators on a special module, the index-shifted operator is
-    solved against the same target and the answer is relabeled onto the
-    1/p^{m*l} grid; the Frobenius identity keeps the residual guarantee at n
-    on the refined grid.
+    ybar is the residue of a v-integral target y at the place v = ybar.place.
+    Write Phi_a = g tau^kappa with kappa the tau-valuation of Phi_a.  At a
+    good place every coefficient c_i of g is integral and c_0 is a unit
+    (_check_good_place), and g is additive.  So a step X -> X + c_0^-1 r
+    with r = y - g(X) leaves the residual -sum_{i>=1} c_i (c_0^-1 r)^{p^i},
+    of valuation >= p*v(r): by Hensel's lemma every residue root of g(X) = y
+    lifts to a root in O_v, and its p^kappa-th root, in the perfection when
+    kappa > 0, solves Phi_a(X) = y.  A root in O_v reduces to a residue root,
+    so y is in Phi_a(O_v) exactly when the residue equation has a root, and
+    no lift is built.  NoResidueRoot carries residue_solve's certified flag.
     """
-    n = _frac(n)
-    if n < 1:
-        raise ValueError("residual target must be at least 1")
     if a.is_zero():
         raise ValueError("division by the zero operator")
-    if y.grid != 0:
-        raise ValueError("the target must live on the base grid")
-    v = y.place
-    ev = y._eff_val()
-    if ev < 0:
-        raise ValueError("the target is not integral")
-    if y.precision < n:
-        raise PrecisionUnderflow(
-            f"target known to O(u^{y.precision}) but residual {n} requested")
+    v = ybar.place
     f = phi_action(phi, a)
-    kappa = f.tau_valuation
-    g = TwistedPoly(phi.p, f.coeffs[kappa:]) if kappa else f
-    _check_good_place(g.coeffs, v)
-
-    gbar = [residue_reduce(c, v) for c in g.coeffs]
-    ybar = (y.terms.get(Fraction(0), FvElem.zero(v)) if y.precision > 0
-            else FvElem.zero(v))
-    roots, certified = residue_solve(gbar, ybar, v)
+    g = f.coeffs[f.tau_valuation:]
+    _check_good_place(g, v)
+    roots, certified = residue_solve([residue_reduce(c, v) for c in g], ybar, v)
     if not roots:
         raise NoResidueRoot(
             "the residue equation has no root at this place", certified)
-    x0 = LocalElem.from_digit(v, 0, roots[0], 1) if not roots[0].is_zero() \
-        else LocalElem.zero_to(v, 1)
-    x_hat = _newton_lift(g, x0, y, n)
-    for _ in range(kappa):
-        x_hat = x_hat.pth_root()
-    _assert_residual(phi, a, x_hat, y, n)
-    return x_hat
-
-
-def _assert_residual(phi, a, x_hat, y, n):
-    lhs = tp_eval_local(phi_action(phi, a), x_hat)
-    diff = lhs - y
-    if diff.precision < n:
-        raise PrecisionUnderflow("residual cannot be verified to the target")
-    w = diff.val()
-    if w is not None and w < n:
-        raise AssertionError("Hensel residual fell short of the target")
+    return roots[0]

@@ -501,7 +501,7 @@ class TruncRing:
     def mul(self, a, b):
         return _fpoly_rem_monic(_fpoly_mul(a, b), self.mod)
 
-    def invert(self, a):
+    def inverse(self, a):
         return _fpoly_invert_mod(a, self.mod)
 
     def strip_pi(self, a):
@@ -608,7 +608,7 @@ def residue_reduce(x: KElem, v: Place) -> FvElem:
     a = ring.reduce_bipoly(x.num)
     b = ring.reduce_bipoly(x.den)
     if kd == 0:
-        val = ring.mul(a, ring.invert(b))
+        val = ring.mul(a, ring.inverse(b))
         return ring.digits(val, 1)[0]
     # strip the common pi-power first
     ka, ua = ring.strip_pi(a)
@@ -620,7 +620,7 @@ def residue_reduce(x: KElem, v: Place) -> FvElem:
         b = ring.reduce_bipoly(x.den)
         ka, ua = ring.strip_pi(a)
         kb, ub = ring.strip_pi(b)
-    val = ring.mul(ua, ring.invert(ub))
+    val = ring.mul(ua, ring.inverse(ub))
     return ring.digits(val, 1)[0]
 
 

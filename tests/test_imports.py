@@ -198,7 +198,6 @@ def test_method_detector():
 TEST_ORACLES = (
     ("base.py", "RMatrix.is_unimodular"),
     ("kfield.py", "BiPoly.from_theta_coeffs"),
-    ("localfield.py", "LocalElem.agrees"),
     ("places.py", "Place.uniformizer"),
 )
 
