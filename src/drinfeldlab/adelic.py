@@ -22,10 +22,10 @@ import json
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
-from .base import (RMatrix, RPoly, fp_nullspace, fp_solve_many, fp_span,
-                   memo_put, smith_normal_form)
+from .base import (Echelon, RMatrix, RPoly, fp_solve_many, fp_span, memo_put,
+                   smith_normal_form)
 from .drinfeld import DrinfeldModule, phi_action, torsion_annihilator
-from .kfield import KElem, coordinates, kelem_to_str
+from .kfield import KElem, kelem_to_str
 from .localfield import (
     LocalElem,
     NoResidueRoot,
@@ -40,7 +40,6 @@ from .phimodule import (
     _iter_rpolys_below,
     _iterate_family,
     _op_on_point,
-    _point_system,
     _weights_to_operators,
     decompose,
     member,
@@ -185,20 +184,21 @@ def _digit(z: LocalElem, m: int) -> FvElem:
     return c if c is not None else FvElem.zero(z.place)
 
 
-def _digit_rows(elems, level: int, target=None):
-    """F_p equations forcing the level-m digit of a combination to match.
+def _fv_vectors(points):
+    """One sparse F_p-vector {(s, key): c} per point of a non-empty list of
+    residue points: slot s of every point goes over one common denominator
+    (places.fv_coordinates), so a combination of the points is zero iff the
+    same combination of the vectors is."""
+    out = [{} for _ in points]
+    for s in range(len(points[0])):
+        for vec, part in zip(out, fv_coordinates([x[s] for x in points])):
+            vec.update(((s, key), c) for key, c in part.items())
+    return out
 
-    `elems` are point tuples of LocalElem, one per unknown; `target` is a
-    point tuple of LocalElem or None for the homogeneous system.  Returns
-    (rows, rhs), rhs the one right-hand side or [] without a target.
-    """
-    def digits(pt):
-        return tuple(_digit(z, level) for z in pt)
 
-    targets = [digits(target)] if target is not None else []
-    rows, rhs = _point_system([digits(pt) for pt in elems], targets,
-                              fv_coordinates)
-    return rows, rhs[0] if rhs else []
+def _digit_vectors(points, level: int):
+    """_fv_vectors of the level-m digits of points, tuples of LocalElem."""
+    return _fv_vectors([tuple(_digit(z, level) for z in pt) for pt in points])
 
 
 def _family_residues(gamma: PhiModule, v: Place, deg_bound: int):
@@ -244,17 +244,14 @@ def _strata_levels(embedded, g: int, p: int, v: Place, cutoff: int):
         if not basis:
             break
         elems = [_combine_embedded(embedded, b, v, cutoff, g) for b in basis]
-        rows, _ = _digit_rows(elems, m)
-        ker = fp_nullspace(rows, p, len(basis))
+        ker = Echelon(_digit_vectors(elems, m), p).kernel()
         basis = [_vec_combine(basis, lam, p) for lam in ker]
         out.append((m + 1, basis))
     return out
 
 
 def _syzygy_space_dim(gamma: PhiModule, deg_bound: int) -> int:
-    family = _iterate_family(gamma, deg_bound)
-    rows, _ = _point_system(family, [], coordinates)
-    return len(fp_nullspace(rows, gamma.p, len(family)))
+    return len(gamma.family(deg_bound).echelon.kernel())
 
 
 def to_json(value):
@@ -482,9 +479,10 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
         rows, rhs = [], []
         best = 0
         for m in range(precision):
-            r_m, b_m = _digit_rows(embedded, m, target)
-            rows.extend(r_m)
-            rhs.extend(b_m)
+            vecs = _digit_vectors(embedded + [target], m)
+            for key in sorted(set().union(*vecs)):
+                rows.append([vec.get(key, 0) for vec in vecs[:-1]])
+                rhs.append(vecs[-1].get(key, 0))
             if fp_solve_many(rows, [rhs], p, n_weights)[0] is None:
                 break
             best = m + 1
@@ -492,8 +490,9 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
         close_dim = None
         sample = None
         if reached:
-            sol = fp_solve_many(rows, [rhs], p, n_weights)[0]
-            close_dim = len(fp_nullspace(rows, p, n_weights))
+            echelon = Echelon.from_rows(rows, p, n_weights)
+            sol = echelon.solve(dict(enumerate(rhs)))
+            close_dim = len(echelon.kernel())
             sample = _weights_to_operators(sol, gamma.rank, deg_bound, p)
             joint_rows.extend(rows)
             joint_rhs.extend(rhs)
@@ -537,8 +536,7 @@ def _residue_torsion_annihilator_bound(gamma: PhiModule, family_res, v: Place,
                                        deg_bound: int) -> RPoly:
     """Annihilator of the torsion part of the reduced bounded module at v."""
     p = gamma.p
-    rows, _ = _point_system(family_res, [], fv_coordinates)
-    kernel = fp_nullspace(rows, p, len(family_res))
+    kernel = Echelon(_fv_vectors(family_res), p).kernel()
     if not kernel:
         return RPoly.one(p)
     op_rows = [_weights_to_operators(b, gamma.rank, deg_bound, p)
@@ -578,16 +576,15 @@ def closure_torsion_check(gamma: PhiModule, witness_places=None,
                                     tuple(witness_places), 0, None,
                                     ("empty-module",))
 
-    n_weights = gamma.rank * (deg_bound + 1)
-    stacked = []
-    for v in witness_places:
+    stacked = [{} for _ in range(gamma.rank * (deg_bound + 1))]
+    for i, v in enumerate(witness_places):
         res = _family_residues(gamma, v, deg_bound)
         ann = _residue_torsion_annihilator_bound(gamma, res, v, deg_bound)
         fbar = [residue_reduce(c, v) for c in phi_action(gamma.phi, ann).coeffs]
         images = [tuple(fv_tp_eval(fbar, c) for c in r) for r in res]
-        rows, _ = _point_system(images, [], fv_coordinates)
-        stacked.extend(rows)
-    kernel = fp_nullspace(stacked, p, n_weights)
+        for col, vec in zip(stacked, _fv_vectors(images)):
+            col.update(((i, key), c) for key, c in vec.items())
+    kernel = Echelon(stacked, p).kernel()
 
     leak = None
     kernel_points = []

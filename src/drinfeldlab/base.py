@@ -2,8 +2,9 @@
 
 Implements F_p scalar helpers, the bound of the package's module-level
 memos, the polynomial ring R = F_p[t], its fraction field F = F_p(t), small
-matrices over R, Smith normal form, and the F_p linear algebra (row
-reduction, nullspaces, affine spans) everything downstream leans on.
+matrices over R, Smith normal form, and the F_p linear algebra everything
+downstream leans on: one sparse column echelon (solutions, kernels, first
+relations) and one enumerator of affine spans.
 
 R-polynomials are sparse maps {exponent: coefficient} with coefficients in
 1..p-1; zero coefficients are never stored.  Exponents are plain Python ints
@@ -724,131 +725,118 @@ def smith_normal_form(a: RMatrix) -> SmithForm:
 
 
 # -- F_p linear algebra ----------------------------------------------------
+#
+# Every F_p system of the package is one Echelon of sparse columns, the
+# vectors that each field's coordinates already are (kfield.bipoly_vector
+# and coordinates, places.fv_coordinates); fp_solve_many is the dense
+# row-matrix door to it.
 
 
-def fp_system(columns, targets=()):
-    """F_p rows of sum_k u_k columns[k] = target, for each target.
+class Echelon:
+    """Column echelon form over F_p of the sparse columns {key: c}.
 
-    columns and targets are sparse vectors {key: coefficient} with sortable
-    keys.  Returns (rows, rhs): one row per key of the joint support, in
-    ascending key order, with rows[l][k] the coefficient of columns[k] at
-    that key, and rhs[m] the coefficients of targets[m] on the same keys.
+    Each column is reduced, in column order, against the pivots kept so
+    far, and its combination over the column indices is tracked.  Column k
+    is a pivot iff it lies outside the span of the columns before it, so
+    every answer below is the unique one in the pivot columns, whatever
+    elimination order produced it: the same vectors as row reduction that
+    pivots on columns in order.  Keys need only be hashable.
     """
-    support = set().union(*columns, *targets)
-    index = {key: l for l, key in enumerate(sorted(support))}
-    rows = [[0] * len(columns) for _ in index]
-    for k, vec in enumerate(columns):
-        for key, c in vec.items():
-            rows[index[key]][k] = c
-    rhs = []
-    for vec in targets:
-        col = [0] * len(index)
-        for key, c in vec.items():
-            col[index[key]] = c
-        rhs.append(col)
-    return rows, rhs
 
+    __slots__ = ("p", "n", "pivots", "free", "support")
 
-def fp_rref(rows, p, ncols):
-    """Reduced row echelon form over F_p, pivoting in the first ncols columns.
+    def __init__(self, columns, p: int):
+        self.p = check_modulus(p)
+        columns = list(columns)
+        self.n = len(columns)
+        self.pivots = []        # (key, vector with vector[key] == 1, combination)
+        self.free = []          # (column index, combination reducing it to 0)
+        self.support = set()
+        for k, col in enumerate(columns):
+            self.support.update(col)
+            vec, comb = self._reduce(col, {k: 1})
+            if not vec:
+                self.free.append((k, comb))
+                continue
+            key = next(iter(vec))
+            inv = inv_mod(vec[key], p)
+            self.pivots.append((key, {e: c * inv % p for e, c in vec.items()},
+                                {j: c * inv % p for j, c in comb.items()}))
 
-    Returns (rref, pivot_cols).  `rows` is a list of equal-length int lists;
-    the input is not modified.  Columns past ncols (an augmented block) are
-    carried along but never pivoted on.
-    """
-    mat = [[x % p for x in row] for row in rows]
-    n = len(mat)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r == n:
-            break
-        sel = None
-        for i in range(r, n):
-            if mat[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = inv_mod(mat[r][col], p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(n):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    return mat, pivots
+    @classmethod
+    def from_rows(cls, rows, p: int, ncols: int) -> "Echelon":
+        """The echelon of a dense matrix: ncols columns keyed by row index."""
+        check_modulus(p)
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("row length differs from the number of unknowns")
+        return cls([{i: row[k] for i, row in enumerate(rows) if row[k] % p}
+                    for k in range(ncols)], p)
 
+    def _reduce(self, col, comb):
+        """(residue, comb): col minus its pivot components; comb starts as
+        the combination of col and follows every subtraction."""
+        p = self.p
+        vec = {e: c % p for e, c in col.items() if c % p}
+        for key, pvec, pcomb in self.pivots:
+            f = vec.get(key)
+            if not f:
+                continue
+            for e, c in pvec.items():
+                s = (vec.get(e, 0) - f * c) % p
+                if s:
+                    vec[e] = s
+                else:
+                    vec.pop(e, None)
+            for j, c in pcomb.items():
+                s = (comb.get(j, 0) - f * c) % p
+                if s:
+                    comb[j] = s
+                else:
+                    comb.pop(j, None)
+        return vec, comb
 
-def fp_nullspace(rows, p, ncols):
-    """Deterministic kernel basis of a matrix over F_p with ncols columns.
+    def solve(self, target):
+        """The width-n weights u with sum u_k columns[k] = target, zero on
+        every free column, or None when target is outside the span."""
+        p = self.p
+        if any(c % p and e not in self.support for e, c in target.items()):
+            return None
+        vec, comb = self._reduce(target, {})
+        if vec:
+            return None
+        return [(-comb.get(k, 0)) % p for k in range(self.n)]
 
-    Basis vectors correspond to free columns in ascending order; each has a 1
-    in its free coordinate.  A matrix with no rows constrains nothing, so its
-    kernel basis is the identity on ncols unknowns.  Returns a list of int
-    lists.
-    """
-    check_modulus(p)
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("row length differs from the number of unknowns")
-    rref, pivots = fp_rref(rows, p, ncols)
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-rref[r][fc]) % p
-        basis.append(vec)
-    return basis
+    def kernel(self):
+        """One relation per free column, in ascending order: a 1 there and
+        the weights of the pivot columns before it."""
+        out = []
+        for k, comb in self.free:
+            vec = [0] * self.n
+            for j, c in comb.items():
+                vec[j] = c
+            out.append(vec)
+        return out
+
+    def first_relation(self):
+        """(j, weights) for the first free column j >= 1, with columns[j] =
+        sum_k weights[k] columns[k] over k < j; or None."""
+        p = self.p
+        for j, comb in self.free:
+            if j >= 1:
+                return j, [(-comb.get(k, 0)) % p for k in range(j)]
+        return None
 
 
 def fp_solve_many(rows, rhs_list, p, ncols):
     """Solve A x = b over ncols unknowns for many right-hand sides with one
-    elimination, pivoting in the coefficient block only.  Returns a list
-    whose entries are a solution vector of width ncols or None (inconsistent
-    system); with no rows, every right-hand side gets the zero vector.
+    Echelon.  Returns a list whose entries are a solution vector of width
+    ncols or None (inconsistent system); with no rows, every right-hand
+    side gets the zero vector.
     """
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("row length differs from the number of unknowns")
-    mat = [list(row) + [rhs[i] for rhs in rhs_list]
-           for i, row in enumerate(rows)]
-    rref, pivots = fp_rref(mat, p, ncols)
-    zero_rows = rref[len(pivots):]
-    out = []
-    for col in range(ncols, ncols + len(rhs_list)):
-        if any(row[col] for row in zero_rows):
-            out.append(None)
-            continue
-        sol = [0] * ncols
-        for row, pc in zip(rref, pivots):
-            sol[pc] = row[col]
-        out.append(sol)
-    return out
-
-
-def fp_first_relation(vectors, p):
-    """(j, weights) for the first j >= 1 with vectors[j] in the span of
-    vectors[:j], and vectors[j] = sum_k weights[k] vectors[k]; or None.
-
-    The vectors are sparse {key: coefficient}; one elimination decides
-    every j, since that j is the first free column >= 1 of their matrix.
-    """
-    n = len(vectors)
-    rows, _ = fp_system(vectors)
-    rref, pivots = fp_rref(rows, p, n)
-    pivot_set = set(pivots)
-    j = next((j for j in range(1, n) if j not in pivot_set), None)
-    if j is None:
-        return None
-    weights = [0] * j
-    for row, pc in zip(rref, pivots):
-        if pc < j:
-            weights[pc] = row[j]
-    return j, weights
+    echelon = Echelon.from_rows(rows, p, ncols)
+    if any(len(rhs) != len(rows) for rhs in rhs_list):
+        raise ValueError("right-hand side length differs from the number of rows")
+    return [echelon.solve(dict(enumerate(rhs))) for rhs in rhs_list]
 
 
 def fp_span(p: int, vectors, start):

@@ -22,8 +22,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 
-from .base import (RPoly, fp_first_relation, fp_nullspace, fp_solve_many, fp_span,
-                   fp_system)
+from .base import Echelon, RPoly, fp_span
 from .factor import factor_bipoly
 from .kfield import (BiPoly, KElem, bi_divexact, bipoly_vector, common_denominator,
                      coordinates, height, kelem_sort_key, kelem_to_str)
@@ -336,11 +335,9 @@ def solve_additive_many(f: TwistedPoly, ys, bounds: HeightProfile | None = None)
     if not y_den.is_one():
         images = [n * y_den for n in images]
     rhs_polys = [y.num * image_den * bi_divexact(y_den, y.den) for y in ys]
-    n_basis = len(images)
-    rows, rhss = fp_system([bipoly_vector(f) for f in images],
-                           [bipoly_vector(f) for f in rhs_polys])
-    sols = fp_solve_many(rows, rhss, p, n_basis)
-    null = fp_nullspace(rows, p, n_basis)
+    echelon = Echelon([bipoly_vector(f) for f in images], p)
+    sols = [echelon.solve(bipoly_vector(f)) for f in rhs_polys]
+    null = echelon.kernel()
 
     if p ** len(null) > bounds.enum_cap:
         raise RuntimeError(
@@ -433,7 +430,7 @@ def torsion_annihilator(phi: DrinfeldModule, x: KElem,
     iterates = [x]
     for j in range(1, max_deg + 1):
         iterates.append(tp_eval(phi.phi_t, iterates[-1]))
-    relation = fp_first_relation(coordinates(iterates), p)
+    relation = Echelon(coordinates(iterates), p).first_relation()
     if relation is not None:
         j, weights = relation
         a = RPoly.monomial(p, j) - RPoly.from_coeffs(p, weights)

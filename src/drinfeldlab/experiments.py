@@ -396,19 +396,20 @@ def _swept_window(gamma: PhiModule, poly: MultiPoly, enum_deg: int):
 
 
 def _minimize_generators(gamma: PhiModule, deg_bound: int) -> PhiModule:
-    """Drop generators that the remaining ones already produce."""
-    kept = list(gamma.gens)
+    """Drop generators that the remaining ones already produce.
+
+    A dropped generator leaves the module that its membership test ran on,
+    so the module returned carries that test's prepared family downstream.
+    """
     i = 0
-    while i < len(kept):
-        rest = kept[:i] + kept[i + 1:]
-        if rest and member(PhiModule(gamma.phi, gamma.g, rest),
-                           kept[i], deg_bound).found:
-            kept = rest
+    while i < gamma.rank:
+        gens = gamma.gens
+        rest = PhiModule(gamma.phi, gamma.g, gens[:i] + gens[i + 1:], gamma.notes)
+        if rest.rank and member(rest, gens[i], deg_bound).found:
+            gamma = rest
         else:
             i += 1
-    if len(kept) == len(gamma.gens):
-        return gamma
-    return PhiModule(gamma.phi, gamma.g, kept, gamma.notes)
+    return gamma
 
 
 # -- generic characteristic ----------------------------------------------------

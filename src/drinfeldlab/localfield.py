@@ -18,8 +18,7 @@ honest cutoff and raise rather than silently losing digits.
 
 from __future__ import annotations
 
-from .base import (FElem, RPoly, fp_nullspace, fp_solve_many, fp_span, fp_system,
-                   memo_put)
+from .base import Echelon, FElem, RPoly, fp_span, memo_put
 from .drinfeld import DrinfeldModule, _pole_bound, phi_action
 from .factor import factor_rpoly, rpoly_code
 from .kfield import KElem
@@ -296,9 +295,9 @@ def residue_solve(coeffs, ybar: FvElem, v: Place):
 
     images = [fv_tp_eval(coeffs, x) for x in candidates]
     vecs = fv_coordinates(images + [ybar])
-    rows, rhs = fp_system(vecs[:-1], vecs[-1:])
-    sol = fp_solve_many(rows, rhs, p, len(candidates))[0]
-    null = fp_nullspace(rows, p, len(candidates))
+    echelon = Echelon(vecs[:-1], p)
+    sol = echelon.solve(vecs[-1])
+    null = echelon.kernel()
     if sol is None:
         return (), certified
     if len(null) > _KERNEL_DIM_CAP:

@@ -4,13 +4,15 @@ A module is presented by its generators; the operator ring acts diagonally
 through the Drinfeld structure.  Everything linear over F_p[t] is pushed
 down to F_p linear algebra on coordinate vectors of the bounded iterate
 family {Phi_{t^j}(x_i)}, so syzygies, membership, quotients, and torsion all
-ride on fp_nullspace / fp_solve_many plus Smith reduction over F_p[t].
+ride on one base.Echelon of that family plus Smith reduction over F_p[t].
 
-base.fp_system is the one linearisation: it turns sparse F_p-coordinates
-(kfield.coordinates over K, places.fv_coordinates over a residue field) into
-rows, and _point_system stacks one such block per coordinate of a point.
-It serves syzygies and membership here, and the syzygy count, valuation
-digit strata and residue torsion of `adelic`.
+PhiModule.family(deg_bound) is the family prepared once per module and
+bound: the points, each slot's common denominator D_s and the Echelon of
+the sparse F_p-vectors {(s, monomial): c} of x_s * D_s (_cleared_vector).
+Syzygies are its kernel; membership of y reduces y's vector against it.
+Every F_p-combination of the family, times D_s, is a polynomial whose
+monomials lie in the family's support, so a y failing either test is
+decided not_found_up_to before any reduction.
 
 _iterate_family is the one exact family: generator-major, then j = 0..bound,
 so the weight of Phi_{t^j}(x_i) sits at index i * (bound + 1) + j.  It and
@@ -28,13 +30,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .base import (RMatrix, RPoly, fp_first_relation, fp_nullspace, fp_solve_many,
-                   fp_span, fp_system, smith_normal_form)
+from .base import Echelon, RMatrix, RPoly, fp_span, smith_normal_form
 from .drinfeld import (DrinfeldModule, HeightProfile, phi_action,
                        solve_additive_many, torsion_annihilator)
 from .factor import iter_irreducible_rpolys, rpoly_code
 from .grammar import Parser
-from .kfield import KElem, coordinates, kelem_ring, kelem_sort_key, kelem_to_str
+from .kfield import (KElem, bipoly_vector, common_denominator, kelem_ring,
+                     kelem_sort_key, kelem_to_str)
 from .places import FvElem, Place, fv_coordinates, fv_tp_eval, residue_reduce
 from .twisted import tp_eval, tp_to_str
 
@@ -89,12 +91,13 @@ class PhiModule:
     """Submodule of K^g spanned by finitely many points.
 
     The presentation cache is write-once per bound: the first computation
-    at a given (or larger) syzygy bound is kept, later calls reuse it.
-    Assignment is atomic, so a concurrent first computation is merely
-    redundant, never inconsistent.
+    at a given (or larger) syzygy bound is kept, later calls reuse it.  The
+    prepared families are write-once per deg_bound.  Assignment is atomic,
+    so a concurrent first computation is merely redundant, never
+    inconsistent.
     """
 
-    __slots__ = ("phi", "g", "gens", "notes", "_presentation")
+    __slots__ = ("phi", "g", "gens", "notes", "_presentation", "_families")
 
     def __init__(self, phi: DrinfeldModule, g: int, gens, notes=()):
         if g < 1:
@@ -114,6 +117,7 @@ class PhiModule:
         self.gens = tuple(clean)
         self.notes = tuple(notes)
         self._presentation = None
+        self._families = {}
 
     @property
     def p(self) -> int:
@@ -133,6 +137,14 @@ class PhiModule:
         rel = syzygies(self, deg_bound)
         self._presentation = (deg_bound, rel)
         return rel
+
+    def family(self, deg_bound: int) -> "IterateFamily":
+        """The prepared iterate family at deg_bound, built on first use."""
+        prepared = self._families.get(deg_bound)
+        if prepared is None:
+            prepared = _prepare_family(self, deg_bound)
+            self._families[deg_bound] = prepared
+        return prepared
 
     def __eq__(self, other):
         return (isinstance(other, PhiModule) and self.phi == other.phi
@@ -179,26 +191,38 @@ def _iterate_family(gamma: PhiModule, deg_bound: int):
     return [z for x in gamma.gens for z in _orbit(gamma.phi, x, deg_bound)]
 
 
-def _point_system(columns, targets, coords):
-    """F_p rows and right-hand sides of sum_k u_k columns[k] = target.
+def _cleared_vector(x, dens):
+    """The F_p-coefficients {(s, (theta_exp, t_exp)): c} of the polynomials
+    x_s * dens[s], or None when one of them is not a polynomial."""
+    vec = {}
+    for s, (c, den) in enumerate(zip(x, dens)):
+        cleared = c if den.is_one() else c * den
+        if not cleared.is_polynomial():
+            return None
+        vec.update(((s, key), v) for key, v in bipoly_vector(cleared.num).items())
+    return vec
 
-    columns and targets are points, not both empty; coords maps a list of
-    field elements to their sparse F_p-coordinates over one common
-    denominator (kfield.coordinates, places.fv_coordinates).  Each
-    coordinate of the points gets its own fp_system block, with its own
-    denominator.
-    """
-    points = list(columns) + list(targets)
-    n = len(columns)
-    rows = []
-    rhs = [[] for _ in targets]
-    for s in range(len(points[0])):
-        vecs = coords([x[s] for x in points])
-        block, block_rhs = fp_system(vecs[:n], vecs[n:])
-        rows.extend(block)
-        for acc, part in zip(rhs, block_rhs):
-            acc.extend(part)
-    return rows, rhs
+
+@dataclass(frozen=True)
+class IterateFamily:
+    """_iterate_family at one bound, coordinatised and eliminated once."""
+    points: list
+    dens: tuple                  # D_s: the common denominator of slot s
+    echelon: Echelon
+
+    def solve(self, y):
+        """Weights w with sum w_k points[k] = y, or None when y is not an
+        F_p-combination of the family."""
+        vec = _cleared_vector(y, self.dens)
+        return None if vec is None else self.echelon.solve(vec)
+
+
+def _prepare_family(gamma: PhiModule, deg_bound: int) -> IterateFamily:
+    points = _iterate_family(gamma, deg_bound)
+    dens = tuple(KElem.from_bipoly(common_denominator([z[s] for z in points]))
+                 for s in range(gamma.g))
+    return IterateFamily(points, dens, Echelon(
+        [_cleared_vector(z, dens) for z in points], gamma.p))
 
 
 def _weights_to_operators(weights, rank: int, deg_bound: int, p: int):
@@ -246,10 +270,8 @@ def syzygies(gamma: PhiModule, deg_bound: int = _DEFAULT_BOUND) -> RMatrix:
     p = gamma.p
     if gamma.rank == 0:
         return RMatrix(p, [])
-    family = _iterate_family(gamma, deg_bound)
-    rows, _ = _point_system(family, [], coordinates)
     relations = []
-    for vec in fp_nullspace(rows, p, len(family)):
+    for vec in gamma.family(deg_bound).echelon.kernel():
         ops = _weights_to_operators(vec, gamma.rank, deg_bound, p)
         lead = next(a for a in ops if not a.is_zero())
         scale = pow(lead.lead, p - 2, p)
@@ -285,7 +307,7 @@ def member(gamma: PhiModule, y, deg_bound: int = _DEFAULT_BOUND) -> MemberCertif
 
 
 def member_many(gamma: PhiModule, ys, deg_bound: int = _DEFAULT_BOUND):
-    """member for many points, sharing one linearisation of the iterates.
+    """member for many points, each reduced against gamma.family(deg_bound).
 
     Returns the certificates in the order of ys; every found certificate is
     re-verified by exact evaluation.
@@ -293,29 +315,15 @@ def member_many(gamma: PhiModule, ys, deg_bound: int = _DEFAULT_BOUND):
     ys = [tuple(y) for y in ys]
     if any(len(y) != gamma.g for y in ys):
         raise ValueError("point of the wrong ambient power")
-    needed = gamma.rank and not all(point_is_zero(y) for y in ys)
-    family = _iterate_family(gamma, deg_bound) if needed else []
-    return _member_many(gamma, family, ys, deg_bound)
-
-
-def _member_many(gamma: PhiModule, family, ys, deg_bound: int):
-    """member_many over family = _iterate_family(gamma, deg_bound), which
-    the caller computes once for any number of batches."""
     p = gamma.p
     zero = tuple(RPoly.zero(p) for _ in range(gamma.rank))
-    sols = [None] * len(ys)
-    pending = [m for m, y in enumerate(ys) if not point_is_zero(y)]
-    if pending and gamma.rank:
-        rows, rhs = _point_system(family, [ys[m] for m in pending],
-                                  coordinates)
-        solved = fp_solve_many(rows, rhs, p, len(family))
-        for m, sol in zip(pending, solved):
-            sols[m] = sol
     out = []
-    for y, sol in zip(ys, sols):
+    for y in ys:
         if point_is_zero(y):
-            cert = MemberCertificate("certificate", zero, deg_bound)
-        elif sol is None:
+            out.append(MemberCertificate("certificate", zero, deg_bound))
+            continue
+        sol = gamma.family(deg_bound).solve(y) if gamma.rank else None
+        if sol is None:
             cert = MemberCertificate("not_found_up_to", None, deg_bound)
         else:
             ops = _weights_to_operators(sol, gamma.rank, deg_bound, p)
@@ -498,20 +506,16 @@ def _hull_targets(gamma: PhiModule, dq: int, notes: set):
 def _hull_scan(gamma: PhiModule, prime_bound: int,
                height_bounds: HeightProfile | None,
                member_bound: int, notes: set):
-    """First module point x not in gamma with Phi_q(x) in gamma, or None.
-
-    Returns (x, q, family), where family is the membership family if the
-    scan built it (always, when x is found) and None otherwise.
+    """(x, q) for the first module point x not in gamma with Phi_q(x) in
+    gamma, or (None, None).
 
     Division targets are the points sum Phi_{rem_i}(x_i) with deg rem_i <
     deg q.  They depend only on deg q, so they are built once per degree,
-    as one F_p-span (_hull_targets).  The membership family
-    _iterate_family(gamma, member_bound) is built once per scan, when the
-    first division points arrive; the division points of all targets of
-    one prime are tested for membership in one linearisation over it.
+    as one F_p-span (_hull_targets).  The division points are tested for
+    membership against gamma.family(member_bound), which the first of
+    them prepares.
     """
     targets_by_degree = {}
-    member_family = None
     for q in _primes_up_to(gamma.p, prime_bound):
         dq = q.degree
         if dq not in targets_by_degree:
@@ -531,13 +535,11 @@ def _hull_scan(gamma: PhiModule, prime_bound: int,
             for combo in itertools.product(*slot_points):
                 if not point_is_zero(combo):
                     candidates.append(combo)
-        if candidates and member_family is None:
-            member_family = _iterate_family(gamma, member_bound)
-        for x, cert in zip(candidates, _member_many(
-                gamma, member_family, candidates, member_bound)):
+        for x, cert in zip(candidates, member_many(gamma, candidates,
+                                                   member_bound)):
             if not cert.found:
-                return x, q, member_family
-    return None, None, member_family
+                return x, q
+    return None, None
 
 
 def divisible_hull(gamma: PhiModule, prime_bound: int = 2,
@@ -555,8 +557,8 @@ def divisible_hull(gamma: PhiModule, prime_bound: int = 2,
     notes = set(gamma.notes)
     current = gamma
     for _ in range(max_rounds):
-        x, q, _ = _hull_scan(current, prime_bound, height_bounds,
-                             member_bound, notes)
+        x, q = _hull_scan(current, prime_bound, height_bounds,
+                          member_bound, notes)
         if x is None:
             return PhiModule(current.phi, current.g, current.gens,
                              tuple(sorted(notes)))
@@ -583,13 +585,12 @@ def is_full(gamma: PhiModule, prime_bound: int = 2,
             member_bound: int = _DEFAULT_BOUND) -> FullnessReport:
     """Does gamma already contain every bounded division point?"""
     notes = set()
-    x, q, family = _hull_scan(gamma, prime_bound, height_bounds,
-                              member_bound, notes)
+    x, q = _hull_scan(gamma, prime_bound, height_bounds, member_bound, notes)
     if x is None:
         return FullnessReport("full_up_to_bounds", None, None,
                               prime_bound, member_bound, tuple(sorted(notes)))
     image = _op_on_point(gamma.phi, q, x)
-    if not _member_many(gamma, family, [image], member_bound)[0].found:
+    if not member_many(gamma, [image], member_bound)[0].found:
         raise AssertionError("fullness witness image left the module")
     return FullnessReport("not_full", x, q, prime_bound, member_bound,
                           tuple(sorted(notes)))
@@ -608,7 +609,7 @@ def fv_torsion_annihilator(phi: DrinfeldModule, v: Place, xbar: FvElem,
     iterates = [xbar]
     for _ in range(max_deg):
         iterates.append(fv_tp_eval(cbar, iterates[-1]))
-    relation = fp_first_relation(fv_coordinates(iterates), p)
+    relation = Echelon(fv_coordinates(iterates), p).first_relation()
     if relation is None:
         return None
     j, weights = relation
@@ -683,7 +684,9 @@ def decompose(gamma: PhiModule, witness_places,
 
     gamma0 = PhiModule(gamma.phi, gamma.g, gens0)
     gamma1 = PhiModule(gamma.phi, gamma.g, gens1)
-    combined = PhiModule(gamma.phi, gamma.g, tuple(gens0) + tuple(gens1))
+    # gamma's own generators make gamma itself, whose families are reused
+    combined = gamma if tuple(gens0 + gens1) == gamma.gens \
+        else PhiModule(gamma.phi, gamma.g, gens0 + gens1)
     for x in gamma.gens:
         if not member(combined, x, member_bound).found:
             raise AssertionError("decomposition lost a generator")

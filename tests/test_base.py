@@ -6,16 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeldlab.base import (
+    Echelon,
     FElem,
     RMatrix,
     RPoly,
     check_modulus,
     felem_parse,
-    fp_first_relation,
-    fp_nullspace,
     fp_solve_many,
     fp_span,
-    fp_system,
     inv_mod,
     rpoly_parse,
     rpoly_to_str,
@@ -281,44 +279,179 @@ def _fp_vectors(p, m):
     return itertools.product(range(p), repeat=m)
 
 
-class TestFpSystem:
-    def test_nothing(self):
-        assert fp_system([]) == ([], [])
+# -- the dense oracle of Echelon ----------------------------------------------
 
-    def test_no_columns(self):
-        rows, rhs = fp_system([], [{(0, 2): 1}, {}])
-        assert rows == [[]]
-        assert rhs == [[1], [0]]
 
-    def test_no_targets(self):
-        rows, rhs = fp_system([{(2, 0): 1}, {(1, 0): 2, (2, 0): 1}])
-        assert rows == [[0, 2], [1, 1]]
-        assert rhs == []
+def _gauss_jordan(rows, p, ncols):
+    """Reduced row echelon form over F_p, pivoting in the first ncols
+    columns: (rref, pivot_cols).  Columns past ncols (an augmented block)
+    are carried along but never pivoted on.  A dense elimination that
+    shares no code with Echelon, which it is the oracle of."""
+    mat = [[x % p for x in row] for row in rows]
+    n = len(mat)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r == n:
+            break
+        sel = None
+        for i in range(r, n):
+            if mat[i][col]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        inv = inv_mod(mat[r][col], p)
+        mat[r] = [(x * inv) % p for x in mat[r]]
+        for i in range(n):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    return mat, pivots
 
-    def test_rows_follow_ascending_key_order(self):
-        rows, rhs = fp_system([{(1, 0): 1}, {(0, 5): 2}], [{(0, 0): 1}])
-        # (0, 0) < (0, 5) < (1, 0)
-        assert rows == [[0, 0], [0, 2], [1, 0]]
-        assert rhs == [[1, 0, 0]]
 
-    def test_rows_times_weights_is_the_combination(self):
-        rng = random.Random(515)
+def _oracle_solve(rows, rhs, p, ncols):
+    rref, pivots = _gauss_jordan([row + [b] for row, b in zip(rows, rhs)],
+                                 p, ncols)
+    if any(row[ncols] for row in rref[len(pivots):]):
+        return None
+    sol = [0] * ncols
+    for row, pc in zip(rref, pivots):
+        sol[pc] = row[ncols]
+    return sol
+
+
+def _oracle_kernel(rows, p, ncols):
+    rref, pivots = _gauss_jordan(rows, p, ncols)
+    basis = []
+    for fc in (j for j in range(ncols) if j not in pivots):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = (-rref[r][fc]) % p
+        basis.append(vec)
+    return basis
+
+
+def _oracle_first_relation(rows, p, ncols):
+    rref, pivots = _gauss_jordan(rows, p, ncols)
+    j = next((j for j in range(1, ncols) if j not in pivots), None)
+    if j is None:
+        return None
+    weights = [0] * j
+    for row, pc in zip(rref, pivots):
+        if pc < j:
+            weights[pc] = row[j]
+    return j, weights
+
+
+def _rnd_columns(rng, p, keys, n):
+    """n sparse columns over keys, with zero columns and repeats (plain and
+    scaled) mixed in."""
+    cols = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.15:
+            cols.append({})
+        elif kind < 0.35 and cols:
+            c = rng.randrange(1, p)
+            cols.append({key: c * x % p for key, x in rng.choice(cols).items()})
+        else:
+            cols.append(_rnd_sparse(rng, p, keys))
+    return cols
+
+
+class TestEchelonAgainstGaussJordan:
+    """Echelon's solve, kernel and first relation equal the dense oracle's on
+    seeded systems, with the same vectors, not just the same spans."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_seeded_systems(self, p):
+        rng = random.Random(1800 + p)
+        seen = set()
+        for _ in range(150):
+            keys = [(a, b) for a in range(rng.randrange(4)) for b in range(2)]
+            cols = _rnd_columns(rng, p, keys, rng.randrange(7))
+            weights = [rng.randrange(p) for _ in cols]
+            inside = {}
+            for w, col in zip(weights, cols):
+                for key, c in col.items():
+                    inside[key] = (inside.get(key, 0) + w * c) % p
+            targets = [{k: c for k, c in inside.items() if c},
+                       _rnd_sparse(rng, p, keys + [("extra",)])]
+            support = sorted({key for vec in cols + targets for key in vec},
+                             key=str)
+            rows = [[col.get(key, 0) for col in cols] for key in support]
+            echelon = Echelon(cols, p)
+            for target in targets:
+                want = _oracle_solve(rows, [target.get(key, 0) for key in support],
+                                     p, len(cols))
+                assert echelon.solve(target) == want
+                seen.add("inconsistent" if want is None else "consistent")
+            assert echelon.kernel() == _oracle_kernel(rows, p, len(cols))
+            assert echelon.first_relation() == \
+                _oracle_first_relation(rows, p, len(cols))
+            seen.add("no rows" if not rows else "rows")
+            seen.add("no columns" if not cols else "columns")
+        assert seen == {"consistent", "inconsistent", "no rows", "rows",
+                        "no columns", "columns"}
+
+    def test_edge_systems(self):
+        # no columns, no rows, a zero column first and a repeated column
+        assert Echelon([], 3).solve({}) == []
+        assert Echelon([], 3).solve({(0,): 1}) is None
+        assert Echelon([], 3).kernel() == []
+        assert Echelon([{}, {}], 3).kernel() == [[1, 0], [0, 1]]
+        assert Echelon([{}, {}], 3).first_relation() == (1, [0])
+        echelon = Echelon([{}, {0: 1}, {0: 2}], 3)
+        assert echelon.kernel() == [[1, 0, 0], [0, 1, 1]]
+        assert echelon.first_relation() == (2, [0, 2])
+        assert echelon.solve({0: 2}) == [0, 2, 0]
+
+    def test_dense_rows_equal_sparse_columns(self):
+        rng = random.Random(1818)
         for p in (2, 3, 5):
-            for _ in range(20):
-                keys = [(a, b) for a in range(3) for b in range(3)]
-                cols = [_rnd_sparse(rng, p, keys) for _ in range(rng.randrange(1, 5))]
-                u = [rng.randrange(p) for _ in cols]
-                rows, _ = fp_system(cols)
-                support = sorted({key for vec in cols for key in vec})
-                want = [sum(w * vec.get(key, 0) for w, vec in zip(u, cols)) % p
-                        for key in support]
-                got = [sum(r * w for r, w in zip(row, u)) % p for row in rows]
-                assert got == want
+            for _ in range(30):
+                n, m = rng.randrange(4), rng.randrange(5)
+                rows = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+                rhs = [rng.randrange(p) for _ in range(n)]
+                assert fp_solve_many(rows, [rhs], p, m) == \
+                    [_oracle_solve(rows, rhs, p, m)]
+                assert Echelon.from_rows(rows, p, m).kernel() == \
+                    _oracle_kernel(rows, p, m)
+
+
+class TestEchelonInput:
+    @pytest.mark.parametrize("p", [0, 1, 4, 6])
+    def test_rejects_a_non_prime_modulus(self, p):
+        # at p = 4 the dense elimination once returned [[0, 0]] for this
+        # system, which it does not solve, and claimed {0: 1} = 0
+        with pytest.raises(ValueError):
+            Echelon([{0: 2}, {0: 1}], p)
+        with pytest.raises(ValueError):
+            Echelon.from_rows([[2, 1], [1, 1]], p, 2)
+        with pytest.raises(ValueError):
+            fp_solve_many([[2, 1], [1, 1]], [[1, 0]], p, 2)
+
+    def test_rejects_a_ragged_row(self):
+        with pytest.raises(ValueError):
+            Echelon.from_rows([[1, 2], [1]], 3, 2)
+        with pytest.raises(ValueError):
+            fp_solve_many([[1, 2], [1]], [[0, 0]], 3, 2)
+
+    def test_rejects_a_target_wider_than_the_system(self):
+        with pytest.raises(ValueError):
+            fp_solve_many([[1, 2]], [[0, 1]], 3, 2)
+        with pytest.raises(ValueError):
+            fp_solve_many([], [[1]], 3, 2)
 
 
 class TestFpAgainstEnumeration:
-    """fp_first_relation and fp_solve_many on small seeded systems, against
-    enumeration of every vector of F_p^m."""
+    """Echelon.first_relation and fp_solve_many on small seeded systems,
+    against enumeration of every vector of F_p^m."""
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_first_relation(self, p):
@@ -338,7 +471,7 @@ class TestFpAgainstEnumeration:
 
             want_j = next((j for j in range(1, len(vectors))
                            if relation(j) is not None), None)
-            got = fp_first_relation(vectors, p)
+            got = Echelon(vectors, p).first_relation()
             if want_j is None:
                 assert got is None
                 continue
@@ -371,17 +504,17 @@ class TestFpAgainstEnumeration:
 class TestFpLinear:
     def test_frozen_nullspace_example(self):
         # over F_5 the kernel of [[1,2],[2,4]] is spanned by (3, 1)
-        basis = fp_nullspace([[1, 2], [2, 4]], 5, 2)
-        assert basis == [[3, 1]]
+        assert Echelon.from_rows([[1, 2], [2, 4]], 5, 2).kernel() == [[3, 1]]
 
     def test_nullspace_without_rows_is_the_identity(self):
         # no equation constrains any of the three unknowns
-        assert fp_nullspace([], 3, 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        assert fp_nullspace([], 3, 0) == []
+        assert Echelon.from_rows([], 3, 3).kernel() == \
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert Echelon.from_rows([], 3, 0).kernel() == []
 
     def test_nullspace_rejects_a_row_of_the_wrong_width(self):
         with pytest.raises(ValueError):
-            fp_nullspace([[1, 2]], 3, 3)
+            Echelon.from_rows([[1, 2]], 3, 3)
 
     def test_nullspace_against_bruteforce(self):
         rng = random.Random(909)
@@ -390,7 +523,7 @@ class TestFpLinear:
                 n = rng.choice((1, 2, 3))
                 m = rng.choice((1, 2, 3, 4))
                 a = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
-                basis = fp_nullspace(a, p, m)
+                basis = Echelon.from_rows(a, p, m).kernel()
                 for vec in basis:
                     assert all(
                         sum(r * x for r, x in zip(row, vec)) % p == 0

@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from drinfeldlab import drinfeld
-from drinfeldlab.base import RPoly, rpoly_to_str
+from drinfeldlab.base import Echelon, RPoly, rpoly_to_str
 from drinfeldlab.drinfeld import (
     BoundTooSmallWarning,
     DrinfeldModule,
@@ -172,6 +172,28 @@ class TestDivision:
         many = solve_additive_many(f, ys)
         assert [r.points for r in many] == [
             (KElem.zero(P),), (KElem.theta(P),), (kelem_parse(P, "theta+1"),)]
+
+    def test_one_echelon_per_call(self, monkeypatch):
+        # the particular solutions and the kernel come from one elimination
+        built = []
+
+        class CountingEchelon(Echelon):
+            def __init__(self, columns, p):
+                built.append(p)
+                super().__init__(columns, p)
+
+        monkeypatch.setattr(drinfeld, "Echelon", CountingEchelon)
+        f = phi_action(carlitz(), RPoly.t(P))
+        ys = [tp_eval(f, KElem.theta(P)), kelem_parse(P, "theta/(theta+1)"),
+              KElem.zero(P)]
+        res = solve_additive_many(f, ys)
+        assert built == [P]
+        assert [[kelem_to_str(x) for x in r.points] for r in res] == [
+            ["theta"], [], ["0"]]
+        built.clear()
+        res = division_points(theta_kernel_module(), RPoly.t(P), KElem.zero(P))
+        assert built == [P]
+        assert res.info.kernel_dim == 1
 
     def test_bound_too_small_warning(self):
         C = carlitz()

@@ -56,12 +56,14 @@ class TestPaperInstance:
         assert rep.verdict == ex.CONFIRMED
         assert not [n for n in rep.notes if n.startswith("fullness-capped")]
 
-    def test_zero_dim_one_membership_family_per_point(self, paper_hull,
-                                                      family_bounds):
-        # each of the four closure reports builds the deg-8 family for its
-        # exact membership solve, and no separate K-side solve adds an
-        # eleventh; the other six come from the fullness scan,
-        # closure_torsion_check and _minimize_generators (ROADMAP item 4)
+    def test_zero_dim_membership_family_shared_by_points(self, paper_hull,
+                                                         family_bounds):
+        # the fullness scan prepares the hull's deg-8 family and
+        # _minimize_generators those of its two smaller modules; the last of
+        # them is the minimised module, whose family the presentation, the
+        # four closure reports' exact membership solves and decompose's
+        # generator check reuse; decompose's free part adds the fourth
+        gamma = PhiModule(paper_hull.phi, paper_hull.g, paper_hull.gens)
         rng = random.Random(5)
         theta = KElem.theta(P)
         pts = {}
@@ -69,9 +71,8 @@ class TestPaperInstance:
             x = (sum((KElem.const(P, rng.randrange(P)) * theta ** j
                       for j in range(3)), KElem.zero(P)),)
             pts[point_to_str(x)] = x
-        rep = ex.zero_dim_intersection(paper_hull,
-                                       ex.ZeroDim(1, list(pts.values())))
-        assert family_bounds.count(8) == 10
+        rep = ex.zero_dim_intersection(gamma, ex.ZeroDim(1, list(pts.values())))
+        assert family_bounds.count(8) == 4
         assert [point_to_str(x) for x in rep.k_side] == ["(2*theta+2)"]
         assert rep.trace == ()
 
@@ -90,6 +91,7 @@ class TestPaperInstance:
         # the degree-1 and degree-2 targets are one span each, shared by the
         # three primes of each degree, and the deg-8 membership family is
         # built once for all six primes
+        gamma = PhiModule(paper_hull.phi, paper_hull.g, paper_hull.gens)
         spans = []
         fp_span = pm.fp_span
 
@@ -98,7 +100,7 @@ class TestPaperInstance:
             return fp_span(p, vectors, start)
 
         monkeypatch.setattr(pm, "fp_span", counting_span)
-        assert is_full(paper_hull).kind == "full_up_to_bounds"
+        assert is_full(gamma).kind == "full_up_to_bounds"
         assert spans == [3, 6]
         assert sorted(family_bounds) == [0, 1, 8]
 
@@ -666,15 +668,15 @@ class TestGenericZeroDimKSide:
         assert sorted(point_to_str(x) for x in rep.k_side) == want
         assert 0 < len(want) < len(pts)
 
-    def test_one_membership_family_per_point(self, family_bounds):
-        # each point's closure report builds the deg_bound family for its
-        # exact membership solve; no separate K-side solve builds a fifth
+    def test_membership_family_shared_by_points(self, family_bounds):
+        # the four closure reports' exact membership solves share one
+        # deg_bound family
         theta, zero = KElem.theta(P), KElem.zero(P)
         pts = [(theta, zero), (zero, theta), (theta, theta),
                (theta + KElem.one(P), zero)]
         rep = ex.generic_char_experiment(_carlitz_plane(), ex.ZeroDim(2, pts),
                                          deg_bound=4, cutoff=4, precision=4)
-        assert family_bounds.count(4) == 4
+        assert family_bounds.count(4) == 1
         assert [point_to_str(x) for x in rep.k_side] == \
             [point_to_str(x) for x in ex._sorted_points(pts[:3])]
         assert rep.trace == ()
@@ -698,6 +700,52 @@ class TestGenericCertificatesGolden:
                    .to_json_dict() for label, v in varieties.items()}
         text = json.dumps(reports, sort_keys=True, indent=1) + "\n"
         assert text == GOLDEN_SEED0.read_text()
+
+
+@pytest.fixture
+def builds_per_module(monkeypatch):
+    """How often each (module object, deg_bound) pair builds its iterate
+    family ("family") and its prepared family with the echelon
+    ("prepared"); the modules are kept alive so no id is reused."""
+    builds = {"family": {}, "prepared": {}}
+    kept = []
+
+    def counting(kind, build):
+        def wrapper(gamma, deg_bound):
+            kept.append(gamma)
+            key = (id(gamma), deg_bound)
+            builds[kind][key] = builds[kind].get(key, 0) + 1
+            return build(gamma, deg_bound)
+        return wrapper
+
+    family = counting("family", pm._iterate_family)
+    monkeypatch.setattr(pm, "_iterate_family", family)
+    monkeypatch.setattr(adelic, "_iterate_family", family)
+    monkeypatch.setattr(pm, "_prepare_family",
+                        counting("prepared", pm._prepare_family))
+    return builds
+
+
+class TestPreparedFamilies:
+    """No module object eliminates its family twice at one bound."""
+
+    def test_seed0_zero_dim(self, paper_hull, builds_per_module):
+        gamma = PhiModule(paper_hull.phi, paper_hull.g, paper_hull.gens)
+        theta = KElem.theta(P)
+        ex.zero_dim_intersection(gamma, ex.ZeroDim(1, [(theta,), (theta + 1,)]))
+        assert max(builds_per_module["family"].values()) == 1
+        assert max(builds_per_module["prepared"].values()) == 1
+        assert len(builds_per_module["prepared"]) == 4
+
+    def test_seed0_generic(self, builds_per_module):
+        theta, zero = KElem.theta(P), KElem.zero(P)
+        points = [(theta, zero), (zero, theta), (theta, theta),
+                  (theta + 1, zero)]
+        for variety in (ex.Hypersurface(ex.poly_parse(P, 2, "x*y - theta")),
+                        ex.ZeroDim(2, points)):
+            ex.generic_char_experiment(_carlitz_plane(), variety)
+        assert max(builds_per_module["family"].values()) == 1
+        assert list(builds_per_module["prepared"].values()) == [1]
 
 
 GOLDEN_ZERO_DIM = pathlib.Path(__file__).parent / "data" / "zero_dim_seed0.json"

@@ -7,7 +7,7 @@ import pytest
 
 from drinfeldlab import localfield
 from drinfeldlab.adelic import _locally_divisible
-from drinfeldlab.base import FElem, RPoly, rpoly_parse
+from drinfeldlab.base import Echelon, FElem, RPoly, rpoly_parse
 from drinfeldlab.drinfeld import DrinfeldModule, phi_action
 from drinfeldlab.kfield import BiPoly, KElem, kelem_parse
 from drinfeldlab.localfield import (
@@ -310,6 +310,25 @@ class TestResidueSolve:
         roots, certified = residue_solve(gbar, FvElem.zero(v), v)
         assert certified
         assert [str(r) for r in roots] == ["0", "t", "2*t"]
+
+    def test_one_echelon_per_call(self, monkeypatch):
+        # the particular root and the kernel come from one elimination
+        built = []
+
+        class CountingEchelon(Echelon):
+            def __init__(self, columns, p):
+                built.append(p)
+                super().__init__(columns, p)
+
+        monkeypatch.setattr(localfield, "Echelon", CountingEchelon)
+        v = vft()
+        gbar = [residue_reduce(c, v) for c in phi3().phi_t_power(1).coeffs]
+        roots, _ = residue_solve(gbar, gbar[0] + gbar[1], v)
+        assert built == [P] and len(roots) == 3
+        built.clear()
+        gbar = [residue_reduce(c, v) for c in carlitz().phi_t_power(1).coeffs]
+        roots, _ = residue_solve(gbar, residue_reduce(k("t^2"), v), v)
+        assert built == [P] and roots == ()
 
     def test_certified_no_root(self):
         v = vft()

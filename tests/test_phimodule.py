@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeldlab import phimodule
-from drinfeldlab.base import RPoly
+from drinfeldlab.base import Echelon, RPoly
 from drinfeldlab.drinfeld import DrinfeldModule, phi_action
 from drinfeldlab.kfield import KElem, kelem_parse
 from drinfeldlab.phimodule import (
@@ -20,6 +22,7 @@ from drinfeldlab.phimodule import (
     fv_torsion_annihilator,
     is_full,
     member,
+    member_many,
     module_parse,
     module_to_str,
     point_add,
@@ -130,6 +133,75 @@ class TestMember:
         y = tp_eval(phi.phi_t_power(2), theta) + theta
         cert = member(free_line(), (y,), 3)
         assert cert.found and str(cert.operators[0]) == "t^2+1"
+
+
+_PREPARED_DEG = 3
+_ZERO = KElem.zero(P)
+# a member sum Phi_{a_i}(x_i) with deg a_i <= 2, or one shifted off the
+# module by a polynomial or by a denominator that no D_s has
+_TARGETS = st.tuples(
+    st.lists(st.lists(st.integers(0, P - 1), min_size=3, max_size=3),
+             min_size=2, max_size=2),
+    st.sampled_from([None, "theta^2", "1/(theta+1)"]))
+
+
+def _rational_plane():
+    """Carlitz, g = 2, with a pole at theta in slot 1: D_1 = theta^27."""
+    return PhiModule(carlitz(), 2, [(k("theta"), k("1/theta")),
+                                    (KElem.one(P), k("theta^2"))])
+
+
+def _target(gamma, drawn):
+    coeffs, shift = drawn
+    y = _apply_operators(gamma, [RPoly.from_coeffs(P, c) for c in coeffs])
+    return y if shift is None else point_add(y, (k(shift), _ZERO))
+
+
+class TestPreparedFamily:
+    """PhiModule.family is a cache: it never changes an answer."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_TARGETS, _TARGETS, st.booleans())
+    def test_warm_module_answers_like_a_fresh_one(self, drawn, other, warm_first):
+        fresh = _rational_plane()
+        want = member(fresh, _target(fresh, drawn), _PREPARED_DEG)
+        assert want.found == (drawn[1] is None)
+        want_syz = syzygies(_rational_plane(), _PREPARED_DEG)
+        warm = _rational_plane()
+        y, z = _target(warm, drawn), _target(warm, other)
+        if warm_first:
+            member_many(warm, [z], _PREPARED_DEG)
+            got = member(warm, y, _PREPARED_DEG)
+        else:
+            got = member(warm, y, _PREPARED_DEG)
+            member_many(warm, [z], _PREPARED_DEG)
+        assert got == want
+        assert member(warm, y, _PREPARED_DEG) == want
+        assert syzygies(warm, _PREPARED_DEG) == want_syz
+        assert warm.family(_PREPARED_DEG) is warm.family(_PREPARED_DEG)
+
+    def test_denominator_outside_d_s_is_decided_before_reduction(self, monkeypatch):
+        gamma = _rational_plane()
+        family = gamma.family(_PREPARED_DEG)
+        assert [str(d) for d in family.dens] == ["1", "theta^27"]
+        solves = []
+        monkeypatch.setattr(Echelon, "solve",
+                            lambda self, target: solves.append(target))
+        for y in [(k("1/(theta+1)"), _ZERO), (_ZERO, k("1/theta^28")),
+                  (k("theta"), k("t/(theta^2+1)"))]:
+            assert str(member(gamma, y, _PREPARED_DEG)) == \
+                f"NotFoundUpTo({_PREPARED_DEG})"
+        assert solves == []
+
+    def test_monomial_outside_the_support_is_decided_before_reduction(
+            self, monkeypatch):
+        gamma = _rational_plane()
+        gamma.family(_PREPARED_DEG)
+        reductions = []
+        monkeypatch.setattr(Echelon, "_reduce",
+                            lambda self, col, comb: reductions.append(col))
+        cert = member(gamma, (k("theta^2"), _ZERO), _PREPARED_DEG)
+        assert not cert.found and reductions == []
 
 
 class TestQuotient:
