@@ -34,7 +34,7 @@ from .drinfeld import (
     torsion_annihilator,
 )
 from .grammar import Ring, parse
-from .kfield import KElem, kelem_ring, kelem_to_str
+from .kfield import KElem, coordinates, kelem_ring, kelem_to_str
 from .phimodule import (
     PhiModule,
     _op_on_point,
@@ -310,15 +310,26 @@ def _sorted_points(points):
 def _fp_images(x: KElem):
     """x under every ring map t -> a, theta -> b into F_p, indexed b*p + a,
     with None where the map is undefined on x (its canonical denominator
-    vanishes there).  theta = b is substituted once per b."""
+    vanishes there).  Each monomial c*t^te*theta^e is read as c*a^te*b^e
+    mod p, so huge exponents cost a modular power each."""
     p = x.p
-    out = []
-    for b in range(p):
-        num, den = x.num.evaluate_theta_int(b), x.den.evaluate_theta_int(b)
-        for a in range(p):
-            d = den.evaluate(a)
-            out.append(num.evaluate(a) * inv_mod(d, p) % p if d else None)
-    return out
+
+    def values(f):
+        out = [0] * (p * p)
+        for e, coef in f.c.items():
+            at_a = [coef.evaluate(a) for a in range(p)]
+            for b in range(p):
+                power = pow(b, e, p)
+                if power:
+                    for a, v in enumerate(at_a):
+                        out[b * p + a] += power * v
+        return out
+
+    num = values(x.num)
+    if x.den.is_one():
+        return [v % p for v in num]
+    return [n * inv_mod(d, p) % p if d % p else None
+            for n, d in zip(num, values(x.den))]
 
 
 def _fp_filter(poly: MultiPoly, points):
@@ -667,6 +678,24 @@ def _reject_parametrized_lines(spec, hits, p: int):
                              " line inside the box")
 
 
+def _coordinate_keys(points):
+    """One key per K-point of a family: slot by slot, the F_p-coefficients
+    of x_j * D_j, D_j the slot's common denominator (kfield.coordinates),
+    dense over the union of the slot's supports.
+
+    y -> y * D_j is injective and a polynomial is its coefficients, so
+    the key of x - a, the coordinatewise difference of x's and a's keys mod
+    p, is equal for two shifted points of the family exactly when the
+    points are equal.
+    """
+    slots = []
+    for column in zip(*points):
+        vectors = coordinates(column)
+        support = sorted(set().union(*vectors))
+        slots.append([tuple(v.get(m, 0) for m in support) for v in vectors])
+    return [sum(parts, ()) for parts in zip(*slots)]
+
+
 def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
                      box) -> UniformityTable:
     """Counts of (a + X) inside successive images psi^m within a box.
@@ -674,17 +703,23 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
     Membership in psi^m(K^g) is decided coordinate-wise by the bounded
     division solver; the image chain is verified to nest exactly, which
     certifies the non-increasing counts rather than merely observing them.
-    On a Hypersurface, box points are grouped by their rows under the
-    sweeps' _fp_filter, which only ever rules a point out, and x - a is
-    tested exactly only when the row of x minus that of a passes.  Each
-    distinct shifted point x - a is tested against the variety once
-    per call, however many translates reach it.  The solver runs once per
-    level, on the distinct hits of all translates together, and each
-    translate reads its survivors off that one solve.  Every target is
-    therefore solved under the bounds derived from the level's whole
-    target set, which are never below the bounds its own translate's hits
-    would derive; since every solution is re-verified, a survivor set can
-    only grow against a per-translate solve, never lose a point.
+
+    The hit sets run on F_p-coordinates.  The memo of variety tests is
+    keyed by the key of x - a, the difference mod p of the keys of x and a
+    from _coordinate_keys, so each distinct shifted point is tested once
+    per call, however many translates reach it, and is built exactly only
+    on a memo miss.  On a Hypersurface, box points are grouped by their
+    rows under _fp_filter, which only ever rules a point out, and a class
+    is tried for a translate only when its row minus the translate's
+    passes.
+
+    The solver runs once per level, on the distinct hits of all
+    translates together, and each translate reads its survivors off that
+    one solve.  Every target is therefore solved under the bounds derived
+    from the level's whole target set, which are never below the bounds
+    its own translate's hits would derive; since every solution is
+    re-verified, a survivor set can only grow against a per-translate
+    solve, never lose a point.
     """
     if psi.is_zero() or psi.tau_valuation < 1:
         raise ValueError("probe wants an inseparable additive map")
@@ -708,32 +743,36 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
         acc = psi if acc is None else tp_compose(acc, psi)
         powers[level] = acc
 
-    # x - a revisits the same points across translates (a shifted box is
-    # mostly the box again); equal KElems hash alike, so each distinct
-    # shifted point is tested once per call
-    contains = {}
-
-    def on_variety(y):
-        if y not in contains:
-            contains[y] = variety_contains(variety, y)
-        return contains[y]
-
+    points = box + translates
     if isinstance(variety, Hypersurface):
-        rows, vanish = _fp_filter(variety.poly, box + translates)
+        rows, vanish = _fp_filter(variety.poly, points)
     else:
-        rows, vanish = [()] * (len(box) + len(translates)), lambda flat: True
+        rows, vanish = [()] * len(points), lambda flat: True
+    keys = _coordinate_keys(points)
     classes = {}
-    for x, row in zip(box, rows):
-        classes.setdefault(row, []).append(x)
+    for x, row, key in zip(box, rows, keys):
+        classes.setdefault(row, []).append((x, key))
 
+    # x - a revisits the same points across translates (a shifted box is
+    # mostly the box again): key -> whether x - a lies on the variety
+    contains = {}
     hit_keys = []
     distinct = {}
     for idx, a in enumerate(translates):
         neg_a = point_neg(a)
-        shift = rows[len(box) + idx]
-        hits = {point_to_str(x): x for row, xs in classes.items()
-                if vanish(tuple((r - s) % p for r, s in zip(row, shift)))
-                for x in xs if on_variety(point_add(x, neg_a))}
+        shift, key_a = rows[len(box) + idx], keys[len(box) + idx]
+        hits = {}
+        for row, members in classes.items():
+            if not vanish(tuple((r - s) % p for r, s in zip(row, shift))):
+                continue
+            for x, key_x in members:
+                key = tuple([(u - v) % p for u, v in zip(key_x, key_a)])
+                hit = contains.get(key)
+                if hit is None:
+                    hit = contains[key] = variety_contains(
+                        variety, point_add(x, neg_a))
+                if hit:
+                    hits[point_to_str(x)] = x
         if idx == 0:
             _reject_parametrized_lines(
                 variety, [x for _, x in sorted(hits.items())], p)

@@ -203,14 +203,6 @@ class BiPoly:
                 return acc
         return acc
 
-    def evaluate_theta_int(self, x: int) -> RPoly:
-        """Substitute theta = x in F_p (exponents may be huge)."""
-        p = self.p
-        acc = RPoly.zero(p)
-        for e, f in self.c.items():
-            acc = acc + f.scale(pow(x, e, p))
-        return acc
-
 
 def _bi_to_fcoeffs(a: BiPoly) -> dict:
     return {e: FElem.from_rpoly(f) for e, f in a.c.items()}
@@ -565,16 +557,14 @@ def common_denominator(xs) -> BiPoly:
 
 def coordinates(xs):
     """Exact F_p-coordinates of a list of K-elements: one sparse vector
-    {(theta_exp, t_exp): c} of x * common_denominator(xs) per x."""
+    {(theta_exp, t_exp): c} of x * common_denominator(xs) per x.  Each x
+    is canonical, so that product is x.num * (D / x.den); a unit D costs
+    no product at all."""
     xs = list(xs)
-    den_k = KElem.from_bipoly(common_denominator(xs))
-    out = []
-    for x in xs:
-        y = x * den_k
-        if not y.is_polynomial():
-            raise AssertionError("denominator clearing failed")
-        out.append(bipoly_vector(y.num))
-    return out
+    d = common_denominator(xs)
+    if d.is_one():
+        return [bipoly_vector(x.num) for x in xs]
+    return [bipoly_vector(x.num * bi_divexact(d, x.den)) for x in xs]
 
 
 def bipoly_vector(f: BiPoly) -> dict:

@@ -558,6 +558,47 @@ def _filtered_shifts(variety, translates, box):
             if vanish(tuple(r - s for r, s in zip(row, shift)))}
 
 
+def _counted_seed0_probe(monkeypatch, text):
+    """(exact tests, point_add calls outside the line probe) of the seed-0
+    uniformity-sweep probe on text, 27 translates over the 243-point
+    theta-box, at level 0; its rows are checked against the per-translate
+    reference."""
+    tested, added, in_line_probe = [], [], []
+    contains, add = ex.variety_contains, ex.point_add
+    reject = ex._reject_parametrized_lines
+
+    def counting(spec, y):
+        tested.append(y)
+        return contains(spec, y)
+
+    def counting_add(x, y):
+        if not in_line_probe:
+            added.append(x)
+        return add(x, y)
+
+    def line_probe(*args):
+        in_line_probe.append(True)
+        try:
+            return reject(*args)
+        finally:
+            in_line_probe.pop()
+
+    monkeypatch.setattr(ex, "variety_contains", counting)
+    monkeypatch.setattr(ex, "point_add", counting_add)
+    monkeypatch.setattr(ex, "_reject_parametrized_lines", line_probe)
+    psi = tp_parse(P, "[0, theta, 1]")
+    poly = ex.poly_parse(P, 1, text)
+    box = ex.theta_box(P, 1, 4)
+    translates = ex.theta_box(P, 1, 2)
+    table = ex.uniformity_probe(psi, ex.Hypersurface(poly), translates, (0,),
+                                box)
+    # the reference's 6,561 shifted points are 243 distinct ones
+    on_x = functools.cache(_on_hypersurface(poly))
+    assert table.rows == _probe_reference(psi, on_x, translates, (0,),
+                                          box)["rows"]
+    return len(tested), len(added)
+
+
 class TestProbeHitSets:
     """The probe's hit sets, built from F_p-image classes, against exact
     evaluation of every (translate, box point) pair."""
@@ -611,25 +652,22 @@ class TestProbeHitSets:
     def test_seed0_benchmark_exact_tests(self, text, bound, monkeypatch):
         """The uniformity-sweep instances at seed 0: 27 translates over the
         243-point theta-box."""
-        tested = []
-        contains = ex.variety_contains
+        assert _counted_seed0_probe(monkeypatch, text) == (bound, bound)
 
-        def counting(spec, y):
-            tested.append(y)
-            return contains(spec, y)
-
-        monkeypatch.setattr(ex, "variety_contains", counting)
-        psi = tp_parse(P, "[0, theta, 1]")
-        poly = ex.poly_parse(P, 1, text)
-        box = ex.theta_box(P, 1, 4)
-        translates = ex.theta_box(P, 1, 2)
-        table = ex.uniformity_probe(psi, ex.Hypersurface(poly), translates,
-                                    (0,), box)
-        assert len(tested) <= bound
-        # the reference's 6,561 shifted points are 243 distinct ones
-        on_x = functools.cache(_on_hypersurface(poly))
-        assert table.rows == _probe_reference(psi, on_x, translates, (0,),
-                                              box)["rows"]
+    @pytest.mark.parametrize("name", sorted(_FILTER_CASES))
+    def test_coordinate_keys_separate_shifted_points(self, name):
+        """The key of x - a, the difference of the keys mod p, is equal for
+        two shifted points exactly when their text forms are."""
+        _psi, variety, translates, box = _filter_case(name)
+        p = _FILTER_CASES[name][0]
+        keys = ex._coordinate_keys(box + translates)
+        assert len(keys) == len(box) + len(translates)
+        pairs = {(tuple((u - v) % p for u, v in zip(kx, ka)),
+                  point_to_str(tuple(c - s for c, s in zip(x, a))))
+                 for x, kx in zip(box, keys)
+                 for a, ka in zip(translates, keys[len(box):])}
+        assert len({key for key, _ in pairs}) == len(pairs)
+        assert len({text for _, text in pairs}) == len(pairs)
 
 
 class TestGenericSweepGolden:

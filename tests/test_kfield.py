@@ -168,6 +168,25 @@ class TestCoordinates:
         assert common_denominator(xs) == kelem_parse(p, "t").num
         assert coordinates(xs) == [{(1, 0): 1}, {(0, 0): 1}]  # theta, 1
 
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_matches_clearing_by_product(self, p, rational):
+        """Each vector is the numerator of x * D as a product in K, D the
+        common denominator, on a unit D and on a non-unit one."""
+        rng = random.Random(p * 10 + rational)
+        for _ in range(8):
+            xs = [rnd_kelem(rng, p) if rational
+                  else KElem.from_bipoly(rnd_bipoly(rng, p, 2, 3))
+                  for _ in range(rng.randrange(1, 5))]
+            den = KElem.from_bipoly(common_denominator(xs))
+            assert den.is_one() == all(x.is_polynomial() for x in xs)
+            expected = []
+            for x in xs:
+                y = x * den
+                assert y.is_polynomial()
+                expected.append({(e, te): c for e, te, c in y.num.monomials()})
+            assert coordinates(xs) == expected
+
     def test_reconstruction_random(self):
         rng = random.Random(36)
         p = 3
