@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
-from .base import (Echelon, RMatrix, RPoly, fp_solve_many, fp_span, memo_put,
+from .base import (Echelon, RMatrix, RPoly, fp_span, memo_put,
                    smith_normal_form)
 from .drinfeld import DrinfeldModule, phi_action, torsion_annihilator
 from .kfield import KElem, kelem_to_str
@@ -143,6 +143,8 @@ def _embedded_family(gamma: PhiModule, v: Place, n: int, deg_bound: int):
     generators, g, v, n, deg_bound), which base.memo_put clears once it
     holds more than 64 entries.
     """
+    if deg_bound < 0:
+        raise ValueError("negative degree bound")
     key = (gamma.phi.phi_t.coeffs, tuple(gamma.gens), gamma.g, v, n, deg_bound)
     hit = _EMBED_CACHE.get(key)
     if hit is not None:
@@ -468,34 +470,35 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
         return ClosureMembership("in_gamma", cert, (), True, deg_bound,
                                  precision)
 
+    # one sparse column {(level, key): c} per weight, and the target's
+    # digits the same way; the joint system tags each entry with its place
     n_weights = gamma.rank * (deg_bound + 1)
     reports = []
-    joint_rows, joint_rhs = [], []
+    joint_columns, joint_target = [{} for _ in range(n_weights)], {}
     any_blocking = False
-    joint_ok = None
-    for v in tracked_places:
+    for i, v in enumerate(tracked_places):
         embedded = _embedded_family(gamma, v, precision, deg_bound)
         target = _embed_point(y, v, precision)
-        rows, rhs = [], []
-        best = 0
+        columns, rhs = [{} for _ in range(n_weights)], {}
+        echelon, best = Echelon(columns, p), 0     # what precision 0 reads
         for m in range(precision):
             vecs = _digit_vectors(embedded + [target], m)
-            for key in sorted(set().union(*vecs)):
-                rows.append([vec.get(key, 0) for vec in vecs[:-1]])
-                rhs.append(vecs[-1].get(key, 0))
-            if fp_solve_many(rows, [rhs], p, n_weights)[0] is None:
+            for col, vec in zip(columns, vecs):
+                col.update(((m, key), c) for key, c in vec.items())
+            rhs.update(((m, key), c) for key, c in vecs[-1].items())
+            echelon = Echelon(columns, p)
+            if echelon.solve(rhs) is None:
                 break
             best = m + 1
         reached = best == precision
-        close_dim = None
-        sample = None
+        close_dim = sample = None
         if reached:
-            echelon = Echelon.from_rows(rows, p, n_weights)
-            sol = echelon.solve(dict(enumerate(rhs)))
             close_dim = len(echelon.kernel())
-            sample = _weights_to_operators(sol, gamma.rank, deg_bound, p)
-            joint_rows.extend(rows)
-            joint_rhs.extend(rhs)
+            sample = _weights_to_operators(echelon.solve(rhs), gamma.rank,
+                                           deg_bound, p)
+            for joint, col in zip(joint_columns, columns):
+                joint.update(((i,) + key, c) for key, c in col.items())
+            joint_target.update(((i,) + key, c) for key, c in rhs.items())
         else:
             any_blocking = True
         reports.append(PlaceCloseness(v, best, reached, close_dim, sample))
@@ -504,15 +507,12 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
     if any_blocking:
         conclusive = True
         notes.append("blocked-at-place")
+    elif Echelon(joint_columns, p).solve(joint_target) is not None:
+        conclusive = False
+        notes.append("approximant-within-precision")
     else:
-        joint = fp_solve_many(joint_rows, [joint_rhs], p, n_weights)[0]
-        joint_ok = joint is not None
-        if joint_ok:
-            conclusive = False
-            notes.append("approximant-within-precision")
-        else:
-            conclusive = True
-            notes.append("no-joint-approximant")
+        conclusive = True
+        notes.append("no-joint-approximant")
     return ClosureMembership("rejected_up_to_bounds", None, tuple(reports),
                              conclusive, deg_bound, precision, tuple(notes))
 
@@ -565,10 +565,9 @@ def closure_torsion_check(gamma: PhiModule, witness_places=None,
     notes = []
     d = decompose(gamma, witness_places, deg_bound)
     tor = torsion_submodule(gamma, deg_bound)
-    tor_keys = {point_to_str(x) for x in tor}
+    tor_points = set(tor)
     if d.gamma0.rank:
-        tor0 = torsion_submodule(d.gamma0, deg_bound)
-        if {point_to_str(x) for x in tor0} != tor_keys:
+        if set(torsion_submodule(d.gamma0, deg_bound)) != tor_points:
             notes.append("torsion-part-differs-from-split")
 
     if gamma.rank == 0:
@@ -603,10 +602,9 @@ def closure_torsion_check(gamma: PhiModule, witness_places=None,
         kind = "mismatch"
         notes.append("pseudo-torsion-leak")
     elif p ** len(kernel) <= _PSEUDO_ENUM_CAP:
-        seen = {point_to_str(pt): pt
-                for pt in fp_span(p, kernel_points, gamma.zero_point())}
-        pseudo_points = tuple(sorted(seen.values(), key=point_to_str))
-        if {point_to_str(x) for x in pseudo_points} != tor_keys:
+        seen = set(fp_span(p, kernel_points, gamma.zero_point()))
+        pseudo_points = tuple(sorted(seen, key=point_to_str))
+        if seen != tor_points:
             kind = "mismatch"
             notes.append("pseudo-torsion-exceeds-known-torsion")
     else:

@@ -444,12 +444,12 @@ def k_rational_torsion(phi: DrinfeldModule, a: RPoly,
     if a.is_zero():
         raise ValueError("torsion of the zero operator")
     res = division_points(phi, a, KElem.zero(phi.p), bounds)
-    pts = set(kelem_to_str(x) for x in res.points)
+    pts = set(res.points)
     for u in res.points:
         for v in res.points:
-            if kelem_to_str(u + v) not in pts:
+            if u + v not in pts:
                 raise AssertionError("torsion set is not additively closed")
-        if kelem_to_str(tp_eval(phi.phi_t, u)) not in pts:
+        if tp_eval(phi.phi_t, u) not in pts:
             raise AssertionError("torsion set is not an operator module")
     return res
 
@@ -472,12 +472,10 @@ def estimate_torsion_level_m(phi: DrinfeldModule, m_max: int,
         raise ValueError("torsion level estimation applies to special characteristic")
     p = phi.p
     t = RPoly.t(p)
-    prev = {kelem_to_str(x) for x in
-            k_rational_torsion(phi, RPoly.one(p), bounds).points}
+    prev = set(k_rational_torsion(phi, RPoly.one(p), bounds).points)
     sizes = [len(prev)]
     for m in range(m_max + 1):
-        cur = {kelem_to_str(x) for x in
-               k_rational_torsion(phi, t ** (m + 1), bounds).points}
+        cur = set(k_rational_torsion(phi, t ** (m + 1), bounds).points)
         sizes.append(len(cur))
         if cur == prev:
             return TorsionLevelReport(m, False, tuple(sizes))

@@ -214,7 +214,7 @@ class ZeroDim:
     """Finitely many K-rational points, pairwise distinct."""
     g: int
     points: tuple
-    # point_to_str of every point, for membership by lookup
+    # every point, for membership by lookup
     keys: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -226,14 +226,15 @@ class ZeroDim:
         if not all(isinstance(c, KElem) for c in coords) \
                 or len({c.p for c in coords}) > 1:
             raise ValueError("point coordinates must live in one field K")
-        keys = frozenset(point_to_str(x) for x in pts)
+        keys = frozenset(pts)
         if len(keys) != len(pts):
             raise ValueError("zero-dimensional points must be distinct")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "keys", keys)
 
     def to_json_dict(self):
-        return {"kind": "zero-dim", "g": self.g, "points": sorted(self.keys)}
+        return {"kind": "zero-dim", "g": self.g,
+                "points": sorted(map(point_to_str, self.points))}
 
 
 @dataclass(frozen=True)
@@ -265,7 +266,7 @@ def _require_variety(variety, p: int):
 
 def variety_contains(spec, x) -> bool:
     if isinstance(spec, ZeroDim):
-        return point_to_str(tuple(x)) in spec.keys
+        return tuple(x) in spec.keys
     return spec.poly.evaluate(x).is_zero()
 
 
@@ -303,8 +304,7 @@ def _fullness_notes(full) -> list:
 
 
 def _sorted_points(points):
-    return tuple(sorted({point_to_str(x): tuple(x)
-                         for x in points}.values(), key=point_sort_key))
+    return tuple(sorted({tuple(x) for x in points}, key=point_sort_key))
 
 
 def _fp_images(x: KElem):
@@ -487,8 +487,7 @@ def generic_char_experiment(gamma: PhiModule, variety,
     k_side = _sorted_points(k_side)
     adelic_side = None if adelic is None else _sorted_points(adelic)
     if adelic_side is not None:
-        k_keys = {point_to_str(x) for x in k_side}
-        if not k_keys <= {point_to_str(x) for x in adelic_side}:
+        if not set(k_side) <= set(adelic_side):
             raise AssertionError("K-side escaped the adelic side")
 
     verdict = _verdict(trace, inconclusive)
@@ -503,11 +502,9 @@ def generic_char_experiment(gamma: PhiModule, variety,
 # -- special characteristic, zero-dimensional ----------------------------------
 
 
-def _torsion_reduction_injective(gamma: PhiModule, torsion_points, v) -> bool:
-    keys = set()
-    for x in torsion_points:
-        keys.add(tuple(str(residue_reduce(c, v)) for c in x))
-    return len(keys) == len(torsion_points)
+def _torsion_reduction_injective(torsion_points, v) -> bool:
+    images = {tuple(residue_reduce(c, v) for c in x) for x in torsion_points}
+    return len(images) == len(torsion_points)
 
 
 def zero_dim_intersection(gamma: PhiModule, variety: ZeroDim,
@@ -563,8 +560,7 @@ def _zero_dim_report(gamma: PhiModule, variety: ZeroDim, tracked_places,
         inconclusive = True
 
     injective_at = [v for v in tracked_places
-                    if _torsion_reduction_injective(gamma, ctc.torsion_points,
-                                                    v)]
+                    if _torsion_reduction_injective(ctc.torsion_points, v)]
     pts = variety.points
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
@@ -596,8 +592,7 @@ def _zero_dim_report(gamma: PhiModule, variety: ZeroDim, tracked_places,
 
     k_side = _sorted_points(k_side)
     adelic_side = list(k_side)
-    if not {point_to_str(x) for x in k_side} <= \
-            {point_to_str(x) for x in adelic_side}:
+    if not set(k_side) <= set(adelic_side):
         raise AssertionError("K-side escaped the adelic side")
 
     verdict = _verdict(trace, inconclusive)
@@ -756,7 +751,7 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
     # x - a revisits the same points across translates (a shifted box is
     # mostly the box again): key -> whether x - a lies on the variety
     contains = {}
-    hit_keys = []
+    hit_sets = []
     distinct = {}
     for idx, a in enumerate(translates):
         neg_a = point_neg(a)
@@ -772,18 +767,18 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
                     hit = contains[key] = variety_contains(
                         variety, point_add(x, neg_a))
                 if hit:
-                    hits[point_to_str(x)] = x
+                    hits[x] = None
         if idx == 0:
             _reject_parametrized_lines(
-                variety, [x for _, x in sorted(hits.items())], p)
-        hit_keys.append(set(hits))
+                variety, sorted(hits, key=point_to_str), p)
+        hit_sets.append(set(hits))
         distinct.update(hits)
 
     # each level is solved independently from the hits, so the nesting
     # check below cross-examines the solver rather than restating the
     # construction
-    distinct = sorted(distinct.items())
-    targets = [c for _, x in distinct for c in x]
+    distinct = list(distinct)
+    targets = [c for x in distinct for c in x]
     flags = set()
     survivors = {}
     for m in ms:
@@ -792,7 +787,7 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
         results = solve_additive_many(powers[m], targets) if targets else []
         for r in results:
             flags.update(r.info.flags)
-        survivors[m] = {key for which, (key, _) in enumerate(distinct)
+        survivors[m] = {x for which, x in enumerate(distinct)
                         if all(r.points
                                for r in results[which * g:(which + 1) * g])}
 
@@ -800,8 +795,8 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
     notes = []
     certified = not flags
     per_m_max = {m: 0 for m in ms}
-    for idx, keys in enumerate(hit_keys):
-        level_sets = {m: keys if m == 0 else keys & survivors[m] for m in ms}
+    for idx, hits in enumerate(hit_sets):
+        level_sets = {m: hits if m == 0 else hits & survivors[m] for m in ms}
         for m in ms:
             rows.append((idx, m, len(level_sets[m])))
             per_m_max[m] = max(per_m_max[m], len(level_sets[m]))
@@ -890,14 +885,14 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
         notes.append("empty-candidate-set")
 
     trace = []
-    k_keys = {point_to_str(y) for y in k_side}
+    k_points = set(k_side)
     for x in _swept_window(gamma, variety.poly, enum_deg):
-        key = point_to_str(x)
-        if key not in w.keys:
+        if x not in w.keys:
             inconclusive = True
-            notes.append(f"module-point-outside-window:{key}")
-        elif key not in k_keys:
-            trace.append(f"swept point {key} missing from the K side")
+            notes.append(f"module-point-outside-window:{point_to_str(x)}")
+        elif x not in k_points:
+            trace.append(f"swept point {point_to_str(x)} missing from the"
+                         " K side")
 
     if sub is not None and sub.verdict == COUNTEREXAMPLE:
         trace.extend(sub.trace)

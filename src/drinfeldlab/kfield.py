@@ -333,7 +333,9 @@ def _canonical_scale(a: BiPoly) -> BiPoly:
 
 
 class KElem:
-    """Element of K = F_p(t)(theta) in canonical num/den form."""
+    """Element of K = F_p(t)(theta) in canonical num/den form.  The form is
+    unique, so == and hash compare values and a KElem is its own set and
+    dict key; kelem_to_str is its text, for reports only."""
 
     __slots__ = ("num", "den")
 

@@ -70,6 +70,8 @@ def point_sort_key(x):
 
 
 def point_to_str(x) -> str:
+    """Text for reports, notes and printed orders; a point's identity is
+    its value, the tuple of its KElem coordinates."""
     return "(" + ", ".join(kelem_to_str(c) for c in x) + ")"
 
 
@@ -140,6 +142,8 @@ class PhiModule:
 
     def family(self, deg_bound: int) -> "IterateFamily":
         """The prepared iterate family at deg_bound, built on first use."""
+        if deg_bound < 0:
+            raise ValueError("negative degree bound")
         prepared = self._families.get(deg_bound)
         if prepared is None:
             prepared = _prepare_family(self, deg_bound)
@@ -453,8 +457,7 @@ def torsion_submodule(gamma: PhiModule,
     for i in torsion_idx:
         x = _apply_operators(gamma, tuple(snf.vinv.rows[i]))
         vectors.extend(_orbit(gamma.phi, x, diag[i].degree - 1))
-    points = {point_to_str(x): x for x in fp_span(p, vectors, zero)}
-    out = sorted(points.values(), key=point_sort_key)
+    out = sorted(set(fp_span(p, vectors, zero)), key=point_sort_key)
     for x in out:
         for c in x:
             if not torsion_annihilator(gamma.phi, c, max_deg=deg_bound).is_torsion:
@@ -497,10 +500,7 @@ def _hull_targets(gamma: PhiModule, dq: int, notes: set):
     if gamma.p ** len(vectors) > _HULL_TARGET_CAP:
         notes.add("hull-targets-truncated")
         span = itertools.islice(span, _HULL_TARGET_CAP)
-    targets = {}
-    for y in span:
-        targets.setdefault(point_to_str(y), y)
-    return list(targets.values())
+    return list(dict.fromkeys(span))
 
 
 def _hull_scan(gamma: PhiModule, prime_bound: int,

@@ -620,7 +620,7 @@ class TestProbeHitSets:
             on_variety = _on_hypersurface(variety.poly)
         else:
             keys = variety.keys
-            on_variety = lambda y: point_to_str(y) in keys    # noqa: E731
+            on_variety = lambda y: tuple(y) in keys    # noqa: E731
         expected = _probe_reference(psi, on_variety, translates, (0,), box)
         levels = expected["levels"]
         assert [r for r in table.rows if r[1] == 0] == list(expected["rows"])
@@ -1384,3 +1384,28 @@ class TestFpFilter:
             poly, [(kelem_parse(P, "1/(theta^3-theta)"),), (KElem.one(P),)])
         assert rows == [(), ()]
         assert vanish(())
+
+
+class TestNegativeDegBound:
+    """A negative operator degree bound has no bounded family: each entry
+    point that builds one refuses it before any family is prepared."""
+
+    @pytest.mark.parametrize("deg_bound", [-1, -2])
+    @pytest.mark.parametrize("call", [
+        lambda gamma, y, d: member(gamma, y, d),
+        lambda gamma, y, d: member_many(gamma, [y, y], d),
+        lambda gamma, y, d: adelic.closure_member(gamma, y, deg_bound=d),
+        lambda gamma, y, d: adelic.discreteness_certificate(
+            gamma, adelic.standard_tracked_places(gamma)[0], deg_bound=d),
+        lambda gamma, y, d: ex.generic_char_experiment(
+            gamma, ex.ZeroDim(2, [y]), deg_bound=d),
+    ], ids=["member", "member_many", "closure_member",
+            "discreteness_certificate", "generic_char_experiment"])
+    def test_refused(self, call, deg_bound, family_bounds):
+        gamma = _carlitz_plane()
+        y = (KElem.theta(P), KElem.zero(P))
+        cached = dict(adelic._EMBED_CACHE)
+        with pytest.raises(ValueError, match="negative degree bound"):
+            call(gamma, y, deg_bound)
+        assert family_bounds == []
+        assert adelic._EMBED_CACHE == cached

@@ -125,10 +125,13 @@ def test_every_private_def_is_referenced():
 
 # The public names that nothing in the package calls because callers outside
 # it do: the text parsers, the four pipelines and the report and
-# certificate tools.
+# certificate tools; and fp_solve_many, the dense row-matrix door to
+# Echelon, which the benchmark's layer table wraps by name and the base
+# tests solve through.
 ENTRY_POINTS = (
     ("adelic.py", "certificate_json"),
     ("base.py", "felem_parse"),
+    ("base.py", "fp_solve_many"),
     ("base.py", "rpoly_parse"),
     ("experiments.py", "generic_char_experiment"),
     ("experiments.py", "poly_parse"),
@@ -213,3 +216,89 @@ def test_oracles_exist():
                if isinstance(stmt, ast.ClassDef)
                for item in stmt.body if isinstance(item, ast.FunctionDef)}
     assert set(TEST_ORACLES) <= defined
+
+
+# Text is for output.  A K-point, a K-element or a residue is its own key,
+# so no printed form of one may stand in for its identity.
+TEXT_CALLS = {"point_to_str", "kelem_to_str", "str"}
+TEXT_NAMES = {"point_to_str", "kelem_to_str"}       # as in map(point_to_str, ...)
+SET_BUILDERS = {"set", "frozenset"}
+KEY_METHODS = {"add", "discard", "remove", "get", "setdefault", "pop",
+               "fromkeys"}
+
+
+def _key_positions(tree):
+    """Every expression of tree used as a set or dict key: dict keys, set
+    elements, subscripts, operands of in / not in, and the argument of
+    set(), frozenset() and of the keyed dict and set methods."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            yield from (key for key in node.keys if key is not None)
+        elif isinstance(node, ast.Set):
+            yield from node.elts
+        elif isinstance(node, ast.SetComp):
+            yield node.elt
+        elif isinstance(node, ast.DictComp):
+            yield node.key
+        elif isinstance(node, ast.Subscript):
+            yield node.slice
+        elif isinstance(node, ast.Compare):
+            operands = [node.left] + node.comparators
+            for op, left, right in zip(node.ops, operands, operands[1:]):
+                if isinstance(op, (ast.In, ast.NotIn)):
+                    yield left
+                    yield right
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id in SET_BUILDERS) or \
+                    (isinstance(func, ast.Attribute)
+                     and func.attr in KEY_METHODS):
+                yield from node.args[:1]
+
+
+def text_keys(source: str):
+    """(line, text) of each key position of source that holds a printed
+    form: a call of point_to_str, kelem_to_str or str, or the name of one
+    of the first two handed on."""
+    found = set()
+    for expr in _key_positions(ast.parse(source)):
+        for node in ast.walk(expr):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in TEXT_CALLS) or \
+                    (isinstance(node, ast.Name) and node.id in TEXT_NAMES):
+                found.add((expr.lineno, ast.unparse(expr)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("source", [
+    "keys = {point_to_str(x): x for x in pts}\n",
+    "keys = {point_to_str(x) for x in pts}\n",
+    "keys = {kelem_to_str(a), kelem_to_str(b)}\n",
+    "keys = {kelem_to_str(a): 1}\n",
+    "keys = frozenset(point_to_str(x) for x in pts)\n",
+    "keys = set(map(kelem_to_str, xs))\n",
+    "seen.add(tuple(str(r) for r in x))\n",
+    "d.setdefault(point_to_str(y), y)\n",
+    "hits[point_to_str(x)] = x\n",
+    "ok = kelem_to_str(u + v) not in pts\n",
+    "ok = key in {point_to_str(x) for x in pts}\n",
+], ids=["dict-comp", "set-comp", "set", "dict", "frozenset", "map", "add",
+        "setdefault", "subscript", "not-in", "in"])
+def test_text_key_detector_flags(source):
+    assert text_keys(source)
+
+
+@pytest.mark.parametrize("source", [
+    "out = sorted(points, key=point_to_str)\n",
+    "note = f\"closure:{point_to_str(x)}\"\n",
+    "row = {\"points\": sorted(map(point_to_str, pts))}\n",
+    "keys = frozenset(pts)\n",
+    "ok = tuple(x) in keys\n",
+], ids=["printed-order", "note", "json-value", "value-set", "value-in"])
+def test_text_key_detector_passes(source):
+    assert text_keys(source) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_no_printed_form_is_an_identity(path):
+    assert text_keys(path.read_text()) == []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from drinfeldlab import phimodule
 from drinfeldlab.base import Echelon, RPoly
 from drinfeldlab.drinfeld import DrinfeldModule, phi_action
-from drinfeldlab.kfield import KElem, kelem_parse
+from drinfeldlab.kfield import KElem, kelem_parse, kelem_to_str
 from drinfeldlab.phimodule import (
     PhiModule,
     _HULL_TARGET_CAP,
@@ -33,7 +33,7 @@ from drinfeldlab.phimodule import (
     syzygies,
     torsion_submodule,
 )
-from drinfeldlab.places import Place, residue_reduce
+from drinfeldlab.places import Place, place_parse, residue_reduce
 from drinfeldlab.twisted import tp_eval
 
 P = 3
@@ -590,3 +590,67 @@ class TestFullnessRecorded:
         hull = divisible_hull(build(), prime_bound=prime_bound)
         assert [point_to_str(x) for x in hull.gens] == gens
         assert hull.notes == notes
+
+
+def _small_poly(data, p):
+    """A drawn polynomial sum c_ij t^i theta^j, i <= 1, j <= 2."""
+    digits = data.draw(st.lists(st.integers(0, p - 1), min_size=6, max_size=6))
+    t, theta = KElem.t(p), KElem.theta(p)
+    acc = KElem.zero(p)
+    for (i, j), c in zip(itertools.product(range(2), range(3)), digits):
+        acc = acc + KElem.const(p, c) * t ** i * theta ** j
+    return acc
+
+
+def _small_kelem(data, p):
+    den = _small_poly(data, p)
+    return _small_poly(data, p) / (den if den else KElem.one(p))
+
+
+def _paths(x, y, z):
+    """Elements reached from x, y, z along several arithmetic paths, many
+    of them equal by the field laws."""
+    out = [x, (x + y) - y, y + x - y + z - z, x + y, y + x, z,
+           x ** x.p, x.frob(1)]
+    if y:
+        out += [x * y / y, (x / y) * y]
+    return out
+
+
+def _assert_value_is_identity(values, text):
+    for a, b in itertools.product(values, repeat=2):
+        assert (a == b) == (text(a) == text(b))
+        if a == b:
+            assert hash(a) == hash(b)
+
+
+class TestValueIsIdentity:
+    """Two values along different arithmetic paths are equal exactly when
+    they print equally, and equal values hash equally: text is for
+    reports, and the value itself is the set and dict key."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_kelems_and_points(self, p, data):
+        x, y, z = (_small_kelem(data, p) for _ in range(3))
+        values = _paths(x, y, z)
+        _assert_value_is_identity(values, kelem_to_str)
+        points = list(itertools.product(values[:4], values[5:7]))
+        _assert_value_is_identity(points, point_to_str)
+        assert len(set(points)) == len({point_to_str(x) for x in points})
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("place", ["finite:theta+t",
+                                       "finite:theta^2+theta+t"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_residues(self, p, place, data):
+        v = place_parse(p, place)
+        pi = kelem_parse(p, place.split(":")[1])
+        x, y, z = (_small_poly(data, p) for _ in range(3))
+        values = [x, (x + y) - y, x + pi * z, x * (KElem.one(p) + pi * y),
+                  y, x + y, z]
+        residues = [residue_reduce(c, v) for c in values]
+        _assert_value_is_identity(residues, str)
+        assert residues[0] == residues[2] == residues[3]
