@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
-from .base import (Echelon, RMatrix, RPoly, fp_span, memo_put,
+from .base import (Echelon, FElem, RMatrix, RPoly, fp_span, memo_put,
                    smith_normal_form)
 from .drinfeld import DrinfeldModule, phi_action, torsion_annihilator
 from .kfield import KElem, kelem_to_str
@@ -53,12 +53,12 @@ from .phimodule import (
     torsion_submodule,
 )
 from .places import (
-    FvElem,
     Place,
     classify_places,
     fv_coordinates,
     fv_tp_eval,
     place_to_str,
+    require_degree_one,
     residue_reduce,
     valuation,
 )
@@ -95,11 +95,12 @@ def _module_place_sets(gamma: PhiModule, extra_points=()):
 
 
 def hilbertian_places(p: int):
-    """Finite theta-degree-one places in the deterministic scan order.
+    """The places theta + g, g in F_p[t], in the deterministic scan order.
 
-    theta + g for g running over F_p[t] by increasing degree, then code
-    order; the degree-one slice alone is infinite, so a bounded scan never
-    leaves it, which keeps every residue verdict certified.
+    g runs over F_p[t] by increasing degree, then code order.  These places
+    have theta-degree 1, so their residue field is F_p(t), and they are the
+    only places where localfield and places.residue_reduce work; there
+    are infinitely many, so a bounded scan never runs out of them.
     """
     theta = KElem.theta(p)
     for deg in itertools.count(0):
@@ -130,36 +131,30 @@ _EMBED_CACHE: dict = {}
 
 
 def _embedded_family(gamma: PhiModule, v: Place, n: int, deg_bound: int):
-    """phimodule._iterate_family embedded at v, cached by value.
+    """phimodule._iterate_family embedded at the theta-degree-one place v,
+    cached by value.
 
-    At residue-degree-one places the digit coefficients live in F_p(t),
-    whose lift into K is a ring map, so evaluating phi_t directly on the
-    previous embedding is exact and avoids re-reducing K-elements whose
+    Each iterate is phi_t evaluated on the previous embedding
+    (localfield.tp_eval_local), which is exact because K_v is a Laurent
+    series field over F_p(t), and which avoids re-reducing K-elements whose
     degrees grow geometrically with j; tp_eval_local's memo embeds each
-    coefficient of phi_t once per precision.  At larger places the lift
-    is only additive and each iterate is embedded from scratch.  Layout
-    matches the exact iterate family: generator-major, then increasing
-    power of t.  Families are memoised in _EMBED_CACHE, keyed by (phi_t,
-    generators, g, v, n, deg_bound), which base.memo_put clears once it
-    holds more than 64 entries.
+    coefficient of phi_t once per precision.  Layout matches the exact
+    iterate family: generator-major, then increasing power of t.  Families
+    are memoised in _EMBED_CACHE, keyed by (phi_t, generators, g, v, n,
+    deg_bound), which base.memo_put clears once it holds more than 64
+    entries.
     """
-    if deg_bound < 0:
-        raise ValueError("negative degree bound")
     key = (gamma.phi.phi_t.coeffs, tuple(gamma.gens), gamma.g, v, n, deg_bound)
     hit = _EMBED_CACHE.get(key)
     if hit is not None:
         return hit
-    if v.is_infinite or v.theta_degree == 1:
-        out = []
-        for x in gamma.gens:
-            z = _embed_point(x, v, n)
+    out = []
+    for x in gamma.gens:
+        z = _embed_point(x, v, n)
+        out.append(z)
+        for _ in range(deg_bound):
+            z = tuple(tp_eval_local(gamma.phi.phi_t, c).truncate(n) for c in z)
             out.append(z)
-            for _ in range(deg_bound):
-                z = tuple(tp_eval_local(gamma.phi.phi_t, c).truncate(n)
-                          for c in z)
-                out.append(z)
-    else:
-        out = [_embed_point(x, v, n) for x in _iterate_family(gamma, deg_bound)]
     return memo_put(_EMBED_CACHE, key, out)
 
 
@@ -181,9 +176,9 @@ def _combine_embedded(embedded, vec, v: Place, n: int, g: int):
     return acc
 
 
-def _digit(z: LocalElem, m: int) -> FvElem:
+def _digit(z: LocalElem, m: int) -> FElem:
     c = z.terms.get(m)
-    return c if c is not None else FvElem.zero(z.place)
+    return c if c is not None else FElem.zero(z.p)
 
 
 def _fv_vectors(points):
@@ -340,6 +335,9 @@ def discreteness_certificate(gamma: PhiModule, v: Place,
     list empty and min_positive_valuation None, which is the valuation of
     the zero witness under the v(0) = infinity convention.
     """
+    require_degree_one(v)
+    if deg_bound < 0:
+        raise ValueError("negative degree bound")
     p = gamma.p
     if not _module_place_sets(gamma).good_for_module(v):
         raise ValueError(f"place {place_to_str(v)} is excluded for this module")
@@ -454,12 +452,15 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
     approximants the joint system across places is solved so near-misses
     are accounted for rather than hidden.
     """
+    if deg_bound < 0:
+        raise ValueError("negative degree bound")
     p = gamma.p
     if len(y) != gamma.g:
         raise ValueError("point width disagrees with the module")
     if tracked_places is None:
         tracked_places = standard_tracked_places(gamma, extra_points=(y,))
     for v in tracked_places:
+        require_degree_one(v)
         for c in y:
             if not c.is_zero() and valuation(c, v) < 0:
                 raise ValueError(
@@ -562,6 +563,8 @@ def closure_torsion_check(gamma: PhiModule, witness_places=None,
     p = gamma.p
     if witness_places is None:
         witness_places = standard_tracked_places(gamma, 5)
+    for v in witness_places:
+        require_degree_one(v)
     notes = []
     d = decompose(gamma, witness_places, deg_bound)
     tor = torsion_submodule(gamma, deg_bound)
@@ -642,21 +645,16 @@ class QuotientIsoReport(Report):
     notes: tuple = ()
 
 
-def _locally_divisible(phi: DrinfeldModule, a: RPoly, x, v: Place):
-    """Whether x is in Phi_a(O_v^g), when the residue verdict can certify it.
-
-    Returns True (divisible), False (certified residue obstruction), or
-    None when the place leaves the residue verdict uncertified.
-    """
+def _locally_divisible(phi: DrinfeldModule, a: RPoly, x, v: Place) -> bool:
+    """Whether x is in Phi_a(O_v^g), by the residue verdict at each
+    coordinate."""
     for c in x:
         if c.is_zero():
             continue
         try:
-            hensel_solve(phi, a, residue_reduce(c, v))
-        except NoResidueRoot as err:
-            if err.certified:
-                return False
-            return None
+            hensel_solve(phi, a, residue_reduce(c, v), v)
+        except NoResidueRoot:
+            return False
     return True
 
 
@@ -677,6 +675,8 @@ def quotient_iso_check(gamma: PhiModule, a: RPoly, witness_places=None,
     p = gamma.p
     if witness_places is None:
         witness_places = standard_tracked_places(gamma, 3)
+    for v in witness_places:
+        require_degree_one(v)
     q = quotient(gamma, a, deg_bound)
     notes = []
     if q.order == 1:
@@ -689,26 +689,18 @@ def quotient_iso_check(gamma: PhiModule, a: RPoly, witness_places=None,
     for i in range(len(q.reps)):
         for j in range(i + 1, len(q.reps)):
             delta = point_add(q.reps[i], point_neg(q.reps[j]))
-            hit = None
-            saw_uncertified = False
             for v in witness_places:
-                verdict = _locally_divisible(gamma.phi, a, delta, v)
-                if verdict is False:
+                if not _locally_divisible(gamma.phi, a, delta, v):
                     coord = next(s for s, c in enumerate(delta)
                                  if not c.is_zero())
-                    hit = PairSeparation(i, j, v, coord,
-                                         valuation(delta[coord], v),
-                                         "certified-residue-obstruction")
+                    separations.append(PairSeparation(
+                        i, j, v, coord, valuation(delta[coord], v),
+                        "certified-residue-obstruction"))
                     break
-                if verdict is None:
-                    saw_uncertified = True
-            if hit is not None:
-                separations.append(hit)
             else:
-                detail = "uncertified-places-only" if saw_uncertified \
-                    else "locally-divisible-at-all-witnesses"
-                unresolved.append(PairSeparation(i, j, None, None, None,
-                                                 detail))
+                unresolved.append(PairSeparation(
+                    i, j, None, None, None,
+                    "locally-divisible-at-all-witnesses"))
 
     image = PhiModule(gamma.phi, gamma.g,
                       [_op_on_point(gamma.phi, a, x) for x in gamma.gens])

@@ -844,7 +844,7 @@ def fp_span(p: int, vectors, start):
 
     start and the vectors are tuples of one width, added coordinatewise by
     `+`, which must be the group law of an F_p-vector space: K-points,
-    tuples of BiPoly or FvElem, or tuples of plain ints whose residues mod
+    tuples of BiPoly or FElem, or tuples of plain ints whose residues mod
     p are the values (ints are never reduced here).
 
     Order contract: digit-counter order.  The first vector's digit runs

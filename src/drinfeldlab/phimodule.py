@@ -30,14 +30,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .base import Echelon, RMatrix, RPoly, fp_span, smith_normal_form
+from .base import Echelon, FElem, RMatrix, RPoly, fp_span, smith_normal_form
 from .drinfeld import (DrinfeldModule, HeightProfile, phi_action,
                        solve_additive_many, torsion_annihilator)
 from .factor import iter_irreducible_rpolys, rpoly_code
 from .grammar import Parser
 from .kfield import (KElem, bipoly_vector, common_denominator, kelem_ring,
                      kelem_sort_key, kelem_to_str)
-from .places import FvElem, Place, fv_coordinates, fv_tp_eval, residue_reduce
+from .places import Place, fv_coordinates, fv_tp_eval, residue_reduce
 from .twisted import tp_eval, tp_to_str
 
 _REP_ENUM_CAP = 6561
@@ -316,6 +316,8 @@ def member_many(gamma: PhiModule, ys, deg_bound: int = _DEFAULT_BOUND):
     Returns the certificates in the order of ys; every found certificate is
     re-verified by exact evaluation.
     """
+    if deg_bound < 0:
+        raise ValueError("negative degree bound")
     ys = [tuple(y) for y in ys]
     if any(len(y) != gamma.g for y in ys):
         raise ValueError("point of the wrong ambient power")
@@ -599,7 +601,7 @@ def is_full(gamma: PhiModule, prime_bound: int = 2,
 # -- reduction-based decomposition --------------------------------------------
 
 
-def fv_torsion_annihilator(phi: DrinfeldModule, v: Place, xbar: FvElem,
+def fv_torsion_annihilator(phi: DrinfeldModule, v: Place, xbar: FElem,
                            max_deg: int = _DEFAULT_BOUND):
     """Bounded annihilator search for a residue point of the reduced module."""
     p = phi.p

@@ -1,17 +1,23 @@
-"""Places of K = F_p(t)(theta), their residue fields, and valuations.
+"""Places of K = F_p(t)(theta), their valuations, and residues in F_p(t).
 
 The ambient curve is the projective theta-line over F = F_p(t): places
 trivial on F are the monic irreducible polynomials pi(theta) over F plus the
-infinite place with uniformiser 1/theta.  Each place carries the weight
-N_v = [F_v : F] (the theta-degree of pi, or 1 at infinity), which makes the
-product formula Sum_v N_v * v(x) = 0 hold on the nose.
+infinite place with uniformiser 1/theta.  Place, valuation and
+classify_places are defined at every one of them, because the division
+solver's pole profile reads places of theta-degree up to 8.
 
-Valuations at a finite place are computed inside the truncated ring
-F[theta]/(pi^n): a sparse element is reduced term by term with memoised
-theta-power residues, so p-th-power-dilated inputs with astronomically large
-exponents cost only log(exponent) work.  The ring size is grown adaptively
-and capped; anything needing more than the cap is out of desk scale and
-raises.
+Residues live only at the places theta + g(t) of theta-degree 1, the ones
+that the pipelines track: there the residue field is F_p(t), inside K, and
+a residue is a plain FElem.  residue_reduce refuses every other place,
+infinity included, with ValueError.
+
+TruncRing, the truncated ring F[theta]/(pi^n), is the valuation engine: a
+sparse element is reduced term by term with memoised theta-power residues,
+so p-th-power-dilated inputs with astronomically large exponents cost only
+log(exponent) work, where exact division by pi would be dense.  The ring
+size is grown adaptively and capped by _RING_CAP; anything needing more is
+out of desk scale and raises.  At theta-degree 1 the same ring reads off
+the pi-digits that residues and embeddings are made of.
 """
 
 from __future__ import annotations
@@ -87,11 +93,6 @@ class Place:
     def theta_degree(self) -> int:
         return 1 if self.prim is None else self.prim.theta_degree
 
-    @property
-    def weight(self) -> int:
-        """N_v, the residue degree over F."""
-        return 1 if self.prim is None else self.prim.theta_degree
-
     def uniformizer(self) -> KElem:
         if self.prim is None:
             return KElem.theta(self.p).inverse()
@@ -150,201 +151,42 @@ def _primitive_normal(f: BiPoly) -> BiPoly:
     return prim
 
 
-# -- residue field elements --------------------------------------------------
+# -- residues in F_p(t) ---------------------------------------------------
 
 
-class FvElem:
-    """Element of the residue field F_v = F[theta]/(pi) (or F at infinity).
-
-    rep is a tuple of FElem coefficients of length deg(pi), ascending in the
-    residue class of theta; at the infinite place it has length 1.
-    """
-
-    __slots__ = ("place", "rep")
-
-    def __init__(self, place: Place, rep):
-        self.place = place
-        d = place.theta_degree
-        rep = tuple(rep)
-        if len(rep) != d:
-            raise ValueError("residue representative has the wrong length")
-        self.rep = rep
-
-    @classmethod
-    def zero(cls, place: Place) -> "FvElem":
-        return cls(place, [FElem.zero(place.p)] * place.theta_degree)
-
-    @classmethod
-    def one(cls, place: Place) -> "FvElem":
-        rep = [FElem.zero(place.p)] * place.theta_degree
-        rep[0] = FElem.one(place.p)
-        return cls(place, rep)
-
-    @classmethod
-    def from_felem(cls, place: Place, x: FElem) -> "FvElem":
-        rep = [FElem.zero(place.p)] * place.theta_degree
-        rep[0] = x
-        return cls(place, rep)
-
-    @property
-    def p(self):
-        return self.place.p
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.rep)
-
-    def _check(self, other):
-        if self.place != other.place:
-            raise ValueError("residue fields of different places")
-
-    def __eq__(self, other):
-        return (isinstance(other, FvElem) and self.place == other.place
-                and self.rep == other.rep)
-
-    def __hash__(self):
-        return hash((self.place, self.rep))
-
-    def __add__(self, other):
-        self._check(other)
-        return FvElem(self.place, [a + b for a, b in zip(self.rep, other.rep)])
-
-    def __neg__(self):
-        return FvElem(self.place, [-a for a in self.rep])
-
-    def __sub__(self, other):
-        self._check(other)
-        return FvElem(self.place, [a - b for a, b in zip(self.rep, other.rep)])
-
-    def scale(self, c: FElem) -> "FvElem":
-        return FvElem(self.place, [a * c for a in self.rep])
-
-    def __mul__(self, other):
-        self._check(other)
-        d = self.place.theta_degree
-        if d == 1:
-            return FvElem(self.place, (self.rep[0] * other.rep[0],))
-        prod = _fpoly_mul(list(self.rep), list(other.rep))
-        prod = _fpoly_rem_monic(prod, self._monic_pi_list())
-        prod += [FElem.zero(self.p)] * (d - len(prod))
-        return FvElem(self.place, prod[:d])
-
-    def _monic_pi_list(self):
-        return list(self.place.monic_coeffs) + [FElem.one(self.p)]
-
-    def inverse(self) -> "FvElem":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of 0 in the residue field")
-        d = self.place.theta_degree
-        if d == 1:
-            return FvElem(self.place, (self.rep[0].inverse(),))
-        inv = _fpoly_invert_mod(list(self.rep), self._monic_pi_list())
-        inv += [FElem.zero(self.p)] * (d - len(inv))
-        return FvElem(self.place, inv[:d])
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def _frob_once(self) -> "FvElem":
-        """The p-th power: semilinear, so it never densifies sparse reps."""
-        p = self.p
-        d = self.place.theta_degree
-        if d == 1:
-            return FvElem(self.place, (self.rep[0] ** p,))
-        gp = _gen_pth_power(self.place)
-        acc = [FElem.zero(p)]
-        power = [FElem.one(p)]
-        pi = self._monic_pi_list()
-        for a in self.rep:
-            if not a.is_zero():
-                ap = a ** p
-                term = [c * ap for c in power]
-                acc = _fpoly_add(acc, term)
-            power = _fpoly_rem_monic(_fpoly_mul(power, gp), pi)
-        acc += [FElem.zero(p)] * (d - len(acc))
-        return FvElem(self.place, acc[:d])
-
-    def __pow__(self, n: int) -> "FvElem":
-        # base-p digits: binary powering walks through dense intermediates,
-        # while x -> x^p is just a termwise stretch of the underlying reps
-        if n < 0:
-            return self.inverse() ** (-n)
-        if n == 0:
-            return FvElem.one(self.place)
-        if self.is_zero():
-            return self
-        result = FvElem.one(self.place)
-        y = self
-        while n:
-            n, digit = divmod(n, self.p)
-            if digit:
-                acc = y
-                for _ in range(digit - 1):
-                    acc = acc * y
-                result = result * acc
-            if n:
-                y = y._frob_once()
-        return result
-
-    def frobenius(self, e: int) -> "FvElem":
-        """The p^e-th power."""
-        out = self
-        for _ in range(e):
-            out = out._frob_once()
-        return out
-
-    def lift(self) -> KElem:
-        """The canonical lift: the representative polynomial as a K-element."""
-        acc = KElem.zero(self.p)
-        th = KElem.theta(self.p)
-        for i, c in enumerate(self.rep):
-            if not c.is_zero():
-                acc = acc + KElem.from_felem(c) * th ** i
-        return acc
-
-    def __str__(self):
-        return kelem_to_str(self.lift())
-
-    def __repr__(self):
-        return f"FvElem({self.place}, {self})"
+def require_degree_one(v: Place):
+    """Refuse every place but theta + g(t), g in F_p(t): only there is the
+    residue field F_p(t), inside K."""
+    if v.prim is None or v.prim.theta_degree != 1:
+        raise ValueError(f"residues and completions need a place of "
+                         f"theta-degree 1, not {place_to_str(v)}")
 
 
 def fv_denominator(xs) -> RPoly:
-    """The least common denominator of the F-coefficients of residue
-    elements."""
+    """The least common denominator of a list of residues."""
     den = RPoly.one(xs[0].p)
     for x in xs:
-        for f in x.rep:
-            den = den // den.gcd(f.den) * f.den
+        den = den // den.gcd(x.den) * x.den
     return den
 
 
 def fv_coordinates(xs):
-    """Exact F_p-coordinates of a list of residue elements: one sparse
-    vector {(slot, t_exp): c} of x * fv_denominator(xs) per x, so iterate
-    families with huge sparse exponents stay cheap."""
-    den = FElem.from_rpoly(fv_denominator(xs))
-    out = []
-    for x in xs:
-        vec = {}
-        for slot, f in enumerate(x.rep):
-            cleared = f * den
-            if not cleared.den.is_one():
-                raise AssertionError("denominator clearing failed")
-            vec.update(((slot, e), c) for e, c in cleared.num.c.items())
-        out.append(vec)
-    return out
+    """Exact F_p-coordinates of a list of residues: one sparse vector
+    {t_exp: c} of x * fv_denominator(xs) per x, so iterate families with
+    huge sparse exponents stay cheap."""
+    den = fv_denominator(xs)
+    return [dict((x.num * (den // x.den)).c) for x in xs]
 
 
-def fv_tp_eval(coeffs_bar, x: FvElem) -> FvElem:
+def fv_tp_eval(coeffs_bar, x: FElem) -> FElem:
     """sum c_i x^{p^i} for residue coefficients c_i, lowest tau-power first.
 
-    The one evaluation of a reduced additive polynomial on F_v; x^{p^i} is
-    taken as i Frobenius steps.
+    The one evaluation of a reduced additive polynomial on F_p(t).
     """
-    acc = FvElem.zero(x.place)
+    acc = FElem.zero(x.p)
     for i, c in enumerate(coeffs_bar):
         if not c.is_zero():
-            acc = acc + c * x.frobenius(i)
+            acc = acc + c * x.frob(i)
     return acc
 
 
@@ -409,47 +251,6 @@ def _fpoly_rem_monic(a, b):
     return _fpoly_divmod_monic(a, b)[1]
 
 
-_gp_cache: dict = {}
-
-
-def _gen_pth_power(place: Place):
-    """Reduction of g^p mod pi, for the residue generator g, memoised in
-    _gp_cache by base.memo_put."""
-    out = _gp_cache.get(place)
-    if out is None:
-        p = place.p
-        raw = [FElem.zero(p)] * p + [FElem.one(p)]
-        pi = list(place.monic_coeffs) + [FElem.one(p)]
-        out = memo_put(_gp_cache, place, _fpoly_rem_monic(raw, pi))
-    return out
-
-
-def _fpoly_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = b[-1]
-    if lead.is_one():
-        return _fpoly_divmod_monic(a, b)
-    inv = lead.inverse()
-    bm = _fpoly_scale(b, inv)
-    q, r = _fpoly_divmod_monic(a, bm)
-    return _fpoly_scale(q, inv), r
-
-
-def _fpoly_invert_mod(a, m):
-    """Inverse of a modulo m over F via the extended Euclidean algorithm."""
-    p = m[0].p
-    r0, r1 = list(m), _fpoly_rem_monic(list(a), m)
-    s0, s1 = [], [FElem.one(p)]
-    while r1:
-        q, r2 = _fpoly_divmod(r0, r1)
-        r0, r1 = r1, r2
-        s0, s1 = s1, _fpoly_add(s0, [-c for c in _fpoly_mul(q, s1)])
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not a unit modulo pi")
-    return _fpoly_scale(s0, r0[0].inverse())
-
-
 # -- truncated pi-adic rings -------------------------------------------------
 
 
@@ -498,12 +299,6 @@ class TruncRing:
             acc = _fpoly_add(acc, _fpoly_scale(self.theta_power(e), coef))
         return acc
 
-    def mul(self, a, b):
-        return _fpoly_rem_monic(_fpoly_mul(a, b), self.mod)
-
-    def inverse(self, a):
-        return _fpoly_invert_mod(a, self.mod)
-
     def strip_pi(self, a):
         """(k, unit_part): a = pi^k * u with u a unit, inside the truncation.
 
@@ -524,14 +319,14 @@ class TruncRing:
             cur = q
 
     def digits(self, a, count: int):
-        """The first `count` pi-digits of a ring element as FvElem values."""
+        """The first `count` pi-digits of a ring element, in F_p(t): the
+        ring must sit at a place of theta-degree 1, where each remainder
+        modulo pi is a constant."""
         out = []
         cur = list(a)
         for _ in range(count):
-            q, r = _fpoly_divmod_monic(cur, self.pi)
-            r = list(r) + [FElem.zero(self.p)] * (self.place.theta_degree - len(r))
-            out.append(FvElem(self.place, r[:self.place.theta_degree]))
-            cur = q
+            cur, r = _fpoly_divmod_monic(cur, self.pi)
+            out.append(r[0] if r else FElem.zero(self.p))
         return out
 
 
@@ -584,76 +379,30 @@ def valuation(x: KElem, v: Place) -> int:
     return _bipoly_multiplicity(x.num, v) - _bipoly_multiplicity(x.den, v)
 
 
-def residue_reduce(x: KElem, v: Place) -> FvElem:
-    """Reduction of a v-integral element to the residue field."""
+def unit_digits(x: KElem, v: Place, kn: int, kd: int, count: int):
+    """The first `count` pi-digits of num / pi^kn and of den / pi^kd, for
+    x = num / den at a theta-degree-one place v, where pi has multiplicity
+    kn in num and kd in den.  Both digit lists start with a unit."""
+    ring = get_trunc_ring(v, count + max(kn, kd))
+    return tuple(ring.digits(ring.strip_pi(ring.reduce_bipoly(f))[1], count)
+                 for f in (x.num, x.den))
+
+
+def residue_reduce(x: KElem, v: Place) -> FElem:
+    """Reduction of a v-integral element to the residue field F_p(t)."""
+    require_degree_one(v)
+    if x.p != v.p:
+        raise ValueError("modulus mismatch")
     if x.is_zero():
-        return FvElem.zero(v)
-    if v.is_infinite:
-        w = valuation(x, v)
-        if w < 0:
-            raise ValueError("element is not integral at the infinite place")
-        if w > 0:
-            return FvElem.zero(v)
-        num_lead = FElem.from_rpoly(x.num.lead_theta_coeff())
-        den_lead = FElem.from_rpoly(x.den.lead_theta_coeff())
-        return FvElem.from_felem(v, num_lead / den_lead)
+        return FElem.zero(v.p)
     kn = _bipoly_multiplicity(x.num, v)
     kd = _bipoly_multiplicity(x.den, v)
-    if kn - kd < 0:
+    if kn < kd:
         raise ValueError("element is not integral at this place")
-    if kn - kd > 0:
-        return FvElem.zero(v)
-    n = max(kd + 1, 1)
-    ring = get_trunc_ring(v, n)
-    a = ring.reduce_bipoly(x.num)
-    b = ring.reduce_bipoly(x.den)
-    if kd == 0:
-        val = ring.mul(a, ring.inverse(b))
-        return ring.digits(val, 1)[0]
-    # strip the common pi-power first
-    ka, ua = ring.strip_pi(a)
-    kb, ub = ring.strip_pi(b)
-    if ka is None or kb is None or ka != kb:
-        # precision was too small for the strip: retry one size up
-        ring = get_trunc_ring(v, n + kd)
-        a = ring.reduce_bipoly(x.num)
-        b = ring.reduce_bipoly(x.den)
-        ka, ua = ring.strip_pi(a)
-        kb, ub = ring.strip_pi(b)
-    val = ring.mul(ua, ring.inverse(ub))
-    return ring.digits(val, 1)[0]
-
-
-# -- product formula ---------------------------------------------------------
-
-
-def check_product_formula(x: KElem, degree_cap: int = _FACTOR_DEG_CAP):
-    """Complete place support of nonzero x with weights; checks eq-sum zero.
-
-    Returns a tuple of (Place, valuation, weight) sorted finite-first.  The
-    identity Sum N_v * v(x) = 0 is asserted on every call.
-    """
-    if x.is_zero():
-        raise ValueError("the product formula needs a nonzero element")
-    if max(x.num.theta_degree, x.den.theta_degree) > degree_cap:
-        raise ValueError("theta-degree beyond the desk cap for full factorisation")
-    entries = {}
-    for sign, part in ((1, x.num), (-1, x.den)):
-        _, _t_factors, theta_factors = factor_bipoly(part)
-        for prim, mult in theta_factors:
-            place = Place(x.p, prim, _checked=True)
-            entries[place] = entries.get(place, 0) + sign * mult
-    out = []
-    for place in sorted(entries, key=lambda v: v.sort_key()):
-        if entries[place]:
-            out.append((place, entries[place], place.weight))
-    v_inf = x.den.theta_degree - x.num.theta_degree
-    if v_inf:
-        out.append((Place.infinite(x.p), v_inf, 1))
-    total = sum(val * w for _, val, w in out)
-    if total != 0:
-        raise AssertionError(f"product formula violated: weighted sum {total}")
-    return tuple(out)
+    if kn > kd:
+        return FElem.zero(v.p)
+    (un,), (ud,) = unit_digits(x, v, kn, kd, 1)
+    return un / ud
 
 
 # -- place classification ----------------------------------------------------

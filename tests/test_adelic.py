@@ -20,7 +20,7 @@ from drinfeldlab.drinfeld import DrinfeldModule
 from drinfeldlab.kfield import KElem, kelem_parse
 from drinfeldlab.phimodule import (PhiModule, _apply_operators, _op_on_point,
                                    point_add, point_to_str, torsion_submodule)
-from drinfeldlab.places import Place, place_parse, place_to_str, valuation
+from drinfeldlab.places import place_parse, place_to_str, valuation
 from drinfeldlab.twisted import TwistedPoly, tp_eval
 
 
@@ -36,6 +36,13 @@ def carlitz_theta(p=3):
 def special_theta(p=3):
     phi = DrinfeldModule.parse(p, "[0, theta, 1]")
     return PhiModule(phi, 1, [(KElem.theta(p),)])
+
+
+def drinfeld_one(p=3):
+    # phi_t = t + theta tau + tau^2 on <1>: at theta + t + 1 the operator t
+    # is the smallest whose value leaves the units
+    phi = DrinfeldModule.parse(p, "[t, theta, 1]")
+    return PhiModule(phi, 1, [(KElem.one(p),)])
 
 
 def torsion_only_theta():
@@ -80,6 +87,22 @@ class TestEmbedCache:
         assert adelic._embedded_family(gam, v, *keys[0]) == first
 
 
+class TestRefusedOffThetaDegreeOne:
+    """Each certificate reads completions or residues at every place it is
+    given, so it refuses a place of theta-degree > 1 or infinity up front,
+    even where a shortcut would need none."""
+
+    @pytest.mark.parametrize("ptext", ["finite:theta^2+t", "infinite"])
+    @pytest.mark.parametrize("call", [
+        lambda gam, v: closure_member(gam, gam.gens[0], [v]),
+        lambda gam, v: closure_torsion_check(gam, [v]),
+        lambda gam, v: quotient_iso_check(gam, rpoly_parse(3, "1"), [v]),
+    ], ids=["closure_member", "closure_torsion_check", "quotient_iso_check"])
+    def test_refused(self, call, ptext):
+        with pytest.raises(ValueError, match="theta-degree 1"):
+            call(carlitz_theta(), place_parse(3, ptext))
+
+
 class TestDiscreteness:
     def test_principal_at_linear_place(self):
         gam = carlitz_theta()
@@ -102,11 +125,11 @@ class TestDiscreteness:
         assert cert.notes == ("zero-ideal",)
         assert cert.ideal_checked
 
-    def test_degree_two_places(self):
-        gam = carlitz_theta()
-        for ptext, gen in (("finite:theta^2+t", "t"),
-                           ("finite:theta^2+t+1", "t+1"),
-                           ("finite:theta^2+t+2", "t+2")):
+    def test_non_unit_generators(self):
+        gam = drinfeld_one()
+        for ptext, gen in (("finite:theta+t+1", "t"),
+                           ("finite:theta+t", "t+2"),
+                           ("finite:theta+t+2", "t+1")):
             cert = discreteness_certificate(gam, place_parse(3, ptext))
             assert [[str(a) for a in row] for row in cert.i_generators] == [[gen]]
             assert cert.min_positive_valuation == Fraction(1)
@@ -115,9 +138,10 @@ class TestDiscreteness:
             assert cert.ideal_checked
 
     def test_min_is_the_generator_value(self):
-        gam = carlitz_theta()
-        for ptext in ("finite:theta", "finite:theta^2+t",
-                      "finite:theta^2+t+1", "finite:theta^2+t+2"):
+        for gam, ptext in ((carlitz_theta(), "finite:theta"),
+                           (drinfeld_one(), "finite:theta+t+1"),
+                           (drinfeld_one(), "finite:theta+t"),
+                           (drinfeld_one(), "finite:theta+t+2")):
             v = place_parse(3, ptext)
             cert = discreteness_certificate(gam, v)
             gen = str(cert.i_generators[0][0])
@@ -125,8 +149,8 @@ class TestDiscreteness:
 
     def test_ideal_multiples_stay_in_ball(self):
         rng = random.Random(61)
-        gam = carlitz_theta()
-        v = place_parse(3, "finite:theta^2+t")
+        gam = drinfeld_one()
+        v = place_parse(3, "finite:theta+t+1")
         c1 = rpoly_parse(3, "t")
         base = valuation(op_value(gam, c1), v)
         for btext in ("1", "t", "t+1", "t^2+2*t", "2*t^3+1", "t^2+t+2"):
@@ -139,11 +163,11 @@ class TestDiscreteness:
 
     def test_rank_two_diagonal(self):
         p = 3
-        phi = DrinfeldModule.parse(p, "[t, 1]")
-        theta = KElem.theta(p)
+        phi = DrinfeldModule.parse(p, "[t, theta, 1]")
+        one = KElem.one(p)
         zero = KElem.zero(p)
-        gam = PhiModule(phi, 2, [(theta, zero), (zero, theta)])
-        cert = discreteness_certificate(gam, place_parse(p, "finite:theta^2+t"),
+        gam = PhiModule(phi, 2, [(one, zero), (zero, one)])
+        cert = discreteness_certificate(gam, place_parse(p, "finite:theta+t+1"),
                                         deg_bound=4)
         assert [[str(a) for a in row] for row in cert.i_generators] == \
             [["t", "0"], ["0", "t"]]
@@ -151,17 +175,17 @@ class TestDiscreteness:
         assert [str(a) for a in cert.witness] == ["t", "0"]
         assert cert.ideal_checked
 
-    def test_infinite_place(self):
-        # 1/theta is integral at infinity and every iterate gains valuation
+    @pytest.mark.parametrize("ptext", ["finite:theta^2+t", "infinite"])
+    def test_refused_off_theta_degree_one(self, ptext):
+        # completions exist only at the places theta + g(t); the empty
+        # module, which needs none, is refused too
         p = 3
         phi = DrinfeldModule.parse(p, "[t, 1]")
-        gam = PhiModule(phi, 1, [(KElem.one(p) / KElem.theta(p),)])
-        cert = discreteness_certificate(gam, Place.infinite(p),
-                                        deg_bound=4, cutoff=6)
-        assert [[str(a) for a in row] for row in cert.i_generators] == [["1"]]
-        assert cert.min_positive_valuation == Fraction(1)
-        assert cert.attained_valuations == (Fraction(1),)
-        assert cert.ideal_checked
+        for gam in (PhiModule(phi, 1, [(KElem.one(p) / KElem.theta(p),)]),
+                    PhiModule(phi, 1, [])):
+            with pytest.raises(ValueError, match="theta-degree 1"):
+                discreteness_certificate(gam, place_parse(p, ptext),
+                                         deg_bound=4, cutoff=6)
 
     def test_excluded_place_rejected(self):
         gam = special_theta()
@@ -169,11 +193,11 @@ class TestDiscreteness:
             discreteness_certificate(gam, place_parse(3, "finite:theta"))
 
     def test_json_fields(self):
-        gam = carlitz_theta()
-        cert = discreteness_certificate(gam, place_parse(3, "finite:theta^2+t"))
+        gam = drinfeld_one()
+        cert = discreteness_certificate(gam, place_parse(3, "finite:theta+t+1"))
         d = json.loads(certificate_json(cert))
         assert d["kind"] == "discreteness-certificate"
-        assert d["place"] == "finite:theta^2+t"
+        assert d["place"] == "finite:theta+t+1"
         assert d["i_generators"] == [["t"]]
         assert d["min_positive_valuation"] == "1"
         assert d["attained_valuations"] == ["0", "1"]

@@ -20,7 +20,7 @@ from drinfeldlab.base import (
     smith_normal_form,
 )
 from drinfeldlab.kfield import BiPoly, KElem
-from drinfeldlab.places import FvElem, place_parse, residue_reduce
+from drinfeldlab.places import place_parse, residue_reduce
 
 
 def rnd_rpoly(rng, p, max_deg, nonzero=False):
@@ -589,15 +589,11 @@ def _rnd_bipoly(rng, p):
 
 
 def _rnd_residue(rng, p):
-    """A residue at a place of theta-degree 2, from a K-element whose
+    """A residue in F_p(t) at the place theta + t, from a K-element whose
     denominator is a unit there."""
     den = rng.choice([KElem.one(p), KElem.t(p) + KElem.one(p)])
     return residue_reduce(KElem.from_bipoly(_rnd_bipoly(rng, p)) / den,
-                          _fv_place(p))
-
-
-def _fv_place(p):
-    return place_parse(p, "finite:theta^2+theta+t")
+                          place_parse(p, "finite:theta+t"))
 
 
 # kind -> (p -> (rng -> entry, (d, entry) -> d * entry by scaling, not
@@ -607,10 +603,8 @@ _SPAN_KINDS = {
                       lambda x: tuple(c % p for c in x)),
     "BiPoly": lambda p: (lambda rng: _rnd_bipoly(rng, p),
                          lambda d, c: c.scale(d), tuple),
-    "FvElem": lambda p: (
-        lambda rng: _rnd_residue(rng, p),
-        lambda d, c: FvElem.from_felem(_fv_place(p), FElem.const(p, d)) * c,
-        tuple),
+    "FElem": lambda p: (lambda rng: _rnd_residue(rng, p),
+                        lambda d, c: FElem.const(p, d) * c, tuple),
     # polynomial entries: a sum of fractions canonicalises through bi_gcd,
     # which takes seconds on such spans
     "KElem": lambda p: (lambda rng: KElem.from_bipoly(_rnd_bipoly(rng, p)),
@@ -648,7 +642,7 @@ class TestFpSpan:
     def test_digit_counter_order(self, p, n):
         _check_span("KElem", p, n)
 
-    @pytest.mark.parametrize("kind", ["int", "BiPoly", "FvElem"])
+    @pytest.mark.parametrize("kind", ["int", "BiPoly", "FElem"])
     @pytest.mark.parametrize("p, n", [(2, 0), (2, 3), (3, 1), (3, 3),
                                       (5, 2)])
     def test_matches_product(self, kind, p, n):

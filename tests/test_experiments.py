@@ -1409,3 +1409,17 @@ class TestNegativeDegBound:
             call(gamma, y, deg_bound)
         assert family_bounds == []
         assert adelic._EMBED_CACHE == cached
+
+    @pytest.mark.parametrize("call", [
+        # the zero point, which needs no family, at -1 and -2
+        lambda: member(_carlitz_plane(), (KElem.zero(P),) * 2, -1),
+        lambda: adelic.closure_member(_carlitz_plane(), (KElem.zero(P),) * 2,
+                                      deg_bound=-2),
+        # a module of rank 0, which has no family to build
+        lambda: member(PhiModule(DrinfeldModule.parse(P, "[t, 1]"), 1, []),
+                       (KElem.theta(P),), -1),
+    ], ids=["zero-point-member", "zero-point-closure_member", "rank-0-member"])
+    def test_refused_before_the_shortcuts(self, call, family_bounds):
+        with pytest.raises(ValueError, match="negative degree bound"):
+            call()
+        assert family_bounds == []

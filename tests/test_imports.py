@@ -9,6 +9,7 @@ attribute chain.  `from __future__` imports are exempt.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -125,13 +126,11 @@ def test_every_private_def_is_referenced():
 
 # The public names that nothing in the package calls because callers outside
 # it do: the text parsers, the four pipelines and the report and
-# certificate tools; and fp_solve_many, the dense row-matrix door to
-# Echelon, which the benchmark's layer table wraps by name and the base
-# tests solve through.
+# certificate tools.  The names that the benchmark's layer table wraps are
+# entry points too (bench_entry_points below).
 ENTRY_POINTS = (
     ("adelic.py", "certificate_json"),
     ("base.py", "felem_parse"),
-    ("base.py", "fp_solve_many"),
     ("base.py", "rpoly_parse"),
     ("experiments.py", "generic_char_experiment"),
     ("experiments.py", "poly_parse"),
@@ -143,14 +142,53 @@ ENTRY_POINTS = (
     ("phimodule.py", "divisible_hull"),
     ("phimodule.py", "module_parse"),
     ("phimodule.py", "point_parse"),
-    ("places.py", "check_product_formula"),
     ("places.py", "place_parse"),
 )
+
+BENCH_LAYERS = ROOT / "bench" / "layers.py"
+
+
+def bench_targets():
+    """The dotted `<module>.<attr>` callables that bench/layers.py's
+    targets() wraps, read with ast so that bench is not imported."""
+    tree = ast.parse(BENCH_LAYERS.read_text())
+    func = next(stmt for stmt in tree.body
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "targets")
+    return sorted(ast.unparse(node.elts[1]) for node in ast.walk(func)
+                  if isinstance(node, ast.Tuple) and len(node.elts) >= 2
+                  and isinstance(node.elts[0], ast.Constant))
+
+
+def bench_entry_points():
+    """(module file, name) of each wrapped top-level def, and (module file,
+    "Class.method") of each wrapped method."""
+    out = set()
+    for dotted in bench_targets():
+        module, *rest = dotted.split(".")
+        out.add((f"{module}.py", ".".join(rest)))
+    return out
+
+
+def test_bench_targets_are_read():
+    targets = bench_targets()
+    assert len(targets) == len(set(targets)) > 20
+    assert {"places.get_trunc_ring", "base.fp_solve_many",
+            "experiments.MultiPoly.evaluate"} <= set(targets)
+
+
+@pytest.mark.parametrize("dotted", bench_targets())
+def test_bench_target_resolves(dotted):
+    module, *attrs = dotted.split(".")
+    obj = importlib.import_module(f"drinfeldlab.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    assert callable(obj)
 
 
 def test_every_public_def_is_referenced_or_an_entry_point():
     sources = {path.name: path.read_text() for path in PACKAGE}
-    assert set(unreferenced_public_defs(sources)) <= set(ENTRY_POINTS)
+    assert set(unreferenced_public_defs(sources)) <= \
+        set(ENTRY_POINTS) | bench_entry_points()
 
 
 def test_entry_points_exist():
@@ -207,7 +245,8 @@ TEST_ORACLES = (
 
 def test_every_method_is_referenced_or_a_test_oracle():
     sources = {path.name: path.read_text() for path in PACKAGE}
-    assert set(unreferenced_methods(sources)) <= set(TEST_ORACLES)
+    assert set(unreferenced_methods(sources)) <= \
+        set(TEST_ORACLES) | bench_entry_points()
 
 
 def test_oracles_exist():

@@ -6,6 +6,9 @@ embeddings (precision 1 to 6) at places of theta-degree 1.  Each output is
 an int, a pair of F_p[t] texts (numerator, denominator), a list of
 (exponent, numerator, denominator) digits, or "ValueError".
 
+Residues and embeddings are refused, with ValueError, at every place
+but theta + g(t).
+
 Re-record with ``PYTHONPATH=src python tests/test_local_layer_corpus.py``.
 """
 
@@ -71,18 +74,14 @@ def _outcome(fn):
         return "ValueError"
 
 
-def _residue(x, v):
-    return _felem(residue_reduce(x, v).rep[0])
-
-
 def _embedding(x, v, n):
     z = embed(x, v, n)
-    return [[e] + _felem(z.terms[e].rep[0]) for e in sorted(z.terms)]
+    return [[e] + _felem(z.terms[e]) for e in sorted(z.terms)]
 
 
 OPS = {
     "valuation": lambda x, v, n: valuation(x, v),
-    "residue_reduce": lambda x, v, n: _residue(x, v),
+    "residue_reduce": lambda x, v, n: _felem(residue_reduce(x, v)),
     "embed": _embedding,
 }
 
@@ -130,6 +129,15 @@ def test_corpus_shape():
     cases = _cases()
     ops = {op: sum(c["op"] == op for c in cases) for op in OPS}
     assert ops == {"valuation": 504, "residue_reduce": 210, "embed": 1260}
+
+
+@pytest.mark.parametrize("place_text", ["finite:theta^2+t", "infinite"])
+@pytest.mark.parametrize("op", ["residue_reduce", "embed"])
+def test_refused_off_theta_degree_one(op, place_text):
+    v = Place.parse(3, place_text)
+    for x in (KElem.zero(3), KElem.one(3), kelem_parse(3, "theta/(theta+t)")):
+        with pytest.raises(ValueError, match="theta-degree 1"):
+            OPS[op](x, v, 3)
 
 
 if __name__ == "__main__":

@@ -19,8 +19,7 @@ from drinfeldlab.localfield import (
     residue_solve,
     tp_eval_local,
 )
-from drinfeldlab.places import (FvElem, Place, _bipoly_multiplicity, fv_tp_eval,
-                                get_trunc_ring, residue_reduce, valuation)
+from drinfeldlab.places import Place, fv_tp_eval, residue_reduce, valuation
 from drinfeldlab.twisted import tp_eval, tp_parse
 
 from test_drinfeld import MOORE
@@ -94,27 +93,21 @@ class TestEmbed:
         n = prod.precision
         assert agree(prod, embed(a * b, v, n), n)
 
-    def test_quadratic_place(self):
-        v = Place.parse(P, "finite:theta^2+t")
-        z = embed(k("theta^2"), v, 2)
-        # theta^2 = -t + pi, so the residue digit is -t and the next is 1
-        assert z.terms[0] == residue_reduce(k("2*t"), v)
-        assert z.terms[1] == FvElem.one(v)
-        assert embed(k("theta^2+t"), v, 3).val() == 1
+    def test_non_monic_place(self):
+        # at t*theta + 1 the uniformizer is u = theta + 1/t, so
+        # theta = -1/t + u and theta^2 = 1/t^2 - (2/t) u + u^2
+        v = Place.parse(P, "finite:t*theta+1")
+        assert local_to_str(embed(k("theta^2"), v, 4)) == \
+            "[(1)/(t^2)] + u*[(1)/(t)] + u^2*[1] + O(u^4)"
 
-    def test_infinite_place(self):
-        vi = Place.infinite(P)
-        z = embed(k("(theta^2+1)/(theta^3+t)"), vi, 7)
-        assert z.val() == 1
-        assert local_to_str(z) == \
-            "u*[1] + u^3*[1] + u^4*[2*t] + u^6*[2*t] + O(u^7)"
-
-    def test_infinite_product_consistency(self):
-        vi = Place.infinite(P)
-        x = k("(theta^2+1)/(theta^3+t)")
-        back = embed(k("theta^3+t"), vi, 9) * embed(x, vi, 7)
-        assert agree(back, embed(k("theta^2+1"), vi, back.precision),
-                     back.precision)
+    @pytest.mark.parametrize("place_text", ["finite:theta^2+t", "infinite"])
+    def test_refused_off_theta_degree_one(self, place_text):
+        v = Place.parse(P, place_text)
+        for x in (KElem.zero(P), k("theta^2"), k("(theta^2+1)/(theta^3+t)")):
+            with pytest.raises(ValueError, match="theta-degree 1"):
+                embed(x, v, 3)
+        with pytest.raises(ValueError, match="theta-degree 1"):
+            LocalElem.zero_to(v, 3)
 
     def test_big_sparse_element(self):
         v = vft()
@@ -122,24 +115,24 @@ class TestEmbed:
         z = embed(x, v, 2)
         # theta^(3^9) reduces to (-t)^(3^9) at this place, plus u from the tail
         assert z.val() == 0
-        assert z.terms[0].lift() == (-k("t")) ** (3 ** 9)
+        assert KElem.from_felem(z.terms[0]) == (-k("t")) ** (3 ** 9)
 
 
-def _embed_inverting(x, v, n):
-    """embed's finite-place formula with the denominator's unit part always
-    inverted modulo pi^count, the slow path that the unit skip replaces."""
+def _embed_peeling(x, v, n):
+    """The u-digits of x by exact K-arithmetic: strip the power of the
+    monic uniformizer u, then take a residue and divide its difference by
+    u, once per digit."""
     if x.is_zero():
         return LocalElem.zero_to(v, n)
-    kn = _bipoly_multiplicity(x.num, v)
-    kd = _bipoly_multiplicity(x.den, v)
-    count = n - (kn - kd)
-    if count <= 0:
-        return LocalElem.zero_to(v, n)
-    ring = get_trunc_ring(v, count + kn + kd)
-    _, un = ring.strip_pi(ring.reduce_bipoly(x.num))
-    _, ud = ring.strip_pi(ring.reduce_bipoly(x.den))
-    digits = ring.digits(ring.mul(un, ring.inverse(ud)), count)
-    return LocalElem(v, {kn - kd + i: d for i, d in enumerate(digits)}, n)
+    u = v.monic_pi()
+    val = valuation(x, v)
+    z = x * u ** -val
+    terms = {}
+    for e in range(val, n):
+        c = residue_reduce(z, v)
+        terms[e] = c
+        z = (z - KElem.from_felem(c)) / u
+    return LocalElem(v, terms, n)
 
 
 def _rnd_bipoly(rng, theta_deg=2, t_deg=2):
@@ -178,9 +171,10 @@ DEGREE_ONE_PLACES = ["finite:theta", "finite:theta+t", "finite:t*theta+1"]
 DENOMINATOR_KINDS = ["one", "theta-free", "unit", "pi-divisible"]
 
 
-class TestEmbedAgainstInversion:
-    """embed skips the inversion of a unit part equal to 1; the first
-    oracle always inverts, the second multiplies the denominator back."""
+class TestEmbedAgainstOracles:
+    """embed divides the digit series of num and den; the first oracle
+    peels digits off x by exact K-arithmetic, the second multiplies the
+    denominator back."""
 
     @staticmethod
     def samples(place_text, kind):
@@ -188,21 +182,19 @@ class TestEmbedAgainstInversion:
         rng = random.Random(f"{place_text}/{kind}")
         for _ in range(8):
             x = KElem.from_bipoly(_rnd_bipoly(rng)) / _denominator(rng, kind, v)
-            yield v, x, rng.randint(1, 6 if v.theta_degree == 1 else 3)
+            yield v, x, rng.randint(1, 6)
 
     @pytest.mark.parametrize("kind", DENOMINATOR_KINDS)
-    @pytest.mark.parametrize("place_text",
-                             DEGREE_ONE_PLACES + ["finite:theta^2+t"])
-    def test_matches_always_inverting_formula(self, place_text, kind):
+    @pytest.mark.parametrize("place_text", DEGREE_ONE_PLACES)
+    def test_matches_digit_peeling(self, place_text, kind):
         for v, x, n in self.samples(place_text, kind):
-            assert embed(x, v, n) == _embed_inverting(x, v, n), (x, n)
+            assert embed(x, v, n) == _embed_peeling(x, v, n), (x, n)
 
     @pytest.mark.parametrize("kind", DENOMINATOR_KINDS)
-    @pytest.mark.parametrize("place_text", DEGREE_ONE_PLACES + ["infinite"])
+    @pytest.mark.parametrize("place_text", DEGREE_ONE_PLACES)
     def test_matches_quotient_of_embeddings(self, place_text, kind):
         # embed(x) * embed(den) = embed(num), each factor known to n digits
-        # past its valuation; digit-wise products are K_v products only at
-        # degree-one places and at infinity
+        # past its valuation
         for v, x, n in self.samples(place_text, kind):
             num, den = KElem.from_bipoly(x.num), KElem.from_bipoly(x.den)
             wx, wd = valuation(x, v), valuation(den, v)
@@ -217,7 +209,8 @@ def _tp_eval_unmemoised(f, z, monkeypatch):
 
 
 class TestCoefficientMemo:
-    @pytest.mark.parametrize("place_text", ["finite:theta+t", "infinite"])
+    @pytest.mark.parametrize("place_text", ["finite:theta+t",
+                                            "finite:t*theta+1"])
     def test_repeated_calls_equal_unmemoised(self, place_text, monkeypatch):
         monkeypatch.setattr(localfield, "_COEFF_CACHE", {})
         v = Place.parse(P, place_text)
@@ -231,11 +224,6 @@ class TestCoefficientMemo:
         want = [_tp_eval_unmemoised(f, z, monkeypatch) for f, z in schedule]
         assert got == want
 
-    def test_refused_at_quadratic_place(self):
-        # the products would be digit-wise, not K_v products, at this place
-        z = embed(k("theta"), Place.parse(P, "finite:theta^2+t"), 3)
-        with pytest.raises(ValueError):
-            tp_eval_local(carlitz().phi_t, z)
 
     def test_each_coefficient_embedded_once(self, monkeypatch):
         monkeypatch.setattr(localfield, "_COEFF_CACHE", {})
@@ -285,30 +273,17 @@ class TestLocalArithmetic:
         assert w.precision == 9
         assert agree(w, embed(k("theta") ** 3, vft(), 9), 9)
 
-    def test_products_refused_at_quadratic_place(self):
-        # digit-wise, embed(theta)^2 would read [2*t] + O(u^3), but
-        # embed(theta^2) is [2*t] + u*[1] + O(u^3)
-        v = Place.parse(P, "finite:theta^2+t")
-        z = embed(k("theta"), v, 3)
-        assert local_to_str(embed(k("theta^2"), v, 3)) == \
-            "[2*t] + u*[1] + O(u^3)"
-        with pytest.raises(ValueError):
-            z * z
-        with pytest.raises(ValueError):
-            z.frobenius(1)
-        assert (z + z).terms == {0: residue_reduce(k("2*theta"), v)}
-
     def test_different_places_rejected(self):
+        other = Place.parse(P, "finite:theta+1")
         with pytest.raises(ValueError):
-            embed(k("theta"), vft(), 3) + embed(k("theta"), Place.infinite(P), 3)
+            embed(k("theta"), vft(), 3) + embed(k("theta"), other, 3)
 
 
 class TestResidueSolve:
     def test_certified_kernel_at_linear_place(self):
         v = vft()
         gbar = [residue_reduce(c, v) for c in phi3().phi_t_power(1).coeffs]
-        roots, certified = residue_solve(gbar, FvElem.zero(v), v)
-        assert certified
+        roots = residue_solve(gbar, FElem.zero(P), v)
         assert [str(r) for r in roots] == ["0", "t", "2*t"]
 
     def test_one_echelon_per_call(self, monkeypatch):
@@ -323,39 +298,36 @@ class TestResidueSolve:
         monkeypatch.setattr(localfield, "Echelon", CountingEchelon)
         v = vft()
         gbar = [residue_reduce(c, v) for c in phi3().phi_t_power(1).coeffs]
-        roots, _ = residue_solve(gbar, gbar[0] + gbar[1], v)
+        roots = residue_solve(gbar, gbar[0] + gbar[1], v)
         assert built == [P] and len(roots) == 3
         built.clear()
         gbar = [residue_reduce(c, v) for c in carlitz().phi_t_power(1).coeffs]
-        roots, _ = residue_solve(gbar, residue_reduce(k("t^2"), v), v)
+        roots = residue_solve(gbar, residue_reduce(k("t^2"), v), v)
         assert built == [P] and roots == ()
 
     def test_certified_no_root(self):
         v = vft()
         gbar = [residue_reduce(c, v) for c in carlitz().phi_t_power(1).coeffs]
-        roots, certified = residue_solve(gbar, residue_reduce(k("t^2"), v), v)
-        assert certified and roots == ()
+        assert residue_solve(gbar, residue_reduce(k("t^2"), v), v) == ()
 
     def test_particular_plus_kernel(self):
         v = vft()
         gbar = [residue_reduce(c, v) for c in phi3().phi_t_power(1).coeffs]
         y = gbar[0] + gbar[1]  # the image of 1 under the map
-        roots, certified = residue_solve(gbar, y, v)
-        assert certified and len(roots) == 3
+        roots = residue_solve(gbar, y, v)
+        assert len(roots) == 3
         for r in roots:
             img = gbar[0] * r + gbar[1] * r ** P
             assert img == y
-        assert FvElem.one(v) in roots
+        assert FElem.one(P) in roots
 
-    def test_quadratic_place_kernel_found(self):
-        # over F_3(t)[g]/(g^2+t) the kernel of tX + X^3 is {0, g, -g}
-        v = Place.parse(P, "finite:theta^2+t")
-        gbar = [residue_reduce(c, v) for c in carlitz().phi_t_power(1).coeffs]
-        roots, certified = residue_solve(gbar, FvElem.zero(v), v)
-        assert not certified
-        assert len(roots) == 3
-        gbar_elem = residue_reduce(k("theta"), v)
-        assert gbar_elem in roots
+    @pytest.mark.parametrize("place_text", ["finite:theta^2+t", "infinite"])
+    def test_refused_off_theta_degree_one(self, place_text):
+        # the residue fields there are not F_p(t), so no search is exhaustive
+        coeffs = [KElem.t(P), KElem.one(P)]
+        gbar = [residue_reduce(c, vft()) for c in coeffs]
+        with pytest.raises(ValueError, match="theta-degree 1"):
+            residue_solve(gbar, FElem.zero(P), Place.parse(P, place_text))
 
     def test_kernel_of_an_all_zero_system(self):
         # both basis elements 1 and t of the Moore polynomial's reduction
@@ -363,33 +335,31 @@ class TestResidueSolve:
         # the kernel is all of span(1, t), nine roots a + bt
         v = vft()
         gbar = [residue_reduce(c, v) for c in tp_parse(P, MOORE[P]).coeffs]
-        roots, certified = residue_solve(gbar, FvElem.zero(v), v)
-        assert certified
-        want = {str(FvElem.from_felem(v, FElem.from_rpoly(
-            RPoly.from_coeffs(P, [a, b])))) for a in range(P) for b in range(P)}
-        assert sorted(str(r) for r in roots) == sorted(want)
+        roots = residue_solve(gbar, FElem.zero(P), v)
+        want = {FElem.from_rpoly(RPoly.from_coeffs(P, [a, b]))
+                for a in range(P) for b in range(P)}
+        assert set(roots) == want and len(roots) == len(want)
         assert all(fv_tp_eval(gbar, r).is_zero() for r in roots)
 
     @pytest.mark.parametrize("p", [2, 3])
-    @pytest.mark.parametrize("place", ["finite:theta+t",
-                                       "finite:theta^2+theta+t"])
+    @pytest.mark.parametrize("place", ["finite:theta+t", "finite:t*theta+1"])
     def test_roots_are_the_kernel_coset(self, p, place):
         # the Moore polynomial of span(1, theta) reduces to an additive map
         # whose kernel is F_p + F_p theta-bar
         v = Place.parse(p, place)
         f = tp_parse(p, MOORE[p])
         gbar = [residue_reduce(c, v) for c in f.coeffs]
-        kernel = [FvElem.one(v), residue_reduce(KElem.theta(p), v)]
+        kernel = [FElem.one(p), residue_reduce(KElem.theta(p), v)]
         for text in ("t*theta^2+1", "theta^3+t"):
             xbar = residue_reduce(kelem_parse(p, text), v)
-            roots, _ = residue_solve(gbar, fv_tp_eval(gbar, xbar), v)
+            roots = residue_solve(gbar, fv_tp_eval(gbar, xbar), v)
             want = set()
             for digits in itertools.product(range(p), repeat=2):
                 z = xbar
                 for c, w in zip(digits, kernel):
-                    z = z + w.scale(FElem.const(p, c))
-                want.add(str(z))
-            assert sorted(str(r) for r in roots) == sorted(want)
+                    z = z + w * FElem.const(p, c)
+                want.add(z)
+            assert set(roots) == want and len(roots) == len(want)
 
 
 class TestResidueSolveBruteForce:
@@ -405,20 +375,16 @@ class TestResidueSolveBruteForce:
                  for c in itertools.product(range(p), repeat=3)]
         small = [FElem(n, d) for n in polys for d in polys if d]
 
-        def fv(x):
-            return FvElem.from_felem(v, x)
-
         checked = 0
         for _ in range(12):
-            coeffs = [fv(rng.choice(small)) for _ in range(rng.randrange(2, 4))]
+            coeffs = [rng.choice(small) for _ in range(rng.randrange(2, 4))]
             if coeffs[-1].is_zero():
-                coeffs[-1] = FvElem.one(v)
-            y = fv_tp_eval(coeffs, fv(rng.choice(small)))
-            roots, certified = residue_solve(coeffs, y, v)
-            assert certified
+                coeffs[-1] = FElem.one(p)
+            y = fv_tp_eval(coeffs, rng.choice(small))
+            roots = residue_solve(coeffs, y, v)
             for x in small:
-                if fv_tp_eval(coeffs, fv(x)) == y:
-                    assert fv(x) in roots
+                if fv_tp_eval(coeffs, x) == y:
+                    assert x in roots
                     checked += 1
         assert checked >= 12
 
@@ -436,16 +402,16 @@ class TestHensel:
         phi = carlitz()
         v = vft()
         ybar = residue_reduce(tp_eval(phi.phi_t, k("theta")), v)
-        root = hensel_solve(phi, T_OP, ybar)
+        root = hensel_solve(phi, T_OP, ybar, v)
         gbar = self.stripped_residues(phi, T_OP, v)
-        roots, certified = residue_solve(gbar, ybar, v)
-        assert certified and root == roots[0]
+        roots = residue_solve(gbar, ybar, v)
+        assert root == roots[0]
         assert residue_reduce(k("theta"), v) in roots
 
     def test_certified_obstruction(self):
-        with pytest.raises(NoResidueRoot) as info:
-            hensel_solve(carlitz(), T_OP, residue_reduce(k("t^2"), vft()))
-        assert info.value.certified
+        with pytest.raises(NoResidueRoot):
+            hensel_solve(carlitz(), T_OP, residue_reduce(k("t^2"), vft()),
+                         vft())
 
     @pytest.mark.parametrize("a", ["t", "t^2"])
     def test_inseparable_operator_is_stripped(self, a):
@@ -457,7 +423,7 @@ class TestHensel:
         f = phi_action(phi, op)
         ybar = residue_reduce(tp_eval(f, k("theta")), v)
         gbar = self.stripped_residues(phi, op, v)
-        assert fv_tp_eval(gbar, hensel_solve(phi, op, ybar)) == ybar
+        assert fv_tp_eval(gbar, hensel_solve(phi, op, ybar, v)) == ybar
         z = residue_reduce(k("theta"), v) ** (P ** f.tau_valuation)
         assert fv_tp_eval(gbar, z) == ybar
 
@@ -465,40 +431,38 @@ class TestHensel:
         # psi's linear coefficient theta is not a unit at theta = 0
         v = Place.parse(P, "finite:theta")
         with pytest.raises(ValueError):
-            hensel_solve(psi(), T_OP, FvElem.one(v))
+            hensel_solve(psi(), T_OP, FElem.one(P), v)
 
     def test_zero_operator_rejected(self):
         with pytest.raises(ValueError):
-            hensel_solve(carlitz(), RPoly.zero(P), FvElem.one(vft()))
+            hensel_solve(carlitz(), RPoly.zero(P), FElem.one(P), vft())
 
     def test_nonintegral_target_rejected(self):
         with pytest.raises(ValueError):
             _locally_divisible(carlitz(), T_OP, (k("theta+t").inverse(),),
                                vft())
 
-    def test_quadratic_place_lift(self):
-        # the residue search at theta-degree 2 is bounded, but a root found
-        # is a root
-        phi = carlitz()
-        v = Place.parse(P, "finite:theta^2+t")
-        ybar = residue_reduce(tp_eval(phi.phi_t, k("theta")), v)
-        root = hensel_solve(phi, T_OP, ybar)
-        assert fv_tp_eval(self.stripped_residues(phi, T_OP, v), root) == ybar
+    @pytest.mark.parametrize("place_text", ["finite:theta^2+t", "infinite"])
+    def test_refused_off_theta_degree_one(self, place_text):
+        with pytest.raises(ValueError):
+            hensel_solve(carlitz(), T_OP, FElem.one(P),
+                         Place.parse(P, place_text))
 
-    def test_divisible_where_the_lift_overflowed(self):
-        # y = phi_{t^2}(2) for phi_t = t + theta tau + tau^2.  The Newton lift
-        # that the verdict replaced raised "truncated ring beyond desk scale"
-        # here; an image of an integral point is divisible
+    def test_image_of_an_integral_point_is_divisible(self):
+        # y = phi_{t^2}(2) for phi_t = t + theta tau + tau^2 is divisible at
+        # every good place theta + g(t); theta^2 + t is refused
         phi = DrinfeldModule.parse(P, "[t, theta, 1]")
         a = rpoly_parse(P, "t^2")
         y = k("2*theta^9+2*theta^4+(2*t^3+2*t+2)*theta+2*t^9+2*t^2+2*t+2")
         assert tp_eval(phi_action(phi, a), k("2")) == y
-        v = Place.parse(P, "finite:theta^2+t")
-        assert _locally_divisible(phi, a, (y,), v) is True
+        for text in ("finite:theta+1", "finite:theta+t"):
+            assert _locally_divisible(phi, a, (y,), Place.parse(P, text)) is True
+        with pytest.raises(ValueError):
+            _locally_divisible(phi, a, (y,), Place.parse(P, "finite:theta^2+t"))
 
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "local_divisibility_corpus.json"
-RECORDED = {"lifted": True, "certified": False, "uncertified": None}
+RECORDED = {"lifted": True, "certified": False}
 
 
 def _verdict(case):
@@ -519,7 +483,8 @@ class TestLocalDivisibilityCorpus:
     places theta, theta+1, theta+t and theta^2+t; three seeded targets and
     three Phi_a-images of seeded polynomials for each.  Where the lift ran
     past the truncated-ring cap, every target is such an image, so the
-    verdict is divisible."""
+    verdict is divisible.  The place theta^2 + t has theta-degree 2, so
+    each of its cases is now a refusal."""
 
     @staticmethod
     def cases():
@@ -537,7 +502,9 @@ class TestLocalDivisibilityCorpus:
         for case in self.cases():
             if case["p"] != p:
                 continue
-            if case["parent"] != "ValueError":
+            if case["place"] == "finite:theta^2+t":
+                want = ValueError
+            elif case["parent"] != "ValueError":
                 want = RECORDED[case["parent"]]
             elif case["error"] == "truncated ring beyond desk scale":
                 want = True

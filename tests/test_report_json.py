@@ -31,7 +31,7 @@ from drinfeldlab.kfield import KElem
 from drinfeldlab.places import place_parse
 from drinfeldlab.twisted import tp_eval, tp_parse
 
-from test_adelic import carlitz_theta, special_theta
+from test_adelic import carlitz_theta, drinfeld_one, special_theta
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "report_json.json"
 P = 3
@@ -54,7 +54,7 @@ def _instances():
         deg_bound=4, cutoff=4, precision=4)
     return {
         "discreteness": discreteness_certificate(
-            carlitz, place_parse(P, "finite:theta^2+t")),
+            drinfeld_one(), place_parse(P, "finite:theta+t+1")),
         "discreteness-zero-ideal": discreteness_certificate(
             carlitz, place_parse(P, "finite:theta+t")),
         "closure-blocked": blocked,
