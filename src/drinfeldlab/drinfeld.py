@@ -7,13 +7,14 @@ of any operator a(t) follows by composition, so solving Phi_a(X) = y is an
 F_p-linear problem once a search space is fixed.  The search space is where
 honesty lives.  Newton-polygon balancing of the additive polynomial (Goss,
 Basic Structures of Function Field Arithmetic, 1996; see _pole_bound) bounds
-the pole order of a solution at every place: at the finitely many finite
-places that can carry a pole it gives the denominator profile, and at the
-infinite place it gives the theta-degree.  Both are proven, so only the
-t-degree bound is a heuristic, and a hard cap on either derived bound is
-reported as a flag when it fires.  Every returned point is re-verified, so
-false positives are impossible and completeness claims are always relative
-to the reported bounds.
+the pole order of a solution at every prime of F_p[t, theta] and at the
+two infinities: the primes that can carry a pole give the denominator
+profile, theta = infinity gives the theta-degree and t = infinity the
+t-degree.  All three are proven, so the search is exhaustive, and a cap
+that clips it is reported as a flag when it fires.  Every returned point is
+re-verified, so false positives are impossible and completeness claims are
+always relative to the reported bounds.  Over F_p(t), which lies in K, the
+same solver answers the residue equations of localfield.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ import warnings
 from dataclasses import dataclass
 
 from .base import Echelon, RPoly, fp_span
-from .factor import factor_bipoly
-from .kfield import (BiPoly, KElem, bi_divexact, bipoly_vector, common_denominator,
-                     coordinates, height, kelem_sort_key, kelem_to_str)
+from .factor import factor_bipoly, factor_rpoly
+from .kfield import (BiPoly, KElem, bi_divexact, bipoly_pth_root, bipoly_vector,
+                     common_denominator, coordinates, height, kelem_sort_key,
+                     kelem_to_str)
 from .places import _FACTOR_DEG_CAP, Place, valuation
 from .twisted import TwistedPoly, tp_add, tp_compose, tp_eval, tp_parse, tp_scale, tp_to_str
 
@@ -144,17 +146,21 @@ class HeightProfile:
     """Search bounds for division solving.
 
     The search space is t^a theta^b / den with b <= theta_deg, a <= t_deg,
-    den the denominator profile of _solution_denominator.  None fields are
-    derived from the data, then clipped at hard_cap:
+    den in F_p[t, theta] the denominator profile of _solution_denominator.
+    Every solution X has den X in F_p[t, theta], and None fields are
+    derived from the data:
 
     - theta_deg is E + deg_theta(den), E the pole bound of _pole_bound at
-      the infinite place, where v(x) = deg_theta(den x) - deg_theta(num x).
-      Every solution X has deg_theta X <= E, and den X has no pole at a
-      finite place, so it is a polynomial in theta over F_p(t) of degree
-      at most E + deg_theta(den).  The bound is proven: a solution outside
-      it exists only when the cap fired.
-    - t_deg is the largest t-degree of the data plus that of den, a
-      heuristic.
+      theta = infinity, where v(x) = deg_theta(den x) - deg_theta(num x);
+    - t_deg is E_t + deg_t(den), E_t the pole bound at t = infinity, where
+      v(x) = deg_t(den x) - deg_t(num x).
+
+    Both are proven: deg X <= E in either variable, so den X has degree
+    at most E + deg(den) in it.  hard_cap bounds the count of unknowns:
+    a derived basis with (theta_deg + 1)(t_deg + 1) > (hard_cap + 1)^2 is
+    clipped at hard_cap in each degree and flagged, and a solution outside
+    the derived bounds exists only when such a flag fired.  enum_cap
+    bounds the number p^k of points of a kernel of dimension k.
 
     Supplying an explicit bound below the derived one trips
     BoundTooSmallWarning: returned points stay sound, completeness shrinks.
@@ -206,37 +212,61 @@ def _pole_bound(p: int, vals, vy) -> int:
     return e
 
 
-def _solution_denominator(f: TwistedPoly, ys, flags):
+def _rpoly_mult(f: RPoly, q: RPoly) -> int:
+    """The multiplicity of q in a nonzero f."""
+    k = 0
+    while True:
+        quo, rem = divmod(f, q)
+        if not rem.is_zero():
+            return k
+        f = quo
+        k += 1
+
+
+def _solution_denominator(f: TwistedPoly, ys, flags) -> BiPoly:
     """Exact pole profile for X with f(X) = y, from valuation balancing.
 
-    At each finite place in the support below, _pole_bound caps the pole
-    order of X.  No other place can carry a pole: there every c_i is
-    integral, the leading coefficient c_D is a unit and y is integral, and a
-    pole of order e >= 1 would make c_D X^{p^D}, of valuation -e p^D, the
-    unique term of least valuation, since -e p^i > -e p^D for i < D; then
-    v(y) = -e p^D < 0.  So the support is the places dividing a coefficient
-    denominator, the leading coefficient's numerator or a target
-    denominator; the numerators of the lower coefficients are not factored.
+    The primes of F_p[t, theta] are the theta-primes, each a finite place
+    of K over F_p(t), and the t-primes q(t), whose Gauss valuation
+    w_q(sum a_b theta^b) = min_b v_q(a_b) is a valuation of K by Gauss's
+    lemma.  At each prime in the support below, _pole_bound caps the pole
+    order of X, and den is the product of each prime to that order.  No
+    other prime can carry a pole: there every c_i is integral, the leading
+    coefficient c_D is a unit and y is integral, and a pole of order e >= 1
+    would make c_D X^{p^D}, of valuation -e p^D, the unique term of least
+    valuation, since -e p^i > -e p^D for i < D; then v(y) = -e p^D < 0.  So
+    den X lies in F_p[t, theta] for every solution X, and the support is
+    the primes dividing a coefficient denominator, the leading
+    coefficient's numerator or a target denominator; the numerators of the
+    lower coefficients are not factored.
     """
     p = f.p
     nz = [(i, c) for i, c in enumerate(f.coeffs) if not c.is_zero()]
     nonzero = [y for y in ys if not y.is_zero()]
     prims = {}
+    t_content = {}      # factored part -> {q: multiplicity of q}
 
     def collect(part):
-        if part.theta_degree < 1:
-            return  # a t-polynomial is a unit at every finite place
         if len(part.c) == 1:
-            # c(t) theta^k vanishes at the place theta alone
-            theta = BiPoly.theta(p)
-            prims[theta.key()] = theta
+            # c(t) theta^k: theta is the one theta-prime, if any
+            (k, c), = part.c.items()
+            if k:
+                theta = BiPoly.theta(p)
+                prims[theta.key()] = theta
+            t_content[part] = dict(factor_rpoly(c)[1]) if c.degree >= 1 else {}
             return
-        if part.theta_degree > _FACTOR_DEG_CAP:
-            flags.add("denominator-profile-truncated")
-            return
-        _, _tf, thf = factor_bipoly(part)
+        root, scale = part, 1
+        while root.theta_degree > _FACTOR_DEG_CAP:
+            # a p-th power has the primes of its root
+            root = bipoly_pth_root(root)
+            if root is None:
+                flags.add("denominator-profile-truncated")
+                return
+            scale *= p
+        _, tf, thf = factor_bipoly(root)
         for prim, _m in thf:
             prims[prim.key()] = prim
+        t_content[part] = {q: m * scale for q, m in tf}
 
     for _i, c in nz:
         collect(c.den)
@@ -244,17 +274,21 @@ def _solution_denominator(f: TwistedPoly, ys, flags):
     for y in nonzero:
         collect(y.den)
 
-    den = KElem.one(p)
-    for key in sorted(prims):
-        v = Place(p, prims[key], _checked=True)
-        vals = [(i, valuation(c, v)) for i, c in nz]
-        # a polynomial y has v(y) >= 0 at every finite place, so 0 bounds
+    def mult(part, q):
+        m = t_content.get(part)
+        return _rpoly_mult(part.content(), q) if m is None else m.get(q, 0)
+
+    primes = [(prim, lambda x, v=Place(p, prim, _checked=True): valuation(x, v))
+              for _key, prim in sorted(prims.items())]
+    primes += [(BiPoly.from_rpoly(q), lambda x, q=q: mult(x.num, q) - mult(x.den, q))
+               for q in {q for m in t_content.values() for q in m}]
+    den = BiPoly.one(p)
+    for prime, val in primes:
+        # a polynomial y has v(y) >= 0 at every finite prime, so 0 bounds
         # it from below and only genuine fractions need a valuation
-        vy = min([0] + [valuation(y, v) for y in nonzero
+        vy = min([0] + [val(y) for y in nonzero
                         if not y.den.is_one()]) if nonzero else None
-        e = _pole_bound(p, vals, vy)
-        if e >= 1:
-            den = den * v.monic_pi() ** e
+        den = den * prime ** _pole_bound(p, [(i, val(c)) for i, c in nz], vy)
     return den
 
 
@@ -268,10 +302,7 @@ def _fraction_free_images(f: TwistedPoly, nums, d: BiPoly):
 
     so E = L d^{p^D}, each p^i-th power of n is an exponent stretch and the
     d-powers are formed once per call.  The quotient n / d need not be
-    reduced, which lets the division solver keep a shared d: its basis
-    element t^a theta^b / den has numerator t^a theta^b den.den over
-    den.num, where den.den is a t-polynomial whenever a place's monic
-    uniformiser has t-denominators.
+    reduced, which lets the division solver keep its shared denominator.
     """
     p = f.p
     terms = [(i, c) for i, c in enumerate(f.coeffs) if not c.is_zero()]
@@ -305,19 +336,24 @@ def solve_additive_many(f: TwistedPoly, ys, bounds: HeightProfile | None = None)
     den = _solution_denominator(f, ys, flags)
     nz = [(i, c) for i, c in enumerate(f.coeffs) if not c.is_zero()]
     nonzero = [y for y in ys if not y.is_zero()]
-    inf = Place.infinite(p)
-    e_inf = _pole_bound(p, [(i, valuation(c, inf)) for i, c in nz],
-                        min((valuation(y, inf) for y in nonzero), default=None))
-    data = [c for _i, c in nz] + nonzero
-    d_t = max(max(x.num.t_degree, x.den.t_degree) for x in data)
-    derived_theta = e_inf + den.num.theta_degree
-    derived_t = d_t + den.num.t_degree
+
+    def pole_at_infinity(deg):
+        # _pole_bound at theta = infinity (deg = deg_theta) or t = infinity
+        # (deg = deg_t), where v(n / d) = deg(d) - deg(n)
+        return _pole_bound(p, [(i, deg(c.den) - deg(c.num)) for i, c in nz],
+                           min((deg(y.den) - deg(y.num) for y in nonzero),
+                               default=None))
+
+    derived_theta = pole_at_infinity(lambda g: g.theta_degree) + den.theta_degree
+    derived_t = pole_at_infinity(lambda g: g.t_degree) + den.t_degree
+    capped = (derived_theta + 1) * (derived_t + 1) > (bounds.hard_cap + 1) ** 2
 
     def pick(user, derived, name):
         if user is None:
-            if derived > bounds.hard_cap:
+            if capped and derived > bounds.hard_cap:
                 flags.add(f"{name}-bound-capped")
-            return min(derived, bounds.hard_cap)
+                return bounds.hard_cap
+            return derived
         if user < derived:
             warnings.warn(f"{name} bound {user} is below the derived {derived}",
                           BoundTooSmallWarning, stacklevel=3)
@@ -327,10 +363,9 @@ def solve_additive_many(f: TwistedPoly, ys, bounds: HeightProfile | None = None)
     b_theta = pick(bounds.theta_deg, derived_theta, "theta")
     b_t = pick(bounds.t_deg, derived_t, "t")
 
-    d = den.num
-    basis_nums = [BiPoly.monomial(p, b, a) * den.den
+    basis_nums = [BiPoly.monomial(p, b, a)
                   for b in range(b_theta + 1) for a in range(b_t + 1)]
-    images, image_den = _fraction_free_images(f, basis_nums, d)
+    images, image_den = _fraction_free_images(f, basis_nums, den)
     y_den = common_denominator(ys) if ys else BiPoly.one(p)
     if not y_den.is_one():
         images = [n * y_den for n in images]
@@ -353,18 +388,18 @@ def solve_additive_many(f: TwistedPoly, ys, bounds: HeightProfile | None = None)
     kernel_offsets = [off for (off,) in fp_span(
         p, [(combine(vec),) for vec in null], (BiPoly.zero(p),))]
 
-    info_base = SolveInfo(b_theta, b_t, kelem_to_str(den), len(null),
-                          tuple(sorted(flags)))
+    info_base = SolveInfo(b_theta, b_t, kelem_to_str(KElem.from_bipoly(den)),
+                          len(null), tuple(sorted(flags)))
     out = []
     for y, sol in zip(ys, sols):
         if sol is None:
             out.append(DivisionResult((), info_base))
             continue
         x0 = combine(sol)
-        # distinct numerators over the shared d are distinct points
+        # distinct numerators over the shared den are distinct points
         points = []
         for off in kernel_offsets:
-            x = KElem(x0 + off, d)
+            x = KElem(x0 + off, den)
             if tp_eval(f, x) == y:
                 points.append(x)
         points.sort(key=kelem_sort_key)

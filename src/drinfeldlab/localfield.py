@@ -14,6 +14,8 @@ places.TruncRing and divides them as power series.
 
 Whether y lies in Phi_a(O_v) at a good place is decided by the residue
 field alone (hensel_solve): every residue root lifts, so no lift is built.
+The residue equation is an additive equation over F_p(t), inside K, so
+residue_solve hands it to the division solver of drinfeld.
 
 Precision is tracked per value, never globally; operations propagate the
 honest cutoff and raise rather than silently losing digits.
@@ -21,13 +23,12 @@ honest cutoff and raise rather than silently losing digits.
 
 from __future__ import annotations
 
-from .base import Echelon, FElem, RPoly, fp_span, memo_put
-from .drinfeld import DrinfeldModule, _pole_bound, phi_action
-from .factor import factor_rpoly, rpoly_code
+from .base import FElem, RPoly, memo_put
+from .drinfeld import DrinfeldModule, phi_action, solve_additive_many
+from .factor import rpoly_code
 from .kfield import KElem
-from .places import (Place, _bipoly_multiplicity, fv_coordinates, fv_tp_eval,
-                     require_degree_one, residue_reduce, unit_digits,
-                     valuation)
+from .places import (Place, _bipoly_multiplicity, require_degree_one,
+                     residue_reduce, unit_digits, valuation)
 from .twisted import TwistedPoly
 
 
@@ -178,84 +179,24 @@ def embed(x: KElem, v: Place, n: int) -> LocalElem:
 
 # -- residue-root solving for additive polynomials over F_p(t) ---------------
 
-_KERNEL_DIM_CAP = 6
-
-
-def _rpoly_mult(f: RPoly, q: RPoly) -> int:
-    k = 0
-    while True:
-        quo, rem = divmod(f, q)
-        if not rem.is_zero():
-            return k
-        f = quo
-        k += 1
-
-
-def _felem_val(x: FElem, q: RPoly) -> int:
-    if x.is_zero():
-        raise ValueError("valuation of zero")
-    return _rpoly_mult(x.num, q) - _rpoly_mult(x.den, q)
-
-
-def _felem_deg(x: FElem) -> int:
-    return x.num.degree - x.den.degree
-
 
 def residue_solve(coeffs, ybar: FElem, v: Place):
     """All X in F_p(t) with sum coeffs[i] X^{p^i} = ybar, at a place v of
     theta-degree 1, sorted.
 
-    The pole and degree analysis of the additive equation at each prime
-    q(t) of the data and at t = infinity bounds every root, so the search
-    is exhaustive: an empty result proves nonexistence.
+    F_p(t) lies in K, so this is drinfeld.solve_additive_many on
+    theta-free data, whose theta-bound is then 0.  Its pole bounds at each
+    prime q(t) of the data and at t = infinity bound every root, so the
+    search is exhaustive: an empty result proves nonexistence.  A flagged
+    solve raises RuntimeError instead.
     """
     require_degree_one(v)
-    p = v.p
-    cs = [(i, c) for i, c in enumerate(coeffs) if not c.is_zero()]
-    if not cs:
-        raise ValueError("residue equation for the zero map")
-    primes = {}
-    for _i, c in cs:
-        for part in (c.num, c.den):
-            if part.degree >= 1:
-                for q, _m in factor_rpoly(part)[1]:
-                    primes[rpoly_code(q)] = q
-    if not ybar.is_zero() and ybar.den.degree >= 1:
-        for q, _m in factor_rpoly(ybar.den)[1]:
-            primes[rpoly_code(q)] = q
-    e_den = RPoly.one(p)
-    for code in sorted(primes):
-        q = primes[code]
-        vy = None if ybar.is_zero() else min(0, _felem_val(ybar, q))
-        e = _pole_bound(p, [(i, _felem_val(c, q)) for i, c in cs], vy)
-        if e >= 1:
-            e_den = e_den * q ** e
-    b = _pole_bound(p, [(i, -_felem_deg(c)) for i, c in cs],
-                    None if ybar.is_zero() else -_felem_deg(ybar))
-    candidates = [FElem(RPoly.monomial(p, j), e_den)
-                  for j in range(b + e_den.degree + 1)]
-
-    images = [fv_tp_eval(coeffs, x) for x in candidates]
-    vecs = fv_coordinates(images + [ybar])
-    echelon = Echelon(vecs[:-1], p)
-    sol = echelon.solve(vecs[-1])
-    null = echelon.kernel()
-    if sol is None:
-        return ()
-    if len(null) > _KERNEL_DIM_CAP:
-        raise RuntimeError("residue kernel beyond the desk cap")
-
-    def combine(weights):
-        x = FElem.zero(p)
-        for w, cand in zip(weights, candidates):
-            if w:
-                x = x + FElem.const(p, w) * cand
-        return x
-
-    roots = set()
-    for (x,) in fp_span(p, [(combine(vec),) for vec in null], (combine(sol),)):
-        if fv_tp_eval(coeffs, x) == ybar:
-            roots.add(x)
+    f = TwistedPoly(v.p, [KElem.from_felem(c) for c in coeffs])
+    res = solve_additive_many(f, [KElem.from_felem(ybar)])[0]
+    if res.info.flags:
+        raise RuntimeError(f"residue search flagged: {', '.join(res.info.flags)}")
+    roots = (FElem(x.num.theta_coeff(0), x.den.theta_coeff(0), _canonical=True)
+             for x in res.points)
     return tuple(sorted(roots, key=lambda x: (rpoly_code(x.num),
                                               rpoly_code(x.den))))
 
@@ -323,7 +264,9 @@ def hensel_solve(phi: DrinfeldModule, a: RPoly, ybar: FElem, v: Place) -> FElem:
     p^kappa-th root, in the perfection when kappa > 0, solves Phi_a(X) = y.
     A root in O_v reduces to a residue root, so y is in Phi_a(O_v) exactly
     when the residue equation has a root, and no lift is built.
-    residue_solve's search is exhaustive, so NoResidueRoot is a proof.
+    residue_solve's search is exhaustive, with proven bounds, so
+    NoResidueRoot is a proof; a search that a cap would clip raises
+    RuntimeError rather than answer.
     """
     if a.is_zero():
         raise ValueError("division by the zero operator")

@@ -22,7 +22,7 @@ from drinfeldlab.drinfeld import (
     torsion_annihilator,
 )
 from drinfeldlab.factor import factor_bipoly
-from drinfeldlab.kfield import KElem, kelem_parse, kelem_sort_key, kelem_to_str
+from drinfeldlab.kfield import BiPoly, KElem, kelem_parse, kelem_sort_key, kelem_to_str
 from drinfeldlab.places import Place, valuation
 from drinfeldlab.twisted import (TwistedPoly, tp_add, tp_compose, tp_eval, tp_parse,
                                  tp_to_str)
@@ -287,10 +287,13 @@ class TestBruteForceOracle:
         # rational targets
         ("[0, theta, 1]", ["(theta+1)/theta", "1/theta"], ["1/theta"],
          HeightProfile(theta_deg=4, t_deg=0)),
-        # den = ((t+2)*theta+2*t+2)/(t+2) carries a t-denominator, and the
-        # first point sits at the edge of the t-bound of that basis
+        # den is the primitive (t+2)*theta+2*t+2, and the first point sits
+        # on the derived t-bound 2
         ("[0, (t+2)*theta+2*t+2]", ["(t^2+2*t)/((t+2)*theta+2*t+2)", "0"],
-         ["1"], HeightProfile(theta_deg=1, t_deg=1)),
+         ["1"], HeightProfile(theta_deg=1, t_deg=2)),
+        # den = t^2+t from the pole bounds at t and at t+1
+        ("[0, theta, 1]", ["1/t", "(theta+1)/(t+1)"], [],
+         HeightProfile(theta_deg=1, t_deg=2)),
     ])
     def test_points_equal_enumeration(self, f_text, x_texts, miss_texts, bounds):
         f = tp_parse(P, f_text)
@@ -406,6 +409,15 @@ class TestSharpBounds:
         assert res.points == (x,)
         assert res.info.flags == ()
 
+    def test_pth_power_denominator_past_the_cap(self):
+        # the target denominator (theta^2+t)^9 = theta^18 + t^9 lies above
+        # the factoring cap; its second p-th root theta^2+t does not
+        x = kelem_parse(P, "(theta+1)/(theta^2+t)")
+        res = solve_additive_many(psi().phi_t, [tp_eval(psi().phi_t, x)])[0]
+        assert res.points == (x,)
+        assert res.info.denominator == "theta^2+t"
+        assert res.info.flags == ()
+
     def test_pole_at_a_zero_of_the_leading_coefficient(self):
         # at p = 2, X^2 + theta^4 X^4 = X^2 (1 + theta^2 X)^2: the root
         # 1/theta^2 balances the two terms at theta = 0, where only the
@@ -416,10 +428,54 @@ class TestSharpBounds:
         assert [kelem_to_str(x) for x in res.points] == ["0", "(1)/(theta^2)"]
 
     def test_capped_sharp_bound_still_flagged(self):
-        # deg X = 27 balances X^9 against theta^250, above hard_cap = 24
+        # X of degree 27 in theta and in t balances X^9 against
+        # (t theta)^250: the derived basis has 28^2 > (hard_cap + 1)^2 = 625
+        # unknowns, so each bound is clipped at hard_cap = 24
+        y = (KElem.t(P) * KElem.theta(P)) ** 250
+        res = solve_additive_many(psi().phi_t, [y])[0]
+        cap = HeightProfile().hard_cap
+        assert (res.info.theta_bound, res.info.t_bound) == (cap, cap)
+        assert {"theta-bound-capped", "t-bound-capped"} <= set(res.info.flags)
+
+    def test_hard_cap_bounds_the_count_of_unknowns(self):
+        # theta^250 alone gives the theta-bound 27 > hard_cap, but the
+        # basis has 28 <= 625 unknowns, so nothing is clipped
         res = solve_additive_many(psi().phi_t, [KElem.theta(P) ** 250])[0]
-        assert res.info.theta_bound == HeightProfile().hard_cap
-        assert "theta-bound-capped" in res.info.flags
+        assert (res.info.theta_bound, res.info.t_bound) == (27, 0)
+        assert res.info.flags == ()
+
+
+class TestTDenominators:
+    """The Gauss valuation w_q at each t-prime q(t) of the data bounds the
+    t-part of the denominator, and t = infinity bounds the t-degree."""
+
+    @pytest.mark.parametrize("x_text, denominator", [
+        ("1/t", "t"),
+        ("1/(t*theta)", "t*theta"),
+        ("t^2/(t+1)", "t+1"),
+        ("(t*theta+1)/(t^2+t+1)", "t^2+t+1"),
+    ])
+    def test_point_is_found(self, x_text, denominator):
+        f = psi().phi_t
+        x = kelem_parse(P, x_text)
+        res = solve_additive_many(f, [tp_eval(f, x)])[0]
+        assert res.points == (x,)
+        assert res.info.denominator == denominator
+        assert res.info.flags == ()
+
+    def test_large_t_poles_stay_desk_scale(self):
+        # theta/(t+1)^3000 bounds the pole order at t+1 by 3000 // 9 = 333,
+        # a basis of 334 unknowns; 1/t^20000 gives 2223 unknowns, which is
+        # clipped at hard_cap and flagged
+        f = psi().phi_t
+        t = RPoly.t(P)
+        y = KElem.theta(P) * KElem.from_rpoly((t + 1) ** 3000).inverse()
+        res = solve_additive_many(f, [y])[0]
+        assert (res.info.theta_bound, res.info.t_bound) == (0, 333)
+        assert res.info.flags == ()
+        res = solve_additive_many(f, [KElem.from_rpoly(t ** 20000).inverse()])[0]
+        assert res.info.t_bound == HeightProfile().hard_cap
+        assert res.info.flags == ("t-bound-capped",)
 
 
 def _random_bipoly_kelem(rng, p, theta_deg, t_deg):
@@ -435,8 +491,11 @@ def _random_bipoly_kelem(rng, p, theta_deg, t_deg):
 _DENOMINATORS = {2: ["1", "theta", "theta+1", "theta+t"],
                  3: ["1", "theta", "theta+t"]}
 # factor_bipoly refuses theta * (theta + t)^4 at p = 2 (its recombination
-# pool overflows), so at tau-degree 2 the box denominators are t-free
-_BOX_DENOMINATORS = {2: ["1", "theta", "theta+1"], 3: _DENOMINATORS[3]}
+# pool overflows), so at tau-degree 2 the box has no denominator theta+t
+_T_FREE_DENOMINATORS = {2: ["1", "theta", "theta+1"], 3: _DENOMINATORS[3]}
+# the box adds the t-primes t and t+1 (t+2 at p = 3) and t*theta
+_BOX_DENOMINATORS = {2: _T_FREE_DENOMINATORS[2] + ["t", "t+1", "t*theta"],
+                     3: _T_FREE_DENOMINATORS[3] + ["t", "t+2", "t*theta"]}
 
 
 def _random_additive(rng, p):
@@ -514,7 +573,7 @@ def _loose_solution_denominator(f, ys, flags):
             continue
         for prim, _m in factor_bipoly(part)[2]:
             prims[prim.key()] = prim
-    den = KElem.one(p)
+    den = BiPoly.one(p)
     for key in sorted(prims):
         v = Place(p, prims[key], _checked=True)
         vals = [(i, valuation(c, v)) for i, c in nz]
@@ -525,7 +584,7 @@ def _loose_solution_denominator(f, ys, flags):
             if vj > vi:
                 e = max(e, (vj - vi) // (p ** j - p ** i))
         if e >= 1:
-            den = den * v.monic_pi() ** e
+            den = den * prims[key] ** e
     return den
 
 
@@ -533,7 +592,8 @@ class TestAgainstLooseBounds:
     """Seeded differential test against the solver with the loose
     denominator profile and a generous explicit theta-bound of 20: every
     point it finds, the sharp solver finds with its derived theta-bound
-    and the same t-bound."""
+    and the same t-bound.  The points have t-free denominators, since the
+    loose profile has no t-primes and both solvers share the t-bound 2."""
 
     @pytest.mark.parametrize("p, seed", [(2, s) for s in range(6)]
                              + [(3, s) for s in range(6)])
@@ -541,7 +601,7 @@ class TestAgainstLooseBounds:
         rng = random.Random(2000 * p + seed)
         f = _random_additive(rng, p)
         xs = [_random_bipoly_kelem(rng, p, rng.choice((1, 2)), 1)
-              / kelem_parse(p, rng.choice(_BOX_DENOMINATORS[p]))
+              / kelem_parse(p, rng.choice(_T_FREE_DENOMINATORS[p]))
               for _ in range(3)]
         ys = [tp_eval(f, x) for x in xs] + [KElem.zero(p)] + [
             _random_bipoly_kelem(rng, p, 2, 1)]

@@ -918,6 +918,31 @@ class TestVerdictLadder:
         assert ex._verdict(trace, inconclusive) == verdict
 
 
+class TestClosureTorsionMismatch:
+    """At p >= 5 the default witness places are theta + c, c in F_p, where
+    the point 1 reduces to torsion though it is not torsion over K.  The
+    closure-torsion mismatch that this gives is a bounded finding, so the
+    verdict is BoundInconclusive with a note, never CounterexampleCandidate."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("op", ["[0, theta, 1]", "[0, theta^2, 1]",
+                                    "[0, theta+1, 1]", "[0, 1, theta]"])
+    def test_no_counterexample(self, p, op):
+        phi = DrinfeldModule.parse(p, op)
+        theta = KElem.theta(p)
+        gamma = divisible_hull(PhiModule(phi, 1, [(theta,)]), prime_bound=1)
+        rep = ex.zero_dim_intersection(
+            gamma, ex.ZeroDim(1, [(theta,), (theta + KElem.one(p),)]))
+        assert rep.trace == ()
+        mismatch = "closure-torsion-mismatch-at-3-places" in rep.notes
+        if p <= 3:
+            assert rep.verdict == ex.CONFIRMED and not mismatch
+        else:
+            assert rep.verdict == ex.INCONCLUSIVE
+        if p == 5:
+            assert mismatch
+
+
 @dataclass(frozen=True)
 class _NoHeadroom(HeightProfile):
     """The solver's default bounds with hard_cap 0, so that any derived

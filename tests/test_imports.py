@@ -239,6 +239,7 @@ def test_method_detector():
 TEST_ORACLES = (
     ("base.py", "RMatrix.is_unimodular"),
     ("kfield.py", "BiPoly.from_theta_coeffs"),
+    ("places.py", "Place.monic_pi"),
     ("places.py", "Place.uniformizer"),
 )
 

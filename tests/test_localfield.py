@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from drinfeldlab import localfield
+from drinfeldlab import drinfeld, localfield
 from drinfeldlab.adelic import _locally_divisible
 from drinfeldlab.base import Echelon, FElem, RPoly, rpoly_parse
 from drinfeldlab.drinfeld import DrinfeldModule, phi_action
@@ -287,7 +287,8 @@ class TestResidueSolve:
         assert [str(r) for r in roots] == ["0", "t", "2*t"]
 
     def test_one_echelon_per_call(self, monkeypatch):
-        # the particular root and the kernel come from one elimination
+        # the particular root and the kernel come from the division
+        # solver's one elimination
         built = []
 
         class CountingEchelon(Echelon):
@@ -295,7 +296,7 @@ class TestResidueSolve:
                 built.append(p)
                 super().__init__(columns, p)
 
-        monkeypatch.setattr(localfield, "Echelon", CountingEchelon)
+        monkeypatch.setattr(drinfeld, "Echelon", CountingEchelon)
         v = vft()
         gbar = [residue_reduce(c, v) for c in phi3().phi_t_power(1).coeffs]
         roots = residue_solve(gbar, gbar[0] + gbar[1], v)
@@ -320,6 +321,15 @@ class TestResidueSolve:
             img = gbar[0] * r + gbar[1] * r ** P
             assert img == y
         assert FElem.one(P) in roots
+
+    def test_flagged_search_raises(self):
+        # -t X + X^3 = t^2187 + t bounds deg X by 729: 730 unknowns exceed
+        # (hard_cap + 1)^2 = 625, so the search is clipped and refuses
+        v = vft()
+        gbar = [FElem.from_rpoly(-RPoly.t(P)), FElem.one(P)]
+        y = FElem.from_rpoly(RPoly.monomial(P, 3 ** 7) + RPoly.t(P))
+        with pytest.raises(RuntimeError, match="t-bound-capped"):
+            residue_solve(gbar, y, v)
 
     @pytest.mark.parametrize("place_text", ["finite:theta^2+t", "infinite"])
     def test_refused_off_theta_degree_one(self, place_text):
