@@ -9,10 +9,18 @@ that blocks membership.
 
 The engine behind the discreteness and closeness certificates is the digit
 filtration: at a good place the completion is a Laurent series field over
-the residue field, addition is digit-wise, so "valuation >= m" is a linear
-condition over F_p on operator coefficients.  Successive digit kernels give
-the exact valuation strata of a bounded family without enumerating the
-p^(r*(bound+1)) element combinations.
+the residue field, addition is digit-wise, so "valuation > m" is a linear
+condition over F_p on operator weights.  _digit_columns stacks the digits
+of levels 0..m of each iterate into one sparse column, lifted into K and
+coordinatised like any point (phimodule._family_vectors).  The kernel of
+one Echelon per level is then the exact valuation stratum of a bounded
+family, with no enumeration of the p^(r*(bound+1)) element combinations,
+and closure membership solves the same columns for the target's.
+
+Residues go the same way: the reduction of Phi at a good place is again a
+Drinfeld module over F_p(t), inside K (drinfeld.reduction), so the
+closure-torsion check runs the K-side orbit, torsion search and
+coordinates on it.
 """
 
 from __future__ import annotations
@@ -24,22 +32,19 @@ from fractions import Fraction
 
 from .base import (Echelon, FElem, RMatrix, RPoly, fp_span, memo_put,
                    smith_normal_form)
-from .drinfeld import DrinfeldModule, phi_action, torsion_annihilator
+from .drinfeld import (DrinfeldModule, phi_action, reduce_point, reduction,
+                       torsion_annihilator)
 from .kfield import KElem, kelem_to_str
-from .localfield import (
-    LocalElem,
-    NoResidueRoot,
-    embed,
-    hensel_solve,
-    tp_eval_local,
-)
+from .localfield import NoResidueRoot, embed, hensel_solve, tp_eval_local
 from .phimodule import (
     MemberCertificate,
     PhiModule,
     _apply_operators,
+    _family_vectors,
     _iter_rpolys_below,
     _iterate_family,
     _op_on_point,
+    _orbit,
     _weights_to_operators,
     decompose,
     member,
@@ -55,8 +60,6 @@ from .phimodule import (
 from .places import (
     Place,
     classify_places,
-    fv_coordinates,
-    fv_tp_eval,
     place_to_str,
     require_degree_one,
     residue_reduce,
@@ -158,93 +161,22 @@ def _embedded_family(gamma: PhiModule, v: Place, n: int, deg_bound: int):
     return memo_put(_EMBED_CACHE, key, out)
 
 
-def _scale_local(z: LocalElem, c: int) -> LocalElem:
-    c %= z.p
-    if c == 0:
-        return LocalElem.zero_to(z.place, z.precision)
-    acc = z
-    for _ in range(c - 1):
-        acc = acc + z
-    return acc
+def _digit_columns(points, precision: int):
+    """The digit filtration of points, tuples of LocalElem at one place.
 
-
-def _combine_embedded(embedded, vec, v: Place, n: int, g: int):
-    acc = tuple(LocalElem.zero_to(v, n) for _ in range(g))
-    for c, pt in zip(vec, embedded):
-        if c % v.p:
-            acc = tuple(a + _scale_local(z, c) for a, z in zip(acc, pt))
-    return acc
-
-
-def _digit(z: LocalElem, m: int) -> FElem:
-    c = z.terms.get(m)
-    return c if c is not None else FElem.zero(z.p)
-
-
-def _fv_vectors(points):
-    """One sparse F_p-vector {(s, key): c} per point of a non-empty list of
-    residue points: slot s of every point goes over one common denominator
-    (places.fv_coordinates), so a combination of the points is zero iff the
-    same combination of the vectors is."""
-    out = [{} for _ in points]
-    for s in range(len(points[0])):
-        for vec, part in zip(out, fv_coordinates([x[s] for x in points])):
-            vec.update(((s, key), c) for key, c in part.items())
-    return out
-
-
-def _digit_vectors(points, level: int):
-    """_fv_vectors of the level-m digits of points, tuples of LocalElem."""
-    return _fv_vectors([tuple(_digit(z, level) for z in pt) for pt in points])
-
-
-def _family_residues(gamma: PhiModule, v: Place, deg_bound: int):
-    """Residues of the iterate family, computed by reduced dynamics.
-
-    Reduction commutes with the action at a good place, so the residue of
-    Phi_{t^{j+1}}(x) is the reduced operator applied to the previous
-    residue; multiplicities pile up fast along torsion orbits and reducing
-    the exact deep iterates would have to grow a truncated ring that far.
+    For m = 0, ..., precision - 1 it yields one sparse F_p-column
+    {(level, key): c} per point, holding the digits of levels 0..m of that
+    point, each level through _family_vectors of the digits lifted into K.
+    A combination of the points has valuation > m iff the same combination
+    of the columns is zero.  The columns grow in place between yields.
     """
-    fbar = [residue_reduce(c, v) for c in gamma.phi.phi_t.coeffs]
-    out = []
-    for x in gamma.gens:
-        w = tuple(residue_reduce(c, v) for c in x)
-        out.append(w)
-        for _ in range(deg_bound):
-            w = tuple(fv_tp_eval(fbar, c) for c in w)
-            out.append(w)
-    return out
-
-
-def _vec_combine(basis, coeffs, p: int):
-    n = len(basis[0])
-    out = [0] * n
-    for c, b in zip(coeffs, basis):
-        if c % p:
-            for i in range(n):
-                out[i] = (out[i] + c * b[i]) % p
-    return out
-
-
-def _strata_levels(embedded, g: int, p: int, v: Place, cutoff: int):
-    """Bases of the valuation strata V_m = {vec : val(sum) >= m}, m = 0..cutoff.
-
-    Returns a list of (level, basis) with basis the F_p coefficient vectors
-    spanning V_level; V_0 is the full space.  Stops early once a stratum is
-    zero.
-    """
-    n = len(embedded)
-    basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    out = [(0, basis)]
-    for m in range(cutoff):
-        if not basis:
-            break
-        elems = [_combine_embedded(embedded, b, v, cutoff, g) for b in basis]
-        ker = Echelon(_digit_vectors(elems, m), p).kernel()
-        basis = [_vec_combine(basis, lam, p) for lam in ker]
-        out.append((m + 1, basis))
-    return out
+    columns = [{} for _ in points]
+    for m in range(precision):
+        digits = [tuple(KElem.from_felem(z.terms.get(m, FElem.zero(z.p)))
+                        for z in x) for x in points]
+        for col, vec in zip(columns, _family_vectors(digits)[1]):
+            col.update(((m, key), c) for key, c in vec.items())
+        yield columns
 
 
 def _syzygy_space_dim(gamma: PhiModule, deg_bound: int) -> int:
@@ -338,6 +270,8 @@ def discreteness_certificate(gamma: PhiModule, v: Place,
     require_degree_one(v)
     if deg_bound < 0:
         raise ValueError("negative degree bound")
+    if cutoff < 0:
+        raise ValueError("negative cutoff")
     p = gamma.p
     if not _module_place_sets(gamma).good_for_module(v):
         raise ValueError(f"place {place_to_str(v)} is excluded for this module")
@@ -345,31 +279,30 @@ def discreteness_certificate(gamma: PhiModule, v: Place,
     if gamma.rank == 0:
         return DiscretenessCertificate(v, deg_bound, cutoff, (), True, None,
                                        None, (), ("empty-module",))
+    # bases[m] is the reduced echelon basis (Echelon.kernel) of the stratum
+    # V_m of weights whose combination has valuation >= m; V_0 is every
+    # weight, and the scan stops at the first zero stratum
     embedded = _embedded_family(gamma, v, cutoff, deg_bound)
-    strata = _strata_levels(embedded, gamma.g, p, v, cutoff)
+    n = len(embedded)
+    bases = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for columns in _digit_columns(embedded, cutoff):
+        bases.append(Echelon(columns, p).kernel())
+        if not bases[-1]:
+            break
+    attained = [m for m in range(len(bases) - 1)
+                if len(bases[m]) > len(bases[m + 1])]
 
-    dims = {m: len(basis) for m, basis in strata}
-    attained = []
-    for m, basis in strata[:-1]:
-        if dims[m] > dims.get(m + 1, 0):
-            attained.append(m)
-
+    # a vector of bases[m] that lies in V_{m+1} is a vector of bases[m + 1],
+    # the reduced basis being unique, so the others have digit m nonzero
     min_pos = None
     witness_ops = None
-    for m, basis in strata:
-        if m == 0:
-            continue
-        if dims[m] > dims.get(m + 1, 0):
-            for b in basis:
-                elem = _combine_embedded(embedded, b, v, cutoff, gamma.g)
-                if any(not _digit(z, m).is_zero() for z in elem):
-                    min_pos = Fraction(m)
-                    witness_ops = _weights_to_operators(b, gamma.rank,
-                                                        deg_bound, p)
-                    break
-            break
+    m = next((m for m in attained if m >= 1), None)
+    if m is not None:
+        b = next(b for b in bases[m] if b not in bases[m + 1])
+        min_pos = Fraction(m)
+        witness_ops = _weights_to_operators(b, gamma.rank, deg_bound, p)
 
-    level_one = dict(strata).get(1, [])
+    level_one = bases[1] if len(bases) > 1 else []
     gens = []
     if level_one:
         op_rows = [_weights_to_operators(b, gamma.rank, deg_bound, p)
@@ -401,9 +334,8 @@ def discreteness_certificate(gamma: PhiModule, v: Place,
             checked = False
             notes.append("t-closure-lemma-failed")
 
-    final_m, final_basis = strata[-1]
-    if final_m == cutoff and final_basis:
-        if len(final_basis) > _syzygy_space_dim(gamma, deg_bound):
+    if len(bases) == cutoff + 1 and bases[-1]:
+        if len(bases[-1]) > _syzygy_space_dim(gamma, deg_bound):
             notes.append("cutoff-reached")
 
     return DiscretenessCertificate(v, deg_bound, cutoff, tuple(gens), checked,
@@ -454,6 +386,8 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
     """
     if deg_bound < 0:
         raise ValueError("negative degree bound")
+    if precision < 0:
+        raise ValueError("negative precision")
     p = gamma.p
     if len(y) != gamma.g:
         raise ValueError("point width disagrees with the module")
@@ -471,35 +405,29 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
         return ClosureMembership("in_gamma", cert, (), True, deg_bound,
                                  precision)
 
-    # one sparse column {(level, key): c} per weight, and the target's
-    # digits the same way; the joint system tags each entry with its place
-    n_weights = gamma.rank * (deg_bound + 1)
+    # one sparse column {(level, key): c} per weight, the target's last;
+    # the joint system tags each entry with its place
     reports = []
-    joint_columns, joint_target = [{} for _ in range(n_weights)], {}
+    joint_columns = [{} for _ in range(gamma.rank * (deg_bound + 1) + 1)]
     any_blocking = False
     for i, v in enumerate(tracked_places):
-        embedded = _embedded_family(gamma, v, precision, deg_bound)
-        target = _embed_point(y, v, precision)
-        columns, rhs = [{} for _ in range(n_weights)], {}
-        echelon, best = Echelon(columns, p), 0     # what precision 0 reads
-        for m in range(precision):
-            vecs = _digit_vectors(embedded + [target], m)
-            for col, vec in zip(columns, vecs):
-                col.update(((m, key), c) for key, c in vec.items())
-            rhs.update(((m, key), c) for key, c in vecs[-1].items())
-            echelon = Echelon(columns, p)
-            if echelon.solve(rhs) is None:
+        points = _embedded_family(gamma, v, precision, deg_bound) \
+            + [_embed_point(y, v, precision)]
+        columns = [{} for _ in points]
+        echelon, best = Echelon(columns[:-1], p), 0     # what precision 0 reads
+        for columns in _digit_columns(points, precision):
+            echelon = Echelon(columns[:-1], p)
+            if echelon.solve(columns[-1]) is None:
                 break
-            best = m + 1
+            best += 1
         reached = best == precision
         close_dim = sample = None
         if reached:
             close_dim = len(echelon.kernel())
-            sample = _weights_to_operators(echelon.solve(rhs), gamma.rank,
-                                           deg_bound, p)
+            sample = _weights_to_operators(echelon.solve(columns[-1]),
+                                           gamma.rank, deg_bound, p)
             for joint, col in zip(joint_columns, columns):
                 joint.update(((i,) + key, c) for key, c in col.items())
-            joint_target.update(((i,) + key, c) for key, c in rhs.items())
         else:
             any_blocking = True
         reports.append(PlaceCloseness(v, best, reached, close_dim, sample))
@@ -508,7 +436,7 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
     if any_blocking:
         conclusive = True
         notes.append("blocked-at-place")
-    elif Echelon(joint_columns, p).solve(joint_target) is not None:
+    elif Echelon(joint_columns[:-1], p).solve(joint_columns[-1]) is not None:
         conclusive = False
         notes.append("approximant-within-precision")
     else:
@@ -533,11 +461,12 @@ class ClosureTorsionReport(Report):
     notes: tuple = ()
 
 
-def _residue_torsion_annihilator_bound(gamma: PhiModule, family_res, v: Place,
+def _residue_torsion_annihilator_bound(gamma: PhiModule, family_res,
                                        deg_bound: int) -> RPoly:
-    """Annihilator of the torsion part of the reduced bounded module at v."""
+    """Annihilator of the torsion part of the reduced bounded module, from
+    the residue family family_res of the module's iterate family."""
     p = gamma.p
-    kernel = Echelon(_fv_vectors(family_res), p).kernel()
+    kernel = Echelon(_family_vectors(family_res)[1], p).kernel()
     if not kernel:
         return RPoly.one(p)
     op_rows = [_weights_to_operators(b, gamma.rank, deg_bound, p)
@@ -580,11 +509,15 @@ def closure_torsion_check(gamma: PhiModule, witness_places=None,
 
     stacked = [{} for _ in range(gamma.rank * (deg_bound + 1))]
     for i, v in enumerate(witness_places):
-        res = _family_residues(gamma, v, deg_bound)
-        ann = _residue_torsion_annihilator_bound(gamma, res, v, deg_bound)
-        fbar = [residue_reduce(c, v) for c in phi_action(gamma.phi, ann).coeffs]
-        images = [tuple(fv_tp_eval(fbar, c) for c in r) for r in res]
-        for col, vec in zip(stacked, _fv_vectors(images)):
+        # reduction commutes with the action at a good place, so the
+        # residues of the iterate family are the reduced module's orbits
+        phibar = reduction(gamma.phi, v)
+        res = [z for x in gamma.gens
+               for z in _orbit(phibar, reduce_point(x, v), deg_bound)]
+        ann = _residue_torsion_annihilator_bound(gamma, res, deg_bound)
+        f = phi_action(phibar, ann)
+        images = [point_apply(f, r) for r in res]
+        for col, vec in zip(stacked, _family_vectors(images)[1]):
             col.update(((i, key), c) for key, c in vec.items())
     kernel = Echelon(stacked, p).kernel()
 

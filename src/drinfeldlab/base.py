@@ -727,9 +727,9 @@ def smith_normal_form(a: RMatrix) -> SmithForm:
 # -- F_p linear algebra ----------------------------------------------------
 #
 # Every F_p system of the package is one Echelon of sparse columns, the
-# vectors that each field's coordinates already are (kfield.bipoly_vector
-# and coordinates, places.fv_coordinates); fp_solve_many is the dense
-# row-matrix door to it.
+# vectors that K's coordinates already are (kfield.bipoly_vector and
+# coordinates, phimodule._family_vectors; residues in F_p(t) are
+# K-elements too); fp_solve_many is the dense row-matrix door to it.
 
 
 class Echelon:

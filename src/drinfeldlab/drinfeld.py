@@ -14,7 +14,9 @@ t-degree.  All three are proven, so the search is exhaustive, and a cap
 that clips it is reported as a flag when it fires.  Every returned point is
 re-verified, so false positives are impossible and completeness claims are
 always relative to the reported bounds.  Over F_p(t), which lies in K, the
-same solver answers the residue equations of localfield.
+same solver answers the residue equations of localfield, and the reduction
+of phi at a place theta + g(t) is a DrinfeldModule over it (reduction), so
+torsion_annihilator searches residue torsion too.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .factor import factor_bipoly, factor_rpoly
 from .kfield import (BiPoly, KElem, bi_divexact, bipoly_pth_root, bipoly_vector,
                      common_denominator, coordinates, height, kelem_sort_key,
                      kelem_to_str)
-from .places import _FACTOR_DEG_CAP, Place, valuation
+from .places import _FACTOR_DEG_CAP, Place, residue_reduce, valuation
 from .twisted import TwistedPoly, tp_add, tp_compose, tp_eval, tp_parse, tp_scale, tp_to_str
 
 GENERIC = "generic"
@@ -86,6 +88,21 @@ class DrinfeldModule:
 
     def __repr__(self):
         return f"DrinfeldModule({tp_to_str(self.phi_t)}, {self.characteristic})"
+
+
+def reduction(phi: DrinfeldModule, v: Place) -> DrinfeldModule:
+    """The reduction of phi at a good place v = theta + g(t): the Drinfeld
+    module over the residue field F_p(t), inside K, whose phi_t has the
+    residues of phi's coefficients (Goss, Basic Structures of Function
+    Field Arithmetic, 1996).  At a good place the differential, t or 0,
+    and the tau-degree survive, so reduction commutes with every Phi_a."""
+    return DrinfeldModule.from_coeffs(phi.p, [
+        KElem.from_felem(residue_reduce(c, v)) for c in phi.phi_t.coeffs])
+
+
+def reduce_point(x, v: Place):
+    """The residues of a v-integral point, as a point over F_p(t) in K."""
+    return tuple(KElem.from_felem(residue_reduce(c, v)) for c in x)
 
 
 def phi_action(phi: DrinfeldModule, a: RPoly) -> TwistedPoly:

@@ -423,6 +423,25 @@ def _minimize_generators(gamma: PhiModule, deg_bound: int) -> PhiModule:
     return gamma
 
 
+def _closure_checks(gamma: PhiModule, points, tracked_places,
+                    precision: int, deg_bound: int, certificates, notes):
+    """closure_member at each point, in order: each report is appended to
+    certificates and each open rejection noted.  Returns the K-side, since
+    in_gamma rides on an exact membership certificate, and whether some
+    rejection was open."""
+    k_side, open_ = [], False
+    for x in points:
+        rep = closure_member(gamma, x, tracked_places, precision, deg_bound)
+        certificates.append((f"closure:{point_to_str(x)}",
+                             rep.to_json_dict()))
+        if rep.in_gamma:
+            k_side.append(x)
+        elif not rep.conclusive:
+            open_ = True
+            notes.append(f"closure-open-at-{point_to_str(x)}")
+    return k_side, open_
+
+
 # -- generic characteristic ----------------------------------------------------
 
 
@@ -462,22 +481,12 @@ def generic_char_experiment(gamma: PhiModule, variety,
             discrete_ok = False
             notes.append(f"discreteness-open-at-{place_to_str(v)}")
 
-    trace = []
     inconclusive = not discrete_ok
     if isinstance(variety, ZeroDim):
-        # in_gamma rides on an exact membership certificate, so the
-        # closure reports give the K-side too
-        k_side = []
-        for x in variety.points:
-            rep = closure_member(gamma, x, tracked_places, precision,
-                                 deg_bound)
-            certificates.append((f"closure:{point_to_str(x)}",
-                                 rep.to_json_dict()))
-            if rep.in_gamma:
-                k_side.append(x)
-            elif not rep.conclusive:
-                inconclusive = True
-                notes.append(f"closure-open-at-{point_to_str(x)}")
+        k_side, open_ = _closure_checks(gamma, variety.points, tracked_places,
+                                        precision, deg_bound, certificates,
+                                        notes)
+        inconclusive = inconclusive or open_
         adelic = k_side
     else:
         k_side = _swept_window(gamma, variety.poly, enum_deg)
@@ -490,13 +499,13 @@ def generic_char_experiment(gamma: PhiModule, variety,
         if not set(k_side) <= set(adelic_side):
             raise AssertionError("K-side escaped the adelic side")
 
-    verdict = _verdict(trace, inconclusive)
+    verdict = _verdict((), inconclusive)
     bounds = {"deg_bound": deg_bound, "cutoff": cutoff,
               "precision": precision, "enum_deg": enum_deg}
     return ExperimentReport("generic-characteristic", verdict, k_side,
                             adelic_side, tuple(certificates), bounds,
                             ("module-discrete-at-tracked-places",),
-                            tuple(trace), tuple(notes))
+                            (), tuple(notes))
 
 
 # -- special characteristic, zero-dimensional ----------------------------------
@@ -580,18 +589,9 @@ def _zero_dim_report(gamma: PhiModule, variety: ZeroDim, tracked_places,
                 inconclusive = True
                 notes.append(f"mixed-assignment-unresolved:{pair}")
 
-    # in_gamma rides on an exact membership certificate, so the closure
-    # reports give the K-side too
-    k_side = []
-    for x in pts:
-        rep = closure_member(gamma, x, tracked_places, precision, deg_bound)
-        certificates.append((f"closure:{point_to_str(x)}",
-                             rep.to_json_dict()))
-        if rep.in_gamma:
-            k_side.append(x)
-        elif not rep.conclusive:
-            inconclusive = True
-            notes.append(f"closure-open-at-{point_to_str(x)}")
+    k_side, open_ = _closure_checks(gamma, pts, tracked_places, precision,
+                                    deg_bound, certificates, notes)
+    inconclusive = inconclusive or open_
 
     k_side = _sorted_points(k_side)
     adelic_side = list(k_side)

@@ -8,8 +8,9 @@ ride on one base.Echelon of that family plus Smith reduction over F_p[t].
 
 PhiModule.family(deg_bound) is the family prepared once per module and
 bound: the points, each slot's common denominator D_s and the Echelon of
-the sparse F_p-vectors {(s, monomial): c} of x_s * D_s (_cleared_vector).
-Syzygies are its kernel; membership of y reduces y's vector against it.
+the sparse F_p-vectors {(s, monomial): c} of x_s * D_s (_family_vectors,
+which adelic also uses for residue families and digits).  Syzygies are its
+kernel; membership of y reduces y's vector against it.
 Every F_p-combination of the family, times D_s, is a polynomial whose
 monomials lie in the family's support, so a y failing either test is
 decided not_found_up_to before any reduction.
@@ -30,14 +31,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .base import Echelon, FElem, RMatrix, RPoly, fp_span, smith_normal_form
+from .base import Echelon, RMatrix, RPoly, fp_span, smith_normal_form
 from .drinfeld import (DrinfeldModule, HeightProfile, phi_action,
-                       solve_additive_many, torsion_annihilator)
+                       reduce_point, reduction, solve_additive_many,
+                       torsion_annihilator)
 from .factor import iter_irreducible_rpolys, rpoly_code
 from .grammar import Parser
 from .kfield import (KElem, bipoly_vector, common_denominator, kelem_ring,
                      kelem_sort_key, kelem_to_str)
-from .places import Place, fv_coordinates, fv_tp_eval, residue_reduce
 from .twisted import tp_eval, tp_to_str
 
 _REP_ENUM_CAP = 6561
@@ -221,12 +222,20 @@ class IterateFamily:
         return None if vec is None else self.echelon.solve(vec)
 
 
+def _family_vectors(points):
+    """(dens, vectors) for a non-empty list of points of one width: D_s,
+    the common denominator of slot s, and one sparse F_p-vector
+    _cleared_vector(x, dens) per point x.  A combination of the points is
+    zero iff the same combination of the vectors is."""
+    dens = tuple(KElem.from_bipoly(common_denominator([x[s] for x in points]))
+                 for s in range(len(points[0])))
+    return dens, [_cleared_vector(x, dens) for x in points]
+
+
 def _prepare_family(gamma: PhiModule, deg_bound: int) -> IterateFamily:
     points = _iterate_family(gamma, deg_bound)
-    dens = tuple(KElem.from_bipoly(common_denominator([z[s] for z in points]))
-                 for s in range(gamma.g))
-    return IterateFamily(points, dens, Echelon(
-        [_cleared_vector(z, dens) for z in points], gamma.p))
+    dens, vectors = _family_vectors(points)
+    return IterateFamily(points, dens, Echelon(vectors, gamma.p))
 
 
 def _weights_to_operators(weights, rank: int, deg_bound: int, p: int):
@@ -601,29 +610,12 @@ def is_full(gamma: PhiModule, prime_bound: int = 2,
 # -- reduction-based decomposition --------------------------------------------
 
 
-def fv_torsion_annihilator(phi: DrinfeldModule, v: Place, xbar: FElem,
-                           max_deg: int = _DEFAULT_BOUND):
-    """Bounded annihilator search for a residue point of the reduced module."""
-    p = phi.p
-    if xbar.is_zero():
-        return RPoly.one(p)
-    cbar = [residue_reduce(c, v) for c in phi.phi_t.coeffs]
-    iterates = [xbar]
-    for _ in range(max_deg):
-        iterates.append(fv_tp_eval(cbar, iterates[-1]))
-    relation = Echelon(fv_coordinates(iterates), p).first_relation()
-    if relation is None:
-        return None
-    j, weights = relation
-    return RPoly.monomial(p, j) - RPoly.from_coeffs(p, weights)
-
-
 def _point_reduction_is_torsion(phi, v, x, max_deg):
-    for c in x:
-        xbar = residue_reduce(c, v)
-        if fv_torsion_annihilator(phi, v, xbar, max_deg) is None:
-            return False
-    return True
+    """Whether the residue of x at v is torsion for reduction(phi, v),
+    each coordinate by a torsion_annihilator search of degree <= max_deg."""
+    phibar = reduction(phi, v)
+    return all(torsion_annihilator(phibar, c, max_deg).is_torsion
+               for c in reduce_point(x, v))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ solver's pole profile reads places of theta-degree up to 8.
 Residues live only at the places theta + g(t) of theta-degree 1, the ones
 that the pipelines track: there the residue field is F_p(t), inside K, and
 a residue is a plain FElem.  residue_reduce refuses every other place,
-infinity included, with ValueError.
+infinity included, with ValueError.  This module only reduces: lifted
+back by KElem.from_felem, residues are K-elements, acted on by
+drinfeld.reduction(phi, v) and coordinatised like any other point.
 
 TruncRing, the truncated ring F[theta]/(pi^n), is the valuation engine: a
 sparse element is reduced term by term with memoised theta-power residues,
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base import FElem, RPoly, check_modulus, memo_put
+from .base import FElem, check_modulus, memo_put
 from .factor import bipoly_is_irreducible, factor_bipoly, rpoly_code
 from .grammar import Parser
 from .kfield import (BiPoly, KElem, _bipoly_to_str, bipoly_pth_root, kelem_ring,
@@ -160,34 +162,6 @@ def require_degree_one(v: Place):
     if v.prim is None or v.prim.theta_degree != 1:
         raise ValueError(f"residues and completions need a place of "
                          f"theta-degree 1, not {place_to_str(v)}")
-
-
-def fv_denominator(xs) -> RPoly:
-    """The least common denominator of a list of residues."""
-    den = RPoly.one(xs[0].p)
-    for x in xs:
-        den = den // den.gcd(x.den) * x.den
-    return den
-
-
-def fv_coordinates(xs):
-    """Exact F_p-coordinates of a list of residues: one sparse vector
-    {t_exp: c} of x * fv_denominator(xs) per x, so iterate families with
-    huge sparse exponents stay cheap."""
-    den = fv_denominator(xs)
-    return [dict((x.num * (den // x.den)).c) for x in xs]
-
-
-def fv_tp_eval(coeffs_bar, x: FElem) -> FElem:
-    """sum c_i x^{p^i} for residue coefficients c_i, lowest tau-power first.
-
-    The one evaluation of a reduced additive polynomial on F_p(t).
-    """
-    acc = FElem.zero(x.p)
-    for i, c in enumerate(coeffs_bar):
-        if not c.is_zero():
-            acc = acc + c * x.frob(i)
-    return acc
 
 
 # dense polynomial helpers over F (ascending FElem lists, no trailing zeros)

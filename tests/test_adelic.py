@@ -7,6 +7,7 @@ import pytest
 
 from drinfeldlab import adelic, phimodule
 from drinfeldlab.adelic import (
+    _point_valuation,
     certificate_json,
     closure_member,
     closure_torsion_check,
@@ -19,7 +20,8 @@ from drinfeldlab.base import RPoly, rpoly_parse, smith_normal_form
 from drinfeldlab.drinfeld import DrinfeldModule
 from drinfeldlab.kfield import KElem, kelem_parse
 from drinfeldlab.phimodule import (PhiModule, _apply_operators, _op_on_point,
-                                   point_add, point_to_str, torsion_submodule)
+                                   _weights_to_operators, point_add,
+                                   point_to_str, torsion_submodule)
 from drinfeldlab.places import place_parse, place_to_str, valuation
 from drinfeldlab.twisted import TwistedPoly, tp_eval
 
@@ -201,6 +203,53 @@ class TestDiscreteness:
         assert d["i_generators"] == [["t"]]
         assert d["min_positive_valuation"] == "1"
         assert d["attained_valuations"] == ["0", "1"]
+
+
+# (p, phi_t, generators, place, deg_bound, cutoff): valuations from 0 to
+# 16, witnesses at valuations 1 and 2, and strata cut off at the cutoff
+_BRUTE_FORCE_CASES = [
+    (2, "[t, 1]", ["theta^2"], "finite:theta", 2, 5),
+    (2, "[t, theta, 1]", ["1", "theta+t"], "finite:theta+t", 2, 3),
+    (2, "[t, 1]", ["theta^2+t^2", "theta^3+t*theta^2+t^2*theta+t^3"],
+     "finite:theta+t", 2, 4),
+    (2, "[0, theta+1, 1]", ["theta^2+theta", "theta^3"], "finite:theta", 1, 5),
+    (2, "[0, theta+1, 1]", ["theta^2", "theta^4"], "finite:theta", 2, 3),
+    (3, "[t, 1]", ["theta^2+2*t*theta+t^2"], "finite:theta+t", 2, 4),
+    (3, "[t, 1]", ["theta^2", "theta^3"], "finite:theta", 1, 4),
+    (3, "[t, theta, 1]", ["1", "theta+t+1"], "finite:theta+t+1", 2, 3),
+    (3, "[0, theta, 1]", ["theta+1", "theta^2+2*theta+1"], "finite:theta+1",
+     1, 4),
+    (3, "[0, theta, 1]", ["theta^2+2*t*theta+t^2"], "finite:theta+2*t", 2, 2),
+]
+
+
+class TestDiscretenessBruteForce:
+    """The valuation strata against every bounded module element: each
+    weight vector is evaluated exactly and its valuation read off."""
+
+    @pytest.mark.parametrize("p, text, gens, ptext, deg_bound, cutoff",
+                             _BRUTE_FORCE_CASES)
+    def test_strata_match_enumeration(self, p, text, gens, ptext, deg_bound,
+                                      cutoff):
+        phi = DrinfeldModule.parse(p, text)
+        gamma = PhiModule(phi, 1, [(k(p, g),) for g in gens])
+        v = place_parse(p, ptext)
+        cert = discreteness_certificate(gamma, v, deg_bound, cutoff)
+        values = set()
+        for w in itertools.product(range(p), repeat=gamma.rank * (deg_bound + 1)):
+            ops = _weights_to_operators(w, gamma.rank, deg_bound, p)
+            val = _point_valuation(_apply_operators(gamma, ops), v)
+            if val is not None and val < cutoff:
+                values.add(val)
+        assert cert.attained_valuations == tuple(
+            Fraction(m) for m in sorted(values))
+        positive = [m for m in values if m > 0]
+        if not positive:
+            assert cert.min_positive_valuation is None and cert.witness is None
+            return
+        assert cert.min_positive_valuation == min(positive)
+        witness = _apply_operators(gamma, cert.witness)
+        assert _point_valuation(witness, v) == min(positive)
 
 
 class TestClosureMember:

@@ -3,6 +3,8 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeldlab import drinfeld
 from drinfeldlab.base import Echelon, RPoly, rpoly_to_str
@@ -18,12 +20,15 @@ from drinfeldlab.drinfeld import (
     k_rational_torsion,
     modular_transcendence_probe,
     phi_action,
+    reduce_point,
+    reduction,
     solve_additive_many,
     torsion_annihilator,
 )
 from drinfeldlab.factor import factor_bipoly
 from drinfeldlab.kfield import BiPoly, KElem, kelem_parse, kelem_sort_key, kelem_to_str
-from drinfeldlab.places import Place, valuation
+from drinfeldlab.adelic import hilbertian_places
+from drinfeldlab.places import Place, classify_places, valuation
 from drinfeldlab.twisted import (TwistedPoly, tp_add, tp_compose, tp_eval, tp_parse,
                                  tp_to_str)
 
@@ -89,6 +94,46 @@ class TestAction:
         t = RPoly.t(P)
         direct = phi_action(C, t ** 4)
         assert direct == tp_compose(C.phi_t, phi_action(C, t ** 3))
+
+
+# generic and special modules, with phi_t-coefficients that are not units
+# at some of the scanned places
+_REDUCTION_MODULES = {
+    2: ["[t, 1]", "[t, theta, 1]", "[0, theta+1, 1]", "[0, 1, t*theta]"],
+    3: ["[t, (2*t)/(theta^2)]", "[t, theta, 1]", "[0, theta, 1]"],
+    5: ["[t, 1]", "[t, 0, theta+t]", "[0, theta+2, 1]"],
+}
+
+
+class TestReduction:
+    """reduction(phi, v) is phi's reduction at a good place v: residues of
+    Phi_a(x) are its Phi_a at the residue of x."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_commutes_with_the_action(self, data):
+        p = data.draw(st.sampled_from(sorted(_REDUCTION_MODULES)))
+        phi = DrinfeldModule.parse(
+            p, data.draw(st.sampled_from(_REDUCTION_MODULES[p])))
+        bad = classify_places(phi.phi_t.coeffs).omega0_excluded
+        v = data.draw(st.sampled_from(
+            [v for v in itertools.islice(hilbertian_places(p), 8)
+             if v not in bad]))
+        x = KElem.zero(p)
+        for e in range(3):
+            c = RPoly.from_coeffs(p, data.draw(st.lists(
+                st.integers(0, p - 1), min_size=1, max_size=3)))
+            x = x + KElem.from_rpoly(c) * KElem.theta(p) ** e
+        a = RPoly.from_coeffs(p, data.draw(st.lists(
+            st.integers(0, p - 1), min_size=1, max_size=3)))
+        phibar = reduction(phi, v)
+        assert phibar.characteristic == phi.characteristic
+        assert phibar.phi_t.tau_degree == phi.phi_t.tau_degree
+        assert all(c.num.theta_degree <= 0 and c.den.theta_degree == 0
+                   for c in phibar.phi_t.coeffs)
+        (xbar,) = reduce_point((x,), v)
+        assert reduce_point((tp_eval(phi_action(phi, a), x),), v) \
+            == (tp_eval(phi_action(phibar, a), xbar),)
 
 
 class TestConjugate:

@@ -373,6 +373,7 @@ class TestUniformityProbe:
         assert table.rows[9] == (3, 0, 2)      # theta^3 and theta^3+theta
         assert table.rows[12] == (4, 0, 0)
 
+    @pytest.mark.golden
     def test_golden_cubic(self):
         psi = tp_parse(P, "[0, theta, 1]")
         variety = ex.Hypersurface(ex.poly_parse(P, 1, "x^3 - theta^2*x"))
@@ -670,6 +671,7 @@ class TestProbeHitSets:
         assert len({text for _, text in pairs}) == len(pairs)
 
 
+@pytest.mark.golden
 class TestGenericSweepGolden:
     @pytest.mark.parametrize("text, k_side", [
         ("x*y - theta", []),
@@ -723,6 +725,7 @@ class TestGenericZeroDimKSide:
 GOLDEN_SEED0 = pathlib.Path(__file__).parent / "data" / "generic_char_seed0.json"
 
 
+@pytest.mark.golden
 class TestGenericCertificatesGolden:
     def test_reports_byte_for_byte(self):
         """The seed-0 generic-sweep reports, certificates included, as the
@@ -789,6 +792,7 @@ class TestPreparedFamilies:
 GOLDEN_ZERO_DIM = pathlib.Path(__file__).parent / "data" / "zero_dim_seed0.json"
 
 
+@pytest.mark.golden
 class TestZeroDimGolden:
     def test_two_syzygy_solves(self, paper_hull, monkeypatch):
         # the presentation and decompose's check on the free part; the
@@ -824,6 +828,7 @@ GOLDEN_UNIFORM = pathlib.Path(__file__).parent / "data" / \
 
 
 class TestUniformReduction:
+    @pytest.mark.golden
     def test_w_and_reports_byte_for_byte(self, paper_hull):
         """W and the report of two reductions on the paper's hull, as the
         JSON that the recorded file holds."""
@@ -1409,6 +1414,42 @@ class TestFpFilter:
             poly, [(kelem_parse(P, "1/(theta^3-theta)"),), (KElem.one(P),)])
         assert rows == [(), ()]
         assert vanish(())
+
+
+class TestNegativePrecision:
+    """A negative digit count is refused up front, as a negative degree
+    bound is: before the membership shortcut and the rank-0 shortcut, and
+    so by the pipelines that make these calls."""
+
+    @pytest.mark.parametrize("call", [
+        lambda gamma, y: adelic.closure_member(gamma, y, precision=-1),
+        lambda gamma, y: adelic.closure_member(gamma, (KElem.theta(P) + 1,
+                                                       KElem.zero(P)),
+                                               precision=-1),
+        lambda gamma, y: adelic.closure_member(gamma, (KElem.zero(P),) * 2,
+                                               precision=-3),
+        lambda gamma, y: adelic.discreteness_certificate(
+            gamma, adelic.standard_tracked_places(gamma)[0], cutoff=-1),
+        lambda gamma, y: adelic.discreteness_certificate(
+            PhiModule(gamma.phi, 2, []),
+            adelic.standard_tracked_places(gamma)[0], cutoff=-3),
+    ], ids=["member", "non-member", "zero-point", "discreteness",
+            "rank-0-discreteness"])
+    def test_refused(self, call, family_bounds):
+        gamma = _carlitz_plane()
+        cached = dict(adelic._EMBED_CACHE)
+        with pytest.raises(ValueError, match="negative (precision|cutoff)"):
+            call(gamma, (KElem.theta(P), KElem.zero(P)))
+        assert family_bounds == []
+        assert adelic._EMBED_CACHE == cached
+
+    @pytest.mark.parametrize("bounds", [{"precision": -1}, {"cutoff": -1}])
+    def test_refused_by_the_generic_pipeline(self, bounds):
+        theta = KElem.theta(P)
+        gamma = PhiModule(DrinfeldModule.parse(P, "[t, 1]"), 1, [(theta,)])
+        with pytest.raises(ValueError, match="negative (precision|cutoff)"):
+            ex.generic_char_experiment(gamma, ex.ZeroDim(1, [(theta,)]),
+                                       **bounds)
 
 
 class TestNegativeDegBound:

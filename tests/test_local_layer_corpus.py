@@ -23,6 +23,8 @@ from drinfeldlab.kfield import BiPoly, KElem, _bipoly_to_str, kelem_parse
 from drinfeldlab.localfield import embed
 from drinfeldlab.places import Place, residue_reduce, valuation
 
+pytestmark = pytest.mark.golden
+
 CORPUS = pathlib.Path(__file__).parent / "data" / "local_layer_corpus.json"
 PRIMES = (2, 3, 5)
 DEGREE_ONE = ("finite:theta", "finite:theta+1", "finite:theta+t",

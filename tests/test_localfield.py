@@ -19,10 +19,11 @@ from drinfeldlab.localfield import (
     residue_solve,
     tp_eval_local,
 )
-from drinfeldlab.places import Place, fv_tp_eval, residue_reduce, valuation
+from drinfeldlab.places import Place, residue_reduce, valuation
 from drinfeldlab.twisted import tp_eval, tp_parse
 
 from test_drinfeld import MOORE
+from test_places import fv_tp_eval
 
 P = 3
 
@@ -486,6 +487,7 @@ def _verdict(case):
         return ValueError
 
 
+@pytest.mark.golden
 class TestLocalDivisibilityCorpus:
     """The residue verdict against the outcomes recorded with the Newton
     lift that it replaced.  The corpus: Carlitz, theta tau + tau^2 and

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeldlab import phimodule
-from drinfeldlab.base import Echelon, FElem, RPoly
-from drinfeldlab.drinfeld import DrinfeldModule, phi_action
+from drinfeldlab import drinfeld
+from drinfeldlab.base import Echelon, RPoly
+from drinfeldlab.drinfeld import (DrinfeldModule, phi_action, reduce_point,
+                                  reduction, torsion_annihilator)
 from drinfeldlab.kfield import KElem, kelem_parse, kelem_to_str
 from drinfeldlab.phimodule import (
     PhiModule,
@@ -16,10 +17,10 @@ from drinfeldlab.phimodule import (
     _hull_targets,
     _iterate_family,
     _op_on_point,
+    _point_reduction_is_torsion,
     _weights_to_operators,
     decompose,
     divisible_hull,
-    fv_torsion_annihilator,
     is_full,
     member,
     member_many,
@@ -378,35 +379,50 @@ class TestDecompose:
 
 
 class TestFvTorsionAnnihilator:
+    """The torsion search over the residue field F_v: torsion_annihilator
+    of reduction(phi, v) on residues lifted into K, the test that
+    decompose runs on each free generator."""
+
+    @staticmethod
+    def residue(text, v):
+        return reduce_point((k(text),), v)[0]
+
     def test_reduced_torsion(self):
         v = Place.parse(P, "finite:theta+t")
-        a = fv_torsion_annihilator(phi3(), v, residue_reduce(k("theta"), v), 4)
-        assert str(a) == "t"
+        cert = torsion_annihilator(reduction(phi3(), v),
+                                   self.residue("theta", v), 4)
+        assert str(cert.annihilator) == "t"
+        assert _point_reduction_is_torsion(phi3(), v, (k("theta"),), 4)
 
     def test_reduced_non_torsion_up_to_bound(self):
         v = Place.parse(P, "finite:theta+t")
-        a = fv_torsion_annihilator(psi(), v, residue_reduce(k("theta"), v), 8)
-        assert a is None
+        cert = torsion_annihilator(reduction(psi(), v),
+                                   self.residue("theta", v), 8)
+        assert not cert.is_torsion
+        assert not _point_reduction_is_torsion(psi(), v, (k("theta"),), 8)
 
     def test_one_coordinates_call_per_search(self, monkeypatch):
         # the residue orbit is coordinatised once, not once per degree
         calls = []
 
         def counted(xs):
+            xs = list(xs)
             calls.append(len(xs))
             return coordinate(xs)
 
-        coordinate = phimodule.fv_coordinates
-        monkeypatch.setattr(phimodule, "fv_coordinates", counted)
+        coordinate = drinfeld.coordinates
+        monkeypatch.setattr(drinfeld, "coordinates", counted)
         v = Place.parse(P, "finite:theta+t")
-        xbar = residue_reduce(k("theta"), v)
-        assert str(fv_torsion_annihilator(phi3(), v, xbar, 4)) == "t"
-        assert fv_torsion_annihilator(psi(), v, xbar, 8) is None
+        xbar = self.residue("theta", v)
+        assert str(torsion_annihilator(reduction(phi3(), v), xbar, 4)
+                   .annihilator) == "t"
+        assert not torsion_annihilator(reduction(psi(), v), xbar, 8).is_torsion
         assert calls == [5, 9]
 
     def test_zero_is_torsion(self):
         v = Place.parse(P, "finite:theta+t")
-        assert fv_torsion_annihilator(psi(), v, FElem.zero(P), 3).is_one()
+        cert = torsion_annihilator(reduction(psi(), v), KElem.zero(P), 3)
+        assert cert.annihilator.is_one()
 
 
 # -- the one iterate family and operator application, against composed oracles

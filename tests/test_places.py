@@ -4,21 +4,30 @@ import pytest
 
 from drinfeldlab.base import FElem, RPoly
 from drinfeldlab.kfield import KElem, kelem_parse
+from drinfeldlab.phimodule import _family_vectors
 from drinfeldlab.places import (
     Place,
     classify_places,
-    fv_coordinates,
-    fv_denominator,
-    fv_tp_eval,
     place_parse,
     place_to_str,
     residue_reduce,
     valuation,
 )
+from drinfeldlab.twisted import TwistedPoly, tp_eval
 
 
 def k(p, text):
     return kelem_parse(p, text)
+
+
+def fv_tp_eval(coeffs_bar, x: FElem) -> FElem:
+    """sum c_i x^{p^i} for residue coefficients c_i, lowest tau-power
+    first: the residue equations' oracle, computed in F_p(t) alone."""
+    acc = FElem.zero(x.p)
+    for i, c in enumerate(coeffs_bar):
+        if not c.is_zero():
+            acc = acc + c * x.frob(i)
+    return acc
 
 
 class TestPlace:
@@ -166,6 +175,9 @@ class TestResidue:
 
 class TestFvCoordinates:
     def test_reconstruction_random(self):
+        # residues lifted into K are coordinatised by the K-side family
+        # vectors: one slot, one common denominator, each vector the
+        # numerator over it
         rng = random.Random(37)
         p = 3
 
@@ -175,35 +187,52 @@ class TestFvCoordinates:
                 if f or not nonzero:
                     return f
 
-        xs = [FElem(rnd_rpoly(False), rnd_rpoly(True)) for _ in range(4)]
-        den = fv_denominator(xs)
-        for vec, x in zip(fv_coordinates(xs), xs):
-            assert FElem(RPoly(p, vec), den) == x
+        points = [(KElem.from_felem(FElem(rnd_rpoly(False), rnd_rpoly(True))),)
+                  for _ in range(4)]
+        (den,), vectors = _family_vectors(points)
+        assert den.num.theta_degree == 0 and den.den.is_one()
+        for vec, (x,) in zip(vectors, points):
+            assert all(s == 0 and e == 0 for s, (e, _te) in vec)
+            num = RPoly(p, {te: c for (_s, (_e, te)), c in vec.items()})
+            assert KElem.from_rpoly(num) / den == x
 
 
 class TestFvTpEval:
-    @pytest.mark.parametrize("place", ["finite:theta+1", "finite:theta+t"])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_term_by_term(self, place, seed):
-        p = 3
-        v = place_parse(p, place)
-        rng = random.Random(seed)
-
+    @staticmethod
+    def residues(p, v, rng, count):
         def residue():
             c = KElem.zero(p)
             for i in range(3):
                 c = c + KElem.const(p, rng.randrange(p)) \
                     * KElem.t(p) ** rng.randrange(3) * KElem.theta(p) ** i
             return residue_reduce(c, v)
+        return [residue() for _ in range(count)]
 
-        coeffs = [residue() for _ in range(4)]
+    @pytest.mark.parametrize("place", ["finite:theta+1", "finite:theta+t"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_term_by_term(self, place, seed):
+        p = 3
+        v = place_parse(p, place)
+        rng = random.Random(seed)
+        coeffs = self.residues(p, v, rng, 4)
         coeffs[1] = FElem.zero(p)
-        for _ in range(3):
-            x = residue()
+        for x in self.residues(p, v, rng, 3):
             want = FElem.zero(p)
             for i, c in enumerate(coeffs):
                 want = want + c * x ** (p ** i)
             assert fv_tp_eval(coeffs, x) == want
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_tp_eval_on_lifted_values(self, p, seed):
+        # F_p(t) lies in K, so the oracle is tp_eval on the lifted data
+        v = place_parse(p, "finite:theta+t")
+        rng = random.Random(seed)
+        coeffs = self.residues(p, v, rng, 3)
+        f = TwistedPoly(p, [KElem.from_felem(c) for c in coeffs])
+        for x in self.residues(p, v, rng, 3):
+            assert KElem.from_felem(fv_tp_eval(coeffs, x)) \
+                == tp_eval(f, KElem.from_felem(x))
 
 
 class TestClassification:

@@ -33,6 +33,8 @@ from drinfeldlab.twisted import tp_eval, tp_parse
 
 from test_adelic import carlitz_theta, drinfeld_one, special_theta
 
+pytestmark = pytest.mark.golden
+
 GOLDEN = pathlib.Path(__file__).parent / "data" / "report_json.json"
 P = 3
 
