@@ -372,6 +372,16 @@ class ClosureMembership(Report):
         return self.kind == "in_gamma"
 
 
+def _require_integral_at(y, places):
+    """Refuse a place of theta-degree above 1, or one where a coordinate of
+    y has a pole."""
+    for v in places:
+        require_degree_one(v)
+        for c in y:
+            if not c.is_zero() and valuation(c, v) < 0:
+                raise ValueError(f"target not integral at {place_to_str(v)}")
+
+
 def closure_member(gamma: PhiModule, y, tracked_places=None,
                    precision: int = STANDARD_CUTOFF,
                    deg_bound: int = STANDARD_DEG_BOUND) -> ClosureMembership:
@@ -391,19 +401,18 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
     p = gamma.p
     if len(y) != gamma.g:
         raise ValueError("point width disagrees with the module")
-    if tracked_places is None:
-        tracked_places = standard_tracked_places(gamma, extra_points=(y,))
-    for v in tracked_places:
-        require_degree_one(v)
-        for c in y:
-            if not c.is_zero() and valuation(c, v) < 0:
-                raise ValueError(
-                    f"target not integral at {place_to_str(v)}")
-
+    # explicit places are checked before anything else; the default ones
+    # come from factoring y's coordinates, which an exact member need not
+    # survive, so they are built only when membership fails
+    if tracked_places is not None:
+        _require_integral_at(y, tracked_places)
     cert = member(gamma, y, deg_bound)
     if cert.found:
         return ClosureMembership("in_gamma", cert, (), True, deg_bound,
                                  precision)
+    if tracked_places is None:
+        tracked_places = standard_tracked_places(gamma, extra_points=(y,))
+        _require_integral_at(y, tracked_places)
 
     # one sparse column {(level, key): c} per weight, the target's last;
     # the joint system tags each entry with its place

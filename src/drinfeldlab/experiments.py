@@ -12,6 +12,7 @@ outside K is not representable and therefore out of scope).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .adelic import (
     quotient_iso_check,
     standard_tracked_places,
 )
-from .base import RPoly, fp_span, inv_mod
+from .base import Echelon, RPoly, fp_span, inv_mod
 from .drinfeld import (
     GENERIC,
     SPECIAL,
@@ -303,6 +304,15 @@ def _fullness_notes(full) -> list:
     return [f"fullness-capped:{note}" for note in full.notes]
 
 
+def _require_bounds(deg_bound=0, precision=0, cutoff=0, enum_deg=0):
+    """Refuse a negative bound up front, before any scan, minimisation or
+    certificate runs on it."""
+    for value, what in ((deg_bound, "degree bound"), (precision, "precision"),
+                        (cutoff, "cutoff"), (enum_deg, "enumeration degree")):
+        if value < 0:
+            raise ValueError(f"negative {what}")
+
+
 def _sorted_points(points):
     return tuple(sorted({tuple(x) for x in points}, key=point_sort_key))
 
@@ -332,16 +342,114 @@ def _fp_images(x: KElem):
             for n, d in zip(num, values(x.den))]
 
 
-def _fp_filter(poly: MultiPoly, points):
-    """(rows, vanish): rows[i] is points[i]'s images under the usable ring
-    maps t -> a, theta -> b into F_p, g ints per map; vanish(flat) is the
-    memoised test that every image polynomial vanishes on flat.
+class _Fp2:
+    """F_{p^2} = F_p[i]/(r(i)), r = i^2 + c1*i + c0 the first monic
+    irreducible quadratic in (c1, c0) order.  u + v*i is the plain int
+    u + v*p, so F_p is the ints below p."""
 
-    A map is usable when it is defined on every coefficient of poly and
-    coordinate of a point; it sends zeros of poly to zeros of the image, and
-    F_p-combinations of points to those of their rows, so failing vanish
-    only ever rules a point out.  A map whose images all equal an earlier
-    map's tests nothing new and is dropped.
+    def __init__(self, p: int):
+        self.p = p
+        self.c1, self.c0 = next(
+            (c1, c0) for c1 in range(p) for c0 in range(p)
+            if all((z * z + c1 * z + c0) % p for z in range(p)))
+
+    def sum(self, terms):
+        """sum c*z over the pairs (c, z), c an int and z in F_{p^2}."""
+        p = self.p
+        u = v = 0
+        for c, z in terms:
+            hi, lo = divmod(z, p)
+            u += c * lo
+            v += c * hi
+        return u % p + v % p * p
+
+    def mul(self, x, y):
+        p = self.p
+        (v, u), (w, s) = divmod(x, p), divmod(y, p)
+        vw = v * w
+        return (u * s - self.c0 * vw) % p + \
+            (u * w + v * s - self.c1 * vw) % p * p
+
+    def power(self, x, e: int):
+        """x^e for e >= 0; off F_p, e is first reduced mod p^2 - 1, so a
+        huge exponent costs one short ladder."""
+        if x < self.p:
+            return pow(x, e, self.p)
+        e %= self.p * self.p - 1
+        out = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, x)
+            x, e = self.mul(x, x), e >> 1
+        return out
+
+    def frob(self, x):
+        """x^p, the conjugate: the roots i and i^p of r add up to -c1."""
+        v, u = divmod(x, self.p)
+        return (u - self.c1 * v) % self.p + -v % self.p * self.p
+
+    def image(self, x: KElem, a, b):
+        """x under the ring map t -> a, theta -> b, or None where its
+        canonical denominator vanishes there."""
+        p, mul, power = self.p, self.mul, self.power
+
+        def value(f):
+            return self.sum((c, mul(power(b, e), power(a, te)))
+                            for e, coef in f.c.items()
+                            for te, c in coef.c.items())
+
+        num = value(x.num)
+        if x.den.is_one():
+            return num
+        den = value(x.den)
+        return mul(num, power(den, p * p - 2)) if den else None
+
+    def maps(self, moves_t: bool, moves_theta: bool):
+        """The ring maps (a, b), t -> a and theta -> b, one per Frobenius
+        orbit of pairs not both in F_p, lazily.  Conjugate maps test the
+        same equation.  A map moving theta (a in F_p, b running fastest)
+        alternates with one moving t (b in F_p, a running fastest); the F_p
+        value runs 1, ..., p - 1 before 0, because sending a variable to 0
+        kills every monomial divisible by it.
+
+        On data free of t, only where theta goes matters, so only maps
+        moving theta are listed, with a = 0 (likewise with t and theta
+        exchanged): the others repeat an equation, or test one of F_p.
+        """
+        p = self.p
+        order = [*range(1, p), 0]
+
+        def reps():
+            return (x for x in range(p, p * p) if x < self.frob(x))
+
+        theta_moving = ((a, b) for a in (order if moves_t else [0])
+                        for b in reps()) if moves_theta else ()
+        t_moving = ((a, b) for b in (order if moves_theta else [0])
+                    for a in reps()) if moves_t else ()
+        return (m for pair in itertools.zip_longest(theta_moving, t_moving)
+                for m in pair if m)
+
+
+def _fp_filter(poly: MultiPoly, points):
+    """(rows, vanish, lifted), the two stages of a reduction filter that
+    only ever rules a point out: a ring map sends zeros of poly to zeros
+    of the image polynomial, and F_p-combinations of points to the same
+    combinations of their images.
+
+    Stage 1: rows[i] is points[i]'s images under the usable ring maps
+    t -> a, theta -> b into F_p, g ints per map, and vanish(flat) is the
+    memoised test that every image polynomial vanishes on flat.  A map is
+    usable when it is defined on every coefficient of poly and coordinate
+    of a point; a map whose images all equal an earlier map's tests
+    nothing new and is dropped.
+
+    Stage 2: lifted(combination) tests sum d*points[i] over the pairs
+    (i, d) under the first maps of _Fp2.maps, one per equation that stage 1
+    could test: p^2 of them, or p when the coefficients and coordinates
+    involve only one of t and theta.  Images are computed when first
+    needed and memoised per (map, point).  A map undefined on a
+    coefficient of poly is never used, and one undefined on a point is
+    skipped only for the combinations that touch it.
     """
     p, g = poly.p, poly.g
     terms = list(poly.terms.items())
@@ -371,24 +479,73 @@ def _fp_filter(poly: MultiPoly, points):
                 return False
         return True
 
-    return rows, vanish
+    field = _Fp2(p)
+    polys = [f for c in [*poly.terms.values(), *itertools.chain(*points)]
+             for f in (c.num, c.den)]
+    moves_t = any(te for f in polys for coef in f.c.values() for te in coef.c)
+    moves_theta = any(e for f in polys for e in f.c)
+    lifts = list(itertools.islice(field.maps(moves_t, moves_theta),
+                                  p ** (moves_t + moves_theta)))
+    memo = {}    # (map, point index or None for poly) -> images or None
+
+    def images(u, i):
+        if (u, i) not in memo:
+            a, b = lifts[u]
+            out = [field.image(c, a, b)
+                   for c in (poly.terms.values() if i is None else points[i])]
+            memo[u, i] = None if None in out else out
+        return memo[u, i]
+
+    def lifted(combination):
+        for u in range(len(lifts)):
+            coefs = images(u, None)
+            parts = [(d, images(u, i)) for i, d in combination if d % p]
+            if coefs is None or any(z is None for _, z in parts):
+                continue
+            y = [field.sum((d, z[j]) for d, z in parts) for j in range(g)]
+            if field.sum((1, functools.reduce(field.mul, map(
+                    field.power, y, exps), c))
+                    for (exps, _), c in zip(terms, coefs)):
+                return False
+        return True
+
+    return rows, vanish, lifted
 
 
 def _swept_zeros(offset, vectors, poly: MultiPoly):
     """The points offset + sum d_k vectors[k], d_k in F_p, on which poly
     vanishes, in fp_span's order.
 
-    The span is swept through its rows under _fp_filter, which only ever
-    rules a point out; a point is built exactly, from its index in the span,
-    only when vanish passes, and kept when exact evaluation gives zero.
+    The span is swept under _fp_filter's two stages, which only ever rule
+    a point out.  Stage 1 walks the F_p-images through the pivot rows of
+    one Echelon, p^rank images for p^n points; each image that passes
+    vanish is expanded through the kernel into its indices in the span,
+    and the indices are sorted into fp_span's digit-counter order.  A point
+    that passes lifted too is built exactly from its digits, and kept when
+    exact evaluation gives zero.
     """
-    rows, vanish = _fp_filter(poly, [offset, *vectors])
-    out = []
-    for index, flat in enumerate(fp_span(poly.p, rows[1:], rows[0])):
+    p, n = poly.p, len(vectors)
+    rows, vanish, lifted = _fp_filter(poly, [offset, *vectors])
+    echelon = Echelon([dict(enumerate(row)) for row in rows[1:]], p)
+    free = {k for k, _ in echelon.free}
+    pivots = [k for k in range(n) if k not in free]
+    kernel, weights = echelon.kernel(), [p ** (n - 1 - k) for k in range(n)]
+    images = fp_span(p, [rows[k + 1] for k in pivots], rows[0])
+    indices = []
+    for digits, flat in zip(itertools.product(range(p), repeat=len(pivots)),
+                            images):
         if vanish(flat):
+            start = [0] * n
+            for k, d in zip(pivots, digits):
+                start[k] = d
+            indices += (sum(d % p * w for d, w in zip(preimage, weights))
+                        for preimage in fp_span(p, kernel, start))
+    out = []
+    for index in sorted(indices):
+        digits = [index // w % p for w in weights]
+        if lifted([(0, 1)] + [(k + 1, d) for k, d in enumerate(digits)]):
             x = offset
-            for v in reversed(vectors):    # the last digit is the lowest
-                index, d = divmod(index, poly.p)
+            for v, d in zip(vectors, digits):
                 for _ in range(d):
                     x = point_add(x, v)
             if poly.evaluate(x).is_zero():
@@ -456,15 +613,15 @@ def generic_char_experiment(gamma: PhiModule, variety,
     module itself inside the bounded window, so the K-side intersection is
     the whole answer; zero-dimensional instances get closure-membership
     spot checks on top.  A hypersurface's K-side is swept over the window
-    of operator degree <= enum_deg; vanishing images under the ring maps
-    into F_p are only a necessary condition that rules points out, and
-    every K-side point is still evaluated exactly.
+    of operator degree <= enum_deg by _swept_zeros: vanishing images under
+    the ring maps into F_p (stage 1) and then into F_{p^2} (stage 2) are
+    only necessary conditions that rule points out, and every K-side point
+    is still evaluated exactly.
     """
     if gamma.phi.characteristic != GENERIC:
         raise ValueError("generic-characteristic module required")
     _require_variety(variety, gamma.p)
-    if enum_deg < 0:
-        raise ValueError("negative enumeration degree")
+    _require_bounds(deg_bound, precision, cutoff, enum_deg)
     if variety.g != gamma.g:
         raise ValueError("variety width disagrees with the module")
     if tracked_places is None:
@@ -532,6 +689,7 @@ def zero_dim_intersection(gamma: PhiModule, variety: ZeroDim,
     if not isinstance(variety, ZeroDim):
         raise ValueError("zero-dimensional variety required")
     _require_variety(variety, gamma.p)
+    _require_bounds(deg_bound, precision)
     if variety.g != gamma.g:
         raise ValueError("variety width disagrees with the module")
     full = is_full(gamma, member_bound=deg_bound)
@@ -707,9 +865,11 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
     from _coordinate_keys, so each distinct shifted point is tested once
     per call, however many translates reach it, and is built exactly only
     on a memo miss.  On a Hypersurface, box points are grouped by their
-    rows under _fp_filter, which only ever rules a point out, and a class
-    is tried for a translate only when its row minus the translate's
-    passes.
+    rows under stage 1 of _fp_filter (ring maps into F_p), and a class is
+    tried for a translate only when its row minus the translate's passes;
+    on a memo miss, x - a must pass stage 2 (ring maps into F_{p^2}) as the
+    combination (1*x, (p-1)*a) before it is built.  Both stages only ever
+    rule a point out.
 
     The solver runs once per level, on the distinct hits of all
     translates together, and each translate reads its survivors off that
@@ -743,13 +903,14 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
 
     points = box + translates
     if isinstance(variety, Hypersurface):
-        rows, vanish = _fp_filter(variety.poly, points)
+        rows, vanish, lifted = _fp_filter(variety.poly, points)
     else:
-        rows, vanish = [()] * len(points), lambda flat: True
+        rows = [()] * len(points)
+        vanish = lifted = lambda _: True
     keys = _coordinate_keys(points)
     classes = {}
-    for x, row, key in zip(box, rows, keys):
-        classes.setdefault(row, []).append((x, key))
+    for i, (x, row, key) in enumerate(zip(box, rows, keys)):
+        classes.setdefault(row, []).append((i, x, key))
 
     # x - a revisits the same points across translates (a shifted box is
     # mostly the box again): key -> whether x - a lies on the variety
@@ -763,12 +924,13 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
         for row, members in classes.items():
             if not vanish(tuple((r - s) % p for r, s in zip(row, shift))):
                 continue
-            for x, key_x in members:
+            for i, x, key_x in members:
                 key = tuple([(u - v) % p for u, v in zip(key_x, key_a)])
                 hit = contains.get(key)
                 if hit is None:
-                    hit = contains[key] = variety_contains(
-                        variety, point_add(x, neg_a))
+                    hit = contains[key] = lifted(
+                        ((i, 1), (len(box) + idx, p - 1))) and \
+                        variety_contains(variety, point_add(x, neg_a))
                 if hit:
                     hits[x] = None
         if idx == 0:
@@ -830,9 +992,10 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
     them and the zero-dimensional pipeline finishes the job.  Candidate
     windows are bounded, and a bounded module point on the variety that
     escapes W downgrades the verdict instead of being absorbed.  Those
-    module points come from the same sweep as the generic pipeline's: the
-    ring maps into F_p only rule points out, and every point reported is
-    evaluated exactly.
+    module points, and the tiles' points, come from the same sweep as the
+    generic pipeline's: the ring maps into F_p and F_{p^2} of _fp_filter's
+    two stages only rule points out, and every point reported is evaluated
+    exactly.
     """
     if gamma.phi.characteristic != SPECIAL:
         raise ValueError("special-characteristic module required")
@@ -843,8 +1006,7 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
         raise ValueError("variety width disagrees with the module")
     if m < 0:
         raise ValueError("negative power of t")
-    if enum_deg < 0:
-        raise ValueError("negative enumeration degree")
+    _require_bounds(deg_bound, precision, enum_deg=enum_deg)
     box_vectors = _theta_box_vectors(gamma.p, gamma.g, box_degree)
     full = is_full(gamma, member_bound=deg_bound)
     if full.kind != "full_up_to_bounds":

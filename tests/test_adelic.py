@@ -268,6 +268,26 @@ class TestClosureMember:
         assert str(rep.certificate) == "Certificate(t)"
         assert rep.place_reports == ()
 
+    def test_member_before_default_places(self):
+        """With the default places, the exact membership check runs first:
+        factoring this y's coordinate for the places exceeds the
+        recombination pool, but y = Phi_{t^2}(gen) lies in Gamma.  Explicit
+        places are still refused first."""
+        p = 2
+        phi = DrinfeldModule.parse(p, "[t, 1]")
+        gen = kelem_parse(p, "t*theta^4+(t^2+1)*theta^3+(t^3+t)*theta^2"
+                             "+(t^4+t^2)*theta+t^3")
+        gam = PhiModule(phi, 1, [(gen,)])
+        y = (tp_eval(phi.phi_t, tp_eval(phi.phi_t, gen)),)
+        with pytest.raises(ValueError, match="recombination pool"):
+            standard_tracked_places(gam, extra_points=(y,))
+        rep = closure_member(gam, y, None, 3, 2)
+        assert rep.in_gamma
+        assert str(rep.certificate) == "Certificate(t^2)"
+        with pytest.raises(ValueError, match="theta-degree 1"):
+            closure_member(gam, y, [place_parse(p, "finite:theta^2+theta+1")],
+                           3, 2)
+
     def test_blocked_rejection(self):
         gam = special_theta()
         y = (KElem.theta(3) + KElem.one(3),)

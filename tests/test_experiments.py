@@ -207,16 +207,16 @@ class TestBoundedElements:
         assert time.perf_counter() - start < 1.0
 
 
-def _rpolys():
-    return st.lists(st.integers(0, P - 1), min_size=1, max_size=3).map(
-        lambda cs: RPoly.from_coeffs(P, cs))
+def _rpolys(p=P):
+    return st.lists(st.integers(0, p - 1), min_size=1, max_size=3).map(
+        lambda cs: RPoly.from_coeffs(p, cs))
 
 
-def _kelems(nonzero=False):
-    bipolys = st.lists(_rpolys(), min_size=1, max_size=3).map(
-        lambda rs: BiPoly.from_theta_coeffs(P, rs))
+def _kelems(nonzero=False, p=P):
+    bipolys = st.lists(_rpolys(p), min_size=1, max_size=3).map(
+        lambda rs: BiPoly.from_theta_coeffs(p, rs))
     nums = bipolys.filter(lambda f: not f.is_zero()) if nonzero else bipolys
-    dens = st.one_of(st.just(BiPoly.one(P)),
+    dens = st.one_of(st.just(BiPoly.one(p)),
                      bipolys.filter(lambda f: not f.is_zero()))
     return st.builds(KElem, nums, dens)
 
@@ -498,7 +498,7 @@ _FILTER_CASES = {
     "p5-g1-cubic": (
         5, "x^3 - theta^2*x", _roots(5, ["0", "theta", "4*theta"]),
         ["0", "theta", "1/(t+theta)"]),
-    # x^3 - x vanishes on all of F_3, so no image rules a point out
+    # x^3 - x vanishes on all of F_3, so no F_p-image rules a point out
     "p3-g1-nothing-filtered": (
         3, "(x^3 - x)*(x - theta)", _roots(3, ["0", "1", "2", "theta"]),
         ["0", "theta", "1/(theta+1)"]),
@@ -546,24 +546,46 @@ def _filter_case(name):
 
 
 def _filtered_shifts(variety, translates, box):
-    """Keys of the distinct shifted points x - a that pass every usable
-    ring map (all of them for a ZeroDim)."""
+    """Keys of the distinct shifted points x - a that pass both stages of
+    the filter, x - a read as the combination (1*x, (p-1)*a) in stage 2
+    (all of them for a ZeroDim)."""
+    n, p = len(box), box[0][0].p
     if isinstance(variety, ex.Hypersurface):
-        rows, vanish = _all_maps_filter(variety.poly, box + translates)
+        rows, vanish, lifted = _all_maps_filter(variety.poly, box + translates)
     else:
-        rows, vanish = [()] * (len(box) + len(translates)), lambda flat: True
-    shifts = rows[len(box):]
+        rows = [()] * (n + len(translates))
+        vanish = lifted = lambda _: True
     return {point_to_str(tuple(c - s for c, s in zip(x, a)))
-            for a, shift in zip(translates, shifts)
-            for x, row in zip(box, rows)
-            if vanish(tuple(r - s for r, s in zip(row, shift)))}
+            for j, a in enumerate(translates)
+            for i, x in enumerate(box)
+            if vanish(tuple(r - s for r, s in zip(rows[i], rows[n + j])))
+            and lifted(((i, 1), (n + j, p - 1)))}
 
 
-def _counted_seed0_probe(monkeypatch, text):
-    """(exact tests, point_add calls outside the line probe) of the seed-0
-    uniformity-sweep probe on text, 27 translates over the 243-point
-    theta-box, at level 0; its rows are checked against the per-translate
-    reference."""
+def _counting_lifted(monkeypatch):
+    """The combinations that _fp_filter's stage 2 is asked about, in call
+    order: the points that pass stage 1 and reach stage 2."""
+    calls = []
+    build = ex._fp_filter
+
+    def counting_filter(poly, points):
+        rows, vanish, lifted = build(poly, points)
+
+        def counting(combination):
+            calls.append(combination)
+            return lifted(combination)
+
+        return rows, vanish, counting
+
+    monkeypatch.setattr(ex, "_fp_filter", counting_filter)
+    return calls
+
+
+def _counted_seed0_probe(monkeypatch, text, extra=()):
+    """(exact tests, point_add calls outside the line probe, shifted points
+    that reach stage 2) of the seed-0 uniformity-sweep probe on text, 27
+    translates over the 243-point theta-box and the extra points, at level
+    0; its rows are checked against the per-translate reference."""
     tested, added, in_line_probe = [], [], []
     contains, add = ex.variety_contains, ex.point_add
     reject = ex._reject_parametrized_lines
@@ -587,9 +609,10 @@ def _counted_seed0_probe(monkeypatch, text):
     monkeypatch.setattr(ex, "variety_contains", counting)
     monkeypatch.setattr(ex, "point_add", counting_add)
     monkeypatch.setattr(ex, "_reject_parametrized_lines", line_probe)
+    lifted = _counting_lifted(monkeypatch)
     psi = tp_parse(P, "[0, theta, 1]")
     poly = ex.poly_parse(P, 1, text)
-    box = ex.theta_box(P, 1, 4)
+    box = list(ex.theta_box(P, 1, 4)) + list(extra)
     translates = ex.theta_box(P, 1, 2)
     table = ex.uniformity_probe(psi, ex.Hypersurface(poly), translates, (0,),
                                 box)
@@ -597,7 +620,12 @@ def _counted_seed0_probe(monkeypatch, text):
     on_x = functools.cache(_on_hypersurface(poly))
     assert table.rows == _probe_reference(psi, on_x, translates, (0,),
                                           box)["rows"]
-    return len(tested), len(added)
+    return len(tested), len(added), len(lifted)
+
+
+# the seed-0 probe's exact tests, after stage 2 of the filter
+_SEED0_PROBE_EXACT = {_CUBIC: 9,
+                      "x*(x-theta-1)*(x-theta^3-theta)*(x-theta^2)": 7}
 
 
 class TestProbeHitSets:
@@ -641,9 +669,17 @@ class TestProbeHitSets:
                                                          box))
 
     def test_nothing_filtered(self):
+        """x^3 - x vanishes on all of F_3, so stage 1 rules no shifted
+        point out; it does not vanish off F_3, so stage 2 does."""
         _psi, variety, translates, box = _filter_case(
             "p3-g1-nothing-filtered")
-        assert _filtered_shifts(variety, translates, box) == {
+        n = len(box)
+        rows, vanish, lifted = ex._fp_filter(variety.poly, box + translates)
+        pairs = [(i, n + j) for j in range(len(translates)) for i in range(n)]
+        assert all(vanish(tuple((r - s) % P for r, s in zip(rows[i], rows[k])))
+                   for i, k in pairs)
+        assert not all(lifted(((i, 1), (k, P - 1))) for i, k in pairs)
+        assert _filtered_shifts(variety, translates, box) < {
             point_to_str(tuple(c - s for c, s in zip(x, a)))
             for a in translates for x in box}
 
@@ -652,8 +688,18 @@ class TestProbeHitSets:
         ("x*(x-theta-1)*(x-theta^3-theta)*(x-theta^2)", 108)])
     def test_seed0_benchmark_exact_tests(self, text, bound, monkeypatch):
         """The uniformity-sweep instances at seed 0: 27 translates over the
-        243-point theta-box."""
-        assert _counted_seed0_probe(monkeypatch, text) == (bound, bound)
+        243-point theta-box.  bound distinct shifted points pass stage 1,
+        and only those that pass stage 2 too are built and tested."""
+        exact = _SEED0_PROBE_EXACT[text]
+        assert _counted_seed0_probe(monkeypatch, text) == (exact, exact,
+                                                           bound)
+
+    def test_rational_box_point_keeps_the_filter(self, monkeypatch):
+        """1/theta in the box makes the maps theta -> 0 undefined, so stage
+        1 drops them for the whole box and lets 270 shifted points through;
+        stage 2 skips a map only where it is undefined."""
+        extra = [(kelem_parse(P, "1/theta"),)]
+        assert _counted_seed0_probe(monkeypatch, _CUBIC, extra) == (9, 9, 270)
 
     @pytest.mark.parametrize("name", sorted(_FILTER_CASES))
     def test_coordinate_keys_separate_shifted_points(self, name):
@@ -849,6 +895,35 @@ class TestUniformReduction:
                           "report": rep.to_json_dict()}
         text = json.dumps(out, sort_keys=True, indent=1) + "\n"
         assert text == GOLDEN_UNIFORM.read_text()
+
+    def test_window_sweep_evaluates_few_points(self, exact_evaluations,
+                                               monkeypatch):
+        """The hull of <Phi_t(theta)> for phi_t = (theta+t)*tau + tau^2:
+        81 of the 243 window points pass stage 1 of the filter, with
+        theta-degrees up to 729 and t-degrees up to 81, and stage 2 leaves
+        9 of them, among them the 3 zeros, to evaluate exactly."""
+        phi = DrinfeldModule.parse(P, "[0, theta+t, 1]")
+        hull = divisible_hull(
+            PhiModule(phi, 1, [(tp_eval(phi.phi_t, KElem.theta(P)),)]),
+            prime_bound=1)
+        assert [point_to_str(x) for x in hull.gens] == [
+            "(theta^9+theta^4+t*theta^3)", "(theta)"]
+        lifted = _counting_lifted(monkeypatch)
+        sweep, counts = ex._swept_window, []
+
+        def counting(*args):
+            before = len(lifted), len(exact_evaluations)
+            zeros = sweep(*args)
+            counts.append((len(lifted) - before[0],
+                           len(exact_evaluations) - before[1], len(zeros)))
+            return zeros
+
+        monkeypatch.setattr(ex, "_swept_window", counting)
+        _, rep = ex.uniform_dml_reduce(
+            hull, ex.Hypersurface(ex.poly_parse(P, 1, _CUBIC)), 1,
+            box_degree=1)
+        assert rep.verdict == ex.CONFIRMED
+        assert counts == [(81, 9, 3)]
 
     def test_one_fullness_scan(self, paper_hull, monkeypatch):
         # the zero-dimensional step reuses the reduction's fullness scan
@@ -1222,6 +1297,17 @@ _SWEEP_CASES = {
 }
 
 
+# name -> window points evaluated exactly, after both stages of the filter
+_SWEEP_EXACT = {
+    "p3-rank1-theta-den": 2,
+    "p2-rank1-t-den": 8,
+    "p2-rank2": 4,
+    "p3-rank2-coefficient-den": 3,
+    "p3-rank2-all-points-undefined": 3,
+    "p3-rank2-seed0": 3,
+}
+
+
 class TestSweptZeros:
     @pytest.mark.parametrize("name, zeros, survivors", [
         ("p3-rank1-theta-den", 2, 12),
@@ -1232,11 +1318,15 @@ class TestSweptZeros:
         ("p3-rank2-seed0", 3, 243),
     ])
     def test_matches_exact_sweep(self, name, zeros, survivors,
-                                 exact_evaluations):
+                                 exact_evaluations, monkeypatch):
+        """survivors: the window points that pass stage 1 of the filter and
+        reach stage 2; exactly those that pass stage 2 too are evaluated
+        exactly."""
         gamma, poly, deg = _SWEEP_CASES[name]()
+        lifted = _counting_lifted(monkeypatch)
         fast = ex._swept_window(gamma, poly, deg)
-        # exactly the survivors of the filter were evaluated exactly
-        assert len(exact_evaluations) == survivors
+        assert len(lifted) == survivors
+        assert len(exact_evaluations) == _SWEEP_EXACT[name]
         exact_evaluations.clear()
         reference = [x for x in _exact_span(gamma, deg)
                      if _naive_evaluate(poly, x).is_zero()]
@@ -1329,10 +1419,175 @@ class TestFpImage:
         assert ex._fp_images(KElem.one(P)) == [1] * P * P
 
 
+def _fp2_maps(p):
+    """The first p^2 maps of _Fp2.maps, with the field."""
+    field = ex._Fp2(p)
+    return field, list(itertools.islice(field.maps(True, True), p * p))
+
+
+def _huge_polys_at(p):
+    """Polynomials with exponents such as theta^(p^20)."""
+    huge = [BiPoly.monomial(p, p ** 20), BiPoly.monomial(p, 0, p ** 20),
+            BiPoly.monomial(p, p ** 20, 1)]
+    small = st.lists(_rpolys(p), min_size=1, max_size=3).map(
+        lambda rs: BiPoly.from_theta_coeffs(p, rs))
+    return st.builds(
+        lambda f, picks: KElem.from_bipoly(
+            sum((h for h, on in zip(huge, picks) if on), f)),
+        small, st.tuples(*[st.booleans()] * len(huge)))
+
+
+class TestFp2Image:
+    """_Fp2.image(x, a, b) is x under the ring map t -> a, theta -> b into
+    F_{p^2}, against pair arithmetic term by term."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_ring_map(self, p, data):
+        # huge exponents only with huge exponents: a sum of theta^(p^20)
+        # and a fraction would take a gcd of degree p^20
+        elems = data.draw(st.sampled_from([_kelems(p=p), _huge_polys_at(p)]))
+        x, y = data.draw(elems), data.draw(elems)
+        field, maps = _fp2_maps(p)
+        for a, b in maps:
+            ix, iy = field.image(x, a, b), field.image(y, a, b)
+            if ix is None or iy is None:
+                continue
+            assert field.image(x + y, a, b) == field.sum([(1, ix), (1, iy)])
+            assert field.image(x * y, a, b) == field.mul(ix, iy)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_undefined_exactly_where_the_denominator_vanishes(self, p, data):
+        x = data.draw(st.one_of(_kelems(p=p), _huge_polys_at(p)))
+        field, maps = _fp2_maps(p)
+        for a, b in maps:
+            image = field.image(x, a, b)
+            expected = _fp2_value(x, _pair(a, p), _pair(b, p))
+            assert (image is None) == (expected is None)
+            if image is not None:
+                assert _pair(image, p) == expected
+                # x^p goes to the Frobenius of the image, so a map and its
+                # conjugate test the same equation
+                assert field.image(x.frob(1), a, b) == field.frob(image)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_generators(self, p):
+        field, maps = _fp2_maps(p)
+        assert (field.c1, field.c0) == next(
+            (c1, c0) for c1, c0 in itertools.product(range(p), repeat=2)
+            if all((z * z + c1 * z + c0) % p for z in range(p)))
+        for a, b in maps:
+            assert field.image(KElem.t(p), a, b) == a
+            assert field.image(KElem.theta(p), a, b) == b
+            assert field.image(KElem.one(p), a, b) == 1
+
+    def test_huge_exponent_costs_one_reduced_power(self):
+        field = ex._Fp2(P)
+        calls = []
+        mul = field.mul
+        field.mul = lambda x, y: (calls.append(1), mul(x, y))[1]
+        x = KElem.theta(P) ** (3 ** 20)
+        for a, b in _fp2_maps(P)[1]:
+            calls.clear()
+            assert _pair(field.image(x, a, b), P) == _fp2_value(
+                x, _pair(a, P), _pair(b, P))
+            assert len(calls) <= 2 * (P * P).bit_length() + 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_maps_one_per_orbit_alternating(self, p):
+        field = ex._Fp2(p)
+        maps = list(field.maps(True, True))
+        orbits = {frozenset([(a, b), (field.frob(a), field.frob(b))])
+                  for a, b in maps}
+        # one map per orbit: p * (p^2 - p) / 2 moving theta, each with a
+        # in F_p, alternating with as many moving t, each with b in F_p
+        assert len(orbits) == len(maps) == p ** 3 - p ** 2
+        assert all(max(m) >= p and min(m) < p for m in maps)
+        assert [a < p for a, _ in maps] == [True, False] * (len(maps) // 2)
+        # on data free of t only theta moves: one map per orbit of b
+        only_theta = list(field.maps(False, True))
+        assert all(a == 0 and b >= p for a, b in only_theta)
+        assert len({frozenset([b, field.frob(b)])
+                    for _, b in only_theta}) == len(only_theta) == \
+            (p * p - p) // 2
+
+    def test_p251_sweep_stays_small(self, monkeypatch):
+        """At p = 251 the sweep of x - theta over F_p * theta reads theta
+        through p maps into F_{p^2}, not p^2 of them, so neither the map
+        list nor the images grow like p^4."""
+        p = 251
+        calls = []
+        image = ex._Fp2.image
+
+        def counting(self, x, a, b):
+            calls.append((a, b))
+            return image(self, x, a, b)
+
+        monkeypatch.setattr(ex._Fp2, "image", counting)
+        theta = KElem.theta(p)
+        start = time.perf_counter()
+        zeros = ex._swept_zeros((KElem.zero(p),), [(theta,)],
+                                ex.poly_parse(p, 1, "x - theta"))
+        assert time.perf_counter() - start < 2.0
+        assert zeros == [(theta,)]
+        assert len(set(calls)) == p
+        assert len(calls) <= 4 * p
+
+
+def _fp2_field(p):
+    """(mul, power) of F_{p^2} on pairs (u, v) = u + v*i, i a root of the
+    first monic irreducible i^2 + c1*i + c0 in (c1, c0) order, found here
+    by search; power is plain square-and-multiply on the whole exponent."""
+    c1, c0 = next((c1, c0) for c1, c0 in itertools.product(range(p), repeat=2)
+                  if all((z * z + c1 * z + c0) % p for z in range(p)))
+
+    def mul(x, y):
+        (u, v), (s, w) = x, y
+        return (u * s - c0 * v * w) % p, (u * w + v * s - c1 * v * w) % p
+
+    def power(x, e):
+        out = (1, 0)
+        while e:
+            if e & 1:
+                out = mul(out, x)
+            x, e = mul(x, x), e >> 1
+        return out
+
+    return mul, power
+
+
+def _pair(code, p):
+    """The pair (u, v) of the plain int u + v*p."""
+    return code % p, code // p
+
+
+def _fp2_value(x, a, b):
+    """x at t = a, theta = b in F_{p^2} (pairs) term by term, or None where
+    its denominator vanishes."""
+    p = x.p
+    mul, power = _fp2_field(p)
+
+    def at(f):
+        out = (0, 0)
+        for e, te, c in f.monomials():
+            z = mul(power(a, te), power(b, e))
+            out = ((out[0] + c * z[0]) % p, (out[1] + c * z[1]) % p)
+        return out
+
+    den = at(x.den)
+    return None if den == (0, 0) else mul(at(x.num), power(den, p * p - 2))
+
+
 def _all_maps_filter(poly, points):
     """_fp_filter's contract with every map t -> a, theta -> b defined on
     the coefficients and coordinates kept, none dropped for an equal
-    column, images taken term by term and nothing memoised."""
+    column, images taken term by term and nothing memoised; and stage 2
+    over every orbit representative that _Fp2.maps lists for the data,
+    the first p^2 (p when the data involve one of t and theta), in pair
+    arithmetic, each image recomputed for every combination."""
     p, g = poly.p, poly.g
     coords = list(poly.terms.values()) + [c for x in points for c in x]
     maps = [(a, b) for a, b in itertools.product(range(p), repeat=2)
@@ -1347,7 +1602,34 @@ def _all_maps_filter(poly, points):
             for exps, c in poly.terms.items()) % p
             for u, (a, b) in enumerate(maps))
 
-    return rows, vanish
+    monomials = [m for c in coords for f in (c.num, c.den)
+                 for m in f.monomials()]
+    moves_t = any(te for _, te, _ in monomials)
+    moves_theta = any(e for e, _, _ in monomials)
+    lifts = itertools.islice(ex._Fp2(p).maps(moves_t, moves_theta),
+                             p ** (moves_t + moves_theta))
+    lifts = [(_pair(a, p), _pair(b, p)) for a, b in lifts]
+    mul, power = _fp2_field(p)
+
+    def lifted(combination):
+        for a, b in lifts:
+            coefs = [_fp2_value(c, a, b) for c in poly.terms.values()]
+            parts = [(d, [_fp2_value(c, a, b) for c in points[i]])
+                     for i, d in combination if d % p]
+            if None in coefs or any(None in z for _, z in parts):
+                continue
+            y = [tuple(sum(d * z[j][k] for d, z in parts) % p for k in (0, 1))
+                 for j in range(g)]
+            value = (0, 0)
+            for exps, c in zip(poly.terms, coefs):
+                for s, e in zip(y, exps):
+                    c = mul(c, power(s, e))
+                value = ((value[0] + c[0]) % p, (value[1] + c[1]) % p)
+            if value != (0, 0):
+                return False
+        return True
+
+    return rows, vanish, lifted
 
 
 def _random_span_case(seed):
@@ -1401,19 +1683,37 @@ class TestFpFilter:
     def test_maps_of_equal_columns_are_dropped(self):
         # theta-only data: the 9 maps collapse to one per theta = b
         poly = ex.poly_parse(P, 1, "x - theta")
-        rows, _ = ex._fp_filter(poly, ex.theta_box(P, 1, 2))
+        rows, _, _ = ex._fp_filter(poly, ex.theta_box(P, 1, 2))
         assert {len(row) for row in rows} == {P}
         # the cubic's images see b only through b^2, so the point t keeps
         # the maps (a, 0) and (a, 1), a in F_3
-        rows, _ = ex._fp_filter(ex.poly_parse(P, 1, _CUBIC), [(KElem.t(P),)])
+        rows, _, _ = ex._fp_filter(ex.poly_parse(P, 1, _CUBIC),
+                                   [(KElem.t(P),)])
         assert rows == [(0, 1, 2, 0, 1, 2)]
 
     def test_no_usable_map_passes_everything(self):
+        # 1/(theta^3 - theta) is undefined at every theta = b in F_3, but
+        # defined at every b off F_3, so stage 2 still reads it
         poly = ex.poly_parse(P, 1, "x - 1")
-        rows, vanish = ex._fp_filter(
+        rows, vanish, lifted = ex._fp_filter(
             poly, [(kelem_parse(P, "1/(theta^3-theta)"),), (KElem.one(P),)])
         assert rows == [(), ()]
         assert vanish(())
+        assert not lifted([(0, 1)])
+        assert lifted([(1, 1)])
+
+    def test_map_undefined_on_a_point_is_skipped_only_there(self):
+        # every map theta -> b, b off F_3, is undefined on 1/(theta^9 -
+        # theta), so the combinations touching it pass stage 2; the others
+        # are still ruled out
+        poly = ex.poly_parse(P, 1, "x - theta")
+        points = [(KElem.one(P),), (kelem_parse(P, "1/(theta^9-theta)"),),
+                  (KElem.theta(P),)]
+        _, _, lifted = ex._fp_filter(poly, points)
+        assert not lifted([(0, 1)])
+        assert lifted([(0, 1), (1, 1)])
+        assert lifted([(2, 1)])
+        assert not lifted([(0, 1), (2, 1)])
 
 
 class TestNegativePrecision:
@@ -1450,6 +1750,38 @@ class TestNegativePrecision:
         with pytest.raises(ValueError, match="negative (precision|cutoff)"):
             ex.generic_char_experiment(gamma, ex.ZeroDim(1, [(theta,)]),
                                        **bounds)
+
+    @pytest.mark.parametrize("pipeline, bound", [
+        (pipeline, bound)
+        for pipeline, bounds in [
+            ("generic", ("precision", "cutoff", "deg_bound", "enum_deg")),
+            ("zero-dim", ("precision", "deg_bound")),
+            ("reduction", ("precision", "deg_bound", "enum_deg"))]
+        for bound in bounds])
+    def test_refused_at_entry(self, pipeline, bound, monkeypatch):
+        """Each pipeline refuses a negative bound before any fullness
+        scan, minimisation or discreteness certificate runs."""
+        calls = []
+        for name in ("is_full", "_minimize_generators",
+                     "discreteness_certificate"):
+            monkeypatch.setattr(ex, name, lambda *args, name=name, **kw:
+                                calls.append(name))
+        theta = KElem.theta(P)
+        generic = PhiModule(DrinfeldModule.parse(P, "[t, 1]"), 1, [(theta,)])
+        special = PhiModule(DrinfeldModule.parse(P, "[0, theta, 1]"), 1,
+                            [(theta,)])
+        curve = ex.Hypersurface(ex.poly_parse(P, 1, _CUBIC))
+        run = {
+            "generic": lambda **kw: ex.generic_char_experiment(
+                generic, curve, **kw),
+            "zero-dim": lambda **kw: ex.zero_dim_intersection(
+                special, ex.ZeroDim(1, [(theta,)]), **kw),
+            "reduction": lambda **kw: ex.uniform_dml_reduce(
+                special, curve, 1, **kw),
+        }[pipeline]
+        with pytest.raises(ValueError, match="negative "):
+            run(**{bound: -1})
+        assert calls == []
 
 
 class TestNegativeDegBound:
