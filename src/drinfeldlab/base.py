@@ -575,31 +575,6 @@ class RMatrix:
             out.append(row)
         return RMatrix(self.p, out)
 
-    def det(self) -> RPoly:
-        n, m = self.shape
-        if n != m:
-            raise ValueError("determinant of a non-square matrix")
-        if n == 0:
-            return RPoly.one(self.p)
-        if n == 1:
-            return self.rows[0][0]
-        acc = RPoly.zero(self.p)
-        for j in range(n):
-            entry = self.rows[0][j]
-            if entry.is_zero():
-                continue
-            minor = RMatrix(self.p, [
-                [self.rows[i][jj] for jj in range(n) if jj != j]
-                for i in range(1, n)
-            ])
-            term = entry * minor.det()
-            acc = acc + (term if j % 2 == 0 else -term)
-        return acc
-
-    def is_unimodular(self) -> bool:
-        d = self.det()
-        return d.is_constant() and not d.is_zero()
-
     def __str__(self):
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.rows) + "]"
 

@@ -54,17 +54,6 @@ class BiPoly:
         f = RPoly.monomial(p, t_exp, coef)
         return cls(p, {theta_exp: f} if not f.is_zero() else {})
 
-    @classmethod
-    def from_theta_coeffs(cls, p: int, coeffs) -> "BiPoly":
-        """Build from an ascending list of RPoly theta-coefficients."""
-        d = {}
-        for e, f in enumerate(coeffs):
-            if isinstance(f, int):
-                f = RPoly.const(p, f)
-            if not f.is_zero():
-                d[e] = f
-        return cls(p, d)
-
     # -- structure -----------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -9,8 +9,9 @@ digits c_e in F_p(t); sums, products and Frobenius powers are all
 digit-wise.  Every other place, infinity included, is refused with
 ValueError.
 
-embed reads the u-digits of a K-element's numerator and denominator off
-places.TruncRing and divides them as power series.
+embed takes the u-digits of a K-element's numerator and denominator from
+the Taylor shift theta = u - g (places.unit_digits) and divides them as
+power series; the truncated rings of places only compute valuations.
 
 Whether y lies in Phi_a(O_v) at a good place is decided by the residue
 field alone (hensel_solve): every residue root lifts, so no lift is built.
@@ -149,10 +150,11 @@ def local_to_str(z: LocalElem) -> str:
 def embed(x: KElem, v: Place, n: int) -> LocalElem:
     """u-adic expansion of x to precision n (exponents < n are exact).
 
-    The u-digits of num / u^kn and den / u^kd come from places.unit_digits;
-    their power-series quotient is the expansion of x / u^(kn - kd).  embed
-    itself memoises nothing; tp_eval_local memoises the coefficients it
-    embeds.
+    The u-digits of num / u^kn and den / u^kd come from places.unit_digits,
+    by the Taylor shift theta = u - g, with no truncated ring; the ring
+    only computes the multiplicities kn and kd.  Their power-series
+    quotient is the expansion of x / u^(kn - kd).  embed itself memoises
+    nothing; tp_eval_local memoises the coefficients it embeds.
     """
     require_degree_one(v)
     if x.p != v.p:

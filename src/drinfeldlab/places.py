@@ -13,20 +13,25 @@ infinity included, with ValueError.  This module only reduces: lifted
 back by KElem.from_felem, residues are K-elements, acted on by
 drinfeld.reduction(phi, v) and coordinatised like any other point.
 
-TruncRing, the truncated ring F[theta]/(pi^n), is the valuation engine: a
-sparse element is reduced term by term with memoised theta-power residues,
-so p-th-power-dilated inputs with astronomically large exponents cost only
-log(exponent) work, where exact division by pi would be dense.  The ring
-size is grown adaptively and capped by _RING_CAP; anything needing more is
-out of desk scale and raises.  At theta-degree 1 the same ring reads off
-the pi-digits that residues and embeddings are made of.
+TruncRing, the truncated ring F[theta]/(pi^n), is the valuation engine and
+computes nothing else: a sparse element is reduced term by term with
+memoised theta-power residues, so p-th-power-dilated inputs with
+astronomically large exponents cost only log(exponent) work, where exact
+division by pi would be dense.  The ring size is grown adaptively and
+capped by _RING_CAP; anything needing more is out of desk scale and raises.
+
+The pi-digits that residues and embeddings are made of come from the
+Taylor shift theta = u - c at pi = theta + c (unit_digits), with no ring:
+digit k of sum_e a_e theta^e is sum_e a_e C(e, k) (-c)^(e-k), and Lucas's
+theorem drops every term whose binomial vanishes mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
-from .base import FElem, check_modulus, memo_put
+from .base import FElem, RPoly, check_modulus, memo_put
 from .factor import bipoly_is_irreducible, factor_bipoly, rpoly_code
 from .grammar import Parser
 from .kfield import (BiPoly, KElem, _bipoly_to_str, bipoly_pth_root, kelem_ring,
@@ -94,21 +99,6 @@ class Place:
     @property
     def theta_degree(self) -> int:
         return 1 if self.prim is None else self.prim.theta_degree
-
-    def uniformizer(self) -> KElem:
-        if self.prim is None:
-            return KElem.theta(self.p).inverse()
-        return KElem.from_bipoly(self.prim)
-
-    def monic_pi(self) -> KElem:
-        """pi as the monic polynomial over F (finite places only)."""
-        if self.prim is None:
-            raise ValueError("the infinite place has no pi")
-        acc = KElem.theta(self.p) ** self.theta_degree
-        th = KElem.theta(self.p)
-        for i, c in enumerate(self.monic_coeffs):
-            acc = acc + KElem.from_felem(c) * th ** i
-        return acc
 
     def sort_key(self):
         if self.prim is None:
@@ -232,8 +222,8 @@ class TruncRing:
     """F[theta]/(pi^n) with memoised theta-power residues.
 
     Elements are ascending FElem lists of length < n * deg(pi).  Reduction of
-    a sparse bivariate polynomial costs O(log max_exponent) ring squarings
-    per distinct theta-exponent.
+    a sparse bivariate polynomial costs O(log max_exponent) ring steps per
+    distinct theta-exponent.
     """
 
     def __init__(self, place: Place, n: int):
@@ -254,16 +244,36 @@ class TruncRing:
         self.mod = mod
         self._theta_pows = {0: [FElem.one(place.p)],
                             1: _fpoly_rem_monic([FElem.zero(place.p), FElem.one(place.p)], mod)}
+        # from here on theta^e is (theta^(e // p))^p theta^(e % p)
+        self._frob_floor = place.p * n * d
 
     def theta_power(self, e: int):
+        """theta^e in the ring, built up along the chain of e's prefixes.
+
+        Below p * n * deg(pi) a step is a binary squaring.  Above it a step
+        reads one base-p digit r of e: in characteristic p,
+        (sum a_j theta^j)^p = sum a_j^p theta^(jp), so theta^(pq + r) is a
+        termwise Frobenius, a shift by r and one reduction, and a sparse
+        p-power exponent never passes through dense squarings.
+        """
         memo = self._theta_pows
-        if e in memo:
-            return memo[e]
-        half = self.theta_power(e // 2)
-        val = _fpoly_rem_monic(_fpoly_mul(half, half), self.mod)
-        if e & 1:
-            val = _fpoly_rem_monic(_fpoly_mul(val, memo[1]), self.mod)
-        memo[e] = val
+        p, floor = self.p, self._frob_floor
+        chain = []
+        while e not in memo:
+            chain.append(e)
+            e = e // p if e >= floor else e // 2
+        val = memo[e]
+        for e in reversed(chain):
+            if e >= floor:
+                spread = [FElem.zero(p)] * ((len(val) - 1) * p + e % p + 1)
+                for j, a in enumerate(val):
+                    spread[j * p + e % p] = a.frob(1)
+                val = _fpoly_rem_monic(spread, self.mod)
+            else:
+                val = _fpoly_rem_monic(_fpoly_mul(val, val), self.mod)
+                if e & 1:
+                    val = _fpoly_rem_monic(_fpoly_mul(val, memo[1]), self.mod)
+            memo[e] = val
         return val
 
     def reduce_bipoly(self, f: BiPoly):
@@ -291,17 +301,6 @@ class TruncRing:
             if not q:
                 return None, None
             cur = q
-
-    def digits(self, a, count: int):
-        """The first `count` pi-digits of a ring element, in F_p(t): the
-        ring must sit at a place of theta-degree 1, where each remainder
-        modulo pi is a constant."""
-        out = []
-        cur = list(a)
-        for _ in range(count):
-            cur, r = _fpoly_divmod_monic(cur, self.pi)
-            out.append(r[0] if r else FElem.zero(self.p))
-        return out
 
 
 _ring_cache = {}
@@ -353,13 +352,64 @@ def valuation(x: KElem, v: Place) -> int:
     return _bipoly_multiplicity(x.num, v) - _bipoly_multiplicity(x.den, v)
 
 
+def _binomial_mod_p(e: int, k: int, p: int) -> int:
+    """C(e, k) mod p by Lucas's theorem: the product of the binomials of
+    the base-p digits of e and k."""
+    out = 1
+    while k:
+        e, ed = divmod(e, p)
+        k, kd = divmod(k, p)
+        if kd > ed:
+            return 0
+        out = out * comb(ed, kd) % p
+    return out
+
+
+def _taylor_digits(f: BiPoly, c: FElem, start: int, count: int):
+    """Digits start, ..., start + count - 1 of f at pi = theta + c: the
+    coefficients of u^k in f(u - c), sum_e a_e C(e, k) (-c)^(e-k).
+
+    A term whose binomial vanishes mod p is skipped.  Digit k is summed
+    over the common denominator den(c)^m, m the largest e - k it keeps,
+    and reduced once.
+    """
+    p, neg_num, den = f.p, -c.num, c.den
+    num_pows, den_pows = {}, {}
+
+    def power(memo, base, j):
+        if j not in memo:
+            memo[j] = base ** j
+        return memo[j]
+
+    out = []
+    for k in range(start, start + count):
+        terms = [(e - k, b) for e in f.c
+                 if e >= k and (b := _binomial_mod_p(e, k, p))]
+        if not terms:
+            out.append(FElem.zero(p))
+            continue
+        m = max(j for j, _b in terms)
+        acc = RPoly.zero(p)
+        for j, b in terms:
+            acc = acc + (f.c[j + k] * power(num_pows, neg_num, j)
+                         * power(den_pows, den, m - j)).scale(b)
+        out.append(FElem.from_rpoly(acc) if den.is_one()
+                   else FElem(acc, power(den_pows, den, m)))
+    return out
+
+
 def unit_digits(x: KElem, v: Place, kn: int, kd: int, count: int):
     """The first `count` pi-digits of num / pi^kn and of den / pi^kd, for
-    x = num / den at a theta-degree-one place v, where pi has multiplicity
-    kn in num and kd in den.  Both digit lists start with a unit."""
-    ring = get_trunc_ring(v, count + max(kn, kd))
-    return tuple(ring.digits(ring.strip_pi(ring.reduce_bipoly(f))[1], count)
-                 for f in (x.num, x.den))
+    x = num / den at a theta-degree-one place v = theta + c, where pi has
+    multiplicity kn in num and kd in den.  Both digit lists start with a
+    unit.  The digits come from the Taylor shift (_taylor_digits), with no
+    truncated ring; a request past the ring cap, count + max(kn, kd) >
+    _RING_CAP, is refused with ValueError all the same."""
+    if count + max(kn, kd) > _RING_CAP:
+        raise ValueError("truncated ring beyond desk scale")
+    c = v.monic_coeffs[0]
+    return (_taylor_digits(x.num, c, kn, count),
+            _taylor_digits(x.den, c, kd, count))
 
 
 def residue_reduce(x: KElem, v: Place) -> FElem:

@@ -1,0 +1,83 @@
+"""Builders of test data and reference oracles that the package itself
+never needs."""
+
+from drinfeldlab.base import FElem, RMatrix, RPoly
+from drinfeldlab.kfield import BiPoly, KElem
+from drinfeldlab.places import (Place, TruncRing, _fpoly_divmod_monic,
+                                _fpoly_mul, _fpoly_rem_monic)
+
+
+def bipoly_from_theta_coeffs(p: int, coeffs) -> BiPoly:
+    """The bivariate polynomial with the ascending theta-coefficients
+    coeffs, each an RPoly or an int."""
+    d = {}
+    for e, f in enumerate(coeffs):
+        if isinstance(f, int):
+            f = RPoly.const(p, f)
+        if not f.is_zero():
+            d[e] = f
+    return BiPoly(p, d)
+
+
+def determinant(m: RMatrix) -> RPoly:
+    """Cofactor expansion along the first row."""
+    n, cols = m.shape
+    if n != cols:
+        raise ValueError("determinant of a non-square matrix")
+    if n == 0:
+        return RPoly.one(m.p)
+    acc = RPoly.zero(m.p)
+    for j, entry in enumerate(m.rows[0]):
+        if not entry.is_zero():
+            minor = RMatrix(m.p, [row[:j] + row[j + 1:] for row in m.rows[1:]])
+            term = entry * determinant(minor)
+            acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+def is_unimodular(m: RMatrix) -> bool:
+    d = determinant(m)
+    return d.is_constant() and not d.is_zero()
+
+
+def uniformizer(v: Place) -> KElem:
+    """The place's polynomial as a K-element, or 1/theta at infinity."""
+    if v.is_infinite:
+        return KElem.theta(v.p).inverse()
+    return KElem.from_bipoly(v.prim)
+
+
+def monic_pi(v: Place) -> KElem:
+    """pi as the monic polynomial over F (finite places only)."""
+    if v.is_infinite:
+        raise ValueError("the infinite place has no pi")
+    theta = KElem.theta(v.p)
+    acc = theta ** v.theta_degree
+    for i, c in enumerate(v.monic_coeffs):
+        acc = acc + KElem.from_felem(c) * theta ** i
+    return acc
+
+
+def digits_by_division(f: BiPoly, v: Place, start: int, count: int):
+    """pi-digits start, ..., start + count - 1 of f at a theta-degree-one
+    place, by exact division by pi once per digit: each remainder modulo
+    pi is a constant."""
+    p = f.p
+    a = [FElem.from_rpoly(f.theta_coeff(e)) for e in range(f.theta_degree + 1)]
+    pi = list(v.monic_coeffs) + [FElem.one(p)]
+    out = []
+    for _ in range(start + count):
+        a, r = _fpoly_divmod_monic(a, pi)
+        out.append(r[0] if r else FElem.zero(p))
+    return out[start:]
+
+
+def theta_power_by_squaring(ring: TruncRing, e: int):
+    """theta^e in the ring by binary squaring alone."""
+    acc, base = [FElem.one(ring.p)], ring.theta_power(1)
+    while e:
+        if e & 1:
+            acc = _fpoly_rem_monic(_fpoly_mul(acc, base), ring.mod)
+        base = _fpoly_rem_monic(_fpoly_mul(base, base), ring.mod)
+        e >>= 1
+    return acc

@@ -19,8 +19,10 @@ from drinfeldlab.base import (
     rpoly_to_str,
     smith_normal_form,
 )
-from drinfeldlab.kfield import BiPoly, KElem
+from drinfeldlab.kfield import KElem
 from drinfeldlab.places import place_parse, residue_reduce
+
+from helpers import bipoly_from_theta_coeffs, is_unimodular
 
 
 def rnd_rpoly(rng, p, max_deg, nonzero=False):
@@ -226,7 +228,7 @@ class TestSmith:
         s = smith_normal_form(a)
         assert s.invariant_factors == (one, t * t)
         assert s.u @ a @ s.v == s.d
-        assert s.u.is_unimodular() and s.v.is_unimodular()
+        assert is_unimodular(s.u) and is_unimodular(s.v)
         assert s.v @ s.vinv == RMatrix.identity(p, 2)
 
     def test_random_contract(self):
@@ -239,7 +241,7 @@ class TestSmith:
                                 for _ in range(n)])
                 s = smith_normal_form(a)
                 assert s.u @ a @ s.v == s.d
-                assert s.u.is_unimodular() and s.v.is_unimodular()
+                assert is_unimodular(s.u) and is_unimodular(s.v)
                 assert s.v @ s.vinv == RMatrix.identity(p, m)
                 rows = s.d.rows
                 for i in range(n):
@@ -585,7 +587,7 @@ class TestFpLinear:
 
 
 def _rnd_bipoly(rng, p):
-    return BiPoly.from_theta_coeffs(p, [rnd_rpoly(rng, p, 1) for _ in range(2)])
+    return bipoly_from_theta_coeffs(p, [rnd_rpoly(rng, p, 1) for _ in range(2)])
 
 
 def _rnd_residue(rng, p):

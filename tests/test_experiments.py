@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeldlab import adelic, drinfeld
+from drinfeldlab import adelic, drinfeld, localfield, places
 from drinfeldlab import experiments as ex
 from drinfeldlab import phimodule as pm
 from drinfeldlab.base import RPoly, fp_span
@@ -23,6 +23,8 @@ from drinfeldlab.kfield import BiPoly, KElem, kelem_parse
 from drinfeldlab.phimodule import (PhiModule, divisible_hull, is_full, member,
                                    member_many, point_add, point_to_str)
 from drinfeldlab.twisted import tp_compose, tp_eval, tp_parse
+
+from helpers import bipoly_from_theta_coeffs
 
 P = 3
 
@@ -214,7 +216,7 @@ def _rpolys(p=P):
 
 def _kelems(nonzero=False, p=P):
     bipolys = st.lists(_rpolys(p), min_size=1, max_size=3).map(
-        lambda rs: BiPoly.from_theta_coeffs(p, rs))
+        lambda rs: bipoly_from_theta_coeffs(p, rs))
     nums = bipolys.filter(lambda f: not f.is_zero()) if nonzero else bipolys
     dens = st.one_of(st.just(BiPoly.one(p)),
                      bipolys.filter(lambda f: not f.is_zero()))
@@ -1022,6 +1024,32 @@ class TestClosureTorsionMismatch:
         if p == 5:
             assert mismatch
 
+    def test_p7_digits_build_no_deep_ring(self, monkeypatch):
+        # the digits of the witness-place embeddings come from the Taylor
+        # shift; only the valuations build rings, from n = 4 up
+        built = []
+
+        class CountingRing(places.TruncRing):
+            def __init__(self, place, n):
+                built.append(n)
+                super().__init__(place, n)
+
+        monkeypatch.setattr(places, "TruncRing", CountingRing)
+        monkeypatch.setattr(places, "_ring_cache", {})
+        monkeypatch.setattr(adelic, "_EMBED_CACHE", {})
+        monkeypatch.setattr(localfield, "_COEFF_CACHE", {})
+        p = 7
+        phi = DrinfeldModule.parse(p, "[0, theta^2, 1]")
+        theta = KElem.theta(p)
+        gamma = divisible_hull(PhiModule(phi, 1, [(theta,)]), prime_bound=1)
+        rep = ex.zero_dim_intersection(
+            gamma, ex.ZeroDim(1, [(theta,), (theta + KElem.one(p),)]))
+        assert built and max(built) <= 4
+        assert rep.verdict == ex.INCONCLUSIVE
+        assert set(rep.notes) == {
+            "closure-torsion-mismatch-at-3-places",
+            "mixed-assignment-rejected-nontorsion:(theta)-(theta+1)"}
+
 
 @dataclass(frozen=True)
 class _NoHeadroom(HeightProfile):
@@ -1360,7 +1388,7 @@ _HUGE = [BiPoly.monomial(P, 3 ** 40), BiPoly.monomial(P, 0, 3 ** 30),
 def _huge_polys():
     """Polynomials in K with stretched exponents such as theta^(3^40)."""
     small = st.lists(_rpolys(), min_size=1, max_size=3).map(
-        lambda rs: BiPoly.from_theta_coeffs(P, rs))
+        lambda rs: bipoly_from_theta_coeffs(P, rs))
     return st.builds(
         lambda f, picks, k: KElem.from_bipoly(
             sum((h for h, on in zip(_HUGE, picks) if on), f.stretch(3 ** k))),
@@ -1430,7 +1458,7 @@ def _huge_polys_at(p):
     huge = [BiPoly.monomial(p, p ** 20), BiPoly.monomial(p, 0, p ** 20),
             BiPoly.monomial(p, p ** 20, 1)]
     small = st.lists(_rpolys(p), min_size=1, max_size=3).map(
-        lambda rs: BiPoly.from_theta_coeffs(p, rs))
+        lambda rs: bipoly_from_theta_coeffs(p, rs))
     return st.builds(
         lambda f, picks: KElem.from_bipoly(
             sum((h for h, on in zip(huge, picks) if on), f)),

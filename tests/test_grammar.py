@@ -13,6 +13,8 @@ from drinfeldlab.phimodule import module_parse, point_parse
 from drinfeldlab.places import place_parse
 from drinfeldlab.twisted import tp_parse
 
+from helpers import bipoly_from_theta_coeffs
+
 ENTRY_POINTS = {
     "rpoly": lambda p, s: rpoly_parse(p, s),
     "felem": lambda p, s: felem_parse(p, s),
@@ -81,7 +83,7 @@ def _kelems(p):
     rpolys = st.lists(st.integers(0, p - 1), min_size=1, max_size=3).map(
         lambda cs: RPoly.from_coeffs(p, cs))
     bipolys = st.lists(rpolys, min_size=1, max_size=3).map(
-        lambda rs: BiPoly.from_theta_coeffs(p, rs))
+        lambda rs: bipoly_from_theta_coeffs(p, rs))
     nonzero = bipolys.filter(lambda f: not f.is_zero())
     return st.builds(KElem, nonzero, st.one_of(st.just(BiPoly.one(p)), nonzero))
 
@@ -201,7 +203,7 @@ class TestHostileText:
     def test_budget_bounds_the_terms(self, p):
         rng = random.Random(300 + p)
         for _ in range(20):
-            f = BiPoly.from_theta_coeffs(p, [
+            f = bipoly_from_theta_coeffs(p, [
                 RPoly.from_coeffs(p, [rng.randrange(p) for _ in range(3)])
                 for _ in range(3)])
             n = rng.randrange(60)

@@ -1,7 +1,7 @@
 """No module of the package or of its tests imports a name it never uses,
-no private top-level def or class of the package goes unreferenced, every
-public one that the package never names is a declared entry point, and
-every method that the package never names is a declared test oracle.
+no private top-level def or class of the package goes unreferenced, and
+every public one and every method that the package never names is a
+declared entry point.
 
 A name counts as used when it appears anywhere in the module as a bare
 name: a call, an annotation, a base class, a decorator or the head of an
@@ -186,9 +186,12 @@ def test_bench_target_resolves(dotted):
 
 
 def test_every_public_def_is_referenced_or_an_entry_point():
+    """Top-level defs and methods alike: a def that only the tests call
+    belongs in tests/helpers.py."""
     sources = {path.name: path.read_text() for path in PACKAGE}
-    assert set(unreferenced_public_defs(sources)) <= \
-        set(ENTRY_POINTS) | bench_entry_points()
+    unreferenced = set(unreferenced_public_defs(sources)) | \
+        set(unreferenced_methods(sources))
+    assert unreferenced <= set(ENTRY_POINTS) | bench_entry_points()
 
 
 def test_entry_points_exist():
@@ -196,7 +199,6 @@ def test_entry_points_exist():
                for stmt in ast.parse(path.read_text()).body
                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
     assert set(ENTRY_POINTS) <= defined
-
 
 
 def unreferenced_methods(sources):
@@ -232,30 +234,6 @@ def test_method_detector():
                     "        pass\n"
                     "def f(a):\n    return a.prop\n"}
     assert unreferenced_methods(sources) == [("a", "A.dead"), ("b", "B.gone")]
-
-
-# The methods that nothing in the package calls because the tests use them,
-# as oracles or as builders of test data.
-TEST_ORACLES = (
-    ("base.py", "RMatrix.is_unimodular"),
-    ("kfield.py", "BiPoly.from_theta_coeffs"),
-    ("places.py", "Place.monic_pi"),
-    ("places.py", "Place.uniformizer"),
-)
-
-
-def test_every_method_is_referenced_or_a_test_oracle():
-    sources = {path.name: path.read_text() for path in PACKAGE}
-    assert set(unreferenced_methods(sources)) <= \
-        set(TEST_ORACLES) | bench_entry_points()
-
-
-def test_oracles_exist():
-    defined = {(path.name, f"{stmt.name}.{item.name}") for path in PACKAGE
-               for stmt in ast.parse(path.read_text()).body
-               if isinstance(stmt, ast.ClassDef)
-               for item in stmt.body if isinstance(item, ast.FunctionDef)}
-    assert set(TEST_ORACLES) <= defined
 
 
 # Text is for output.  A K-point, a K-element or a residue is its own key,

@@ -19,9 +19,11 @@ import random
 import pytest
 
 from drinfeldlab.base import RPoly, rpoly_to_str
-from drinfeldlab.kfield import BiPoly, KElem, _bipoly_to_str, kelem_parse
+from drinfeldlab.kfield import KElem, _bipoly_to_str, kelem_parse
 from drinfeldlab.localfield import embed
 from drinfeldlab.places import Place, residue_reduce, valuation
+
+from helpers import bipoly_from_theta_coeffs, uniformizer
 
 pytestmark = pytest.mark.golden
 
@@ -36,7 +38,7 @@ PRECISIONS = range(1, 7)
 
 
 def _rnd_bipoly(rng, p, theta_deg, t_deg):
-    return BiPoly.from_theta_coeffs(p, [
+    return bipoly_from_theta_coeffs(p, [
         RPoly.from_coeffs(p, [rng.randrange(p) for _ in range(t_deg + 1)])
         for _ in range(theta_deg + 1)])
 
@@ -58,7 +60,7 @@ def _elements(p, place_text):
     out += [_rnd_fraction(rng, p).frob(2), _rnd_fraction(rng, p).frob(3),
             theta.frob(4) + t, t * theta.frob(3) + theta + KElem.one(p)]
     local = random.Random(f"local-layer/{p}/{place_text}")
-    pi = Place.parse(p, place_text).uniformizer()
+    pi = uniformizer(Place.parse(p, place_text))
     out += [_rnd_fraction(local, p) * pi ** local.randint(1, 2),
             _rnd_fraction(local, p) / pi ** local.randint(1, 2),
             (pi * _rnd_fraction(local, p)).frob(4)]

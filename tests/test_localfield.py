@@ -9,7 +9,7 @@ from drinfeldlab import drinfeld, localfield
 from drinfeldlab.adelic import _locally_divisible
 from drinfeldlab.base import Echelon, FElem, RPoly, rpoly_parse
 from drinfeldlab.drinfeld import DrinfeldModule, phi_action
-from drinfeldlab.kfield import BiPoly, KElem, kelem_parse
+from drinfeldlab.kfield import KElem, kelem_parse
 from drinfeldlab.localfield import (
     LocalElem,
     NoResidueRoot,
@@ -22,6 +22,7 @@ from drinfeldlab.localfield import (
 from drinfeldlab.places import Place, residue_reduce, valuation
 from drinfeldlab.twisted import tp_eval, tp_parse
 
+from helpers import bipoly_from_theta_coeffs, monic_pi, uniformizer
 from test_drinfeld import MOORE
 from test_places import fv_tp_eval
 
@@ -125,7 +126,7 @@ def _embed_peeling(x, v, n):
     u, once per digit."""
     if x.is_zero():
         return LocalElem.zero_to(v, n)
-    u = v.monic_pi()
+    u = monic_pi(v)
     val = valuation(x, v)
     z = x * u ** -val
     terms = {}
@@ -137,14 +138,14 @@ def _embed_peeling(x, v, n):
 
 
 def _rnd_bipoly(rng, theta_deg=2, t_deg=2):
-    return BiPoly.from_theta_coeffs(P, [
+    return bipoly_from_theta_coeffs(P, [
         RPoly.from_coeffs(P, [rng.randrange(P) for _ in range(t_deg + 1)])
         for _ in range(theta_deg + 1)])
 
 
 def _unit_at(x, v):
     """x times the power of the uniformizer that makes it a unit at v."""
-    u = v.uniformizer()
+    u = uniformizer(v)
     m = valuation(x, v)
     return x * (u.inverse() ** m if m >= 0 else u ** -m)
 
@@ -163,7 +164,7 @@ def _denominator(rng, kind, v):
             break
     d = _unit_at(d, v)
     if kind == "pi-divisible":
-        d = d * v.uniformizer() ** rng.randint(1, 2)
+        d = d * uniformizer(v) ** rng.randint(1, 2)
     return d
 
 

@@ -5,15 +5,22 @@ import pytest
 from drinfeldlab.base import FElem, RPoly
 from drinfeldlab.kfield import KElem, kelem_parse
 from drinfeldlab.phimodule import _family_vectors
+from drinfeldlab.localfield import embed
 from drinfeldlab.places import (
+    _RING_CAP,
     Place,
+    TruncRing,
+    _bipoly_multiplicity,
     classify_places,
     place_parse,
     place_to_str,
     residue_reduce,
+    unit_digits,
     valuation,
 )
 from drinfeldlab.twisted import TwistedPoly, tp_eval
+
+from helpers import digits_by_division, theta_power_by_squaring, uniformizer
 
 
 def k(p, text):
@@ -63,9 +70,9 @@ class TestPlace:
     def test_uniformizer(self):
         p = 3
         v = place_parse(p, "finite:theta+t")
-        assert valuation(v.uniformizer(), v) == 1
+        assert valuation(uniformizer(v), v) == 1
         vi = Place.infinite(p)
-        assert valuation(vi.uniformizer(), vi) == 1
+        assert valuation(uniformizer(vi), vi) == 1
 
 
 class TestValuation:
@@ -112,6 +119,82 @@ class TestValuation:
         v = place_parse(p, "finite:theta^2+t")
         x = k(p, "theta^2+t") ** 2 * k(p, "theta+1") / k(p, "theta+t")
         assert valuation(x, v) == 2
+
+    def test_sparse_power_at_a_non_monomial_place(self):
+        # theta^(3^9) is 7 Frobenius steps above theta^9 in the ring
+        p = 3
+        x = KElem.theta(p) ** (3 ** 9) + KElem.t(p)
+        assert valuation(x, place_parse(p, "finite:theta+t^2+1")) == 0
+        assert valuation(x - k(p, "t"), place_parse(p, "finite:theta")) == 3 ** 9
+
+
+class TestTruncRing:
+    @pytest.mark.parametrize("place_text, n", [("finite:theta+t^2+1", 4),
+                                               ("finite:theta^2+t*theta+t", 3)])
+    def test_theta_power_equals_binary_squaring(self, place_text, n):
+        # the Frobenius steps start at p * n * deg(pi): 12 and 18 here
+        p = 3
+        ring = TruncRing(place_parse(p, place_text), n)
+        for e in (0, 1, 2, 11, 12, 17, 18, 26, 27, 28, 3 ** 5, 3 ** 5 + 2,
+                  2 * 3 ** 5 + 3 ** 3 + 1, 3 ** 6 - 1):
+            assert ring.theta_power(e) == theta_power_by_squaring(ring, e), e
+
+
+# theta-degree-one places: c = 0, constant, polynomial, 1/t and t/(t+1)
+DIGIT_PLACES = ["finite:theta", "finite:theta+1", "finite:theta+t",
+                "finite:theta+t^2+1", "finite:t*theta+1",
+                "finite:(t+1)*theta+t"]
+
+
+class TestUnitDigits:
+    @staticmethod
+    def samples(p, place_text):
+        """Elements with theta-exponents p^j and p^j + small, up to 27 + 2,
+        multiplied by powers of pi in the numerator or the denominator;
+        counts 1 to 12."""
+        rng = random.Random(f"unit-digits/{p}/{place_text}")
+        top = 3 if p <= 3 else 2
+        v = place_parse(p, place_text)
+        pi, theta = uniformizer(v), KElem.theta(p)
+
+        def rnd_coeff():
+            return KElem.from_rpoly(
+                RPoly.from_coeffs(p, [rng.randrange(p) for _ in range(3)]))
+
+        for count in range(1, 13):
+            exps = [rng.randrange(3), p ** rng.randint(1, top),
+                    p ** rng.randint(1, top) + rng.randint(1, 2)]
+            num = sum((rnd_coeff() * theta ** e for e in exps), KElem.one(p))
+            den = rnd_coeff() + theta ** (p ** rng.randint(0, 2))
+            x = num * pi ** rng.randrange(3) / (den * pi ** rng.randrange(3))
+            yield v, x, count
+
+    @pytest.mark.parametrize("place_text", DIGIT_PLACES)
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_digits_equal_exact_division(self, p, place_text):
+        for v, x, count in self.samples(p, place_text):
+            kn = _bipoly_multiplicity(x.num, v)
+            kd = _bipoly_multiplicity(x.den, v)
+            num, den = unit_digits(x, v, kn, kd, count)
+            assert num == digits_by_division(x.num, v, kn, count), (x, count)
+            assert den == digits_by_division(x.den, v, kd, count), (x, count)
+            assert not num[0].is_zero() and not den[0].is_zero()
+
+    @pytest.mark.parametrize("place_text", ["finite:theta", "finite:theta+t"])
+    def test_refused_past_the_ring_cap(self, place_text):
+        # count + max(kn, kd) may reach _RING_CAP and no further
+        p = 3
+        v = place_parse(p, place_text)
+        pi = uniformizer(v)
+        for x, kn, kd in ((pi, 1, 0), (pi ** -2, 0, 2)):
+            count = _RING_CAP - max(kn, kd)
+            num, den = unit_digits(x, v, kn, kd, count)
+            assert len(num) == len(den) == count
+            with pytest.raises(ValueError, match="beyond desk scale"):
+                unit_digits(x, v, kn, kd, count + 1)
+        assert embed(pi, v, _RING_CAP).precision == _RING_CAP
+        with pytest.raises(ValueError, match="beyond desk scale"):
+            embed(pi, v, _RING_CAP + 1)
 
 
 class TestResidue:
