@@ -265,9 +265,10 @@ class TruncRing:
         val = memo[e]
         for e in reversed(chain):
             if e >= floor:
-                spread = [FElem.zero(p)] * ((len(val) - 1) * p + e % p + 1)
+                r = e % p
+                spread = [FElem.zero(p)] * ((len(val) - 1) * p + r + 1)
                 for j, a in enumerate(val):
-                    spread[j * p + e % p] = a.frob(1)
+                    spread[j * p + r] = a.frob(1)
                 val = _fpoly_rem_monic(spread, self.mod)
             else:
                 val = _fpoly_rem_monic(_fpoly_mul(val, val), self.mod)
