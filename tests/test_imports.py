@@ -1,7 +1,8 @@
 """No module of the package or of its tests imports a name it never uses,
-no private top-level def or class of the package goes unreferenced, and
-every public one and every method that the package never names is a
-declared entry point.
+no private top-level def or class of the package goes unreferenced, every
+public one that the package never names is a declared entry point, and
+no method goes unnamed by the package: a test oracle lives in
+tests/helpers.py.
 
 A name counts as used when it appears anywhere in the module as a bare
 name: a call, an annotation, a base class, a decorator or the head of an
@@ -186,12 +187,9 @@ def test_bench_target_resolves(dotted):
 
 
 def test_every_public_def_is_referenced_or_an_entry_point():
-    """Top-level defs and methods alike: a def that only the tests call
-    belongs in tests/helpers.py."""
     sources = {path.name: path.read_text() for path in PACKAGE}
-    unreferenced = set(unreferenced_public_defs(sources)) | \
-        set(unreferenced_methods(sources))
-    assert unreferenced <= set(ENTRY_POINTS) | bench_entry_points()
+    assert set(unreferenced_public_defs(sources)) <= \
+        set(ENTRY_POINTS) | bench_entry_points()
 
 
 def test_entry_points_exist():
@@ -234,6 +232,13 @@ def test_method_detector():
                     "        pass\n"
                     "def f(a):\n    return a.prop\n"}
     assert unreferenced_methods(sources) == [("a", "A.dead"), ("b", "B.gone")]
+
+
+def test_every_method_is_referenced_or_a_test_oracle():
+    """A method that only the tests call is a test oracle or a builder of
+    test data, and belongs in tests/helpers.py, not in the package."""
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    assert set(unreferenced_methods(sources)) <= bench_entry_points()
 
 
 # Text is for output.  A K-point, a K-element or a residue is its own key,
