@@ -59,7 +59,6 @@ from .phimodule import (
 )
 from .places import (
     Place,
-    classify_places,
     place_to_str,
     require_degree_one,
     residue_reduce,
@@ -90,11 +89,17 @@ def _point_valuation(x, v: Place):
     return best
 
 
-def _module_place_sets(gamma: PhiModule, extra_points=()):
-    coords = []
-    for x in tuple(gamma.gens) + tuple(extra_points):
-        coords.extend(x)
-    return classify_places(gamma.phi.phi_t.coeffs, coords)
+def _good_place(gamma: PhiModule, v: Place, extra_points=()) -> bool:
+    """Whether Phi has good reduction at v and the module and the extra
+    points are integral there: every nonzero coefficient of phi_t has
+    v >= 0, the first and the last v = 0, and every nonzero coordinate of a
+    generator or an extra point v >= 0."""
+    vals = [valuation(c, v) for c in gamma.phi.phi_t.coeffs if not c.is_zero()]
+    if min(vals) < 0 or vals[0] != 0 or vals[-1] != 0:
+        return False
+    return all(valuation(c, v) >= 0
+               for x in (*gamma.gens, *extra_points) for c in x
+               if not c.is_zero())
 
 
 def hilbertian_places(p: int):
@@ -115,11 +120,13 @@ def hilbertian_places(p: int):
 
 def standard_tracked_places(gamma: PhiModule, count: int = STANDARD_PLACE_COUNT,
                             extra_points=()):
-    """First `count` scan places that are good for the module and extras."""
-    sets = _module_place_sets(gamma, extra_points)
+    """The first `count` places of hilbertian_places that are good for the
+    module and the extra points (_good_place): every nonzero coefficient of
+    phi_t is integral there, the first and the last are units, and every
+    nonzero coordinate of a generator or an extra point is integral."""
     out = []
     for v in hilbertian_places(gamma.p):
-        if sets.good_for_module(v):
+        if _good_place(gamma, v, extra_points):
             out.append(v)
             if len(out) == count:
                 return tuple(out)
@@ -273,7 +280,7 @@ def discreteness_certificate(gamma: PhiModule, v: Place,
     if cutoff < 0:
         raise ValueError("negative cutoff")
     p = gamma.p
-    if not _module_place_sets(gamma).good_for_module(v):
+    if not _good_place(gamma, v):
         raise ValueError(f"place {place_to_str(v)} is excluded for this module")
     notes = []
     if gamma.rank == 0:
@@ -402,8 +409,8 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
     if len(y) != gamma.g:
         raise ValueError("point width disagrees with the module")
     # explicit places are checked before anything else; the default ones
-    # come from factoring y's coordinates, which an exact member need not
-    # survive, so they are built only when membership fails
+    # are good for y too (v(y_s) >= 0), and the exact membership check,
+    # cheaper than the place scan, runs before they are picked
     if tracked_places is not None:
         _require_integral_at(y, tracked_places)
     cert = member(gamma, y, deg_bound)
@@ -412,7 +419,6 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
                                  precision)
     if tracked_places is None:
         tracked_places = standard_tracked_places(gamma, extra_points=(y,))
-        _require_integral_at(y, tracked_places)
 
     # one sparse column {(level, key): c} per weight, the target's last;
     # the joint system tags each entry with its place

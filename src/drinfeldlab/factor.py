@@ -1,7 +1,8 @@
 """Exact factorisation engines.
 
-Univariate: monic polynomials in F_p[t] via squarefree decomposition (with
-the char-p p-th-root fallback), distinct-degree splitting, and deterministic
+Univariate: monic polynomials in F_p[t] via squarefree decomposition (one
+level per base-p digit of the multiplicities, each level's p-th power
+compressed for the next), distinct-degree splitting, and deterministic
 equal-degree splitting (splitting candidates are enumerated in a fixed order
 instead of sampled, so results are reproducible bit for bit).
 
@@ -64,29 +65,32 @@ def _pow_mod(base: RPoly, e: int, mod: RPoly) -> RPoly:
 
 
 def _squarefree_decomposition(f: RPoly):
-    """[(g_i, m_i)] with f = prod g_i^m_i, g_i squarefree monic, pairwise coprime."""
+    """[(g_i, m_i)] with monic f = prod g_i^m_i, g_i squarefree monic.
+
+    One level per base-p digit of the multiplicities, not one Euclid step
+    per multiplicity.  With f = prod q_i^m_i, c = gcd(f, f') and w = f / c
+    is the product of the q_i with p not dividing m_i, and f'/c - r w' =
+    sum (m_i - r) q_i' w / q_i over them, so z_r = gcd(w, f'/c - r w')
+    collects the q_i with m_i = r mod p.  What is left of f after dividing
+    out prod z_r^r is a p-th power, compressed for the next level.  The
+    g_i of one level are pairwise coprime; those of two levels need not be.
+    """
     p = f.p
     out = []
-    if f.degree < 1:
-        return out
-    d = f.derivative()
-    if d.is_zero():
-        inner = _squarefree_decomposition(f.compress(p))
-        return [(g, m * p) for g, m in inner]
-    c = f.gcd(d)
-    w = f // c
-    i = 1
-    while not w.is_one():
-        y = w.gcd(c)
-        z = w // y
-        if not z.is_one():
-            out.append((z, i))
-        w = y
-        c = c // y
-        i += 1
-    if not c.is_one():
-        inner = _squarefree_decomposition(c.compress(p))
-        out.extend((g, m * p) for g, m in inner)
+    scale = 1
+    while f.degree >= 1:
+        d = f.derivative()
+        c = f.gcd(d)
+        w = f // c
+        if not w.is_one():
+            dc, dw = d // c, w.derivative()
+            for r in range(1, p):
+                z = w.gcd(dc - dw.scale(r))
+                if not z.is_one():
+                    out.append((z, r * scale))
+                    f = f // z ** r
+        f = f.compress(p)
+        scale *= p
     return out
 
 
@@ -297,11 +301,3 @@ def factor_bipoly(f: BiPoly):
     theta_factors = tuple(_factor_primitive(prim))
     return unit, t_factors, theta_factors
 
-
-def bipoly_is_irreducible(f: BiPoly) -> bool:
-    """Irreducibility in F[theta] (up to F_p(t)-units) of a primitive poly."""
-    if f.is_zero() or f.theta_degree < 1:
-        return False
-    _, t_factors, theta_factors = factor_bipoly(f)
-    return (not t_factors and len(theta_factors) == 1
-            and theta_factors[0][1] == 1)

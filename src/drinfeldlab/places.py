@@ -2,9 +2,13 @@
 
 The ambient curve is the projective theta-line over F = F_p(t): places
 trivial on F are the monic irreducible polynomials pi(theta) over F plus the
-infinite place with uniformiser 1/theta.  Place, valuation and
-classify_places are defined at every one of them, because the division
-solver's pole profile reads places of theta-degree up to 8.
+infinite place with uniformiser 1/theta.  Place and valuation are defined
+at every one of them, because the division solver's pole profile reads
+places of theta-degree up to 8.  Only two callers still factor: Place
+itself, to refuse a reducible polynomial of theta-degree 2 or more (one of
+theta-degree 1 is irreducible by Gauss's lemma), and that pole profile
+(drinfeld._solution_denominator).  Whether a place is good for a module is
+read from valuations at the place alone (adelic._good_place).
 
 Residues live only at the places theta + g(t) of theta-degree 1, the ones
 that the pipelines track: there the residue field is F_p(t), inside K, and
@@ -28,11 +32,10 @@ theorem drops every term whose binomial vanishes mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .base import FElem, RPoly, check_modulus, memo_put
-from .factor import bipoly_is_irreducible, factor_bipoly, rpoly_code
+from .factor import factor_bipoly
 from .grammar import Parser
 from .kfield import (BiPoly, KElem, _bipoly_to_str, bipoly_pth_root, kelem_ring,
                      kelem_to_str)
@@ -60,8 +63,11 @@ class Place:
             raise ValueError(
                 f"place degree {prim.theta_degree} exceeds the desk cap {_FACTOR_DEG_CAP}")
         if not _checked:
+            # a primitive polynomial of theta-degree 1 is irreducible over
+            # F_p(t) by Gauss's lemma; only higher degrees are factored
             prim = _primitive_normal(prim)
-            if not bipoly_is_irreducible(prim):
+            if prim.theta_degree > 1 \
+                    and [m for _g, m in factor_bipoly(prim)[2]] != [1]:
                 raise ValueError(
                     f"reducible place polynomial: {kelem_to_str(KElem.from_bipoly(prim))}")
             self.prim = prim
@@ -99,13 +105,6 @@ class Place:
     @property
     def theta_degree(self) -> int:
         return 1 if self.prim is None else self.prim.theta_degree
-
-    def sort_key(self):
-        if self.prim is None:
-            return (1, 0, ())
-        return (0, self.prim.theta_degree,
-                tuple(rpoly_code(self.prim.theta_coeff(i))
-                      for i in range(self.prim.theta_degree + 1)))
 
     def __eq__(self, other):
         return (isinstance(other, Place) and self.p == other.p
@@ -428,77 +427,3 @@ def residue_reduce(x: KElem, v: Place) -> FElem:
         return FElem.zero(v.p)
     (un,), (ud,) = unit_digits(x, v, kn, kd, 1)
     return un / ud
-
-
-# -- place classification ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlaceSets:
-    """Finite exclusion lists: places outside Omega_0 resp. Omega_1.
-
-    omega0_excluded: places where some coefficient of the defining twisted
-    polynomial is non-integral or its first/last nonzero coefficient is a
-    non-unit.  omega1_excluded additionally drops places where a generator
-    fails to be integral; it always contains omega0_excluded.
-    """
-    p: int
-    omega0_excluded: tuple
-    omega1_excluded: tuple
-
-    def good_for_module(self, v: Place) -> bool:
-        return v not in self.omega1_excluded
-
-
-def _support_places(x: KElem):
-    """All finite places in the support of x plus an infinite-place marker."""
-    places = set()
-    for part in (x.num, x.den):
-        if part.theta_degree >= 1 or part.term_count() > 1:
-            _, _tf, thf = factor_bipoly(part)
-            for prim, _m in thf:
-                places.add(Place(x.p, prim, _checked=True))
-    return places
-
-
-def classify_places(coefficients, generators=()) -> PlaceSets:
-    """Compute the exclusion lists from phi_t coefficients and generators.
-
-    `coefficients` are the nonzero twisted-polynomial coefficients of phi_t
-    in ascending tau-order (the zero polynomial entries may be included and
-    are skipped); `generators` are the K-coordinates of module generators.
-    """
-    coeffs = [c for c in coefficients if not c.is_zero()]
-    if not coeffs:
-        raise ValueError("no nonzero coefficients")
-    p = coeffs[0].p
-    first, last = coeffs[0], coeffs[-1]
-
-    candidates = set()
-    for c in coeffs:
-        candidates |= _support_places(c)
-    omega0 = set()
-    for v in candidates:
-        bad = any(valuation(c, v) < 0 for c in coeffs)
-        bad = bad or valuation(first, v) != 0 or valuation(last, v) != 0
-        if bad:
-            omega0.add(v)
-    v_inf = Place.infinite(p)
-    inf_bad = any(valuation(c, v_inf) < 0 for c in coeffs)
-    inf_bad = inf_bad or valuation(first, v_inf) != 0 or valuation(last, v_inf) != 0
-    if inf_bad:
-        omega0.add(v_inf)
-
-    omega1 = set(omega0)
-    for g in generators:
-        if g.is_zero():
-            continue
-        for v in _support_places(g):
-            if v not in omega1 and valuation(g, v) < 0:
-                omega1.add(v)
-        if v_inf not in omega1 and valuation(g, v_inf) < 0:
-            omega1.add(v_inf)
-
-    key = lambda v: v.sort_key()
-    return PlaceSets(p, tuple(sorted(omega0, key=key)), tuple(sorted(omega1, key=key)))
-

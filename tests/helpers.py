@@ -2,9 +2,10 @@
 never needs."""
 
 from drinfeldlab.base import FElem, RMatrix, RPoly
+from drinfeldlab.factor import factor_bipoly
 from drinfeldlab.kfield import BiPoly, KElem
 from drinfeldlab.places import (Place, TruncRing, _fpoly_divmod_monic,
-                                _fpoly_mul, _fpoly_rem_monic)
+                                _fpoly_mul, _fpoly_rem_monic, valuation)
 
 
 def bipoly_from_theta_coeffs(p: int, coeffs) -> BiPoly:
@@ -81,3 +82,44 @@ def theta_power_by_squaring(ring: TruncRing, e: int):
         base = _fpoly_rem_monic(_fpoly_mul(base, base), ring.mod)
         e >>= 1
     return acc
+
+
+def bipoly_is_irreducible(f: BiPoly) -> bool:
+    """Irreducibility in F[theta] (up to F_p(t)-units) of a primitive poly."""
+    if f.is_zero() or f.theta_degree < 1:
+        return False
+    _, t_factors, theta_factors = factor_bipoly(f)
+    return (not t_factors and len(theta_factors) == 1
+            and theta_factors[0][1] == 1)
+
+
+def _support_places(x: KElem):
+    """The finite places in the support of x, by factoring its numerator
+    and denominator."""
+    places = set()
+    for part in (x.num, x.den):
+        if part.theta_degree >= 1 or part.term_count() > 1:
+            for prim, _m in factor_bipoly(part)[2]:
+                places.add(Place(x.p, prim, _checked=True))
+    return places
+
+
+def classify_places(coefficients, generators=()):
+    """(omega0_excluded, omega1_excluded), the sets of finite places where
+    the nonzero coefficients of phi_t fail good reduction (a coefficient
+    not integral, or the first or the last nonzero one not a unit), and
+    where, in addition, a nonzero generator coordinate is not integral.
+    Every place in one of the sets is found by factoring."""
+    coeffs = [c for c in coefficients if not c.is_zero()]
+    first, last = coeffs[0], coeffs[-1]
+    omega0 = set()
+    for c in coeffs:
+        for v in _support_places(c):
+            if any(valuation(b, v) < 0 for b in coeffs) \
+                    or valuation(first, v) != 0 or valuation(last, v) != 0:
+                omega0.add(v)
+    omega1 = set(omega0)
+    for g in generators:
+        if not g.is_zero():
+            omega1 |= {v for v in _support_places(g) if valuation(g, v) < 0}
+    return omega0, omega1

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from drinfeldlab import adelic, phimodule
+from drinfeldlab import adelic, phimodule, places
 from drinfeldlab.adelic import (
     _point_valuation,
     certificate_json,
@@ -17,13 +17,15 @@ from drinfeldlab.adelic import (
     standard_tracked_places,
 )
 from drinfeldlab.base import RPoly, rpoly_parse, smith_normal_form
-from drinfeldlab.drinfeld import DrinfeldModule
+from drinfeldlab.drinfeld import DrinfeldModule, phi_action
 from drinfeldlab.kfield import KElem, kelem_parse
 from drinfeldlab.phimodule import (PhiModule, _apply_operators, _op_on_point,
                                    _weights_to_operators, point_add,
                                    point_to_str, torsion_submodule)
 from drinfeldlab.places import place_parse, place_to_str, valuation
 from drinfeldlab.twisted import TwistedPoly, tp_eval
+
+from helpers import classify_places
 
 
 def k(p, text):
@@ -252,6 +254,16 @@ class TestDiscretenessBruteForce:
         assert _point_valuation(witness, v) == min(positive)
 
 
+def _theta4_module():
+    """Phi_t = t + tau at p = 2 on one generator of theta-degree 4, whose
+    iterates' numerators factor past the recombination pool."""
+    p = 2
+    phi = DrinfeldModule.parse(p, "[t, 1]")
+    gen = kelem_parse(p, "t*theta^4+(t^2+1)*theta^3+(t^3+t)*theta^2"
+                         "+(t^4+t^2)*theta+t^3")
+    return PhiModule(phi, 1, [(gen,)])
+
+
 class TestClosureMember:
     def test_default_tracked_places(self):
         gam = special_theta()
@@ -270,17 +282,16 @@ class TestClosureMember:
 
     def test_member_before_default_places(self):
         """With the default places, the exact membership check runs first:
-        factoring this y's coordinate for the places exceeds the
-        recombination pool, but y = Phi_{t^2}(gen) lies in Gamma.  Explicit
+        y = Phi_{t^2}(gen) lies in Gamma.  The default places for y are read
+        from valuations, with no factoring of y's coordinate.  Explicit
         places are still refused first."""
         p = 2
-        phi = DrinfeldModule.parse(p, "[t, 1]")
-        gen = kelem_parse(p, "t*theta^4+(t^2+1)*theta^3+(t^3+t)*theta^2"
-                             "+(t^4+t^2)*theta+t^3")
-        gam = PhiModule(phi, 1, [(gen,)])
-        y = (tp_eval(phi.phi_t, tp_eval(phi.phi_t, gen)),)
-        with pytest.raises(ValueError, match="recombination pool"):
-            standard_tracked_places(gam, extra_points=(y,))
+        gam = _theta4_module()
+        (gen,) = gam.gens[0]
+        y = (tp_eval(gam.phi.phi_t, tp_eval(gam.phi.phi_t, gen)),)
+        assert [place_to_str(v) for v in standard_tracked_places(
+            gam, extra_points=(y,))] == [
+                "finite:theta", "finite:theta+1", "finite:theta+t"]
         rep = closure_member(gam, y, None, 3, 2)
         assert rep.in_gamma
         assert str(rep.certificate) == "Certificate(t^2)"
@@ -315,6 +326,86 @@ class TestClosureMember:
         y = (KElem.one(3) / (KElem.theta(3) + KElem.one(3)),)
         with pytest.raises(ValueError):
             closure_member(gam, y, standard_tracked_places(gam))
+
+
+def _random_kelem(rng, p):
+    """A seeded element of K whose denominator is a product of up to two
+    small polynomials, some of them places of the scan."""
+    def poly(theta_deg, t_deg):
+        out = KElem.zero(p)
+        for e in range(theta_deg + 1):
+            c = RPoly.from_coeffs(p, [rng.randrange(p) for _ in range(t_deg + 1)])
+            out = out + KElem.from_rpoly(c) * KElem.theta(p) ** e
+        return out
+    num = poly(rng.randrange(3), rng.randrange(3))
+    den = KElem.one(p)
+    for _ in range(rng.randrange(3)):
+        d = poly(rng.randrange(1, 3), rng.randrange(2))
+        if not d.is_zero():
+            den = den * d
+    return num / den
+
+
+class TestGoodPlace:
+    """adelic._good_place reads good reduction and integrality from the
+    valuations at the place; no polynomial is factored."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_the_factoring_oracle(self, p):
+        rng = random.Random(70 + p)
+        scan = list(itertools.islice(hilbertian_places(p), 12))
+        outcomes = set()
+        for _ in range(12):
+            # the differential is t or 0, so in special characteristic the
+            # first nonzero coefficient is a random one
+            coeffs = [rng.choice([KElem.t(p), KElem.zero(p)])] \
+                + [_random_kelem(rng, p) for _ in range(rng.randrange(1, 3))]
+            if coeffs[-1].is_zero():
+                coeffs[-1] = KElem.one(p)
+            phi = DrinfeldModule(TwistedPoly(p, tuple(coeffs)))
+            gens = [(_random_kelem(rng, p),) for _ in range(rng.randrange(3))]
+            extra = [(_random_kelem(rng, p),) for _ in range(rng.randrange(2))]
+            gam = PhiModule(phi, 1, gens)
+            try:
+                _omega0, omega1 = classify_places(
+                    phi.phi_t.coeffs, [x[0] for x in gam.gens + tuple(extra)])
+            except ValueError:
+                continue
+            for v in scan:
+                good = adelic._good_place(gam, v, extra)
+                assert good == (v not in omega1)
+                outcomes.add(good)
+        assert outcomes == {True, False}
+
+    def test_default_places_for_unfactorable_targets(self):
+        """Default places for targets that factoring refused: Phi_{t^2}(gen)
+        + 1 has an irreducible factor of theta-degree 16, past the place
+        cap, and theta (theta + t)^4 a recombination pool past its cap."""
+        p = 2
+        gam = _theta4_module()
+        (gen,) = gam.gens[0]
+        targets = [
+            (tp_eval(phi_action(gam.phi, rpoly_parse(p, "t^2")), gen)
+             + KElem.one(p),),
+            (kelem_parse(p, "theta*(theta+t)^4"),),
+        ]
+        tables = []
+        for y in targets:
+            rep = closure_member(gam, y, None, 3, 2)
+            assert rep.kind == "rejected_up_to_bounds"
+            tables.append([(place_to_str(r.place), r.best_valuation)
+                           for r in rep.place_reports])
+        assert tables == [
+            [("finite:theta", 0), ("finite:theta+1", 0), ("finite:theta+t", 0)],
+            [("finite:theta", 1), ("finite:theta+1", 2), ("finite:theta+t", 3)]]
+
+    def test_place_scan_factors_nothing(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("factored while picking places")
+        monkeypatch.setattr(places, "factor_bipoly", refuse)
+        gam = _theta4_module()
+        y = (kelem_parse(2, "theta*(theta+t)^4"),)
+        assert len(standard_tracked_places(gam, 5, (y,))) == 5
 
 
 class TestHilbertianPlaces:

@@ -27,8 +27,9 @@ from drinfeldlab.drinfeld import (
 )
 from drinfeldlab.factor import factor_bipoly
 from drinfeldlab.kfield import BiPoly, KElem, kelem_parse, kelem_sort_key, kelem_to_str
-from drinfeldlab.adelic import hilbertian_places
-from drinfeldlab.places import Place, classify_places, valuation
+from drinfeldlab.phimodule import PhiModule
+from drinfeldlab.adelic import _good_place, hilbertian_places
+from drinfeldlab.places import Place, valuation
 from drinfeldlab.twisted import (TwistedPoly, tp_add, tp_compose, tp_eval, tp_parse,
                                  tp_to_str)
 
@@ -115,10 +116,10 @@ class TestReduction:
         p = data.draw(st.sampled_from(sorted(_REDUCTION_MODULES)))
         phi = DrinfeldModule.parse(
             p, data.draw(st.sampled_from(_REDUCTION_MODULES[p])))
-        bad = classify_places(phi.phi_t.coeffs).omega0_excluded
+        gamma = PhiModule(phi, 1, [])
         v = data.draw(st.sampled_from(
             [v for v in itertools.islice(hilbertian_places(p), 8)
-             if v not in bad]))
+             if _good_place(gamma, v)]))
         x = KElem.zero(p)
         for e in range(3):
             c = RPoly.from_coeffs(p, data.draw(st.lists(

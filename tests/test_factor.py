@@ -4,7 +4,6 @@ import pytest
 
 from drinfeldlab.base import RPoly, rpoly_parse, rpoly_to_str
 from drinfeldlab.factor import (
-    bipoly_is_irreducible,
     factor_bipoly,
     factor_rpoly,
     iter_irreducible_rpolys,
@@ -13,6 +12,8 @@ from drinfeldlab.factor import (
     rpoly_is_irreducible,
 )
 from drinfeldlab.kfield import BiPoly
+
+from helpers import bipoly_is_irreducible
 
 
 def rnd_monic(rng, p, deg):
@@ -61,6 +62,36 @@ class TestUnivariate:
         f = rpoly_parse(p, "t+1") ** 9
         _, factors = factor_rpoly(f)
         assert [(rpoly_to_str(g), m) for g, m in factors] == [("t+1", 9)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_multiplicities_match_sympy(self, p):
+        # multiplicities p, p + 1, p^2 and p^2 + 1 put factors on two and
+        # three base-p levels of the squarefree decomposition at once
+        sympy = pytest.importorskip("sympy")
+        t = sympy.symbols("t")
+        rng = random.Random(44 + p)
+        for mults in ([p], [p + 1], [p * p], [p * p + 1], [1, p, p + 1],
+                      [2, p * p, p * p + 1], [p + 1, p * p + p + 1]):
+            f = RPoly.const(p, rng.randrange(1, p))
+            for m in mults:
+                f = f * rnd_monic(rng, p, rng.randrange(1, 4)) ** m
+            unit, want = sympy.Poly(
+                sum(c * t ** e for e, c in f.c.items()), t,
+                modulus=p).factor_list()
+            got = factor_rpoly(f)
+            assert got[0] == int(unit) % p
+            assert sorted(([int(c) % p for c in g.all_coeffs()][::-1], m)
+                          for g, m in want) \
+                == sorted(([g.coeff(e) for e in range(g.degree + 1)], m)
+                          for g, m in got[1])
+
+    def test_multiplicities_with_many_base_p_digits(self):
+        # one level per base-3 digit of 6000, not one Euclid step per unit
+        p = 3
+        f = rpoly_parse(p, "t+1") ** 6000 * rpoly_parse(p, "t^2+1") ** 3001
+        _, factors = factor_rpoly(f)
+        assert [(rpoly_to_str(g), m) for g, m in factors] == [
+            ("t+1", 6000), ("t^2+1", 3001)]
 
     def test_enumeration_order(self):
         p = 3

@@ -1,17 +1,19 @@
+import itertools
 import random
 
 import pytest
 
+from drinfeldlab.adelic import _good_place, hilbertian_places
 from drinfeldlab.base import FElem, RPoly
+from drinfeldlab.drinfeld import DrinfeldModule
 from drinfeldlab.kfield import KElem, kelem_parse
-from drinfeldlab.phimodule import _family_vectors
+from drinfeldlab.phimodule import PhiModule, _family_vectors
 from drinfeldlab.localfield import embed
 from drinfeldlab.places import (
     _RING_CAP,
     Place,
     TruncRing,
     _bipoly_multiplicity,
-    classify_places,
     place_parse,
     place_to_str,
     residue_reduce,
@@ -319,34 +321,53 @@ class TestFvTpEval:
 
 
 class TestClassification:
+    """A place is good for a module when phi_t has good reduction and the
+    generators are integral there (adelic._good_place)."""
+
+    def module(self, p, phi_t, gens=()):
+        return PhiModule(DrinfeldModule.parse(p, phi_t), 1,
+                         [(k(p, g),) for g in gens])
+
+    def good(self, gamma, places):
+        return [place_to_str(v) for v in places if _good_place(gamma, v)]
+
     def test_carlitz_no_exclusions(self):
         p = 3
-        sets = classify_places([k(p, "t"), k(p, "1")])
-        assert sets.omega0_excluded == ()
-        assert sets.omega1_excluded == ()
+        places = list(itertools.islice(hilbertian_places(p), 12))
+        assert len(self.good(self.module(p, "[t, 1]"), places)) == 12
 
     def test_special_module_exclusions(self):
-        # theta*x^3 + x^9: theta is a non-unit lowest coefficient, and both
-        # coefficients fail integrality or unit checks at infinity
+        # theta*x^3 + x^9: theta is a non-unit lowest coefficient
         p = 3
-        sets = classify_places([k(p, "theta"), k(p, "1")])
-        assert [place_to_str(v) for v in sets.omega0_excluded] == [
-            "finite:theta", "infinite"]
+        gamma = self.module(p, "[0, theta, 1]")
+        places = list(itertools.islice(hilbertian_places(p), 6))
+        assert self.good(gamma, places) == [
+            "finite:theta+1", "finite:theta+2", "finite:theta+t",
+            "finite:theta+t+1", "finite:theta+t+2"]
 
     def test_generator_denominators(self):
         p = 3
-        sets = classify_places([k(p, "t"), k(p, "1")],
-                               [k(p, "theta/(theta^2+t)")])
-        assert sets.omega0_excluded == ()
-        assert [place_to_str(v) for v in sets.omega1_excluded] == ["finite:theta^2+t"]
-        assert not sets.good_for_module(place_parse(p, "finite:theta^2+t"))
+        v = place_parse(p, "finite:theta^2+t")
+        assert _good_place(self.module(p, "[t, 1]"), v)
+        assert not _good_place(
+            self.module(p, "[t, 1]", ["theta/(theta^2+t)"]), v)
+        assert not _good_place(self.module(p, "[t, 1]"), v,
+                               [(k(p, "theta/(theta^2+t)"),)])
+        assert _good_place(self.module(p, "[t, 1]", ["theta/(theta^2+t)"]),
+                           place_parse(p, "finite:theta+t"))
 
     def test_non_integral_middle_coefficient(self):
         p = 3
-        sets = classify_places([k(p, "t"), k(p, "1/(theta+t)"), k(p, "1")])
-        assert "finite:theta+t" in [place_to_str(v) for v in sets.omega0_excluded]
+        gamma = self.module(p, "[t, 1/(theta+t), 1]")
+        assert not _good_place(gamma, place_parse(p, "finite:theta+t"))
+        assert _good_place(gamma, place_parse(p, "finite:theta+t+1"))
 
     def test_infinite_generator_exclusion(self):
+        # theta^2 has its only pole at infinity, which is never tracked, so
+        # it excludes no finite place
         p = 3
-        sets = classify_places([k(p, "t"), k(p, "1")], [k(p, "theta^2")])
-        assert [place_to_str(v) for v in sets.omega1_excluded] == ["infinite"]
+        gamma = self.module(p, "[t, 1]", ["theta^2"])
+        places = list(itertools.islice(hilbertian_places(p), 12))
+        assert len(self.good(gamma, places)) == 12
+        assert not _good_place(self.module(p, "[t, 1]", ["1/theta^2"]),
+                               place_parse(p, "finite:theta"))
