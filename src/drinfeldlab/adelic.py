@@ -123,7 +123,10 @@ def standard_tracked_places(gamma: PhiModule, count: int = STANDARD_PLACE_COUNT,
     """The first `count` places of hilbertian_places that are good for the
     module and the extra points (_good_place): every nonzero coefficient of
     phi_t is integral there, the first and the last are units, and every
-    nonzero coordinate of a generator or an extra point is integral."""
+    nonzero coordinate of a generator or an extra point is integral.  A
+    count below 1 is refused before the scan, which would never end."""
+    if count < 1:
+        raise ValueError("place count must be positive")
     out = []
     for v in hilbertian_places(gamma.p):
         if _good_place(gamma, v, extra_points):
@@ -650,8 +653,7 @@ def quotient_iso_check(gamma: PhiModule, a: RPoly, witness_places=None,
                     i, j, None, None, None,
                     "locally-divisible-at-all-witnesses"))
 
-    image = PhiModule(gamma.phi, gamma.g,
-                      [_op_on_point(gamma.phi, a, x) for x in gamma.gens])
+    image = gamma.sub([_op_on_point(gamma.phi, a, x) for x in gamma.gens])
     samples = _iterate_family(gamma, deg_bound)
     n = len(q.reps)
     found = [c.found for c in member_many(

@@ -566,13 +566,15 @@ def _swept_window(gamma: PhiModule, poly: MultiPoly, enum_deg: int):
 def _minimize_generators(gamma: PhiModule, deg_bound: int) -> PhiModule:
     """Drop generators that the remaining ones already produce.
 
-    A dropped generator leaves the module that its membership test ran on,
-    so the module returned carries that test's prepared family downstream.
+    Each candidate is gamma.sub of the remaining generators: it reads their
+    orbits from the lineage memo, and the family it prepares serves every
+    later module of the lineage on the same generators, the one returned
+    included.
     """
     i = 0
     while i < gamma.rank:
         gens = gamma.gens
-        rest = PhiModule(gamma.phi, gamma.g, gens[:i] + gens[i + 1:], gamma.notes)
+        rest = gamma.sub(gens[:i] + gens[i + 1:], gamma.notes)
         if rest.rank and member(rest, gens[i], deg_bound).found:
             gamma = rest
         else:

@@ -6,19 +6,29 @@ down to F_p linear algebra on coordinate vectors of the bounded iterate
 family {Phi_{t^j}(x_i)}, so syzygies, membership, quotients, and torsion all
 ride on one base.Echelon of that family plus Smith reduction over F_p[t].
 
-PhiModule.family(deg_bound) is the family prepared once per module and
-bound: the points, each slot's common denominator D_s and the Echelon of
-the sparse F_p-vectors {(s, monomial): c} of x_s * D_s (_family_vectors,
-which adelic also uses for residue families and digits).  Syzygies are its
-kernel; membership of y reduces y's vector against it.
+PhiModule.family(deg_bound) is the family prepared once per generator
+tuple and bound: the points, each slot's common denominator D_s and the
+Echelon of the sparse F_p-vectors {(s, monomial): c} of x_s * D_s
+(_family_vectors, which adelic also uses for residue families and digits).
+Syzygies are its kernel; membership of y reduces y's vector against it.
 Every F_p-combination of the family, times D_s, is a polynomial whose
 monomials lie in the family's support, so a y failing either test is
 decided not_found_up_to before any reduction.
 
+A module lineage shares one memo: the module built by the caller and every
+module derived from it through PhiModule.sub (divisible_hull's rounds and
+result, _minimize_generators' candidates, decompose's parts) read the same
+orbit of each generator and the same family of each (gens, deg_bound), so
+a sub-module on some of the hull's generators iterates phi_t on none of
+them again.
+
 _iterate_family is the one exact family: generator-major, then j = 0..bound,
-so the weight of Phi_{t^j}(x_i) sits at index i * (bound + 1) + j.  It and
-_op_on_point, the one application of Phi_a to a point, both iterate phi_t
-on values and never compose Phi_{t^j} or Phi_a.
+so the weight of Phi_{t^j}(x_i) sits at index i * (bound + 1) + j.  It
+reads orbit prefixes from the lineage memo and iterates only the missing
+tail.  It and _op_on_point, the one application of Phi_a to a point, both
+iterate phi_t on values and never compose Phi_{t^j} or Phi_a.
+_op_on_point does not read the memo, so every re-verification evaluates
+afresh.
 
 No operation here is complete in an absolute sense: the ring is infinite
 and the underlying search spaces are degree-bounded, so every negative
@@ -94,13 +104,17 @@ class PhiModule:
     """Submodule of K^g spanned by finitely many points.
 
     The presentation cache is write-once per bound: the first computation
-    at a given (or larger) syzygy bound is kept, later calls reuse it.  The
-    prepared families are write-once per deg_bound.  Assignment is atomic,
-    so a concurrent first computation is merely redundant, never
-    inconsistent.
+    at a given (or larger) syzygy bound is kept, later calls reuse it.  A
+    module built by the constructor starts a lineage memo: _orbits maps a
+    generator to its orbit x, Phi_t(x), ... as far as it was iterated, and
+    _families maps (gens, deg_bound) to the prepared IterateFamily.  Each
+    module made by sub shares both dicts.  Entries are only ever replaced
+    by longer orbits or written once, and assignment is atomic, so a
+    concurrent first computation is merely redundant, never inconsistent.
     """
 
-    __slots__ = ("phi", "g", "gens", "notes", "_presentation", "_families")
+    __slots__ = ("phi", "g", "gens", "notes", "_presentation", "_orbits",
+                 "_families")
 
     def __init__(self, phi: DrinfeldModule, g: int, gens, notes=()):
         if g < 1:
@@ -120,7 +134,16 @@ class PhiModule:
         self.gens = tuple(clean)
         self.notes = tuple(notes)
         self._presentation = None
+        self._orbits = {}
         self._families = {}
+
+    def sub(self, gens, notes=()) -> "PhiModule":
+        """The module on gens over the same phi and g, in this module's
+        lineage: it shares the orbit and family memo."""
+        out = PhiModule(self.phi, self.g, gens, notes)
+        out._orbits = self._orbits
+        out._families = self._families
+        return out
 
     @property
     def p(self) -> int:
@@ -142,13 +165,15 @@ class PhiModule:
         return rel
 
     def family(self, deg_bound: int) -> "IterateFamily":
-        """The prepared iterate family at deg_bound, built on first use."""
+        """The prepared iterate family at deg_bound, built on first use in
+        the lineage for these generators."""
         if deg_bound < 0:
             raise ValueError("negative degree bound")
-        prepared = self._families.get(deg_bound)
+        key = (self.gens, deg_bound)
+        prepared = self._families.get(key)
         if prepared is None:
             prepared = _prepare_family(self, deg_bound)
-            self._families[deg_bound] = prepared
+            self._families[key] = prepared
         return prepared
 
     def __eq__(self, other):
@@ -192,8 +217,20 @@ def _orbit(phi: DrinfeldModule, x, n: int):
 
 
 def _iterate_family(gamma: PhiModule, deg_bound: int):
-    """Points Phi_{t^j}(x_i): generator-major, then j = 0..deg_bound."""
-    return [z for x in gamma.gens for z in _orbit(gamma.phi, x, deg_bound)]
+    """Points Phi_{t^j}(x_i): generator-major, then j = 0..deg_bound.
+
+    Each orbit is read from the lineage memo; phi_t is applied only past
+    the longest prefix iterated so far, and the longer orbit replaces it.
+    """
+    out = []
+    for x in gamma.gens:
+        orbit = gamma._orbits.get(x, [x])
+        if len(orbit) <= deg_bound:
+            orbit = orbit[:-1] + _orbit(gamma.phi, orbit[-1],
+                                        deg_bound + 1 - len(orbit))
+            gamma._orbits[x] = orbit
+        out.extend(orbit[:deg_bound + 1])
+    return out
 
 
 def _cleared_vector(x, dens):
@@ -571,13 +608,10 @@ def divisible_hull(gamma: PhiModule, prime_bound: int = 2,
         x, q = _hull_scan(current, prime_bound, height_bounds,
                           member_bound, notes)
         if x is None:
-            return PhiModule(current.phi, current.g, current.gens,
-                             tuple(sorted(notes)))
-        current = PhiModule(current.phi, current.g,
-                            current.gens + (x,))
+            return current.sub(current.gens, tuple(sorted(notes)))
+        current = current.sub(current.gens + (x,))
     notes.add("hull-rounds-capped")
-    return PhiModule(current.phi, current.g, current.gens,
-                     tuple(sorted(notes)))
+    return current.sub(current.gens, tuple(sorted(notes)))
 
 
 @dataclass(frozen=True)
@@ -640,7 +674,7 @@ def decompose(gamma: PhiModule, witness_places,
     witness_places = tuple(witness_places)
     p = gamma.p
     if gamma.rank == 0:
-        empty = PhiModule(gamma.phi, gamma.g, ())
+        empty = gamma.sub(())
         return Decomposition(empty, empty, witness_places, deg_bound)
     syz = gamma.presentation(deg_bound)
     r = gamma.rank
@@ -676,11 +710,9 @@ def decompose(gamma: PhiModule, witness_places,
                 gens1.append(x)
         # unit factors contribute nothing
 
-    gamma0 = PhiModule(gamma.phi, gamma.g, gens0)
-    gamma1 = PhiModule(gamma.phi, gamma.g, gens1)
-    # gamma's own generators make gamma itself, whose families are reused
-    combined = gamma if tuple(gens0 + gens1) == gamma.gens \
-        else PhiModule(gamma.phi, gamma.g, gens0 + gens1)
+    gamma0 = gamma.sub(gens0)
+    gamma1 = gamma.sub(gens1)
+    combined = gamma.sub(gens0 + gens1)
     for x in gamma.gens:
         if not member(combined, x, member_bound).found:
             raise AssertionError("decomposition lost a generator")

@@ -270,6 +270,18 @@ class TestClosureMember:
         got = [place_to_str(v) for v in standard_tracked_places(gam)]
         assert got == ["finite:theta+1", "finite:theta+2", "finite:theta+t"]
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_place_count_below_one_refused_before_the_scan(
+            self, count, monkeypatch):
+        # hilbertian_places never ends, so a scan for no place would not
+        # return; the count is refused before the scan starts
+        def no_scan(p):
+            raise AssertionError("place scan started")
+
+        monkeypatch.setattr(adelic, "hilbertian_places", no_scan)
+        with pytest.raises(ValueError, match="place count must be positive"):
+            standard_tracked_places(special_theta(), count)
+
     def test_exact_member_short_circuits(self):
         gam = special_theta()
         y = (tp_eval(gam.phi.phi_t, KElem.theta(3)),)

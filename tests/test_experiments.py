@@ -60,11 +60,11 @@ class TestPaperInstance:
 
     def test_zero_dim_membership_family_shared_by_points(self, paper_hull,
                                                          family_bounds):
-        # the fullness scan prepares the hull's deg-8 family and
-        # _minimize_generators those of its two smaller modules; the last of
-        # them is the minimised module, whose family the presentation, the
-        # four closure reports' exact membership solves and decompose's
-        # generator check reuse; decompose's free part adds the fourth
+        # the fullness scan prepares the deg-8 family of this copy of the
+        # hull and _minimize_generators those of its two smaller modules;
+        # the last of them is the minimised module, whose family the
+        # presentation, the four closure reports' exact membership solves
+        # and decompose's parts reuse, since they share its lineage memo
         gamma = PhiModule(paper_hull.phi, paper_hull.g, paper_hull.gens)
         rng = random.Random(5)
         theta = KElem.theta(P)
@@ -74,7 +74,7 @@ class TestPaperInstance:
                       for j in range(3)), KElem.zero(P)),)
             pts[point_to_str(x)] = x
         rep = ex.zero_dim_intersection(gamma, ex.ZeroDim(1, list(pts.values())))
-        assert family_bounds.count(8) == 4
+        assert family_bounds.count(8) == 3
         assert [point_to_str(x) for x in rep.k_side] == ["(2*theta+2)"]
         assert rep.trace == ()
 
@@ -824,7 +824,9 @@ class TestPreparedFamilies:
         ex.zero_dim_intersection(gamma, ex.ZeroDim(1, [(theta,), (theta + 1,)]))
         assert max(builds_per_module["family"].values()) == 1
         assert max(builds_per_module["prepared"].values()) == 1
-        assert len(builds_per_module["prepared"]) == 4
+        # the copy of the hull, <theta, 1> and <1>; decompose's parts on
+        # <1>'s generators find its family in the lineage memo
+        assert len(builds_per_module["prepared"]) == 3
 
     def test_seed0_generic(self, builds_per_module):
         theta, zero = KElem.theta(P), KElem.zero(P)
@@ -835,6 +837,71 @@ class TestPreparedFamilies:
             ex.generic_char_experiment(_carlitz_plane(), variety)
         assert max(builds_per_module["family"].values()) == 1
         assert list(builds_per_module["prepared"].values()) == [1]
+
+
+def _count_lineage_work(monkeypatch):
+    """From now on: how often _iterate_family applies phi_t to a point, and
+    the generators of each module that _prepare_family runs on.  The exact
+    re-verification (_apply_operators) applies phi_t outside
+    _iterate_family and is not counted."""
+    work = {"applied": 0, "prepared": []}
+    depth = []
+    point_apply, iterate, prepare = (pm.point_apply, pm._iterate_family,
+                                     pm._prepare_family)
+
+    def counting_apply(f, x):
+        work["applied"] += bool(depth)
+        return point_apply(f, x)
+
+    def inside_iterate(gamma, deg_bound):
+        depth.append(gamma)
+        try:
+            return iterate(gamma, deg_bound)
+        finally:
+            depth.pop()
+
+    def recording_prepare(gamma, deg_bound):
+        work["prepared"].append(
+            ([pm.point_to_str(x) for x in gamma.gens], deg_bound))
+        return prepare(gamma, deg_bound)
+
+    monkeypatch.setattr(pm, "point_apply", counting_apply)
+    monkeypatch.setattr(pm, "_iterate_family", inside_iterate)
+    monkeypatch.setattr(adelic, "_iterate_family", inside_iterate)
+    monkeypatch.setattr(pm, "_prepare_family", recording_prepare)
+    return work
+
+
+class TestLineageWork:
+    """Each generator's orbit is iterated once per lineage, so the seed-0
+    zero-dim run's sub-modules (_minimize_generators' candidates and
+    decompose's parts) apply phi_t to none of the hull's generators."""
+
+    def _run(self, gamma):
+        theta = KElem.theta(P)
+        rep = ex.zero_dim_intersection(gamma,
+                                       ex.ZeroDim(1, [(theta,), (theta + 1,)]))
+        assert rep.verdict == ex.CONFIRMED
+
+    def test_fresh_copy_of_the_hull(self, paper_hull, monkeypatch):
+        # the fullness scan iterates the copy's 3 generators to t^8 once
+        gamma = PhiModule(paper_hull.phi, paper_hull.g, paper_hull.gens)
+        work = _count_lineage_work(monkeypatch)
+        self._run(gamma)
+        assert work["applied"] == 3 * 8
+        assert work["prepared"] == [
+            (["(theta^9+theta^4)", "(theta)", "(1)"], 8),
+            (["(theta)", "(1)"], 8), (["(1)"], 8)]
+
+    def test_module_divisible_hull_returned(self, monkeypatch):
+        # its last scan iterated the orbits and prepared its deg-8 family
+        phi = DrinfeldModule.parse(P, "[0, theta, 1]")
+        start = PhiModule(phi, 1, [(tp_eval(phi.phi_t, KElem.theta(P)),)])
+        hull = divisible_hull(start, prime_bound=1)
+        work = _count_lineage_work(monkeypatch)
+        self._run(hull)
+        assert work["applied"] == 0
+        assert work["prepared"] == [(["(theta)", "(1)"], 8), (["(1)"], 8)]
 
 
 GOLDEN_ZERO_DIM = pathlib.Path(__file__).parent / "data" / "zero_dim_seed0.json"

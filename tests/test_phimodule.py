@@ -17,6 +17,7 @@ from drinfeldlab.phimodule import (
     _hull_targets,
     _iterate_family,
     _op_on_point,
+    _orbit,
     _point_reduction_is_torsion,
     _weights_to_operators,
     decompose,
@@ -496,6 +497,89 @@ class TestApplyOperators:
         for a in _seeded_ops(p, 3, 5) + (RPoly.zero(p), RPoly.one(p)):
             assert _op_on_point(gamma.phi, a, x) == \
                 point_apply(phi_action(gamma.phi, a), x)
+
+
+# -- the lineage memo ------------------------------------------------------------
+
+
+_LINEAGE_ACTIONS = [(2, "[t, theta, 1]"), (3, "[0, theta, 1]"), (5, "[t, 1]")]
+
+
+def _unshared(gamma):
+    """A copy of gamma that starts a lineage of its own."""
+    return PhiModule(gamma.phi, gamma.g, gamma.gens)
+
+
+def _lineage(p, text, seed, member_bound=8):
+    """Modules of one lineage, each built when it is drawn: a seeded rank-3
+    root, its sub-modules on every non-empty subset of the generators
+    (ranks 1-3), and the divisible hulls of its first generator and of the
+    root, whose scans iterate the orbits to member_bound."""
+    root = _seeded_module(p, text, seed, rank=3, g=1 + seed % 2)
+    yield root
+    for r in (1, 2, 3):
+        for gens in itertools.combinations(root.gens, r):
+            yield root.sub(gens)
+    for m in (root.sub(root.gens[:1]), root):
+        yield divisible_hull(m, prime_bound=1, member_bound=member_bound,
+                             max_rounds=2)
+
+
+def _seeded_points(family, p, seed, count=20):
+    """F_p-combinations of the family's points, every other one shifted off
+    the span by a constant in slot 0."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(count):
+        y = tuple(KElem.zero(p) for _ in family.points[0])
+        for z in family.points:
+            w = KElem.const(p, rng.randrange(p))
+            y = point_add(y, tuple(w * c for c in z))
+        if n % 2:
+            y = (y[0] + KElem.const(p, 1 + rng.randrange(p - 1)),) + y[1:]
+        out.append(y)
+    return out
+
+
+class TestLineageMemo:
+    """Modules of one lineage share orbits and families; neither changes
+    an answer."""
+
+    @pytest.mark.parametrize("p, text", _LINEAGE_ACTIONS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_shared_family_equals_unshared(self, p, text, seed):
+        # the bound-8 families come from the memo's longer orbits; solve
+        # runs at bound 3, where the echelons are small
+        for m in _lineage(p, text, seed):
+            for bound in (8, 3):
+                got, want = m.family(bound), _unshared(m).family(bound)
+                assert got.points == want.points
+                assert got.dens == want.dens
+            ys = _seeded_points(want, p, seed)
+            assert [got.solve(y) for y in ys] == [want.solve(y) for y in ys]
+
+    @pytest.mark.parametrize("p, text", _LINEAGE_ACTIONS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("bounds", [(3, 8), (8, 3)])
+    def test_orbit_prefixes_match_a_fresh_module(self, p, text, seed, bounds):
+        # the memo starts cold, so (3, 8) extends every orbit's tail, the
+        # hulls' new generators included, and (8, 3) reads prefixes
+        for m in _lineage(p, text, seed, member_bound=3):
+            for bound in bounds:
+                got = _iterate_family(m, bound)
+                assert got == _iterate_family(_unshared(m), bound)
+                assert got == [z for x in m.gens
+                               for z in _orbit(m.phi, x, bound)]
+
+    def test_sub_shares_the_memo(self):
+        phi = psi()
+        gamma = PhiModule(phi, 1, [(tp_eval(phi.phi_t, k("theta")),)])
+        hull = divisible_hull(gamma, prime_bound=1)
+        sub = hull.sub(hull.gens[1:], ("note",))
+        assert (sub.phi, sub.g, sub.notes) == (hull.phi, hull.g, ("note",))
+        assert sub._orbits is gamma._orbits
+        assert sub._families is gamma._families
+        assert _unshared(sub)._orbits is not gamma._orbits
 
 
 # -- the hull scan's division targets ------------------------------------------
