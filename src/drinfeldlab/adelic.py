@@ -505,7 +505,9 @@ def closure_torsion_check(gamma: PhiModule, witness_places=None,
     then computes the pseudo-torsion space: bounded elements whose
     reductions are torsion at every witness place.  Each pseudo-torsion
     point is re-verified to be exact torsion over K; a failure is reported
-    as a leak instead of being absorbed.
+    as a leak instead of being absorbed.  The space is compared with the
+    known torsion by rank; its points are listed in the report only up to
+    _PSEUDO_ENUM_CAP of them.
     """
     p = gamma.p
     if witness_places is None:
@@ -555,14 +557,19 @@ def closure_torsion_check(gamma: PhiModule, witness_places=None,
     if leak is not None:
         kind = "mismatch"
         notes.append("pseudo-torsion-leak")
-    elif p ** len(kernel) <= _PSEUDO_ENUM_CAP:
-        seen = set(fp_span(p, kernel_points, gamma.zero_point()))
-        pseudo_points = tuple(sorted(seen, key=point_to_str))
-        if seen != tor_points:
+    else:
+        # equal F_p-spaces: one inside the other, as many points each
+        rank = len(Echelon(_family_vectors(
+            kernel_points or [gamma.zero_point()])[1], p).pivots)
+        if not (set(kernel_points) <= tor_points
+                and p ** rank == len(tor_points)):
             kind = "mismatch"
             notes.append("pseudo-torsion-exceeds-known-torsion")
-    else:
-        notes.append("pseudo-torsion-enumeration-capped")
+        if p ** len(kernel) <= _PSEUDO_ENUM_CAP:
+            seen = set(fp_span(p, kernel_points, gamma.zero_point()))
+            pseudo_points = tuple(sorted(seen, key=point_to_str))
+        else:
+            notes.append("pseudo-torsion-enumeration-capped")
 
     return ClosureTorsionReport(kind, tor, pseudo_points, len(kernel),
                                 tuple(witness_places), d.gamma1.rank, leak,

@@ -336,18 +336,13 @@ def _fraction_free_images(f: TwistedPoly, nums, d: BiPoly):
     return images, lcm * d ** top
 
 
-def solve_additive_many(f: TwistedPoly, ys, bounds: HeightProfile | None = None):
-    """All bounded X with f(X) = y, for each y, sharing one elimination.
-
-    Returns a list of DivisionResult in the order of ys.  Soundness is
-    absolute (every point re-verified); completeness is relative to the
-    reported bounds and denominator profile.
-    """
-    if f.is_zero():
-        raise ValueError("cannot divide by the zero map")
+def _division_system(f: TwistedPoly, ys, bounds: HeightProfile | None):
+    """The bounded F_p-linear system of f(X) = y, y in ys: (den, (b_theta,
+    b_t), basis_nums, columns, rhs, flags), where X = sum u_k basis_nums[k]
+    / den solves f(X) = ys[m] iff sum u_k columns[k] = rhs[m].  den and
+    the bounds hold for every F_p-combination of ys as well."""
     bounds = bounds or HeightProfile()
     p = f.p
-    ys = list(ys)
     flags = set()
 
     den = _solution_denominator(f, ys, flags)
@@ -373,7 +368,7 @@ def solve_additive_many(f: TwistedPoly, ys, bounds: HeightProfile | None = None)
             return derived
         if user < derived:
             warnings.warn(f"{name} bound {user} is below the derived {derived}",
-                          BoundTooSmallWarning, stacklevel=3)
+                          BoundTooSmallWarning, stacklevel=4)
             flags.add("user-bound-below-derived")
         return user
 
@@ -386,12 +381,30 @@ def solve_additive_many(f: TwistedPoly, ys, bounds: HeightProfile | None = None)
     y_den = common_denominator(ys) if ys else BiPoly.one(p)
     if not y_den.is_one():
         images = [n * y_den for n in images]
-    rhs_polys = [y.num * image_den * bi_divexact(y_den, y.den) for y in ys]
-    echelon = Echelon([bipoly_vector(f) for f in images], p)
-    sols = [echelon.solve(bipoly_vector(f)) for f in rhs_polys]
+    rhs = [bipoly_vector(y.num * image_den * bi_divexact(y_den, y.den))
+           for y in ys]
+    return (den, (b_theta, b_t), basis_nums,
+            [bipoly_vector(n) for n in images], rhs, flags)
+
+
+def solve_additive_many(f: TwistedPoly, ys, bounds: HeightProfile | None = None):
+    """All bounded X with f(X) = y, for each y, sharing one elimination.
+
+    Returns a list of DivisionResult in the order of ys.  Soundness is
+    absolute (every point re-verified); completeness is relative to the
+    reported bounds and denominator profile.
+    """
+    if f.is_zero():
+        raise ValueError("cannot divide by the zero map")
+    p = f.p
+    ys = list(ys)
+    den, (b_theta, b_t), basis_nums, columns, rhs, flags = \
+        _division_system(f, ys, bounds)
+    echelon = Echelon(columns, p)
+    sols = [echelon.solve(vec) for vec in rhs]
     null = echelon.kernel()
 
-    if p ** len(null) > bounds.enum_cap:
+    if p ** len(null) > (bounds or HeightProfile()).enum_cap:
         raise RuntimeError(
             f"solution space too large to enumerate (p^{len(null)})")
 

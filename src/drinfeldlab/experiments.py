@@ -728,8 +728,6 @@ def _zero_dim_report(gamma: PhiModule, variety: ZeroDim, tracked_places,
         inconclusive = True
         notes.append(f"closure-torsion-mismatch-at-"
                      f"{len(ctc.witness_places)}-places")
-    if "pseudo-torsion-enumeration-capped" in ctc.notes:
-        inconclusive = True
 
     injective_at = [v for v in tracked_places
                     if _torsion_reduction_injective(ctc.torsion_points, v)]

@@ -5,6 +5,8 @@ through the Drinfeld structure.  Everything linear over F_p[t] is pushed
 down to F_p linear algebra on coordinate vectors of the bounded iterate
 family {Phi_{t^j}(x_i)}, so syzygies, membership, quotients, and torsion all
 ride on one base.Echelon of that family plus Smith reduction over F_p[t].
+The fullness scan asks one F_p-kernel question per prime q, for the
+division points of all its targets at once (_hull_scan).
 
 PhiModule.family(deg_bound) is the family prepared once per generator
 tuple and bound: the points, each slot's common denominator D_s and the
@@ -42,17 +44,16 @@ import itertools
 from dataclasses import dataclass
 
 from .base import Echelon, RMatrix, RPoly, fp_span, smith_normal_form
-from .drinfeld import (DrinfeldModule, HeightProfile, phi_action,
+from .drinfeld import (DrinfeldModule, _division_system, phi_action,
                        reduce_point, reduction, solve_additive_many,
                        torsion_annihilator)
 from .factor import iter_irreducible_rpolys, rpoly_code
 from .grammar import Parser
-from .kfield import (KElem, bipoly_vector, common_denominator, kelem_ring,
-                     kelem_sort_key, kelem_to_str)
+from .kfield import (BiPoly, KElem, bipoly_vector, common_denominator,
+                     kelem_ring, kelem_sort_key, kelem_to_str)
 from .twisted import tp_eval, tp_to_str
 
 _REP_ENUM_CAP = 6561
-_HULL_TARGET_CAP = 729
 _DEFAULT_BOUND = 8
 
 
@@ -530,7 +531,7 @@ def _window_vectors(gamma: PhiModule, deg: int):
 
     Their fp_span is the window sum Phi_{c_i}(x_i), deg c_i <= deg, with
     the operators c_i in the code order of _iter_rpolys_below, the first
-    generator's slowest.
+    generator's slowest; this digit order orders the hull scan's targets.
     """
     family = _iterate_family(gamma, deg)
     width = deg + 1
@@ -538,60 +539,88 @@ def _window_vectors(gamma: PhiModule, deg: int):
             for z in reversed(family[i:i + width])]
 
 
-def _hull_targets(gamma: PhiModule, dq: int, notes: set):
-    """The distinct division targets sum Phi_{rem_i}(x_i), deg rem_i < dq,
-    as the window of degree dq - 1.  Only the first _HULL_TARGET_CAP span
-    points are taken, before duplicates are dropped.
-    """
-    vectors = _window_vectors(gamma, dq - 1)
-    span = fp_span(gamma.p, vectors, gamma.zero_point())
-    if gamma.p ** len(vectors) > _HULL_TARGET_CAP:
-        notes.add("hull-targets-truncated")
-        span = itertools.islice(span, _HULL_TARGET_CAP)
-    return list(dict.fromkeys(span))
+def _least_outside(vectors, sub, p: int):
+    """The least vector of span(vectors) outside span(sub), index 0 most
+    significant, or None: rows reduced on leading entries, sub's first,
+    are normal forms, and the new row with the last lead is the least."""
+    rows = []
+    for k, v in enumerate(list(sub) + list(vectors)):
+        for _, lead, row in rows:
+            v = [(a - v[lead] * b) % p for a, b in zip(v, row)]
+        lead = next((i for i, a in enumerate(v) if a % p), None)
+        if lead is not None:
+            inv = pow(v[lead], p - 2, p)
+            rows.append((k >= len(sub), lead, [a * inv % p for a in v]))
+    return max(rows)[2] if rows and max(rows)[0] else None
 
 
-def _hull_scan(gamma: PhiModule, prime_bound: int,
-               height_bounds: HeightProfile | None,
-               member_bound: int, notes: set):
+def _hull_scan(gamma: PhiModule, prime_bound: int, member_bound: int,
+               notes: set):
     """(x, q) for the first module point x not in gamma with Phi_q(x) in
     gamma, or (None, None).
 
-    Division targets are the points sum Phi_{rem_i}(x_i) with deg rem_i <
-    deg q.  They depend only on deg q, so they are built once per degree,
-    as one F_p-span (_hull_targets).  The division points are tested for
-    membership against gamma.family(member_bound), which the first of
-    them prepares.
+    The targets of q are y_c = sum_j c_j w_j over the window w of degree
+    deg q - 1, in the digit order of c.  Phi_q is F_p-linear, so the pairs
+    (X, c) with Phi_q(X) = y_c are the kernel of one Echelon over the
+    division systems of the w_j, a column block per slot and c shared; den
+    and bounds derived from the w_j hold for every y_c.  Members of gamma
+    form a subspace, so q passes when the kernel basis's X-parts do.  Else
+    the first target with a non-member point is 0 if ker Phi_q has one,
+    or the least c outside the c's of member pairs; only its points are
+    listed, and the first non-member in slot-product order is returned.
     """
-    targets_by_degree = {}
-    for q in _primes_up_to(gamma.p, prime_bound):
-        dq = q.degree
-        if dq not in targets_by_degree:
-            targets_by_degree[dq] = _hull_targets(gamma, dq, notes)
-        targets = targets_by_degree[dq]
+    p = gamma.p
+    windows = {}
+    for q in _primes_up_to(p, prime_bound):
+        if q.degree not in windows:
+            windows[q.degree] = _window_vectors(gamma, q.degree - 1)
+        window = windows[q.degree]
         f = phi_action(gamma.phi, q)
-        per_slot = []
+        slots, columns, c_columns = [], [], [{} for _ in window]
         for s in range(gamma.g):
-            results = solve_additive_many(f, [y[s] for y in targets],
-                                          height_bounds)
-            per_slot.append(results)
-            for res in results:
-                notes.update(res.info.flags)
-        candidates = []
-        for m in range(len(targets)):
-            slot_points = [per_slot[s][m].points for s in range(gamma.g)]
-            for combo in itertools.product(*slot_points):
-                if not point_is_zero(combo):
-                    candidates.append(combo)
+            den, _, basis, cols, rhs, flags = _division_system(
+                f, [w[s] for w in window], None)
+            notes.update(flags)
+            slots.append((den, basis))
+            columns += [{(s, e): c for e, c in col.items()} for col in cols]
+            for col, y in zip(c_columns, rhs):
+                col.update(((s, e), -c) for e, c in y.items())
+        kernel = Echelon(columns + c_columns, p).kernel()
+        xs = []
+        for vec in kernel:
+            u = iter(vec)       # zip stops at the end of each basis
+            xs.append(tuple(KElem(sum((n.scale(a) for n, a in zip(basis, u)
+                                       if a), BiPoly.zero(p)), den)
+                            for den, basis in slots))
+        found = [cert.found for cert in member_many(gamma, xs, member_bound)]
+        if all(found):
+            continue
+        cs = [vec[len(columns):] for vec in kernel]
+        if any(not ok and not any(c) for ok, c in zip(found, cs)):
+            least = [0] * len(window)
+        else:
+            points = gamma.family(member_bound).points
+            relations = Echelon(_family_vectors(points + xs)[1], p).kernel()
+            least = _least_outside(cs, [
+                [sum(a * c[j] for a, c in zip(rel[len(points):], cs)) % p
+                 for j in range(len(window))] for rel in relations], p)
+        y = gamma.zero_point()
+        for cj, w in zip(least, window):
+            y = point_add(y, tuple(KElem.const(p, cj) * z for z in w))
+        per_slot = [solve_additive_many(
+            f, [y[s]] + [w[s] for w in window])[0].points
+            for s in range(gamma.g)]
+        candidates = [x for x in itertools.product(*per_slot)
+                      if not point_is_zero(x)]
         for x, cert in zip(candidates, member_many(gamma, candidates,
                                                    member_bound)):
             if not cert.found:
                 return x, q
+        raise AssertionError("hull scan lost its non-member division point")
     return None, None
 
 
 def divisible_hull(gamma: PhiModule, prime_bound: int = 2,
-                   height_bounds: HeightProfile | None = None,
                    member_bound: int = _DEFAULT_BOUND,
                    max_rounds: int = 4) -> PhiModule:
     """Close gamma under division by primes of degree <= prime_bound.
@@ -605,8 +634,7 @@ def divisible_hull(gamma: PhiModule, prime_bound: int = 2,
     notes = set(gamma.notes)
     current = gamma
     for _ in range(max_rounds):
-        x, q = _hull_scan(current, prime_bound, height_bounds,
-                          member_bound, notes)
+        x, q = _hull_scan(current, prime_bound, member_bound, notes)
         if x is None:
             return current.sub(current.gens, tuple(sorted(notes)))
         current = current.sub(current.gens + (x,))
@@ -626,11 +654,12 @@ class FullnessReport:
 
 
 def is_full(gamma: PhiModule, prime_bound: int = 2,
-            height_bounds: HeightProfile | None = None,
             member_bound: int = _DEFAULT_BOUND) -> FullnessReport:
     """Does gamma already contain every bounded division point?"""
+    if prime_bound < 1:
+        raise ValueError("prime bound must be positive")
     notes = set()
-    x, q = _hull_scan(gamma, prime_bound, height_bounds, member_bound, notes)
+    x, q = _hull_scan(gamma, prime_bound, member_bound, notes)
     if x is None:
         return FullnessReport("full_up_to_bounds", None, None,
                               prime_bound, member_bound, tuple(sorted(notes)))

@@ -1,9 +1,14 @@
 """Builders of test data and reference oracles that the package itself
 never needs."""
 
-from drinfeldlab.base import FElem, RMatrix, RPoly
+import itertools
+
+from drinfeldlab.base import FElem, RMatrix, RPoly, fp_span
+from drinfeldlab.drinfeld import phi_action, solve_additive_many
 from drinfeldlab.factor import factor_bipoly
 from drinfeldlab.kfield import BiPoly, KElem
+from drinfeldlab.phimodule import (_primes_up_to, _window_vectors,
+                                   member_many, point_is_zero)
 from drinfeldlab.places import (Place, TruncRing, _fpoly_divmod_monic,
                                 _fpoly_mul, _fpoly_rem_monic, valuation)
 
@@ -123,3 +128,50 @@ def classify_places(coefficients, generators=()):
         if not g.is_zero():
             omega1 |= {v for v in _support_places(g) if valuation(g, v) < 0}
     return omega0, omega1
+
+
+def hull_targets(gamma, dq: int):
+    """The distinct division targets sum Phi_{rem_i}(x_i), deg rem_i < dq,
+    as the fp_span of the window of degree dq - 1, first occurrences kept."""
+    span = fp_span(gamma.p, _window_vectors(gamma, dq - 1), gamma.zero_point())
+    return list(dict.fromkeys(span))
+
+
+def enumerated_hull_scan(gamma, prime_bound: int, member_bound: int = 8):
+    """(x, q, notes) by listing every division target of each prime, every
+    division point of each target and testing each for membership, in
+    order: the first x not in gamma with Phi_q(x) in gamma, or None."""
+    notes = set()
+    for q in _primes_up_to(gamma.p, prime_bound):
+        targets = hull_targets(gamma, q.degree)
+        f = phi_action(gamma.phi, q)
+        per_slot = []
+        for s in range(gamma.g):
+            results = solve_additive_many(f, [y[s] for y in targets])
+            per_slot.append(results)
+            for res in results:
+                notes.update(res.info.flags)
+        candidates = [x for m in range(len(targets))
+                      for x in itertools.product(
+                          *(per_slot[s][m].points for s in range(gamma.g)))
+                      if not point_is_zero(x)]
+        for x, cert in zip(candidates, member_many(gamma, candidates,
+                                                   member_bound)):
+            if not cert.found:
+                return x, q, notes
+    return None, None, notes
+
+
+def enumerated_hull(gamma, prime_bound: int, member_bound: int = 8,
+                    max_rounds: int = 4):
+    """(generators, notes) of divisible_hull, each round by
+    enumerated_hull_scan."""
+    gens, notes = gamma.gens, set(gamma.notes)
+    for _ in range(max_rounds):
+        x, _q, found = enumerated_hull_scan(gamma.sub(gens), prime_bound,
+                                            member_bound)
+        notes |= found
+        if x is None:
+            return gens, tuple(sorted(notes))
+        gens += (x,)
+    return gens, tuple(sorted(notes | {"hull-rounds-capped"}))

@@ -474,6 +474,31 @@ class TestClosureTorsion:
         assert sorted(point_to_str(x)
                       for x in rep.pseudo_torsion_points) == want
 
+    @pytest.mark.parametrize("p, deg_bound", [(2, 4), (3, 2)])
+    @pytest.mark.parametrize("known", ["exact", "zero", "one-more"])
+    def test_rank_decides_as_the_listed_points(self, p, deg_bound, known,
+                                               monkeypatch):
+        # with no points listed, the kind and the notes other than the
+        # listing cap's are those of comparing the listed points; a known
+        # torsion of 0 alone fails the inclusion, one with the free
+        # generator added fails the count
+        gamma = _torsion_and_free(p, 0)
+        tracked = standard_tracked_places(gamma, 3)
+        exact = torsion_submodule
+        monkeypatch.setattr(adelic, "torsion_submodule", {
+            "exact": exact,
+            "zero": lambda gam, _bound: (gam.zero_point(),),
+            "one-more": lambda gam, bound: exact(gam, bound) + gam.gens[-1:],
+        }[known])
+        listed = closure_torsion_check(gamma, tracked, deg_bound)
+        monkeypatch.setattr(adelic, "_PSEUDO_ENUM_CAP", 0)
+        ranked = closure_torsion_check(gamma, tracked, deg_bound)
+        assert listed.kind == ranked.kind == \
+            ("confirmed" if known == "exact" else "mismatch")
+        assert ranked.notes == \
+            listed.notes + ("pseudo-torsion-enumeration-capped",)
+        assert ranked.pseudo_torsion_points is None
+
 
 # p -> (phi_t, torsion generators); (t + 1) theta / t is (t + 1)-torsion at
 # p = 2, so there the torsion is cyclic with annihilator t(t + 1)

@@ -90,21 +90,34 @@ class TestPaperInstance:
 
     def test_scan_builds_each_family_once(self, paper_hull, monkeypatch,
                                           family_bounds):
-        # the degree-1 and degree-2 targets are one span each, shared by the
-        # three primes of each degree, and the deg-8 membership family is
-        # built once for all six primes
+        # the windows of degree 0 and 1 are built once each, shared by the
+        # three primes of degree 1 and of degree 2, and the deg-8
+        # membership family is built once for all six primes
         gamma = PhiModule(paper_hull.phi, paper_hull.g, paper_hull.gens)
-        spans = []
-        fp_span = pm.fp_span
+        windows = []
+        window_vectors = pm._window_vectors
 
-        def counting_span(p, vectors, start):
-            spans.append(len(vectors))
-            return fp_span(p, vectors, start)
+        def counting_window(gamma, deg):
+            windows.append(deg)
+            return window_vectors(gamma, deg)
 
-        monkeypatch.setattr(pm, "fp_span", counting_span)
+        monkeypatch.setattr(pm, "_window_vectors", counting_window)
         assert is_full(gamma).kind == "full_up_to_bounds"
-        assert spans == [3, 6]
+        assert windows == [0, 1]
         assert sorted(family_bounds) == [0, 1, 8]
+
+    def test_pseudo_torsion_list_cap_leaves_the_verdict(self, paper_hull,
+                                                        monkeypatch):
+        # the pseudo-torsion space is compared with the torsion by rank, so
+        # a cap on listing its points only empties the report's list
+        monkeypatch.setattr(adelic, "_PSEUDO_ENUM_CAP", 0)
+        theta = KElem.theta(P)
+        rep = ex.zero_dim_intersection(
+            paper_hull, ex.ZeroDim(1, [(theta,), (theta + KElem.one(P),)]))
+        assert rep.verdict == ex.CONFIRMED
+        ctc = dict(rep.certificates)["closure-torsion"]
+        assert ctc["kind"] == "confirmed"
+        assert ctc["pseudo_torsion_points"] is None
 
     def test_zero_dim_k_side_is_per_point_member(self, paper_hull):
         # the K-side read off the closure reports is the one per-point

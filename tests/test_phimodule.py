@@ -12,9 +12,7 @@ from drinfeldlab.drinfeld import (DrinfeldModule, phi_action, reduce_point,
 from drinfeldlab.kfield import KElem, kelem_parse, kelem_to_str
 from drinfeldlab.phimodule import (
     PhiModule,
-    _HULL_TARGET_CAP,
     _apply_operators,
-    _hull_targets,
     _iterate_family,
     _op_on_point,
     _orbit,
@@ -37,6 +35,8 @@ from drinfeldlab.phimodule import (
 )
 from drinfeldlab.places import Place, place_parse, residue_reduce
 from drinfeldlab.twisted import tp_eval
+
+from helpers import enumerated_hull, enumerated_hull_scan, hull_targets
 
 P = 3
 T_OP = RPoly.monomial(P, 1)
@@ -582,25 +582,20 @@ class TestLineageMemo:
         assert _unshared(sub)._orbits is not gamma._orbits
 
 
-# -- the hull scan's division targets ------------------------------------------
+# -- the hull scan against the enumerating scan -------------------------------
 
 
-def _product_hull_targets(gamma, dq, notes):
-    """The hull scan's targets as the scan built them per prime before the
-    one-span construction: nested itertools.product over the remainders'
-    coefficient vectors, truncated to _HULL_TARGET_CAP tuples, then
+def _product_hull_targets(gamma, dq):
+    """The division targets sum Phi_{rem_i}(x_i), deg rem_i < dq, by nested
+    itertools.product over the remainders' coefficient vectors, then
     deduplicated."""
     p, r = gamma.p, gamma.rank
     zero = gamma.zero_point()
     family = _iterate_family(gamma, dq - 1)
     rems = [digits[::-1] for digits in itertools.product(range(p), repeat=dq)]
-    tuples = itertools.product(rems, repeat=r)
-    if p ** (r * dq) > _HULL_TARGET_CAP:
-        notes.add("hull-targets-truncated")
-        tuples = itertools.islice(tuples, _HULL_TARGET_CAP)
     targets = []
     seen = set()
-    for rem in tuples:
+    for rem in itertools.product(rems, repeat=r):
         y = zero
         for c, z in zip(itertools.chain.from_iterable(rem), family):
             if c:
@@ -616,32 +611,96 @@ _SPAN_ACTIONS = {2: "[t, theta, 1]", 3: "[0, theta, 1]"}
 
 
 class TestHullTargets:
+    """The enumerating scan's targets, the fp_span of _window_vectors, come
+    in remainder order: the digit order of c in which the hull scan's
+    least target is defined."""
+
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     @pytest.mark.parametrize("dq", [1, 2])
     def test_matches_product_construction(self, p, rank, dq):
         gamma = _seeded_module(p, _SPAN_ACTIONS[p], rank, rank=rank, g=1)
-        notes, want_notes = set(), set()
-        got = _hull_targets(gamma, dq, notes)
-        assert got == _product_hull_targets(gamma, dq, want_notes)
-        assert notes == want_notes
-
-    def test_truncated_before_dedup(self):
-        # rank 4, dq = 2, p = 3: 6,561 tuples, of which the first 729 are
-        # kept; the repeated generator makes most of those 729 coincide,
-        # while the whole span would still have 729 distinct points
-        gens = [(k("theta"),), (k("1"),), (k("theta^2"),), (k("theta^2"),)]
-        gamma = PhiModule(psi(), 1, gens)
-        notes, want_notes = set(), set()
-        got = _hull_targets(gamma, 2, notes)
-        want = _product_hull_targets(gamma, 2, want_notes)
-        assert got == want
-        assert len(want) == 81
-        assert notes == want_notes == {"hull-targets-truncated"}
+        assert hull_targets(gamma, dq) == _product_hull_targets(gamma, dq)
 
     def test_rank_zero(self):
         gamma = PhiModule(psi(), 2, [])
-        assert _hull_targets(gamma, 2, set()) == [gamma.zero_point()]
+        assert hull_targets(gamma, 2) == [gamma.zero_point()]
+
+
+_SCAN_ACTIONS = [(2, "[t, theta, 1]"), (2, "[t, 1]"), (2, "[0, 1, theta]"),
+                 (3, "[0, theta, 1]"), (3, "[t, 1]"), (3, "[0, theta^2, 1]"),
+                 (5, "[t, 1]"), (5, "[0, theta, 1]")]
+_SCAN_GRID = [(p, text, rank, g, prime_bound)
+              for p, text in _SCAN_ACTIONS for rank in (1, 2, 3)
+              for g in (1, 2) for prime_bound in (1, 2)
+              if p ** (rank * prime_bound) <= 729]
+
+
+def _divided_module(p, text, seed, rank, g, prime_bound):
+    """Generators Phi_b(x), some plus the generator before: each x is a
+    division point of a prime factor of b, of degree <= prime_bound."""
+    rng = random.Random(seed)
+    phi = DrinfeldModule.parse(p, text)
+    theta = KElem.theta(p)
+    gens = []
+    for _ in range(rank):
+        x = tuple(theta ** rng.randrange(2) * KElem.const(p, rng.randrange(p))
+                  + KElem.const(p, rng.randrange(p)) for _ in range(g))
+        b = RPoly.from_coeffs(p, [rng.randrange(p) for _ in range(
+            rng.randrange(1, prime_bound + 1))] + [1])
+        y = point_apply(phi_action(phi, b), x)
+        if gens and rng.randrange(2):
+            y = point_add(y, gens[-1])
+        gens.append(y)
+    return PhiModule(phi, g, gens)
+
+
+class TestHullScanMatchesEnumeration:
+    """is_full and divisible_hull against the scan that lists every
+    division target and point (helpers.enumerated_hull_scan): the same
+    witness, prime, notes and hull generators, on seeded modules, which
+    are mostly full, and on divided ones, which are mostly not full, with
+    the first non-member in ker Phi_q or in a later target."""
+
+    @pytest.mark.parametrize("p, text, rank, g, prime_bound", _SCAN_GRID)
+    def test_is_full(self, p, text, rank, g, prime_bound):
+        for seed in (0, 1):
+            for gamma in (_seeded_module(p, text, seed, rank=rank, g=g),
+                          _divided_module(p, text, seed, rank, g,
+                                          prime_bound)):
+                want = enumerated_hull_scan(_unshared(gamma), prime_bound, 3)
+                rep = is_full(gamma, prime_bound=prime_bound, member_bound=3)
+                assert (rep.witness, rep.prime, set(rep.notes)) == want
+                assert rep.kind == ("full_up_to_bounds" if want[0] is None
+                                    else "not_full")
+
+    @pytest.mark.parametrize("p, text", _SCAN_ACTIONS)
+    @pytest.mark.parametrize("prime_bound", [1, 2])
+    def test_divisible_hull(self, p, text, prime_bound):
+        for rank in (1, 2):
+            if p ** (rank * prime_bound) > 729:
+                continue
+            gamma = _divided_module(p, text, rank, rank, 1, prime_bound)
+            hull = divisible_hull(gamma, prime_bound=prime_bound,
+                                  member_bound=3, max_rounds=2)
+            want = enumerated_hull(_unshared(gamma), prime_bound, 3, 2)
+            assert (hull.gens, hull.notes) == want
+
+    def test_p5_rank3_hull(self):
+        # 5^6 = 15,625 targets for each degree-2 prime
+        phi = DrinfeldModule.parse(5, "[0, theta, 1]")
+        start = PhiModule(phi, 1, [(tp_eval(phi.phi_t, KElem.theta(5)),)])
+        hull = divisible_hull(start, prime_bound=1)
+        assert [point_to_str(x) for x in hull.gens] == \
+            ["(theta^25+theta^6)", "(theta)", "(1)"]
+        rep = is_full(hull)
+        assert (rep.kind, rep.notes) == ("full_up_to_bounds", ())
+        assert enumerated_hull_scan(_unshared(hull), 2) == (None, None, set())
+
+    @pytest.mark.parametrize("prime_bound", [0, -1])
+    def test_prime_bound_below_one_refused(self, prime_bound):
+        with pytest.raises(ValueError, match="prime bound must be positive"):
+            is_full(_psi_start(), prime_bound=prime_bound)
 
 
 def _psi_start():
