@@ -30,13 +30,13 @@ import json
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
-from .base import (Echelon, FElem, RMatrix, RPoly, fp_span, memo_put,
-                   smith_normal_form)
+from .base import Echelon, FElem, RMatrix, RPoly, fp_span, smith_normal_form
 from .drinfeld import (DrinfeldModule, phi_action, reduce_point, reduction,
                        torsion_annihilator)
 from .kfield import KElem, kelem_to_str
 from .localfield import NoResidueRoot, embed, hensel_solve, tp_eval_local
 from .phimodule import (
+    _DEFAULT_BOUND,
     MemberCertificate,
     PhiModule,
     _apply_operators,
@@ -69,7 +69,7 @@ SCHEMA = "drinfeldlab.adelic/1"
 
 STANDARD_PLACE_COUNT = 3
 STANDARD_CUTOFF = 10
-STANDARD_DEG_BOUND = 8
+STANDARD_DEG_BOUND = _DEFAULT_BOUND
 
 _PSEUDO_ENUM_CAP = 729
 
@@ -140,35 +140,32 @@ def _embed_point(x, v: Place, n: int):
     return tuple(embed(c, v, n) for c in x)
 
 
-_EMBED_CACHE: dict = {}
-
-
 def _embedded_family(gamma: PhiModule, v: Place, n: int, deg_bound: int):
     """phimodule._iterate_family embedded at the theta-degree-one place v,
-    cached by value.
+    to precision n.
 
     Each iterate is phi_t evaluated on the previous embedding
     (localfield.tp_eval_local), which is exact because K_v is a Laurent
     series field over F_p(t), and which avoids re-reducing K-elements whose
-    degrees grow geometrically with j; tp_eval_local's memo embeds each
+    degrees grow geometrically with j; one dict per build embeds each
     coefficient of phi_t once per precision.  Layout matches the exact
-    iterate family: generator-major, then increasing power of t.  Families
-    are memoised in _EMBED_CACHE, keyed by (phi_t, generators, g, v, n,
-    deg_bound), which base.memo_put clears once it holds more than 64
-    entries.
+    iterate family: generator-major, then increasing power of t.  The
+    module lineage's memo keeps it; the place keeps the rings behind it.
     """
-    key = (gamma.phi.phi_t.coeffs, tuple(gamma.gens), gamma.g, v, n, deg_bound)
-    hit = _EMBED_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = []
+    key = ("embedded", gamma.gens, deg_bound, v, n)
+    out = gamma._memo.get(key)
+    if out is not None:
+        return out
+    out, coeffs = [], {}
     for x in gamma.gens:
         z = _embed_point(x, v, n)
         out.append(z)
         for _ in range(deg_bound):
-            z = tuple(tp_eval_local(gamma.phi.phi_t, c).truncate(n) for c in z)
+            z = tuple(tp_eval_local(gamma.phi.phi_t, c, coeffs).truncate(n)
+                      for c in z)
             out.append(z)
-    return memo_put(_EMBED_CACHE, key, out)
+    gamma._memo[key] = out
+    return out
 
 
 def _digit_columns(points, precision: int):
@@ -178,8 +175,13 @@ def _digit_columns(points, precision: int):
     {(level, key): c} per point, holding the digits of levels 0..m of that
     point, each level through _family_vectors of the digits lifted into K.
     A combination of the points has valuation > m iff the same combination
-    of the columns is zero.  The columns grow in place between yields.
+    of the columns is zero.  The columns grow in place between yields.  A
+    digit below level 0, which they would drop, raises ValueError: an
+    iterate has one at a place where phi_t or a generator has a pole.
     """
+    for z in itertools.chain.from_iterable(points):
+        if any(e < 0 for e in z.terms):
+            raise ValueError(f"module not integral at {place_to_str(z.place)}")
     columns = [{} for _ in points]
     for m in range(precision):
         digits = [tuple(KElem.from_felem(z.terms.get(m, FElem.zero(z.p)))

@@ -1,10 +1,10 @@
 """Exact base arithmetic for the workbench.
 
-Implements F_p scalar helpers, the bound of the package's module-level
-memos, the polynomial ring R = F_p[t], its fraction field F = F_p(t), small
-matrices over R, Smith normal form, and the F_p linear algebra everything
-downstream leans on: one sparse column echelon (solutions, kernels, first
-relations) and one enumerator of affine spans.
+Implements F_p scalar helpers, the polynomial ring R = F_p[t], its
+fraction field F = F_p(t), small matrices over R, Smith normal form, and
+the F_p linear algebra everything downstream leans on: one sparse column
+echelon (solutions, kernels, first relations) and one enumerator of affine
+spans.
 
 R-polynomials are sparse maps {exponent: coefficient} with coefficients in
 1..p-1; zero coefficients are never stored.  Exponents are plain Python ints
@@ -52,18 +52,6 @@ def inv_mod(c: int, p: int) -> int:
     if c == 0:
         raise ZeroDivisionError("inverse of 0 in F_p")
     return pow(c, p - 2, p)
-
-
-_MEMO_CAP = 64
-
-
-def memo_put(memo: dict, key, value):
-    """memo[key] = value, clearing a memo of more than _MEMO_CAP entries
-    first: the bound of the package's module-level value memos."""
-    if len(memo) > _MEMO_CAP:
-        memo.clear()
-    memo[key] = value
-    return value
 
 
 def _require_same_p(a, b):

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 from .adelic import (
+    STANDARD_CUTOFF,
+    STANDARD_DEG_BOUND,
     Report,
     closure_member,
     closure_torsion_check,
@@ -606,8 +608,9 @@ def _closure_checks(gamma: PhiModule, points, tracked_places,
 
 def generic_char_experiment(gamma: PhiModule, variety,
                             tracked_places=None,
-                            deg_bound: int = 8, cutoff: int = 10,
-                            precision: int = 10,
+                            deg_bound: int = STANDARD_DEG_BOUND,
+                            cutoff: int = STANDARD_CUTOFF,
+                            precision: int = STANDARD_CUTOFF,
                             enum_deg: int = 3) -> ExperimentReport:
     """Generic-characteristic closure theorem on one instance.
 
@@ -676,8 +679,8 @@ def _torsion_reduction_injective(torsion_points, v) -> bool:
 
 
 def zero_dim_intersection(gamma: PhiModule, variety: ZeroDim,
-                          tracked_places=None, precision: int = 10,
-                          deg_bound: int = 8) -> ExperimentReport:
+                          tracked_places=None, precision: int = STANDARD_CUTOFF,
+                          deg_bound: int = STANDARD_DEG_BOUND) -> ExperimentReport:
     """Special-characteristic closure theorem for finite point sets.
 
     Mixed limit assignments (different variety points at different places)
@@ -982,8 +985,8 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
 
 
 def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
-                       tracked_places=None, precision: int = 10,
-                       deg_bound: int = 8, box_degree: int = 2,
+                       tracked_places=None, precision: int = STANDARD_CUTOFF,
+                       deg_bound: int = STANDARD_DEG_BOUND, box_degree: int = 2,
                        enum_deg: int = 3):
     """Replace a hypersurface instance by a finite candidate set W.
 

@@ -24,7 +24,7 @@ honest cutoff and raise rather than silently losing digits.
 
 from __future__ import annotations
 
-from .base import FElem, RPoly, memo_put
+from .base import FElem, RPoly
 from .drinfeld import DrinfeldModule, phi_action, solve_additive_many
 from .factor import rpoly_code
 from .kfield import KElem
@@ -153,8 +153,8 @@ def embed(x: KElem, v: Place, n: int) -> LocalElem:
     The u-digits of num / u^kn and den / u^kd come from places.unit_digits,
     by the Taylor shift theta = u - g, with no truncated ring; the ring
     only computes the multiplicities kn and kd.  Their power-series
-    quotient is the expansion of x / u^(kn - kd).  embed itself memoises
-    nothing; tp_eval_local memoises the coefficients it embeds.
+    quotient is the expansion of x / u^(kn - kd).  embed memoises
+    nothing: a place keeps its rings, a module lineage its embedded families.
     """
     require_degree_one(v)
     if x.p != v.p:
@@ -206,29 +206,18 @@ def residue_solve(coeffs, ybar: FElem, v: Place):
 # -- local evaluation and the divisibility verdict ---------------------------
 
 
-_COEFF_CACHE: dict = {}
-
 # digits of each embedded coefficient beyond the cutoff that z drives
 _EMBED_MARGIN = 2
 
 
-def _embed_coeff(c: KElem, v: Place, n: int) -> LocalElem:
-    """embed(c, v, n), memoised by value in _COEFF_CACHE, which
-    base.memo_put clears once it holds more than 64 entries."""
-    key = (c, v, n)
-    z = _COEFF_CACHE.get(key)
-    if z is None:
-        z = memo_put(_COEFF_CACHE, key, embed(c, v, n))
-    return z
-
-
-def tp_eval_local(f: TwistedPoly, z: LocalElem) -> LocalElem:
+def tp_eval_local(f: TwistedPoly, z: LocalElem, embedded: dict) -> LocalElem:
     """Evaluate a twisted polynomial at a local point.
 
     Coefficients are embedded with enough precision that the propagated
-    cutoff is driven by z, not by the embeddings.  Each embedding goes
-    through _embed_coeff, so a (coefficient, place, precision) triple is
-    embedded once until that bounded memo is cleared.
+    cutoff is driven by z, not by the embeddings.  embedded maps each
+    (coefficient, place, precision) to its embed and gains what is missing.
+    adelic._embedded_family passes one per build of a family, which the
+    module lineage keeps; embed's valuations read the place's own rings.
     """
     v = z.place
     acc = None
@@ -237,7 +226,11 @@ def tp_eval_local(f: TwistedPoly, z: LocalElem) -> LocalElem:
             continue
         zi = z.frobenius(i)
         n_embed = zi.precision - min(0, zi._eff_val()) + _EMBED_MARGIN + 1
-        term = _embed_coeff(c, v, max(n_embed, 1)) * zi
+        key = (c, v, max(n_embed, 1))
+        lifted = embedded.get(key)
+        if lifted is None:
+            lifted = embedded[key] = embed(*key)
+        term = lifted * zi
         acc = term if acc is None else acc + term
     if acc is None:
         return LocalElem.zero_to(v, z.precision)

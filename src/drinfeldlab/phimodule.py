@@ -20,9 +20,11 @@ decided not_found_up_to before any reduction.
 A module lineage shares one memo: the module built by the caller and every
 module derived from it through PhiModule.sub (divisible_hull's rounds and
 result, _minimize_generators' candidates, decompose's parts) read the same
-orbit of each generator and the same family of each (gens, deg_bound), so
-a sub-module on some of the hull's generators iterates phi_t on none of
-them again.
+orbit of each generator and the same family, embedded family and
+presentation of each generator tuple, so a sub-module on some of the
+hull's generators iterates phi_t on none of them again.  No memo is
+module-global: what a place alone determines, its truncated rings, the
+place keeps.
 
 _iterate_family is the one exact family: generator-major, then j = 0..bound,
 so the weight of Phi_{t^j}(x_i) sits at index i * (bound + 1) + j.  It
@@ -104,18 +106,17 @@ def _iter_rpolys_below(p: int, deg: int):
 class PhiModule:
     """Submodule of K^g spanned by finitely many points.
 
-    The presentation cache is write-once per bound: the first computation
-    at a given (or larger) syzygy bound is kept, later calls reuse it.  A
-    module built by the constructor starts a lineage memo: _orbits maps a
-    generator to its orbit x, Phi_t(x), ... as far as it was iterated, and
-    _families maps (gens, deg_bound) to the prepared IterateFamily.  Each
-    module made by sub shares both dicts.  Entries are only ever replaced
-    by longer orbits or written once, and assignment is atomic, so a
-    concurrent first computation is merely redundant, never inconsistent.
+    A module built by the constructor starts a lineage memo, _memo, that
+    every module made by sub shares.  It maps ("orbit", x) to x, Phi_t(x),
+    ... as far as iterated; ("family", gens, deg_bound) to the
+    IterateFamily; ("embedded", gens, deg_bound, v, n) to that family
+    embedded at v (adelic._embedded_family); and ("presentation", gens) to
+    the syzygies at the largest bound so far, which serve any lower bound.
+    Entries are only replaced by longer orbits or presentations, or written
+    once, so a concurrent first computation is redundant, never wrong.
     """
 
-    __slots__ = ("phi", "g", "gens", "notes", "_presentation", "_orbits",
-                 "_families")
+    __slots__ = ("phi", "g", "gens", "notes", "_memo")
 
     def __init__(self, phi: DrinfeldModule, g: int, gens, notes=()):
         if g < 1:
@@ -134,16 +135,13 @@ class PhiModule:
         self.g = g
         self.gens = tuple(clean)
         self.notes = tuple(notes)
-        self._presentation = None
-        self._orbits = {}
-        self._families = {}
+        self._memo = {}
 
     def sub(self, gens, notes=()) -> "PhiModule":
         """The module on gens over the same phi and g, in this module's
-        lineage: it shares the orbit and family memo."""
+        lineage: it shares the lineage memo."""
         out = PhiModule(self.phi, self.g, gens, notes)
-        out._orbits = self._orbits
-        out._families = self._families
+        out._memo = self._memo
         return out
 
     @property
@@ -158,11 +156,14 @@ class PhiModule:
         return tuple(KElem.zero(self.p) for _ in range(self.g))
 
     def presentation(self, deg_bound: int = _DEFAULT_BOUND):
-        cached = self._presentation
+        """The syzygies at deg_bound, or those at a larger bound already
+        computed in the lineage for these generators."""
+        key = ("presentation", self.gens)
+        cached = self._memo.get(key)
         if cached is not None and cached[0] >= deg_bound:
             return cached[1]
         rel = syzygies(self, deg_bound)
-        self._presentation = (deg_bound, rel)
+        self._memo[key] = (deg_bound, rel)
         return rel
 
     def family(self, deg_bound: int) -> "IterateFamily":
@@ -170,11 +171,10 @@ class PhiModule:
         the lineage for these generators."""
         if deg_bound < 0:
             raise ValueError("negative degree bound")
-        key = (self.gens, deg_bound)
-        prepared = self._families.get(key)
+        key = ("family", self.gens, deg_bound)
+        prepared = self._memo.get(key)
         if prepared is None:
-            prepared = _prepare_family(self, deg_bound)
-            self._families[key] = prepared
+            prepared = self._memo[key] = _prepare_family(self, deg_bound)
         return prepared
 
     def __eq__(self, other):
@@ -225,11 +225,11 @@ def _iterate_family(gamma: PhiModule, deg_bound: int):
     """
     out = []
     for x in gamma.gens:
-        orbit = gamma._orbits.get(x, [x])
+        orbit = gamma._memo.get(("orbit", x), [x])
         if len(orbit) <= deg_bound:
             orbit = orbit[:-1] + _orbit(gamma.phi, orbit[-1],
                                         deg_bound + 1 - len(orbit))
-            gamma._orbits[x] = orbit
+            gamma._memo["orbit", x] = orbit
         out.extend(orbit[:deg_bound + 1])
     return out
 

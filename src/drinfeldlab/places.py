@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .base import FElem, RPoly, check_modulus, memo_put
+from .base import FElem, RPoly, check_modulus
 from .factor import factor_bipoly
 from .grammar import Parser
 from .kfield import (BiPoly, KElem, _bipoly_to_str, bipoly_pth_root, kelem_ring,
@@ -45,15 +45,17 @@ _RING_CAP = 600
 
 
 class Place:
-    """A place of K trivial on F: Finite(pi) or Infinite."""
+    """A place of K trivial on F: Finite(pi) or Infinite.  _rings, not part
+    of its value, holds the TruncRings that get_trunc_ring built for it."""
 
-    __slots__ = ("p", "prim", "monic_coeffs")
+    __slots__ = ("p", "prim", "monic_coeffs", "_rings")
 
     def __init__(self, p: int, prim, _checked: bool = False):
         # prim: primitive irreducible BiPoly (finite place) or None (infinite)
         check_modulus(p)
         self.p = p
         self.prim = prim
+        self._rings = {}
         if prim is None:
             self.monic_coeffs = None
             return
@@ -303,14 +305,11 @@ class TruncRing:
             cur = q
 
 
-_ring_cache = {}
-
-
 def get_trunc_ring(place: Place, n: int) -> TruncRing:
-    key = (place, n)
-    ring = _ring_cache.get(key)
+    """The place's truncated ring at precision n, built on first use."""
+    ring = place._rings.get(n)
     if ring is None:
-        ring = memo_put(_ring_cache, key, TruncRing(place, n))
+        ring = place._rings[n] = TruncRing(place, n)
     return ring
 
 

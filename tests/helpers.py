@@ -7,6 +7,7 @@ from drinfeldlab.base import FElem, RMatrix, RPoly, fp_span
 from drinfeldlab.drinfeld import phi_action, solve_additive_many
 from drinfeldlab.factor import factor_bipoly
 from drinfeldlab.kfield import BiPoly, KElem
+from drinfeldlab.localfield import embed, tp_eval_local
 from drinfeldlab.phimodule import (_primes_up_to, _window_vectors,
                                    member_many, point_is_zero)
 from drinfeldlab.places import (Place, TruncRing, _fpoly_divmod_monic,
@@ -175,3 +176,17 @@ def enumerated_hull(gamma, prime_bound: int, member_bound: int = 8,
             return gens, tuple(sorted(notes))
         gens += (x,)
     return gens, tuple(sorted(notes | {"hull-rounds-capped"}))
+
+
+def embedded_family_unmemoised(gamma, v: Place, n: int, deg_bound: int):
+    """adelic._embedded_family with no memo at all: each application of
+    phi_t embeds its coefficients afresh."""
+    out = []
+    for x in gamma.gens:
+        z = tuple(embed(c, v, n) for c in x)
+        out.append(z)
+        for _ in range(deg_bound):
+            z = tuple(tp_eval_local(gamma.phi.phi_t, c, {}).truncate(n)
+                      for c in z)
+            out.append(z)
+    return out

@@ -25,7 +25,7 @@ from drinfeldlab.phimodule import (PhiModule, _apply_operators, _op_on_point,
 from drinfeldlab.places import place_parse, place_to_str, valuation
 from drinfeldlab.twisted import TwistedPoly, tp_eval
 
-from helpers import classify_places
+from helpers import classify_places, embedded_family_unmemoised
 
 
 def k(p, text):
@@ -76,19 +76,23 @@ def op_value(gamma, a):
 
 
 class TestEmbedCache:
-    def test_bounded_and_still_equal(self, monkeypatch):
-        monkeypatch.setattr(adelic, "_EMBED_CACHE", {})
+    """Embedded families live in the module lineage's memo."""
+
+    def test_memoised_family_equals_the_unmemoised_oracle(self):
         gam = carlitz_theta()
         v = place_parse(3, "finite:theta+1")
-        keys = [(n, d) for n in range(1, 11) for d in range(7)]
-        first = adelic._embedded_family(gam, v, *keys[0])
-        sizes = []
-        for n, d in keys:
-            adelic._embedded_family(gam, v, n, d)
-            sizes.append(len(adelic._EMBED_CACHE))
-        assert max(sizes) == 65
-        assert sizes[-1] == 5                 # cleared once, at the 66th key
-        assert adelic._embedded_family(gam, v, *keys[0]) == first
+        for n, d in itertools.product(range(1, 11), range(7)):
+            first = adelic._embedded_family(gam, v, n, d)
+            assert adelic._embedded_family(gam, v, n, d) is first
+            assert first == embedded_family_unmemoised(gam, v, n, d)
+
+    def test_lineage_shares_and_a_fresh_module_builds_its_own(self):
+        gam = carlitz_theta()
+        v = place_parse(3, "finite:theta+1")
+        first = adelic._embedded_family(gam, v, 5, 3)
+        assert adelic._embedded_family(gam.sub(gam.gens), v, 5, 3) is first
+        fresh = adelic._embedded_family(carlitz_theta(), v, 5, 3)
+        assert fresh is not first and fresh == first
 
 
 class TestRefusedOffThetaDegreeOne:
@@ -338,6 +342,43 @@ class TestClosureMember:
         y = (KElem.one(3) / (KElem.theta(3) + KElem.one(3)),)
         with pytest.raises(ValueError):
             closure_member(gam, y, standard_tracked_places(gam))
+
+    # a generator and a coefficient of phi_t with a pole at theta
+    POLES = [("[t, 1]", "theta+1/theta", "theta"), ("[t, 1/theta]", "1", "t")]
+
+    @staticmethod
+    def pole_instance(phi_text, gen, y):
+        phi = DrinfeldModule.parse(3, phi_text)
+        return PhiModule(phi, 1, [(kelem_parse(3, gen),)]), (kelem_parse(3, y),)
+
+    @pytest.mark.parametrize("phi_text, gen, y", POLES)
+    def test_pole_of_the_module_at_an_explicit_place_refused(
+            self, phi_text, gen, y):
+        # the iterates' digits below level 0 would be dropped, and the
+        # report would read approximant-within-precision at theta
+        gam, y = self.pole_instance(phi_text, gen, y)
+        with pytest.raises(ValueError,
+                           match="module not integral at finite:theta"):
+            closure_member(gam, y, [place_parse(3, "finite:theta")],
+                           precision=6, deg_bound=2)
+
+    def test_pole_of_phi_unread_at_degree_bound_zero(self):
+        # at deg_bound 0 phi_t is never applied and the family is <1>
+        gam, y = self.pole_instance(*self.POLES[1])
+        rep = closure_member(gam, y, [place_parse(3, "finite:theta")],
+                             precision=6, deg_bound=0)
+        assert [r.best_valuation for r in rep.place_reports] == [0]
+        assert rep.notes == ("blocked-at-place",)
+
+    @pytest.mark.parametrize("phi_text, gen, y", POLES)
+    def test_default_places_unchanged(self, phi_text, gen, y):
+        gam, y = self.pole_instance(phi_text, gen, y)
+        rep = closure_member(gam, y, precision=6, deg_bound=2)
+        assert [(place_to_str(r.place), r.best_valuation)
+                for r in rep.place_reports] == [
+            ("finite:theta+1", 1), ("finite:theta+2", 1),
+            ("finite:theta+t", 0)]
+        assert rep.notes == ("blocked-at-place",)
 
 
 def _random_kelem(rng, p):

@@ -804,6 +804,74 @@ class TestGenericCertificatesGolden:
         assert text == GOLDEN_SEED0.read_text()
 
 
+def _embedded_families(gamma):
+    """The keys of the embedded families in gamma's lineage memo."""
+    return [key for key in gamma._memo if key[0] == "embedded"]
+
+
+class TestMemoTraffic:
+    """The seed-0 generic-sweep pass: three pipeline calls on one module,
+    whose lineage memo serves the embedded families, and whose family
+    builds each own one dict of coefficient embeddings."""
+
+    @pytest.fixture
+    def traffic(self, monkeypatch):
+        """Each family request's result, and the embed calls made through
+        localfield (coefficients of phi_t, in tp_eval_local) and through
+        adelic (points: generators and targets)."""
+        counts = {"requests": [], "coefficients": 0, "points": 0}
+        request = adelic._embedded_family
+
+        def counting_request(gamma, v, n, deg_bound):
+            out = request(gamma, v, n, deg_bound)
+            counts["requests"].append(out)
+            return out
+
+        def counting_embed(kind):
+            def wrapped(x, v, n):
+                counts[kind] += 1
+                return embed(x, v, n)
+            return wrapped
+
+        embed = localfield.embed
+        monkeypatch.setattr(adelic, "_embedded_family", counting_request)
+        monkeypatch.setattr(localfield, "embed", counting_embed("coefficients"))
+        monkeypatch.setattr(adelic, "embed", counting_embed("points"))
+        return counts
+
+    @staticmethod
+    def _sweep(gamma):
+        theta, zero = KElem.theta(P), KElem.zero(P)
+        varieties = [
+            ex.Hypersurface(ex.poly_parse(P, 2, "x*y - theta")),
+            ex.Hypersurface(ex.poly_parse(P, 2, "x^2 - theta*y")),
+            ex.ZeroDim(2, [(theta, zero), (zero, theta), (theta, theta),
+                           (theta + 1, zero)]),
+        ]
+        for variety in varieties:
+            ex.generic_char_experiment(gamma, variety)
+
+    def test_seed0_generic_sweep(self, traffic):
+        gamma = _carlitz_plane()
+        self._sweep(gamma)
+        built = {id(out) for out in traffic["requests"]}
+        assert (len(traffic["requests"]), len(built)) == (12, 3)
+        assert len(_embedded_families(gamma)) == 3
+        assert traffic["coefficients"] == 6
+        assert traffic["coefficients"] + traffic["points"] == 24
+
+    def test_a_fresh_equal_module_builds_its_own(self, traffic):
+        gamma = _carlitz_plane()
+        self._sweep(gamma)
+        fresh = _carlitz_plane()
+        assert fresh == gamma
+        self._sweep(fresh)
+        built = {id(out) for out in traffic["requests"]}
+        assert (len(traffic["requests"]), len(built)) == (24, 6)
+        assert len(_embedded_families(fresh)) == 3
+        assert traffic["coefficients"] == 12
+
+
 @pytest.fixture
 def builds_per_module(monkeypatch):
     """How often each (module object, deg_bound) pair builds its iterate
@@ -1115,9 +1183,6 @@ class TestClosureTorsionMismatch:
                 super().__init__(place, n)
 
         monkeypatch.setattr(places, "TruncRing", CountingRing)
-        monkeypatch.setattr(places, "_ring_cache", {})
-        monkeypatch.setattr(adelic, "_EMBED_CACHE", {})
-        monkeypatch.setattr(localfield, "_COEFF_CACHE", {})
         p = 7
         phi = DrinfeldModule.parse(p, "[0, theta^2, 1]")
         theta = KElem.theta(p)
@@ -1845,11 +1910,10 @@ class TestNegativePrecision:
             "rank-0-discreteness"])
     def test_refused(self, call, family_bounds):
         gamma = _carlitz_plane()
-        cached = dict(adelic._EMBED_CACHE)
         with pytest.raises(ValueError, match="negative (precision|cutoff)"):
             call(gamma, (KElem.theta(P), KElem.zero(P)))
         assert family_bounds == []
-        assert adelic._EMBED_CACHE == cached
+        assert _embedded_families(gamma) == []
 
     @pytest.mark.parametrize("bounds", [{"precision": -1}, {"cutoff": -1}])
     def test_refused_by_the_generic_pipeline(self, bounds):
@@ -1910,11 +1974,10 @@ class TestNegativeDegBound:
     def test_refused(self, call, deg_bound, family_bounds):
         gamma = _carlitz_plane()
         y = (KElem.theta(P), KElem.zero(P))
-        cached = dict(adelic._EMBED_CACHE)
         with pytest.raises(ValueError, match="negative degree bound"):
             call(gamma, y, deg_bound)
         assert family_bounds == []
-        assert adelic._EMBED_CACHE == cached
+        assert _embedded_families(gamma) == []
 
     @pytest.mark.parametrize("call", [
         # the zero point, which needs no family, at -1 and -2

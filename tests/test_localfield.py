@@ -204,17 +204,13 @@ class TestEmbedAgainstOracles:
             assert prod == embed(num, v, wx + wd + n), (x, n)
 
 
-def _tp_eval_unmemoised(f, z, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(localfield, "_embed_coeff", embed)
-        return tp_eval_local(f, z)
-
-
 class TestCoefficientMemo:
+    """The caller's dict holds the coefficient embeddings: one dict serves
+    every call that shares it, and a fresh dict embeds afresh."""
+
     @pytest.mark.parametrize("place_text", ["finite:theta+t",
                                             "finite:t*theta+1"])
-    def test_repeated_calls_equal_unmemoised(self, place_text, monkeypatch):
-        monkeypatch.setattr(localfield, "_COEFF_CACHE", {})
+    def test_repeated_calls_equal_unmemoised(self, place_text):
         v = Place.parse(P, place_text)
         ops = [phi_action(carlitz(), RPoly.monomial(P, 2)), phi3().phi_t]
         points = []
@@ -222,13 +218,12 @@ class TestCoefficientMemo:
             z = embed(k(text), v, n)
             points += [z, z.truncate(n // 2)]
         schedule = [(f, z) for f in ops for z in points] * 2
-        got = [tp_eval_local(f, z) for f, z in schedule]
-        want = [_tp_eval_unmemoised(f, z, monkeypatch) for f, z in schedule]
+        shared = {}
+        got = [tp_eval_local(f, z, shared) for f, z in schedule]
+        want = [tp_eval_local(f, z, {}) for f, z in schedule]
         assert got == want
 
-
     def test_each_coefficient_embedded_once(self, monkeypatch):
-        monkeypatch.setattr(localfield, "_COEFF_CACHE", {})
         z = embed(k("theta"), vft(), 5)
         calls = []
 
@@ -237,18 +232,12 @@ class TestCoefficientMemo:
             return embed(x, v, n)
 
         monkeypatch.setattr(localfield, "embed", counting_embed)
+        shared = {}
         for _ in range(4):
-            tp_eval_local(carlitz().phi_t, z)   # t + tau: two coefficients
+            tp_eval_local(carlitz().phi_t, z, shared)  # t + tau: two coefficients
         assert len(calls) == 2
-
-    def test_memo_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(localfield, "_COEFF_CACHE", {})
-        v = vft()
-        x = k("theta^2+1")
-        for n in range(1, 71):
-            localfield._embed_coeff(x, v, n)
-            assert len(localfield._COEFF_CACHE) <= 65
-        assert localfield._embed_coeff(x, v, 3) == embed(x, v, 3)
+        tp_eval_local(carlitz().phi_t, z, {})
+        assert len(calls) == 4
 
 
 class TestLocalArithmetic:

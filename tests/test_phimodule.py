@@ -577,9 +577,20 @@ class TestLineageMemo:
         hull = divisible_hull(gamma, prime_bound=1)
         sub = hull.sub(hull.gens[1:], ("note",))
         assert (sub.phi, sub.g, sub.notes) == (hull.phi, hull.g, ("note",))
-        assert sub._orbits is gamma._orbits
-        assert sub._families is gamma._families
-        assert _unshared(sub)._orbits is not gamma._orbits
+        assert sub._memo is gamma._memo
+        assert _unshared(sub)._memo is not gamma._memo
+
+    def test_presentation_and_family_kept_per_generator_tuple(self):
+        # the lineage serves a sub-module on the same generators; a fresh
+        # but equal module builds its own
+        gamma = free_line()
+        first, family = gamma.presentation(4), gamma.family(4)
+        same = gamma.sub(gamma.gens)
+        assert same.presentation(3) is first and same.family(4) is family
+        fresh = _unshared(gamma)
+        assert fresh == gamma
+        assert fresh.presentation(4) is not first
+        assert fresh.family(4) is not family
 
 
 # -- the hull scan against the enumerating scan -------------------------------

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from drinfeldlab import places
 from drinfeldlab.adelic import _good_place, hilbertian_places
 from drinfeldlab.base import FElem, RPoly
 from drinfeldlab.drinfeld import DrinfeldModule
@@ -140,6 +141,27 @@ class TestTruncRing:
         for e in (0, 1, 2, 11, 12, 17, 18, 26, 27, 28, 3 ** 5, 3 ** 5 + 2,
                   2 * 3 ** 5 + 3 ** 3 + 1, 3 ** 6 - 1):
             assert ring.theta_power(e) == theta_power_by_squaring(ring, e), e
+
+    def test_a_place_keeps_its_rings(self, monkeypatch):
+        # two valuations at one place build its ring at n = 4 once; an
+        # equal new place owns rings of its own
+        built = []
+
+        class CountingRing(TruncRing):
+            def __init__(self, place, n):
+                built.append(n)
+                super().__init__(place, n)
+
+        monkeypatch.setattr(places, "TruncRing", CountingRing)
+        p = 3
+        v = place_parse(p, "finite:theta+t")
+        for text in ("theta^2+1", "theta^4+t*theta+1"):
+            valuation(k(p, text), v)
+        assert built == [4] and set(v._rings) == {4}
+        w = place_parse(p, "finite:theta+t")
+        assert w == v
+        valuation(k(p, "theta^2+1"), w)
+        assert built == [4, 4] and w._rings[4] is not v._rings[4]
 
 
 # theta-degree-one places: c = 0, constant, polynomial, 1/t and t/(t+1)
