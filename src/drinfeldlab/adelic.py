@@ -10,12 +10,17 @@ that blocks membership.
 The engine behind the discreteness and closeness certificates is the digit
 filtration: at a good place the completion is a Laurent series field over
 the residue field, addition is digit-wise, so "valuation > m" is a linear
-condition over F_p on operator weights.  _digit_columns stacks the digits
+condition over F_p on operator weights.  _Filtration stacks the digits
 of levels 0..m of each iterate into one sparse column, lifted into K and
 coordinatised like any point (phimodule._family_vectors).  The kernel of
 one Echelon per level is then the exact valuation stratum of a bounded
 family, with no enumeration of the p^(r*(bound+1)) element combinations,
-and closure membership solves the same columns for the target's.
+and closure membership solves the same echelons for the target's digits,
+cleared with the family's denominators.
+
+The module lineage's memo keeps ("filtration", gens, deg_bound, v, n),
+("discreteness", gens, v, deg_bound, cutoff) and ("places", gens, count,
+extra_points), so the pipeline calls on one module share them.
 
 Residues go the same way: the reduction of Phi at a good place is again a
 Drinfeld module over F_p(t), inside K (drinfeld.reduction), so the
@@ -40,6 +45,7 @@ from .phimodule import (
     MemberCertificate,
     PhiModule,
     _apply_operators,
+    _cleared_vector,
     _family_vectors,
     _iter_rpolys_below,
     _iterate_family,
@@ -124,16 +130,17 @@ def standard_tracked_places(gamma: PhiModule, count: int = STANDARD_PLACE_COUNT,
     module and the extra points (_good_place): every nonzero coefficient of
     phi_t is integral there, the first and the last are units, and every
     nonzero coordinate of a generator or an extra point is integral.  A
-    count below 1 is refused before the scan, which would never end."""
+    count below 1 is refused before the scan, which would never end.  The
+    module lineage keeps the tuple."""
     if count < 1:
         raise ValueError("place count must be positive")
-    out = []
-    for v in hilbertian_places(gamma.p):
-        if _good_place(gamma, v, extra_points):
-            out.append(v)
-            if len(out) == count:
-                return tuple(out)
-    raise RuntimeError("place scan exhausted")
+    key = ("places", gamma.gens, count, tuple(map(tuple, extra_points)))
+    out = gamma._memo.get(key)
+    if out is None:
+        good = (v for v in hilbertian_places(gamma.p)
+                if _good_place(gamma, v, extra_points))
+        out = gamma._memo[key] = tuple(itertools.islice(good, count))
+    return out
 
 
 def _embed_point(x, v: Place, n: int):
@@ -150,12 +157,8 @@ def _embedded_family(gamma: PhiModule, v: Place, n: int, deg_bound: int):
     degrees grow geometrically with j; one dict per build embeds each
     coefficient of phi_t once per precision.  Layout matches the exact
     iterate family: generator-major, then increasing power of t.  The
-    module lineage's memo keeps it; the place keeps the rings behind it.
+    lineage's filtration keeps it; the place keeps the rings behind it.
     """
-    key = ("embedded", gamma.gens, deg_bound, v, n)
-    out = gamma._memo.get(key)
-    if out is not None:
-        return out
     out, coeffs = [], {}
     for x in gamma.gens:
         z = _embed_point(x, v, n)
@@ -164,31 +167,57 @@ def _embedded_family(gamma: PhiModule, v: Place, n: int, deg_bound: int):
             z = tuple(tp_eval_local(gamma.phi.phi_t, c, coeffs).truncate(n)
                       for c in z)
             out.append(z)
-    gamma._memo[key] = out
     return out
 
 
-def _digit_columns(points, precision: int):
+def _digits(x, m: int):
+    """The digits at level m of a point of LocalElem, lifted into K."""
+    return tuple(KElem.from_felem(z.terms.get(m, FElem.zero(z.p))) for z in x)
+
+
+class _Filtration:
     """The digit filtration of points, tuples of LocalElem at one place.
 
-    For m = 0, ..., precision - 1 it yields one sparse F_p-column
-    {(level, key): c} per point, holding the digits of levels 0..m of that
-    point, each level through _family_vectors of the digits lifted into K.
-    A combination of the points has valuation > m iff the same combination
-    of the columns is zero.  The columns grow in place between yields.  A
-    digit below level 0, which they would drop, raises ValueError: an
-    iterate has one at a place where phi_t or a generator has a pole.
+    dens[m] are the slot denominators of the points' digits at level m
+    (_family_vectors); columns hold one sparse F_p-column {(level, key): c}
+    per point, its digits of the levels read so far; echelon(k) eliminates
+    the columns of levels 0..k-1, so a combination of the points has
+    valuation >= k iff it is in that kernel.  Each level is read once, on
+    demand.  A digit below level 0, which the columns would drop, raises
+    ValueError: an iterate has one where phi_t or a generator has a pole.
     """
-    for z in itertools.chain.from_iterable(points):
-        if any(e < 0 for e in z.terms):
-            raise ValueError(f"module not integral at {place_to_str(z.place)}")
-    columns = [{} for _ in points]
-    for m in range(precision):
-        digits = [tuple(KElem.from_felem(z.terms.get(m, FElem.zero(z.p)))
-                        for z in x) for x in points]
-        for col, vec in zip(columns, _family_vectors(digits)[1]):
-            col.update(((m, key), c) for key, c in vec.items())
-        yield columns
+
+    def __init__(self, points, p: int):
+        for z in itertools.chain.from_iterable(points):
+            if any(e < 0 for e in z.terms):
+                raise ValueError(
+                    f"module not integral at {place_to_str(z.place)}")
+        self.points, self.p = points, p
+        self.dens = []
+        self.columns = [{} for _ in points]
+        self._echelons = [Echelon(self.columns, p)]
+
+    def echelon(self, k: int) -> Echelon:
+        while len(self._echelons) <= k:
+            m = len(self.dens)
+            dens, vectors = _family_vectors([_digits(x, m)
+                                             for x in self.points])
+            self.dens.append(dens)
+            for col, vec in zip(self.columns, vectors):
+                col.update(((m, key), c) for key, c in vec.items())
+            self._echelons.append(Echelon(self.columns, self.p))
+        return self._echelons[k]
+
+
+def _filtration(gamma: PhiModule, v: Place, n: int,
+                deg_bound: int) -> _Filtration:
+    """The lineage's filtration of the embedded iterate family."""
+    key = ("filtration", gamma.gens, deg_bound, v, n)
+    out = gamma._memo.get(key)
+    if out is None:
+        out = gamma._memo[key] = _Filtration(
+            _embedded_family(gamma, v, n, deg_bound), gamma.p)
+    return out
 
 
 def _syzygy_space_dim(gamma: PhiModule, deg_bound: int) -> int:
@@ -277,13 +306,18 @@ def discreteness_certificate(gamma: PhiModule, v: Place,
     form, is the bounded small-ball module with its R-basis.  A zero ideal
     (every nonzero bounded element is a v-unit) is reported with generator
     list empty and min_positive_valuation None, which is the valuation of
-    the zero witness under the v(0) = infinity convention.
+    the zero witness under the v(0) = infinity convention; cutoff 0 reads
+    no level and claims no ideal.  The module lineage keeps the report.
     """
     require_degree_one(v)
     if deg_bound < 0:
         raise ValueError("negative degree bound")
     if cutoff < 0:
         raise ValueError("negative cutoff")
+    key = ("discreteness", gamma.gens, v, deg_bound, cutoff)
+    cert = gamma._memo.get(key)
+    if cert is not None:
+        return cert
     p = gamma.p
     if not _good_place(gamma, v):
         raise ValueError(f"place {place_to_str(v)} is excluded for this module")
@@ -294,11 +328,10 @@ def discreteness_certificate(gamma: PhiModule, v: Place,
     # bases[m] is the reduced echelon basis (Echelon.kernel) of the stratum
     # V_m of weights whose combination has valuation >= m; V_0 is every
     # weight, and the scan stops at the first zero stratum
-    embedded = _embedded_family(gamma, v, cutoff, deg_bound)
-    n = len(embedded)
-    bases = [[[int(i == j) for j in range(n)] for i in range(n)]]
-    for columns in _digit_columns(embedded, cutoff):
-        bases.append(Echelon(columns, p).kernel())
+    filtration = _filtration(gamma, v, cutoff, deg_bound)
+    bases = []
+    for m in range(cutoff + 1):
+        bases.append(filtration.echelon(m).kernel())
         if not bases[-1]:
             break
     attained = [m for m in range(len(bases) - 1)
@@ -324,7 +357,7 @@ def discreteness_certificate(gamma: PhiModule, v: Place,
             if d.is_zero():
                 continue
             gens.append(tuple(d * c for c in snf.vinv.rows[i]))
-    else:
+    elif len(bases) > 1:
         notes.append("zero-ideal")
 
     t_el = KElem.t(p)
@@ -350,10 +383,10 @@ def discreteness_certificate(gamma: PhiModule, v: Place,
         if len(bases[-1]) > _syzygy_space_dim(gamma, deg_bound):
             notes.append("cutoff-reached")
 
-    return DiscretenessCertificate(v, deg_bound, cutoff, tuple(gens), checked,
-                                   min_pos, witness_ops,
-                                   tuple(Fraction(m) for m in attained),
-                                   tuple(notes))
+    cert = gamma._memo[key] = DiscretenessCertificate(
+        v, deg_bound, cutoff, tuple(gens), checked, min_pos, witness_ops,
+        tuple(Fraction(m) for m in attained), tuple(notes))
+    return cert
 
 
 # -- closure membership --------------------------------------------------------
@@ -425,28 +458,34 @@ def closure_member(gamma: PhiModule, y, tracked_places=None,
     if tracked_places is None:
         tracked_places = standard_tracked_places(gamma, extra_points=(y,))
 
-    # one sparse column {(level, key): c} per weight, the target's last;
-    # the joint system tags each entry with its place
+    # one sparse column {(level, key): c} per weight, the target's last,
+    # cleared with the family's denominators (a digit that does not clear
+    # is outside the span); the joint system tags each entry with its place
     reports = []
     joint_columns = [{} for _ in range(gamma.rank * (deg_bound + 1) + 1)]
     any_blocking = False
     for i, v in enumerate(tracked_places):
-        points = _embedded_family(gamma, v, precision, deg_bound) \
-            + [_embed_point(y, v, precision)]
-        columns = [{} for _ in points]
-        echelon, best = Echelon(columns[:-1], p), 0     # what precision 0 reads
-        for columns in _digit_columns(points, precision):
-            echelon = Echelon(columns[:-1], p)
-            if echelon.solve(columns[-1]) is None:
+        filtration = _filtration(gamma, v, precision, deg_bound)
+        z = _embed_point(y, v, precision)
+        target, best = {}, 0
+        while best < precision:
+            echelon = filtration.echelon(best + 1)
+            vec = _cleared_vector(_digits(z, best), filtration.dens[best])
+            if vec is None:
+                break
+            target.update(((best, key), c) for key, c in vec.items())
+            if echelon.solve(target) is None:
                 break
             best += 1
         reached = best == precision
         close_dim = sample = None
         if reached:
+            echelon = filtration.echelon(precision)
             close_dim = len(echelon.kernel())
-            sample = _weights_to_operators(echelon.solve(columns[-1]),
+            sample = _weights_to_operators(echelon.solve(target),
                                            gamma.rank, deg_bound, p)
-            for joint, col in zip(joint_columns, columns):
+            for joint, col in zip(joint_columns,
+                                  filtration.columns + [target]):
                 joint.update(((i,) + key, c) for key, c in col.items())
         else:
             any_blocking = True

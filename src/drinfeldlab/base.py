@@ -129,9 +129,6 @@ class RPoly:
     def is_one(self) -> bool:
         return self.c == {0: 1}
 
-    def is_constant(self) -> bool:
-        return self.degree <= 0
-
     def coeff(self, e: int) -> int:
         return self.c.get(e, 0)
 

@@ -115,16 +115,6 @@ def phi_action(phi: DrinfeldModule, a: RPoly) -> TwistedPoly:
     return acc
 
 
-def conjugate(phi: DrinfeldModule, gamma: KElem) -> TwistedPoly:
-    """gamma^{-1} * phi_t(gamma x): coefficients gamma^{p^i - 1} c_i."""
-    if gamma.is_zero():
-        raise ZeroDivisionError("conjugation by zero")
-    coeffs = []
-    for i, c in enumerate(phi.phi_t.coeffs):
-        coeffs.append(c * gamma ** (phi.p ** i - 1))
-    return TwistedPoly(phi.p, coeffs)
-
-
 @dataclass(frozen=True)
 class ProbeReport:
     """Outcome of the monomial conjugation scan.
@@ -140,19 +130,25 @@ class ProbeReport:
 
 
 def modular_transcendence_probe(phi: DrinfeldModule, max_exponent: int = 2) -> ProbeReport:
+    """The first gamma = t^i theta^j (by |i| + |j|, i, j) whose conjugate
+    gamma^{-1} phi_t(gamma x) has its coefficients c_k gamma^(p^k - 1) in
+    F_p: each c_k is 0 or a t^(-i(p^k - 1)) theta^(-j(p^k - 1)), a in F_p^x,
+    so the scan reads exponents and builds only the witness."""
     p = phi.p
     candidates = sorted(
         ((i, j) for i in range(-max_exponent, max_exponent + 1)
          for j in range(-max_exponent, max_exponent + 1)),
         key=lambda ij: (abs(ij[0]) + abs(ij[1]), ij[0], ij[1]))
-    scanned = 0
-    for i, j in candidates:
-        gamma = KElem.t(p) ** i * KElem.theta(p) ** j
-        scanned += 1
-        psi = conjugate(phi, gamma)
-        if all(c.is_constant() for c in psi.coeffs):
+    terms = [(p ** k - 1, (c.num.t_degree - c.den.t_degree,
+                           c.num.theta_degree - c.den.theta_degree)
+              if c.num.term_count() == c.den.term_count() == 1 else None)
+             for k, c in enumerate(phi.phi_t.coeffs) if not c.is_zero()]
+    for scanned, (i, j) in enumerate(candidates, 1):
+        if all(e == (-i * q, -j * q) for q, e in terms):
+            gamma = KElem.t(p) ** i * KElem.theta(p) ** j
             return ProbeReport("degree_zero_witness", gamma, scanned, max_exponent)
-    return ProbeReport("inconclusive_positive", None, scanned, max_exponent)
+    return ProbeReport("inconclusive_positive", None, len(candidates),
+                       max_exponent)
 
 
 # -- the bounded F_p-linear division solver ----------------------------------

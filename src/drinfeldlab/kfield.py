@@ -399,12 +399,6 @@ class KElem:
     def is_polynomial(self) -> bool:
         return self.den.is_one()
 
-    def is_constant(self) -> bool:
-        """In F_p, after canonicalisation."""
-        return self.den.is_one() and (
-            self.num.is_zero()
-            or (self.num.theta_degree == 0 and self.num.c[0].is_constant()))
-
     def __hash__(self):
         return hash((self.num.key(), self.den.key()))
 

@@ -20,7 +20,7 @@ decided not_found_up_to before any reduction.
 A module lineage shares one memo: the module built by the caller and every
 module derived from it through PhiModule.sub (divisible_hull's rounds and
 result, _minimize_generators' candidates, decompose's parts) read the same
-orbit of each generator and the same family, embedded family and
+orbit of each generator and the same family, digit filtrations and
 presentation of each generator tuple, so a sub-module on some of the
 hull's generators iterates phi_t on none of them again.  No memo is
 module-global: what a place alone determines, its truncated rings, the
@@ -109,11 +109,14 @@ class PhiModule:
     A module built by the constructor starts a lineage memo, _memo, that
     every module made by sub shares.  It maps ("orbit", x) to x, Phi_t(x),
     ... as far as iterated; ("family", gens, deg_bound) to the
-    IterateFamily; ("embedded", gens, deg_bound, v, n) to that family
-    embedded at v (adelic._embedded_family); and ("presentation", gens) to
-    the syzygies at the largest bound so far, which serve any lower bound.
-    Entries are only replaced by longer orbits or presentations, or written
-    once, so a concurrent first computation is redundant, never wrong.
+    IterateFamily; ("presentation", gens) to the syzygies at the largest
+    bound so far, which serve any lower bound; and, for adelic,
+    ("filtration", gens, deg_bound, v, n) to the digit filtration of the
+    family embedded at v, ("discreteness", gens, v, deg_bound, cutoff) to a
+    certificate and ("places", gens, count, extra_points) to the places.
+    Entries are only replaced by longer orbits or presentations, or
+    written once, so a concurrent first computation is redundant, never
+    wrong; a filtration gains levels in place, from one thread at a time.
     """
 
     __slots__ = ("phi", "g", "gens", "notes", "_memo")

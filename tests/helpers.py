@@ -3,15 +3,19 @@ never needs."""
 
 import itertools
 
-from drinfeldlab.base import FElem, RMatrix, RPoly, fp_span
-from drinfeldlab.drinfeld import phi_action, solve_additive_many
+from drinfeldlab.adelic import ClosureMembership, PlaceCloseness
+from drinfeldlab.base import Echelon, FElem, RMatrix, RPoly, fp_span
+from drinfeldlab.drinfeld import ProbeReport, phi_action, solve_additive_many
 from drinfeldlab.factor import factor_bipoly
 from drinfeldlab.kfield import BiPoly, KElem
 from drinfeldlab.localfield import embed, tp_eval_local
-from drinfeldlab.phimodule import (_primes_up_to, _window_vectors,
-                                   member_many, point_is_zero)
+from drinfeldlab.phimodule import (PhiModule, _family_vectors,
+                                   _primes_up_to, _weights_to_operators,
+                                   _window_vectors, member, member_many,
+                                   point_is_zero)
 from drinfeldlab.places import (Place, TruncRing, _fpoly_divmod_monic,
                                 _fpoly_mul, _fpoly_rem_monic, valuation)
+from drinfeldlab.twisted import TwistedPoly
 
 
 def bipoly_from_theta_coeffs(p: int, coeffs) -> BiPoly:
@@ -44,7 +48,7 @@ def determinant(m: RMatrix) -> RPoly:
 
 def is_unimodular(m: RMatrix) -> bool:
     d = determinant(m)
-    return d.is_constant() and not d.is_zero()
+    return d.degree == 0
 
 
 def uniformizer(v: Place) -> KElem:
@@ -190,3 +194,92 @@ def embedded_family_unmemoised(gamma, v: Place, n: int, deg_bound: int):
                       for c in z)
             out.append(z)
     return out
+
+
+class ForgetfulMemo(dict):
+    """A lineage memo that keeps nothing, so every request computes
+    afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def unmemoised_module(gamma):
+    """A module equal to gamma whose lineage memo keeps nothing."""
+    out = PhiModule(gamma.phi, gamma.g, gamma.gens)
+    out._memo = ForgetfulMemo()
+    return out
+
+
+def closure_member_unmemoised(gamma, y, places, precision: int,
+                              deg_bound: int):
+    """adelic.closure_member at explicit places, with nothing memoised: each
+    place embeds the family afresh, and the columns of each level are
+    cleared with the denominators of the family's digits and the target's
+    together, each level eliminated from scratch."""
+    p = gamma.p
+    cert = member(unmemoised_module(gamma), y, deg_bound)
+    if cert.found:
+        return ClosureMembership("in_gamma", cert, (), True, deg_bound,
+                                 precision)
+    reports = []
+    joint = [{} for _ in range(gamma.rank * (deg_bound + 1) + 1)]
+    for i, v in enumerate(places):
+        points = embedded_family_unmemoised(gamma, v, precision, deg_bound) \
+            + [tuple(embed(c, v, precision) for c in y)]
+        columns = [{} for _ in points]
+        echelon, best = Echelon(columns[:-1], p), 0
+        for m in range(precision):
+            digits = [tuple(KElem.from_felem(z.terms.get(m, FElem.zero(p)))
+                            for z in x) for x in points]
+            for col, vec in zip(columns, _family_vectors(digits)[1]):
+                col.update(((m, key), c) for key, c in vec.items())
+            echelon = Echelon(columns[:-1], p)
+            if echelon.solve(columns[-1]) is None:
+                break
+            best += 1
+        close_dim = sample = None
+        if best == precision:
+            close_dim = len(echelon.kernel())
+            sample = _weights_to_operators(echelon.solve(columns[-1]),
+                                           gamma.rank, deg_bound, p)
+            for whole, col in zip(joint, columns):
+                whole.update(((i,) + key, c) for key, c in col.items())
+        reports.append(PlaceCloseness(v, best, best == precision, close_dim,
+                                      sample))
+    if not all(r.reached_cutoff for r in reports):
+        conclusive, note = True, "blocked-at-place"
+    elif Echelon(joint[:-1], p).solve(joint[-1]) is not None:
+        conclusive, note = False, "approximant-within-precision"
+    else:
+        conclusive, note = True, "no-joint-approximant"
+    return ClosureMembership("rejected_up_to_bounds", None, tuple(reports),
+                             conclusive, deg_bound, precision, (note,))
+
+
+def conjugate(phi, gamma: KElem) -> TwistedPoly:
+    """gamma^{-1} * phi_t(gamma x): coefficients gamma^{p^i - 1} c_i."""
+    if gamma.is_zero():
+        raise ZeroDivisionError("conjugation by zero")
+    return TwistedPoly(phi.p, [c * gamma ** (phi.p ** i - 1)
+                               for i, c in enumerate(phi.phi_t.coeffs)])
+
+
+def probe_by_conjugation(phi, max_exponent: int = 2) -> ProbeReport:
+    """drinfeld.modular_transcendence_probe by conjugating phi with each
+    candidate t^i theta^j in the probe's order and testing every
+    coefficient of the conjugate for lying in F_p."""
+    p = phi.p
+    candidates = sorted(
+        ((i, j) for i in range(-max_exponent, max_exponent + 1)
+         for j in range(-max_exponent, max_exponent + 1)),
+        key=lambda ij: (abs(ij[0]) + abs(ij[1]), ij[0], ij[1]))
+    for scanned, (i, j) in enumerate(candidates, 1):
+        gamma = KElem.t(p) ** i * KElem.theta(p) ** j
+        if all(c.den.is_one() and c.num.theta_degree <= 0
+               and c.num.t_degree <= 0
+               for c in conjugate(phi, gamma).coeffs):
+            return ProbeReport("degree_zero_witness", gamma, scanned,
+                               max_exponent)
+    return ProbeReport("inconclusive_positive", None, len(candidates),
+                       max_exponent)

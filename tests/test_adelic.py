@@ -7,6 +7,7 @@ import pytest
 
 from drinfeldlab import adelic, phimodule, places
 from drinfeldlab.adelic import (
+    STANDARD_PLACE_COUNT,
     _point_valuation,
     certificate_json,
     closure_member,
@@ -25,7 +26,8 @@ from drinfeldlab.phimodule import (PhiModule, _apply_operators, _op_on_point,
 from drinfeldlab.places import place_parse, place_to_str, valuation
 from drinfeldlab.twisted import TwistedPoly, tp_eval
 
-from helpers import classify_places, embedded_family_unmemoised
+from helpers import (classify_places, closure_member_unmemoised,
+                     embedded_family_unmemoised, unmemoised_module)
 
 
 def k(p, text):
@@ -76,23 +78,64 @@ def op_value(gamma, a):
 
 
 class TestEmbedCache:
-    """Embedded families live in the module lineage's memo."""
+    """Embedded families live in the module lineage's memo, inside the
+    filtration of each family and place."""
 
     def test_memoised_family_equals_the_unmemoised_oracle(self):
         gam = carlitz_theta()
         v = place_parse(3, "finite:theta+1")
         for n, d in itertools.product(range(1, 11), range(7)):
-            first = adelic._embedded_family(gam, v, n, d)
-            assert adelic._embedded_family(gam, v, n, d) is first
-            assert first == embedded_family_unmemoised(gam, v, n, d)
+            first = adelic._filtration(gam, v, n, d)
+            assert adelic._filtration(gam, v, n, d) is first
+            assert first.points == embedded_family_unmemoised(gam, v, n, d)
+        assert {key[0] for key in gam._memo} == {"filtration"}
 
     def test_lineage_shares_and_a_fresh_module_builds_its_own(self):
         gam = carlitz_theta()
         v = place_parse(3, "finite:theta+1")
-        first = adelic._embedded_family(gam, v, 5, 3)
-        assert adelic._embedded_family(gam.sub(gam.gens), v, 5, 3) is first
-        fresh = adelic._embedded_family(carlitz_theta(), v, 5, 3)
-        assert fresh is not first and fresh == first
+        first = adelic._filtration(gam, v, 5, 3)
+        assert adelic._filtration(gam.sub(gam.gens), v, 5, 3) is first
+        fresh = adelic._filtration(carlitz_theta(), v, 5, 3)
+        assert fresh is not first and fresh.points == first.points
+
+
+class TestMemoisedEqualsFresh:
+    """One lineage answers every certificate and closure check from its
+    memo as a module that memoises nothing does, and the closure reports
+    as the elimination that clears each target with its own denominators;
+    a fresh equal module builds its own filtration."""
+
+    TARGETS = ["theta", "t*theta+theta^2", "theta+1", "theta/(t+1)",
+               "(theta^2+theta)/t", "1"]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_memoised_answers_equal_fresh_ones(self, p):
+        gam = carlitz_theta(p)
+        tracked = [place_parse(p, text) for text in
+                   ("finite:theta", "finite:theta+1", "finite:theta+t")]
+        targets = [(k(p, text),) for text in self.TARGETS]
+        targets.append((tp_eval(gam.phi.phi_t, KElem.theta(p)),))
+        for n, d in itertools.product((0, 1, 5, 10), (0, 2, 8)):
+            # the certificates read the filtrations first at even
+            # precision, the closure checks at odd
+            if n % 2:
+                checks = [closure_member(gam, y, tracked, n, d)
+                          for y in targets]
+            certs = [discreteness_certificate(gam, v, d, n) for v in tracked]
+            if n % 2 == 0:
+                checks = [closure_member(gam, y, tracked, n, d)
+                          for y in targets]
+            assert [certificate_json(c) for c in certs] == [
+                certificate_json(discreteness_certificate(
+                    unmemoised_module(gam), v, d, n)) for v in tracked]
+            assert [certificate_json(c) for c in checks] == [
+                certificate_json(closure_member_unmemoised(
+                    gam, y, tracked, n, d)) for y in targets]
+        assert {"discreteness", "filtration"} <= {key[0] for key in gam._memo}
+        other = carlitz_theta(p)
+        assert other == gam
+        assert adelic._filtration(other, tracked[0], 5, 2) \
+            is not adelic._filtration(gam, tracked[0], 5, 2)
 
 
 class TestRefusedOffThetaDegreeOne:
@@ -132,6 +175,24 @@ class TestDiscreteness:
         assert cert.attained_valuations == (Fraction(0),)
         assert cert.notes == ("zero-ideal",)
         assert cert.ideal_checked
+
+    @pytest.mark.parametrize("index", range(STANDARD_PLACE_COUNT))
+    def test_cutoff_zero_claims_no_ideal(self, index):
+        # cutoff 0 reads no digit, so it knows nothing of the ideal; at
+        # cutoff 2 finite:theta, the first place, has two generators
+        p = 3
+        theta, zero = KElem.theta(p), KElem.zero(p)
+        gam = PhiModule(DrinfeldModule.parse(p, "[t, 1]"), 2,
+                        [(theta, zero), (zero, theta)])
+        v = standard_tracked_places(gam)[index]
+        cert = discreteness_certificate(gam, v, 8, 0)
+        assert cert.notes == ("cutoff-reached",)
+        assert (cert.i_generators, cert.attained_valuations) == ((), ())
+        assert cert.min_positive_valuation is None
+        if index == 0:
+            assert place_to_str(v) == "finite:theta"
+            assert len(discreteness_certificate(gam, v, 8, 2).i_generators) \
+                == 2
 
     def test_non_unit_generators(self):
         gam = drinfeld_one()

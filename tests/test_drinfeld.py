@@ -14,7 +14,6 @@ from drinfeldlab.drinfeld import (
     GENERIC,
     HeightProfile,
     SPECIAL,
-    conjugate,
     division_points,
     estimate_torsion_level_m,
     k_rational_torsion,
@@ -32,6 +31,8 @@ from drinfeldlab.adelic import _good_place, hilbertian_places
 from drinfeldlab.places import Place, valuation
 from drinfeldlab.twisted import (TwistedPoly, tp_add, tp_compose, tp_eval, tp_parse,
                                  tp_to_str)
+
+from helpers import conjugate, probe_by_conjugation
 
 
 P = 3
@@ -174,6 +175,38 @@ class TestProbe:
         rep = modular_transcendence_probe(twisted)
         assert rep.verdict == "degree_zero_witness"
         assert rep.witness == KElem.theta(P).inverse()
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_exponent_scan_equals_the_conjugation_scan(self, p):
+        # special modules with constant coefficients conjugated by a
+        # random monomial have a witness; mixing in zero, non-monomial and
+        # rational coefficients, and the generic differential t, mostly not
+        rng = random.Random(p)
+        t, theta = KElem.t(p), KElem.theta(p)
+        monomials = [KElem.const(p, a) * t ** i * theta ** j
+                     for a in range(1, p) for i in range(-2, 3)
+                     for j in range(-2, 3)]
+        others = [KElem.zero(p), theta + 1, (theta + t) / t,
+                  t / (theta ** 2 + KElem.one(p)), theta / (t + 1)]
+        phis = [DrinfeldModule(conjugate(DrinfeldModule.parse(p, "[t, 1]"),
+                                         theta))]
+        for _ in range(12):
+            rank = rng.randrange(1, 3)
+            consts = [KElem.const(p, rng.randrange(p)) for _ in range(rank)]
+            consts[-1] = KElem.const(p, rng.randrange(1, p))
+            base = DrinfeldModule.from_coeffs(p, [KElem.zero(p)] + consts)
+            gamma = rng.choice(monomials[:25])      # t^i theta^j
+            phis.append(DrinfeldModule(conjugate(base, gamma)))
+            coeffs = [rng.choice([KElem.zero(p), t])]
+            coeffs += [rng.choice(monomials + others) for _ in range(rank)]
+            coeffs[-1] = rng.choice(monomials)
+            phis.append(DrinfeldModule.from_coeffs(p, coeffs))
+        verdicts = set()
+        for phi in phis:
+            rep = modular_transcendence_probe(phi)
+            assert rep == probe_by_conjugation(phi), tp_to_str(phi.phi_t)
+            verdicts.add(rep.verdict)
+        assert verdicts == {"degree_zero_witness", "inconclusive_positive"}
 
 
 class TestDivision:

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import functools
 import itertools
@@ -804,39 +805,40 @@ class TestGenericCertificatesGolden:
         assert text == GOLDEN_SEED0.read_text()
 
 
-def _embedded_families(gamma):
-    """The keys of the embedded families in gamma's lineage memo."""
-    return [key for key in gamma._memo if key[0] == "embedded"]
+def _memo_kinds(gamma):
+    """How many entries of each kind gamma's lineage memo holds."""
+    return collections.Counter(key[0] for key in gamma._memo)
 
 
 class TestMemoTraffic:
     """The seed-0 generic-sweep pass: three pipeline calls on one module,
-    whose lineage memo serves the embedded families, and whose family
-    builds each own one dict of coefficient embeddings."""
+    whose lineage memo serves the tracked places, the discreteness
+    certificates and the filtrations with their embedded families, and
+    whose family builds each own one dict of coefficient embeddings."""
 
     @pytest.fixture
     def traffic(self, monkeypatch):
-        """Each family request's result, and the embed calls made through
+        """The result of each filtration request, each embedded family
+        build, each certificate request, and each embed call made through
         localfield (coefficients of phi_t, in tp_eval_local) and through
         adelic (points: generators and targets)."""
-        counts = {"requests": [], "coefficients": 0, "points": 0}
-        request = adelic._embedded_family
+        counts = {kind: [] for kind in ("requests", "builds", "certificates",
+                                        "coefficients", "points")}
 
-        def counting_request(gamma, v, n, deg_bound):
-            out = request(gamma, v, n, deg_bound)
-            counts["requests"].append(out)
-            return out
-
-        def counting_embed(kind):
-            def wrapped(x, v, n):
-                counts[kind] += 1
-                return embed(x, v, n)
+        def counting(kind, call):
+            def wrapped(*args):
+                counts[kind].append(call(*args))
+                return counts[kind][-1]
             return wrapped
 
-        embed = localfield.embed
-        monkeypatch.setattr(adelic, "_embedded_family", counting_request)
-        monkeypatch.setattr(localfield, "embed", counting_embed("coefficients"))
-        monkeypatch.setattr(adelic, "embed", counting_embed("points"))
+        for module, name, kind in (
+                (adelic, "_filtration", "requests"),
+                (adelic, "_embedded_family", "builds"),
+                (ex, "discreteness_certificate", "certificates"),
+                (localfield, "embed", "coefficients"),
+                (adelic, "embed", "points")):
+            monkeypatch.setattr(module, name,
+                                counting(kind, getattr(module, name)))
         return counts
 
     @staticmethod
@@ -852,13 +854,20 @@ class TestMemoTraffic:
             ex.generic_char_experiment(gamma, variety)
 
     def test_seed0_generic_sweep(self, traffic):
+        # the first call's three certificates and the outsider's closure
+        # check at the three places ask for the same three filtrations
         gamma = _carlitz_plane()
         self._sweep(gamma)
         built = {id(out) for out in traffic["requests"]}
-        assert (len(traffic["requests"]), len(built)) == (12, 3)
-        assert len(_embedded_families(gamma)) == 3
-        assert traffic["coefficients"] == 6
-        assert traffic["coefficients"] + traffic["points"] == 24
+        assert (len(traffic["requests"]), len(built)) == (6, 3)
+        assert len(traffic["builds"]) == 3
+        certificates = {id(out) for out in traffic["certificates"]}
+        assert (len(traffic["certificates"]), len(certificates)) == (9, 3)
+        assert _memo_kinds(gamma) == {"places": 1, "discreteness": 3,
+                                      "filtration": 3, "orbit": 2,
+                                      "family": 1}
+        assert len(traffic["coefficients"]) == 6
+        assert len(traffic["coefficients"] + traffic["points"]) == 24
 
     def test_a_fresh_equal_module_builds_its_own(self, traffic):
         gamma = _carlitz_plane()
@@ -867,9 +876,11 @@ class TestMemoTraffic:
         assert fresh == gamma
         self._sweep(fresh)
         built = {id(out) for out in traffic["requests"]}
-        assert (len(traffic["requests"]), len(built)) == (24, 6)
-        assert len(_embedded_families(fresh)) == 3
-        assert traffic["coefficients"] == 12
+        assert (len(traffic["requests"]), len(built)) == (12, 6)
+        assert len(traffic["builds"]) == 6
+        assert len({id(out) for out in traffic["certificates"]}) == 6
+        assert _memo_kinds(fresh) == _memo_kinds(gamma)
+        assert len(traffic["coefficients"]) == 12
 
 
 @pytest.fixture
@@ -1913,7 +1924,7 @@ class TestNegativePrecision:
         with pytest.raises(ValueError, match="negative (precision|cutoff)"):
             call(gamma, (KElem.theta(P), KElem.zero(P)))
         assert family_bounds == []
-        assert _embedded_families(gamma) == []
+        assert "filtration" not in _memo_kinds(gamma)
 
     @pytest.mark.parametrize("bounds", [{"precision": -1}, {"cutoff": -1}])
     def test_refused_by_the_generic_pipeline(self, bounds):
@@ -1977,7 +1988,7 @@ class TestNegativeDegBound:
         with pytest.raises(ValueError, match="negative degree bound"):
             call(gamma, y, deg_bound)
         assert family_bounds == []
-        assert _embedded_families(gamma) == []
+        assert "filtration" not in _memo_kinds(gamma)
 
     @pytest.mark.parametrize("call", [
         # the zero point, which needs no family, at -1 and -2
