@@ -18,9 +18,9 @@ family, with no enumeration of the p^(r*(bound+1)) element combinations,
 and closure membership solves the same echelons for the target's digits,
 cleared with the family's denominators.
 
-The module lineage's memo keeps ("filtration", gens, deg_bound, v, n),
-("discreteness", gens, v, deg_bound, cutoff) and ("places", gens, count,
-extra_points), so the pipeline calls on one module share them.
+The module lineage's memo keeps ("filtration", gens, deg_bound, v, n) and
+("discreteness", gens, v, deg_bound, cutoff), so the pipeline calls on one
+module share them.
 
 Residues go the same way: the reduction of Phi at a good place is again a
 Drinfeld module over F_p(t), inside K (drinfeld.reduction), so the
@@ -130,17 +130,16 @@ def standard_tracked_places(gamma: PhiModule, count: int = STANDARD_PLACE_COUNT,
     module and the extra points (_good_place): every nonzero coefficient of
     phi_t is integral there, the first and the last are units, and every
     nonzero coordinate of a generator or an extra point is integral.  A
-    count below 1 is refused before the scan, which would never end.  The
-    module lineage keeps the tuple."""
+    count below 1 is refused before the scan, which would never end."""
     if count < 1:
         raise ValueError("place count must be positive")
-    key = ("places", gamma.gens, count, tuple(map(tuple, extra_points)))
-    out = gamma._memo.get(key)
-    if out is None:
-        good = (v for v in hilbertian_places(gamma.p)
-                if _good_place(gamma, v, extra_points))
-        out = gamma._memo[key] = tuple(itertools.islice(good, count))
-    return out
+    out = []
+    for v in hilbertian_places(gamma.p):
+        if _good_place(gamma, v, extra_points):
+            out.append(v)
+            if len(out) == count:
+                return tuple(out)
+    raise RuntimeError("place scan exhausted")
 
 
 def _embed_point(x, v: Place, n: int):
@@ -179,20 +178,21 @@ class _Filtration:
     """The digit filtration of points, tuples of LocalElem at one place.
 
     dens[m] are the slot denominators of the points' digits at level m
-    (_family_vectors); columns hold one sparse F_p-column {(level, key): c}
-    per point, its digits of the levels read so far; echelon(k) eliminates
-    the columns of levels 0..k-1, so a combination of the points has
-    valuation >= k iff it is in that kernel.  Each level is read once, on
-    demand.  A digit below level 0, which the columns would drop, raises
-    ValueError: an iterate has one where phi_t or a generator has a pole.
+    (_family_vectors; all 1 with no points, whose span holds only zero);
+    columns hold one sparse F_p-column {(level, key): c} per point, its
+    digits of the levels read so far; echelon(k) eliminates the columns of
+    levels 0..k-1, so a combination of the points has valuation >= k iff it
+    is in that kernel.  Each level is read once, on demand.  A digit below
+    level 0, which the columns would drop, raises ValueError: an iterate
+    has one where phi_t or a generator has a pole.
     """
 
-    def __init__(self, points, p: int):
+    def __init__(self, points, p: int, width: int):
         for z in itertools.chain.from_iterable(points):
             if any(e < 0 for e in z.terms):
                 raise ValueError(
                     f"module not integral at {place_to_str(z.place)}")
-        self.points, self.p = points, p
+        self.points, self.p, self.width = points, p, width
         self.dens = []
         self.columns = [{} for _ in points]
         self._echelons = [Echelon(self.columns, p)]
@@ -200,8 +200,9 @@ class _Filtration:
     def echelon(self, k: int) -> Echelon:
         while len(self._echelons) <= k:
             m = len(self.dens)
-            dens, vectors = _family_vectors([_digits(x, m)
-                                             for x in self.points])
+            digits = [_digits(x, m) for x in self.points]
+            dens, vectors = (_family_vectors(digits) if digits else
+                             ((KElem.one(self.p),) * self.width, []))
             self.dens.append(dens)
             for col, vec in zip(self.columns, vectors):
                 col.update(((m, key), c) for key, c in vec.items())
@@ -216,7 +217,7 @@ def _filtration(gamma: PhiModule, v: Place, n: int,
     out = gamma._memo.get(key)
     if out is None:
         out = gamma._memo[key] = _Filtration(
-            _embedded_family(gamma, v, n, deg_bound), gamma.p)
+            _embedded_family(gamma, v, n, deg_bound), gamma.p, gamma.g)
     return out
 
 

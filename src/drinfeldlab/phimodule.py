@@ -112,8 +112,8 @@ class PhiModule:
     IterateFamily; ("presentation", gens) to the syzygies at the largest
     bound so far, which serve any lower bound; and, for adelic,
     ("filtration", gens, deg_bound, v, n) to the digit filtration of the
-    family embedded at v, ("discreteness", gens, v, deg_bound, cutoff) to a
-    certificate and ("places", gens, count, extra_points) to the places.
+    family embedded at v and ("discreteness", gens, v, deg_bound, cutoff)
+    to a certificate.
     Entries are only replaced by longer orbits or presentations, or
     written once, so a concurrent first computation is redundant, never
     wrong; a filtration gains levels in place, from one thread at a time.

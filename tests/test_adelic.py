@@ -404,6 +404,25 @@ class TestClosureMember:
         with pytest.raises(ValueError):
             closure_member(gam, y, standard_tracked_places(gam))
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_rank_zero_module(self, p):
+        # with no weights a target digit is in the span only when it is
+        # zero, so the best valuation is the target's own
+        gam = PhiModule(DrinfeldModule.parse(p, "[t, 1]"), 1, [])
+        v = place_parse(p, "finite:theta+1")
+        got = []
+        for text in ("theta", "theta+1", "(theta+1)^2/t", "(theta+1)^4"):
+            y = (k(p, text),)
+            rep = closure_member(gam, y, [v], 4, 2)
+            assert certificate_json(rep) == certificate_json(
+                closure_member_unmemoised(gam, y, [v], 4, 2))
+            got.append((rep.notes, [r.best_valuation
+                                    for r in rep.place_reports]))
+        assert got == [(("blocked-at-place",), [0]),
+                       (("blocked-at-place",), [1]),
+                       (("blocked-at-place",), [2]),
+                       (("approximant-within-precision",), [4])]
+
     # a generator and a coefficient of phi_t with a pole at theta
     POLES = [("[t, 1]", "theta+1/theta", "theta"), ("[t, 1/theta]", "1", "t")]
 

@@ -770,6 +770,14 @@ class TestGenericZeroDimKSide:
         assert sorted(point_to_str(x) for x in rep.k_side) == want
         assert 0 < len(want) < len(pts)
 
+    def test_rank_zero_module(self):
+        # the closure of the zero module holds no nonzero point
+        gamma = PhiModule(DrinfeldModule.parse(P, "[t, 1]"), 1, [])
+        rep = ex.generic_char_experiment(gamma,
+                                         ex.ZeroDim(1, [(KElem.theta(P),)]))
+        assert rep.verdict == ex.CONFIRMED
+        assert rep.k_side == () and rep.adelic_side == ()
+
     def test_membership_family_shared_by_points(self, family_bounds):
         # the four closure reports' exact membership solves share one
         # deg_bound family
@@ -812,9 +820,9 @@ def _memo_kinds(gamma):
 
 class TestMemoTraffic:
     """The seed-0 generic-sweep pass: three pipeline calls on one module,
-    whose lineage memo serves the tracked places, the discreteness
-    certificates and the filtrations with their embedded families, and
-    whose family builds each own one dict of coefficient embeddings."""
+    whose lineage memo serves the discreteness certificates and the
+    filtrations with their embedded families, and whose family builds
+    each own one dict of coefficient embeddings."""
 
     @pytest.fixture
     def traffic(self, monkeypatch):
@@ -863,9 +871,8 @@ class TestMemoTraffic:
         assert len(traffic["builds"]) == 3
         certificates = {id(out) for out in traffic["certificates"]}
         assert (len(traffic["certificates"]), len(certificates)) == (9, 3)
-        assert _memo_kinds(gamma) == {"places": 1, "discreteness": 3,
-                                      "filtration": 3, "orbit": 2,
-                                      "family": 1}
+        assert _memo_kinds(gamma) == {"discreteness": 3, "filtration": 3,
+                                      "orbit": 2, "family": 1}
         assert len(traffic["coefficients"]) == 6
         assert len(traffic["coefficients"] + traffic["points"]) == 24
 
@@ -1924,7 +1931,7 @@ class TestNegativePrecision:
         with pytest.raises(ValueError, match="negative (precision|cutoff)"):
             call(gamma, (KElem.theta(P), KElem.zero(P)))
         assert family_bounds == []
-        assert "filtration" not in _memo_kinds(gamma)
+        assert not gamma._memo
 
     @pytest.mark.parametrize("bounds", [{"precision": -1}, {"cutoff": -1}])
     def test_refused_by_the_generic_pipeline(self, bounds):
@@ -1988,7 +1995,7 @@ class TestNegativeDegBound:
         with pytest.raises(ValueError, match="negative degree bound"):
             call(gamma, y, deg_bound)
         assert family_bounds == []
-        assert "filtration" not in _memo_kinds(gamma)
+        assert not gamma._memo
 
     @pytest.mark.parametrize("call", [
         # the zero point, which needs no family, at -1 and -2
