@@ -182,7 +182,9 @@ class _Filtration:
     columns hold one sparse F_p-column {(level, key): c} per point, its
     digits of the levels read so far; echelon(k) eliminates the columns of
     levels 0..k-1, so a combination of the points has valuation >= k iff it
-    is in that kernel.  Each level is read once, on demand.  A digit below
+    is in that kernel.  The echelons share one key set: a key names its
+    level, so for a target of levels below k it rejects what the keys of
+    levels 0..k-1 alone would.  Each level is read once, on demand.  A digit below
     level 0, which the columns would drop, raises ValueError: an iterate
     has one where phi_t or a generator has a pole.
     """
@@ -195,7 +197,8 @@ class _Filtration:
         self.points, self.p, self.width = points, p, width
         self.dens = []
         self.columns = [{} for _ in points]
-        self._echelons = [Echelon(self.columns, p)]
+        self.keys = set()
+        self._echelons = [Echelon(self.columns, p, self.keys)]
 
     def echelon(self, k: int) -> Echelon:
         while len(self._echelons) <= k:
@@ -206,7 +209,7 @@ class _Filtration:
             self.dens.append(dens)
             for col, vec in zip(self.columns, vectors):
                 col.update(((m, key), c) for key, c in vec.items())
-            self._echelons.append(Echelon(self.columns, self.p))
+            self._echelons.append(Echelon(self.columns, self.p, self.keys))
         return self._echelons[k]
 
 

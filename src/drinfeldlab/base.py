@@ -701,17 +701,21 @@ class Echelon:
     every answer below is the unique one in the pivot columns, whatever
     elimination order produced it: the same vectors as row reduction that
     pivots on columns in order.  Keys need only be hashable.
+
+    support, the keys of the columns, lets solve reject a target with a key
+    outside it at once.  Echelons of growing column sets can share one
+    set: it gains the columns' keys, and a larger set only rejects less.
     """
 
     __slots__ = ("p", "n", "pivots", "free", "support")
 
-    def __init__(self, columns, p: int):
+    def __init__(self, columns, p: int, support=None):
         self.p = check_modulus(p)
         columns = list(columns)
         self.n = len(columns)
         self.pivots = []        # (key, vector with vector[key] == 1, combination)
         self.free = []          # (column index, combination reducing it to 0)
-        self.support = set()
+        self.support = set() if support is None else support
         for k, col in enumerate(columns):
             self.support.update(col)
             vec, comb = self._reduce(col, {k: 1})

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from .adelic import (
@@ -27,7 +26,7 @@ from .adelic import (
     quotient_iso_check,
     standard_tracked_places,
 )
-from .base import Echelon, RPoly, fp_span, inv_mod
+from .base import Echelon, RPoly, fp_span
 from .drinfeld import (
     GENERIC,
     SPECIAL,
@@ -319,31 +318,6 @@ def _sorted_points(points):
     return tuple(sorted({tuple(x) for x in points}, key=point_sort_key))
 
 
-def _fp_images(x: KElem):
-    """x under every ring map t -> a, theta -> b into F_p, indexed b*p + a,
-    with None where the map is undefined on x (its canonical denominator
-    vanishes there).  Each monomial c*t^te*theta^e is read as c*a^te*b^e
-    mod p, so huge exponents cost a modular power each."""
-    p = x.p
-
-    def values(f):
-        out = [0] * (p * p)
-        for e, coef in f.c.items():
-            at_a = [coef.evaluate(a) for a in range(p)]
-            for b in range(p):
-                power = pow(b, e, p)
-                if power:
-                    for a, v in enumerate(at_a):
-                        out[b * p + a] += power * v
-        return out
-
-    num = values(x.num)
-    if x.den.is_one():
-        return [v % p for v in num]
-    return [n * inv_mod(d, p) % p if d % p else None
-            for n, d in zip(num, values(x.den))]
-
-
 class _Fp2:
     """F_{p^2} = F_p[i]/(r(i)), r = i^2 + c1*i + c0 the first monic
     irreducible quadratic in (c1, c0) order.  u + v*i is the plain int
@@ -390,21 +364,10 @@ class _Fp2:
         v, u = divmod(x, self.p)
         return (u - self.c1 * v) % self.p + -v % self.p * self.p
 
-    def image(self, x: KElem, a, b):
-        """x under the ring map t -> a, theta -> b, or None where its
-        canonical denominator vanishes there."""
-        p, mul, power = self.p, self.mul, self.power
-
-        def value(f):
-            return self.sum((c, mul(power(b, e), power(a, te)))
-                            for e, coef in f.c.items()
-                            for te, c in coef.c.items())
-
-        num = value(x.num)
-        if x.den.is_one():
-            return num
-        den = value(x.den)
-        return mul(num, power(den, p * p - 2)) if den else None
+    def value(self, terms, y):
+        """sum c * prod y_j^e_j over the pairs (e, c) of terms."""
+        return self.sum((1, functools.reduce(self.mul, map(
+            self.power, y, exps), c)) for exps, c in terms)
 
     def maps(self, moves_t: bool, moves_theta: bool):
         """The ring maps (a, b), t -> a and theta -> b, one per Frobenius
@@ -432,82 +395,109 @@ class _Fp2:
                 for m in pair if m)
 
 
+def _ring_maps(field: _Fp2, maps):
+    """x -> [x under each ring map (a, b) of maps], t -> a and theta -> b
+    into F_{p^2}, with None where x's canonical denominator vanishes; the
+    F_p maps are those with a, b < p.  Each monomial t^te*theta^e is read
+    from a table of its values under the maps, filled when first met, so
+    each power is taken once per map and monomial, not once per element."""
+    p, mul, power = field.p, field.mul, field.power
+    table = {}    # (e, te) -> its values u + v*p: the u, the v (None in F_p)
+
+    def value(f):
+        lo = hi = [0] * len(maps)
+        for e, coef in f.c.items():
+            for te, c in coef.c.items():
+                z = table.get((e, te))
+                if z is None:
+                    w = [mul(power(b, e), power(a, te)) for a, b in maps]
+                    z = table[e, te] = ([u % p for u in w], [u // p for u in w]
+                                        if max(w, default=0) >= p else None)
+                lo = [u + c * v for u, v in zip(lo, z[0])]
+                if z[1]:
+                    hi = [u + c * v for u, v in zip(hi, z[1])]
+        return [u % p + v % p * p for u, v in zip(lo, hi)]
+
+    def images(x):
+        num = value(x.num)
+        if x.den.is_one():
+            return num
+        return [mul(n, power(d, p * p - 2)) if d else None
+                for n, d in zip(num, value(x.den))]
+
+    return images
+
+
 def _fp_filter(poly: MultiPoly, points):
     """(rows, vanish, lifted), the two stages of a reduction filter that
     only ever rules a point out: a ring map sends zeros of poly to zeros
     of the image polynomial, and F_p-combinations of points to the same
-    combinations of their images.
+    combinations of their images.  Both stages read coefficients and
+    coordinates through _ring_maps, list their maps by the rule of
+    _Fp2.maps (on data free of t only maps moving theta, and likewise),
+    and memoise each map's verdict per image point: at p = 3 and g = 1 a
+    map evaluates its image polynomial at most 9 times.
 
     Stage 1: rows[i] is points[i]'s images under the usable ring maps
-    t -> a, theta -> b into F_p, g ints per map, and vanish(flat) is the
-    memoised test that every image polynomial vanishes on flat.  A map is
-    usable when it is defined on every coefficient of poly and coordinate
-    of a point; a map whose images all equal an earlier map's tests
-    nothing new and is dropped.
+    t -> a, theta -> b into F_p, g ints per map in the order b*p + a, and
+    vanish(flat) tests that every image polynomial vanishes on flat, a row
+    of such images.  A map is usable when it is defined on every
+    coefficient of poly and coordinate of a point; one whose images all
+    equal an earlier map's tests nothing new and is dropped.
 
     Stage 2: lifted(combination) tests sum d*points[i] over the pairs
     (i, d) under the first maps of _Fp2.maps, one per equation that stage 1
-    could test: p^2 of them, or p when the coefficients and coordinates
-    involve only one of t and theta.  Images are computed when first
-    needed and memoised per (map, point).  A map undefined on a
-    coefficient of poly is never used, and one undefined on a point is
-    skipped only for the combinations that touch it.
+    could test: p^2 of them, or p when the data involve only one of t and
+    theta.  A point's images under all of them are computed when it first
+    reaches stage 2, the coefficients' with the first point.  A map
+    undefined on a coefficient of poly is never used, and one undefined on
+    a point is skipped only for the combinations that touch it.
     """
     p, g = poly.p, poly.g
-    terms = list(poly.terms.items())
-    table = [_fp_images(c) for _, c in terms] + \
-        [_fp_images(c) for x in points for c in x]
-    columns = {}
-    for k in range(p * p):
-        column = tuple(images[k] for images in table)
-        if None not in column:
-            columns.setdefault(column, k)
-    maps = list(columns.values())
-    image_polys = [[(e, images[k]) for (e, _), images in zip(terms, table)]
-                   for k in maps]
-    rows = [tuple(table[len(terms) + i * g + j][k] for k in maps
+    field, coefs = _Fp2(p), list(poly.terms.values())
+    data = coefs + [c for x in points for c in x]
+    polys = [f for c in data for f in (c.num, c.den)]
+    moves_t = any(te for f in polys for coef in f.c.values() for te in coef.c)
+    moves_theta = any(e for f in polys for e in f.c)
+    image = _ring_maps(field, [(a, b) for b in range(p if moves_theta else 1)
+                               for a in range(p if moves_t else 1)])
+    columns = list(dict.fromkeys(column for column in zip(*map(image, data))
+                                 if None not in column))
+    n, k = len(coefs), len(columns)
+    rows = [tuple(column[n + i * g + j] for column in columns
                   for j in range(g)) for i in range(len(points))]
-    vanishes = [{} for _ in maps]    # raw image point -> image is zero
+    lifts = list(itertools.islice(field.maps(moves_t, moves_theta),
+                                  p ** (moves_t + moves_theta)))
+    lift = _ring_maps(field, lifts)
+
+    @functools.cache
+    def images(i):    # point index, or None for poly -> images per lift
+        return [None if None in z else z for z in zip(*map(
+            lift, coefs if i is None else points[i]))]
+
+    @functools.cache
+    def terms(u):     # map u's image polynomial: stage 1's maps, the lifts
+        return [*zip(poly.terms, columns[u] if u < k else images(None)[u - k])]
+
+    @functools.cache
+    def zero(u, y):   # stage 1's image points may come unreduced
+        return not field.value(terms(u), y if u >= k else [s % p for s in y])
 
     def vanish(flat):
-        for u, image_terms in enumerate(image_polys):
-            y = flat[u * g:(u + 1) * g]
-            zero = vanishes[u].get(y)
-            if zero is None:
-                zero = vanishes[u][y] = not sum(
-                    c * math.prod(pow(s, e, p) for s, e in zip(y, exps))
-                    for exps, c in image_terms) % p
-            if not zero:
+        for u in range(k):
+            if not zero(u, flat[u * g:(u + 1) * g]):
                 return False
         return True
 
-    field = _Fp2(p)
-    polys = [f for c in [*poly.terms.values(), *itertools.chain(*points)]
-             for f in (c.num, c.den)]
-    moves_t = any(te for f in polys for coef in f.c.values() for te in coef.c)
-    moves_theta = any(e for f in polys for e in f.c)
-    lifts = list(itertools.islice(field.maps(moves_t, moves_theta),
-                                  p ** (moves_t + moves_theta)))
-    memo = {}    # (map, point index or None for poly) -> images or None
-
-    def images(u, i):
-        if (u, i) not in memo:
-            a, b = lifts[u]
-            out = [field.image(c, a, b)
-                   for c in (poly.terms.values() if i is None else points[i])]
-            memo[u, i] = None if None in out else out
-        return memo[u, i]
-
     def lifted(combination):
-        for u in range(len(lifts)):
-            coefs = images(u, None)
-            parts = [(d, images(u, i)) for i, d in combination if d % p]
-            if coefs is None or any(z is None for _, z in parts):
+        parts = [(d, images(i)) for i, d in combination if d % p]
+        ds = [d for d, _ in parts]
+        for u, c in enumerate(images(None)):
+            zs = [z[u] for _, z in parts]
+            if c is None or None in zs:
                 continue
-            y = [field.sum((d, z[j]) for d, z in parts) for j in range(g)]
-            if field.sum((1, functools.reduce(field.mul, map(
-                    field.power, y, exps), c))
-                    for (exps, _), c in zip(terms, coefs)):
+            if not zero(k + u, tuple(field.sum(zip(ds, column))
+                                     for column in zip(*zs))):
                 return False
         return True
 
@@ -522,9 +512,12 @@ def _swept_zeros(offset, vectors, poly: MultiPoly):
     a point out.  Stage 1 walks the F_p-images through the pivot rows of
     one Echelon, p^rank images for p^n points; each image that passes
     vanish is expanded through the kernel into its indices in the span,
-    and the indices are sorted into fp_span's digit-counter order.  A point
-    that passes lifted too is built exactly from its digits, and kept when
-    exact evaluation gives zero.
+    sorted into fp_span's digit-counter order.  A point that
+    passes lifted too is built exactly from its digits, and kept when exact
+    evaluation gives zero.  Both stages read the data through _ring_maps,
+    whose monomial values are tabled per map, and look a map's verdict up
+    per image point, so most tested points cost neither a power nor an
+    evaluation of an image polynomial.
     """
     p, n = poly.p, len(vectors)
     rows, vanish, lifted = _fp_filter(poly, [offset, *vectors])
@@ -816,11 +809,16 @@ def _theta_box_vectors(p: int, g: int, theta_degree: int):
             for k in range(g) for power in powers]
 
 
-def _reject_parametrized_lines(spec, hits, p: int):
+def _reject_parametrized_lines(spec, hits, p: int, translate=None):
     """Refutation probe: a full F_p-line inside the variety that also
-    survives two transcendental direction probes is treated as a line."""
+    survives two transcendental direction probes is treated as a line.
+    The hits lie on the variety, or on its translate by translate, and are
+    probed as the points hit - translate of the variety."""
     if not isinstance(spec, Hypersurface) or len(hits) < p:
         return
+    if translate is not None:
+        hits = sorted((point_add(x, point_neg(translate)) for x in hits),
+                      key=point_to_str)
     probes = [KElem.theta(p), KElem.t(p)]
     consts = [KElem.const(p, c) for c in range(p)]
     for base, other in itertools.combinations(hits[:12], 2):
@@ -872,7 +870,10 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
     tried for a translate only when its row minus the translate's passes;
     on a memo miss, x - a must pass stage 2 (ring maps into F_{p^2}) as the
     combination (1*x, (p-1)*a) before it is built.  Both stages only ever
-    rule a point out.
+    rule a point out; they read box and translates through _ring_maps,
+    under p maps each when no coordinate involves t, and memoise each
+    map's verdict per image point.  The line probe runs on translate 0's
+    hits x as the points x - a_0 of the variety.
 
     The solver runs once per level, on the distinct hits of all
     translates together, and each translate reads its survivors off that
@@ -937,8 +938,7 @@ def uniformity_probe(psi: TwistedPoly, variety, translates, m_range,
                 if hit:
                     hits[x] = None
         if idx == 0:
-            _reject_parametrized_lines(
-                variety, sorted(hits, key=point_to_str), p)
+            _reject_parametrized_lines(variety, list(hits), p, a)
         hit_sets.append(set(hits))
         distinct.update(hits)
 

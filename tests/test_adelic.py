@@ -17,7 +17,7 @@ from drinfeldlab.adelic import (
     quotient_iso_check,
     standard_tracked_places,
 )
-from drinfeldlab.base import RPoly, rpoly_parse, smith_normal_form
+from drinfeldlab.base import Echelon, RPoly, rpoly_parse, smith_normal_form
 from drinfeldlab.drinfeld import DrinfeldModule, phi_action
 from drinfeldlab.kfield import KElem, kelem_parse
 from drinfeldlab.phimodule import (PhiModule, _apply_operators, _op_on_point,
@@ -97,6 +97,32 @@ class TestEmbedCache:
         assert adelic._filtration(gam.sub(gam.gens), v, 5, 3) is first
         fresh = adelic._filtration(carlitz_theta(), v, 5, 3)
         assert fresh is not first and fresh.points == first.points
+
+
+class TestFiltrationKeySet:
+    """The echelons of one filtration share one key set, and each answers
+    as an echelon of its own levels' columns with its own key set."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_shared_keys_answer_as_own_keys(self, p):
+        gam = carlitz_theta(p)
+        filtration = adelic._filtration(gam, place_parse(p, "finite:theta+1"),
+                                        6, 3)
+        echelons = [filtration.echelon(n) for n in range(6)]
+        assert {id(e.support) for e in echelons} == {id(filtration.keys)}
+        keys = sorted(filtration.keys) + [(0, "absent"), (5, "absent")]
+        rng = random.Random(p)
+        for n, echelon in enumerate(echelons):
+            own = Echelon([{key: c for key, c in col.items() if key[0] < n}
+                           for col in filtration.columns], p)
+            assert own.support <= filtration.keys
+            targets = [{key: c for key, c in col.items() if key[0] < n}
+                       for col in filtration.columns]
+            targets += [{key: rng.randrange(1, p)
+                         for key in rng.sample(keys, rng.randrange(1, 4))}
+                        for _ in range(40)]
+            for target in targets:
+                assert echelon.solve(target) == own.solve(target)
 
 
 class TestMemoisedEqualsFresh:

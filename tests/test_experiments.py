@@ -403,6 +403,19 @@ class TestUniformityProbe:
         assert table.max_counts == ((0, 3), (1, 1), (2, 1))
         assert table.certified is True
 
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_line_refutation_ignores_translate_order(self, first):
+        """The line y = 0 lies in X: y = 0 and in the box, and the probe
+        refutes it whichever translate comes first.  It probes translate
+        0's hits x as the points x - a of X, not as the points x of X + a."""
+        zero, theta = KElem.zero(P), KElem.theta(P)
+        translates = [(zero, zero), (theta, theta)]
+        variety = ex.Hypersurface(ex.poly_parse(P, 2, "y"))
+        with pytest.raises(ValueError, match="parametrized line"):
+            ex.uniformity_probe(tp_parse(P, "[0, theta, 1]"), variety,
+                                translates[first:] + translates[:first],
+                                (0, 1), ex.theta_box(P, 2, 1))
+
     def test_one_solve_per_positive_level(self):
         psi = tp_parse(P, "[0, theta, 1]")
         variety = ex.Hypersurface(ex.poly_parse(P, 1, _CUBIC))
@@ -709,6 +722,45 @@ class TestProbeHitSets:
         exact = _SEED0_PROBE_EXACT[text]
         assert _counted_seed0_probe(monkeypatch, text) == (exact, exact,
                                                            bound)
+
+    @pytest.mark.parametrize("text", sorted(_SEED0_PROBE_EXACT))
+    def test_seed0_stage2_evaluates_once_per_image_point(self, text,
+                                                         monkeypatch):
+        """Stage 2 evaluates a map's image polynomial at most once per
+        image point: the data are free of t, so p = 3 maps, each with at
+        most p^2 = 9 image points at g = 1.  The exact tests and the calls
+        into stage 2 are the counts of test_seed0_benchmark_exact_tests."""
+        evaluated, in_stage_2 = [], []
+        value, build = ex._Fp2.value, ex._fp_filter
+
+        def counting_value(field, terms, y):
+            if in_stage_2:
+                evaluated.append((id(terms), y))
+            return value(field, terms, y)
+
+        def flagged_filter(poly, points):
+            rows, vanish, lifted = build(poly, points)
+
+            def flagged(combination):
+                in_stage_2.append(True)
+                try:
+                    return lifted(combination)
+                finally:
+                    in_stage_2.pop()
+
+            return rows, vanish, flagged
+
+        monkeypatch.setattr(ex._Fp2, "value", counting_value)
+        monkeypatch.setattr(ex, "_fp_filter", flagged_filter)
+        exact = _SEED0_PROBE_EXACT[text]
+        counts = _counted_seed0_probe(monkeypatch, text)
+        assert counts[:2] == (exact, exact)
+        assert len(set(evaluated)) == len(evaluated)
+        per_map = collections.Counter(key for key, _ in evaluated)
+        assert len(per_map) <= P
+        assert max(per_map.values()) <= P * P
+        # without the memo every call into stage 2 evaluates at least once
+        assert len(evaluated) < counts[2]
 
     def test_rational_box_point_keeps_the_filter(self, monkeypatch):
         """1/theta in the box makes the maps theta -> 0 undefined, so stage
@@ -1572,19 +1624,26 @@ def _fp_value(x, a, b):
     return _value_at(x.num, a, b) * pow(den, -1, x.p) % x.p if den else None
 
 
-# (a, b) in the order of _fp_images
+# (a, b) in the order of stage 1 of the filter, b*p + a
 _F_P_POINTS = [(a, b) for b in range(P) for a in range(P)]
 
 
+def _fp_images(x):
+    """x under every ring map t -> a, theta -> b into F_p, indexed b*p + a,
+    through _ring_maps."""
+    return ex._ring_maps(ex._Fp2(P), _F_P_POINTS)(x)
+
+
 class TestFpImage:
-    """_fp_images(x)[b*p + a] is x under the ring map t -> a, theta -> b."""
+    """_ring_maps on the maps into F_p: _fp_images(x)[b*p + a] is x under
+    the ring map t -> a, theta -> b."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(st.tuples(_kelems(), _kelems()),
                      st.tuples(_huge_polys(), _huge_polys())))
     def test_ring_map(self, pair):
         x, y = pair
-        images = [ex._fp_images(z) for z in (x, y, x + y, x * y)]
+        images = [_fp_images(z) for z in (x, y, x + y, x * y)]
         for ix, iy, isum, iprod in zip(*images):
             if ix is None or iy is None:
                 continue
@@ -1594,9 +1653,9 @@ class TestFpImage:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(_kelems(), _huge_polys()), st.sampled_from([1, 40]))
     def test_undefined_exactly_where_the_denominator_vanishes(self, x, k):
-        images = ex._fp_images(x)
+        images = _fp_images(x)
         # Frobenius fixes F_p, so x^(p^k) has the same images
-        assert ex._fp_images(x.frob(k)) == images
+        assert _fp_images(x.frob(k)) == images
         for (a, b), image in zip(_F_P_POINTS, images):
             den = _value_at(x.den, a, b)
             assert (image is None) == (den == 0)
@@ -1605,9 +1664,9 @@ class TestFpImage:
                 assert image * den % P == num
 
     def test_generators(self):
-        assert ex._fp_images(KElem.t(P)) == [a for a, _ in _F_P_POINTS]
-        assert ex._fp_images(KElem.theta(P)) == [b for _, b in _F_P_POINTS]
-        assert ex._fp_images(KElem.one(P)) == [1] * P * P
+        assert _fp_images(KElem.t(P)) == [a for a, _ in _F_P_POINTS]
+        assert _fp_images(KElem.theta(P)) == [b for _, b in _F_P_POINTS]
+        assert _fp_images(KElem.one(P)) == [1] * P * P
 
 
 def _fp2_maps(p):
@@ -1628,9 +1687,15 @@ def _huge_polys_at(p):
         small, st.tuples(*[st.booleans()] * len(huge)))
 
 
+def _image(field, x, a, b):
+    """x under the one ring map t -> a, theta -> b, through _ring_maps."""
+    return ex._ring_maps(field, [(a, b)])(x)[0]
+
+
 class TestFp2Image:
-    """_Fp2.image(x, a, b) is x under the ring map t -> a, theta -> b into
-    F_{p^2}, against pair arithmetic term by term."""
+    """_ring_maps on one map: _image(field, x, a, b) is x under the ring
+    map t -> a, theta -> b into F_{p^2}, against pair arithmetic term by
+    term."""
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @settings(max_examples=25, deadline=None)
@@ -1642,11 +1707,11 @@ class TestFp2Image:
         x, y = data.draw(elems), data.draw(elems)
         field, maps = _fp2_maps(p)
         for a, b in maps:
-            ix, iy = field.image(x, a, b), field.image(y, a, b)
+            ix, iy = _image(field, x, a, b), _image(field, y, a, b)
             if ix is None or iy is None:
                 continue
-            assert field.image(x + y, a, b) == field.sum([(1, ix), (1, iy)])
-            assert field.image(x * y, a, b) == field.mul(ix, iy)
+            assert _image(field, x + y, a, b) == field.sum([(1, ix), (1, iy)])
+            assert _image(field, x * y, a, b) == field.mul(ix, iy)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @settings(max_examples=25, deadline=None)
@@ -1655,14 +1720,14 @@ class TestFp2Image:
         x = data.draw(st.one_of(_kelems(p=p), _huge_polys_at(p)))
         field, maps = _fp2_maps(p)
         for a, b in maps:
-            image = field.image(x, a, b)
+            image = _image(field, x, a, b)
             expected = _fp2_value(x, _pair(a, p), _pair(b, p))
             assert (image is None) == (expected is None)
             if image is not None:
                 assert _pair(image, p) == expected
                 # x^p goes to the Frobenius of the image, so a map and its
                 # conjugate test the same equation
-                assert field.image(x.frob(1), a, b) == field.frob(image)
+                assert _image(field, x.frob(1), a, b) == field.frob(image)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_generators(self, p):
@@ -1671,9 +1736,9 @@ class TestFp2Image:
             (c1, c0) for c1, c0 in itertools.product(range(p), repeat=2)
             if all((z * z + c1 * z + c0) % p for z in range(p)))
         for a, b in maps:
-            assert field.image(KElem.t(p), a, b) == a
-            assert field.image(KElem.theta(p), a, b) == b
-            assert field.image(KElem.one(p), a, b) == 1
+            assert _image(field, KElem.t(p), a, b) == a
+            assert _image(field, KElem.theta(p), a, b) == b
+            assert _image(field, KElem.one(p), a, b) == 1
 
     def test_huge_exponent_costs_one_reduced_power(self):
         field = ex._Fp2(P)
@@ -1683,7 +1748,7 @@ class TestFp2Image:
         x = KElem.theta(P) ** (3 ** 20)
         for a, b in _fp2_maps(P)[1]:
             calls.clear()
-            assert _pair(field.image(x, a, b), P) == _fp2_value(
+            assert _pair(_image(field, x, a, b), P) == _fp2_value(
                 x, _pair(a, P), _pair(b, P))
             assert len(calls) <= 2 * (P * P).bit_length() + 1
 
@@ -1708,24 +1773,79 @@ class TestFp2Image:
     def test_p251_sweep_stays_small(self, monkeypatch):
         """At p = 251 the sweep of x - theta over F_p * theta reads theta
         through p maps into F_{p^2}, not p^2 of them, so neither the map
-        list nor the images grow like p^4."""
+        list nor the images grow like p^4; stage 1 likewise reads it
+        through p maps into F_p, not p^2."""
         p = 251
         calls = []
-        image = ex._Fp2.image
+        ring_maps = ex._ring_maps
 
-        def counting(self, x, a, b):
-            calls.append((a, b))
-            return image(self, x, a, b)
+        def counting(field, maps):
+            images = ring_maps(field, maps)
 
-        monkeypatch.setattr(ex._Fp2, "image", counting)
+            def counted(x):
+                calls.extend(maps)
+                return images(x)
+
+            return counted
+
+        monkeypatch.setattr(ex, "_ring_maps", counting)
         theta = KElem.theta(p)
         start = time.perf_counter()
         zeros = ex._swept_zeros((KElem.zero(p),), [(theta,)],
                                 ex.poly_parse(p, 1, "x - theta"))
         assert time.perf_counter() - start < 2.0
         assert zeros == [(theta,)]
-        assert len(set(calls)) == p
-        assert len(calls) <= 4 * p
+        for into_fp in (True, False):
+            maps = [m for m in calls if (max(m) < p) == into_fp]
+            assert len(set(maps)) == p
+            assert len(maps) <= 4 * p
+
+
+def _ring_map_corpus(p, seed):
+    """Seeded elements in t and theta: small fractions whose denominators
+    vanish at some maps, the same raised to p^20 (exponents >= p^20 in
+    numerator and denominator), and polynomials with such exponents."""
+    rng = random.Random(seed)
+    small = ["t", "theta", "t*theta+1", "theta^2+t", "1/(theta+1)",
+             "1/(t+theta)", "theta/(t+1)", "(t^2+theta)/(theta^2+t*theta)",
+             "1/(theta^2-theta)", "(t+1)/(t^3-t)"]
+    out = []
+    for _ in range(12):
+        x = kelem_parse(p, rng.choice(small))
+        out.append(x)
+        out.append(x.frob(20))
+        out.append(KElem.from_bipoly(sum(
+            (BiPoly.monomial(p, e, te, rng.randrange(1, p))
+             for e, te in rng.sample([(p ** 20, 0), (0, p ** 20),
+                                      (p ** 20 + 1, p ** 21), (1, 0),
+                                      (0, 1)], 3)),
+            BiPoly.zero(p))))
+    return out
+
+
+class TestRingMaps:
+    """_ring_maps against the term-by-term oracles _fp_value and
+    _fp2_value, one routine per map list fed a whole corpus, so the
+    monomial values tabled for one element serve the later ones."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_against_term_by_term_oracles(self, p):
+        corpus = _ring_map_corpus(p, p)
+        field = ex._Fp2(p)
+        fp_maps = [(a, b) for b in range(p) for a in range(p)]
+        lifts = list(itertools.islice(field.maps(True, True), p * p))
+        images = ex._ring_maps(field, fp_maps)
+        lifted = ex._ring_maps(field, lifts)
+        undefined = 0
+        for x in corpus:
+            expected = [_fp_value(x, a, b) for a, b in fp_maps]
+            assert images(x) == expected
+            undefined += expected.count(None)
+            got = [None if z is None else _pair(z, p) for z in lifted(x)]
+            assert got == [_fp2_value(x, _pair(a, p), _pair(b, p))
+                           for a, b in lifts]
+            undefined += got.count(None)
+        assert undefined
 
 
 def _fp2_field(p):
