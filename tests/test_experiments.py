@@ -405,9 +405,10 @@ class TestUniformityProbe:
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_line_refutation_ignores_translate_order(self, first):
-        """The line y = 0 lies in X: y = 0 and in the box, and the probe
-        refutes it whichever translate comes first.  It probes translate
-        0's hits x as the points x - a of X, not as the points x of X + a."""
+        """X: y = 0 is a line, and the box holds F_p-lines on it; the
+        probe refutes X whichever translate comes first, because it probes
+        translate 0's hits x as the points x - a of X, not as points of
+        X + a."""
         zero, theta = KElem.zero(P), KElem.theta(P)
         translates = [(zero, zero), (theta, theta)]
         variety = ex.Hypersurface(ex.poly_parse(P, 2, "y"))
