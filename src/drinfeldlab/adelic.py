@@ -52,7 +52,6 @@ from .phimodule import (
     _op_on_point,
     _orbit,
     _weights_to_operators,
-    decompose,
     member,
     member_many,
     point_add,
@@ -421,11 +420,21 @@ class ClosureMembership(Report):
         return self.kind == "in_gamma"
 
 
-def _require_integral_at(y, places):
-    """Refuse a place of theta-degree above 1, or one where a coordinate of
-    y has a pole."""
+def require_places(places) -> tuple:
+    """The places as a tuple; refuse an empty list and every place of
+    theta-degree above 1."""
+    places = tuple(places)
+    if not places:
+        raise ValueError("empty place list")
     for v in places:
         require_degree_one(v)
+    return places
+
+
+def _require_integral_at(y, places):
+    """Refuse an empty place list, a place of theta-degree above 1, or one
+    where a coordinate of y has a pole."""
+    for v in require_places(places):
         for c in y:
             if not c.is_zero() and valuation(c, v) < 0:
                 raise ValueError(f"target not integral at {place_to_str(v)}")
@@ -519,7 +528,7 @@ class ClosureTorsionReport(Report):
     pseudo_torsion_points: tuple | None
     pseudo_torsion_dim: int
     witness_places: tuple
-    free_rank: int
+    free_rank: int                 # R-corank of the pseudo-torsion span
     leak: tuple | None
     notes: tuple = ()
 
@@ -546,30 +555,26 @@ def closure_torsion_check(gamma: PhiModule, witness_places=None,
                           deg_bound: int = STANDARD_DEG_BOUND) -> ClosureTorsionReport:
     """Torsion of the closure, pinned to the module's own torsion.
 
-    Splits the module into a reduction-torsion part and a free complement,
-    then computes the pseudo-torsion space: bounded elements whose
-    reductions are torsion at every witness place.  Each pseudo-torsion
-    point is re-verified to be exact torsion over K; a failure is reported
-    as a leak instead of being absorbed.  The space is compared with the
-    known torsion by rank; its points are listed in the report only up to
-    _PSEUDO_ENUM_CAP of them.
+    Computes the pseudo-torsion space: the bounded elements whose
+    reductions are torsion at every witness place, as the kernel of one
+    Echelon over the stacked residue families.  Its operator tuples span
+    the reduction-torsion part of the module, and free_rank is the
+    R-corank of that span.  Each pseudo-torsion point is re-verified to be
+    exact torsion over K; a failure is reported as a leak instead of being
+    absorbed.  The space is compared with the known torsion by rank; its
+    points are listed in the report only up to _PSEUDO_ENUM_CAP of them.
     """
     p = gamma.p
     if witness_places is None:
         witness_places = standard_tracked_places(gamma, 5)
-    for v in witness_places:
-        require_degree_one(v)
+    witness_places = require_places(witness_places)
     notes = []
-    d = decompose(gamma, witness_places, deg_bound)
     tor = torsion_submodule(gamma, deg_bound)
     tor_points = set(tor)
-    if d.gamma0.rank:
-        if set(torsion_submodule(d.gamma0, deg_bound)) != tor_points:
-            notes.append("torsion-part-differs-from-split")
 
     if gamma.rank == 0:
         return ClosureTorsionReport("confirmed", tor, tor, 0,
-                                    tuple(witness_places), 0, None,
+                                    witness_places, 0, None,
                                     ("empty-module",))
 
     stacked = [{} for _ in range(gamma.rank * (deg_bound + 1))]
@@ -585,12 +590,17 @@ def closure_torsion_check(gamma: PhiModule, witness_places=None,
         for col, vec in zip(stacked, _family_vectors(images)[1]):
             col.update(((i, key), c) for key, c in vec.items())
     kernel = Echelon(stacked, p).kernel()
+    op_rows = [_weights_to_operators(b, gamma.rank, deg_bound, p)
+               for b in kernel]
+    free_rank = gamma.rank
+    if op_rows:
+        free_rank -= sum(not d.is_zero() for d in smith_normal_form(
+            RMatrix(p, op_rows)).invariant_factors)
 
     leak = None
     kernel_points = []
-    for b in kernel:
-        pt = _apply_operators(
-            gamma, _weights_to_operators(b, gamma.rank, deg_bound, p))
+    for ops in op_rows:
+        pt = _apply_operators(gamma, ops)
         if not all(torsion_annihilator(gamma.phi, c, max_deg=deg_bound).is_torsion
                    for c in pt):
             leak = pt
@@ -617,7 +627,7 @@ def closure_torsion_check(gamma: PhiModule, witness_places=None,
             notes.append("pseudo-torsion-enumeration-capped")
 
     return ClosureTorsionReport(kind, tor, pseudo_points, len(kernel),
-                                tuple(witness_places), d.gamma1.rank, leak,
+                                witness_places, free_rank, leak,
                                 tuple(notes))
 
 
@@ -678,13 +688,12 @@ def quotient_iso_check(gamma: PhiModule, a: RPoly, witness_places=None,
     p = gamma.p
     if witness_places is None:
         witness_places = standard_tracked_places(gamma, 3)
-    for v in witness_places:
-        require_degree_one(v)
+    witness_places = require_places(witness_places)
     q = quotient(gamma, a, deg_bound)
     notes = []
     if q.order == 1:
         return QuotientIsoReport("confirmed", a, 1, (), (), 0, 0,
-                                 tuple(witness_places), precision,
+                                 witness_places, precision,
                                  ("trivial-quotient",))
 
     separations = []
@@ -720,4 +729,4 @@ def quotient_iso_check(gamma: PhiModule, a: RPoly, witness_places=None,
     kind = "confirmed" if not unresolved and not unclassified else "not_separated"
     return QuotientIsoReport(kind, a, q.order, tuple(separations),
                              tuple(unresolved), classified, unclassified,
-                             tuple(witness_places), precision, tuple(notes))
+                             witness_places, precision, tuple(notes))

@@ -24,6 +24,7 @@ from .adelic import (
     closure_torsion_check,
     discreteness_certificate,
     quotient_iso_check,
+    require_places,
     standard_tracked_places,
 )
 from .base import Echelon, RPoly, fp_span
@@ -622,8 +623,8 @@ def generic_char_experiment(gamma: PhiModule, variety,
     _require_bounds(deg_bound, precision, cutoff, enum_deg)
     if variety.g != gamma.g:
         raise ValueError("variety width disagrees with the module")
-    if tracked_places is None:
-        tracked_places = standard_tracked_places(gamma)
+    tracked_places = (standard_tracked_places(gamma) if tracked_places is None
+                      else require_places(tracked_places))
 
     certificates = []
     notes = []
@@ -690,6 +691,8 @@ def zero_dim_intersection(gamma: PhiModule, variety: ZeroDim,
     _require_bounds(deg_bound, precision)
     if variety.g != gamma.g:
         raise ValueError("variety width disagrees with the module")
+    if tracked_places is not None:
+        tracked_places = require_places(tracked_places)
     full = is_full(gamma, member_bound=deg_bound)
     if full.kind != "full_up_to_bounds":
         raise ValueError("module not full up to the stated bounds")
@@ -1010,6 +1013,8 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
     if m < 0:
         raise ValueError("negative power of t")
     _require_bounds(deg_bound, precision, enum_deg=enum_deg)
+    if tracked_places is not None:
+        tracked_places = require_places(tracked_places)
     box_vectors = _theta_box_vectors(gamma.p, gamma.g, box_degree)
     full = is_full(gamma, member_bound=deg_bound)
     if full.kind != "full_up_to_bounds":

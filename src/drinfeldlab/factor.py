@@ -174,12 +174,19 @@ def factor_rpoly(f: RPoly):
 
 
 def rpoly_is_irreducible(f: RPoly) -> bool:
+    """Ben-Or's test: f of degree d >= 1 is irreducible iff
+    gcd(f, t^(p^i) - t mod f) = 1 for every i <= d / 2.  t^(p^i) - t is
+    the product of the monic irreducibles of degree dividing i, and f is
+    reducible iff it has an irreducible factor of degree <= d / 2."""
     if f.degree < 1:
         return False
-    if f.degree == 1:
-        return True
-    _, factors = factor_rpoly(f)
-    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == f.degree
+    t = RPoly.monomial(f.p, 1)
+    h = t
+    for _ in range(f.degree // 2):
+        h = _pow_mod(h, f.p, f)
+        if f.gcd(h - t).degree > 0:
+            return False
+    return True
 
 
 # -- bivariate ---------------------------------------------------------------

@@ -19,9 +19,9 @@ decided not_found_up_to before any reduction.
 
 A module lineage shares one memo: the module built by the caller and every
 module derived from it through PhiModule.sub (divisible_hull's rounds and
-result, _minimize_generators' candidates, decompose's parts) read the same
-orbit of each generator and the same family, digit filtrations and
-presentation of each generator tuple, so a sub-module on some of the
+result, _minimize_generators' candidates, quotient_iso_check's image) read
+the same orbit of each generator and the same family, digit filtrations
+and presentation of each generator tuple, so a sub-module on some of the
 hull's generators iterates phi_t on none of them again.  No memo is
 module-global: what a place alone determines, its truncated rings, the
 place keeps.
@@ -47,8 +47,7 @@ from dataclasses import dataclass
 
 from .base import Echelon, RMatrix, RPoly, fp_span, smith_normal_form
 from .drinfeld import (DrinfeldModule, _division_system, phi_action,
-                       reduce_point, reduction, solve_additive_many,
-                       torsion_annihilator)
+                       solve_additive_many, torsion_annihilator)
 from .factor import iter_irreducible_rpolys, rpoly_code
 from .grammar import Parser
 from .kfield import (BiPoly, KElem, bipoly_vector, common_denominator,
@@ -671,89 +670,3 @@ def is_full(gamma: PhiModule, prime_bound: int = 2,
         raise AssertionError("fullness witness image left the module")
     return FullnessReport("not_full", x, q, prime_bound, member_bound,
                           tuple(sorted(notes)))
-
-
-# -- reduction-based decomposition --------------------------------------------
-
-
-def _point_reduction_is_torsion(phi, v, x, max_deg):
-    """Whether the residue of x at v is torsion for reduction(phi, v),
-    each coordinate by a torsion_annihilator search of degree <= max_deg."""
-    phibar = reduction(phi, v)
-    return all(torsion_annihilator(phibar, c, max_deg).is_torsion
-               for c in reduce_point(x, v))
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """gamma = torsion-at-witnesses part plus a free complement."""
-    gamma0: PhiModule
-    gamma1: PhiModule
-    witness_places: tuple
-    bound: int
-
-
-def decompose(gamma: PhiModule, witness_places,
-              deg_bound: int = _DEFAULT_BOUND) -> Decomposition:
-    """Split off the part whose witness reductions are torsion.
-
-    Structural generators come from the Smith form of the presentation:
-    the finite invariant factors seed gamma0 outright, the free ones are
-    routed by a bounded torsion test on their reductions.  The direct-sum
-    identity and the disjointness of the two parts are verified on
-    generators before returning.
-    """
-    witness_places = tuple(witness_places)
-    p = gamma.p
-    if gamma.rank == 0:
-        empty = gamma.sub(())
-        return Decomposition(empty, empty, witness_places, deg_bound)
-    syz = gamma.presentation(deg_bound)
-    r = gamma.rank
-    if syz.rows:
-        snf = smith_normal_form(syz)
-        diag = list(snf.invariant_factors)
-        vinv_rows = [tuple(snf.vinv.rows[i]) for i in range(r)]
-    else:
-        diag = []
-        vinv_rows = [tuple(RPoly.one(p) if i == j else RPoly.zero(p)
-                           for j in range(r)) for i in range(r)]
-    while len(diag) < r:
-        diag.append(RPoly.zero(p))
-    struct_gens = [_apply_operators(gamma, vinv_rows[i]) for i in range(r)]
-
-    gens0, gens1 = [], []
-    member_bound = max(deg_bound,
-                       2 + max((e.degree for row in vinv_rows for e in row),
-                               default=0))
-    for i in range(r):
-        x = struct_gens[i]
-        if point_is_zero(x):
-            continue
-        if not diag[i].is_zero() and diag[i].degree >= 1:
-            gens0.append(x)
-        elif diag[i].is_zero():
-            if witness_places and _point_reduction_is_torsion(
-                    gamma.phi, witness_places[0], x, deg_bound) \
-                    and all(_point_reduction_is_torsion(gamma.phi, v, x, deg_bound)
-                            for v in witness_places[1:]):
-                gens0.append(x)
-            else:
-                gens1.append(x)
-        # unit factors contribute nothing
-
-    gamma0 = gamma.sub(gens0)
-    gamma1 = gamma.sub(gens1)
-    combined = gamma.sub(gens0 + gens1)
-    for x in gamma.gens:
-        if not member(combined, x, member_bound).found:
-            raise AssertionError("decomposition lost a generator")
-    for x in gamma1.gens:
-        if member(gamma0, x, member_bound).found:
-            raise AssertionError("free part meets the torsion part")
-    for x in gamma0.gens:
-        if gamma1.rank and member(gamma1, x, member_bound).found:
-            raise AssertionError("torsion part meets the free part")
-    if syzygies(gamma1, deg_bound).rows:
-        raise AssertionError("free complement has bounded relations")
-    return Decomposition(gamma0, gamma1, witness_places, deg_bound)

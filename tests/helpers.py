@@ -4,18 +4,21 @@ never needs."""
 import itertools
 
 from drinfeldlab.adelic import ClosureMembership, PlaceCloseness
-from drinfeldlab.base import Echelon, FElem, RMatrix, RPoly, fp_span
-from drinfeldlab.drinfeld import ProbeReport, phi_action, solve_additive_many
+from drinfeldlab.base import (Echelon, FElem, RMatrix, RPoly, fp_span,
+                             smith_normal_form)
+from drinfeldlab.drinfeld import (ProbeReport, phi_action, reduce_point,
+                                  reduction, solve_additive_many,
+                                  torsion_annihilator)
 from drinfeldlab.factor import factor_bipoly
 from drinfeldlab.kfield import BiPoly, KElem
 from drinfeldlab.localfield import embed, tp_eval_local
 from drinfeldlab.phimodule import (PhiModule, _family_vectors,
                                    _primes_up_to, _weights_to_operators,
                                    _window_vectors, member, member_many,
-                                   point_is_zero)
+                                   point_add, point_is_zero)
 from drinfeldlab.places import (Place, TruncRing, _fpoly_divmod_monic,
                                 _fpoly_mul, _fpoly_rem_monic, valuation)
-from drinfeldlab.twisted import TwistedPoly
+from drinfeldlab.twisted import TwistedPoly, tp_eval
 
 
 def bipoly_from_theta_coeffs(p: int, coeffs) -> BiPoly:
@@ -283,3 +286,32 @@ def probe_by_conjugation(phi, max_exponent: int = 2) -> ProbeReport:
                                max_exponent)
     return ProbeReport("inconclusive_positive", None, len(candidates),
                        max_exponent)
+
+
+def brute_force_free_rank(gamma, places, deg_bound: int, max_deg: int) -> int:
+    """r minus the R-rank of the operator tuples (a_1, .., a_r), each a_i of
+    degree <= deg_bound, whose element sum Phi_{a_i}(x_i) reduces to
+    torsion at every place.  Every tuple is tried, each element is built
+    from the composed operators Phi_a, and each residue coordinate is
+    tested by torsion_annihilator of reduction(phi, v) up to max_deg."""
+    p, r = gamma.p, gamma.rank
+    ops = [RPoly.from_coeffs(p, digits)
+           for digits in itertools.product(range(p), repeat=deg_bound + 1)]
+    values = {(a.key(), i): tuple(tp_eval(phi_action(gamma.phi, a), c)
+                                  for c in x)
+              for a in ops for i, x in enumerate(gamma.gens)}
+    reduced = [(v, reduction(gamma.phi, v)) for v in places]
+    # the passing tuples' Smith rank, grown one independent tuple at a time
+    # so that each Smith form has at most r + 1 rows
+    independent = []
+    for tup in itertools.product(ops, repeat=r):
+        y = gamma.zero_point()
+        for i, a in enumerate(tup):
+            y = point_add(y, values[a.key(), i])
+        if all(torsion_annihilator(phibar, c, max_deg).is_torsion
+               for v, phibar in reduced for c in reduce_point(y, v)):
+            snf = smith_normal_form(RMatrix(p, independent + [tup]))
+            if sum(not d.is_zero() for d in snf.invariant_factors) \
+                    > len(independent):
+                independent.append(tup)
+    return r - len(independent)

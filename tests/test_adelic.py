@@ -26,8 +26,9 @@ from drinfeldlab.phimodule import (PhiModule, _apply_operators, _op_on_point,
 from drinfeldlab.places import place_parse, place_to_str, valuation
 from drinfeldlab.twisted import TwistedPoly, tp_eval
 
-from helpers import (classify_places, closure_member_unmemoised,
-                     embedded_family_unmemoised, unmemoised_module)
+from helpers import (brute_force_free_rank, classify_places,
+                     closure_member_unmemoised, embedded_family_unmemoised,
+                     unmemoised_module)
 
 
 def k(p, text):
@@ -178,6 +179,27 @@ class TestRefusedOffThetaDegreeOne:
     def test_refused(self, call, ptext):
         with pytest.raises(ValueError, match="theta-degree 1"):
             call(carlitz_theta(), place_parse(3, ptext))
+
+
+class TestEmptyPlaceList:
+    """An empty place list certifies nothing, so each entry point that takes
+    one refuses it before any scan."""
+
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("scanned before refusing the place list")
+        for name in ("member", "torsion_submodule", "quotient", "_filtration"):
+            monkeypatch.setattr(adelic, name, refuse)
+
+    @pytest.mark.parametrize("call", [
+        lambda gam: closure_member(gam, gam.gens[0], ()),
+        lambda gam: closure_torsion_check(gam, ()),
+        lambda gam: quotient_iso_check(gam, rpoly_parse(3, "t"), ()),
+    ], ids=["closure_member", "closure_torsion_check", "quotient_iso_check"])
+    def test_refused(self, call, no_scan):
+        with pytest.raises(ValueError, match="empty place list"):
+            call(special_theta())
 
 
 class TestDiscreteness:
@@ -683,6 +705,41 @@ def _operator_torsion(gamma, deg_bound):
             acc = point_add(acc, _op_on_point(gamma.phi, c, x))
         points.add(point_to_str(acc))
     return sorted(points)
+
+
+_FREE_RANK_OPS = {
+    2: ["[t, t/theta]", "[0, 1]", "[0, theta]", "[0, theta+t]", "[t, 1]",
+        "[0, t]", "[t, theta]"],
+    3: ["[t, (2*t)/(theta^2)]", "[0, 1]", "[0, theta]", "[0, theta+t]",
+        "[t, 1]", "[0, t]", "[0, theta+1]"]}
+_FREE_RANK_POINTS = ["1", "theta", "theta+1", "t", "theta+t", "t*theta",
+                     "theta^2"]
+
+
+def _free_rank_instance(seed):
+    """A seeded module of rank <= 2 in K^1 at p = 2 or 3; the operators
+    include t-torsion twists and ones whose reductions at theta + c have
+    coefficients in F_p, where points of F_p reduce to torsion."""
+    rng = random.Random(seed)
+    p = rng.choice([2, 3])
+    phi = DrinfeldModule.parse(p, rng.choice(_FREE_RANK_OPS[p]))
+    return PhiModule(phi, 1, [(k(p, rng.choice(_FREE_RANK_POINTS)),)
+                              for _ in range(rng.randint(1, 2))])
+
+
+class TestFreeRankBruteForce:
+    """free_rank, the R-corank of the pseudo-torsion kernel, against every
+    bounded operator tuple whose element reduces to torsion at each
+    witness place, tested one residue at a time.  Two places let more
+    elements leak: at seeds 5 and 11 a leaked element is no Smith
+    generator of the module, and the free rank must not count it."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_enumeration(self, seed):
+        gamma = _free_rank_instance(seed)
+        tracked = standard_tracked_places(gamma, 2)
+        rep = closure_torsion_check(gamma, tracked, 2)
+        assert rep.free_rank == brute_force_free_rank(gamma, tracked, 2, 3)
 
 
 class TestQuotientIso:

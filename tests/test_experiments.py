@@ -64,8 +64,8 @@ class TestPaperInstance:
         # the fullness scan prepares the deg-8 family of this copy of the
         # hull and _minimize_generators those of its two smaller modules;
         # the last of them is the minimised module, whose family the
-        # presentation, the four closure reports' exact membership solves
-        # and decompose's parts reuse, since they share its lineage memo
+        # presentation and the four closure reports' exact membership
+        # solves reuse, since they share its lineage memo
         gamma = PhiModule(paper_hull.phi, paper_hull.g, paper_hull.gens)
         rng = random.Random(5)
         theta = KElem.theta(P)
@@ -976,8 +976,8 @@ class TestPreparedFamilies:
         ex.zero_dim_intersection(gamma, ex.ZeroDim(1, [(theta,), (theta + 1,)]))
         assert max(builds_per_module["family"].values()) == 1
         assert max(builds_per_module["prepared"].values()) == 1
-        # the copy of the hull, <theta, 1> and <1>; decompose's parts on
-        # <1>'s generators find its family in the lineage memo
+        # the copy of the hull, <theta, 1> and <1>, the minimised module,
+        # whose family every later check finds in the lineage memo
         assert len(builds_per_module["prepared"]) == 3
 
     def test_seed0_generic(self, builds_per_module):
@@ -1026,8 +1026,8 @@ def _count_lineage_work(monkeypatch):
 
 class TestLineageWork:
     """Each generator's orbit is iterated once per lineage, so the seed-0
-    zero-dim run's sub-modules (_minimize_generators' candidates and
-    decompose's parts) apply phi_t to none of the hull's generators."""
+    zero-dim run's sub-modules (_minimize_generators' candidates) apply
+    phi_t to none of the hull's generators."""
 
     def _run(self, gamma):
         theta = KElem.theta(P)
@@ -1061,9 +1061,9 @@ GOLDEN_ZERO_DIM = pathlib.Path(__file__).parent / "data" / "zero_dim_seed0.json"
 
 @pytest.mark.golden
 class TestZeroDimGolden:
-    def test_two_syzygy_solves(self, paper_hull, monkeypatch):
-        # the presentation and decompose's check on the free part; the
-        # closure-torsion check does not repeat the latter
+    def test_one_syzygy_solve(self, paper_hull, monkeypatch):
+        # the presentation; the closure-torsion check reads the free rank
+        # off its pseudo-torsion kernel and solves for no syzygies
         calls = []
         solve = pm.syzygies
 
@@ -1078,7 +1078,7 @@ class TestZeroDimGolden:
         theta = KElem.theta(P)
         ex.zero_dim_intersection(gamma,
                                  ex.ZeroDim(1, [(theta,), (theta + 1,)]))
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_report_byte_for_byte(self, paper_hull):
         """zero_dim_intersection on the seed-0 special-zero-dim instance,
@@ -1307,6 +1307,36 @@ class TestCapsWeakenVerdicts:
                                     [(KElem.zero(P),)], (0, 1), [point])
         assert "theta-bound-capped" in table.flags
         assert table.certified is False
+
+
+class TestEmptyPlaceList:
+    """Each pipeline refuses an empty list of tracked places before any
+    scan; the generic one used to confirm the hypersurface instance with
+    no certificate at all."""
+
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("scanned before refusing the place list")
+        for name in ("is_full", "discreteness_certificate", "_swept_window",
+                     "standard_tracked_places"):
+            monkeypatch.setattr(ex, name, refuse)
+
+    @pytest.mark.parametrize("run", [
+        lambda hull: ex.generic_char_experiment(
+            _carlitz_plane(),
+            ex.Hypersurface(ex.poly_parse(P, 2, "x*y - theta")),
+            tracked_places=()),
+        lambda hull: ex.zero_dim_intersection(
+            hull, ex.ZeroDim(1, [(KElem.theta(P),)]), tracked_places=()),
+        lambda hull: ex.uniform_dml_reduce(
+            hull, ex.Hypersurface(ex.poly_parse(P, 1, "x^3 - theta^2*x")), 1,
+            tracked_places=(), box_degree=1),
+    ], ids=["generic_char_experiment", "zero_dim_intersection",
+            "uniform_dml_reduce"])
+    def test_refused(self, run, paper_hull, no_scan):
+        with pytest.raises(ValueError, match="empty place list"):
+            run(paper_hull)
 
 
 class TestRejectedInput:

@@ -85,6 +85,22 @@ class TestUnivariate:
                 == sorted(([g.coeff(e) for e in range(g.degree + 1)], m)
                           for g, m in got[1])
 
+    @pytest.mark.parametrize("p, max_deg", [(2, 4), (3, 4), (5, 3)])
+    def test_irreducible_matches_sympy(self, p, max_deg):
+        # every monic f of degree <= max_deg, squares and other repeated
+        # factors included, against sympy's irreducibility test
+        sympy = pytest.importorskip("sympy")
+        t = sympy.symbols("t")
+        f = None
+        for f in iter_monic_rpolys(p):
+            if f.degree > max_deg:
+                break
+            want = f.degree >= 1 and sympy.Poly(
+                sum(c * t ** e for e, c in f.c.items()), t,
+                modulus=p).is_irreducible
+            assert rpoly_is_irreducible(f) == want, rpoly_to_str(f)
+        assert f.degree == max_deg + 1
+
     def test_multiplicities_with_many_base_p_digits(self):
         # one level per base-3 digit of 6000, not one Euclid step per unit
         p = 3

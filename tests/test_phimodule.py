@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeldlab import drinfeld
+from drinfeldlab.adelic import closure_torsion_check
 from drinfeldlab.base import Echelon, RPoly
 from drinfeldlab.drinfeld import (DrinfeldModule, phi_action, reduce_point,
                                   reduction, torsion_annihilator)
@@ -16,9 +17,7 @@ from drinfeldlab.phimodule import (
     _iterate_family,
     _op_on_point,
     _orbit,
-    _point_reduction_is_torsion,
     _weights_to_operators,
-    decompose,
     divisible_hull,
     is_full,
     member,
@@ -354,35 +353,39 @@ class TestIsFull:
 
 
 class TestDecompose:
-    def test_free_line_is_all_free(self):
+    """The split of a module into a part whose reductions at the witness
+    places are torsion and a free complement, read off closure_torsion_check:
+    free_rank is the rank of the complement."""
+
+    @staticmethod
+    def split(gamma, deg_bound):
         v = Place.parse(P, "finite:theta+t")
-        d = decompose(PhiModule(psi(), 1, [(k("theta"),)]), [v], 6)
-        assert d.gamma0.rank == 0
-        assert d.gamma1.gens == ((k("theta"),),)
+        return closure_torsion_check(gamma, [v], deg_bound)
+
+    def test_free_line_is_all_free(self):
+        rep = self.split(PhiModule(psi(), 1, [(k("theta"),)]), 6)
+        assert rep.free_rank == 1
 
     def test_pure_torsion(self):
-        v = Place.parse(P, "finite:theta+t")
-        d = decompose(PhiModule(phi3(), 1, [(k("theta"),)]), [v], 4)
-        assert d.gamma0.gens == ((k("theta"),),)
-        assert d.gamma1.rank == 0
+        rep = self.split(PhiModule(phi3(), 1, [(k("theta"),)]), 4)
+        assert rep.free_rank == 0
 
     def test_mixed_split(self):
-        v = Place.parse(P, "finite:theta+t")
+        # the torsion part is theta's span, and 1 spans the complement
         gamma = PhiModule(phi3(), 1, [(k("theta"),), (k("1"),)])
-        d = decompose(gamma, [v], 4)
-        assert [point_to_str(x) for x in d.gamma0.gens] == ["(theta)"]
-        assert [point_to_str(x) for x in d.gamma1.gens] == ["(1)"]
+        rep = self.split(gamma, 4)
+        assert rep.free_rank == 1
+        assert sorted(point_to_str(x) for x in rep.pseudo_torsion_points) \
+            == ["(0)", "(2*theta)", "(theta)"]
 
     def test_zero_module(self):
-        v = Place.parse(P, "finite:theta+t")
-        d = decompose(PhiModule(carlitz(), 1, []), [v], 4)
-        assert d.gamma0.rank == 0 and d.gamma1.rank == 0
+        rep = self.split(PhiModule(carlitz(), 1, []), 4)
+        assert rep.free_rank == 0
 
 
 class TestFvTorsionAnnihilator:
     """The torsion search over the residue field F_v: torsion_annihilator
-    of reduction(phi, v) on residues lifted into K, the test that
-    decompose runs on each free generator."""
+    of reduction(phi, v) on residues lifted into K."""
 
     @staticmethod
     def residue(text, v):
@@ -393,14 +396,16 @@ class TestFvTorsionAnnihilator:
         cert = torsion_annihilator(reduction(phi3(), v),
                                    self.residue("theta", v), 4)
         assert str(cert.annihilator) == "t"
-        assert _point_reduction_is_torsion(phi3(), v, (k("theta"),), 4)
+        assert all(torsion_annihilator(reduction(phi3(), v), c, 4).is_torsion
+                   for c in reduce_point((k("theta"),), v))
 
     def test_reduced_non_torsion_up_to_bound(self):
         v = Place.parse(P, "finite:theta+t")
         cert = torsion_annihilator(reduction(psi(), v),
                                    self.residue("theta", v), 8)
         assert not cert.is_torsion
-        assert not _point_reduction_is_torsion(psi(), v, (k("theta"),), 8)
+        assert not all(torsion_annihilator(reduction(psi(), v), c, 8).is_torsion
+                       for c in reduce_point((k("theta"),), v))
 
     def test_one_coordinates_call_per_search(self, monkeypatch):
         # the residue orbit is coordinatised once, not once per degree
