@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
-from .base import Echelon, FElem, RMatrix, RPoly, fp_span, smith_normal_form
+from .base import Echelon, FElem, RPoly, fp_span
 from .drinfeld import (DrinfeldModule, phi_action, reduce_point, reduction,
                        torsion_annihilator)
 from .kfield import KElem, kelem_to_str
@@ -49,6 +49,7 @@ from .phimodule import (
     _family_vectors,
     _iter_rpolys_below,
     _iterate_family,
+    _module_structure,
     _op_on_point,
     _orbit,
     _weights_to_operators,
@@ -351,17 +352,13 @@ def discreteness_certificate(gamma: PhiModule, v: Place,
         witness_ops = _weights_to_operators(b, gamma.rank, deg_bound, p)
 
     level_one = bases[1] if len(bases) > 1 else []
-    gens = []
-    if level_one:
-        op_rows = [_weights_to_operators(b, gamma.rank, deg_bound, p)
-                   for b in level_one]
-        snf = smith_normal_form(RMatrix(p, op_rows))
-        for i, d in enumerate(snf.invariant_factors):
-            if d.is_zero():
-                continue
-            gens.append(tuple(d * c for c in snf.vinv.rows[i]))
-    elif len(bases) > 1:
+    if len(bases) > 1 and not level_one:
         notes.append("zero-ideal")
+    diag, vinv = _module_structure(
+        [_weights_to_operators(b, gamma.rank, deg_bound, p) for b in level_one],
+        gamma.rank, p)
+    gens = [tuple(d * c for c in row) for d, row in zip(diag, vinv)
+            if not d.is_zero()]
 
     t_el = KElem.t(p)
     checked = True
@@ -437,7 +434,7 @@ def _require_integral_at(y, places):
     for v in require_places(places):
         for c in y:
             if not c.is_zero() and valuation(c, v) < 0:
-                raise ValueError(f"target not integral at {place_to_str(v)}")
+                raise ValueError(f"point not integral at {place_to_str(v)}")
 
 
 def closure_member(gamma: PhiModule, y, tracked_places=None,
@@ -539,16 +536,10 @@ def _residue_torsion_annihilator_bound(gamma: PhiModule, family_res,
     the residue family family_res of the module's iterate family."""
     p = gamma.p
     kernel = Echelon(_family_vectors(family_res)[1], p).kernel()
-    if not kernel:
-        return RPoly.one(p)
-    op_rows = [_weights_to_operators(b, gamma.rank, deg_bound, p)
-               for b in kernel]
-    snf = smith_normal_form(RMatrix(p, op_rows))
-    last = RPoly.one(p)
-    for d in snf.invariant_factors:
-        if not d.is_zero() and d.degree >= 1:
-            last = d
-    return last
+    diag, _ = _module_structure(
+        [_weights_to_operators(b, gamma.rank, deg_bound, p) for b in kernel],
+        gamma.rank, p)
+    return next((d for d in reversed(diag) if d.degree >= 1), RPoly.one(p))
 
 
 def closure_torsion_check(gamma: PhiModule, witness_places=None,
@@ -592,10 +583,8 @@ def closure_torsion_check(gamma: PhiModule, witness_places=None,
     kernel = Echelon(stacked, p).kernel()
     op_rows = [_weights_to_operators(b, gamma.rank, deg_bound, p)
                for b in kernel]
-    free_rank = gamma.rank
-    if op_rows:
-        free_rank -= sum(not d.is_zero() for d in smith_normal_form(
-            RMatrix(p, op_rows)).invariant_factors)
+    free_rank = sum(d.is_zero() for d in
+                    _module_structure(op_rows, gamma.rank, p)[0])
 
     leak = None
     kernel_points = []
@@ -679,40 +668,63 @@ def quotient_iso_check(gamma: PhiModule, a: RPoly, witness_places=None,
     Injectivity: for each pair of representatives some witness place
     refuses to divide their difference by Phi_a inside the integers there,
     certified by the residue verdict of localfield.hensel_solve.
+    Phi_a(O_v^g), taken in the perfection when Phi_a has tau-valuation > 0,
+    is an additive group, and it holds Phi_a(Gamma) where the generators are
+    v-integral; so a pair's difference is divisible at v exactly when the
+    representative of its class is, and each class is decided once, at the
+    first witness place that separates it.  Each pair still reports the
+    coordinate and valuation of its own difference.  An explicit witness
+    place where a generator has a pole is refused before any scan; the
+    default places are good for the module.
     Surjectivity: bounded module elements all classify onto exactly one
     representative through the exact quotient membership.  Neither half
     reads `precision`; it is only carried into the report and its JSON.
+    A quotient whose representatives were omitted is noted
+    quotient-representatives-omitted and cannot be confirmed.
     """
     if a.is_zero():
         raise ValueError("quotient by the zero operator")
     p = gamma.p
-    if witness_places is None:
+    explicit = witness_places is not None
+    if not explicit:
         witness_places = standard_tracked_places(gamma, 3)
     witness_places = require_places(witness_places)
+    if explicit:
+        for x in gamma.gens:
+            _require_integral_at(x, witness_places)
     q = quotient(gamma, a, deg_bound)
     notes = []
     if q.order == 1:
         return QuotientIsoReport("confirmed", a, 1, (), (), 0, 0,
                                  witness_places, precision,
                                  ("trivial-quotient",))
+    if "representatives-omitted" in q.flags:
+        notes.append("quotient-representatives-omitted")
 
+    index = {rho: k for k, rho in enumerate(q.residues)}
+    separating = {}          # class index -> first separating place, or None
     separations = []
     unresolved = []
     for i in range(len(q.reps)):
         for j in range(i + 1, len(q.reps)):
-            delta = point_add(q.reps[i], point_neg(q.reps[j]))
-            for v in witness_places:
-                if not _locally_divisible(gamma.phi, a, delta, v):
-                    coord = next(s for s, c in enumerate(delta)
-                                 if not c.is_zero())
-                    separations.append(PairSeparation(
-                        i, j, v, coord, valuation(delta[coord], v),
-                        "certified-residue-obstruction"))
-                    break
-            else:
+            k = index[tuple((x - y) % d for x, y, d in zip(
+                q.residues[i], q.residues[j], q.invariant_factors))]
+            if k not in separating:
+                separating[k] = next(
+                    (v for v in witness_places
+                     if not _locally_divisible(gamma.phi, a, q.reps[k], v)),
+                    None)
+            v = separating[k]
+            if v is None:
                 unresolved.append(PairSeparation(
                     i, j, None, None, None,
                     "locally-divisible-at-all-witnesses"))
+                continue
+            delta = point_add(q.reps[i], point_neg(q.reps[j]))
+            coord = next(s for s, c in enumerate(delta) if not c.is_zero())
+            separations.append(PairSeparation(
+                i, j, v, coord, valuation(delta[coord], v),
+                "certified-residue-obstruction"))
 
     image = gamma.sub([_op_on_point(gamma.phi, a, x) for x in gamma.gens])
     samples = _iterate_family(gamma, deg_bound)

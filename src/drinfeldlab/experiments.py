@@ -1030,6 +1030,10 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
 
     a = RPoly.from_coeffs(p, [0] * m + [1])
     q = quotient(gamma, a, deg_bound)
+    if "representatives-omitted" in q.flags:
+        # no tile is swept, so W covers none of the module
+        inconclusive = True
+        notes.append("quotient-representatives-omitted")
     iso = quotient_iso_check(gamma, a, tracked_places, precision, deg_bound)
     certificates.append(("quotient-iso", iso.to_json_dict()))
     if iso.kind != "confirmed":

@@ -392,6 +392,25 @@ def member_many(gamma: PhiModule, ys, deg_bound: int = _DEFAULT_BOUND):
 # -- quotients ----------------------------------------------------------------
 
 
+def _module_structure(rows, rank: int, p: int):
+    """(d, vinv): the invariant factors d_1 | d_2 | ... of the Smith form of
+    the operator tuples rows, padded with zeros to rank, and the rows of
+    V^{-1}, so that U * rows * V = diag(d).
+
+    Read as a quotient, R^rank / (rows) is the direct sum of the R/(d_i),
+    the class of vinv[i] generating the i-th summand: the torsion, the
+    quotients and the free rank (the zero d_i) come from that reading.  Read
+    as a submodule, the span of rows has the R-basis d_i * vinv[i] over the
+    nonzero d_i: the small-ball generators of a discreteness certificate.
+    This is the package's one Smith form.
+    """
+    if not rows:
+        return (RPoly.zero(p),) * rank, RMatrix.identity(p, rank).rows
+    snf = smith_normal_form(RMatrix(p, rows))
+    diag = snf.invariant_factors
+    return diag + (RPoly.zero(p),) * (rank - len(diag)), snf.vinv.rows
+
+
 @dataclass(frozen=True)
 class QuotientStructure:
     """Gamma / Phi_a(Gamma) as invariant factors plus realized cosets."""
@@ -400,86 +419,45 @@ class QuotientStructure:
     rep_operators: tuple
     order: int
     flags: tuple = ()
-
-
-def _coset_key(ops, v_mat: RMatrix, diag):
-    p = v_mat.p
-    key = []
-    r = len(ops)
-    for i in range(r):
-        acc = RPoly.zero(p)
-        for k in range(r):
-            acc = acc + ops[k] * v_mat.rows[k][i]
-        d = diag[i]
-        if d.degree >= 1:
-            acc = acc % d
-        else:
-            acc = RPoly.zero(p)
-        key.append(acc.key())
-    return tuple(key)
+    # per representative, its residue tuple rho (deg rho_i < deg of the
+    # i-th invariant factor), so that rep_operators = rho * V^{-1} mod a;
+    # two representatives differ by the class of their rho's difference
+    residues: tuple = ()
 
 
 def quotient(gamma: PhiModule, a: RPoly,
              deg_bound: int = _DEFAULT_BOUND) -> QuotientStructure:
-    """Structure of Gamma / Phi_a(Gamma) from the bounded presentation."""
+    """Structure of Gamma / Phi_a(Gamma) from the bounded presentation.
+
+    With Gamma = R^r / (syzygies) = sum R/(d_i) read off the presentation's
+    Smith form, Gamma / Phi_a(Gamma) is the sum of the R/gcd(d_i, a), where
+    gcd(0, a) = a for the free summands.  Each representative is
+    rho * V^{-1} mod a for one residue tuple rho with deg rho_i <
+    deg gcd(d_i, a); they are listed in code order of their operators, and
+    omitted, with the flag representatives-omitted, when the order exceeds
+    _REP_ENUM_CAP.
+    """
     if a.is_zero():
         raise ValueError("quotient by the zero operator")
     p = gamma.p
     r = gamma.rank
-    if r == 0:
-        return QuotientStructure((), (gamma.zero_point(),),
-                                 ((),), 1)
-    syz = gamma.presentation(deg_bound)
-    a_block = [[a if i == j else RPoly.zero(p) for j in range(r)]
-               for i in range(r)]
-    stacked = RMatrix(p, list(syz.rows) + a_block)
-    snf = smith_normal_form(stacked)
-    diag = snf.invariant_factors
-    if any(d.is_zero() for d in diag):
-        raise AssertionError("quotient by a nonzero operator must be finite")
-    order = p ** sum(d.degree for d in diag if d.degree >= 1)
-    flags = []
-    da = a.degree
-    if da == 0 or order == 1:
-        reps = (gamma.zero_point(),)
-        ops = (tuple(RPoly.zero(p) for _ in range(r)),)
-        return QuotientStructure(diag, reps, ops, order)
-
-    if p ** (r * da) <= _REP_ENUM_CAP:
-        seen = {}
-        for combo in itertools.product(_iter_rpolys_below(p, da), repeat=r):
-            key = _coset_key(combo, snf.v, diag)
-            if key not in seen:
-                seen[key] = combo
-            if len(seen) == order:
-                break
-        if len(seen) != order:
-            raise AssertionError("coset enumeration missed the computed order")
-        rep_ops = tuple(seen[k] for k in sorted(seen))
-    else:
-        # canonical residues mapped back through V^{-1}, reduced mod a
-        residues = [list(_iter_rpolys_below(p, d.degree)) if d.degree >= 1
-                    else [RPoly.zero(p)] for d in diag]
-        total = 1
-        for res in residues:
-            total *= len(res)
-        if total > _REP_ENUM_CAP:
-            flags.append("representatives-omitted")
-            rep_ops = ()
-        else:
-            rep_ops = []
-            for rho in itertools.product(*residues):
-                ops = []
-                for j in range(r):
-                    acc = RPoly.zero(p)
-                    for i in range(r):
-                        acc = acc + rho[i] * snf.vinv.rows[i][j]
-                    ops.append(acc % a)
-                rep_ops.append(tuple(ops))
-            rep_ops = tuple(sorted(
-                rep_ops, key=lambda t: tuple(rpoly_code(x) for x in t)))
-    reps = tuple(_apply_operators(gamma, ops) for ops in rep_ops)
-    return QuotientStructure(diag, reps, rep_ops, order, tuple(flags))
+    diag, vinv = _module_structure(gamma.presentation(deg_bound).rows, r, p)
+    diag = tuple(d.gcd(a) for d in diag)
+    order = p ** sum(d.degree for d in diag)
+    if order > _REP_ENUM_CAP:
+        return QuotientStructure(diag, (), (), order,
+                                 ("representatives-omitted",))
+    pairs = []
+    for rho in itertools.product(*(_iter_rpolys_below(p, d.degree)
+                                   for d in diag)):
+        ops = tuple(sum((c * row[j] for c, row in zip(rho, vinv)),
+                        RPoly.zero(p)) % a for j in range(r))
+        pairs.append((ops, rho))
+    pairs.sort(key=lambda pair: tuple(rpoly_code(x) for x in pair[0]))
+    rep_ops = tuple(ops for ops, _ in pairs)
+    return QuotientStructure(
+        diag, tuple(_apply_operators(gamma, ops) for ops in rep_ops),
+        rep_ops, order, (), tuple(rho for _, rho in pairs))
 
 
 # -- torsion ------------------------------------------------------------------
@@ -490,15 +468,9 @@ def torsion_submodule(gamma: PhiModule,
     """Explicit points of the torsion part seen by the bounded presentation."""
     p = gamma.p
     zero = gamma.zero_point()
-    if gamma.rank == 0:
-        return (zero,)
-    syz = gamma.presentation(deg_bound)
-    if not syz.rows:
-        return (zero,)
-    snf = smith_normal_form(syz)
-    diag = list(snf.invariant_factors)
-    torsion_idx = [i for i, d in enumerate(diag)
-                   if not d.is_zero() and d.degree >= 1]
+    diag, vinv = _module_structure(gamma.presentation(deg_bound).rows,
+                                   gamma.rank, p)
+    torsion_idx = [i for i, d in enumerate(diag) if d.degree >= 1]
     if not torsion_idx:
         return (zero,)
     total = p ** sum(diag[i].degree for i in torsion_idx)
@@ -506,7 +478,7 @@ def torsion_submodule(gamma: PhiModule,
         raise RuntimeError("torsion enumeration beyond the desk cap")
     vectors = []
     for i in torsion_idx:
-        x = _apply_operators(gamma, tuple(snf.vinv.rows[i]))
+        x = _apply_operators(gamma, vinv[i])
         vectors.extend(_orbit(gamma.phi, x, diag[i].degree - 1))
     out = sorted(set(fp_span(p, vectors, zero)), key=point_sort_key)
     for x in out:

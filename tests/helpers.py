@@ -3,7 +3,8 @@ never needs."""
 
 import itertools
 
-from drinfeldlab.adelic import ClosureMembership, PlaceCloseness
+from drinfeldlab.adelic import (ClosureMembership, PairSeparation,
+                               PlaceCloseness, _locally_divisible)
 from drinfeldlab.base import (Echelon, FElem, RMatrix, RPoly, fp_span,
                              smith_normal_form)
 from drinfeldlab.drinfeld import (ProbeReport, phi_action, reduce_point,
@@ -13,9 +14,10 @@ from drinfeldlab.factor import factor_bipoly
 from drinfeldlab.kfield import BiPoly, KElem
 from drinfeldlab.localfield import embed, tp_eval_local
 from drinfeldlab.phimodule import (PhiModule, _family_vectors,
-                                   _primes_up_to, _weights_to_operators,
-                                   _window_vectors, member, member_many,
-                                   point_add, point_is_zero)
+                                   _iter_rpolys_below, _primes_up_to,
+                                   _weights_to_operators, _window_vectors,
+                                   member, member_many, point_add,
+                                   point_is_zero, point_neg)
 from drinfeldlab.places import (Place, TruncRing, _fpoly_divmod_monic,
                                 _fpoly_mul, _fpoly_rem_monic, valuation)
 from drinfeldlab.twisted import TwistedPoly, tp_eval
@@ -315,3 +317,57 @@ def brute_force_free_rank(gamma, places, deg_bound: int, max_deg: int) -> int:
                     > len(independent):
                 independent.append(tup)
     return r - len(independent)
+
+
+def coset_oracle(gamma, a: RPoly, deg_bound: int):
+    """Gamma / Phi_a(Gamma) by the Smith form of the presentation stacked on
+    a * I, with no gcd: (invariant_factors, order, key, firsts).  key(ops)
+    names the coset of an operator tuple, its Smith coordinates ops * V
+    reduced modulo the invariant factors, and firsts maps each coset's key
+    to its first tuple of degree < deg a in product order."""
+    p, r = gamma.p, gamma.rank
+    a_block = [[a if i == j else RPoly.zero(p) for j in range(r)]
+               for i in range(r)]
+    snf = smith_normal_form(RMatrix(
+        p, list(gamma.presentation(deg_bound).rows) + a_block))
+    diag = snf.invariant_factors
+    order = p ** sum(d.degree for d in diag if d.degree >= 1)
+
+    def key(ops):
+        out = []
+        for i, d in enumerate(diag):
+            acc = RPoly.zero(p)
+            for k in range(r):
+                acc = acc + ops[k] * snf.v.rows[k][i]
+            out.append((acc % d if d.degree >= 1 else RPoly.zero(p)).key())
+        return tuple(out)
+
+    firsts = {}
+    for combo in itertools.product(_iter_rpolys_below(p, a.degree), repeat=r):
+        firsts.setdefault(key(combo), combo)
+        if len(firsts) == order:
+            break
+    return diag, order, key, firsts
+
+
+def pairwise_separations(gamma, a: RPoly, reps, places):
+    """(separations, unresolved) of adelic.quotient_iso_check with each pair
+    of representatives decided on its own difference: at the first place
+    that refuses to divide it by Phi_a, or at none."""
+    separations, unresolved = [], []
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            delta = point_add(reps[i], point_neg(reps[j]))
+            for v in places:
+                if not _locally_divisible(gamma.phi, a, delta, v):
+                    coord = next(s for s, c in enumerate(delta)
+                                 if not c.is_zero())
+                    separations.append(PairSeparation(
+                        i, j, v, coord, valuation(delta[coord], v),
+                        "certified-residue-obstruction"))
+                    break
+            else:
+                unresolved.append(PairSeparation(
+                    i, j, None, None, None,
+                    "locally-divisible-at-all-witnesses"))
+    return tuple(separations), tuple(unresolved)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -22,13 +23,13 @@ from drinfeldlab.drinfeld import DrinfeldModule, phi_action
 from drinfeldlab.kfield import KElem, kelem_parse
 from drinfeldlab.phimodule import (PhiModule, _apply_operators, _op_on_point,
                                    _weights_to_operators, point_add,
-                                   point_to_str, torsion_submodule)
+                                   point_to_str, quotient, torsion_submodule)
 from drinfeldlab.places import place_parse, place_to_str, valuation
 from drinfeldlab.twisted import TwistedPoly, tp_eval
 
 from helpers import (brute_force_free_rank, classify_places,
                      closure_member_unmemoised, embedded_family_unmemoised,
-                     unmemoised_module)
+                     pairwise_separations, unmemoised_module)
 
 
 def k(p, text):
@@ -61,6 +62,14 @@ def torsion_only_theta():
     high = KElem.zero(p) - KElem.one(p) / theta ** 6
     phi = DrinfeldModule(TwistedPoly(p, (KElem.zero(p), low, high)))
     return PhiModule(phi, 1, [(theta,)])
+
+
+def paper_hull_gens():
+    """The paper's hull of Phi_t(theta) for phi_t = theta*tau + tau^2 at
+    p = 3, from its generators."""
+    theta = KElem.theta(3)
+    return PhiModule(DrinfeldModule.parse(3, "[0, theta, 1]"), 1,
+                     [(theta ** 9 + theta ** 4,), (theta,), (KElem.one(3),)])
 
 
 def op_value(gamma, a):
@@ -788,3 +797,90 @@ class TestQuotientIso:
         gam = special_theta()
         with pytest.raises(ValueError):
             quotient_iso_check(gam, rpoly_parse(3, "0"))
+
+    def test_one_residue_verdict_per_class(self, monkeypatch):
+        # the paper's hull at t^4: 81 classes and 3240 pairs, which took
+        # 5346 residue verdicts when each pair was decided on its own
+        calls = []
+        solve = adelic.hensel_solve
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(adelic, "hensel_solve", counting)
+        rep = quotient_iso_check(paper_hull_gens(), rpoly_parse(3, "t^4"))
+        assert (rep.kind, rep.order, len(rep.separations)) == \
+            ("confirmed", 81, 3240)
+        assert len(calls) <= 80 * len(rep.witness_places)
+
+    def test_pole_of_a_generator_at_an_explicit_place_refused(
+            self, monkeypatch):
+        # Phi_a(O_v) holds Phi_a(Gamma) only where the generators are
+        # v-integral, so the per-class verdict needs them integral
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("scanned before refusing the place")
+        monkeypatch.setattr(adelic, "quotient", refuse)
+        gam = PhiModule(DrinfeldModule.parse(3, "[t, 1]"), 1,
+                        [(k(3, "theta"),), (k(3, "1/theta"),)])
+        with pytest.raises(ValueError,
+                           match="point not integral at finite:theta$"):
+            quotient_iso_check(gam, rpoly_parse(3, "t"), [
+                place_parse(3, "finite:theta+1"),
+                place_parse(3, "finite:theta")])
+
+    def test_omitted_representatives_noted(self):
+        # 3^9 cosets at t^9 pass _REP_ENUM_CAP
+        rep = quotient_iso_check(paper_hull_gens(), rpoly_parse(3, "t^9"))
+        assert (rep.kind, rep.order) == ("not_separated", 3 ** 9)
+        assert rep.notes == ("quotient-representatives-omitted",
+                             "sample-unclassified")
+
+
+def _iso_grid():
+    """(p, module, a, place count): at p in {2, 3, 5}, per module and
+    degree 1 or 2 with at most 25 cosets, one seeded a and either the
+    three standard places or the first alone, which leaves pairs
+    unresolved."""
+    cases = []
+    for p in (2, 3, 5):
+        theta, one, zero = KElem.theta(p), KElem.one(p), KElem.zero(p)
+        special = DrinfeldModule.parse(p, "[0, theta, 1]")
+        car = DrinfeldModule.parse(p, "[t, 1]")
+        modules = [(PhiModule(special, 1, [(theta,)]), 1),
+                   (PhiModule(car, 1, [(theta,)]), 1),
+                   (PhiModule(special, 1, [(theta,), (one,)]), 1),
+                   (PhiModule(car, 2, [(theta, zero), (zero, theta)]), 2)]
+        if p == 3:
+            modules.append((paper_hull_gens(), 1))
+        for idx, (gam, rank) in enumerate(modules):
+            for d in (1, 2):
+                if p ** (rank * d) > 25:
+                    continue
+                rng = random.Random(100 * p + 10 * idx + d)
+                a = RPoly.from_coeffs(p, [rng.randrange(p) for _ in range(d)]
+                                      + [rng.randrange(1, p)])
+                cases.append((p, gam, a, rng.choice((1, 3))))
+    return cases
+
+
+class TestQuotientIsoPerPair:
+    """One residue verdict per class reports as deciding every pair of
+    representatives on its own difference."""
+
+    def test_equals_the_per_pair_loop(self):
+        resolved = unresolved = 0
+        for p, gam, a, count in _iso_grid():
+            rep = quotient_iso_check(gam, a,
+                                     standard_tracked_places(gam, 3)[:count])
+            seps, unres = pairwise_separations(
+                gam, a, quotient(gam, a, adelic.STANDARD_DEG_BOUND).reps,
+                rep.witness_places)
+            kind = "not_separated" if unres or rep.unclassified_samples \
+                else "confirmed"
+            assert rep.to_json_dict() == dataclasses.replace(
+                rep, kind=kind, separations=seps,
+                unresolved=unres).to_json_dict()
+            resolved += len(seps)
+            unresolved += len(unres)
+        assert resolved and unresolved

@@ -1146,6 +1146,17 @@ class TestUniformReduction:
         assert rep.verdict == ex.CONFIRMED
         assert counts == [(81, 9, 3)]
 
+    def test_omitted_representatives_noted(self, paper_hull):
+        # 3^9 cosets at t^9 pass _REP_ENUM_CAP, so no tile is swept
+        variety = ex.Hypersurface(ex.poly_parse(P, 1, _CUBIC))
+        w, rep = ex.uniform_dml_reduce(paper_hull, variety, 9, box_degree=1)
+        assert w.points == ()
+        assert rep.verdict == ex.INCONCLUSIVE
+        assert rep.notes[:2] == ("quotient-representatives-omitted",
+                                 "quotient-separation-open")
+        assert dict(rep.certificates)["quotient-iso"]["notes"][0] == \
+            "quotient-representatives-omitted"
+
     def test_one_fullness_scan(self, paper_hull, monkeypatch):
         # the zero-dimensional step reuses the reduction's fullness scan
         # and minimised module

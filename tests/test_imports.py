@@ -241,6 +241,50 @@ def test_every_method_is_referenced_or_a_test_oracle():
     assert set(unreferenced_methods(sources)) <= bench_entry_points()
 
 
+# Module structure is read from one Smith form: phimodule._module_structure
+# is the only caller of base.smith_normal_form in the package.
+SMITH_OWNER = ("phimodule.py", "_module_structure")
+
+
+def smith_form_sites(sources):
+    """(module, line) of each name smith_normal_form in sources (module ->
+    source text) outside base.py and the owner def; imports do not
+    count."""
+    found = []
+    for module, source in sources.items():
+        if module == "base.py":
+            continue
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, ast.FunctionDef) \
+                    and (module, stmt.name) == SMITH_OWNER:
+                continue
+            found += [(module, node.lineno) for node in ast.walk(stmt)
+                      if (isinstance(node, ast.Name)
+                          and node.id == "smith_normal_form")
+                      or (isinstance(node, ast.Attribute)
+                          and node.attr == "smith_normal_form")]
+    return sorted(found)
+
+
+def test_smith_form_detector():
+    sources = {"base.py": "def smith_normal_form(a):\n    pass\n",
+               "phimodule.py": "from .base import smith_normal_form\n"
+                               "def _module_structure(rows):\n"
+                               "    return smith_normal_form(rows)\n"
+                               "def quotient(rows):\n"
+                               "    return smith_normal_form(rows)\n",
+               "adelic.py": "from . import base\n"
+                            "def f(rows):\n"
+                            "    return base.smith_normal_form(rows)\n"}
+    assert smith_form_sites(sources) == [("adelic.py", 3),
+                                         ("phimodule.py", 5)]
+
+
+def test_one_smith_form_reading():
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    assert smith_form_sites(sources) == []
+
+
 # Text is for output.  A K-point, a K-element or a residue is its own key,
 # so no printed form of one may stand in for its identity.
 TEXT_CALLS = {"point_to_str", "kelem_to_str", "str"}

@@ -26,6 +26,7 @@ from drinfeldlab.phimodule import (
     module_to_str,
     point_add,
     point_apply,
+    point_neg,
     point_parse,
     point_to_str,
     quotient,
@@ -35,7 +36,8 @@ from drinfeldlab.phimodule import (
 from drinfeldlab.places import Place, place_parse, residue_reduce
 from drinfeldlab.twisted import tp_eval
 
-from helpers import enumerated_hull, enumerated_hull_scan, hull_targets
+from helpers import (coset_oracle, enumerated_hull, enumerated_hull_scan,
+                     hull_targets)
 
 P = 3
 T_OP = RPoly.monomial(P, 1)
@@ -254,6 +256,100 @@ class TestQuotient:
         q = quotient(gamma, T_OP)
         assert q.order == 3
         assert {point_to_str(r) for r in q.reps} == {"(0)", "(theta)", "(2*theta)"}
+
+
+# modules by name, each at p: free, torsion (theta is (t+1)-torsion for
+# phi_t = t - (t+1)/theta^(p-1) tau) and mixed, of rank 0 to 3
+_QUOTIENT_MODULES = ("zero", "free", "plane", "redundant", "torsion", "mixed",
+                     "mixed3", "twisted")
+_ORACLE_DEG = 4
+
+
+def _quotient_module(p, name):
+    theta, one, zero = KElem.theta(p), KElem.one(p), KElem.zero(p)
+    car = DrinfeldModule.parse(p, "[t, 1]")
+    tor = DrinfeldModule.parse(p, f"[t, ({p - 1}*t+{p - 1})/(theta^{p - 1})]")
+    return {
+        "paper-hull": lambda: PhiModule(psi(), 1, [
+            (theta ** 9 + theta ** 4,), (theta,), (one,)]),
+        "zero": lambda: PhiModule(car, 1, []),
+        "free": lambda: PhiModule(car, 1, [(theta,)]),
+        "plane": lambda: PhiModule(car, 2, [(theta, zero), (zero, theta)]),
+        # one relation of degree 3, so at _ORACLE_DEG it has two rows
+        # for rank 3, and two free summands
+        "redundant": lambda: PhiModule(car, 1, [
+            (theta,), _op_on_point(car, RPoly.from_coeffs(p, [1, 0, 0, 1]),
+                                   (theta,)), (theta ** 2,)]),
+        "torsion": lambda: PhiModule(tor, 1, [(theta,)]),
+        "mixed": lambda: PhiModule(tor, 1, [(theta,), (one,)]),
+        "mixed3": lambda: PhiModule(tor, 1, [(theta,), (one,),
+                                             (theta + one,)]),
+        # theta^2 and theta - Phi_t(theta^2): the relation (t^2 + t, t + 1)
+        # pivots on its second entry, so V is not triangular and the
+        # torsion row of V^{-1} is (t, 1)
+        "twisted": lambda: PhiModule(tor, 1, [
+            (theta ** 2,), point_add((theta,), point_neg(_op_on_point(
+                tor, RPoly.monomial(p, 1), (theta ** 2,))))]),
+    }[name]()
+
+
+def _quotient_grid():
+    """(p, module name, coefficients of a): for each module and degree
+    1..3 with p^(rank * deg a) <= 6561, one seeded a, a power of t + 1
+    times a random factor, so that gcd(d_i, a) ranges over 1, d_i and a;
+    then the paper's hull at t^3, whose rank-3 box holds 19683 tuples."""
+    ranks = {"zero": 0, "free": 1, "plane": 2, "redundant": 3, "torsion": 1,
+             "mixed": 2, "mixed3": 3, "twisted": 2}
+    cases = []
+    for p in (2, 3, 5):
+        for idx, name in enumerate(_QUOTIENT_MODULES):
+            for d in (1, 2, 3):
+                if p ** (ranks[name] * d) > 6561:
+                    continue
+                rng = random.Random(1000 * p + 10 * idx + d)
+                k = rng.randrange(d + 1)
+                a = RPoly.from_coeffs(p, [1, 1]) ** k * RPoly.from_coeffs(
+                    p, [rng.randrange(p) for _ in range(d - k)]
+                    + [rng.randrange(1, p)])
+                cases.append((p, name, tuple(a.coeff(j)
+                                             for j in range(d + 1))))
+    cases.append((3, "paper-hull", (0, 0, 0, 1)))
+    return cases
+
+
+class TestQuotientOracle:
+    """quotient against the coset enumeration of the presentation stacked
+    on a * I: a wrong invariant factor, a wrong V^{-1} or an unreduced
+    representative fails it."""
+
+    @pytest.mark.parametrize("p, name, coeffs", _quotient_grid(),
+                             ids=lambda v: "-".join(map(str, v))
+                             if isinstance(v, tuple) else str(v))
+    def test_matches_coset_enumeration(self, p, name, coeffs):
+        gamma = _quotient_module(p, name)
+        a = RPoly.from_coeffs(p, coeffs)
+        q = quotient(gamma, a, _ORACLE_DEG)
+        diag, order, key, firsts = coset_oracle(gamma, a, _ORACLE_DEG)
+        assert (q.order, q.invariant_factors) == (order, diag)
+        assert all(op.degree < a.degree for ops in q.rep_operators
+                   for op in ops)
+        keys = [key(ops) for ops in q.rep_operators]
+        assert len(set(keys)) == len(keys) and set(keys) == set(firsts)
+        assert q.reps == tuple(_apply_operators(gamma, ops)
+                               for ops in q.rep_operators)
+
+    def test_grid_covers_every_kind(self):
+        grid = _quotient_grid()
+        assert {name for _, name, _ in grid} == \
+            set(_QUOTIENT_MODULES) | {"paper-hull"}
+        assert {p for p, _, _ in grid} == {2, 3, 5}
+        assert {len(coeffs) - 1 for _, _, coeffs in grid} == {1, 2, 3}
+
+    def test_order_beyond_the_cap_omits_representatives(self):
+        # the plane at p = 3 and a = t^5 has 3^10 cosets
+        q = quotient(_quotient_module(3, "plane"), RPoly.monomial(3, 5))
+        assert q.order == 3 ** 10
+        assert (q.reps, q.flags) == ((), ("representatives-omitted",))
 
 
 class TestTorsionSubmodule:
