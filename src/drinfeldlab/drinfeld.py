@@ -22,7 +22,6 @@ torsion_annihilator searches residue torsion too.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 from .base import Echelon, RPoly, fp_span
@@ -35,10 +34,6 @@ from .twisted import TwistedPoly, tp_add, tp_compose, tp_eval, tp_parse, tp_scal
 
 GENERIC = "generic"
 SPECIAL = "special"
-
-
-class BoundTooSmallWarning(UserWarning):
-    """A user-supplied search bound is below the derived default."""
 
 
 class DrinfeldModule:
@@ -129,12 +124,14 @@ class ProbeReport:
     max_exponent: int
 
 
-def modular_transcendence_probe(phi: DrinfeldModule, max_exponent: int = 2) -> ProbeReport:
-    """The first gamma = t^i theta^j (by |i| + |j|, i, j) whose conjugate
-    gamma^{-1} phi_t(gamma x) has its coefficients c_k gamma^(p^k - 1) in
-    F_p: each c_k is 0 or a t^(-i(p^k - 1)) theta^(-j(p^k - 1)), a in F_p^x,
-    so the scan reads exponents and builds only the witness."""
+def modular_transcendence_probe(phi: DrinfeldModule) -> ProbeReport:
+    """The first gamma = t^i theta^j, |i|, |j| <= 2 (by |i| + |j|, i, j),
+    whose conjugate gamma^{-1} phi_t(gamma x) has its coefficients
+    c_k gamma^(p^k - 1) in F_p: each c_k is 0 or a t^(-i(p^k - 1))
+    theta^(-j(p^k - 1)), a in F_p^x, so the scan reads exponents and
+    builds only the witness."""
     p = phi.p
+    max_exponent = 2
     candidates = sorted(
         ((i, j) for i in range(-max_exponent, max_exponent + 1)
          for j in range(-max_exponent, max_exponent + 1)),
@@ -154,34 +151,10 @@ def modular_transcendence_probe(phi: DrinfeldModule, max_exponent: int = 2) -> P
 # -- the bounded F_p-linear division solver ----------------------------------
 
 
-@dataclass(frozen=True)
-class HeightProfile:
-    """Search bounds for division solving.
-
-    The search space is t^a theta^b / den with b <= theta_deg, a <= t_deg,
-    den in F_p[t, theta] the denominator profile of _solution_denominator.
-    Every solution X has den X in F_p[t, theta], and None fields are
-    derived from the data:
-
-    - theta_deg is E + deg_theta(den), E the pole bound of _pole_bound at
-      theta = infinity, where v(x) = deg_theta(den x) - deg_theta(num x);
-    - t_deg is E_t + deg_t(den), E_t the pole bound at t = infinity, where
-      v(x) = deg_t(den x) - deg_t(num x).
-
-    Both are proven: deg X <= E in either variable, so den X has degree
-    at most E + deg(den) in it.  hard_cap bounds the count of unknowns:
-    a derived basis with (theta_deg + 1)(t_deg + 1) > (hard_cap + 1)^2 is
-    clipped at hard_cap in each degree and flagged, and a solution outside
-    the derived bounds exists only when such a flag fired.  enum_cap
-    bounds the number p^k of points of a kernel of dimension k.
-
-    Supplying an explicit bound below the derived one trips
-    BoundTooSmallWarning: returned points stay sound, completeness shrinks.
-    """
-    theta_deg: int | None = None
-    t_deg: int | None = None
-    hard_cap: int = 24
-    enum_cap: int = 7000
+# the most unknowns per degree of a clipped search basis, and the most
+# points p^k of a solution kernel that is enumerated
+_HARD_CAP = 24
+_ENUM_CAP = 7000
 
 
 @dataclass(frozen=True)
@@ -332,44 +305,50 @@ def _fraction_free_images(f: TwistedPoly, nums, d: BiPoly):
     return images, lcm * d ** top
 
 
-def _division_system(f: TwistedPoly, ys, bounds: HeightProfile | None):
-    """The bounded F_p-linear system of f(X) = y, y in ys: (den, (b_theta,
-    b_t), basis_nums, columns, rhs, flags), where X = sum u_k basis_nums[k]
-    / den solves f(X) = ys[m] iff sum u_k columns[k] = rhs[m].  den and
-    the bounds hold for every F_p-combination of ys as well."""
-    bounds = bounds or HeightProfile()
-    p = f.p
-    flags = set()
-
-    den = _solution_denominator(f, ys, flags)
+def _degree_bounds(f: TwistedPoly, ys, den: BiPoly):
+    """The derived bounds (b_theta, b_t) of _division_system."""
     nz = [(i, c) for i, c in enumerate(f.coeffs) if not c.is_zero()]
     nonzero = [y for y in ys if not y.is_zero()]
 
-    def pole_at_infinity(deg):
-        # _pole_bound at theta = infinity (deg = deg_theta) or t = infinity
-        # (deg = deg_t), where v(n / d) = deg(d) - deg(n)
-        return _pole_bound(p, [(i, deg(c.den) - deg(c.num)) for i, c in nz],
-                           min((deg(y.den) - deg(y.num) for y in nonzero),
-                               default=None))
+    def bound(deg):
+        return deg(den) + _pole_bound(
+            f.p, [(i, deg(c.den) - deg(c.num)) for i, c in nz],
+            min((deg(y.den) - deg(y.num) for y in nonzero), default=None))
 
-    derived_theta = pole_at_infinity(lambda g: g.theta_degree) + den.theta_degree
-    derived_t = pole_at_infinity(lambda g: g.t_degree) + den.t_degree
-    capped = (derived_theta + 1) * (derived_t + 1) > (bounds.hard_cap + 1) ** 2
+    return bound(lambda g: g.theta_degree), bound(lambda g: g.t_degree)
 
-    def pick(user, derived, name):
-        if user is None:
-            if capped and derived > bounds.hard_cap:
-                flags.add(f"{name}-bound-capped")
-                return bounds.hard_cap
-            return derived
-        if user < derived:
-            warnings.warn(f"{name} bound {user} is below the derived {derived}",
-                          BoundTooSmallWarning, stacklevel=4)
-            flags.add("user-bound-below-derived")
-        return user
 
-    b_theta = pick(bounds.theta_deg, derived_theta, "theta")
-    b_t = pick(bounds.t_deg, derived_t, "t")
+def _division_system(f: TwistedPoly, ys):
+    """The bounded F_p-linear system of f(X) = y, y in ys: (den, (b_theta,
+    b_t), basis_nums, columns, rhs, flags), where X = sum u_k basis_nums[k]
+    / den solves f(X) = ys[m] iff sum u_k columns[k] = rhs[m].  den and
+    the bounds hold for every F_p-combination of ys as well.
+
+    The search space is t^a theta^b / den with b <= b_theta, a <= b_t and
+    den in F_p[t, theta] the denominator profile of _solution_denominator,
+    so every solution X has den X in F_p[t, theta].  The bounds are
+    derived from the data (_degree_bounds):
+
+    - b_theta is E + deg_theta(den), E the pole bound of _pole_bound at
+      theta = infinity, where v(x) = deg_theta(den x) - deg_theta(num x);
+    - b_t is E_t + deg_t(den), E_t the pole bound at t = infinity, where
+      v(x) = deg_t(den x) - deg_t(num x).
+
+    Both are proven: deg X <= E in either variable, so den X has degree
+    at most E + deg(den) in it.  _HARD_CAP bounds the count of unknowns:
+    a derived basis with (b_theta + 1)(b_t + 1) > (_HARD_CAP + 1)^2 is
+    clipped at _HARD_CAP in each degree and flagged, and a solution
+    outside the derived bounds exists only when such a flag fired.
+    """
+    p = f.p
+    flags = set()
+    den = _solution_denominator(f, ys, flags)
+    bounds = _degree_bounds(f, ys, den)
+    if (bounds[0] + 1) * (bounds[1] + 1) > (_HARD_CAP + 1) ** 2:
+        flags.update(f"{name}-bound-capped"
+                     for name, b in zip(("theta", "t"), bounds) if b > _HARD_CAP)
+        bounds = tuple(min(b, _HARD_CAP) for b in bounds)
+    b_theta, b_t = bounds
 
     basis_nums = [BiPoly.monomial(p, b, a)
                   for b in range(b_theta + 1) for a in range(b_t + 1)]
@@ -383,24 +362,26 @@ def _division_system(f: TwistedPoly, ys, bounds: HeightProfile | None):
             [bipoly_vector(n) for n in images], rhs, flags)
 
 
-def solve_additive_many(f: TwistedPoly, ys, bounds: HeightProfile | None = None):
+def solve_additive_many(f: TwistedPoly, ys):
     """All bounded X with f(X) = y, for each y, sharing one elimination.
 
-    Returns a list of DivisionResult in the order of ys.  Soundness is
-    absolute (every point re-verified); completeness is relative to the
-    reported bounds and denominator profile.
+    Returns a list of DivisionResult in the order of ys.  The search
+    bounds are derived only, from f and ys (_division_system).  Soundness
+    is absolute (every point re-verified); completeness is relative to the
+    reported bounds and denominator profile, and a kernel of more than
+    _ENUM_CAP points raises RuntimeError.
     """
     if f.is_zero():
         raise ValueError("cannot divide by the zero map")
     p = f.p
     ys = list(ys)
     den, (b_theta, b_t), basis_nums, columns, rhs, flags = \
-        _division_system(f, ys, bounds)
+        _division_system(f, ys)
     echelon = Echelon(columns, p)
     sols = [echelon.solve(vec) for vec in rhs]
     null = echelon.kernel()
 
-    if p ** len(null) > (bounds or HeightProfile()).enum_cap:
+    if p ** len(null) > _ENUM_CAP:
         raise RuntimeError(
             f"solution space too large to enumerate (p^{len(null)})")
 
@@ -433,12 +414,11 @@ def solve_additive_many(f: TwistedPoly, ys, bounds: HeightProfile | None = None)
     return out
 
 
-def division_points(phi: DrinfeldModule, a: RPoly, y: KElem,
-                    bounds: HeightProfile | None = None) -> DivisionResult:
+def division_points(phi: DrinfeldModule, a: RPoly, y: KElem) -> DivisionResult:
     """All bounded X in K with Phi_a(X) = y."""
     if a.is_zero():
         raise ValueError("division by the zero operator")
-    return solve_additive_many(phi_action(phi, a), [y], bounds)[0]
+    return solve_additive_many(phi_action(phi, a), [y])[0]
 
 
 # -- torsion -----------------------------------------------------------------
@@ -499,12 +479,11 @@ def torsion_annihilator(phi: DrinfeldModule, x: KElem,
     return TorsionCertificate.not_torsion(max_deg, (height(z) for z in iterates))
 
 
-def k_rational_torsion(phi: DrinfeldModule, a: RPoly,
-                       bounds: HeightProfile | None = None) -> DivisionResult:
+def k_rational_torsion(phi: DrinfeldModule, a: RPoly) -> DivisionResult:
     """Phi[a](K) within bounds; closure laws are re-checked exhaustively."""
     if a.is_zero():
         raise ValueError("torsion of the zero operator")
-    res = division_points(phi, a, KElem.zero(phi.p), bounds)
+    res = division_points(phi, a, KElem.zero(phi.p))
     pts = set(res.points)
     for u in res.points:
         for v in res.points:
@@ -522,21 +501,22 @@ class TorsionLevelReport:
     kernel_sizes: tuple
 
 
-def estimate_torsion_level_m(phi: DrinfeldModule, m_max: int,
-                             bounds: HeightProfile | None = None) -> TorsionLevelReport:
+def estimate_torsion_level_m(phi: DrinfeldModule, m_max: int) -> TorsionLevelReport:
     """Smallest m with Phi[t^{m+1}](K) = Phi[t^m](K), or m_max inconclusive.
 
     K-rational proxy: the stabilisation statement lives over the separable
     closure, which no bounded K-side search can certify.
     """
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
     if phi.characteristic != SPECIAL:
         raise ValueError("torsion level estimation applies to special characteristic")
     p = phi.p
     t = RPoly.t(p)
-    prev = set(k_rational_torsion(phi, RPoly.one(p), bounds).points)
+    prev = set(k_rational_torsion(phi, RPoly.one(p)).points)
     sizes = [len(prev)]
     for m in range(m_max + 1):
-        cur = set(k_rational_torsion(phi, t ** (m + 1), bounds).points)
+        cur = set(k_rational_torsion(phi, t ** (m + 1)).points)
         sizes.append(len(cur))
         if cur == prev:
             return TorsionLevelReport(m, False, tuple(sizes))

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .base import RPoly, check_modulus, inv_mod
-from .kfield import BiPoly, bi_divexact
+from .base import RPoly, check_modulus
+from .kfield import BiPoly, _canonical_scale, _primitive, bi_divexact
 
 _POOL_CAP = 20
 _DEGREE_CAP = 512
@@ -213,11 +213,6 @@ def _unkron(q: RPoly, m: int, p: int) -> BiPoly:
     return BiPoly(p, d)
 
 
-def _canonical_bi(g: BiPoly) -> BiPoly:
-    lead = g.lead_theta_coeff().lead
-    return g if lead == 1 else g.scale(inv_mod(lead, g.p))
-
-
 def _try_divide(num: BiPoly, den: BiPoly):
     try:
         return bi_divexact(num, den)
@@ -260,10 +255,7 @@ def _factor_primitive(g: BiPoly):
                 cand = _unkron(prod, m, p)
                 if cand.theta_degree < 1:
                     continue
-                cont = cand.content()
-                if not cont.is_one():
-                    cand = BiPoly(p, {e: f // cont for e, f in cand.c.items()})
-                cand = _canonical_bi(cand)
+                cand = _primitive(cand)[1]
                 quot = _try_divide(current, cand)
                 if quot is not None:
                     hit = (cand, combo)
@@ -273,7 +265,7 @@ def _factor_primitive(g: BiPoly):
                 break
         if hit is None:
             # no proper sub-multiset works: what remains is irreducible
-            found.append(_canonical_bi(current))
+            found.append(_canonical_scale(current))
             pool = []
             break
         cand, combo = hit
@@ -297,14 +289,11 @@ def factor_bipoly(f: BiPoly):
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     p = f.p
-    cont = f.content()
-    prim = BiPoly(p, {e: g // cont for e, g in f.c.items()})
-    lead = prim.lead_theta_coeff().lead
-    unit = lead
-    if lead != 1:
-        prim = prim.scale(inv_mod(lead, p))
+    # the content is monic, so f's leading F_p coefficient is the primitive
+    # part's unit
+    cont, prim = _primitive(f)
     t_unit, t_factors = factor_rpoly(cont) if not cont.is_one() else (1, ())
-    unit = (unit * t_unit) % p
+    unit = (f.lead_theta_coeff().lead * t_unit) % p
     theta_factors = tuple(_factor_primitive(prim))
     return unit, t_factors, theta_factors
 

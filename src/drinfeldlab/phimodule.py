@@ -160,6 +160,8 @@ class PhiModule:
     def presentation(self, deg_bound: int = _DEFAULT_BOUND):
         """The syzygies at deg_bound, or those at a larger bound already
         computed in the lineage for these generators."""
+        if deg_bound < 1:
+            raise ValueError("deg_bound must be >= 1")
         key = ("presentation", self.gens)
         cached = self._memo.get(key)
         if cached is not None and cached[0] >= deg_bound:
@@ -553,7 +555,7 @@ def _hull_scan(gamma: PhiModule, prime_bound: int, member_bound: int,
         slots, columns, c_columns = [], [], [{} for _ in window]
         for s in range(gamma.g):
             den, _, basis, cols, rhs, flags = _division_system(
-                f, [w[s] for w in window], None)
+                f, [w[s] for w in window])
             notes.update(flags)
             slots.append((den, basis))
             columns += [{(s, e): c for e, c in col.items()} for col in cols]

@@ -37,8 +37,8 @@ from math import comb
 from .base import FElem, RPoly, check_modulus
 from .factor import factor_bipoly
 from .grammar import Parser
-from .kfield import (BiPoly, KElem, _bipoly_to_str, bipoly_pth_root, kelem_ring,
-                     kelem_to_str)
+from .kfield import (BiPoly, KElem, _bipoly_to_str, _primitive, bipoly_pth_root,
+                     kelem_ring, kelem_to_str)
 
 _FACTOR_DEG_CAP = 8
 _RING_CAP = 600
@@ -67,7 +67,7 @@ class Place:
         if not _checked:
             # a primitive polynomial of theta-degree 1 is irreducible over
             # F_p(t) by Gauss's lemma; only higher degrees are factored
-            prim = _primitive_normal(prim)
+            prim = _primitive(prim)[1]
             if prim.theta_degree > 1 \
                     and [m for _g, m in factor_bipoly(prim)[2]] != [1]:
                 raise ValueError(
@@ -88,7 +88,9 @@ class Place:
         """Build from a polynomial in theta over F (denominators are cleared)."""
         if pi.den.theta_degree > 0:
             raise ValueError("place polynomial must have a theta-free denominator")
-        return cls(pi.p, _primitive_normal(pi.num))
+        if pi.is_zero():
+            raise ValueError("zero place polynomial")
+        return cls(pi.p, pi.num)
 
     @classmethod
     def parse(cls, p: int, text: str) -> "Place":
@@ -130,18 +132,6 @@ def place_to_str(v: Place) -> str:
 
 def place_parse(p: int, text: str) -> Place:
     return Place.parse(p, text)
-
-
-def _primitive_normal(f: BiPoly) -> BiPoly:
-    cont = f.content()
-    if cont.is_zero():
-        raise ValueError("zero place polynomial")
-    prim = BiPoly(f.p, {e: g // cont for e, g in f.c.items()})
-    lead = prim.lead_theta_coeff().lead
-    if lead != 1:
-        from .base import inv_mod
-        prim = prim.scale(inv_mod(lead, f.p))
-    return prim
 
 
 # -- residues in F_p(t) ---------------------------------------------------

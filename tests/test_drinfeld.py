@@ -1,6 +1,5 @@
 import itertools
 import random
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +8,8 @@ from hypothesis import strategies as st
 from drinfeldlab import drinfeld
 from drinfeldlab.base import Echelon, RPoly, rpoly_to_str
 from drinfeldlab.drinfeld import (
-    BoundTooSmallWarning,
     DrinfeldModule,
     GENERIC,
-    HeightProfile,
     SPECIAL,
     division_points,
     estimate_torsion_level_m,
@@ -274,15 +271,6 @@ class TestDivision:
         assert built == [P]
         assert res.info.kernel_dim == 1
 
-    def test_bound_too_small_warning(self):
-        C = carlitz()
-        y = tp_eval(C.phi_t, KElem.theta(P))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            res = division_points(C, RPoly.t(P), y, HeightProfile(theta_deg=0))
-            assert any(issubclass(w.category, BoundTooSmallWarning) for w in caught)
-        assert "user-bound-below-derived" in res.info.flags
-
     def test_zero_operator_rejected(self):
         with pytest.raises(ValueError):
             division_points(carlitz(), RPoly.zero(P), KElem.zero(P))
@@ -337,12 +325,18 @@ class TestTorsion:
         with pytest.raises(ValueError):
             estimate_torsion_level_m(carlitz(), 3)
 
+    @pytest.mark.parametrize("m_max", [-1, -5])
+    def test_negative_torsion_level_refused(self, m_max):
+        with pytest.raises(ValueError, match="m_max must be >= 0"):
+            estimate_torsion_level_m(psi(), m_max)
 
-def brute_force_points(f, y, info):
-    """Every F_p-combination of the solver's basis t^a theta^b / den with f(x) = y."""
-    den = kelem_parse(P, info.denominator)
+
+def brute_force_points(f, y, den, theta_bound, t_bound):
+    """Every F_p-combination of the basis t^a theta^b / den, b <= theta_bound
+    and a <= t_bound, with f(x) = y."""
+    den = kelem_parse(P, den)
     basis = [KElem.t(P) ** a * KElem.theta(P) ** b / den
-             for b in range(info.theta_bound + 1) for a in range(info.t_bound + 1)]
+             for b in range(theta_bound + 1) for a in range(t_bound + 1)]
     found = set()
     for combo in itertools.product(range(P), repeat=len(basis)):
         x = KElem.zero(P)
@@ -356,34 +350,33 @@ def brute_force_points(f, y, info):
 
 
 class TestBruteForceOracle:
-    """The solver's points equal an exhaustive search over its own basis."""
+    """The solver's points equal an exhaustive search over the solver's
+    denominator and each case's own (theta, t) bounds, which contain the
+    derived ones, so nothing solves just outside the proven bounds
+    either."""
 
     @pytest.mark.parametrize("f_text, x_texts, miss_texts, bounds", [
         # torsion of phi_t = theta*tau + tau^2, and a kernel of dimension 1
-        ("[0, theta, 1]", ["0"], [], HeightProfile(theta_deg=2, t_deg=1)),
-        ("[t, (2*t)/(theta^2)]", ["theta", "t*theta"], [],
-         HeightProfile(theta_deg=2, t_deg=1)),
+        ("[0, theta, 1]", ["0"], [], (2, 1)),
+        ("[t, (2*t)/(theta^2)]", ["theta", "t*theta"], [], (2, 1)),
         # rational targets
-        ("[0, theta, 1]", ["(theta+1)/theta", "1/theta"], ["1/theta"],
-         HeightProfile(theta_deg=4, t_deg=0)),
+        ("[0, theta, 1]", ["(theta+1)/theta", "1/theta"], ["1/theta"], (4, 0)),
         # den is the primitive (t+2)*theta+2*t+2, and the first point sits
         # on the derived t-bound 2
         ("[0, (t+2)*theta+2*t+2]", ["(t^2+2*t)/((t+2)*theta+2*t+2)", "0"],
-         ["1"], HeightProfile(theta_deg=1, t_deg=2)),
+         ["1"], (1, 2)),
         # den = t^2+t from the pole bounds at t and at t+1
-        ("[0, theta, 1]", ["1/t", "(theta+1)/(t+1)"], [],
-         HeightProfile(theta_deg=1, t_deg=2)),
+        ("[0, theta, 1]", ["1/t", "(theta+1)/(t+1)"], [], (1, 2)),
     ])
     def test_points_equal_enumeration(self, f_text, x_texts, miss_texts, bounds):
         f = tp_parse(P, f_text)
         xs = [kelem_parse(P, x) for x in x_texts]
         ys = [tp_eval(f, x) for x in xs] + [kelem_parse(P, y) for y in miss_texts]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundTooSmallWarning)
-            results = solve_additive_many(f, ys, bounds)
+        results = solve_additive_many(f, ys)
         for y, res in zip(ys, results):
+            assert res.info.theta_bound <= bounds[0] and res.info.t_bound <= bounds[1]
             assert set(kelem_to_str(x) for x in res.points) == \
-                brute_force_points(f, y, res.info)
+                brute_force_points(f, y, res.info.denominator, *bounds)
         for x, res in zip(xs, results):
             assert x in res.points
 
@@ -508,16 +501,16 @@ class TestSharpBounds:
 
     def test_capped_sharp_bound_still_flagged(self):
         # X of degree 27 in theta and in t balances X^9 against
-        # (t theta)^250: the derived basis has 28^2 > (hard_cap + 1)^2 = 625
-        # unknowns, so each bound is clipped at hard_cap = 24
+        # (t theta)^250: the derived basis has 28^2 > (_HARD_CAP + 1)^2 = 625
+        # unknowns, so each bound is clipped at _HARD_CAP = 24
         y = (KElem.t(P) * KElem.theta(P)) ** 250
         res = solve_additive_many(psi().phi_t, [y])[0]
-        cap = HeightProfile().hard_cap
+        cap = drinfeld._HARD_CAP
         assert (res.info.theta_bound, res.info.t_bound) == (cap, cap)
         assert {"theta-bound-capped", "t-bound-capped"} <= set(res.info.flags)
 
     def test_hard_cap_bounds_the_count_of_unknowns(self):
-        # theta^250 alone gives the theta-bound 27 > hard_cap, but the
+        # theta^250 alone gives the theta-bound 27 > _HARD_CAP, but the
         # basis has 28 <= 625 unknowns, so nothing is clipped
         res = solve_additive_many(psi().phi_t, [KElem.theta(P) ** 250])[0]
         assert (res.info.theta_bound, res.info.t_bound) == (27, 0)
@@ -545,7 +538,7 @@ class TestTDenominators:
     def test_large_t_poles_stay_desk_scale(self):
         # theta/(t+1)^3000 bounds the pole order at t+1 by 3000 // 9 = 333,
         # a basis of 334 unknowns; 1/t^20000 gives 2223 unknowns, which is
-        # clipped at hard_cap and flagged
+        # clipped at _HARD_CAP and flagged
         f = psi().phi_t
         t = RPoly.t(P)
         y = KElem.theta(P) * KElem.from_rpoly((t + 1) ** 3000).inverse()
@@ -553,7 +546,7 @@ class TestTDenominators:
         assert (res.info.theta_bound, res.info.t_bound) == (0, 333)
         assert res.info.flags == ()
         res = solve_additive_many(f, [KElem.from_rpoly(t ** 20000).inverse()])[0]
-        assert res.info.t_bound == HeightProfile().hard_cap
+        assert res.info.t_bound == drinfeld._HARD_CAP
         assert res.info.flags == ("t-bound-capped",)
 
 
@@ -669,10 +662,10 @@ def _loose_solution_denominator(f, ys, flags):
 
 class TestAgainstLooseBounds:
     """Seeded differential test against the solver with the loose
-    denominator profile and a generous explicit theta-bound of 20: every
-    point it finds, the sharp solver finds with its derived theta-bound
-    and the same t-bound.  The points have t-free denominators, since the
-    loose profile has no t-primes and both solvers share the t-bound 2."""
+    denominator profile and a generous theta-bound of 20, patched in for
+    the derived one: every point it finds, the sharp solver finds with its
+    derived bounds.  The points have t-free denominators, since the loose
+    profile has no t-primes."""
 
     @pytest.mark.parametrize("p, seed", [(2, s) for s in range(6)]
                              + [(3, s) for s in range(6)])
@@ -684,15 +677,14 @@ class TestAgainstLooseBounds:
               for _ in range(3)]
         ys = [tp_eval(f, x) for x in xs] + [KElem.zero(p)] + [
             _random_bipoly_kelem(rng, p, 2, 1)]
-        t_deg = 2
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundTooSmallWarning)
-            sharp = solve_additive_many(f, ys, HeightProfile(t_deg=t_deg))
-            with monkeypatch.context() as m:
-                m.setattr(drinfeld, "_solution_denominator",
-                          _loose_solution_denominator)
-                loose = solve_additive_many(
-                    f, ys, HeightProfile(theta_deg=20, t_deg=t_deg))
+        sharp = solve_additive_many(f, ys)
+        derived = drinfeld._degree_bounds
+        with monkeypatch.context() as m:
+            m.setattr(drinfeld, "_solution_denominator",
+                      _loose_solution_denominator)
+            m.setattr(drinfeld, "_degree_bounds",
+                      lambda f, ys, den: (20, derived(f, ys, den)[1]))
+            loose = solve_additive_many(f, ys)
         for x, res in zip(xs, sharp):
             assert x in res.points
         for y, s, lo in zip(ys, sharp, loose):

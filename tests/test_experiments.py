@@ -5,10 +5,8 @@ import itertools
 import json
 import math
 import pathlib
-import time
-from dataclasses import dataclass
-
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +16,7 @@ from drinfeldlab import adelic, drinfeld, localfield, places
 from drinfeldlab import experiments as ex
 from drinfeldlab import phimodule as pm
 from drinfeldlab.base import RPoly, fp_span
-from drinfeldlab.drinfeld import (DrinfeldModule, HeightProfile,
-                                  solve_additive_many)
+from drinfeldlab.drinfeld import DrinfeldModule, solve_additive_many
 from drinfeldlab.kfield import BiPoly, KElem, kelem_parse
 from drinfeldlab.phimodule import (PhiModule, divisible_hull, is_full, member,
                                    member_many, point_add, point_to_str)
@@ -1278,13 +1275,6 @@ class TestClosureTorsionMismatch:
             "mixed-assignment-rejected-nontorsion:(theta)-(theta+1)"}
 
 
-@dataclass(frozen=True)
-class _NoHeadroom(HeightProfile):
-    """The solver's default bounds with hard_cap 0, so that any derived
-    bound above 0 is capped and flagged."""
-    hard_cap: int = 0
-
-
 class TestCapsWeakenVerdicts:
     """A cap that fires below a pipeline rules out TheoremConfirmed and
     certified: true.  No cap fires at the defaults on these instances, so
@@ -1292,7 +1282,9 @@ class TestCapsWeakenVerdicts:
 
     @pytest.fixture
     def no_headroom(self, monkeypatch):
-        monkeypatch.setattr(drinfeld, "HeightProfile", _NoHeadroom)
+        # the solver's hard cap at 0, so that any derived bound above 0 is
+        # capped and flagged
+        monkeypatch.setattr(drinfeld, "_HARD_CAP", 0)
 
     def test_zero_dim_intersection(self, paper_hull, no_headroom):
         theta = KElem.theta(P)

@@ -11,9 +11,12 @@ attribute chain.  `from __future__` imports are exempt.
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
+
+from drinfeldlab import drinfeld
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "drinfeldlab").glob("*.py")) + \
@@ -369,3 +372,31 @@ def test_text_key_detector_passes(source):
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
 def test_no_printed_form_is_an_identity(path):
     assert text_keys(path.read_text()) == []
+
+
+# The division solver's bounds are derived from the data only: no entry
+# point of it takes a bound or a scan range, and it has no type of
+# bounds and no warning left to give.  Tests force a cap by patching its
+# module constant.
+SOLVER_CALLS = ("_division_system", "solve_additive_many", "division_points",
+                "k_rational_torsion", "estimate_torsion_level_m",
+                "modular_transcendence_probe")
+
+
+@pytest.mark.parametrize("name", SOLVER_CALLS)
+def test_solver_takes_no_bound(name):
+    params = inspect.signature(getattr(drinfeld, name)).parameters
+    assert not {"bounds", "max_exponent"} & set(params)
+
+
+def test_solver_has_no_bound_layer():
+    tree = ast.parse((ROOT / "src" / "drinfeldlab" / "drinfeld.py").read_text())
+    defined = {stmt.name for stmt in tree.body
+               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    assert not {"HeightProfile", "BoundTooSmallWarning"} & defined
+    modules = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert "warnings" not in modules
+    assert (drinfeld._HARD_CAP, drinfeld._ENUM_CAP) == (24, 7000)

@@ -315,7 +315,7 @@ class TestResidueSolve:
 
     def test_flagged_search_raises(self):
         # -t X + X^3 = t^2187 + t bounds deg X by 729: 730 unknowns exceed
-        # (hard_cap + 1)^2 = 625, so the search is clipped and refuses
+        # (_HARD_CAP + 1)^2 = 625, so the search is clipped and refuses
         v = vft()
         gbar = [FElem.from_rpoly(-RPoly.t(P)), FElem.one(P)]
         y = FElem.from_rpoly(RPoly.monomial(P, 3 ** 7) + RPoly.t(P))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeldlab import drinfeld
-from drinfeldlab.adelic import closure_torsion_check
+from drinfeldlab.adelic import closure_torsion_check, quotient_iso_check
 from drinfeldlab.base import Echelon, RPoly
 from drinfeldlab.drinfeld import (DrinfeldModule, phi_action, reduce_point,
                                   reduction, torsion_annihilator)
@@ -692,6 +692,21 @@ class TestLineageMemo:
         assert fresh == gamma
         assert fresh.presentation(4) is not first
         assert fresh.family(4) is not family
+
+    @pytest.mark.parametrize("call", [
+        lambda gamma, bound: quotient(gamma, T_OP, bound),
+        lambda gamma, bound: torsion_submodule(gamma, bound),
+        lambda gamma, bound: quotient_iso_check(gamma, T_OP, deg_bound=bound),
+    ], ids=["quotient", "torsion_submodule", "quotient_iso_check"])
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bad_bound_refused_fresh_and_after_the_memo(self, call, bound):
+        # a presentation at bound 2 in the lineage must not serve bound 0
+        gamma = PhiModule(psi(), 1, [(k("theta"),), (k("theta^2"),)])
+        for warm in (False, True):
+            if warm:
+                gamma.presentation(2)
+            with pytest.raises(ValueError, match="deg_bound must be >= 1"):
+                call(gamma, bound)
 
 
 # -- the hull scan against the enumerating scan -------------------------------
