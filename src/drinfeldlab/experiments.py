@@ -8,6 +8,12 @@ to a zero-dimensional one through quotient cosets.  Every verdict is
 derived from certified sub-results and carries its bounds; varieties are
 K-rational by construction (zero-dimensional input with coordinates
 outside K is not representable and therefore out of scope).
+
+The three theorem pipelines share one frame: _require_instance makes every
+entry refusal before any scan; in both special-characteristic pipelines,
+_full_module runs the fullness scan, minimises the generators and picks the
+default places; and _report sorts both sides, checks that the K-side lies
+in the adelic side and builds the report.
 """
 
 from __future__ import annotations
@@ -258,9 +264,10 @@ class Hypersurface:
         return {"kind": "hypersurface", "g": self.g, "poly": str(self.poly)}
 
 
-def _require_variety(variety, p: int):
-    if not isinstance(variety, (ZeroDim, Hypersurface)):
-        raise ValueError("variety must be a ZeroDim or a Hypersurface")
+def _require_variety(variety, p: int, kinds=(ZeroDim, Hypersurface)):
+    if not isinstance(variety, kinds):
+        raise ValueError("variety must be a "
+                         + " or a ".join(kind.__name__ for kind in kinds))
     fields = {variety.poly.p} if isinstance(variety, Hypersurface) \
         else {c.p for x in variety.points for c in x}
     if fields - {p}:
@@ -299,20 +306,64 @@ def _verdict(trace, inconclusive: bool) -> str:
     return INCONCLUSIVE if inconclusive else CONFIRMED
 
 
-def _fullness_notes(full) -> list:
-    """One fullness-capped note per note of the fullness scan: a scan cut
-    short by a cap or a bound leaves fullness open, so the verdict on top of
-    it is inconclusive."""
-    return [f"fullness-capped:{note}" for note in full.notes]
+_BOUND_NAMES = {"deg_bound": "degree bound", "enum_deg": "enumeration degree",
+                "box_degree": "theta degree", "m": "power of t"}
 
 
-def _require_bounds(deg_bound=0, precision=0, cutoff=0, enum_deg=0):
-    """Refuse a negative bound up front, before any scan, minimisation or
-    certificate runs on it."""
-    for value, what in ((deg_bound, "degree bound"), (precision, "precision"),
-                        (cutoff, "cutoff"), (enum_deg, "enumeration degree")):
+def _require_instance(gamma: PhiModule, variety, characteristic: str, kinds,
+                      tracked_places, **bounds):
+    """(places, bounds): the places as a tuple (None for the default ones)
+    and the bounds as a report records them, after every entry refusal of a
+    pipeline: the characteristic, the variety's kind, field and width, a
+    negative bound and a bad place list, all before any scan."""
+    if gamma.phi.characteristic != characteristic:
+        raise ValueError(f"{characteristic}-characteristic module required")
+    _require_variety(variety, gamma.p, kinds)
+    if variety.g != gamma.g:
+        raise ValueError("variety width disagrees with the module")
+    for name, value in bounds.items():
         if value < 0:
-            raise ValueError(f"negative {what}")
+            raise ValueError(f"negative {_BOUND_NAMES.get(name, name)}")
+    return (None if tracked_places is None else require_places(tracked_places),
+            bounds)
+
+
+def _default_places(gamma: PhiModule, variety=None):
+    """standard_tracked_places good for gamma and a ZeroDim's points; a
+    coordinate with no theta in its denominator is integral at every place
+    theta + g, so only the other points go to the scan."""
+    points = variety.points if isinstance(variety, ZeroDim) else ()
+    return standard_tracked_places(gamma, extra_points=[
+        x for x in points if any(c.den.theta_degree for c in x)])
+
+
+def _full_module(gamma: PhiModule, deg_bound: int, tracked_places,
+                 variety=None):
+    """(minimised gamma, places, prime_bound, notes) of a module full up to
+    the bounds, refused otherwise; each fullness-capped note marks a scan
+    cut short, which leaves the verdict on top of it inconclusive."""
+    full = is_full(gamma, member_bound=deg_bound)
+    if full.kind != "full_up_to_bounds":
+        raise ValueError("module not full up to the stated bounds")
+    gamma = _minimize_generators(gamma, deg_bound)
+    if tracked_places is None:
+        tracked_places = _default_places(gamma, variety)
+    return (gamma, tracked_places, full.prime_bound,
+            tuple(f"fullness-capped:{note}" for note in full.notes))
+
+
+def _report(kind: str, inconclusive: bool, k_side, adelic_side, certificates,
+            bounds: dict, assumptions, trace=(), notes=()) -> ExperimentReport:
+    """A pipeline's report, both sides sorted and the K-side checked to lie
+    in the adelic side (None when it is not known)."""
+    k_side = _sorted_points(k_side)
+    if adelic_side is not None:
+        adelic_side = _sorted_points(adelic_side)
+        if not set(k_side) <= set(adelic_side):
+            raise AssertionError("K-side escaped the adelic side")
+    return ExperimentReport(kind, _verdict(trace, inconclusive), k_side,
+                            adelic_side, tuple(certificates), bounds,
+                            tuple(assumptions), tuple(trace), tuple(notes))
 
 
 def _sorted_points(points):
@@ -617,14 +668,12 @@ def generic_char_experiment(gamma: PhiModule, variety,
     only necessary conditions that rule points out, and every K-side point
     is still evaluated exactly.
     """
-    if gamma.phi.characteristic != GENERIC:
-        raise ValueError("generic-characteristic module required")
-    _require_variety(variety, gamma.p)
-    _require_bounds(deg_bound, precision, cutoff, enum_deg)
-    if variety.g != gamma.g:
-        raise ValueError("variety width disagrees with the module")
-    tracked_places = (standard_tracked_places(gamma) if tracked_places is None
-                      else require_places(tracked_places))
+    tracked_places, bounds = _require_instance(
+        gamma, variety, GENERIC, (ZeroDim, Hypersurface), tracked_places,
+        deg_bound=deg_bound, cutoff=cutoff, precision=precision,
+        enum_deg=enum_deg)
+    if tracked_places is None:
+        tracked_places = _default_places(gamma, variety)
 
     certificates = []
     notes = []
@@ -646,22 +695,12 @@ def generic_char_experiment(gamma: PhiModule, variety,
         adelic = k_side
     else:
         k_side = _swept_window(gamma, variety.poly, enum_deg)
-        adelic = list(k_side) if discrete_ok else None
+        adelic = k_side if discrete_ok else None
         notes.append(f"hypersurface-swept-to-operator-degree-{enum_deg}")
 
-    k_side = _sorted_points(k_side)
-    adelic_side = None if adelic is None else _sorted_points(adelic)
-    if adelic_side is not None:
-        if not set(k_side) <= set(adelic_side):
-            raise AssertionError("K-side escaped the adelic side")
-
-    verdict = _verdict((), inconclusive)
-    bounds = {"deg_bound": deg_bound, "cutoff": cutoff,
-              "precision": precision, "enum_deg": enum_deg}
-    return ExperimentReport("generic-characteristic", verdict, k_side,
-                            adelic_side, tuple(certificates), bounds,
-                            ("module-discrete-at-tracked-places",),
-                            (), tuple(notes))
+    return _report("generic-characteristic", inconclusive, k_side, adelic,
+                   certificates, bounds, ("module-discrete-at-tracked-places",),
+                   notes=notes)
 
 
 # -- special characteristic, zero-dimensional ----------------------------------
@@ -683,31 +722,20 @@ def zero_dim_intersection(gamma: PhiModule, variety: ZeroDim,
     reduction on the finite torsion set.  What survives is per-point
     closure membership, so the two sides are compared point by point.
     """
-    if gamma.phi.characteristic != SPECIAL:
-        raise ValueError("special-characteristic module required")
-    if not isinstance(variety, ZeroDim):
-        raise ValueError("zero-dimensional variety required")
-    _require_variety(variety, gamma.p)
-    _require_bounds(deg_bound, precision)
-    if variety.g != gamma.g:
-        raise ValueError("variety width disagrees with the module")
-    if tracked_places is not None:
-        tracked_places = require_places(tracked_places)
-    full = is_full(gamma, member_bound=deg_bound)
-    if full.kind != "full_up_to_bounds":
-        raise ValueError("module not full up to the stated bounds")
-    gamma = _minimize_generators(gamma, deg_bound)
-    if tracked_places is None:
-        tracked_places = standard_tracked_places(gamma)
-    return _zero_dim_report(gamma, variety, tracked_places, precision,
-                            deg_bound, full)
+    tracked_places, _ = _require_instance(
+        gamma, variety, SPECIAL, (ZeroDim,), tracked_places,
+        deg_bound=deg_bound, precision=precision)
+    return _zero_dim_report(
+        *_full_module(gamma, deg_bound, tracked_places, variety),
+        variety, precision, deg_bound)
 
 
-def _zero_dim_report(gamma: PhiModule, variety: ZeroDim, tracked_places,
-                     precision: int, deg_bound: int, full):
-    """zero_dim_intersection on a module already minimised, whose fullness
-    scan gave the report full."""
-    notes = _fullness_notes(full)
+def _zero_dim_report(gamma: PhiModule, tracked_places, prime_bound: int,
+                     fullness_notes, variety: ZeroDim, precision: int,
+                     deg_bound: int):
+    """zero_dim_intersection on a module prepared by _full_module, whose
+    fullness scan gave the prime bound and the notes."""
+    notes = list(fullness_notes)
     assumptions = ["full-up-to-bounds"]
     m_rep = estimate_torsion_level_m(gamma.phi, 4)
     assumptions.append(f"t-power-torsion-level-m<={m_rep.m}")
@@ -748,19 +776,11 @@ def _zero_dim_report(gamma: PhiModule, variety: ZeroDim, tracked_places,
 
     k_side, open_ = _closure_checks(gamma, pts, tracked_places, precision,
                                     deg_bound, certificates, notes)
-    inconclusive = inconclusive or open_
-
-    k_side = _sorted_points(k_side)
-    adelic_side = list(k_side)
-    if not set(k_side) <= set(adelic_side):
-        raise AssertionError("K-side escaped the adelic side")
-
-    verdict = _verdict((), inconclusive)
-    bounds = {"deg_bound": deg_bound, "precision": precision,
-              "prime_bound": full.prime_bound}
-    return ExperimentReport("zero-dimensional", verdict, k_side, adelic_side,
-                            tuple(certificates), bounds, tuple(assumptions),
-                            (), tuple(notes))
+    return _report("zero-dimensional", inconclusive or open_, k_side, k_side,
+                   certificates, {"deg_bound": deg_bound,
+                                  "precision": precision,
+                                  "prime_bound": prime_bound},
+                   assumptions, notes=notes)
 
 
 # -- uniformity probe -----------------------------------------------------------
@@ -1003,29 +1023,18 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
     two stages only rule points out, and every point reported is evaluated
     exactly.
     """
-    if gamma.phi.characteristic != SPECIAL:
-        raise ValueError("special-characteristic module required")
-    if not isinstance(variety, Hypersurface):
-        raise ValueError("hypersurface instance required")
-    _require_variety(variety, gamma.p)
-    if variety.g != gamma.g:
-        raise ValueError("variety width disagrees with the module")
-    if m < 0:
-        raise ValueError("negative power of t")
-    _require_bounds(deg_bound, precision, enum_deg=enum_deg)
-    if tracked_places is not None:
-        tracked_places = require_places(tracked_places)
+    tracked_places, bounds = _require_instance(
+        gamma, variety, SPECIAL, (Hypersurface,), tracked_places,
+        deg_bound=deg_bound, precision=precision, box_degree=box_degree,
+        enum_deg=enum_deg, m=m)
     box_vectors = _theta_box_vectors(gamma.p, gamma.g, box_degree)
-    full = is_full(gamma, member_bound=deg_bound)
-    if full.kind != "full_up_to_bounds":
-        raise ValueError("module not full up to the stated bounds")
-    gamma = _minimize_generators(gamma, deg_bound)
-    if tracked_places is None:
-        tracked_places = standard_tracked_places(gamma)
+    # W is not known yet, so the default places are good for the module only
+    full = _full_module(gamma, deg_bound, tracked_places)
+    gamma, tracked_places, _, notes = full
     p = gamma.p
 
     certificates = []
-    notes = _fullness_notes(full)
+    notes = list(notes)
     inconclusive = bool(notes)
 
     a = RPoly.from_coeffs(p, [0] * m + [1])
@@ -1050,15 +1059,13 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
             raise AssertionError("W left the variety")
     _reject_parametrized_lines(variety, list(w.points), p)
 
-    sub = _zero_dim_report(gamma, w, tracked_places, precision, deg_bound,
-                           full) if w.points else None
-    if sub is not None:
+    k_side = adelic_side = ()
+    if w.points:
+        sub = _zero_dim_report(*full, w, precision, deg_bound)
         certificates.append(("zero-dim", sub.to_json_dict()))
-        k_side = sub.k_side
-        adelic_side = sub.adelic_side
+        k_side, adelic_side = sub.k_side, sub.adelic_side
+        inconclusive = inconclusive or sub.verdict == INCONCLUSIVE
     else:
-        k_side = ()
-        adelic_side = ()
         notes.append("empty-candidate-set")
 
     trace = []
@@ -1071,16 +1078,7 @@ def uniform_dml_reduce(gamma: PhiModule, variety: Hypersurface, m: int,
             trace.append(f"swept point {point_to_str(x)} missing from the"
                          " K side")
 
-    if sub is not None and sub.verdict == INCONCLUSIVE:
-        inconclusive = True
-
-    verdict = _verdict(trace, inconclusive)
-    bounds = {"deg_bound": deg_bound, "precision": precision,
-              "box_degree": box_degree, "enum_deg": enum_deg,
-              "m": m, "quotient_order": q.order}
-    report = ExperimentReport("uniform-reduction", verdict, k_side,
-                              adelic_side, tuple(certificates), bounds,
-                              ("full-up-to-bounds",
-                               "no-parametrized-line-found-in-window"),
-                              tuple(trace), tuple(notes))
-    return w, report
+    return w, _report("uniform-reduction", inconclusive, k_side, adelic_side,
+                      certificates, bounds | {"quotient_order": q.order},
+                      ("full-up-to-bounds",
+                       "no-parametrized-line-found-in-window"), trace, notes)

@@ -466,6 +466,16 @@ class TestUniformityProbe:
         _assert_matches_reference(table, expected)
         assert [r[2] for r in table.rows if r[1] == 0] == [4, 3, 1]
 
+    @pytest.mark.parametrize("variety", [
+        ex.Hypersurface(ex.poly_parse(P, 1, _CUBIC)),
+        ex.ZeroDim(1, [(KElem.zero(P),)])], ids=["hypersurface", "zero-dim"])
+    def test_empty_box_without_translates(self, variety):
+        # no point has a key, and every level counts nothing
+        table = ex.uniformity_probe(tp_parse(P, "[0, theta, 1]"), variety,
+                                    [], (0, 1), [])
+        assert (table.rows, table.max_counts) == ((), ((0, 0), (1, 0)))
+        assert table.certified and table.flags == ()
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.sampled_from(sorted(_PROBE_ROOTS)),
            st.lists(st.sampled_from(_PROBE_POOL), min_size=1, max_size=4),
@@ -819,6 +829,21 @@ class TestGenericZeroDimKSide:
                       if member(gamma, x, 8).found)
         assert sorted(point_to_str(x) for x in rep.k_side) == want
         assert 0 < len(want) < len(pts)
+
+    def test_point_with_a_pole_at_a_default_place(self):
+        # 1/theta has a pole at theta, the first good place of <theta>, so
+        # the default places are picked good for the points too; it was
+        # refused with "point not integral at finite:theta"
+        theta = KElem.theta(P)
+        gamma = PhiModule(DrinfeldModule.parse(P, "[t, 1]"), 1, [(theta,)])
+        rep = ex.generic_char_experiment(
+            gamma, ex.ZeroDim(1, [(KElem.one(P) / theta,), (theta,)]))
+        assert rep.verdict == ex.CONFIRMED
+        assert rep.k_side == ((theta,),)
+        assert [label for label, _ in rep.certificates
+                if label.startswith("discreteness:")] == [
+            "discreteness:finite:theta+1", "discreteness:finite:theta+2",
+            "discreteness:finite:theta+t"]
 
     def test_rank_zero_module(self):
         # the closure of the zero module holds no nonzero point
@@ -1225,6 +1250,32 @@ class TestVerdictLadder:
     ])
     def test_trace_outranks_open_bounds(self, trace, inconclusive, verdict):
         assert ex._verdict(trace, inconclusive) == verdict
+
+
+class TestReportSides:
+    """Both sides of every report are sorted tuples, so two sides holding
+    the same points compare equal."""
+
+    @pytest.mark.parametrize("run", [
+        lambda hull: ex.generic_char_experiment(
+            _carlitz_plane(), ex.ZeroDim(2, [(KElem.theta(P), KElem.zero(P))]),
+            deg_bound=4, cutoff=4, precision=4),
+        lambda hull: ex.generic_char_experiment(
+            _carlitz_plane(), ex.Hypersurface(
+                ex.poly_parse(P, 2, "x*y - theta")), enum_deg=1),
+        lambda hull: ex.zero_dim_intersection(
+            hull, ex.ZeroDim(1, [(KElem.theta(P) + 1,), (KElem.theta(P),)])),
+        lambda hull: ex.uniform_dml_reduce(
+            hull, ex.Hypersurface(ex.poly_parse(P, 1, _CUBIC)), 1,
+            box_degree=1)[1],
+    ], ids=["generic-zero-dim", "generic-hypersurface", "zero-dim",
+            "uniform-reduction"])
+    def test_sides_are_equal_tuples(self, run, paper_hull):
+        rep = run(paper_hull)
+        assert rep.verdict == ex.CONFIRMED
+        assert type(rep.k_side) is tuple and type(rep.adelic_side) is tuple
+        assert rep.adelic_side == rep.k_side
+        assert list(rep.k_side) == sorted(rep.k_side, key=pm.point_sort_key)
 
 
 class TestClosureTorsionMismatch:
@@ -2061,6 +2112,22 @@ class TestFpFilter:
         assert not lifted([(0, 1), (2, 1)])
 
 
+# refusal -> the error it raises; a negative bound raises "negative "
+_ENTRY_REFUSALS = {
+    "characteristic": "characteristic module required",
+    "kind": "variety must be a",
+    "field": "another field",
+    "width": "width disagrees",
+    "empty-place-list": "empty place list",
+    "theta-degree-2-place": "theta-degree 1",
+}
+_PIPELINE_BOUNDS = {
+    "generic": ("precision", "cutoff", "deg_bound", "enum_deg"),
+    "zero-dim": ("precision", "deg_bound"),
+    "reduction": ("precision", "deg_bound", "enum_deg", "box_degree", "m"),
+}
+
+
 class TestNegativePrecision:
     """A negative digit count is refused up front, as a negative degree
     bound is: before the membership shortcut and the rank-0 shortcut, and
@@ -2095,16 +2162,14 @@ class TestNegativePrecision:
             ex.generic_char_experiment(gamma, ex.ZeroDim(1, [(theta,)]),
                                        **bounds)
 
-    @pytest.mark.parametrize("pipeline, bound", [
-        (pipeline, bound)
-        for pipeline, bounds in [
-            ("generic", ("precision", "cutoff", "deg_bound", "enum_deg")),
-            ("zero-dim", ("precision", "deg_bound")),
-            ("reduction", ("precision", "deg_bound", "enum_deg"))]
-        for bound in bounds])
-    def test_refused_at_entry(self, pipeline, bound, monkeypatch):
-        """Each pipeline refuses a negative bound before any fullness
-        scan, minimisation or discreteness certificate runs."""
+    @pytest.mark.parametrize("pipeline, refusal", [
+        (pipeline, refusal) for pipeline, bounds in _PIPELINE_BOUNDS.items()
+        for refusal in (*bounds, *_ENTRY_REFUSALS)])
+    def test_refused_at_entry(self, pipeline, refusal, monkeypatch):
+        """Each pipeline refuses another characteristic, another kind of
+        variety, another field, another width, a negative bound and a bad
+        place list before any fullness scan, minimisation or discreteness
+        certificate runs."""
         calls = []
         for name in ("is_full", "_minimize_generators",
                      "discreteness_certificate"):
@@ -2115,16 +2180,33 @@ class TestNegativePrecision:
         special = PhiModule(DrinfeldModule.parse(P, "[0, theta, 1]"), 1,
                             [(theta,)])
         curve = ex.Hypersurface(ex.poly_parse(P, 1, _CUBIC))
-        run = {
-            "generic": lambda **kw: ex.generic_char_experiment(
-                generic, curve, **kw),
-            "zero-dim": lambda **kw: ex.zero_dim_intersection(
-                special, ex.ZeroDim(1, [(theta,)]), **kw),
-            "reduction": lambda **kw: ex.uniform_dml_reduce(
-                special, curve, 1, **kw),
+        point = ex.ZeroDim(1, [(theta,)])
+        zero_dim = pipeline == "zero-dim"
+        run, args = {
+            "generic": (ex.generic_char_experiment,
+                        {"gamma": generic, "variety": curve}),
+            "zero-dim": (ex.zero_dim_intersection,
+                         {"gamma": special, "variety": point}),
+            "reduction": (ex.uniform_dml_reduce,
+                          {"gamma": special, "variety": curve, "m": 1}),
         }[pipeline]
-        with pytest.raises(ValueError, match="negative "):
-            run(**{bound: -1})
+        change = {
+            "characteristic": {
+                "gamma": special if pipeline == "generic" else generic},
+            "kind": {"variety": {"generic": curve.poly, "zero-dim": curve,
+                                 "reduction": point}[pipeline]},
+            "field": {"variety": ex.ZeroDim(1, [(KElem.theta(2),)])
+                      if zero_dim else
+                      ex.Hypersurface(ex.poly_parse(2, 1, "x - theta"))},
+            "width": {"variety": ex.ZeroDim(2, [(theta, theta)]) if zero_dim
+                      else ex.Hypersurface(ex.poly_parse(P, 2, "x*y - theta"))},
+            "empty-place-list": {"tracked_places": ()},
+            "theta-degree-2-place": {"tracked_places": (
+                places.place_parse(P, "finite:theta^2+t"),)},
+        }.get(refusal, {refusal: -1})
+        with pytest.raises(ValueError,
+                           match=_ENTRY_REFUSALS.get(refusal, "negative ")):
+            run(**args | change)
         assert calls == []
 
 

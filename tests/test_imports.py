@@ -400,3 +400,54 @@ def test_solver_has_no_bound_layer():
                 if isinstance(node, ast.ImportFrom)}
     assert "warnings" not in modules
     assert (drinfeld._HARD_CAP, drinfeld._ENUM_CAP) == (24, 7000)
+
+
+# The three theorem pipelines share one frame: one entry check, one
+# full-module preparation and one report assembly, where the K-side is
+# checked against the adelic side.
+FRAME_CALL_LIMITS = {"ExperimentReport": (1, 1), "is_full": (1, 1),
+                     "standard_tracked_places": (1, 2)}
+FRAME_GONE = {"_require_bounds", "_fullness_notes"}
+ESCAPE_CHECK = "K-side escaped the adelic side"
+
+
+def frame_problems(source: str):
+    """How source departs from the one pipeline frame: a call count of
+    FRAME_CALL_LIMITS outside its (least, most), a def of FRAME_GONE, or
+    the escape check not written exactly once."""
+    tree = ast.parse(source)
+    calls = [node.func.id for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    problems = [f"{name} called {calls.count(name)} times"
+                for name, (least, most) in FRAME_CALL_LIMITS.items()
+                if not least <= calls.count(name) <= most]
+    problems += [f"{stmt.name} defined" for stmt in tree.body
+                 if isinstance(stmt, ast.FunctionDef)
+                 and stmt.name in FRAME_GONE]
+    checks = sum(isinstance(node, ast.Constant) and node.value == ESCAPE_CHECK
+                 for node in ast.walk(tree))
+    if checks != 1:
+        problems.append(f"escape check written {checks} times")
+    return problems
+
+
+def test_frame_detector():
+    one = ("def _report():\n"
+           "    raise AssertionError('K-side escaped the adelic side')\n"
+           "    return ExperimentReport()\n"
+           "def _full_module(g):\n"
+           "    is_full(g)\n    return standard_tracked_places(g)\n")
+    assert frame_problems(one) == []
+    copied = one.replace("def _full_module", "def _fullness_notes") + (
+        "def pipeline(g):\n    is_full(g)\n    ExperimentReport()\n"
+        "    standard_tracked_places(g)\n    standard_tracked_places(g)\n"
+        "    raise AssertionError('K-side escaped the adelic side')\n")
+    assert frame_problems(copied) == [
+        "ExperimentReport called 2 times", "is_full called 2 times",
+        "standard_tracked_places called 3 times", "_fullness_notes defined",
+        "escape check written 2 times"]
+
+
+def test_one_pipeline_frame():
+    source = (ROOT / "src" / "drinfeldlab" / "experiments.py").read_text()
+    assert frame_problems(source) == []
